@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/ids"
+	"repro/internal/wire"
 )
 
 // MaxFrame caps one frame's payload; a peer announcing a larger frame is
@@ -18,13 +20,19 @@ import (
 // allocation).
 const MaxFrame = 64 << 20
 
+// readBufSize is the per-connection read buffer: room for a few hundred
+// ballot-sized frames per read syscall.
+const readBufSize = 16 << 10
+
 // maxPooledFrame caps the buffers the frame pool retains: anything larger
 // is allocated (and freed) directly, so a burst of 1MiB payloads cannot
 // pin megabytes of idle pool memory forever.
 const maxPooledFrame = 256 << 10
 
-// framePool recycles frame buffers between Send calls (write path) and
-// across dropped packets (read path). Stored as *[]byte to avoid the
+// framePool recycles the write path's frame buffers: Send and Multisend
+// assemble header + payload in one, write it, and return it before they
+// return — the borrower provably finishes inside the call. Received frames
+// never come from here (see readLoop). Stored as *[]byte to avoid the
 // allocation of boxing a slice header per Put.
 var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
@@ -44,6 +52,7 @@ func putFrame(bp *[]byte) {
 	if cap(*bp) > maxPooledFrame {
 		return
 	}
+	wire.Poison((*bp)[:cap(*bp)])
 	framePool.Put(bp)
 }
 
@@ -159,9 +168,13 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 		delete(e.inbound, conn)
 		e.mu.Unlock()
 	}()
+	// One buffered reader per connection: headers and small frames come
+	// out of its buffer (many per read syscall), a frame larger than the
+	// buffer is read straight into its destination.
+	br := bufio.NewReaderSize(conn, readBufSize)
 	var hdr [8]byte
 	for {
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return
 		}
 		from := ids.ProcessID(int32(binary.LittleEndian.Uint32(hdr[0:4])))
@@ -169,23 +182,19 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 		if n > MaxFrame {
 			return // oversized frame; drop connection
 		}
-		// Read into a pooled buffer: a delivered packet escapes into the
-		// inbox (its consumer owns the memory from then on, so it is
-		// simply not returned), but a dropped one recycles immediately —
-		// an overloaded inbox stops costing an allocation per drop.
-		bp := getFrame(int(n))
-		if _, err := io.ReadFull(conn, *bp); err != nil {
-			putFrame(bp)
+		// A received frame is immutable and owned by the collector from
+		// here on (the Endpoint contract): consumers alias it freely, so
+		// it is an exact-size allocation and never a pooled buffer.
+		data := make([]byte, n)
+		if _, err := io.ReadFull(br, data); err != nil {
 			return
 		}
 		select {
-		case e.inbox <- Packet{From: from, Data: *bp}:
+		case e.inbox <- Packet{From: from, Data: data}:
 		case <-e.done:
-			putFrame(bp)
 			return
 		default:
 			// Inbox full: drop. Fair-lossy permits it.
-			putFrame(bp)
 		}
 	}
 }

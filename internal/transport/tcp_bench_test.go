@@ -26,8 +26,8 @@ func loopbackAddrs(tb testing.TB, n int) []string {
 }
 
 // BenchmarkTCPSendRecv measures the per-frame cost of the socket transport
-// round trip — the pooled write/read frame buffers show up directly in the
-// allocs/op column.
+// round trip: the write path's pooled frame buffer costs nothing in steady
+// state, the received frame is one exact-size allocation.
 func BenchmarkTCPSendRecv(b *testing.B) {
 	for _, size := range []int{64, 4096, 65536} {
 		b.Run(fmt.Sprintf("payload=%d", size), func(b *testing.B) {

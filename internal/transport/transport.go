@@ -26,7 +26,8 @@ var ErrClosed = errors.New("transport: endpoint closed")
 // endpoint; a process has at most one incarnation at a time.
 var ErrDetached = errors.New("transport: process already attached")
 
-// Packet is one received datagram.
+// Packet is one received datagram. Data is immutable and owned by whoever
+// received it (see Endpoint).
 type Packet struct {
 	From ids.ProcessID
 	Data []byte
@@ -36,6 +37,16 @@ type Packet struct {
 // Send and Multisend never block and never fail: the channel is allowed to
 // lose anything. Recv blocks until a packet arrives, the context is
 // cancelled, or the endpoint is closed.
+//
+// Buffer ownership (the module's one rule, stated in full at
+// wire.GetWriter): data passed to Send or Multisend is borrowed for the
+// call — the endpoint has copied it or written it out by the time the call
+// returns, and the caller may reuse the buffer at once. Packet.Data
+// returned by Recv is immutable and owned by the collector: no endpoint
+// pools it or writes to it again, so the receiver may keep it, slice it and
+// alias it for as long as it likes, and must not modify it (two packets may
+// share memory). Every implementation and every decorator keeps both
+// halves.
 type Endpoint interface {
 	Local() ids.ProcessID
 	// Send transmits data to one process (unreliably).

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/ids"
+	"repro/internal/testenv"
 )
 
 func recvOne(t *testing.T, ep Endpoint, timeout time.Duration) (Packet, error) {
@@ -343,4 +344,115 @@ func TestSchedulerStopDiscardsPending(t *testing.T) {
 	}
 	// after() on a stopped scheduler is a no-op, not a panic.
 	s.after(time.Millisecond, func() { fired <- struct{}{} })
+}
+
+// tcpPair attaches two endpoints of a loopback TCP network on free ports.
+func tcpPair(tb testing.TB) (a, b Endpoint) {
+	tb.Helper()
+	tn := NewTCP(loopbackAddrs(tb, 2))
+	a, err := tn.Attach(0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { a.Close() })
+	b, err = tn.Attach(1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { b.Close() })
+	return a, b
+}
+
+// TestSendBorrowsItsArgument is the sender's half of the ownership rule on
+// every path a transport has: the argument of Send/Multisend may be
+// scribbled on the moment the call returns, and what arrives is what was
+// passed.
+func TestSendBorrowsItsArgument(t *testing.T) {
+	const want = "the bytes that were sent"
+	mem := NewMem(2, MemOptions{Seed: 21})
+	defer mem.Close()
+	m0, _ := mem.Attach(0)
+	m1, _ := mem.Attach(1)
+	t0, t1 := tcpPair(t)
+	for _, tc := range []struct {
+		name     string
+		src, dst Endpoint
+	}{
+		{"mem remote", m0, m1},
+		{"mem self", m0, m0},
+		{"tcp remote", t0, t1},
+		{"tcp self", t0, t0},
+	} {
+		for _, multi := range []bool{false, true} {
+			buf := []byte(want)
+			if multi {
+				tc.src.Multisend(buf)
+			} else {
+				tc.src.Send(tc.dst.Local(), buf)
+			}
+			for i := range buf {
+				buf[i] = 0xEE
+			}
+			pkt, err := recvOne(t, tc.dst, 5*time.Second)
+			if err != nil || string(pkt.Data) != want {
+				t.Fatalf("%s (multisend=%v): got %q, %v", tc.name, multi, pkt.Data, err)
+			}
+			if multi && tc.src != tc.dst {
+				// Drain the sender's own copy of the multisend.
+				if pkt, err := recvOne(t, tc.src, 5*time.Second); err != nil || string(pkt.Data) != want {
+					t.Fatalf("%s self copy: got %q, %v", tc.name, pkt.Data, err)
+				}
+			}
+		}
+	}
+}
+
+// TestTCPReceivedFramesAreNeverRecycled is the receiver's half: a packet
+// kept across later traffic (which cycles the write path's pooled, poisoned
+// buffers many times over) still reads as it arrived.
+func TestTCPReceivedFramesAreNeverRecycled(t *testing.T) {
+	a, b := tcpPair(t)
+	a.Send(1, []byte("keep me"))
+	kept, err := recvOne(t, b, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		a.Send(1, []byte("filler filler filler"))
+		if _, err := recvOne(t, b, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if string(kept.Data) != "keep me" {
+		t.Fatalf("kept packet changed under later traffic: %q", kept.Data)
+	}
+}
+
+// TestTCPReceiveAllocBudget fails when receiving a small frame costs more
+// than the frame: one exact-size allocation (64 B here; it was a 4 KiB
+// pooled buffer per frame that never went back to its pool), and nothing on
+// the write path in steady state.
+func TestTCPReceiveAllocBudget(t *testing.T) {
+	if testenv.Race {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	a, b := tcpPair(t)
+	payload := make([]byte, 64)
+	ctx := context.Background()
+	roundTrip := func() {
+		a.Send(1, payload)
+		if _, err := b.Recv(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roundTrip() // dial
+	res := testing.Benchmark(func(bm *testing.B) {
+		bm.ReportAllocs()
+		for i := 0; i < bm.N; i++ {
+			roundTrip()
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got > 128 {
+		t.Fatalf("TCP send+receive of a 64 B frame allocates %d B/op, budget 128", got)
+	}
 }

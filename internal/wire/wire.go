@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"testing"
 )
 
 // ErrTruncated is returned when a buffer ends before a value is complete.
@@ -45,10 +46,17 @@ var writerPool = sync.Pool{New: func() any { return &Writer{} }}
 // forever.
 const poolMaxCap = 64 << 10
 
-// GetWriter returns an empty pooled Writer with at least sizeHint capacity.
-// Release it with PutWriter once the encoded bytes have been fully consumed
-// — every transport layer in this module copies synchronously on Send, so
-// releasing right after the send call is safe.
+// GetWriter returns an empty pooled Writer with at least sizeHint capacity;
+// an encoder that knows its size asks for it, so the buffer is allocated
+// once and not grown append by append.
+//
+// The pool rests on the module's one buffer-ownership rule. A []byte handed
+// to Send, Multisend, Put*, Append* or Propose is BORROWED FOR THE CALL: the
+// callee copies it or is done with it before it returns, so the caller may
+// PutWriter (or overwrite) the buffer the moment the call is back. A
+// []byte that comes out of Recv, Get, Records or a decided value is
+// IMMUTABLE AND OWNED BY THE COLLECTOR: it is never a pooled buffer, nobody
+// writes to it again, and decoders alias it instead of copying.
 func GetWriter(sizeHint int) *Writer {
 	w := writerPool.Get().(*Writer)
 	w.Reset()
@@ -64,7 +72,25 @@ func PutWriter(w *Writer) {
 	if cap(w.buf) > poolMaxCap {
 		return // oversized one-off: let the GC have it
 	}
+	Poison(w.buf[:cap(w.buf)])
 	writerPool.Put(w)
+}
+
+// poisoning is on in test binaries only.
+var poisoning = testing.Testing()
+
+// Poison overwrites a buffer that is about to go back to a pool. In a test
+// binary every byte becomes 0xDB, so a borrower that kept the buffer past
+// its call reads garbage on the spot — a CRC or decode failure in the test
+// that did it — instead of another message's bytes once in a long run.
+// Outside tests it does nothing.
+func Poison(b []byte) {
+	if !poisoning {
+		return
+	}
+	for i := range b {
+		b[i] = 0xDB
+	}
 }
 
 // Bytes returns the encoded record. The returned slice aliases the Writer's
