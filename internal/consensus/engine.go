@@ -502,12 +502,15 @@ func (e *Engine) MaxKnown() (uint64, bool) {
 // enqueued under e.mu, concurrent acceptor updates of the same instance
 // reach the log in volatile-state order. e.mu held.
 func (e *Engine) logAcceptorLocked(in *instance) *storage.Completion {
-	w := wire.NewWriter(24 + len(in.accV))
+	// Pooled: the log borrows the cell for the call only.
+	w := wire.GetWriter(32 + len(in.accV))
 	w.U64(in.promised)
 	w.Bool(in.hasAcc)
 	w.U64(in.accB)
 	w.Bytes32(in.accV)
-	return e.ast.PutAsync(accKey(in.k), w.Bytes())
+	c := e.ast.PutAsync(accKey(in.k), w.Bytes())
+	wire.PutWriter(w)
+	return c
 }
 
 // replyWhenDurable transmits reply to one peer once the log write covering

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/msg"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
@@ -47,7 +48,7 @@ func (p *Protocol) CheckpointNow() error {
 			p.ds.foldPrefix(app, cut, floor)
 		}
 	}
-	w := wire.GetWriter(256)
+	w := wire.GetWriter(p.ds.sizeHint())
 	defer wire.PutWriter(w)
 	w.U64(p.k)
 	p.ds.encode(w)
@@ -58,10 +59,10 @@ func (p *Protocol) CheckpointNow() error {
 	// Broadcast appends under, so no record is lost.
 	var compactErr error
 	if p.cfg.BatchedBroadcast && p.cfg.IncrementalLog {
-		uw := wire.GetWriter(64)
+		uw := wire.GetWriter(msg.BatchSize(p.unordered.Slice()))
 		p.unordered.Encode(uw)
-		// Put copies synchronously on every engine, so the buffer can go
-		// back to the pool as soon as the call returns.
+		// Put borrows the value for the call, so the buffer goes back to
+		// the pool as soon as it returns.
 		if err := p.st.Put(keyUnord, uw.Bytes()); err != nil {
 			compactErr = err
 		} else if err := p.st.Delete(keyUnordLog); err != nil {

@@ -119,7 +119,7 @@ func (p *Protocol) sendGossip() {
 		// and the attached topology epoch lets a process whose state
 		// transfer skipped the reshard marker rounds resync its topology.
 		floor, epoch, topo := fs()
-		w := wire.GetWriter(64)
+		w := wire.GetWriter(32 + len(topo))
 		w.U8(subFloor)
 		w.U64(floor)
 		w.U64(epoch)
@@ -128,11 +128,7 @@ func (p *Protocol) sendGossip() {
 		wire.PutWriter(w)
 	}
 	if len(repull) > 0 {
-		w := wire.GetWriter(64)
-		w.U8(subPull)
-		msg.EncodeIDs(w, repull)
-		p.net.Multisend(w.Bytes())
-		wire.PutWriter(w)
+		p.pullFrame(repull, ids.Nobody)
 	}
 	if starving {
 		p.poke()
@@ -146,10 +142,16 @@ func (p *Protocol) sendGossip() {
 // wire format of the periodic (classic mode), eager, and pull-reply paths
 // — and multisends it (to == ids.Nobody) or sends it to one peer.
 func (p *Protocol) gossipFrame(k uint64, batch []msg.Message, to ids.ProcessID) {
-	w := wire.GetWriter(64)
+	w := wire.GetWriter(16 + msg.BatchSize(batch))
 	w.U8(subGossip)
 	w.U64(k)
 	msg.EncodeBatch(w, batch)
+	p.sendFrame(w, to)
+}
+
+// sendFrame multisends an encoded frame (to == ids.Nobody) or sends it to
+// one peer, and releases its writer: the net borrows the bytes for the call.
+func (p *Protocol) sendFrame(w *wire.Writer, to ids.ProcessID) {
 	if to == ids.Nobody {
 		p.net.Multisend(w.Bytes())
 	} else {
@@ -158,17 +160,24 @@ func (p *Protocol) gossipFrame(k uint64, batch []msg.Message, to ids.ProcessID) 
 	wire.PutWriter(w)
 }
 
+// pullFrame encodes one pull(IDs) request and sends it like sendFrame.
+func (p *Protocol) pullFrame(idList []ids.MsgID, to ids.ProcessID) {
+	w := wire.GetWriter(16 + msg.MaxIDLen*len(idList))
+	w.U8(subPull)
+	msg.EncodeIDs(w, idList)
+	p.sendFrame(w, to)
+}
+
 // digestFrame encodes and multisends one digest(k, IDs) frame.
 func (p *Protocol) digestFrame(k uint64, batch []msg.Message) {
-	w := wire.GetWriter(64)
+	w := wire.GetWriter(32 + msg.MaxIDLen*len(batch))
 	w.U8(subDigest)
 	w.U64(k)
 	w.U64(uint64(len(batch)))
 	for _, m := range batch {
 		msg.EncodeID(w, m.ID)
 	}
-	p.net.Multisend(w.Bytes())
-	wire.PutWriter(w)
+	p.sendFrame(w, ids.Nobody)
 }
 
 // eagerGossip pushes messages added since the last flush right after a
@@ -285,7 +294,7 @@ func (p *Protocol) noteRoundLocked(from ids.ProcessID, kq uint64) (sendState []b
 		now := time.Now()
 		if now.Sub(p.lastStateTo[from]) >= 2*p.cfg.GossipInterval {
 			p.lastStateTo[from] = now
-			w := wire.NewWriter(256)
+			w := wire.NewWriter(p.ds.sizeHint())
 			w.U8(subState)
 			w.U64(p.k - 1)
 			w.U64(p.gcFloor)
@@ -400,11 +409,7 @@ func (p *Protocol) onDigest(from ids.ProcessID, r *wire.Reader) {
 		p.poke()
 	}
 	if len(missing) > 0 && from != p.cfg.PID {
-		w := wire.GetWriter(64)
-		w.U8(subPull)
-		msg.EncodeIDs(w, missing)
-		p.net.Send(from, w.Bytes())
-		wire.PutWriter(w)
+		p.pullFrame(missing, from)
 	}
 	if sendState != nil {
 		p.net.Send(from, sendState)

@@ -431,14 +431,17 @@ func (p *Protocol) Broadcast(ctx context.Context, payload []byte) (ids.MsgID, er
 		// the meantime — safe, because until Broadcast returns, m "may
 		// or may have not been A-broadcast" (§4.2).
 		var c *storage.Completion
+		// Pooled: the log borrows the record for the call only.
 		if p.cfg.IncrementalLog {
-			w := wire.NewWriter(16 + len(m.Payload))
+			w := wire.GetWriter(32 + len(m.Payload))
 			m.Encode(w)
 			c = p.ast.AppendAsync(keyUnordLog, w.Bytes())
+			wire.PutWriter(w)
 		} else {
-			w := wire.NewWriter(64)
+			w := wire.GetWriter(msg.BatchSize(p.unordered.Slice()))
 			p.unordered.Encode(w)
 			c = p.ast.PutAsync(keyUnord, w.Bytes())
+			wire.PutWriter(w)
 		}
 		p.mu.Unlock()
 		p.poke()
@@ -614,11 +617,7 @@ func (p *Protocol) resolvePayloads(round uint64, recs []msg.IDRec) ([]msg.Messag
 	}
 	p.mu.Unlock()
 	if len(pull) > 0 {
-		w := wire.GetWriter(64)
-		w.U8(subPull)
-		msg.EncodeIDs(w, pull)
-		p.net.Multisend(w.Bytes())
-		wire.PutWriter(w)
+		p.pullFrame(pull, ids.Nobody)
 	}
 	return nil, false
 }

@@ -191,8 +191,8 @@ func (p *Protocol) pump(results map[uint64][]byte) time.Duration {
 		if !ok {
 			return delay
 		}
-		// Pooled: Propose copies the proposal before logging it.
-		w := wire.GetWriter(64)
+		// Pooled: Propose borrows the value (it keeps a copy of its own).
+		var w *wire.Writer
 		if p.ringMode() {
 			// Ordering/dissemination split: the consensus value is the ID
 			// vector — a few dozen bytes per message however large the
@@ -201,8 +201,10 @@ func (p *Protocol) pump(results map[uint64][]byte) time.Duration {
 			for i, m := range batch {
 				recs[i] = msg.Rec(m)
 			}
+			w = wire.GetWriter(10 + 32*len(recs))
 			msg.EncodeIDVec(w, recs)
 		} else {
+			w = wire.GetWriter(msg.BatchSize(batch))
 			msg.EncodeBatch(w, batch)
 		}
 		// "Proposed_p[k_p] ← Unordered_p; log(Proposed_p[k_p]);
@@ -527,7 +529,7 @@ func (p *Protocol) maybeAdopt() {
 	deliverCb := p.cfg.OnDeliver
 	skipCb := p.cfg.OnRoundSkip
 	revokeCb := p.cfg.OnRevoke
-	w := wire.GetWriter(256)
+	w := wire.GetWriter(p.ds.sizeHint())
 	defer wire.PutWriter(w)
 	w.U64(p.k)
 	p.ds.encode(w)

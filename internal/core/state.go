@@ -159,6 +159,16 @@ func (d *deliveryState) snapshotBase() Snapshot {
 	}
 }
 
+// sizeHint estimates what encode writes (exact but for the vector clock),
+// so the encoder asks for its buffer once.
+func (d *deliveryState) sizeHint() int {
+	n := 256 + len(d.base.App)
+	for _, e := range d.suffix {
+		n += 40 + len(e.m.Payload)
+	}
+	return n
+}
+
 // encode serializes the full state (base + suffix with rounds).
 func (d *deliveryState) encode(w *wire.Writer) {
 	w.Bool(d.base.App != nil)

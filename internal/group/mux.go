@@ -11,6 +11,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/obs"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // tagLen is the per-frame tag: a little-endian u16. 2 bytes of overhead
@@ -359,23 +360,42 @@ func (pm *procMux) dispatch(from ids.ProcessID, tag uint16, payload []byte) {
 	}
 }
 
-// send transmits one tagged frame, through the coalescer when enabled.
-func (pm *procMux) send(to ids.ProcessID, frame []byte) {
-	if pm.coal != nil {
-		pm.coal.submit(to, frame)
-		return
-	}
-	pm.ep.Send(to, frame)
+// tagged prepends a lane tag to data in pooled scratch; the caller releases
+// it once the inner endpoint's send, which borrows it, has returned.
+func tagged(tag uint16, data []byte) *wire.Writer {
+	w := wire.GetWriter(tagLen + len(data))
+	appendTag(w, tag)
+	w.Raw(data)
+	return w
 }
 
-// multisend transmits one tagged frame to every process, through the
-// coalescer when enabled.
-func (pm *procMux) multisend(frame []byte) {
+func appendTag(w *wire.Writer, tag uint16) {
+	w.U8(uint8(tag))
+	w.U8(uint8(tag >> 8))
+}
+
+// send transmits data on lane tag to one process, through the coalescer
+// when enabled. data is borrowed for the call on either path.
+func (pm *procMux) send(to ids.ProcessID, tag uint16, data []byte) {
 	if pm.coal != nil {
-		pm.coal.submit(ids.Nobody, frame)
+		pm.coal.submit(to, tag, data)
 		return
 	}
-	pm.ep.Multisend(frame)
+	w := tagged(tag, data)
+	pm.ep.Send(to, w.Bytes())
+	wire.PutWriter(w)
+}
+
+// multisend transmits data on lane tag to every process, through the
+// coalescer when enabled.
+func (pm *procMux) multisend(tag uint16, data []byte) {
+	if pm.coal != nil {
+		pm.coal.submit(ids.Nobody, tag, data)
+		return
+	}
+	w := tagged(tag, data)
+	pm.ep.Multisend(w.Bytes())
+	wire.PutWriter(w)
 }
 
 // detach removes the lane's virtual endpoint; when it was the last one the
@@ -425,13 +445,6 @@ var _ transport.Endpoint = (*muxEndpoint)(nil)
 
 func (e *muxEndpoint) Local() ids.ProcessID { return e.pm.pid }
 
-func (e *muxEndpoint) tagFrame(data []byte) []byte {
-	buf := make([]byte, tagLen+len(data))
-	binary.LittleEndian.PutUint16(buf, e.tag)
-	copy(buf[tagLen:], data)
-	return buf
-}
-
 func (e *muxEndpoint) Send(to ids.ProcessID, data []byte) {
 	select {
 	case <-e.done:
@@ -439,7 +452,7 @@ func (e *muxEndpoint) Send(to ids.ProcessID, data []byte) {
 	default:
 	}
 	e.pm.m.tagged.Add(1)
-	e.pm.send(to, e.tagFrame(data))
+	e.pm.send(to, e.tag, data)
 }
 
 func (e *muxEndpoint) Multisend(data []byte) {
@@ -449,7 +462,7 @@ func (e *muxEndpoint) Multisend(data []byte) {
 	default:
 	}
 	e.pm.m.tagged.Add(1)
-	e.pm.multisend(e.tagFrame(data))
+	e.pm.multisend(e.tag, data)
 }
 
 func (e *muxEndpoint) Recv(ctx context.Context) (transport.Packet, error) {
@@ -493,25 +506,29 @@ type coalescer struct {
 	closed     bool
 }
 
+// sendQueue is one destination's coalesced frame under construction, in a
+// pooled writer: [coalTag] then, per queued frame, [uvarint len][tag][data].
+// Frames are copied in as they are submitted (the submitter's buffer is only
+// borrowed), so a flush is one send of the writer and its release.
 type sendQueue struct {
-	frames [][]byte
-	bytes  int
+	w      *wire.Writer // nil while empty
+	frames int
+	first  int // offset of the first frame's tag: a lone frame goes out bare
 }
 
-func (q *sendQueue) take() [][]byte {
-	frames := q.frames
-	q.frames = nil
-	q.bytes = 0
-	return frames
+func (q *sendQueue) take() sendQueue {
+	out := *q
+	*q = sendQueue{}
+	return out
 }
 
 func newCoalescer(pm *procMux, opts MuxOptions) *coalescer {
 	return &coalescer{pm: pm, opts: opts, uni: make(map[ids.ProcessID]*sendQueue)}
 }
 
-// submit queues one tagged frame for to (ids.Nobody = multisend) and
-// applies the flush triggers.
-func (c *coalescer) submit(to ids.ProcessID, frame []byte) {
+// submit queues data, tagged, for to (ids.Nobody = multisend) and applies
+// the flush triggers.
+func (c *coalescer) submit(to ids.ProcessID, tag uint16, data []byte) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -525,12 +542,21 @@ func (c *coalescer) submit(to ids.ProcessID, frame []byte) {
 			c.uni[to] = q
 		}
 	}
-	q.frames = append(q.frames, frame)
-	q.bytes += len(frame)
-	if q.bytes >= c.opts.FlushBytes {
-		frames := q.take()
+	if q.w == nil {
+		q.w = wire.GetWriter(c.opts.FlushBytes)
+		appendTag(q.w, coalTag)
+	}
+	q.w.U64(uint64(tagLen + len(data)))
+	if q.frames == 0 {
+		q.first = q.w.Len()
+	}
+	appendTag(q.w, tag)
+	q.w.Raw(data)
+	q.frames++
+	if q.w.Len() >= c.opts.FlushBytes {
+		batch := q.take()
 		c.mu.Unlock()
-		c.write(to, frames)
+		c.write(to, batch)
 		return
 	}
 	if !c.timerArmed {
@@ -543,8 +569,8 @@ func (c *coalescer) submit(to ids.ProcessID, frame []byte) {
 // onTimer flushes every queue when the delay trigger fires.
 func (c *coalescer) onTimer() {
 	type flush struct {
-		to     ids.ProcessID
-		frames [][]byte
+		to    ids.ProcessID
+		batch sendQueue
 	}
 	var out []flush
 	c.mu.Lock()
@@ -554,44 +580,35 @@ func (c *coalescer) onTimer() {
 		return
 	}
 	for to, q := range c.uni {
-		if len(q.frames) > 0 {
+		if q.frames > 0 {
 			out = append(out, flush{to, q.take()})
 		}
 	}
-	if len(c.multi.frames) > 0 {
+	if c.multi.frames > 0 {
 		out = append(out, flush{ids.Nobody, c.multi.take()})
 	}
 	c.mu.Unlock()
 	for _, f := range out {
-		c.write(f.to, f.frames)
+		c.write(f.to, f.batch)
 	}
 }
 
-// write performs one transport write for the batch: a lone frame goes out
-// as-is, several are packed into a coalesced frame.
-func (c *coalescer) write(to ids.ProcessID, frames [][]byte) {
-	var out []byte
-	if len(frames) == 1 {
-		out = frames[0]
+// write performs one transport write for the batch and releases its
+// buffer: a lone frame goes out as-is, several as one coalesced frame.
+func (c *coalescer) write(to ids.ProcessID, batch sendQueue) {
+	out := batch.w.Bytes()
+	if batch.frames == 1 {
+		out = out[batch.first:]
 	} else {
-		size := tagLen
-		for _, f := range frames {
-			size += binary.MaxVarintLen32 + len(f)
-		}
-		out = make([]byte, tagLen, size)
-		binary.LittleEndian.PutUint16(out, coalTag)
-		for _, f := range frames {
-			out = binary.AppendUvarint(out, uint64(len(f)))
-			out = append(out, f...)
-		}
 		c.pm.m.coalWrites.Add(1)
-		c.pm.m.coalFrames.Add(int64(len(frames)))
+		c.pm.m.coalFrames.Add(int64(batch.frames))
 	}
 	if to == ids.Nobody {
 		c.pm.ep.Multisend(out)
-		return
+	} else {
+		c.pm.ep.Send(to, out)
 	}
-	c.pm.ep.Send(to, out)
+	wire.PutWriter(batch.w)
 }
 
 // close drops all pending frames; further submissions are ignored.

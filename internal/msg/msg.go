@@ -100,6 +100,23 @@ func SortCanonical(ms []Message) {
 	sort.Slice(ms, func(i, j int) bool { return ms[i].ID.Less(ms[j].ID) })
 }
 
+// MaxIDLen bounds the encoding of one identity (EncodeID): three varints.
+const MaxIDLen = 20
+
+// maxHeaderLen bounds what Encode writes ahead of a payload: the identity
+// and the length prefix.
+const maxHeaderLen = MaxIDLen + 5
+
+// BatchSize bounds the encoding of ms by EncodeBatch, so an encoder can ask
+// for its buffer once instead of growing it append by append.
+func BatchSize(ms []Message) int {
+	n := 10
+	for _, m := range ms {
+		n += maxHeaderLen + len(m.Payload)
+	}
+	return n
+}
+
 // EncodeBatch encodes a slice of messages (count-prefixed).
 func EncodeBatch(w *wire.Writer, ms []Message) {
 	w.U64(uint64(len(ms)))

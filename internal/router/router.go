@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // Channel tags the protocol layer a packet belongs to.
@@ -25,7 +26,8 @@ const (
 )
 
 // Handler consumes one packet on a channel. Handlers run on the router's
-// receive goroutine and must not block indefinitely.
+// receive goroutine and must not block indefinitely. payload is part of a
+// received frame: immutable, the handler's to keep and alias (see Net).
 type Handler func(from ids.ProcessID, payload []byte)
 
 // Router demultiplexes an endpoint. Create with New, register handlers,
@@ -99,23 +101,34 @@ func (r *Router) recvLoop(ctx context.Context) {
 	}
 }
 
+// tagged prepends the channel tag to payload in pooled scratch; the caller
+// releases it once the endpoint's send, which borrows it, has returned.
+func tagged(ch Channel, payload []byte) *wire.Writer {
+	w := wire.GetWriter(1 + len(payload))
+	w.U8(uint8(ch))
+	w.Raw(payload)
+	return w
+}
+
 // Send transmits payload to one process on channel ch.
 func (r *Router) Send(ch Channel, to ids.ProcessID, payload []byte) {
-	buf := make([]byte, 1+len(payload))
-	buf[0] = byte(ch)
-	copy(buf[1:], payload)
-	r.ep.Send(to, buf)
+	w := tagged(ch, payload)
+	r.ep.Send(to, w.Bytes())
+	wire.PutWriter(w)
 }
 
 // Multisend transmits payload to every process on channel ch.
 func (r *Router) Multisend(ch Channel, payload []byte) {
-	buf := make([]byte, 1+len(payload))
-	buf[0] = byte(ch)
-	copy(buf[1:], payload)
-	r.ep.Multisend(buf)
+	w := tagged(ch, payload)
+	r.ep.Multisend(w.Bytes())
+	wire.PutWriter(w)
 }
 
-// Net is the per-channel sending interface handed to protocol layers.
+// Net is the per-channel sending interface handed to protocol layers. It
+// keeps the module's buffer-ownership rule (wire.GetWriter): payload is
+// borrowed for the call — copied or written out before Send/Multisend
+// return, so the caller encodes into a pooled writer and releases it right
+// after — and what a Handler receives is immutable and the handler's own.
 type Net interface {
 	Send(to ids.ProcessID, payload []byte)
 	Multisend(payload []byte)
