@@ -16,19 +16,18 @@ type Completion struct {
 	mu   sync.Mutex
 	done bool
 	err  error
-	ch   chan struct{}
-	cbs  []func(error)
+	// ch is made by the first Done or Wait: the protocol's hot path asks
+	// with Poll and OnDone and never needs it, and one record resolves
+	// through a chain of these (engine, latency shim, observers).
+	ch  chan struct{}
+	cbs []func(error)
 }
 
-func newCompletion() *Completion {
-	return &Completion{ch: make(chan struct{})}
-}
+func newCompletion() *Completion { return &Completion{} }
 
 // completed returns an already-resolved Completion (synchronous engines).
 func completed(err error) *Completion {
-	c := newCompletion()
-	c.complete(err)
-	return c
+	return &Completion{done: true, err: err}
 }
 
 // complete resolves the completion: the waiters unblock and the registered
@@ -43,7 +42,9 @@ func (c *Completion) complete(err error) {
 	c.err = err
 	cbs := c.cbs
 	c.cbs = nil
-	close(c.ch)
+	if c.ch != nil {
+		close(c.ch)
+	}
 	c.mu.Unlock()
 	for _, fn := range cbs {
 		fn(err)
@@ -51,11 +52,24 @@ func (c *Completion) complete(err error) {
 }
 
 // Done returns a channel closed when the operation has resolved.
-func (c *Completion) Done() <-chan struct{} { return c.ch }
+func (c *Completion) Done() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.ch == nil {
+		c.ch = make(chan struct{})
+		if c.done {
+			close(c.ch)
+		}
+	}
+	return c.ch
+}
 
 // Wait blocks until the operation resolves and returns its error.
 func (c *Completion) Wait() error {
-	<-c.ch
+	if err, done := c.Poll(); done {
+		return err
+	}
+	<-c.Done()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.err
@@ -98,6 +112,11 @@ func (c *Completion) OnDone(fn func(error)) {
 // writes, one fsync); every other engine is adapted by Async, which
 // performs the operation synchronously and returns a resolved Completion —
 // semantically identical, just without coalescing.
+//
+// Stable's ownership rule holds unchanged: val and rec are borrowed until
+// PutAsync/AppendAsync RETURN, not until the Completion resolves — an
+// engine that still needs the bytes after returning (the WAL writes them
+// out a group commit later) works from its own copy.
 type AsyncStable interface {
 	Stable
 	// PutAsync issues an atomic cell replacement; the Completion resolves

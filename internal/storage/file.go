@@ -175,7 +175,9 @@ func (f *File) Records(key string) ([][]byte, error) {
 			// Torn tail from a crash mid-append: discard it.
 			break
 		}
-		recs = append(recs, rec)
+		// Copied: each record is its collector's own, and one kept
+		// record must not keep the whole log file's buffer alive.
+		recs = append(recs, append([]byte(nil), rec...))
 		b = rest
 	}
 	return recs, nil
@@ -246,7 +248,8 @@ func frame(payload []byte) []byte {
 }
 
 // unframe extracts one framed payload, returning it, the remaining bytes and
-// whether the frame was intact.
+// whether the frame was intact. The payload aliases b: a caller whose result
+// must not pin b (one record of a whole log file) copies it out.
 func unframe(b []byte) (payload, rest []byte, ok bool) {
 	if len(b) < 8 {
 		return nil, nil, false
@@ -256,13 +259,11 @@ func unframe(b []byte) (payload, rest []byte, ok bool) {
 	if uint32(len(b)-8) < n {
 		return nil, nil, false
 	}
-	payload = b[8 : 8+n]
+	payload = b[8 : 8+n : 8+n]
 	if crc32.ChecksumIEEE(payload) != crc {
 		return nil, nil, false
 	}
-	cp := make([]byte, n)
-	copy(cp, payload)
-	return cp, b[8+n:], true
+	return payload, b[8+n:], true
 }
 
 func syncFile(path string) error {

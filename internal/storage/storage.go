@@ -96,6 +96,15 @@ var ErrClosed = errors.New("storage: closed")
 // Append/Records model an append-only log for incremental logging (§5.5).
 //
 // Implementations must be safe for concurrent use.
+//
+// Buffer ownership (the module's one rule, stated in full at
+// wire.GetWriter): val and rec passed to Put and Append are borrowed for
+// the call — the engine has copied what it keeps by the time the call
+// returns, so the caller may encode into a pooled buffer and release it at
+// once. What Get and Records return is immutable and owned by the
+// collector: the engine never writes to it again or hands it out twice, and
+// the caller may keep and alias it. Every engine and every wrapper keeps
+// both halves.
 type Stable interface {
 	// Put atomically replaces the value of cell key.
 	Put(key string, val []byte) error

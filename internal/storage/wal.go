@@ -1,8 +1,11 @@
 package storage
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -84,10 +87,13 @@ type WAL struct {
 	// points.
 	compactHook func(stage string)
 
-	// Committer-owned (no lock needed: single goroutine).
-	seg     *os.File
-	segSeq  int
-	segSize int64
+	// Committer-owned (no lock needed: single goroutine). groupBuf is the
+	// buffer every write is framed in — a commit group, a chunk of rescue
+	// records — reused from one write to the next.
+	seg      *os.File
+	segSeq   int
+	segSize  int64
+	groupBuf []byte
 
 	kick    chan struct{} // wakes the committer (capacity 1)
 	closeCh chan struct{}
@@ -166,13 +172,21 @@ var (
 	_ Closer      = (*WAL)(nil)
 )
 
-// walOp is one queued mutation: the framed record plus its completion.
-// A barrier has a nil buf.
+// walOp is one queued mutation and its completion. val is the index's own
+// copy of the value — immutable once installed, so the committer frames the
+// record straight from it and the value is allocated once on its way to
+// disk. A barrier has op 0.
 type walOp struct {
-	buf []byte
+	op  byte
+	key string
+	val []byte
 	c   *Completion
 	err error
 }
+
+// maxGroupBuf caps the framing buffer the committer keeps between writes;
+// one huge group must not pin its buffer for good.
+const maxGroupBuf = 4 << 20
 
 // Record ops.
 const (
@@ -187,22 +201,46 @@ const (
 	walLogSnap
 )
 
-// encodeLogSnap packs a log's entries as a walLogSnap value:
-// [count u32] then per entry [len u32][bytes].
-func encodeLogSnap(entries [][]byte) []byte {
-	n := 4
+// The on-disk format is one frame per record, [len u32][crc u32][record],
+// the record being [op][keylen u32][key][value] and the CRC covering it.
+// beginRec/endRec are its only encoder: they frame in place, onto a buffer
+// the caller reuses, so no record is assembled anywhere else first.
+
+// beginRec appends a frame header (patched by endRec) and the record header
+// for (op, key); the caller appends the value, then calls endRec with the
+// returned start offset.
+func beginRec(buf []byte, op byte, key string) ([]byte, int) {
+	start := len(buf)
+	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0, op)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
+	return append(buf, key...), start
+}
+
+// endRec completes the frame begun at start: length and CRC of everything
+// appended after the frame header.
+func endRec(buf []byte, start int) []byte {
+	rec := buf[start+8:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(rec)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(rec))
+	return buf
+}
+
+// appendRec frames one (op, key, val) record onto buf.
+func appendRec(buf []byte, op byte, key string, val []byte) []byte {
+	buf, start := beginRec(buf, op, key)
+	return endRec(append(buf, val...), start)
+}
+
+// appendLogSnapRec frames a walLogSnap record onto buf. Its value packs
+// the log's entries: [count u32] then per entry [len u32][bytes].
+func appendLogSnapRec(buf []byte, key string, entries [][]byte) []byte {
+	buf, start := beginRec(buf, walLogSnap, key)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(entries)))
 	for _, e := range entries {
-		n += 4 + len(e)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e)))
+		buf = append(buf, e...)
 	}
-	b := make([]byte, 4, n)
-	binary.LittleEndian.PutUint32(b, uint32(len(entries)))
-	for _, e := range entries {
-		var l [4]byte
-		binary.LittleEndian.PutUint32(l[:], uint32(len(e)))
-		b = append(b, l[:]...)
-		b = append(b, e...)
-	}
-	return b
+	return endRec(buf, start)
 }
 
 // decodeLogSnap unpacks a walLogSnap value; nil, false on malformed input.
@@ -230,24 +268,16 @@ func decodeLogSnap(b []byte) ([][]byte, bool) {
 	return entries, true
 }
 
-func encodeWALRec(op byte, key string, val []byte) []byte {
-	b := make([]byte, 1+4+len(key)+len(val))
-	b[0] = op
-	binary.LittleEndian.PutUint32(b[1:5], uint32(len(key)))
-	copy(b[5:], key)
-	copy(b[5+len(key):], val)
-	return b
-}
-
-func decodeWALRec(b []byte) (op byte, key string, val []byte, ok bool) {
+// decodeWALRec splits a record; key and val alias b.
+func decodeWALRec(b []byte) (op byte, key, val []byte, ok bool) {
 	if len(b) < 5 {
-		return 0, "", nil, false
+		return 0, nil, nil, false
 	}
 	n := binary.LittleEndian.Uint32(b[1:5])
 	if uint32(len(b)-5) < n {
-		return 0, "", nil, false
+		return 0, nil, nil, false
 	}
-	return b[0], string(b[5 : 5+n]), b[5+n:], true
+	return b[0], b[5 : 5+n], b[5+n:], true
 }
 
 func segName(seq int) string { return fmt.Sprintf("wal-%08d.log", seq) }
@@ -375,12 +405,14 @@ func syncDirEntry(dir string) error {
 	return nil
 }
 
-// applyRec replays one durable record into the index.
+// applyRec replays one durable record into the index. rec aliases the
+// segment's read buffer; what the index keeps is copied out of it.
 func (w *WAL) applyRec(rec []byte) {
-	op, key, val, ok := decodeWALRec(rec)
+	op, k, val, ok := decodeWALRec(rec)
 	if !ok {
 		return // framed but malformed: skip (forward compatibility)
 	}
+	key := string(k)
 	switch op {
 	case walPut:
 		cp := make([]byte, len(val))
@@ -399,9 +431,9 @@ func (w *WAL) applyRec(rec []byte) {
 	}
 }
 
-// recLiveBytes approximates the on-disk footprint of one record (frame +
-// header + key + value); the live-bytes counter driving the compaction
-// trigger sums it over the index.
+// recLiveBytes is the on-disk footprint of one record (frame + header +
+// key + value): the live-bytes counter driving the compaction trigger sums
+// it over the index, and the committer sizes a group with it.
 func recLiveBytes(key string, valLen int) int64 {
 	return int64(13 + len(key) + valLen)
 }
@@ -453,14 +485,15 @@ func (w *WAL) applyLogSnap(key string, entries [][]byte) {
 	w.logs[key] = entries
 }
 
-// enqueueLocked queues one framed record. w.mu held.
-func (w *WAL) enqueueLocked(buf []byte) *Completion {
-	op := &walOp{buf: buf, c: newCompletion()}
+// enqueueLocked queues one mutation (op 0: a barrier); val must be the
+// index's copy, never the caller's buffer. w.mu held.
+func (w *WAL) enqueueLocked(op byte, key string, val []byte) *Completion {
+	c := newCompletion()
 	if len(w.queue) == 0 {
 		w.oldest = time.Now()
 	}
-	w.queue = append(w.queue, op)
-	return op.c
+	w.queue = append(w.queue, &walOp{op: op, key: key, val: val, c: c})
+	return c
 }
 
 func (w *WAL) wakeCommitter() {
@@ -481,7 +514,7 @@ func (w *WAL) PutAsync(key string, val []byte) *Completion {
 	cp := make([]byte, len(val))
 	copy(cp, val)
 	w.applyPut(key, cp)
-	c := w.enqueueLocked(frame(encodeWALRec(walPut, key, val)))
+	c := w.enqueueLocked(walPut, key, cp)
 	w.mu.Unlock()
 	w.wakeCommitter()
 	return c
@@ -497,7 +530,7 @@ func (w *WAL) AppendAsync(key string, rec []byte) *Completion {
 	cp := make([]byte, len(rec))
 	copy(cp, rec)
 	w.applyAppend(key, cp)
-	c := w.enqueueLocked(frame(encodeWALRec(walAppend, key, rec)))
+	c := w.enqueueLocked(walAppend, key, cp)
 	w.mu.Unlock()
 	w.wakeCommitter()
 	return c
@@ -535,7 +568,7 @@ func (w *WAL) DeleteAsync(key string) *Completion {
 		return c
 	}
 	w.applyDelete(key)
-	c := w.enqueueLocked(frame(encodeWALRec(walDelete, key, nil)))
+	c := w.enqueueLocked(walDelete, key, nil)
 	w.mu.Unlock()
 	w.wakeCommitter()
 	return c
@@ -554,7 +587,7 @@ func (w *WAL) Sync() error {
 		w.mu.Unlock()
 		return c.Wait()
 	}
-	c := w.enqueueLocked(nil)
+	c := w.enqueueLocked(0, "", nil)
 	w.urgent = true
 	w.mu.Unlock()
 	w.wakeCommitter()
@@ -866,28 +899,54 @@ func (w *WAL) oldestSegment() (int, bool, error) {
 	return oldest, found, nil
 }
 
-// victimKeys scans one sealed segment and returns the set of keys its
-// records touch, plus the segment's size. The segment is sealed (never
-// the write target), so every frame is complete — a torn frame here is
+// victimKeys streams one sealed segment, one record at a time through a
+// scratch buffer, and returns the set of keys its records touch plus the
+// segment's size; only the keys are kept. The segment is sealed (never the
+// write target), so every frame is complete — a torn frame here is
 // corruption, not a crash artifact.
 func (w *WAL) victimKeys(path string) (map[string]struct{}, int64, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, 0, fmt.Errorf("storage: wal compact read: %w", err)
 	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, 0, fmt.Errorf("storage: wal compact stat: %w", err)
+	}
+	torn := fmt.Errorf("storage: wal compact: torn frame in sealed segment %s", path)
+	br := bufio.NewReaderSize(f, 64<<10)
 	keys := make(map[string]struct{})
-	b := data
-	for len(b) > 0 {
-		rec, rest, ok := unframe(b)
-		if !ok {
-			return nil, 0, fmt.Errorf("storage: wal compact: torn frame in sealed segment %s", path)
+	var size int64
+	var hdr [8]byte
+	var rec []byte
+	for {
+		if _, err := io.ReadFull(br, hdr[:]); err == io.EOF {
+			return keys, size, nil
+		} else if err != nil {
+			return nil, 0, torn
+		}
+		n := binary.LittleEndian.Uint32(hdr[0:4])
+		if int64(n) > st.Size()-size-8 {
+			return nil, 0, torn // the length runs past the end of the file
+		}
+		if uint32(cap(rec)) < n {
+			rec = make([]byte, n)
+		}
+		rec = rec[:n]
+		if _, err := io.ReadFull(br, rec); err != nil {
+			return nil, 0, torn
+		}
+		if crc32.ChecksumIEEE(rec) != binary.LittleEndian.Uint32(hdr[4:8]) {
+			return nil, 0, torn
 		}
 		if _, key, _, ok := decodeWALRec(rec); ok {
-			keys[key] = struct{}{}
+			if _, seen := keys[string(key)]; !seen {
+				keys[string(key)] = struct{}{}
+			}
 		}
-		b = rest
+		size += 8 + int64(n)
 	}
-	return keys, int64(len(data)), nil
 }
 
 // compact performs ONE incremental compaction pass on the committer
@@ -950,7 +1009,8 @@ func (w *WAL) compact(snap *compactSnap) error {
 	sort.Strings(keys)
 
 	var rescued int64
-	var buf []byte
+	buf := w.groupBuf[:0]
+	defer func() { w.keepGroupBuf(buf) }()
 	flush := func() error {
 		if len(buf) == 0 {
 			return nil
@@ -965,10 +1025,10 @@ func (w *WAL) compact(snap *compactSnap) error {
 	}
 	for _, k := range keys {
 		if v, ok := snap.cells[k]; ok {
-			buf = append(buf, frame(encodeWALRec(walPut, k, v))...)
+			buf = appendRec(buf, walPut, k, v)
 		}
 		if entries := snap.logs[k]; len(entries) > 0 {
-			buf = append(buf, frame(encodeWALRec(walLogSnap, k, encodeLogSnap(entries)))...)
+			buf = appendLogSnapRec(buf, k, entries)
 		}
 		if len(buf) >= 1<<20 {
 			if err := flush(); err != nil {
@@ -1017,25 +1077,34 @@ func (w *WAL) compact(snap *compactSnap) error {
 // writeGroup writes one group to the current segment (rolling it first if
 // the group would overflow) and fsyncs once. Committer goroutine only.
 func (w *WAL) writeGroup(batch []*walOp) error {
-	var n, recs int
+	var n int64
+	var recs int
 	for _, op := range batch {
-		if op.buf != nil {
-			n += len(op.buf)
+		if op.op != 0 {
+			n += recLiveBytes(op.key, len(op.val))
 			recs++
 		}
 	}
 	if recs == 0 {
 		return nil // pure barrier: all prior groups already synced
 	}
-	if w.segSize > 0 && w.segSize+int64(n) > w.opts.SegmentBytes {
+	if w.segSize > 0 && w.segSize+n > w.opts.SegmentBytes {
 		if err := w.rollSegment(); err != nil {
 			return err
 		}
 	}
-	buf := make([]byte, 0, n)
-	for _, op := range batch {
-		buf = append(buf, op.buf...)
+	// Frame the whole group — header, key, value, CRC per record, straight
+	// from the index's copies — into the reused buffer, then one write.
+	buf := w.groupBuf[:0]
+	if int64(cap(buf)) < n {
+		buf = make([]byte, 0, n)
 	}
+	for _, op := range batch {
+		if op.op != 0 {
+			buf = appendRec(buf, op.op, op.key, op.val)
+		}
+	}
+	w.keepGroupBuf(buf)
 	if _, err := w.seg.Write(buf); err != nil {
 		return fmt.Errorf("storage: wal write: %w", err)
 	}
@@ -1052,6 +1121,15 @@ func (w *WAL) writeGroup(batch []*walOp) error {
 	w.groupCount.Add(1)
 	w.recordCount.Add(int64(recs))
 	return nil
+}
+
+// keepGroupBuf keeps buf as the next write's framing buffer unless it grew
+// past maxGroupBuf. Committer goroutine only.
+func (w *WAL) keepGroupBuf(buf []byte) {
+	w.groupBuf = nil
+	if cap(buf) <= maxGroupBuf {
+		w.groupBuf = buf[:0]
+	}
 }
 
 // rollSegment closes the current (fully synced) segment and starts the
