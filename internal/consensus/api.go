@@ -72,10 +72,14 @@ var ErrDiscarded = errors.New("consensus: instance discarded")
 type API interface {
 	// Propose submits this process's initial value for instance k. Its
 	// first action is logging the value; re-proposing a different value
-	// for the same instance keeps the original (property P4).
+	// for the same instance keeps the original (property P4). v is
+	// borrowed for the call (the engine keeps its own copy).
 	Propose(k uint64, v []byte) error
 	// WaitDecided blocks until instance k decides and returns the
-	// decision. Repeated calls return the same value (property P5).
+	// decision. Repeated calls return the same value (property P5). A
+	// decided value — like a Proposal — is immutable and may be aliased,
+	// never modified: the engine serves the same slice to every caller
+	// and to lagging peers.
 	WaitDecided(ctx context.Context, k uint64) ([]byte, error)
 	// DecidedLocal returns the locally known decision of k, if any,
 	// without blocking or touching the network.

@@ -241,7 +241,7 @@ func (e *Engine) restore() error {
 			in.promised = r.U64()
 			in.hasAcc = r.Bool()
 			in.accB = r.U64()
-			in.accV = r.BytesCopy()
+			in.accV = r.Bytes32() // val came out of Get: ours to alias
 			if err := r.Done(); err != nil {
 				return fmt.Errorf("consensus: corrupt acceptor cell %s: %w", key, err)
 			}
@@ -534,7 +534,10 @@ func (e *Engine) replyWhenDurable(c *storage.Completion, to ids.ProcessID, reply
 
 // decideLocked records a decision: the cell write is issued immediately,
 // but hasDec (which gates WaitDecided and the broadcast layer's commit)
-// only flips when it is durable. e.mu held.
+// only flips when it is durable. v is already the engine's own — a slice of
+// a received frame, the logged proposal, or an accepted value — and
+// immutable, so it is installed as the decision without another copy.
+// e.mu held.
 func (e *Engine) decideLocked(in *instance, v []byte) {
 	if in.hasDec || in.decPending {
 		return
@@ -544,10 +547,8 @@ func (e *Engine) decideLocked(in *instance, v []byte) {
 		e.met.quorumNS.Observe(in.quorumAt - in.proposedAt)
 	}
 	e.tr.MarkRound(e.cfg.Group, in.k, obs.StDecide)
-	cp := make([]byte, len(v))
-	copy(cp, v)
 	in.decPending = true
-	c := e.ast.PutAsync(decKey(in.k), cp)
+	c := e.ast.PutAsync(decKey(in.k), v)
 	if err, done := c.Poll(); done {
 		in.decPending = false
 		if err != nil {
@@ -555,7 +556,7 @@ func (e *Engine) decideLocked(in *instance, v []byte) {
 			// is dying; do not expose an unlogged decision.
 			return
 		}
-		e.installDecisionLocked(in, cp)
+		e.installDecisionLocked(in, v)
 		return
 	}
 	c.OnDone(func(err error) {
@@ -565,12 +566,12 @@ func (e *Engine) decideLocked(in *instance, v []byte) {
 		if err != nil {
 			return
 		}
-		e.installDecisionLocked(in, cp)
+		e.installDecisionLocked(in, v)
 	})
 }
 
 // installDecisionLocked exposes a durable decision. e.mu held.
-func (e *Engine) installDecisionLocked(in *instance, cp []byte) {
+func (e *Engine) installDecisionLocked(in *instance, v []byte) {
 	if in.hasDec {
 		return
 	}
@@ -578,7 +579,7 @@ func (e *Engine) installDecisionLocked(in *instance, cp []byte) {
 		e.met.decideFsyncNS.Observe(time.Now().UnixNano() - in.quorumAt)
 	}
 	e.tr.MarkRound(e.cfg.Group, in.k, obs.StDecideDurable)
-	in.decided = cp
+	in.decided = v
 	in.hasDec = true
 	close(in.done)
 	in.wake()

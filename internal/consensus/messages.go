@@ -97,6 +97,9 @@ func (m message) encode() []byte {
 	return w.Bytes()
 }
 
+// decodeMessage parses a received frame. Values alias it: a frame out of
+// Recv is immutable and the receiver's to keep, so an accepted or decided
+// value is kept as a slice of the frame it arrived in.
 func decodeMessage(payload []byte) (message, error) {
 	r := wire.NewReader(payload)
 	var m message
@@ -105,7 +108,7 @@ func decodeMessage(payload []byte) (message, error) {
 	m.b = r.U64()
 	m.hasAcc = r.Bool()
 	m.accB = r.U64()
-	m.val = r.BytesCopy()
+	m.val = r.Bytes32()
 	m.promised = r.U64()
 	switch m.kind {
 	case mDecideReq:
@@ -118,7 +121,7 @@ func decodeMessage(payload []byte) (message, error) {
 			}
 			m.multi = make([]decision, 0, n)
 			for i := uint64(0); i < n && r.Err() == nil; i++ {
-				m.multi = append(m.multi, decision{k: r.U64(), val: r.BytesCopy()})
+				m.multi = append(m.multi, decision{k: r.U64(), val: r.Bytes32()})
 			}
 		}
 	}

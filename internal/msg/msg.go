@@ -16,7 +16,10 @@ import (
 	"repro/internal/wire"
 )
 
-// Message is an application message submitted to A-broadcast.
+// Message is an application message submitted to A-broadcast. Payload is
+// immutable from the moment the message exists: containers, proposals,
+// deliveries and decoded copies of the message all share the one slice, and
+// a decoded message's payload aliases the frame or record it was read from.
 type Message struct {
 	ID      ids.MsgID
 	Payload []byte
@@ -38,11 +41,14 @@ func (m Message) Encode(w *wire.Writer) {
 	w.Bytes32(m.Payload)
 }
 
-// DecodeMessage reads one message from r, copying the payload.
+// DecodeMessage reads one message from r. The payload aliases r's input,
+// which under the ownership rule (wire.GetWriter) is a received frame, a
+// record read back from the log or a decided value: immutable and the
+// decoder's to keep. Input that is none of those must be copied first.
 func DecodeMessage(r *wire.Reader) Message {
 	var m Message
 	m.ID = DecodeID(r)
-	m.Payload = r.BytesCopy()
+	m.Payload = r.Bytes32()
 	return m
 }
 
@@ -125,7 +131,8 @@ func EncodeBatch(w *wire.Writer, ms []Message) {
 	}
 }
 
-// DecodeBatch decodes a slice of messages.
+// DecodeBatch decodes a slice of messages; like DecodeMessage it aliases
+// r's input, so the slice itself is the only allocation.
 func DecodeBatch(r *wire.Reader) []Message {
 	n := r.U64()
 	if r.Err() != nil {

@@ -3,6 +3,7 @@ package msg
 import (
 	"bytes"
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -288,5 +289,35 @@ func TestMessageEqual(t *testing.T) {
 	}
 	if !bytes.Equal(a.Payload, []byte("x")) {
 		t.Fatal("payload mangled")
+	}
+}
+
+// TestDecodeBatchAliasesItsInput: decoding n messages allocates the slice
+// of messages and nothing else — every payload is a slice of the input (a
+// received frame, a log record or a decided value, all immutable), not a
+// copy of it.
+func TestDecodeBatchAliasesItsInput(t *testing.T) {
+	var ms []Message
+	for i := 0; i < 32; i++ {
+		ms = append(ms, mk(1, 1, uint64(i+1), strings.Repeat("x", 64)))
+	}
+	w := wire.NewWriter(BatchSize(ms))
+	EncodeBatch(w, ms)
+	if w.Len() > BatchSize(ms) {
+		t.Fatalf("BatchSize %d does not bound the %d encoded bytes", BatchSize(ms), w.Len())
+	}
+	buf := w.Bytes()
+	var got []Message
+	if n := testing.AllocsPerRun(100, func() { got = DecodeBatch(wire.NewReader(buf)) }); n != 1 {
+		t.Fatalf("DecodeBatch of %d messages allocates %.0f times, want 1 (the slice)", len(ms), n)
+	}
+	for i, m := range got {
+		if !m.Equal(ms[i]) {
+			t.Fatalf("message %d decoded as %v", i, m)
+		}
+	}
+	buf[len(buf)-1] ^= 0xFF // the last payload byte of the input ...
+	if last := got[len(got)-1].Payload; last[len(last)-1] == 'x' {
+		t.Fatal("decoded payload is a copy, not a slice of the input") // ... shows through
 	}
 }
