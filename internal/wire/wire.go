@@ -43,8 +43,11 @@ var writerPool = sync.Pool{New: func() any { return &Writer{} }}
 
 // poolMaxCap bounds the capacity of buffers kept in the pool; one huge
 // record (a state transfer, a recovery batch) must not pin its buffer
-// forever.
-const poolMaxCap = 64 << 10
+// forever. It matches what the TCP transport keeps of its write frames: a
+// gossip frame re-sending a handful of 32 KiB payloads passes through an
+// encoder, the router's prepend and the transport, and recycles in all
+// three or in none.
+const poolMaxCap = 256 << 10
 
 // GetWriter returns an empty pooled Writer with at least sizeHint capacity;
 // an encoder that knows its size asks for it, so the buffer is allocated
