@@ -229,6 +229,13 @@ type (
 	// Message is an application message with its identity.
 	Message = msg.Message
 	// Delivery is an A-delivered message with its agreed position.
+	// Delivery.Msg.Payload is READ-ONLY: it is a slice of the network
+	// frame or log record the message arrived in, shared with the
+	// protocol's own state (the agreed sequence, the decided value it
+	// re-sends to lagging peers). Keep it or slice it for as long as you
+	// like — it is never reused — but copy it before changing a byte. The
+	// payload passed to Broadcast, conversely, is only borrowed for the
+	// call.
 	Delivery = core.Delivery
 	// Snapshot is an application-level checkpoint (§5.2).
 	Snapshot = core.Snapshot

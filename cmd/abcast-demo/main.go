@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"time"
 
@@ -34,7 +35,7 @@ func main() {
 	duration := flag.Duration("duration", 4*time.Second, "churn duration")
 	seed := flag.Uint64("seed", 42, "random seed")
 	policy := flag.String("policy", "leader", "consensus policy: leader|rotating")
-	metrics := flag.String("metrics", "", "serve Prometheus /metrics and expvar /debug/vars on this address (e.g. :9090)")
+	metrics := flag.String("metrics", "", "serve Prometheus /metrics, expvar /debug/vars and the profiler /debug/pprof/ on this address (e.g. :9090)")
 	flight := flag.Bool("flight", false, "print the anomaly flight-recorder timeline after the audit")
 	flag.Parse()
 
@@ -78,6 +79,13 @@ func run(n int, loss float64, msgs, churn int, duration time.Duration, seed uint
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", obs.PromHandler(c.Obs))
 		mux.Handle("/debug/vars", expvar.Handler())
+		// The profiler, on the same listener: heap, allocs, goroutine,
+		// block and mutex by name under Index; the rest are actions.
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		for i, p := range c.Obs {
 			p.Reg().PublishExpvar(fmt.Sprintf("abcast.p%d", i))
 		}
@@ -87,7 +95,7 @@ func run(n int, loss float64, msgs, churn int, duration time.Duration, seed uint
 		}
 		defer ln.Close()
 		go func() { _ = http.Serve(ln, mux) }()
-		fmt.Printf("metrics: http://%s/metrics (Prometheus), /debug/vars (expvar)\n", ln.Addr())
+		fmt.Printf("metrics: http://%s/metrics (Prometheus), /debug/vars (expvar), /debug/pprof/ (profiler)\n", ln.Addr())
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)

@@ -60,6 +60,9 @@ var ErrSealed = errors.New("core: group sealed for retirement")
 // before the round's Consensus decision is durable, and is only final once
 // the matching OnConfirm fires. Deliveries from OnDeliver, Sequence and
 // recovery replay are never tentative.
+//
+// Msg.Payload is read-only: it aliases the received frame or log record
+// and is shared with the delivery sequence and the decided value.
 type Delivery struct {
 	Msg       msg.Message
 	Group     ids.GroupID
