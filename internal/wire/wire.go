@@ -88,11 +88,12 @@ var poisoning = testing.Testing()
 // that did it — instead of another message's bytes once in a long run.
 // Outside tests it does nothing.
 func Poison(b []byte) {
-	if !poisoning {
+	if !poisoning || len(b) == 0 {
 		return
 	}
-	for i := range b {
-		b[i] = 0xDB
+	b[0] = 0xDB
+	for n := 1; n < len(b); n *= 2 {
+		copy(b[n:], b[:n]) // doubling memmove: a 256 KiB buffer costs microseconds
 	}
 }
 

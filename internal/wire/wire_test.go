@@ -145,3 +145,20 @@ func TestLenAndRemaining(t *testing.T) {
 		t.Fatalf("Remaining = %d", r.Remaining())
 	}
 }
+
+// TestPutWriterPoisonsTheBuffer: in a test binary a released writer's whole
+// buffer — not just the bytes last written — reads 0xDB, so a borrower that
+// kept a slice of it past the call it was borrowed for sees garbage at once.
+func TestPutWriterPoisonsTheBuffer(t *testing.T) {
+	for _, size := range []int{1, 7, 64, 1000, 4096} {
+		w := GetWriter(size)
+		w.Raw(bytes.Repeat([]byte{0x11}, size))
+		kept := w.Bytes()[:cap(w.Bytes())]
+		PutWriter(w)
+		for i, b := range kept {
+			if b != 0xDB {
+				t.Fatalf("size %d: byte %d of a released buffer reads %#x, want 0xDB", size, i, b)
+			}
+		}
+	}
+}
