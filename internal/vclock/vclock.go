@@ -18,9 +18,12 @@
 // batch's m3 is fresh, and their delivery sequences would diverge. This
 // clock therefore tracks coverage exactly: the per-stream maximum plus the
 // explicit "holes" below it (sequence numbers not contained). Holes are
-// empty in the common in-order case and bounded by the sender's in-flight
-// message skew, so the clock stays O(streams) in practice while Covers is
-// exact: it reports containment of precisely the folded messages.
+// kept as runs [lo, hi], so the clock's size follows the number of gaps,
+// not their width: empty in the common in-order case, a few runs under
+// in-flight skew, and one run — not 2^48 entries — when live resharding
+// re-injects an orphan under a sequence number tagged far above the native
+// counters. Covers is exact: it reports containment of precisely the folded
+// messages.
 package vclock
 
 import (
@@ -36,15 +39,20 @@ type Key struct {
 	Incarnation uint32
 }
 
+// span is a run of consecutive sequence numbers [lo, hi] that are NOT
+// contained.
+type span struct{ lo, hi uint64 }
+
 // Clock is the coverage state. Use the VC alias; create with New.
 type Clock struct {
 	// max[k] is the highest sequence number contained for stream k
 	// (sequence numbers start at 1; a missing entry means "nothing
 	// contained"). The maximum itself is always contained.
 	max map[Key]uint64
-	// holes[k] lists the sequence numbers below max[k] that are NOT
-	// contained (the stream's messages ordered out of sequence order).
-	holes map[Key]map[uint64]struct{}
+	// holes[k] is the runs of sequence numbers below max[k] that are NOT
+	// contained (the stream's messages ordered out of sequence order):
+	// sorted, disjoint and non-adjacent, never empty for a present key.
+	holes map[Key][]span
 }
 
 // VC is the clock handle stored in checkpoints (nil means "no clock").
@@ -59,83 +67,107 @@ func New() VC {
 // iff id was observed (or is below the stream maximum with no hole).
 func (c *Clock) Covers(id ids.MsgID) bool {
 	k := Key{id.Sender, id.Incarnation}
-	if id.Seq > c.max[k] {
-		return false
+	return id.Seq <= c.max[k] && find(c.holes[k], id.Seq) < 0
+}
+
+// find returns the index of the run containing seq, or -1.
+func find(hs []span, seq uint64) int {
+	i := sort.Search(len(hs), func(i int) bool { return hs[i].hi >= seq })
+	if i < len(hs) && hs[i].lo <= seq {
+		return i
 	}
-	_, hole := c.holes[k][id.Seq]
-	return !hole
+	return -1
 }
 
 // Observe extends the clock to contain id. Observing above the stream
-// maximum records the skipped-over sequence numbers as holes; observing a
-// hole fills it.
+// maximum records the skipped-over sequence numbers as one hole run;
+// observing inside a run splits or shrinks it.
 func (c *Clock) Observe(id ids.MsgID) {
 	k := Key{id.Sender, id.Incarnation}
 	seq := id.Seq
-	max := c.max[k]
-	if seq > max {
-		for s := max + 1; s < seq; s++ {
-			c.addHole(k, s)
+	if max := c.max[k]; seq > max {
+		if seq > max+1 {
+			c.setHoles(k, append(c.holes[k], span{max + 1, seq - 1}))
 		}
 		c.max[k] = seq
 		return
 	}
-	if hs, ok := c.holes[k]; ok {
-		delete(hs, seq)
-		if len(hs) == 0 {
-			delete(c.holes, k)
-		}
-	}
-}
-
-func (c *Clock) addHole(k Key, seq uint64) {
-	if c.holes == nil {
-		c.holes = make(map[Key]map[uint64]struct{})
-	}
 	hs := c.holes[k]
-	if hs == nil {
-		hs = make(map[uint64]struct{})
-		c.holes[k] = hs
+	i := find(hs, seq)
+	if i < 0 {
+		return
 	}
-	hs[seq] = struct{}{}
+	switch h := hs[i]; {
+	case h.lo == h.hi:
+		hs = append(hs[:i], hs[i+1:]...)
+	case seq == h.lo:
+		hs[i].lo++
+	case seq == h.hi:
+		hs[i].hi--
+	default:
+		hs = append(hs, span{})
+		copy(hs[i+2:], hs[i+1:])
+		hs[i].hi, hs[i+1] = seq-1, span{seq + 1, h.hi}
+	}
+	c.setHoles(k, hs)
 }
 
-// covered reports containment of (k, seq) without constructing a MsgID.
-func (c *Clock) covered(k Key, seq uint64) bool {
-	if seq > c.max[k] {
-		return false
+// setHoles installs stream k's runs, dropping the entry when none are left.
+func (c *Clock) setHoles(k Key, hs []span) {
+	if len(hs) == 0 {
+		delete(c.holes, k)
+		return
 	}
-	_, hole := c.holes[k][seq]
-	return !hole
+	if c.holes == nil {
+		c.holes = make(map[Key][]span)
+	}
+	c.holes[k] = hs
+}
+
+// uncovered returns what stream k misses up to and including upTo: its
+// hole runs, plus everything above its maximum. The result may alias the
+// clock's own runs; callers only read it.
+func (c *Clock) uncovered(k Key, upTo uint64) []span {
+	hs := c.holes[k]
+	if max := c.max[k]; max < upTo {
+		hs = append(hs[:len(hs):len(hs)], span{max + 1, upTo})
+	}
+	return hs
 }
 
 // Merge folds o into c so that c covers exactly the union of both
 // coverages. Merge is commutative, associative and idempotent.
 func (c *Clock) Merge(o *Clock) {
 	for k, omax := range o.max {
-		cmax := c.max[k]
-		if omax > cmax {
-			// Sequences in (cmax, omax] follow o's coverage exactly: its
-			// holes there become holes here.
-			for s := range o.holes[k] {
-				if s > cmax {
-					c.addHole(k, s)
-				}
-			}
-			c.max[k] = omax
+		top := omax
+		if cmax := c.max[k]; cmax > top {
+			top = cmax
 		}
-		// At or below both maxima a sequence stays a hole only if both
-		// clocks miss it: anything o covers fills c's holes.
-		if hs, ok := c.holes[k]; ok {
-			for s := range hs {
-				if o.covered(k, s) {
-					delete(hs, s)
-				}
+		if top == 0 {
+			continue
+		}
+		// A sequence number stays uncovered only if both clocks miss it.
+		a, b := c.uncovered(k, top), o.uncovered(k, top)
+		var both []span
+		for i, j := 0, 0; i < len(a) && j < len(b); {
+			lo, hi := a[i].lo, a[i].hi
+			if b[j].lo > lo {
+				lo = b[j].lo
 			}
-			if len(hs) == 0 {
-				delete(c.holes, k)
+			if b[j].hi < hi {
+				hi = b[j].hi
+			}
+			if lo <= hi {
+				both = append(both, span{lo, hi})
+			}
+			if a[i].hi < b[j].hi {
+				i++
+			} else {
+				j++
 			}
 		}
+		c.max[k] = top
+		c.setHoles(k, both)
 	}
 }
 
@@ -146,14 +178,7 @@ func (c *Clock) Clone() VC {
 		out.max[k] = s
 	}
 	for k, hs := range c.holes {
-		cp := make(map[uint64]struct{}, len(hs))
-		for s := range hs {
-			cp[s] = struct{}{}
-		}
-		if out.holes == nil {
-			out.holes = make(map[Key]map[uint64]struct{}, len(c.holes))
-		}
-		out.holes[k] = cp
+		out.setHoles(k, append([]span(nil), hs...))
 	}
 	return out
 }
@@ -169,21 +194,26 @@ func (c *Clock) Dominates(o *Clock) bool {
 		if omax == 0 {
 			continue
 		}
-		cmax := c.max[k]
-		if omax > cmax {
+		if omax > c.max[k] {
 			// o covers omax itself (the maximum is always contained).
 			return false
 		}
-		// Every c-hole at or below omax must be an o-hole too.
-		for s := range c.holes[k] {
-			if s <= omax && o.covered(k, s) {
+		// c's only coverage gaps are its hole runs: each, as far as it
+		// reaches into o's range, must lie inside one of o's runs (a run
+		// reaching omax never does: o contains its maximum).
+		ohs := o.holes[k]
+		for _, h := range c.holes[k] {
+			if h.lo > omax {
+				break
+			}
+			hi := h.hi
+			if hi > omax {
+				hi = omax
+			}
+			if i := find(ohs, h.lo); i < 0 || ohs[i].hi < hi {
 				return false
 			}
 		}
-		// Every sequence o covers must be covered by c: the only c
-		// coverage gaps are its holes, checked above; additionally o's
-		// non-holes below omax that fall into c's holes are covered by
-		// the same check.
 	}
 	return true
 }
@@ -203,7 +233,8 @@ func (c *Clock) sortedKeys() []Key {
 	return keys
 }
 
-// Encode appends the clock to w deterministically.
+// Encode appends the clock to w deterministically: per stream its maximum
+// and its hole runs as (lo, length-1) pairs.
 func (c *Clock) Encode(w *wire.Writer) {
 	keys := c.sortedKeys()
 	w.U64(uint64(len(keys)))
@@ -212,19 +243,15 @@ func (c *Clock) Encode(w *wire.Writer) {
 		w.U64(uint64(k.Incarnation))
 		w.U64(c.max[k])
 		hs := c.holes[k]
-		sorted := make([]uint64, 0, len(hs))
-		for s := range hs {
-			sorted = append(sorted, s)
-		}
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		w.U64(uint64(len(sorted)))
-		for _, s := range sorted {
-			w.U64(s)
+		w.U64(uint64(len(hs)))
+		for _, h := range hs {
+			w.U64(h.lo)
+			w.U64(h.hi - h.lo)
 		}
 	}
 }
 
-// Decode reads a clock from r.
+// Decode reads a clock from r; nil on malformed input.
 func Decode(r *wire.Reader) VC {
 	n := r.U64()
 	if r.Err() != nil {
@@ -239,20 +266,29 @@ func Decode(r *wire.Reader) VC {
 		var k Key
 		k.Sender = ids.ProcessID(r.I64())
 		k.Incarnation = uint32(r.U64())
-		c.max[k] = r.U64()
+		max := r.U64()
+		c.max[k] = max
 		hn := r.U64()
-		// hn is disk/attacker-controlled: every hole costs at least one
-		// encoded byte, so a count beyond the remaining buffer is
+		// hn is disk/attacker-controlled: every run costs at least two
+		// encoded bytes, so a count beyond the remaining buffer is
 		// malformed — reject it before looping anywhere near it.
 		if r.Err() != nil || hn > uint64(r.Remaining()) {
 			return nil
 		}
+		var hs []span
+		var prev uint64 // the previous run's hi
 		for j := uint64(0); j < hn; j++ {
-			c.addHole(k, r.U64())
-			if r.Err() != nil {
+			lo := r.U64()
+			hi := lo + r.U64()
+			// Runs start at 1, end below the maximum, and are sorted,
+			// disjoint and non-adjacent.
+			if r.Err() != nil || lo == 0 || hi < lo || hi >= max || (j > 0 && (lo <= prev || lo-prev < 2)) {
 				return nil
 			}
+			hs = append(hs, span{lo, hi})
+			prev = hi
 		}
+		c.setHoles(k, hs)
 	}
 	return c
 }

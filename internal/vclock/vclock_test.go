@@ -191,3 +191,127 @@ func TestDominates(t *testing.T) {
 		t.Fatal("clock with holes dominates contiguous coverage")
 	}
 }
+
+// TestFarJumpIsOneRun: live resharding re-injects an orphan under a
+// sequence number tagged with its retired group, (g+1)<<48 above the
+// stream's native counter. Folding it must cost one hole run — an entry
+// per skipped number would be 2^48 of them: the checkpoint that folded the
+// orphan never returned — and coverage stays exact on both sides of the gap.
+func TestFarJumpIsOneRun(t *testing.T) {
+	const far = uint64(3)<<48 | 17
+	v := New()
+	for s := uint64(1); s <= 4; s++ {
+		v.Observe(id(0, 1, s))
+	}
+	v.Observe(id(0, 1, far))
+	v.Observe(id(0, 1, 6)) // a native message ordered after the orphan
+	for _, tc := range []struct {
+		seq  uint64
+		want bool
+	}{{4, true}, {5, false}, {6, true}, {7, false}, {far - 1, false}, {far, true}, {far + 1, false}} {
+		if got := v.Covers(id(0, 1, tc.seq)); got != tc.want {
+			t.Fatalf("Covers(%d) = %v, want %v", tc.seq, got, tc.want)
+		}
+	}
+	if n := len(v.holes[Key{0, 1}]); n != 2 {
+		t.Fatalf("%d hole runs, want 2 ([5,5] and [7,far-1])", n)
+	}
+	w := wire.NewWriter(0)
+	v.Encode(w)
+	if w.Len() > 64 {
+		t.Fatalf("the clock encodes to %d bytes", w.Len())
+	}
+	got := Decode(wire.NewReader(w.Bytes()))
+	if got == nil || !got.Equal(v) {
+		t.Fatal("round trip lost the far jump")
+	}
+	o := New()
+	o.Observe(id(0, 1, 5))
+	o.Observe(id(0, 1, 9))
+	v.Merge(o)
+	if !v.Covers(id(0, 1, 5)) || !v.Covers(id(0, 1, 9)) || v.Covers(id(0, 1, 8)) || !v.Dominates(o) {
+		t.Fatal("merge across the far jump is not the union")
+	}
+}
+
+// TestAgainstSetModel drives the clock and a plain set of observed numbers
+// with the same random observations and merges, and compares Covers on
+// every number in range, Dominates against set inclusion, and the encode
+// round trip.
+func TestAgainstSetModel(t *testing.T) {
+	const width = 40
+	type model map[uint64]bool
+	build := func(rng *rand.Rand) (VC, model) {
+		v, m := New(), model{}
+		for i := rng.IntN(12); i > 0; i-- {
+			s := rng.Uint64N(width) + 1
+			v.Observe(id(0, 1, s))
+			m[s] = true
+		}
+		return v, m
+	}
+	f := func(seed uint64) bool {
+		rng := rand.New(rand.NewPCG(seed, 3))
+		a, ma := build(rng)
+		b, mb := build(rng)
+		subset := true // mb ⊆ ma
+		for s := range mb {
+			subset = subset && ma[s]
+		}
+		if a.Dominates(b) != subset {
+			return false
+		}
+		a.Merge(b)
+		for s := range mb {
+			ma[s] = true
+		}
+		w := wire.NewWriter(0)
+		a.Encode(w)
+		back := Decode(wire.NewReader(w.Bytes()))
+		if back == nil {
+			return false
+		}
+		for s := uint64(1); s <= width+1; s++ {
+			if a.Covers(id(0, 1, s)) != ma[s] || back.Covers(id(0, 1, s)) != ma[s] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestDecodeRejectsMalformedRuns: runs out of order, overlapping, adjacent,
+// starting at 0 or reaching the maximum are not a clock this code wrote.
+func TestDecodeRejectsMalformedRuns(t *testing.T) {
+	enc := func(max uint64, runs ...uint64) []byte {
+		w := wire.NewWriter(0)
+		w.U64(1)
+		w.I64(0)
+		w.U64(1)
+		w.U64(max)
+		w.U64(uint64(len(runs) / 2))
+		for _, x := range runs {
+			w.U64(x)
+		}
+		return w.Bytes()
+	}
+	if Decode(wire.NewReader(enc(10, 2, 1, 6, 0))) == nil { // [2,3] [6,6]
+		t.Fatal("a well-formed clock was rejected")
+	}
+	for name, b := range map[string][]byte{
+		"out of order":      enc(10, 6, 0, 2, 0),
+		"overlapping":       enc(10, 2, 3, 4, 1),
+		"adjacent":          enc(10, 2, 1, 4, 0),
+		"from zero":         enc(10, 0, 1),
+		"reaches the max":   enc(10, 8, 2),
+		"length overflows":  enc(10, 5, ^uint64(0)),
+		"more than is left": append(enc(10)[:len(enc(10))-1], 0x7f),
+	} {
+		if Decode(wire.NewReader(b)) != nil {
+			t.Fatalf("%s: accepted", name)
+		}
+	}
+}
