@@ -176,9 +176,10 @@ func (p *Protocol) Start(ctx context.Context) error {
 		return fmt.Errorf("core: already started")
 	}
 	p.started = true
-	p.mu.Unlock()
-
+	// Under the lock with started: a Broadcast that finds the protocol
+	// started also finds its context.
 	p.ctx, p.cancel = context.WithCancel(ctx)
+	p.mu.Unlock()
 
 	if err := p.recover(); err != nil {
 		return err
@@ -398,7 +399,10 @@ func (p *Protocol) recoverUnordered() error {
 // the Unordered set and returns immediately (§5.4).
 func (p *Protocol) Broadcast(ctx context.Context, payload []byte) (ids.MsgID, error) {
 	p.mu.Lock()
-	if p.stopped {
+	if p.stopped || (!p.started && !p.cfg.BatchedBroadcast) {
+		// The blocking form below waits on the incarnation's context,
+		// which Start makes; the node publishes the incarnation before
+		// Start runs, so a caller can get here first.
 		p.mu.Unlock()
 		return ids.MsgID{}, ErrStopped
 	}

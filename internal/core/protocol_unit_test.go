@@ -65,6 +65,21 @@ func TestBroadcastAfterStopFails(t *testing.T) {
 	}
 }
 
+// TestBlockingBroadcastBeforeStartIsRefused: the node publishes an
+// incarnation before its protocol has started, so a caller can reach the
+// blocking Broadcast first. It waits on the incarnation's context, which
+// Start makes: refused with ErrStopped and nothing admitted (it used to
+// dereference the nil context and take the process down).
+func TestBlockingBroadcastBeforeStartIsRefused(t *testing.T) {
+	p, _, _ := newTestProtocol(Config{})
+	if _, err := p.Broadcast(context.Background(), []byte("early")); !errors.Is(err, ErrStopped) {
+		t.Fatalf("want ErrStopped, got %v", err)
+	}
+	if n := p.UnorderedLen(); n != 0 {
+		t.Fatalf("a refused broadcast left %d messages in Unordered", n)
+	}
+}
+
 func TestBatchedBroadcastLogsBeforeReturn(t *testing.T) {
 	p, _, _ := newTestProtocol(Config{BatchedBroadcast: true})
 	p.ctx, p.cancel = context.WithCancel(context.Background())

@@ -116,7 +116,7 @@ const maxHeaderLen = MaxIDLen + 5
 // BatchSize bounds the encoding of ms by EncodeBatch, so an encoder can ask
 // for its buffer once instead of growing it append by append.
 func BatchSize(ms []Message) int {
-	n := 10
+	n := 10 // the count prefix, a uvarint
 	for _, m := range ms {
 		n += maxHeaderLen + len(m.Payload)
 	}
