@@ -164,7 +164,7 @@ func (d *deliveryState) snapshotBase() Snapshot {
 func (d *deliveryState) sizeHint() int {
 	n := 256 + len(d.base.App)
 	for _, e := range d.suffix {
-		n += 40 + len(e.m.Payload)
+		n += 40 + len(e.m.Payload) // round, identity and length varints
 	}
 	return n
 }

@@ -67,12 +67,11 @@ func (c *Completion) Done() <-chan struct{} {
 // Wait blocks until the operation resolves and returns its error.
 func (c *Completion) Wait() error {
 	if err, done := c.Poll(); done {
-		return err
+		return err // already resolved: no channel needed
 	}
 	<-c.Done()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err
+	err, _ := c.Poll()
+	return err
 }
 
 // Poll reports, without blocking, whether the operation has resolved, and

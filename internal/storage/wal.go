@@ -941,6 +941,8 @@ func (w *WAL) victimKeys(path string) (map[string]struct{}, int64, error) {
 			return nil, 0, torn
 		}
 		if _, key, _, ok := decodeWALRec(rec); ok {
+			// The lookup converts without allocating; only a key's
+			// first sighting pays for its string.
 			if _, seen := keys[string(key)]; !seen {
 				keys[string(key)] = struct{}{}
 			}

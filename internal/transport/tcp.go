@@ -52,7 +52,7 @@ func putFrame(bp *[]byte) {
 	if cap(*bp) > maxPooledFrame {
 		return
 	}
-	wire.Poison((*bp)[:cap(*bp)])
+	wire.Poison(*bp)
 	framePool.Put(bp)
 }
 

@@ -75,18 +75,21 @@ func PutWriter(w *Writer) {
 	if cap(w.buf) > poolMaxCap {
 		return // oversized one-off: let the GC have it
 	}
-	Poison(w.buf[:cap(w.buf)])
+	Poison(w.buf)
 	writerPool.Put(w)
 }
 
 // poisoning is on in test binaries only.
 var poisoning = testing.Testing()
 
-// Poison overwrites a buffer that is about to go back to a pool. In a test
-// binary every byte becomes 0xDB, so a borrower that kept the buffer past
-// its call reads garbage on the spot — a CRC or decode failure in the test
-// that did it — instead of another message's bytes once in a long run.
-// Outside tests it does nothing.
+// Poison overwrites the bytes a borrower was lent, as their buffer goes back
+// to a pool. In a test binary every byte becomes 0xDB, so a borrower that
+// kept them past its call reads garbage on the spot — a CRC or decode
+// failure in the test that did it — instead of another message's bytes once
+// in a long run. Only what was written is overwritten, not the buffer's
+// whole capacity: that is all anyone was ever handed, and it keeps the cost
+// of a release in step with the message, not with the largest message the
+// buffer ever held. Outside tests it does nothing.
 func Poison(b []byte) {
 	if !poisoning || len(b) == 0 {
 		return
