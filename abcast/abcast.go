@@ -32,8 +32,8 @@
 //     MaxBatchDelay (time trigger), whichever comes first.
 //
 // Combining BatchedBroadcast with PipelineDepth 4 and a small MaxBatchDelay
-// is the recommended high-throughput configuration; see the E14 experiment
-// (cmd/abcast-bench -exp E14).
+// is the recommended high-throughput configuration; it is the one the
+// benchmark pins (bench/README.md, workload small-closed).
 //
 // # Group-commit durable logging
 //
@@ -43,27 +43,9 @@
 // one fsync (SyncEvery / MaxSyncDelay in ProtocolOptions), at durability
 // identical to sync-per-write NewFileStorage. The protocol issues its
 // persists asynchronously and acts on each only once the covering fsync
-// completes, as the paper's crash-recovery model requires (§2.1, §5.5);
-// see the E15 experiment for the throughput margin.
-//
-// # Adaptive tuning
-//
-// Every knob above — pipeline depth, batch delay, group-commit triggers —
-// is a static compromise across workload phases. ProtocolOptions.Adaptive
-// replaces the compromise with a closed loop: a per-process controller
-// observes the observability plane's signals (batch seal causes, pipeline
-// occupancy, ordering backlog, quorum latency, fsync amortization) every
-// epoch and continuously moves MaxBatchDelay, the live pipeline window
-// and the WAL group-commit policy between a latency-lean operating point
-// (idle traffic) and a throughput-lean one (bursts). When Adaptive is on,
-// the static options become the controller's BOUNDS — PipelineDepth caps
-// the live depth, MaxBatchDelay caps the batching window, SyncEvery /
-// MaxSyncDelay cap the fsync amortization — and TuneOptions can override
-// any bound explicitly. When it is off, no controller exists and the
-// static options mean exactly what they always did. Decisions are
-// exported as abcast.tune.* metrics and flight-recorder events; see the
-// README's "Adaptive tuning" section and experiment E21 for when a static
-// configuration is still preferable.
+// completes, as the paper's crash-recovery model requires (§2.1, §5.5).
+// The benchmark's storage.fsyncs_per_msg and storage.records_per_fsync
+// report how far the coalescing goes.
 //
 // # Sharded multi-group ordering
 //
@@ -75,7 +57,8 @@
 // by a deterministic consistent-hash Router (or explicitly); each group
 // delivers its own total order, and Merged computes an optional
 // deterministic global interleave. See the README's "Sharding" section
-// for ordering guarantees and caveats, and experiment E16 for scaling.
+// for ordering guarantees and caveats; the benchmark's sharded-closed
+// workload is the G=4 measurement.
 //
 // # Log lifecycle
 //
@@ -88,12 +71,13 @@
 // background segment compaction: the WAL rewrites its live state into a
 // fresh segment (group-committed before the old segments are unlinked,
 // so every crash point replays to the same index) and reclaims the dead
-// records that checkpointing leaves behind. Experiment E18 measures
-// both. An idle group does not stall any of this: in merged mode the
-// quiescent group's sequencer proposes empty heartbeat rounds after a
-// bounded idle interval (ProtocolOptions.IdleHeartbeat), so the merge
-// frontier — and every group's checkpoint reclamation behind it —
-// keeps advancing without traffic on every group.
+// records that checkpointing leaves behind (the benchmark's
+// storage.wal_mb_end on large-closed). An idle group does not stall any
+// of this: in merged mode the quiescent group's sequencer proposes empty
+// heartbeat rounds after a bounded idle interval
+// (ProtocolOptions.IdleHeartbeat), so the merge frontier — and every
+// group's checkpoint reclamation behind it — keeps advancing without
+// traffic on every group.
 //
 // # Latency fast path
 //
@@ -116,9 +100,8 @@
 //     rests on ballots and quorum intersection, never on clocks, so the
 //     §2.1 crash-recovery durability contract is preserved verbatim.
 //
-// Experiment E19 measures both (tentative vs confirmed p50/p99, leased vs
-// unleased, mem and TCP transports); the README's "Latency" section covers
-// the contract and when not to enable optimism.
+// The README's "Latency" section covers the contract and when not to
+// enable optimism.
 //
 // # Dissemination
 //
@@ -143,7 +126,7 @@
 // it when payloads are large (>= a few KiB) and throughput-bound; leave
 // it off for small-message or latency-critical workloads — the ring hop
 // chain adds a relay latency proportional to N before the last member
-// holds the payload. Experiment E20 measures the crossover.
+// holds the payload.
 //
 // # Elastic resharding
 //
@@ -172,10 +155,9 @@
 // frontier, and checkpoint folds discard consensus state only below the
 // cluster-wide minimum, capped by ShardedConfig.MergeFloorStaleness. A
 // process that recovers within the cap therefore finds every round it
-// still needs and never takes a GC-forced state transfer. Experiment E22
-// measures a live G=2->4 scale-out under load (throughput ~2x, guarded
-// in CI) and the drain cost of a live retirement; the README's "Elastic
-// resharding" section covers the API contract and failure semantics.
+// still needs and never takes a GC-forced state transfer. The README's
+// "Elastic resharding" section covers the API contract and failure
+// semantics.
 //
 // # Shared process services
 //
@@ -186,8 +168,9 @@
 // periodic full-payload gossip with message-ID digests plus pull-based
 // repair, and NewShardedNetworkOpts coalesces small frames from all
 // groups into single transport writes (the network twin of the WAL's
-// group-commit). Experiment E17 measures the background cost vs G; the
-// README's "Performance tuning" section covers the knobs.
+// group-commit). The benchmark's group.frames_per_msg and
+// group.coalesce_ratio on sharded-closed report it; the README's
+// "Performance tuning" section covers the knobs.
 //
 // # Quickstart
 //
@@ -200,7 +183,7 @@
 //		p.Start(ctx)
 //	}
 //
-// See examples/ for runnable programs and DESIGN.md for the architecture.
+// See examples/ for runnable programs and the README for the architecture.
 package abcast
 
 import (
@@ -217,7 +200,6 @@ import (
 	"repro/internal/node"
 	"repro/internal/storage"
 	"repro/internal/transport"
-	"repro/internal/tune"
 )
 
 // Re-exported identity types.
@@ -345,7 +327,7 @@ type ProtocolOptions struct {
 	// bandwidth drops from O(|Unordered| * payload bytes) to
 	// O(|Unordered|) IDs, while the eager delta push and recovery
 	// catch-up keep working unchanged. See the README's performance
-	// tuning section and experiment E17.
+	// tuning section.
 	DigestGossip bool
 	// RingDissem enables the ordering/dissemination split: payloads
 	// stream around a failure-detector-derived successor ring while
@@ -354,8 +336,7 @@ type ProtocolOptions struct {
 	// gated on payload presence, with missing payloads pulled over the
 	// digest repair path. Every process of the deployment must set it
 	// together (the proposal wire format changes); it forces DigestGossip
-	// on. See the package comment's "Dissemination" section and
-	// experiment E20.
+	// on. See the package comment's "Dissemination" section.
 	RingDissem bool
 
 	// PipelineDepth is the number of consensus rounds that may be in
@@ -412,34 +393,10 @@ type ProtocolOptions struct {
 	// File).
 	SyncEvery    int
 	MaxSyncDelay time.Duration
-
-	// Adaptive closes the loop on the three hot-path policies above: a
-	// per-process controller (internal/tune) watches batch seal causes,
-	// pipeline occupancy, backlog, quorum latency and fsync amortization
-	// every epoch and continuously retunes MaxBatchDelay, the live
-	// pipeline window and the WAL group-commit policy between idle-lean
-	// and throughput-lean operating points. When Adaptive is set, the
-	// static knobs become the controller's BOUNDS rather than fixed
-	// values: PipelineDepth caps the live depth, MaxBatchDelay caps the
-	// batching window, SyncEvery/MaxSyncDelay cap the fsync amortization
-	// (unset knobs fall back to the tune package defaults; Tune overrides
-	// any of them explicitly). With Adaptive false nothing changes: no
-	// controller is constructed and every knob stays exactly where the
-	// static options put it. See the README's "Adaptive tuning" section
-	// and experiment E21.
-	Adaptive bool
-	// Tune bounds the adaptive controller explicitly (epoch period, knob
-	// floors and caps). Zero fields derive from the static options as
-	// described on Adaptive. Ignored when Adaptive is false.
-	Tune TuneOptions
 }
 
-// TuneOptions bounds the adaptive controller; see ProtocolOptions.Adaptive.
-type TuneOptions = tune.Options
-
 // Validate rejects nonsensical options — negative depths, counts or
-// delays, and (with Adaptive) inverted controller bounds — with explicit
-// errors instead of silent misbehavior. NewProcess and NewSharded call it;
+// delays — with explicit errors instead of silent misbehavior. NewProcess and NewSharded call it;
 // IdleHeartbeat may be negative (documented: forces heartbeats off).
 func (o ProtocolOptions) Validate() error {
 	var errs []error
@@ -458,43 +415,12 @@ func (o ProtocolOptions) Validate() error {
 	neg("LeaseTTL", o.LeaseTTL < 0)
 	neg("SyncEvery", o.SyncEvery < 0)
 	neg("MaxSyncDelay", o.MaxSyncDelay < 0)
-	if o.Adaptive {
-		if err := o.tuneOptions().Validate(); err != nil {
-			errs = append(errs, err)
-		}
-	}
 	return errors.Join(errs...)
-}
-
-// tuneOptions derives the controller bounds from the static options:
-// every unset Tune bound inherits the corresponding static knob (which is
-// how "static options become the controller's bounds when Adaptive is
-// on"), and the depth cap never exceeds the consensus learner's ask-ahead
-// span.
-func (o ProtocolOptions) tuneOptions() TuneOptions {
-	t := o.Tune
-	if t.BatchDelayMax == 0 && o.MaxBatchDelay > 0 {
-		t.BatchDelayMax = o.MaxBatchDelay
-	}
-	if t.DepthMax == 0 && o.PipelineDepth > 1 {
-		t.DepthMax = o.PipelineDepth
-	}
-	if t.SyncEveryMax == 0 && o.SyncEvery > 0 {
-		t.SyncEveryMax = o.SyncEvery
-	}
-	if t.SyncDelayMax == 0 && o.MaxSyncDelay > 0 {
-		t.SyncDelayMax = o.MaxSyncDelay
-	}
-	if t.DepthMax > consensus.DecideWindow {
-		t.DepthMax = consensus.DecideWindow
-	}
-	return t
 }
 
 // Process is one group member with crash/recover lifecycle.
 type Process struct {
-	n     *node.Node
-	tuner *tune.Controller // nil unless ProtocolOptions.Adaptive
+	n *node.Node
 }
 
 // groupCommitter is implemented by storage engines whose durability
@@ -508,7 +434,7 @@ type groupCommitter interface {
 // from it, so a new ProtocolOptions knob wired here reaches sharded and
 // unsharded deployments alike.
 func (o ProtocolOptions) coreConfig() core.Config {
-	cc := core.Config{
+	return core.Config{
 		CheckpointEvery:   o.CheckpointEvery,
 		Delta:             o.Delta,
 		BatchedBroadcast:  o.BatchedBroadcast,
@@ -523,12 +449,6 @@ func (o ProtocolOptions) coreConfig() core.Config {
 		MaxBatchDelay:     o.MaxBatchDelay,
 		IdleHeartbeat:     max(o.IdleHeartbeat, 0),
 	}
-	if o.Adaptive {
-		// Give the sequencer resize headroom up to the controller's depth
-		// cap; the controller itself decides where within it to sit.
-		cc.MaxPipelineDepth = o.tuneOptions().Filled().DepthMax
-	}
-	return cc
 }
 
 // consensusConfig maps the options' consensus knobs (the lease) plus the
@@ -552,16 +472,14 @@ func (o ProtocolOptions) applyGroupCommit(st Storage) {
 // NewProcess builds a process over the given stable storage and network.
 // The same Storage must be passed again after a crash for recovery to work;
 // the same Network must be shared by the whole group. Invalid options
-// (negative depths, counts or delays; inverted adaptive bounds) are
-// rejected with an explicit error.
+// (negative depths, counts or delays) are rejected with an explicit
+// error.
 //
 // When st is a group-commit engine (NewWALStorage) and the protocol
 // options carry a durability policy (SyncEvery / MaxSyncDelay), the policy
 // is applied to the engine here, so one ProtocolOptions value describes
 // both halves of the pipeline: how messages batch into rounds and how the
-// rounds' log records batch into fsyncs. With Protocol.Adaptive set, both
-// halves are handed to a per-process controller instead; see the package
-// comment's "Adaptive tuning" section.
+// rounds' log records batch into fsyncs.
 func NewProcess(cfg Config, st Storage, net Network) (*Process, error) {
 	if err := cfg.Protocol.Validate(); err != nil {
 		return nil, err
@@ -581,39 +499,18 @@ func NewProcess(cfg Config, st Storage, net Network) (*Process, error) {
 		FD:         cfg.FD,
 		RingDissem: cfg.Protocol.RingDissem,
 	}
-	p := &Process{n: node.New(nodeCfg, st, net)}
-	if cfg.Protocol.Adaptive {
-		ctl, err := tune.New(cfg.Protocol.tuneOptions(), nil)
-		if err != nil {
-			return nil, err
-		}
-		ctl.AddGroup(node.TuneGroup(p.n))
-		if s, ok := node.TuneSync(st); ok {
-			ctl.AddSync(s)
-		}
-		p.tuner = ctl
-	}
-	return p, nil
+	return &Process{n: node.New(nodeCfg, st, net)}, nil
 }
 
 // Start boots the process (initialization or recovery). It blocks until
 // the replay phase completes.
 func (p *Process) Start(ctx context.Context) error {
-	if err := p.n.Start(ctx); err != nil {
-		return err
-	}
-	if p.tuner != nil {
-		p.tuner.Start()
-	}
-	return nil
+	return p.n.Start(ctx)
 }
 
 // Crash kills the process, losing all volatile state. Stable storage is
 // untouched; call Start to recover.
 func (p *Process) Crash() {
-	if p.tuner != nil {
-		p.tuner.Stop()
-	}
 	p.n.Crash()
 }
 
@@ -709,7 +606,8 @@ type WALOptions = storage.WALOptions
 // a committer that coalesces all concurrent writes into one fsync. A
 // Put/Append returns (and the protocol acts) only once the fsync covering
 // its record completes, so durability is identical to NewFileStorage with
-// syncWrites — at a fraction of the fsyncs (see experiment E15). Close it
+// syncWrites — at a fraction of the fsyncs (the benchmark's
+// storage.fsyncs_per_msg). Close it
 // when the process is retired; crashes need no cleanup (reopen replays the
 // durable prefix and truncates any torn tail).
 func NewWALStorage(dir string, opts WALOptions) (*storage.WAL, error) {

@@ -1,41 +1,41 @@
 package abcast
 
 import (
+	"reflect"
 	"strings"
 	"testing"
-	"time"
-
-	"repro/internal/consensus"
-	"repro/internal/tune"
 )
 
-// TestProtocolOptionsValidateRejectsNegatives exercises every negative
-// knob individually: each must surface an explicit error naming the field,
-// never a silent clamp.
+// TestProtocolOptionsValidateRejectsNegatives covers Validate field by
+// field. The rows are the signed numeric fields of ProtocolOptions, found
+// by reflection so the test follows the option surface: each must accept
+// zero and positive values and reject a negative one with an error naming
+// the field, never a silent clamp. IdleHeartbeat is the one exception (see
+// the next test).
 func TestProtocolOptionsValidateRejectsNegatives(t *testing.T) {
-	cases := []struct {
-		name string
-		opts ProtocolOptions
-	}{
-		{"CheckpointEvery", ProtocolOptions{CheckpointEvery: -1}},
-		{"GossipInterval", ProtocolOptions{GossipInterval: -time.Millisecond}},
-		{"GossipMaxMessages", ProtocolOptions{GossipMaxMessages: -2}},
-		{"PipelineDepth", ProtocolOptions{PipelineDepth: -1}},
-		{"MaxBatch", ProtocolOptions{MaxBatch: -4}},
-		{"MaxBatchBytes", ProtocolOptions{MaxBatchBytes: -1}},
-		{"MaxBatchDelay", ProtocolOptions{MaxBatchDelay: -time.Microsecond}},
-		{"LeaseTTL", ProtocolOptions{LeaseTTL: -time.Second}},
-		{"SyncEvery", ProtocolOptions{SyncEvery: -8}},
-		{"MaxSyncDelay", ProtocolOptions{MaxSyncDelay: -time.Millisecond}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := tc.opts.Validate()
-			if err == nil {
-				t.Fatalf("negative %s accepted", tc.name)
+	typ := reflect.TypeOf(ProtocolOptions{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		// time.Duration is an int64.
+		if k := f.Type.Kind(); (k != reflect.Int && k != reflect.Int64) || f.Name == "IdleHeartbeat" {
+			continue
+		}
+		t.Run(f.Name, func(t *testing.T) {
+			for _, v := range []int64{0, 1} {
+				var o ProtocolOptions
+				reflect.ValueOf(&o).Elem().Field(i).SetInt(v)
+				if err := o.Validate(); err != nil {
+					t.Fatalf("%s = %d rejected: %v", f.Name, v, err)
+				}
 			}
-			if !strings.Contains(err.Error(), tc.name) {
-				t.Fatalf("error %q does not name the offending field %s", err, tc.name)
+			var o ProtocolOptions
+			reflect.ValueOf(&o).Elem().Field(i).SetInt(-1)
+			err := o.Validate()
+			if err == nil {
+				t.Fatalf("negative %s accepted", f.Name)
+			}
+			if !strings.Contains(err.Error(), f.Name) {
+				t.Fatalf("error %q does not name the offending field %s", err, f.Name)
 			}
 		})
 	}
@@ -47,26 +47,6 @@ func TestProtocolOptionsValidateRejectsNegatives(t *testing.T) {
 func TestProtocolOptionsValidateAllowsNegativeIdleHeartbeat(t *testing.T) {
 	if err := (ProtocolOptions{IdleHeartbeat: -1}).Validate(); err != nil {
 		t.Fatalf("negative IdleHeartbeat rejected: %v", err)
-	}
-}
-
-// TestProtocolOptionsValidateTuneBounds: with Adaptive set, bad controller
-// bounds (negative values, inverted min/max pairs) are construction-time
-// errors; with Adaptive off the Tune struct is inert and ignored.
-func TestProtocolOptionsValidateTuneBounds(t *testing.T) {
-	bad := TuneOptions{DepthMin: 6, DepthMax: 2}
-	if err := (ProtocolOptions{Adaptive: true, Tune: bad}).Validate(); err == nil {
-		t.Fatal("inverted DepthMin/DepthMax accepted with Adaptive on")
-	}
-	if err := (ProtocolOptions{Tune: bad}).Validate(); err != nil {
-		t.Fatalf("inert Tune bounds rejected with Adaptive off: %v", err)
-	}
-	neg := TuneOptions{BatchDelayMin: -time.Millisecond}
-	if err := (ProtocolOptions{Adaptive: true, Tune: neg}).Validate(); err == nil {
-		t.Fatal("negative BatchDelayMin accepted with Adaptive on")
-	}
-	if err := (ProtocolOptions{Adaptive: true}).Validate(); err != nil {
-		t.Fatalf("zero-valued adaptive options rejected: %v", err)
 	}
 }
 
@@ -94,51 +74,9 @@ func TestNewShardedRejectsInvalidOptions(t *testing.T) {
 	_, err := NewSharded(ShardedConfig{
 		PID:      0,
 		N:        1,
-		Protocol: ProtocolOptions{Adaptive: true, Tune: TuneOptions{SyncEveryMax: -1}},
+		Protocol: ProtocolOptions{SyncEvery: -1},
 	}, NewMemStorage(), net)
 	if err == nil {
-		t.Fatal("NewSharded accepted a negative SyncEveryMax")
-	}
-}
-
-// TestTuneOptionsInheritStaticKnobs pins the "static options become the
-// controller's bounds" contract: unset Tune caps inherit the corresponding
-// static knob, explicit Tune caps win, and the depth cap never exceeds the
-// consensus learner's ask-ahead span.
-func TestTuneOptionsInheritStaticKnobs(t *testing.T) {
-	o := ProtocolOptions{
-		Adaptive:      true,
-		MaxBatchDelay: 3 * time.Millisecond,
-		PipelineDepth: 6,
-		SyncEvery:     32,
-		MaxSyncDelay:  4 * time.Millisecond,
-	}
-	got := o.tuneOptions()
-	if got.BatchDelayMax != 3*time.Millisecond {
-		t.Fatalf("BatchDelayMax = %v, want inherited 3ms", got.BatchDelayMax)
-	}
-	if got.DepthMax != 6 {
-		t.Fatalf("DepthMax = %d, want inherited 6", got.DepthMax)
-	}
-	if got.SyncEveryMax != 32 || got.SyncDelayMax != 4*time.Millisecond {
-		t.Fatalf("sync caps = (%d, %v), want inherited (32, 4ms)", got.SyncEveryMax, got.SyncDelayMax)
-	}
-
-	o.Tune = TuneOptions{DepthMax: 3, BatchDelayMax: time.Millisecond}
-	got = o.tuneOptions()
-	if got.DepthMax != 3 || got.BatchDelayMax != time.Millisecond {
-		t.Fatalf("explicit Tune caps overridden: %+v", got)
-	}
-
-	o.Tune = TuneOptions{DepthMax: consensus.DecideWindow + 50}
-	if got = o.tuneOptions(); got.DepthMax != consensus.DecideWindow {
-		t.Fatalf("DepthMax = %d, want clamped to consensus.DecideWindow (%d)", got.DepthMax, consensus.DecideWindow)
-	}
-
-	// Defaults fill only at Filled() time, so tuneOptions stays a faithful
-	// "what did the user constrain" view.
-	var zero ProtocolOptions
-	if f := zero.tuneOptions().Filled(); f.DepthMax != tune.DefaultDepthMax {
-		t.Fatalf("filled DepthMax = %d, want default %d", f.DepthMax, tune.DefaultDepthMax)
+		t.Fatal("NewSharded accepted a negative SyncEvery")
 	}
 }

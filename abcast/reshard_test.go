@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/abcast"
+	igroup "repro/internal/group"
 )
 
 // awaitGroupKnown polls until every process's topology includes g as an
@@ -313,6 +314,38 @@ func TestShardedRetireGroupDrains(t *testing.T) {
 	// Reshard metrics surfaced the drain.
 	if st := procs[0].Stats(); st.Total.Delivered == 0 {
 		t.Fatal("stats lost deliveries across retirement")
+	}
+}
+
+// TestShardedSealCarriesPipelineDepth: the drain window W a SEAL marker
+// carries is the depth of the proposal pipeline the processes run,
+// max(1, PipelineDepth) — the configuration is static, so no proposer can
+// have a window deeper than that past the seal round.
+func TestShardedSealCarriesPipelineDepth(t *testing.T) {
+	for _, tc := range []struct {
+		depth int
+		want  uint64
+	}{{0, 1}, {1, 1}, {4, 4}} {
+		t.Run(fmt.Sprintf("depth=%d", tc.depth), func(t *testing.T) {
+			const retired = abcast.GroupID(1)
+			procs, stop := shardedCluster(t, 1, 2, abcast.ProtocolOptions{PipelineDepth: tc.depth}, nil)
+			defer stop()
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			if err := procs[0].RetireGroup(ctx, retired); err != nil {
+				t.Fatal(err)
+			}
+			_, seq := procs[0].Sequence(retired)
+			for _, d := range seq {
+				if w, ok := igroup.DecodeSealMarker(d.Msg.Payload); ok {
+					if w != tc.want {
+						t.Fatalf("SEAL marker carries W=%d, want %d", w, tc.want)
+					}
+					return
+				}
+			}
+			t.Fatalf("no SEAL marker among the %d deliveries of the retired group", len(seq))
+		})
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/storage"
-	"repro/internal/tune"
 )
 
 // GroupID identifies one ordering group of a sharded process (0..G-1).
@@ -90,15 +89,6 @@ type ShardedConfig struct {
 	// ordered must route to the same group.
 	Router Router
 
-	// GroupStore, when set, supplies each group's stable storage and the
-	// store argument of NewSharded may be nil. The default carves group
-	// g's storage out of the shared store as the "g<g>/" namespace
-	// (storage.Prefixed), so on a group-commit WAL engine all groups
-	// share fsyncs. A per-group-store deployment (one WAL per group,
-	// separate fsync streams) is the main use of the hook; experiment E16
-	// measures the difference.
-	GroupStore func(GroupID) Storage
-
 	// MergedDelivery declares that this process consumes the merged
 	// cross-group sequence (Merged or MergeCursor) and makes application
 	// checkpointing compose with it: every group's checkpoint folds only
@@ -160,8 +150,7 @@ type ShardedConfig struct {
 // Validate rejects nonsensical sharded configurations with explicit errors
 // instead of silent misbehavior, mirroring ProtocolOptions.Validate (which
 // it includes). NewSharded calls it; constraints that involve NewSharded's
-// arguments (the store/GroupStore exclusivity, the group count) stay in
-// NewSharded.
+// arguments (the store, the group count) stay in NewSharded.
 func (c ShardedConfig) Validate() error {
 	var errs []error
 	if c.N <= 0 {
@@ -215,14 +204,13 @@ const (
 // node slice is indexed by GroupID and only ever grows — a retired group's
 // slot goes nil once reaped, and GroupIDs are never reused.
 type Sharded struct {
-	cfg     ShardedConfig
-	net     *ShardedNetwork
-	shared  Storage // nil when every group store came from the hook
-	epochSt Storage // pinned at construction; holds process-level cells
-	stream  *group.Stream // per-round fan-out driving Merged/MergeCursor
-	floors  *group.FloorTracker
-	peers   []ids.ProcessID // every process but this one
-	rm      reshardMetrics
+	cfg    ShardedConfig
+	net    *ShardedNetwork
+	shared Storage       // every group's namespace plus the process-level cells
+	stream *group.Stream // per-round fan-out driving Merged/MergeCursor
+	floors *group.FloorTracker
+	peers  []ids.ProcessID // every process but this one
+	rm     reshardMetrics
 
 	// ns is the copy-on-write (nodes, stores) pair, swapped under mu;
 	// router/topoEnc are the broadcast hot path's view of the topology,
@@ -243,11 +231,6 @@ type Sharded struct {
 	// never taken by the topology hook, which runs on delivery goroutines
 	// while a reshard call may be blocked broadcasting a marker.
 	reshardMu sync.Mutex
-
-	// tuner is the process's single adaptive controller (nil unless
-	// Protocol.Adaptive): every group feeds it, and its one durability
-	// target arbitrates the shared WAL's sync policy across all of them.
-	tuner *tune.Controller
 }
 
 // nodeSet is the immutable (nodes, stores) snapshot read by every hot
@@ -291,15 +274,14 @@ func (s *Sharded) flight() *obs.Recorder {
 }
 
 // NewSharded builds a sharded process over the given stable store and
-// sharded network. st is the process's one shared store (each group runs
-// in its own namespace of it); it may be nil when cfg.GroupStore supplies
-// per-group stores. The same store(s) must be passed again after a crash
-// for recovery, and the same ShardedNetwork must be shared by the whole
-// cluster.
+// sharded network. st is the process's one shared store: group g runs in
+// its "g<g>/" namespace of it (storage.Prefixed), so on a group-commit WAL
+// engine all groups share fsyncs. The same store must be passed again
+// after a crash for recovery, and the same ShardedNetwork must be shared
+// by the whole cluster.
 //
 // As with NewProcess, a group-commit durability policy in cfg.Protocol
-// (SyncEvery / MaxSyncDelay) is applied to every distinct engine in use —
-// once to a shared store, per group with a GroupStore hook.
+// (SyncEvery / MaxSyncDelay) is applied to the store.
 func NewSharded(cfg ShardedConfig, st Storage, net *ShardedNetwork) (*Sharded, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -307,14 +289,8 @@ func NewSharded(cfg ShardedConfig, st Storage, net *ShardedNetwork) (*Sharded, e
 	if net.Groups() < 1 {
 		return nil, fmt.Errorf("abcast: sharded process needs at least one ordering group")
 	}
-	if st == nil && cfg.GroupStore == nil {
-		return nil, fmt.Errorf("abcast: sharded process needs a shared store or a GroupStore hook")
-	}
-	if st != nil && cfg.GroupStore != nil {
-		// Ambiguous: nothing would write through st, but Stats would
-		// read its sync counter and the durability policy would arm its
-		// group-commit timer. Refuse rather than misreport.
-		return nil, fmt.Errorf("abcast: pass either a shared store or a GroupStore hook, not both")
+	if st == nil {
+		return nil, fmt.Errorf("abcast: sharded process needs a store")
 	}
 	if cfg.MergedDelivery && cfg.Protocol.IdleHeartbeat == 0 {
 		// Merged mode needs idle groups to keep their round counters
@@ -335,23 +311,13 @@ func NewSharded(cfg ShardedConfig, st Storage, net *ShardedNetwork) (*Sharded, e
 			s.peers = append(s.peers, pid)
 		}
 	}
-	if st != nil {
-		cfg.Protocol.applyGroupCommit(st)
-		s.epochSt = st
-	} else {
-		g0 := cfg.GroupStore(0)
-		if g0 == nil {
-			return nil, fmt.Errorf("abcast: GroupStore returned nil for group g0")
-		}
-		cfg.Protocol.applyGroupCommit(g0)
-		s.epochSt = g0
-	}
+	cfg.Protocol.applyGroupCommit(st)
 
 	// Restore the persisted topology (a resharded deployment restarting)
 	// or fall back to the static epoch-0 shape of the network mux. The
 	// reaped set tells which retired groups' nodes are NOT rebuilt.
 	topo := group.NewStaticTopology(net.Groups())
-	if enc, ok, err := s.epochSt.Get(keyTopo); err != nil {
+	if enc, ok, err := s.shared.Get(keyTopo); err != nil {
 		return nil, fmt.Errorf("abcast: read persisted topology: %w", err)
 	} else if ok {
 		t, err := group.DecodeTopology(enc)
@@ -360,7 +326,7 @@ func NewSharded(cfg ShardedConfig, st Storage, net *ShardedNetwork) (*Sharded, e
 		}
 		topo = t
 	}
-	if enc, ok, err := s.epochSt.Get(keyReaped); err != nil {
+	if enc, ok, err := s.shared.Get(keyReaped); err != nil {
 		return nil, fmt.Errorf("abcast: read reaped set: %w", err)
 	} else if ok {
 		gs, err := decodeReaped(enc)
@@ -407,11 +373,7 @@ func NewSharded(cfg ShardedConfig, st Storage, net *ShardedNetwork) (*Sharded, e
 			}
 			continue
 		}
-		gst, n, err := s.buildGroup(gid)
-		if err != nil {
-			return nil, err
-		}
-		ns.nodes[g], ns.stores[g] = n, gst
+		ns.stores[g], ns.nodes[g] = s.buildGroup(gid)
 	}
 	s.ns.Store(ns)
 	for g, sp := range topo.Spans {
@@ -419,44 +381,6 @@ func NewSharded(cfg ShardedConfig, st Storage, net *ShardedNetwork) (*Sharded, e
 	}
 	s.installTopology(topo)
 	s.stream.SetOnTopology(s.onTopology)
-
-	if cfg.Protocol.Adaptive {
-		// ONE controller for the whole process: each group is a target,
-		// and the single durability target arbitrates the shared WAL's
-		// group-commit policy from the aggregate record rate (the WAL's
-		// counters are process-wide, so any busy group keeps amortization
-		// on for all of them). Per-group stores register each distinct
-		// engine once.
-		ctl, err := tune.New(cfg.Protocol.tuneOptions(), nil)
-		if err != nil {
-			return nil, err
-		}
-		for _, n := range ns.nodes {
-			if n != nil {
-				ctl.AddGroup(node.TuneGroup(n))
-			}
-		}
-		if st != nil {
-			if sy, ok := node.TuneSync(st); ok {
-				ctl.AddSync(sy)
-			}
-		} else {
-			seen := make(map[*storage.WAL]bool)
-			for g, gst := range ns.stores {
-				if gst == nil {
-					continue
-				}
-				if w := node.FindWAL(gst); w != nil && !seen[w] {
-					seen[w] = true
-					if sy, ok := node.TuneSync(gst); ok {
-						sy.Name = fmt.Sprintf("g%d", g)
-						ctl.AddSync(sy)
-					}
-				}
-			}
-		}
-		s.tuner = ctl
-	}
 	return s, nil
 }
 
@@ -503,22 +427,9 @@ func decodeReaped(b []byte) ([]GroupID, error) {
 
 // buildGroup constructs group gid's store and node (the per-group loop
 // body of NewSharded, reused by live AddGroup splices).
-func (s *Sharded) buildGroup(gid GroupID) (Storage, *node.Node, error) {
+func (s *Sharded) buildGroup(gid GroupID) (Storage, *node.Node) {
 	cfg := s.cfg
-	var gst Storage
-	if cfg.GroupStore != nil {
-		if gid == 0 {
-			gst = s.epochSt // already fetched (and policy-applied) once
-		} else {
-			gst = cfg.GroupStore(gid)
-			if gst == nil {
-				return nil, nil, fmt.Errorf("abcast: GroupStore returned nil for group %v", gid)
-			}
-			cfg.Protocol.applyGroupCommit(gst)
-		}
-	} else {
-		gst = storage.NewPrefixed(s.shared, group.StoreNamespace(gid))
-	}
+	gst := storage.NewPrefixed(s.shared, group.StoreNamespace(gid))
 
 	coreCfg := cfg.Protocol.coreConfig()
 	coreCfg.OnDeliver = cfg.OnDeliver
@@ -578,7 +489,7 @@ func (s *Sharded) buildGroup(gid GroupID) (Storage, *node.Node, error) {
 		// G groups cost one successor stream, not G.
 		ncfg.SharedRing = s.ringView
 	}
-	return gst, node.New(ncfg, gst, s.net.Net(gid)), nil
+	return gst, node.New(ncfg, gst, s.net.Net(gid))
 }
 
 // floorSelf is every group's core.Config.FloorSelf hook: the process-wide
@@ -626,7 +537,7 @@ func (s *Sharded) installTopology(t *group.Topology) {
 // blocked broadcasting the very marker that triggered it).
 func (s *Sharded) onTopology(t *group.Topology) {
 	s.installTopology(t)
-	if err := s.epochSt.Put(keyTopo, t.Encode()); err != nil {
+	if err := s.shared.Put(keyTopo, t.Encode()); err != nil {
 		s.flight().Event(obs.EvViolation, -1, 0, 0, 0, "persist topology: "+err.Error())
 	}
 
@@ -716,18 +627,11 @@ func (s *Sharded) ensureGroups(t *group.Topology) {
 		if sp := t.Spans[g]; sp.Sealed && s.stream.Drained(g) {
 			continue // fully drained before we ever hosted it: nothing to order
 		}
-		gst, n, err := s.buildGroup(g)
-		if err != nil {
-			s.flight().Event(obs.EvViolation, g, 0, 0, 0, "ensure group: "+err.Error())
-			continue
-		}
+		gst, n := s.buildGroup(g)
 		ns.nodes[g], ns.stores[g] = n, gst
 		changed = true
 		if s.up {
 			boot = append(boot, started{n: n, ctx: s.startCtx})
-		}
-		if s.tuner != nil {
-			s.tuner.AddGroup(node.TuneGroup(n))
 		}
 	}
 	if changed {
@@ -795,14 +699,6 @@ func (s *Sharded) fdView(g GroupID) fd.API {
 	return s.sfd.View(g)
 }
 
-// epochStore returns the store holding the process-level cells (the
-// incarnation counter, the persisted topology, the reaped set): the shared
-// store, or — in a per-group-store deployment — group 0's store (the
-// cells' keys are namespaced so they cannot collide with the group's own
-// state; that store is pinned at construction and survives group 0's
-// retirement).
-func (s *Sharded) epochStore() Storage { return s.epochSt }
-
 // Groups returns the number of ordering groups ever hosted (GroupIDs are
 // dense and never reused, so this is max GroupID + 1; retired and even
 // reaped groups count).
@@ -845,7 +741,7 @@ func (s *Sharded) Start(ctx context.Context) error {
 	// The process-level liveness service comes up first so every group's
 	// consensus engine starts against a live oracle: one epoch log write
 	// and one heartbeat stream for the whole process.
-	epoch, err := node.NextProcEpoch(s.epochStore())
+	epoch, err := node.NextProcEpoch(s.shared)
 	if err != nil {
 		s.Crash()
 		return fmt.Errorf("abcast: sharded process %v: %w", s.cfg.PID, err)
@@ -902,9 +798,6 @@ func (s *Sharded) Start(ctx context.Context) error {
 	// Re-arm the retirement seals on the fresh incarnations (the stream
 	// outlives incarnations, the protocols do not).
 	s.applySeals()
-	if s.tuner != nil {
-		s.tuner.Start()
-	}
 	return nil
 }
 
@@ -912,9 +805,6 @@ func (s *Sharded) Start(ctx context.Context) error {
 // detector), losing all volatile state; the stable store(s) survive. Call
 // Start to recover.
 func (s *Sharded) Crash() {
-	if s.tuner != nil {
-		s.tuner.Stop()
-	}
 	s.mu.Lock()
 	s.up = false
 	sfd := s.sfd
@@ -1221,9 +1111,8 @@ type ShardedStats struct {
 	// RecoveredFromCkpt is OR-ed).
 	Total Stats
 	// WALSyncs counts the fsyncs of the underlying group-commit
-	// engine(s), without double-counting: a store shared by all groups
-	// is read once, per-group stores are summed. 0 when no engine in
-	// use exposes a sync count.
+	// engine under every group, read once. 0 when the engine exposes no
+	// sync count.
 	WALSyncs int64
 }
 
@@ -1244,20 +1133,7 @@ func (s *Sharded) Stats() ShardedStats {
 		addStats(&st.Total, st.PerGroup[g])
 	}
 	if sc, ok := s.shared.(syncCounter); ok {
-		// One engine under every group: its fsyncs are shared, count
-		// them exactly once.
 		st.WALSyncs = sc.SyncCount()
-	} else if s.cfg.GroupStore != nil {
-		seen := make(map[syncCounter]bool)
-		for _, gst := range ns.stores {
-			if gst == nil {
-				continue
-			}
-			if sc, ok := gst.(syncCounter); ok && !seen[sc] {
-				seen[sc] = true
-				st.WALSyncs += sc.SyncCount()
-			}
-		}
 	}
 	return st
 }
@@ -1294,19 +1170,12 @@ func addStats(t *Stats, o Stats) {
 	t.StateSentGCForced += o.StateSentGCForced
 }
 
-// drainWindow is the W carried in SEAL markers: an upper bound on the
-// deepest proposal pipeline any process runs, so a proposer whose window
-// reaches past round r_s+W must have committed — and therefore delivered —
-// the seal at r_s, and proposes no application content.
+// drainWindow is the W carried in SEAL markers: the depth of the proposal
+// pipeline every process runs, so a proposer whose window reaches past
+// round r_s+W must have committed — and therefore delivered — the seal at
+// r_s, and proposes no application content.
 func (s *Sharded) drainWindow() uint64 {
-	w := 1
-	if d := s.cfg.Protocol.PipelineDepth; d > w {
-		w = d
-	}
-	if d := s.cfg.Protocol.coreConfig().MaxPipelineDepth; d > w {
-		w = d // adaptive resize headroom: the tuner may deepen past the static depth
-	}
-	return uint64(w)
+	return uint64(max(1, s.cfg.Protocol.PipelineDepth))
 }
 
 // remapOrphanSeq tags an orphan's sequence number with its retiring
@@ -1376,17 +1245,9 @@ func (s *Sharded) AddGroup(ctx context.Context) (GroupID, error) {
 	}
 	n := ns.nodes[gid]
 	if n == nil {
-		gst, built, err := s.buildGroup(gid)
-		if err != nil {
-			s.mu.Unlock()
-			return gid, err
-		}
-		n = built
-		ns.nodes[gid], ns.stores[gid] = n, gst
+		ns.stores[gid], n = s.buildGroup(gid)
+		ns.nodes[gid] = n
 		s.ns.Store(ns)
-		if s.tuner != nil {
-			s.tuner.AddGroup(node.TuneGroup(n))
-		}
 	}
 	bootCtx := s.startCtx
 	s.mu.Unlock()
@@ -1620,16 +1481,12 @@ func (s *Sharded) reapLocked() int {
 			gs = append(gs, rg)
 		}
 		s.mu.Unlock()
-		if err := s.epochSt.Put(keyReaped, encodeReaped(gs)); err != nil {
+		if err := s.shared.Put(keyReaped, encodeReaped(gs)); err != nil {
 			s.flight().Event(obs.EvViolation, g, 0, 0, 0, "persist reaped set: "+err.Error())
 		}
 		n.Crash()
-		if st != s.epochSt {
-			// The epoch store keeps the process-level cells; a hook
-			// deployment that gave group 0 that store skips the purge.
-			if _, err := storage.PurgeNamespace(st); err != nil {
-				s.flight().Event(obs.EvViolation, g, 0, 0, 0, "purge namespace: "+err.Error())
-			}
+		if _, err := storage.PurgeNamespace(st); err != nil {
+			s.flight().Event(obs.EvViolation, g, 0, 0, 0, "purge namespace: "+err.Error())
 		}
 		reaped++
 	}

@@ -1,0 +1,69 @@
+#!/usr/bin/env bash
+# Everything CI runs, and nothing else: .github/workflows/ci.yml has one
+# `bash ci.sh <step>` per entry of `steps` below; `bash ci.sh` runs them all
+# in order, so a green local run is a green CI run.
+set -euo pipefail
+cd "$(dirname "$0")"
+
+steps=(vet build test race bench metrics retired)
+
+step_vet() { go vet ./...; }
+
+step_build() { go build ./...; }
+
+step_test() { go test ./...; }
+
+# -p 1: on two vCPUs the harness and abcast packages run in parallel starve
+# each other into timeouts under the race detector. Test binaries poison
+# every pooled buffer on release (wire.Poison), so in the soaks a
+# use-after-release is a CRC or decode failure.
+step_race() {
+	go test -race -p 1 ./internal/core/... ./internal/consensus/... ./internal/fd/... \
+		./internal/transport/... ./internal/storage/... ./internal/group/... \
+		./internal/dissem/... ./internal/obs/... ./internal/harness/... ./abcast/... \
+		./internal/wire/... ./internal/msg/... ./internal/router/...
+}
+
+# bench/ is a module of its own, so the steps above never compile it.
+step_bench() { (cd bench && go vet ./... && go test ./...); }
+
+# The demo's -metrics endpoint must scrape as Prometheus text.
+step_metrics() {
+	local scrape="" sample='^[a-zA-Z_][a-zA-Z0-9_]*(\{[^}]*\})? -?[0-9]+$' bad fam
+	go run ./cmd/abcast-demo -n 3 -msgs 30 -churn 1 -duration 4s -metrics 127.0.0.1:18099 &
+	local demo=$!
+	for _ in $(seq 1 100); do
+		if scrape=$(curl -sf http://127.0.0.1:18099/metrics) && grep -q abcast_core_delivered <<<"$scrape"; then
+			break
+		fi
+		scrape=""
+		sleep 0.2
+	done
+	wait "$demo"
+	test -n "$scrape" || { echo "metrics endpoint never became scrapeable"; return 1; }
+	# Every sample line must be Prometheus-parseable: name{labels} value.
+	bad=$(grep -v '^#' <<<"$scrape" | grep -vE "$sample" || true)
+	test -z "$bad" || { echo "unparseable exposition lines:"; head <<<"$bad"; return 1; }
+	for fam in abcast_core_broadcasts abcast_core_delivered abcast_consensus_quorum_ns abcast_trace_e2e_ns abcast_trace_deliver_ns abcast_fd_suspected; do
+		grep -q "^# TYPE $fam " <<<"$scrape" || { echo "missing family $fam"; return 1; }
+	done
+}
+
+# Names this repository retired must not creep back into code or docs: the
+# experiments past E13 with their JSON files, the autotuner, and two design
+# documents that never existed.
+step_retired() {
+	local pat='DESIGN\.md|EXPERIMENTS\.md|BENCH_e[0-9]+|internal/tune|\bE(1[4-9]|2[0-2])\b'
+	if grep -rnE "$pat" --include='*.go' . ||
+		grep -nE "$pat" README.md bench/README.md .github/workflows/ci.yml; then
+		echo "retired names found (above)"
+		return 1
+	fi
+}
+
+[ $# -gt 0 ] || set -- "${steps[@]}"
+for s; do
+	declare -F "step_$s" >/dev/null || { echo "ci.sh: unknown step $s (have: ${steps[*]})"; exit 2; }
+	echo "== ci.sh $s"
+	"step_$s"
+done

@@ -1,33 +1,18 @@
-// Command abcast-bench runs the reproduction experiments (E1–E10 in
-// DESIGN.md, plus the E11–E13 ablations, the E14 pipeline/batching
-// shootout over both the simulated LAN and a TCP loopback transport, the
-// E15 group-commit-WAL-versus-sync-per-write storage comparison, the E16
-// sharded multi-group ordering scaling study, the E17 shared-process-
-// services background-cost study, the E18 log-lifecycle study —
-// bounded state under churn and streaming-versus-batch merge latency —
-// the E19 latency fast-path study: tentative-versus-confirmed commit
-// latency, leased versus unleased, on mem and TCP transports — and the
-// E20 ordering/dissemination split study: sequencer egress and delivered
-// throughput, full-payload versus ring dissemination, across payload
-// sizes and cluster sizes — and the E21 closed-loop autotuning study:
-// adaptive batching/pipeline/group-commit knobs against both static
-// extremes through a phase-shifting workload — and the E22 elastic-
-// resharding study: a live G=2->4 scale-out and live retirement under
-// closed-loop load) and prints their tables. EXPERIMENTS.md is generated
-// from its full-scale output; BENCH_e19.json is generated with -e19json,
-// BENCH_e20.json with -e20json, BENCH_e21.json with -e21json and
-// BENCH_e22.json with -e22json.
+// Command abcast-bench prints the paper-reproduction tables E1-E13: one
+// experiment per qualitative claim of the paper (abstract in PAPER.md; the
+// section numbers are the paper's: logging §4.3, recovery and
+// checkpointing §5.1-§5.3, batching §5.4-§5.5, the reduction §5.6, the
+// Consensus equivalence §6.1) plus three ablations. The tables show how
+// the protocol's options trade against each other on a simulated network;
+// they are not performance measurements. Performance numbers of record
+// come from `bash bench/run.sh` (see bench/README.md).
 //
 // Usage:
 //
 //	abcast-bench                 # run everything at full scale
 //	abcast-bench -quick          # small sizes (seconds, CI-friendly)
 //	abcast-bench -exp E4,E5      # a subset
-//	abcast-bench -md             # markdown tables (for EXPERIMENTS.md)
-//	abcast-bench -e19json PATH   # write the E19 latency trajectory JSON
-//	abcast-bench -e20json PATH   # write the E20 dissemination sweep JSON
-//	abcast-bench -e21json PATH   # write the E21 autotuning phase-shift JSON
-//	abcast-bench -e22json PATH   # write the E22 elastic-resharding JSON
+//	abcast-bench -md             # markdown tables
 package main
 
 import (
@@ -44,51 +29,11 @@ func main() {
 	quick := flag.Bool("quick", false, "run reduced-size experiments")
 	expFlag := flag.String("exp", "", "comma-separated experiment ids (e.g. E1,E4); empty = all")
 	md := flag.Bool("md", false, "emit markdown tables")
-	e19json := flag.String("e19json", "", "write the E19 latency trajectory JSON to this path and exit")
-	e20json := flag.String("e20json", "", "write the E20 dissemination sweep JSON to this path and exit")
-	e21json := flag.String("e21json", "", "write the E21 autotuning phase-shift JSON to this path and exit")
-	e22json := flag.String("e22json", "", "write the E22 elastic-resharding scale-out JSON to this path and exit")
 	flag.Parse()
 
 	scale := experiments.Full
 	if *quick {
 		scale = experiments.Quick
-	}
-
-	if *e19json != "" {
-		if err := experiments.E19WriteJSON(scale, *e19json); err != nil {
-			fmt.Fprintln(os.Stderr, "abcast-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote", *e19json)
-		return
-	}
-
-	if *e20json != "" {
-		if err := experiments.E20WriteJSON(scale, *e20json); err != nil {
-			fmt.Fprintln(os.Stderr, "abcast-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote", *e20json)
-		return
-	}
-
-	if *e21json != "" {
-		if err := experiments.E21WriteJSON(scale, *e21json); err != nil {
-			fmt.Fprintln(os.Stderr, "abcast-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote", *e21json)
-		return
-	}
-
-	if *e22json != "" {
-		if err := experiments.E22WriteJSON(scale, *e22json); err != nil {
-			fmt.Fprintln(os.Stderr, "abcast-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote", *e22json)
-		return
 	}
 
 	if err := run(scale, *expFlag, *md); err != nil {

@@ -35,12 +35,6 @@ const (
 // share this single constant.
 const decideWindow = 16
 
-// DecideWindow is the learner ask-ahead span, exported as the absolute
-// ceiling for a live pipeline-window resize: a sequencer keeping more than
-// this many rounds in flight would outrun what one decide request can pull
-// back in, so the autotuner's depth bound clamps here.
-const DecideWindow = decideWindow
-
 // decision is one (instance, value) pair inside an mDecideMulti reply.
 type decision struct {
 	k   uint64

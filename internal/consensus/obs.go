@@ -27,21 +27,6 @@ func newConsMetrics(reg *obs.Registry, g ids.GroupID) consMetrics {
 	}
 }
 
-// QuorumLatency snapshots the propose → accept-quorum histogram — the
-// signal the autotuner (internal/tune) watches to decide whether deepening
-// the pipeline is inflating coordination latency. Cumulative for the
-// engine's lifetime; callers difference successive snapshots for an
-// epoch-local view.
-func (e *Engine) QuorumLatency() obs.HistSnapshot {
-	return e.met.quorumNS.Snapshot()
-}
-
-// DecideFsyncLatency snapshots the accept-quorum → durable-decision
-// histogram (the decision cell's group-commit wait).
-func (e *Engine) DecideFsyncLatency() obs.HistSnapshot {
-	return e.met.decideFsyncNS.Snapshot()
-}
-
 // registerLeaseFuncs exports the holder-side lease counters as
 // read-on-scrape metrics. Re-registration on each incarnation replaces the
 // previous engine's closure, so the scrape always reads the live engine.

@@ -166,12 +166,6 @@ type Config struct {
 	// recovery replays (or truncates, via state transfer) in-flight
 	// rounds from the consensus log.
 	PipelineDepth int
-	// MaxPipelineDepth, when positive, is the ceiling a live resize
-	// (SetPipelineDepth) may deepen the pipeline to. The decision channel
-	// and learner ask-ahead are sized for it at construction, so the resize
-	// itself is just an atomic store. 0 pins the depth to PipelineDepth
-	// (no live resizing headroom).
-	MaxPipelineDepth int
 
 	// CheckpointEvery triggers the checkpoint task every so many rounds
 	// (0 disables it: basic protocol).

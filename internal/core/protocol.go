@@ -80,14 +80,6 @@ type Protocol struct {
 	pendingSince   time.Time
 	resCh          chan roundResult
 
-	// Live hot-path knobs (internal/tune moves them at runtime; everything
-	// else reads the static Config). Atomics because the sequencer reads
-	// depth outside the protocol lock; maxDepth bounds live resizes — the
-	// decision channel is sized for it at New.
-	liveDepth      atomic.Int32
-	liveBatchDelay atomic.Int64 // nanoseconds
-	maxDepth       int
-
 	// Optimistic-delivery state (Config.OnTentative). tentative holds, in
 	// round order, the predictions emitted at propose time and not yet
 	// settled by a committed round; tentNextPos is the position the next
@@ -134,11 +126,7 @@ func New(cfg Config, st storage.Stable, cons consensus.API, net router.Net) *Pro
 	if depth < 1 {
 		depth = 1
 	}
-	maxDepth := depth
-	if cfg.MaxPipelineDepth > maxDepth {
-		maxDepth = cfg.MaxPipelineDepth
-	}
-	p := &Protocol{
+	return &Protocol{
 		cfg:            cfg,
 		st:             st,
 		ast:            storage.Async(st),
@@ -154,15 +142,11 @@ func New(cfg Config, st storage.Stable, cons consensus.API, net router.Net) *Pro
 		lastPull:       make(map[ids.MsgID]time.Time),
 		inflightRounds: make(map[uint64]context.CancelFunc),
 		inflightMsgs:   make(map[ids.MsgID]uint64),
-		resCh:          make(chan roundResult, maxDepth+1),
+		resCh:          make(chan roundResult, depth+1),
 		drainedCh:      make(chan struct{}),
 		wake:           make(chan struct{}, 1),
 		ckptCh:         make(chan struct{}, 1),
-		maxDepth:       maxDepth,
 	}
-	p.liveDepth.Store(int32(depth))
-	p.liveBatchDelay.Store(int64(cfg.MaxBatchDelay))
-	return p
 }
 
 // Start runs the paper's "upon initialization or recovery" procedure:

@@ -19,19 +19,12 @@ type roundResult struct {
 	err error
 }
 
-// depth returns the effective pipeline depth (>= 1). It reads the live
-// knob, not the static config: SetPipelineDepth may move it between calls,
-// and the sequencer reads it outside the protocol lock.
+// depth returns the effective pipeline depth (>= 1).
 func (p *Protocol) depth() uint64 {
-	if d := p.liveDepth.Load(); d > 1 {
-		return uint64(d)
+	if p.cfg.PipelineDepth > 1 {
+		return uint64(p.cfg.PipelineDepth)
 	}
 	return 1
-}
-
-// batchDelay returns the live adaptive-batching time-trigger window.
-func (p *Protocol) batchDelay() time.Duration {
-	return time.Duration(p.liveBatchDelay.Load())
 }
 
 // sequencerTask is the heart of the ordering protocol (Fig. 2), generalized
@@ -358,8 +351,8 @@ func (p *Protocol) assembleBatch(r uint64) (batch []msg.Message, delay time.Dura
 		}
 		p.met.heartbeatRounds.Inc()
 	}
-	if bd := p.batchDelay(); len(batch) > 0 && !full && !behind && bd > 0 {
-		if wait := bd - time.Since(p.pendingSince); wait > 0 {
+	if len(batch) > 0 && !full && !behind && p.cfg.MaxBatchDelay > 0 {
+		if wait := p.cfg.MaxBatchDelay - time.Since(p.pendingSince); wait > 0 {
 			return nil, wait, false // hold back: let the batch grow
 		}
 	}
@@ -372,9 +365,9 @@ func (p *Protocol) assembleBatch(r uint64) (batch []msg.Message, delay time.Dura
 	p.met.proposalsSubmitted.Inc()
 	p.met.proposedMessages.Add(uint64(len(batch)))
 	if len(batch) > 0 {
-		// Seal cause feeds the batch-delay autotuner: full seals say the
-		// delay is slack (size caps fire first), timer seals say load is
-		// too light to fill a batch within the window.
+		// Seal cause (bench/ reads it as core.full_seal_ratio): full seals
+		// say the size caps fire before the delay does, timer seals say
+		// load is too light to fill a batch within the window.
 		if full {
 			p.met.batchFullSeals.Inc()
 		} else {

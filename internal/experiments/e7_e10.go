@@ -331,28 +331,22 @@ func E10Engines(scale Scale) (*Result, error) {
 	return res, nil
 }
 
+// registry is the one table of experiments; All and ByName both read it.
+var registry = []struct {
+	name string
+	fn   func(Scale) (*Result, error)
+}{
+	{"E1", E1LogOps}, {"E2", E2Recovery}, {"E3", E3LogSize},
+	{"E4", E4CatchUp}, {"E5", E5Batching}, {"E6", E6IncrementalLog},
+	{"E7", E7VsCrashStop}, {"E8", E8FaultStorm}, {"E9", E9Reduction},
+	{"E10", E10Engines},
+	{"E11", E11FDTimeout}, {"E12", E12GossipInterval}, {"E13", E13GroupSize},
+}
+
 // All runs every experiment at the given scale, in order.
 func All(scale Scale) ([]*Result, error) {
-	type exp struct {
-		name string
-		fn   func(Scale) (*Result, error)
-	}
-	exps := []exp{
-		{"E1", E1LogOps}, {"E2", E2Recovery}, {"E3", E3LogSize},
-		{"E4", E4CatchUp}, {"E5", E5Batching}, {"E6", E6IncrementalLog},
-		{"E7", E7VsCrashStop}, {"E8", E8FaultStorm}, {"E9", E9Reduction},
-		{"E10", E10Engines},
-		{"E11", E11FDTimeout}, {"E12", E12GossipInterval}, {"E13", E13GroupSize},
-		{"E14", E14Pipeline}, {"E15", E15Storage}, {"E16", E16Sharding},
-		{"E17", E17SharedServices},
-		{"E18", E18LogLifecycle},
-		{"E19", E19Latency},
-		{"E20", E20Dissemination},
-		{"E21", E21Autotune},
-		{"E22", E22Resharding},
-	}
 	var out []*Result
-	for _, e := range exps {
+	for _, e := range registry {
 		r, err := e.fn(scale)
 		if err != nil {
 			return out, fmt.Errorf("%s: %w", e.name, err)
@@ -364,52 +358,10 @@ func All(scale Scale) ([]*Result, error) {
 
 // ByName returns the experiment runner with the given id (e.g. "E4").
 func ByName(name string) (func(Scale) (*Result, error), bool) {
-	switch name {
-	case "E1":
-		return E1LogOps, true
-	case "E2":
-		return E2Recovery, true
-	case "E3":
-		return E3LogSize, true
-	case "E4":
-		return E4CatchUp, true
-	case "E5":
-		return E5Batching, true
-	case "E6":
-		return E6IncrementalLog, true
-	case "E7":
-		return E7VsCrashStop, true
-	case "E8":
-		return E8FaultStorm, true
-	case "E9":
-		return E9Reduction, true
-	case "E10":
-		return E10Engines, true
-	case "E11":
-		return E11FDTimeout, true
-	case "E12":
-		return E12GossipInterval, true
-	case "E13":
-		return E13GroupSize, true
-	case "E14":
-		return E14Pipeline, true
-	case "E15":
-		return E15Storage, true
-	case "E16":
-		return E16Sharding, true
-	case "E17":
-		return E17SharedServices, true
-	case "E18":
-		return E18LogLifecycle, true
-	case "E19":
-		return E19Latency, true
-	case "E20":
-		return E20Dissemination, true
-	case "E21":
-		return E21Autotune, true
-	case "E22":
-		return E22Resharding, true
-	default:
-		return nil, false
+	for _, e := range registry {
+		if e.name == name {
+			return e.fn, true
+		}
 	}
+	return nil, false
 }

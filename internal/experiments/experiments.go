@@ -1,10 +1,8 @@
-// Package experiments implements the reproduction suite: one function per
-// experiment in DESIGN.md §3 (E1–E10), each quantifying a claim of the
-// paper and returning a printable table, plus the E11–E13 ablations, the
-// E14 round-pipeline/adaptive-batching shootout (simulated LAN and TCP
-// loopback), and the E15 group-commit WAL storage comparison.
-// cmd/abcast-bench runs them all; bench_test.go wraps them as Go
-// benchmarks.
+// Package experiments implements the paper-reproduction suite: one
+// function per experiment (E1–E10), each quantifying a claim of the paper
+// (PAPER.md) and returning a printable table, plus the E11–E13 ablations.
+// cmd/abcast-bench runs them. They are tables on a simulated network, not
+// performance measurements; those come from bench/.
 //
 // The paper is a protocol paper without quantitative tables, so the
 // experiments measure the claims it states qualitatively: minimal logging
@@ -30,8 +28,8 @@ import (
 // Scale selects experiment sizes.
 type Scale int
 
-// Scales: Quick runs in a few seconds (CI / go test); Full produces the
-// EXPERIMENTS.md numbers.
+// Scales: Quick runs in a few seconds (CI / go test); Full uses sizes
+// large enough for the trends to be read off the tables.
 const (
 	Quick Scale = iota + 1
 	Full

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -51,13 +52,22 @@ func TestE2ReplayGrowsWithoutCheckpoint(t *testing.T) {
 }
 
 func TestByNameKnowsAllExperiments(t *testing.T) {
-	for _, name := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16"} {
-		if _, ok := ByName(name); !ok {
-			t.Fatalf("experiment %s unknown", name)
+	if len(registry) != 13 {
+		t.Fatalf("registry holds %d experiments, want the paper-reproduction tables E1-E13", len(registry))
+	}
+	for i, e := range registry {
+		if want := fmt.Sprintf("E%d", i+1); e.name != want {
+			t.Fatalf("registry[%d] is %s, want %s", i, e.name, want)
+		}
+		if _, ok := ByName(e.name); !ok {
+			t.Fatalf("experiment %s unknown", e.name)
 		}
 	}
-	if _, ok := ByName("E99"); ok {
-		t.Fatal("phantom experiment")
+	// The first id past the registry is a retired experiment, not a gap.
+	for _, name := range []string{fmt.Sprintf("E%d", len(registry)+1), "E99", ""} {
+		if _, ok := ByName(name); ok {
+			t.Fatalf("phantom experiment %q", name)
+		}
 	}
 }
 

@@ -81,7 +81,8 @@ func BenchmarkCursorPollEmpty(b *testing.B) {
 // batch Merge over the same history the cursor advances through
 // incrementally. At R rounds of history each call is O(R x groups), so
 // per-round consumption via repeated recomputes is quadratic where the
-// cursor is linear; E18 reports the end-to-end ratio.
+// cursor is linear (BenchmarkCursorAdvanceRound, and group.cursor_round_ns in
+// the benchmark, are the cursor's side).
 func BenchmarkBatchMergeRecompute(b *testing.B) {
 	for _, rounds := range []int{64, 512} {
 		b.Run(fmt.Sprintf("rounds=%d", rounds), func(b *testing.B) {

@@ -20,7 +20,6 @@ import (
 	"repro/internal/router"
 	"repro/internal/storage"
 	"repro/internal/transport"
-	"repro/internal/tune"
 )
 
 // Options configures a Cluster. Zero values give a 3-process, fault-free,
@@ -76,13 +75,6 @@ type Options struct {
 	// default sampling; set SampleRate to 1 in tests that must trace every
 	// message.
 	Obs obs.Options
-	// Adaptive gives every process a closed-loop autotuner (internal/tune)
-	// driving its batch delay, pipeline depth and — when the store chain
-	// bottoms out in a WAL — group-commit policy, publishing decisions to
-	// the process's obs plane. Tune bounds the controller; its zero value
-	// uses the tune defaults with the static Core knobs as initial values.
-	Adaptive bool
-	Tune     tune.Options
 }
 
 func (o *Options) fill() {
@@ -134,9 +126,6 @@ type Cluster struct {
 	// Obs holds each process's observability plane: metrics registry,
 	// lifecycle tracer and anomaly flight recorder. Always populated.
 	Obs []*obs.Plane
-	// Tuners holds each process's adaptive controller (nil entries unless
-	// Options.Adaptive). Started and stopped with the process.
-	Tuners []*tune.Controller
 
 	net    transport.Network
 	inners []storage.Stable // engines from NewStore (closed by Stop)
@@ -209,13 +198,6 @@ func NewCluster(opts Options) *Cluster {
 		obsOpts.PID = pid
 		plane := obs.New(obsOpts)
 		c.Obs = append(c.Obs, plane)
-		if opts.Adaptive {
-			// Give the sequencer resize headroom up to the controller's
-			// depth cap (the live depth still starts at the static config).
-			if m := opts.Tune.Filled().DepthMax; m > coreCfg.MaxPipelineDepth {
-				coreCfg.MaxPipelineDepth = m
-			}
-		}
 		ncfg := node.Config{
 			PID:        pid,
 			N:          opts.N,
@@ -231,21 +213,7 @@ func NewCluster(opts Options) *Cluster {
 			ncfg.RingDissem = false
 			ncfg.SharedRing = func() *dissem.Ring { return opts.Ring(p) }
 		}
-		n := node.New(ncfg, st, c.net)
-		c.Nodes = append(c.Nodes, n)
-		var ctl *tune.Controller
-		if opts.Adaptive {
-			var err error
-			ctl, err = tune.New(opts.Tune, plane)
-			if err != nil {
-				panic(fmt.Sprintf("harness: bad tune options: %v", err))
-			}
-			ctl.AddGroup(node.TuneGroup(n))
-			if sy, ok := node.TuneSync(st); ok {
-				ctl.AddSync(sy)
-			}
-		}
-		c.Tuners = append(c.Tuners, ctl)
+		c.Nodes = append(c.Nodes, node.New(ncfg, st, c.net))
 	}
 	return c
 }
@@ -266,20 +234,11 @@ func (c *Cluster) Start(pid ids.ProcessID) error {
 	if c.Faults != nil {
 		c.Faults[pid].Disarm()
 	}
-	if err := c.Nodes[pid].Start(c.ctx); err != nil {
-		return err
-	}
-	if t := c.Tuners[pid]; t != nil {
-		t.Start()
-	}
-	return nil
+	return c.Nodes[pid].Start(c.ctx)
 }
 
 // Crash kills process pid (volatile state lost).
 func (c *Cluster) Crash(pid ids.ProcessID) {
-	if t := c.Tuners[pid]; t != nil {
-		t.Stop()
-	}
 	c.Nodes[pid].Crash()
 }
 
@@ -293,11 +252,6 @@ func (c *Cluster) Recover(pid ids.ProcessID) (time.Duration, error) {
 
 // Stop tears the whole cluster down, closing any engines NewStore opened.
 func (c *Cluster) Stop() {
-	for _, t := range c.Tuners {
-		if t != nil {
-			t.Stop()
-		}
-	}
 	for _, n := range c.Nodes {
 		n.Crash()
 	}

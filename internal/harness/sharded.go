@@ -43,15 +43,9 @@ type ShardedOptions struct {
 	// reconstructible across checkpoints. Set it for clusters that verify
 	// merged sequences while running a Checkpointer.
 	MergedDelivery bool
-	// PerGroupFD reverts to the legacy wiring where every group runs its
-	// own failure detector (G heartbeat streams per peer instead of one).
-	// The default is the shared process-level detector; the flag exists
-	// for the E17 background-traffic baseline.
-	PerGroupFD bool
 	// RingDissem enables the ordering/dissemination split: one shared
 	// payload ring per process (over the mux's dissem lane) serves every
-	// group, while consensus orders ID+checksum vectors. Requires the
-	// shared process-level detector (incompatible with PerGroupFD).
+	// group, while consensus orders ID+checksum vectors.
 	RingDissem bool
 	// Mux tunes the multiplexer's write coalescing (zero = no coalescing).
 	Mux group.MuxOptions
@@ -63,11 +57,6 @@ type ShardedOptions struct {
 	// engine (default storage.NewMem): all groups of the process run in
 	// namespaces of it, so a group-commit engine coalesces their fsyncs.
 	NewStore func(ids.ProcessID) storage.Stable
-	// GroupStore, when set, overrides the shared store entirely: each
-	// (process, group) pair gets its own engine — the per-group-store
-	// deployment E16 compares against. Engines implementing
-	// storage.Closer are closed by Stop.
-	GroupStore func(ids.ProcessID, ids.GroupID) storage.Stable
 	// Transport, when set, replaces the simulated in-memory network
 	// (e.g. TCP loopback); Net is then ignored and Cluster.Net is nil.
 	Transport transport.Network
@@ -131,8 +120,8 @@ type ShardedCluster struct {
 	// Stores[pid][gid] is the per-group accounted view over the process's
 	// shared engine (true layer names: the group namespace sits below).
 	Stores [][]*storage.Accounted
-	// Faults[pid] is the process-level fault trigger (shared-store mode
-	// with InjectFaultyStorage only).
+	// Faults[pid] is the process-level fault trigger (with
+	// InjectFaultyStorage only).
 	Faults []*storage.Faulty
 	// Recs[gid] is group gid's safety recorder.
 	Recs []*check.Recorder
@@ -151,7 +140,7 @@ type ShardedCluster struct {
 	cancel      context.CancelFunc
 
 	fdMu  sync.Mutex
-	fds   []*node.SharedFD   // per process; nil when down or PerGroupFD
+	fds   []*node.SharedFD   // per process; nil when down
 	rings []*node.SharedRing // per process; nil when down or ring mode off
 }
 
@@ -168,9 +157,6 @@ func NewShardedCluster(opts ShardedOptions) *ShardedCluster {
 	c.Mux = group.NewMuxOpts(c.net, opts.Groups, opts.Mux)
 	for g := 0; g < opts.Groups; g++ {
 		c.Recs = append(c.Recs, check.NewRecorder(opts.N))
-	}
-	if opts.RingDissem && opts.PerGroupFD {
-		panic("harness: RingDissem requires the shared process-level detector (PerGroupFD must be off)")
 	}
 	c.fds = make([]*node.SharedFD, opts.N)
 	c.rings = make([]*node.SharedRing, opts.N)
@@ -193,40 +179,28 @@ func NewShardedCluster(opts ShardedOptions) *ShardedCluster {
 		// The process's shared engine, with the optional process-level
 		// fault trigger below every group namespace.
 		var shared storage.Stable
-		if opts.GroupStore == nil {
-			if opts.NewStore != nil {
-				shared = opts.NewStore(pid)
-				c.inners = append(c.inners, shared)
-			} else {
-				shared = storage.NewMem()
-			}
-			if opts.InjectFaultyStorage {
-				f := storage.NewFaulty(shared)
-				c.Faults = append(c.Faults, f)
-				shared = f
-			}
-		} else if opts.InjectFaultyStorage {
-			panic("harness: InjectFaultyStorage requires the shared-store mode (no GroupStore hook)")
+		if opts.NewStore != nil {
+			shared = opts.NewStore(pid)
+			c.inners = append(c.inners, shared)
+		} else {
+			shared = storage.NewMem()
 		}
+		if opts.InjectFaultyStorage {
+			f := storage.NewFaulty(shared)
+			c.Faults = append(c.Faults, f)
+			shared = f
+		}
+		// The proc-epoch cell rides the shared engine, below the fault
+		// trigger: an armed storage fault kills the whole process's
+		// recovery, epoch log included.
+		c.epochStores = append(c.epochStores, shared)
 
 		var nodes []*node.Node
 		var stores []*storage.Accounted
 		for g := 0; g < opts.Groups; g++ {
 			gid := ids.GroupID(g)
-			var engine storage.Stable
-			if opts.GroupStore != nil {
-				engine = opts.GroupStore(pid, gid)
-				c.inners = append(c.inners, engine)
-			} else {
-				engine = storage.NewPrefixed(shared, group.StoreNamespace(gid))
-			}
-			acct := storage.NewAccounted(engine)
+			acct := storage.NewAccounted(storage.NewPrefixed(shared, group.StoreNamespace(gid)))
 			stores = append(stores, acct)
-			if g == 0 && shared == nil {
-				// Per-group-store mode: the proc-epoch cell lives in group
-				// 0's engine (its key is namespaced; no collision).
-				c.epochStores = append(c.epochStores, acct)
-			}
 
 			coreCfg := opts.Core
 			deliver := c.Recs[g].OnDeliver(pid)
@@ -267,20 +241,12 @@ func NewShardedCluster(opts ShardedOptions) *ShardedCluster {
 				Consensus: opts.Consensus,
 				FD:        opts.FD,
 				Obs:       plane,
-			}
-			if !opts.PerGroupFD {
-				ncfg.SharedFD = func() fd.API { return c.fdView(pid, gid) }
+				SharedFD:  func() fd.API { return c.fdView(pid, gid) },
 			}
 			if opts.RingDissem {
 				ncfg.SharedRing = func() *dissem.Ring { return c.ringView(pid) }
 			}
 			nodes = append(nodes, node.New(ncfg, acct, c.Mux.Net(gid)))
-		}
-		if shared != nil {
-			// The proc-epoch cell rides the shared engine, below the
-			// fault trigger: an armed storage fault kills the whole
-			// process's recovery, epoch log included.
-			c.epochStores = append(c.epochStores, shared)
 		}
 		c.Nodes = append(c.Nodes, nodes)
 		c.Stores = append(c.Stores, stores)
@@ -315,7 +281,7 @@ func (c *ShardedCluster) fdView(pid ids.ProcessID, gid ids.GroupID) fd.API {
 }
 
 // FD returns process pid's live shared failure detector (nil when the
-// process is down or the cluster runs PerGroupFD).
+// process is down).
 func (c *ShardedCluster) FD(pid ids.ProcessID) *node.SharedFD {
 	c.fdMu.Lock()
 	defer c.fdMu.Unlock()
@@ -344,28 +310,26 @@ func (c *ShardedCluster) Start(pid ids.ProcessID) error {
 	if c.Faults != nil {
 		c.Faults[pid].Disarm()
 	}
-	if !c.Opts.PerGroupFD {
-		epoch, err := node.NextProcEpoch(c.epochStores[pid])
+	epoch, err := node.NextProcEpoch(c.epochStores[pid])
+	if err != nil {
+		return fmt.Errorf("sharded start p%v: %w", pid, err)
+	}
+	sfd, err := node.StartSharedFD(c.ctx, pid, c.Opts.N, epoch, c.Opts.FD, c.Mux.ProcNet())
+	if err != nil {
+		return fmt.Errorf("sharded start p%v: %w", pid, err)
+	}
+	c.fdMu.Lock()
+	c.fds[pid] = sfd
+	c.fdMu.Unlock()
+	if c.Opts.RingDissem {
+		ring, err := node.StartSharedRing(c.ctx, pid, c.Opts.N, sfd.Detector(), c.Mux.DissemNet(), dissem.Options{})
 		if err != nil {
-			return fmt.Errorf("sharded start p%v: %w", pid, err)
-		}
-		sfd, err := node.StartSharedFD(c.ctx, pid, c.Opts.N, epoch, c.Opts.FD, c.Mux.ProcNet())
-		if err != nil {
-			return fmt.Errorf("sharded start p%v: %w", pid, err)
+			c.Crash(pid)
+			return fmt.Errorf("sharded start p%v: shared ring: %w", pid, err)
 		}
 		c.fdMu.Lock()
-		c.fds[pid] = sfd
+		c.rings[pid] = ring
 		c.fdMu.Unlock()
-		if c.Opts.RingDissem {
-			ring, err := node.StartSharedRing(c.ctx, pid, c.Opts.N, sfd.Detector(), c.Mux.DissemNet(), dissem.Options{})
-			if err != nil {
-				c.Crash(pid)
-				return fmt.Errorf("sharded start p%v: shared ring: %w", pid, err)
-			}
-			c.fdMu.Lock()
-			c.rings[pid] = ring
-			c.fdMu.Unlock()
-		}
 	}
 	errs := make([]error, c.Opts.Groups)
 	var wg sync.WaitGroup
@@ -756,10 +720,11 @@ func (c *ShardedCluster) verifyLaggedPrefix(pid ids.ProcessID, cs *cursorState) 
 
 // verifyFoldedMerge is the bounded-state phase of a checkpointing soak:
 // it force-checkpoints every group of every process (folding under the
-// merge floor), asserts the folds actually reclaimed delivered prefix,
-// and re-verifies merge determinism, the long-lived cursors, and a
-// freshly subscribed cursor over the genuinely folded state. Returns the
-// rounds folded at p0 (summed over groups).
+// merge floor), asserts the folds actually reclaimed delivered prefix and
+// left no explicit delivery below the merge floor, and re-verifies merge
+// determinism, the long-lived cursors, and a freshly subscribed cursor
+// over the genuinely folded state. Returns the rounds folded at p0
+// (summed over groups).
 func (c *ShardedCluster) verifyFoldedMerge(ctx context.Context, all []ids.ProcessID, cursors []*cursorState) (uint64, error) {
 	everyGroupActive := true
 	for _, rec := range c.Recs {
@@ -769,6 +734,9 @@ func (c *ShardedCluster) verifyFoldedMerge(ctx context.Context, all []ids.Proces
 	}
 	for _, pid := range all {
 		var foldedMsgs uint64
+		// The frontier only moves forward, so whatever a fold below leaves
+		// in a group's explicit suffix must lie at or above this sample.
+		floor := c.Streams[pid].Frontier()
 		for g, n := range c.Nodes[pid] {
 			p := n.Proto()
 			if p == nil {
@@ -777,8 +745,14 @@ func (c *ShardedCluster) verifyFoldedMerge(ctx context.Context, all []ids.Proces
 			if err := p.CheckpointNow(); err != nil {
 				return 0, fmt.Errorf("folded merge: checkpoint p%v g%d: %w", pid, g, err)
 			}
-			base, _ := p.Sequence()
+			base, suffix := p.Sequence()
 			foldedMsgs += base.Pos
+			// Bounded suffix: the fold keeps only the rounds the merge has
+			// not passed yet, however long the history behind them is.
+			if len(suffix) > 0 && suffix[0].Round < floor {
+				return 0, fmt.Errorf("folded merge: p%v g%d retains round %d (%d deliveries) below the merge floor %d",
+					pid, g, suffix[0].Round, len(suffix), floor)
+			}
 		}
 		// Bounded state: the slowest group's floor equals its own round
 		// counter, so with every group active the forced fold must have
@@ -827,7 +801,7 @@ func (c *ShardedCluster) verifyFoldedMerge(ctx context.Context, all []ids.Proces
 // the accounting, so the per-layer attribution stays truthful and summing
 // across groups double-counts nothing (each group's ops are its own; the
 // shared engine's fsyncs are not per-group state and are read from the
-// engine once — see Cluster/E16).
+// engine once).
 func (c *ShardedCluster) LayerTotals(pid ids.ProcessID) map[string]storage.LayerStats {
 	out := make(map[string]storage.LayerStats)
 	for _, acct := range c.Stores[pid] {
@@ -838,45 +812,4 @@ func (c *ShardedCluster) LayerTotals(pid ids.ProcessID) map[string]storage.Layer
 		}
 	}
 	return out
-}
-
-// SharedSyncCount returns the fsync count of process pid's shared engine
-// (0 when the engine does not expose one or per-group stores are in use).
-// One number per process — the whole point of the shared WAL is that every
-// group's records ride the same fsyncs, so summing anything per group
-// would double-count.
-func (c *ShardedCluster) SharedSyncCount(pid ids.ProcessID) int64 {
-	if c.Opts.GroupStore != nil {
-		var total int64
-		seen := make(map[storage.Stable]bool)
-		for g := range c.Stores[pid] {
-			eng := c.Stores[pid][g].Inner()
-			if seen[eng] {
-				continue
-			}
-			seen[eng] = true
-			if sc, ok := eng.(interface{ SyncCount() int64 }); ok {
-				total += sc.SyncCount()
-			}
-		}
-		return total
-	}
-	if len(c.Stores[pid]) == 0 {
-		return 0
-	}
-	// Walk below the first group's namespace to the shared engine.
-	eng := c.Stores[pid][0].Inner()
-	for {
-		switch e := eng.(type) {
-		case *storage.Prefixed:
-			eng = e.Inner()
-		case *storage.Faulty:
-			eng = e.Inner()
-		default:
-			if sc, ok := eng.(interface{ SyncCount() int64 }); ok {
-				return sc.SyncCount()
-			}
-			return 0
-		}
-	}
 }

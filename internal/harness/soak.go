@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ids"
 	"repro/internal/storage"
-	"repro/internal/tune"
 )
 
 // SoakOptions configures one randomized crash-recovery soak run. A soak
@@ -64,13 +63,6 @@ type SoakOptions struct {
 	// DrainTimeout bounds the final catch-up-and-verify phase (default
 	// 60s).
 	DrainTimeout time.Duration
-	// Adaptive gives every process a closed-loop autotuner (see
-	// Options.Adaptive): the soak then exercises live knob movement —
-	// batch delay, pipeline depth, group-commit policy — under the same
-	// crash/recovery and storage-fault schedule.
-	Adaptive bool
-	// Tune bounds the adaptive controllers (zero value: tune defaults).
-	Tune tune.Options
 }
 
 func (o *SoakOptions) fill() {
@@ -109,7 +101,6 @@ type SoakResult struct {
 	Tentatives    int // tentative deliveries observed (Optimistic)
 	Confirmed     int // tentatives certified against the authoritative order
 	Revoked       int // tentatives retracted by OnRevoke
-	TuneMoves     uint64 // knob adjustments the autotuners made (Adaptive)
 }
 
 func (r SoakResult) String() string {
@@ -118,9 +109,6 @@ func (r SoakResult) String() string {
 	if r.Tentatives > 0 {
 		s += fmt.Sprintf(" lease-revokes=%d tentative=%d confirmed=%d revoked=%d",
 			r.LeaseRevokes, r.Tentatives, r.Confirmed, r.Revoked)
-	}
-	if r.TuneMoves > 0 {
-		s += fmt.Sprintf(" tune-moves=%d", r.TuneMoves)
 	}
 	return s
 }
@@ -482,8 +470,6 @@ func RunSoak(opts SoakOptions) (SoakResult, error) {
 		Core:                opts.Core,
 		InjectFaultyStorage: true,
 		NewStore:            opts.NewStore,
-		Adaptive:            opts.Adaptive,
-		Tune:                opts.Tune,
 	}
 	var tracker *optimismTracker
 	if opts.Optimistic {
@@ -542,11 +528,6 @@ func RunSoak(opts SoakOptions) (SoakResult, error) {
 	}
 	if err := verifyObsInvariants(c.Obs); err != nil {
 		return res, fmt.Errorf("soak seed=%d: %w", opts.Seed, err)
-	}
-	if opts.Adaptive {
-		for _, pl := range c.Obs {
-			res.TuneMoves += pl.Reg().Counter("abcast.tune.adjustments").Value()
-		}
 	}
 	return res, nil
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/ids"
 	"repro/internal/msg"
 	"repro/internal/storage"
-	"repro/internal/tune"
 	"repro/internal/wire"
 )
 
@@ -153,54 +152,6 @@ func TestSoakSeedsWAL(t *testing.T) {
 			}
 			if res.Crashes+res.StorageFaults == 0 {
 				t.Fatalf("schedule exercised no faults (seed too tame?): %v", res)
-			}
-		})
-	}
-}
-
-// TestSoakSeedsAdaptive runs the seeded crash-recovery soak with the
-// closed-loop autotuner live on every process, over the group-commit WAL
-// engine so all three controlled knobs (batch delay, pipeline depth,
-// group-commit policy) actually move. Everything the adaptive path touches
-// is under the full specification here: the controller resizes the
-// pipeline and retunes durability WHILE processes crash mid-epoch, recover
-// and replay, and injected storage faults fail the very writes the policy
-// is amortizing — and the recorder still requires one total order, no
-// loss, no duplication. The per-controller restart path (Stop on crash,
-// Start on recovery, re-baseline after the counter reset) is exercised by
-// every recovery in the schedule.
-func TestSoakSeedsAdaptive(t *testing.T) {
-	for _, seed := range []uint64{1, 7, 23} {
-		t.Run(fmt.Sprintf("seed=%d/adaptive", seed), func(t *testing.T) {
-			t.Parallel()
-			dir := t.TempDir()
-			res, err := RunSoak(SoakOptions{
-				Seed:     seed,
-				N:        3,
-				Core:     soakVariants()["pipelined"],
-				Adaptive: true,
-				// A fast epoch so the controllers take many steps within
-				// the soak's lifetime.
-				Tune: tune.Options{Epoch: 2 * time.Millisecond},
-				NewStore: func(pid ids.ProcessID) storage.Stable {
-					w, werr := storage.OpenWAL(
-						filepath.Join(dir, fmt.Sprintf("p%d", pid)),
-						storage.WALOptions{SyncEvery: 16, MaxSyncDelay: 500 * time.Microsecond})
-					if werr != nil {
-						t.Fatalf("open wal: %v", werr)
-					}
-					return w
-				},
-			})
-			t.Logf("soak: %v", res)
-			if err != nil {
-				t.Fatalf("soak failed: %v", err)
-			}
-			if res.Crashes+res.StorageFaults == 0 {
-				t.Fatalf("schedule exercised no faults (seed too tame?): %v", res)
-			}
-			if res.TuneMoves == 0 {
-				t.Fatalf("adaptive soak observed no controller adjustments: %v", res)
 			}
 		})
 	}

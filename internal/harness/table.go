@@ -6,8 +6,8 @@ import (
 	"strings"
 )
 
-// Table accumulates experiment rows and prints them fixed-width, the way
-// EXPERIMENTS.md records paper-versus-measured results.
+// Table accumulates experiment rows and prints them fixed-width or as
+// markdown (cmd/abcast-bench prints one per paper claim).
 type Table struct {
 	Title   string
 	Headers []string

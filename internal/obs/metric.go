@@ -178,42 +178,6 @@ func (s *HistSnapshot) Merge(o HistSnapshot) {
 	}
 }
 
-// Delta returns the observations recorded since prev was taken: bucket-wise
-// subtraction of an earlier snapshot of the same histogram. A bucket that
-// appears to have regressed (the underlying histogram was replaced — e.g. a
-// new incarnation without a shared registry) clamps to zero rather than
-// wrapping, so a controller consuming epoch deltas degrades to "no data this
-// epoch" instead of acting on garbage.
-func (s HistSnapshot) Delta(prev HistSnapshot) HistSnapshot {
-	d := HistSnapshot{Bucket: make([]uint64, histBuckets)}
-	if s.Count < prev.Count {
-		// Regression: treat s as a fresh histogram — the delta is s itself.
-		prev = HistSnapshot{}
-	}
-	var n uint64
-	for i := range d.Bucket {
-		var cur, old uint64
-		if i < len(s.Bucket) {
-			cur = s.Bucket[i]
-		}
-		if i < len(prev.Bucket) {
-			old = prev.Bucket[i]
-		}
-		if cur > old {
-			d.Bucket[i] = cur - old
-		}
-		n += d.Bucket[i]
-	}
-	d.Count = n
-	if s.Sum > prev.Sum {
-		d.Sum = s.Sum - prev.Sum
-	}
-	// Max over just the delta window is unknowable from cumulative buckets;
-	// the cumulative max is a safe upper bound for quantile clamping.
-	d.Max = s.Max
-	return d
-}
-
 // Quantile returns the value at quantile q in [0,1] (bucket upper bound;
 // exact for values < 16, within one sub-bucket above). Returns 0 on an
 // empty histogram.

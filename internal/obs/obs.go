@@ -31,8 +31,8 @@
 // at the origin's Broadcast gains stage stamps on whichever process the
 // lifecycle touches. Raise the rate (SampleRate 1 traces everything) for
 // tests and latency studies; keep the default for production-shaped
-// workloads, where tracing overhead stays under the noise floor of the
-// E14/E19/E20 guard numbers.
+// workloads (the benchmark's bench.trace_overhead_pct and obs.mark_ns
+// price the instrumentation).
 package obs
 
 import (

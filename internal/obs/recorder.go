@@ -27,7 +27,6 @@ const (
 	EvEpochChange                      // peer's epoch number increased (A=peer, B=epoch)
 	EvPayloadStall                     // delivery blocked awaiting a payload body (Round=round)
 	EvSlowSync                         // durability op over threshold (A=duration ns)
-	EvTune                             // autotuner moved a knob (A=old value, B=new value, Note=knob)
 	EvViolation                        // harness-detected safety/liveness violation
 	EvReshardSeal                      // retiring group sealed (Round=final round, A=drain window)
 	EvReshardJoin                      // new group spliced into the order (A=new gid, B=global offset)
@@ -40,7 +39,7 @@ var evNames = map[EventKind]string{
 	EvTentativeRevoke: "tentative-revoke", EvStateSent: "state-sent", EvStateAdopt: "state-adopt",
 	EvCursorLag: "cursor-lag", EvCheckpoint: "checkpoint", EvCompaction: "compaction",
 	EvSuspect: "suspect", EvTrust: "trust", EvEpochChange: "epoch-change",
-	EvPayloadStall: "payload-stall", EvSlowSync: "slow-sync", EvTune: "tune",
+	EvPayloadStall: "payload-stall", EvSlowSync: "slow-sync",
 	EvViolation: "VIOLATION", EvReshardSeal: "reshard-seal", EvReshardJoin: "reshard-join",
 	EvReshardDrain: "reshard-drain", EvReshardMigrate: "reshard-migrate",
 }

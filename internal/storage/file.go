@@ -21,8 +21,8 @@ import (
 //
 // Open log handles are cached per key (an Append used to reopen the file on
 // every record); Close releases them. With syncWrites the engine fsyncs
-// every single record — the sync-per-write baseline that the group-commit
-// WAL engine is measured against in E15.
+// every single record: the same durability as the group-commit WAL at one
+// fsync per record instead of one per commit group.
 type File struct {
 	mu     sync.Mutex
 	dir    string
@@ -59,8 +59,7 @@ func (f *File) Close() error {
 	return first
 }
 
-// SyncCount returns the number of fsyncs issued (observability; E15
-// compares it against the WAL's).
+// SyncCount returns the number of fsyncs issued (observability).
 func (f *File) SyncCount() int64 { return f.syncs.Load() }
 
 // escape maps a storage key to a safe file name. Keys use '/' as a logical

@@ -46,16 +46,6 @@ func (w *WAL) SetObs(p *obs.Plane) {
 	reg.Func("abcast.storage.wal_compactions", w.CompactCount)
 }
 
-// FsyncLatency snapshots the fsync-latency histogram (empty until SetObs
-// wires a plane — the autotuner falls back to record-count heuristics when
-// no latency signal is available).
-func (w *WAL) FsyncLatency() obs.HistSnapshot {
-	if st := w.obsState.Load(); st != nil {
-		return st.hist.Snapshot()
-	}
-	return (*obs.Histogram)(nil).Snapshot()
-}
-
 // SetObs wires the fault-injecting wrapper into an observability plane:
 // every log operation's durability latency — including the injected
 // SetLatency delay, which is the point: the histogram shows what the

@@ -20,7 +20,7 @@
 // is the group-commit engine's opportunity:
 //
 //   - File with syncWrites: every Put/Append fsyncs before returning.
-//     One fsync per record — maximal latency, the E15 baseline.
+//     One fsync per record — maximal latency.
 //   - WAL: a record is durable once the fsync covering its commit group
 //     completes. A group closes when SyncEvery records are pending or the
 //     oldest has waited MaxSyncDelay, whichever is first. Synchronous
@@ -75,7 +75,7 @@
 // without checkpointing keeps its whole consensus history live and
 // compaction only reclaims overwritten cells. Bounded disk needs both
 // tasks — §5.2's fold to bound the live state, compaction to bound the
-// garbage (experiment E18 measures the two together).
+// garbage (TestCompactionBoundsWALSize asserts the two together).
 //
 // The Accounted wrapper attributes every operation and byte to a layer
 // (consensus, broadcast, node, ...) keyed by a key prefix. That accounting

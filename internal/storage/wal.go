@@ -684,14 +684,6 @@ func (w *WAL) SetGroupCommit(syncEvery int, maxSyncDelay time.Duration) {
 	}
 }
 
-// GroupCommit returns the live durability policy (the values SetGroupCommit
-// last applied, or the construction-time defaults).
-func (w *WAL) GroupCommit() (syncEvery int, maxSyncDelay time.Duration) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.opts.SyncEvery, w.opts.MaxSyncDelay
-}
-
 // Compact forces one incremental compaction pass: the pending queue is
 // flushed, the still-live keys of the oldest segment are rescued into
 // the tail (group-committed: the rescue's fsync completes first), and
@@ -714,16 +706,16 @@ func (w *WAL) Compact() error {
 	return c.Wait()
 }
 
-// SyncCount returns the number of fsyncs issued (observability; E15
-// reports fsyncs/msg to show the amortization).
+// SyncCount returns the number of fsyncs issued (observability; the
+// benchmark's storage.fsyncs_per_msg shows the amortization).
 func (w *WAL) SyncCount() int64 { return w.syncCount.Load() }
 
 // CompactCount returns the number of completed compaction cycles.
 func (w *WAL) CompactCount() int64 { return w.compactCount.Load() }
 
 // DiskBytes returns the total bytes across all live segments
-// (observability; the E18 experiment and the compaction regression guard
-// read it).
+// (observability; the compaction regression guard and the benchmark's
+// storage.wal_mb_end read it).
 func (w *WAL) DiskBytes() int64 { return w.diskBytes.Load() }
 
 // LiveBytes returns the approximate record bytes of the live index — what

@@ -26,15 +26,6 @@ type MemOptions struct {
 	// InboxSize is the per-process input buffer capacity (default 4096).
 	// A full buffer drops packets, which fair-lossy channels permit.
 	InboxSize int
-	// EgressBytesPerSec, when positive, models each sender's NIC
-	// serialization rate: a packet occupies its sender's egress link for
-	// size/rate, and packets queue behind one another at the sender. This
-	// is the bottleneck the ordering/dissemination split attacks — a
-	// coordinator multisending P-byte payloads to N-1 peers serializes
-	// (N-1)*P bytes through one link per round, while a ring relay
-	// serializes P — so experiments that measure that effect (E20) need
-	// the model; protocol tests leave it zero (no bandwidth limit).
-	EgressBytesPerSec float64
 }
 
 // MemStats counts network-level events.
@@ -51,13 +42,12 @@ type Mem struct {
 	n    int
 	opts MemOptions
 
-	mu         sync.Mutex
-	rng        *rand.Rand
-	eps        []*memEndpoint // nil while a process is down
-	linkLoss   map[[2]ids.ProcessID]float64
-	cut        map[[2]ids.ProcessID]bool // severed links (partition)
-	egressFree []time.Time               // per-sender NIC next-idle time (EgressBytesPerSec)
-	closed     bool
+	mu       sync.Mutex
+	rng      *rand.Rand
+	eps      []*memEndpoint // nil while a process is down
+	linkLoss map[[2]ids.ProcessID]float64
+	cut      map[[2]ids.ProcessID]bool // severed links (partition)
+	closed   bool
 
 	sched *scheduler
 
@@ -78,9 +68,6 @@ func NewMem(n int, opts MemOptions) *Mem {
 		eps:      make([]*memEndpoint, n),
 		linkLoss: make(map[[2]ids.ProcessID]float64),
 		cut:      make(map[[2]ids.ProcessID]bool),
-	}
-	if opts.EgressBytesPerSec > 0 {
-		m.egressFree = make([]time.Time, n)
 	}
 	m.sched = newScheduler()
 	return m
@@ -192,20 +179,6 @@ func (m *Mem) route(from, to ids.ProcessID, data []byte) {
 		} else {
 			delay = m.opts.MinDelay
 		}
-	}
-	if !local && m.egressFree != nil {
-		// The packet serializes through the sender's NIC: it starts when
-		// the link is next idle and occupies it for size/rate, so packets
-		// queue behind one another at the sender.
-		ser := time.Duration(float64(len(data)) / m.opts.EgressBytesPerSec * float64(time.Second))
-		now := time.Now()
-		start := now
-		if m.egressFree[from].After(now) {
-			start = m.egressFree[from]
-		}
-		done := start.Add(ser)
-		m.egressFree[from] = done
-		delay += done.Sub(now)
 	}
 	m.mu.Unlock()
 
