@@ -81,12 +81,11 @@
 //
 // # Latency fast path
 //
-// Two independent knobs cut commit latency below full consensus plus an
-// fsync per round:
+// Two independent knobs cut commit latency below a full consensus round:
 //
 //   - Config.OnTentative enables optimistic delivery: the sequencer emits
 //     each locally proposed batch in predicted total order BEFORE the
-//     round's consensus decision is durable, then certifies the prediction
+//     round's consensus instance has decided, then certifies the prediction
 //     with OnConfirm (it matched the agreed order — externalize now) or
 //     retracts it with OnRevoke (a competing batch or state transfer won —
 //     discard the speculative suffix; the messages re-deliver later). The
@@ -278,7 +277,7 @@ type Config struct {
 	OnRestore func(Snapshot)
 	// OnTentative enables the optimistic-delivery fast path: deliveries
 	// with Tentative set arrive in predicted total order before the
-	// round's consensus decision is durable. Speculate on them; hold
+	// round's consensus instance has decided. Speculate on them; hold
 	// externalization until the covering OnConfirm. OnDeliver remains the
 	// authoritative stream either way. See the package comment's "Latency
 	// fast path" section.
@@ -286,8 +285,8 @@ type Config struct {
 	// OnConfirm certifies the tentative stream of group g up to (but not
 	// including) position upToPos: the predictions matched the agreed
 	// order, their authoritative OnDeliver calls have fired, and their
-	// effects may be externalized. Fires only once the confirming round's
-	// decision is durable.
+	// effects may be externalized. Fires only once the confirming round
+	// is decided, i.e. its value is held durably by an accept quorum.
 	OnConfirm func(g GroupID, upToPos uint64)
 	// OnRevoke retracts every unconfirmed tentative delivery (all at
 	// positions >= fromPos): discard the speculative state built on them

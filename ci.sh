@@ -7,7 +7,14 @@ cd "$(dirname "$0")"
 
 steps=(vet build test race bench metrics retired)
 
-step_vet() { go vet ./...; }
+# vet, plus gofmt over every Go file of the checkout that git does not
+# ignore: the root module and bench/ (a module of its own, see step_bench).
+step_vet() {
+	go vet ./...
+	local unformatted
+	unformatted=$(git ls-files -z -co --exclude-standard '*.go' | xargs -0 gofmt -l)
+	test -z "$unformatted" || { echo "gofmt -l is not clean:"; echo "$unformatted"; return 1; }
+}
 
 step_build() { go build ./...; }
 

@@ -9,13 +9,21 @@
 // provided a majority of processes are good (the assumption made by the
 // crash-recovery consensus protocols the paper cites [1, 11, 14]).
 //
-// The engine follows the logged ballot-voting (synod) discipline: acceptor
-// state (promise, accepted pair) and decisions are forced to stable storage
-// before being announced, so a crash and recovery can never retract a
-// promise or un-decide an instance. "A process proposes by logging its
-// initial value on stable storage" (§3.2) — Propose's first action is that
-// log write, which is exactly the log operation the broadcast layer's
-// minimal-logging claim (§4.3) charges to Consensus.
+// The engine follows the logged ballot-voting (synod) discipline, with one
+// rule for what waits for the log: a process sends a promise or an accepted
+// reply only after the acceptor cell protecting it is durable, and a
+// proposer sends its own value only after its proposal is durable;
+// everything else — prepare, decide, handing a decision to WaitDecided —
+// may run ahead of the local log, because it carries nothing a quorum does
+// not already hold durably. A crash and recovery can therefore never
+// retract a promise, change a proposed value (P4) or un-choose a value: a
+// process that learned a decision and crashed before its decision cell was
+// durable learns the same value again, from the accept quorum's cells.
+// "A process proposes by logging its initial value on stable storage"
+// (§3.2) — Propose's first action is that log write, which is exactly the
+// log operation the broadcast layer's minimal-logging claim (§4.3) charges
+// to Consensus; the decision cell is the optional log of §4.3/§5, kept to
+// make replay local.
 //
 // Two coordinator policies demonstrate that the broadcast transformation
 // treats Consensus as a black box (paper claim C2):
@@ -71,15 +79,18 @@ var ErrDiscarded = errors.New("consensus: instance discarded")
 // instance that has already started or even terminated" (§4.1).
 type API interface {
 	// Propose submits this process's initial value for instance k. Its
-	// first action is logging the value; re-proposing a different value
-	// for the same instance keeps the original (property P4). v is
-	// borrowed for the call (the engine keeps its own copy).
+	// first action is issuing the log write of the value, and the value
+	// is sent to no one before that write is durable; re-proposing a
+	// different value for the same instance keeps the original (property
+	// P4). v is borrowed for the call (the engine keeps its own copy).
 	Propose(k uint64, v []byte) error
 	// WaitDecided blocks until instance k decides and returns the
-	// decision. Repeated calls return the same value (property P5). A
-	// decided value — like a Proposal — is immutable and may be aliased,
-	// never modified: the engine serves the same slice to every caller
-	// and to lagging peers.
+	// decision. Repeated calls return the same value (property P5), in
+	// this incarnation and in any later one: the value is held durably by
+	// an accept quorum, whether or not this process's own decision cell
+	// has reached its log yet. A decided value — like a Proposal — is
+	// immutable and may be aliased, never modified: the engine serves
+	// the same slice to every caller and to lagging peers.
 	WaitDecided(ctx context.Context, k uint64) ([]byte, error)
 	// DecidedLocal returns the locally known decision of k, if any,
 	// without blocking or touching the network.

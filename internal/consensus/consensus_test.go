@@ -16,8 +16,11 @@ import (
 
 // testProc bundles one process's stack for consensus-level tests.
 type testProc struct {
-	pid    ids.ProcessID
-	store  *storage.Mem
+	pid   ids.ProcessID
+	store storage.Stable
+	// tap, when set before start, sees every frame the engine sends and
+	// every frame it has finished handling.
+	tap    *wireTap
 	rt     *router.Router
 	det    *fd.Detector
 	eng    *Engine
@@ -34,25 +37,34 @@ type testCluster struct {
 
 func newTestCluster(t *testing.T, n int, policy Policy, netOpts transport.MemOptions) *testCluster {
 	t.Helper()
+	stores := make([]storage.Stable, n)
+	for p := range stores {
+		stores[p] = storage.NewMem()
+	}
+	tc := newStoppedCluster(t, policy, netOpts, stores)
+	for p := range tc.procs {
+		tc.start(ids.ProcessID(p), 1)
+	}
+	return tc
+}
+
+// newStoppedCluster wires one process per store without starting any, so a
+// test can attach taps first.
+func newStoppedCluster(t *testing.T, policy Policy, netOpts transport.MemOptions, stores []storage.Stable) *testCluster {
+	t.Helper()
 	tc := &testCluster{
 		t:   t,
-		net: transport.NewMem(n, netOpts),
+		net: transport.NewMem(len(stores), netOpts),
 		cfg: Config{
-			N:        n,
+			N:        len(stores),
 			Policy:   policy,
 			RetryMin: 3 * time.Millisecond,
 			RetryMax: 40 * time.Millisecond,
 		},
 	}
 	t.Cleanup(tc.net.Close)
-	for p := 0; p < n; p++ {
-		tc.procs = append(tc.procs, &testProc{
-			pid:   ids.ProcessID(p),
-			store: storage.NewMem(),
-		})
-	}
-	for p := range tc.procs {
-		tc.start(ids.ProcessID(p), 1)
+	for p, st := range stores {
+		tc.procs = append(tc.procs, &testProc{pid: ids.ProcessID(p), store: st})
 	}
 	return tc
 }
@@ -73,13 +85,21 @@ func (tc *testCluster) start(pid ids.ProcessID, epoch uint32) {
 	cfg := tc.cfg
 	cfg.PID = pid
 	cfg.Seed = uint64(pid) + uint64(epoch)<<16 + 1
-	eng, err := New(cfg, pr.store, pr.rt.Bound(router.ChanConsensus), pr.det)
+	var net router.Net = pr.rt.Bound(router.ChanConsensus)
+	if pr.tap != nil {
+		net = pr.tap.bind(net)
+	}
+	eng, err := New(cfg, pr.store, net, pr.det)
 	if err != nil {
 		tc.t.Fatalf("new engine %v: %v", pid, err)
 	}
 	pr.eng = eng
 	pr.rt.Handle(router.ChanFD, pr.det.OnMessage)
-	pr.rt.Handle(router.ChanConsensus, eng.OnMessage)
+	if pr.tap != nil {
+		pr.rt.Handle(router.ChanConsensus, pr.tap.handler(eng.OnMessage))
+	} else {
+		pr.rt.Handle(router.ChanConsensus, eng.OnMessage)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	pr.cancel = cancel
 	pr.rt.Start(ctx)
@@ -306,24 +326,53 @@ func TestLeaderCrashHandsOff(t *testing.T) {
 	}
 }
 
+// TestDiscardBelow: the floor drops instance state and deletes exactly the
+// cells each instance wrote — three at the process that proposed and
+// coordinated (proposal, acceptor, decision), two at a process that only
+// accepted and learned — and none of them comes back when the log is
+// reopened.
 func TestDiscardBelow(t *testing.T) {
-	tc := newTestCluster(t, 3, PolicyLeader, transport.MemOptions{Seed: 19})
+	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
+	wals := make([]*storage.WAL, len(dirs))
+	accts := make([]*storage.Accounted, len(dirs))
+	stores := make([]storage.Stable, len(dirs))
+	for p, dir := range dirs {
+		w, err := storage.OpenWAL(dir, storage.WALOptions{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		wals[p], accts[p] = w, storage.NewAccounted(w)
+		stores[p] = accts[p]
+	}
+	tc := newStoppedCluster(t, PolicyLeader, transport.MemOptions{Seed: 19}, stores)
+	for p := range tc.procs {
+		tc.start(ids.ProcessID(p), 1)
+	}
 	defer tc.stopAll()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
+	// p0 alone proposes (and, as the leader, coordinates); p1 only accepts
+	// and learns.
 	for k := uint64(0); k < 5; k++ {
-		for p, pr := range tc.procs {
-			if err := pr.eng.Propose(k, val(p, k)); err != nil {
+		if err := tc.procs[0].eng.Propose(k, val(0, k)); err != nil {
+			t.Fatal(err)
+		}
+		for p := 0; p < 2; p++ {
+			if _, err := tc.procs[p].eng.WaitDecided(ctx, k); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := tc.procs[0].eng.WaitDecided(ctx, k); err != nil {
+	}
+	for p, want := range []int64{3 * 3, 3 * 2} {
+		before := accts[p].Layer("cons").DeleteOps
+		if err := tc.procs[p].eng.DiscardBelow(3); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := tc.procs[0].eng.DiscardBelow(3); err != nil {
-		t.Fatal(err)
+		if got := accts[p].Layer("cons").DeleteOps - before; got != want {
+			t.Fatalf("p%d: discarding three instances cost %d deletes, want %d", p, got, want)
+		}
 	}
 	if _, ok := tc.procs[0].eng.Proposal(2); ok {
 		t.Fatal("proposal 2 should be discarded")
@@ -338,15 +387,33 @@ func TestDiscardBelow(t *testing.T) {
 	if _, ok := tc.procs[0].eng.DecidedLocal(4); !ok {
 		t.Fatal("decision 4 should survive")
 	}
-	// Keys below the floor are gone from stable storage.
-	keys, err := tc.procs[0].store.List("cons/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range keys {
-		_, k, ok := parseKey(key)
-		if ok && k < 3 {
-			t.Fatalf("stale key %s", key)
+
+	// Keys below the floor are gone from stable storage, and stay gone
+	// when the log is replayed from disk.
+	tc.stopAll()
+	for p := 0; p < 2; p++ {
+		if err := wals[p].Close(); err != nil {
+			t.Fatal(err)
+		}
+		re, err := storage.OpenWAL(dirs[p], storage.WALOptions{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		keys, err := re.List("cons/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := 0
+		for _, key := range keys {
+			if _, k, ok := parseKey(key); ok && k < 3 {
+				t.Fatalf("p%d: stale key %s", p, key)
+			} else if ok {
+				kept++
+			}
+		}
+		if want := []int{2 * 3, 2 * 2}[p]; kept != want {
+			t.Fatalf("p%d: %d cells at or above the floor, want %d: %v", p, kept, want, keys)
 		}
 	}
 }

@@ -101,28 +101,37 @@ func (e *Engine) drive(in *instance) {
 	attempt = e.attemptAbove(in.promised)
 	e.mu.Unlock()
 
+	// One timer serves every wait of this driver: each wait Resets it
+	// (since go 1.23 a reset or stopped timer leaves no stale tick behind).
+	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
+
 	for {
 		if ctx.Err() != nil {
 			return
 		}
 		e.mu.Lock()
-		if in.hasDec || in.decPending || in.gone || in.wasForgot {
+		if in.hasDec || in.gone || in.wasForgot {
 			e.mu.Unlock()
 			return
 		}
-		hasProp := in.hasProp
+		// A proposal whose write is only issued is enough to coordinate
+		// phase 1, which carries no value. Under a held lease there is no
+		// phase 1 to run beside the write: the fast path sends the value
+		// at once, so it waits for hasProp as a learner.
+		canDrive := in.hasProp || (in.propPending && !e.leaseCoversLocked(in.k))
 		e.mu.Unlock()
 
 		if e.skipTurn(attempt) {
 			attempt++
 			continue
 		}
-		if !hasProp || !e.myTurn(attempt, stuck) {
+		if !canDrive || !e.myTurn(attempt, stuck) {
 			// Learner mode: ask around for the decision (and the rest
 			// of the pipeline window), then wait.
 			e.send(ids.Nobody, message{kind: mDecideReq, k: in.k, span: decideWindow})
 			stuck++
-			if !e.waitWake(ctx, in, e.backoff(fails)) {
+			if !e.waitWake(ctx, in, timer, e.backoff(fails)) {
 				return
 			}
 			if e.cfg.Policy == PolicyRotating {
@@ -137,7 +146,7 @@ func (e *Engine) drive(in *instance) {
 		// the lease ballot. Any failure drops the lease and falls back to
 		// a full ballot.
 		if b, v, fast := e.leaseBallot(in); fast {
-			decided, higher := e.runAcceptPhase(ctx, in, b, v)
+			decided, higher := e.runAcceptPhase(ctx, in, timer, b, v)
 			e.leaseRoundDone(decided)
 			if decided {
 				return
@@ -148,13 +157,13 @@ func (e *Engine) drive(in *instance) {
 				attempt = e.attemptAbove(b)
 			}
 			fails++
-			if !e.waitWake(ctx, in, e.backoff(fails)) {
+			if !e.waitWake(ctx, in, timer, e.backoff(fails)) {
 				return
 			}
 			continue
 		}
 
-		decided, higher := e.runBallot(ctx, in, attempt)
+		decided, higher := e.runBallot(ctx, in, timer, attempt)
 		if decided {
 			// The round just decided under this process's classic
 			// coordination: the moment to (re-)establish the lease for
@@ -168,7 +177,7 @@ func (e *Engine) drive(in *instance) {
 			attempt++
 		}
 		fails++
-		if !e.waitWake(ctx, in, e.backoff(fails)) {
+		if !e.waitWake(ctx, in, timer, e.backoff(fails)) {
 			return
 		}
 		e.mu.Lock()
@@ -182,9 +191,8 @@ func (e *Engine) drive(in *instance) {
 
 // waitWake sleeps up to d or until the instance is poked. Returns false when
 // the incarnation is over.
-func (e *Engine) waitWake(ctx context.Context, in *instance, d time.Duration) bool {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
+func (e *Engine) waitWake(ctx context.Context, in *instance, timer *time.Timer, d time.Duration) bool {
+	timer.Reset(d)
 	select {
 	case <-ctx.Done():
 		return false
@@ -198,7 +206,7 @@ func (e *Engine) waitWake(ctx context.Context, in *instance, d time.Duration) bo
 // runBallot executes one prepare/accept round as coordinator. It returns
 // decided=true if the instance decided (by us or concurrently), or the
 // highest conflicting ballot seen in a nack (0 if none).
-func (e *Engine) runBallot(ctx context.Context, in *instance, attempt uint64) (decided bool, higher uint64) {
+func (e *Engine) runBallot(ctx context.Context, in *instance, timer *time.Timer, attempt uint64) (decided bool, higher uint64) {
 	b := e.ballotFor(attempt)
 
 	e.mu.Lock()
@@ -208,14 +216,22 @@ func (e *Engine) runBallot(ctx context.Context, in *instance, attempt uint64) (d
 	}
 	in.curBallot = b
 	in.phase = 1
+	if in.promises == nil {
+		in.promises = make(map[ids.ProcessID]promiseInfo)
+	}
 	clear(in.promises)
-	clear(in.accepts)
 	in.maxNack = 0
 	e.mu.Unlock()
 
 	e.send(ids.Nobody, message{kind: mPrepare, k: in.k, b: b})
 
-	// Phase 1: collect promises from a majority.
+	// Phase 1: collect promises from a majority, then choose the value:
+	// the accepted value with the highest ballot wins; otherwise our own
+	// proposal (Uniform Validity) — which may go on the wire only once it
+	// is durable here, so that a recovered proposer re-proposes the same
+	// value (P4). The prepare above ran beside that write; this is where
+	// the ballot waits for it, and gives up if the write failed.
+	var v []byte
 	deadline := time.Now().Add(e.phaseTimeout())
 	for {
 		e.mu.Lock()
@@ -230,41 +246,43 @@ func (e *Engine) runBallot(ctx context.Context, in *instance, attempt uint64) (d
 			return false, higher
 		}
 		if len(in.promises) >= Quorum(e.cfg.N) {
-			e.mu.Unlock()
-			break
+			var bestB uint64
+			found := false
+			for _, pi := range in.promises {
+				if pi.hasAcc && (!found || pi.accB > bestB) {
+					bestB = pi.accB
+					v = pi.accV
+					found = true
+				}
+			}
+			switch {
+			case found:
+			case in.hasProp:
+				v, found = in.proposal, true
+			case !in.propPending:
+				in.phase = 0
+				e.mu.Unlock()
+				return false, 0 // no value to propose: the proposal's write failed
+			}
+			if found {
+				e.mu.Unlock()
+				break
+			}
 		}
 		e.mu.Unlock()
-		if !e.waitDeadline(ctx, in, deadline) {
+		if !e.waitDeadline(ctx, in, timer, deadline) {
 			return e.isDecided(in), 0
 		}
 	}
 
-	// Choose the value: the accepted value with the highest ballot wins;
-	// otherwise our own logged proposal (Uniform Validity).
-	e.mu.Lock()
-	var v []byte
-	var bestB uint64
-	found := false
-	for _, pi := range in.promises {
-		if pi.hasAcc && (!found || pi.accB > bestB) {
-			bestB = pi.accB
-			v = pi.accV
-			found = true
-		}
-	}
-	if !found {
-		v = in.proposal
-	}
-	e.mu.Unlock()
-
-	return e.runAcceptPhase(ctx, in, b, v)
+	return e.runAcceptPhase(ctx, in, timer, b, v)
 }
 
 // runAcceptPhase executes phase 2 at ballot b with value v: broadcast the
 // accept, collect a majority, decide. It is the whole round on the lease
 // fast path (where the grant quorum's attestation replaces phase 1) and
 // the second half of a classic ballot.
-func (e *Engine) runAcceptPhase(ctx context.Context, in *instance, b uint64, v []byte) (decided bool, higher uint64) {
+func (e *Engine) runAcceptPhase(ctx context.Context, in *instance, timer *time.Timer, b uint64, v []byte) (decided bool, higher uint64) {
 	e.mu.Lock()
 	if in.hasDec || in.gone {
 		e.mu.Unlock()
@@ -272,6 +290,9 @@ func (e *Engine) runAcceptPhase(ctx context.Context, in *instance, b uint64, v [
 	}
 	in.curBallot = b
 	in.phase = 2
+	if in.accepts == nil {
+		in.accepts = make(map[ids.ProcessID]bool)
+	}
 	clear(in.accepts)
 	in.maxNack = 0
 	e.mu.Unlock()
@@ -293,13 +314,11 @@ func (e *Engine) runAcceptPhase(ctx context.Context, in *instance, b uint64, v [
 			return false, higher
 		}
 		if len(in.accepts) >= Quorum(e.cfg.N) {
-			// Chosen: decide and tell everyone. Announcing before our
-			// own decision cell is durable is safe — the value is
-			// chosen by the quorum's durable acceptor cells; locally,
-			// hasDec (and so WaitDecided/commit) flips only when the
-			// cell's completion fires.
+			// Chosen by the quorum's durable acceptor cells: decide and
+			// tell everyone (decideLocked leaves the instance undecided
+			// only when the store is failing — a dying incarnation).
 			e.decideLocked(in, v)
-			dec := in.hasDec || in.decPending
+			dec := in.hasDec
 			e.mu.Unlock()
 			if dec {
 				e.send(ids.Nobody, message{kind: mDecide, k: in.k, val: v})
@@ -307,7 +326,7 @@ func (e *Engine) runAcceptPhase(ctx context.Context, in *instance, b uint64, v [
 			return dec, 0
 		}
 		e.mu.Unlock()
-		if !e.waitDeadline(ctx, in, deadline) {
+		if !e.waitDeadline(ctx, in, timer, deadline) {
 			return e.isDecided(in), 0
 		}
 	}
@@ -316,18 +335,17 @@ func (e *Engine) runAcceptPhase(ctx context.Context, in *instance, b uint64, v [
 func (e *Engine) isDecided(in *instance) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return in.hasDec || in.decPending
+	return in.hasDec
 }
 
 // waitDeadline waits for a poke or the deadline; false means give up this
 // ballot (timeout or shutdown).
-func (e *Engine) waitDeadline(ctx context.Context, in *instance, deadline time.Time) bool {
+func (e *Engine) waitDeadline(ctx context.Context, in *instance, timer *time.Timer, deadline time.Time) bool {
 	remain := time.Until(deadline)
 	if remain <= 0 {
 		return false
 	}
-	timer := time.NewTimer(remain)
-	defer timer.Stop()
+	timer.Reset(remain)
 	select {
 	case <-ctx.Done():
 		return false

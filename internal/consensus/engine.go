@@ -55,8 +55,9 @@ type instance struct {
 	k uint64
 
 	// proposer state. propPending marks an asynchronous proposal write in
-	// flight: the value is issued to stable storage but not yet durable,
-	// so drivers may only act as learners until hasProp flips.
+	// flight: the value is issued to stable storage but not yet durable.
+	// A driver may already run phase 1 (a prepare carries no value); the
+	// proposer's own value goes on the wire only once hasProp has flipped.
 	proposal    []byte
 	hasProp     bool
 	propPending bool
@@ -67,15 +68,13 @@ type instance struct {
 	accV     []byte
 	hasAcc   bool
 
-	// learner state. decPending marks the decision cell's asynchronous
-	// write in flight: the chosen value may be announced to peers (its
-	// safety rests on the quorum's durable acceptor cells), but hasDec —
-	// and with it WaitDecided and the commit path — only flips once the
-	// cell is durable.
-	decided    []byte
-	hasDec     bool
-	decPending bool
-	done       chan struct{} // closed when decided
+	// learner state. hasDec flips when the decision is learned: a decided
+	// value is held durably by an accept quorum's acceptor cells, so the
+	// local decision cell (issued at the same moment) only saves a
+	// recovering process the round trip of learning it again.
+	decided []byte
+	hasDec  bool
+	done    chan struct{} // closed when decided
 	// forgotten is closed when a peer reports it garbage-collected this
 	// instance (mForgotten): the decision may be unrecoverable through
 	// Consensus, so waiters fall back to the broadcast layer's state
@@ -83,20 +82,20 @@ type instance struct {
 	forgotten chan struct{}
 	wasForgot bool
 
-	// observability stamps (volatile): when the local proposal was
-	// issued, and when the accept quorum was observed.
+	// observability stamp (volatile): when the local proposal was issued.
 	proposedAt int64
-	quorumAt   int64
 
 	// driver state (volatile)
 	driving   bool
 	gone      bool // GC'd under the floor; driver must exit
 	curBallot uint64
 	phase     int // 0 idle, 1 collecting promises, 2 collecting accepts
-	promises  map[ids.ProcessID]promiseInfo
-	accepts   map[ids.ProcessID]bool
-	maxNack   uint64
-	progress  chan struct{} // capacity 1; wakes the driver
+	// promises and accepts are made by the first ballot this process
+	// coordinates: most instances at most processes never need them.
+	promises map[ids.ProcessID]promiseInfo
+	accepts  map[ids.ProcessID]bool
+	maxNack  uint64
+	progress chan struct{} // capacity 1; wakes the driver
 }
 
 type promiseInfo struct {
@@ -110,8 +109,6 @@ func newInstance(k uint64) *instance {
 		k:         k,
 		done:      make(chan struct{}),
 		forgotten: make(chan struct{}),
-		promises:  make(map[ids.ProcessID]promiseInfo),
-		accepts:   make(map[ids.ProcessID]bool),
 		progress:  make(chan struct{}, 1),
 	}
 }
@@ -329,11 +326,13 @@ func (e *Engine) Propose(k uint64, v []byte) error {
 	}
 	// "A process proposes by logging its initial value on stable
 	// storage; this is the only logging required by our basic version of
-	// the protocol" (§3.2). The write is issued before anything else;
-	// coordination starts only once it is durable. On a group-commit
-	// engine the proposals of all pipelined rounds coalesce into one
-	// fsync; synchronous engines resolve inline, preserving the original
-	// propose-then-return contract (including surfacing the error).
+	// the protocol" (§3.2). The write is issued before anything else. On a
+	// group-commit engine the proposals of all pipelined rounds coalesce
+	// into one fsync and the driver runs phase 1 beside it — a prepare
+	// carries no value, so nothing that reaches the wire depends on this
+	// write until phase 2 (runBallot waits for hasProp there). Synchronous
+	// engines resolve inline, preserving the original propose-then-return
+	// contract (including surfacing the error).
 	cp := make([]byte, len(v))
 	copy(cp, v)
 	in.propPending = true
@@ -353,16 +352,15 @@ func (e *Engine) Propose(k uint64, v []byte) error {
 		e.mu.Lock()
 		defer e.mu.Unlock()
 		in.propPending = false
-		if err != nil {
-			return // dying incarnation: never act on the unlogged proposal
+		if err == nil {
+			in.proposal = cp
+			in.hasProp = true
+			e.startDriverLocked(in)
 		}
-		in.proposal = cp
-		in.hasProp = true
-		e.startDriverLocked(in)
+		// Either way the driver has news: its value may go out now, or
+		// (dying incarnation) it never will and the ballot is given up.
 		in.wake()
 	})
-	// Until the proposal is durable the instance may still be pushed as a
-	// learner (drive() coordinates only when hasProp is set).
 	e.startDriverLocked(in)
 	return nil
 }
@@ -440,34 +438,40 @@ func (e *Engine) DiscardBelow(k uint64) error {
 		return nil
 	}
 	e.floor = k
-	var victims []uint64
+	// Delete only the cells an instance has: deleting an absent key still
+	// costs the log a tombstone record and a persist, and a process that
+	// never coordinated round k never wrote its proposal cell.
+	var keys []string
 	for kk, in := range e.insts {
-		if kk < k {
-			in.gone = true
-			in.wake()
-			victims = append(victims, kk)
-			delete(e.insts, kk)
+		if kk >= k {
+			continue
+		}
+		in.gone = true
+		in.wake()
+		delete(e.insts, kk)
+		if in.hasProp || in.propPending {
+			keys = append(keys, propKey(kk))
+		}
+		if in.promised > 0 || in.hasAcc {
+			keys = append(keys, accKey(kk))
+		}
+		if in.hasDec {
+			keys = append(keys, decKey(kk))
 		}
 	}
 	e.mu.Unlock()
 
-	// Issue all the deletes asynchronously, then wait: on a group-commit
-	// engine the whole discard shares a handful of fsyncs instead of
-	// paying one per cell (3 cells x potentially hundreds of instances
-	// per checkpoint).
-	type victimDel struct {
-		k uint64
-		c *storage.Completion
+	// Issue all the deletes, then wait: on a group-commit engine the whole
+	// discard shares a handful of fsyncs instead of paying one per cell.
+	// Waiting newest first means only the first wait blocks (and makes a
+	// channel): a log resolves in order, so the rest have resolved by then.
+	dels := make([]*storage.Completion, len(keys))
+	for i, key := range keys {
+		dels[i] = e.ast.DeleteAsync(key)
 	}
-	dels := make([]victimDel, 0, 3*len(victims))
-	for _, kk := range victims {
-		for _, key := range []string{propKey(kk), accKey(kk), decKey(kk)} {
-			dels = append(dels, victimDel{kk, e.ast.DeleteAsync(key)})
-		}
-	}
-	for _, d := range dels {
-		if err := d.c.Wait(); err != nil {
-			return fmt.Errorf("consensus: discard %d: %w", d.k, err)
+	for i := len(dels) - 1; i >= 0; i-- {
+		if err := dels[i].Wait(); err != nil {
+			return fmt.Errorf("consensus: discard %s: %w", keys[i], err)
 		}
 	}
 	return nil
@@ -532,55 +536,42 @@ func (e *Engine) replyWhenDurable(c *storage.Completion, to ids.ProcessID, reply
 	})
 }
 
-// decideLocked records a decision: the cell write is issued immediately,
-// but hasDec (which gates WaitDecided and the broadcast layer's commit)
-// only flips when it is durable. v is already the engine's own — a slice of
-// a received frame, the logged proposal, or an accepted value — and
-// immutable, so it is installed as the decision without another copy.
-// e.mu held.
+// decideLocked records a decision, the engine's one place that installs
+// one. The value was chosen by an accept quorum whose acceptor cells are
+// durable (an accepted reply is only sent once its cell is), so it is
+// installed at once — WaitDecided, DecidedLocal, the mDecide replies and the
+// broadcast layer's commit act on it — while the local decision cell lands
+// behind: a process that crashes before the cell is durable learns the same
+// value again, as it would had it crashed before learning it at all. Only a
+// write that fails at issue (the incarnation is dying) leaves the instance
+// undecided. v is already the engine's own — a slice of a received frame,
+// the logged proposal, or an accepted value — and immutable, so it is
+// installed without another copy. e.mu held.
 func (e *Engine) decideLocked(in *instance, v []byte) {
-	if in.hasDec || in.decPending {
-		return
-	}
-	in.quorumAt = time.Now().UnixNano()
-	if in.proposedAt != 0 {
-		e.met.quorumNS.Observe(in.quorumAt - in.proposedAt)
-	}
-	e.tr.MarkRound(e.cfg.Group, in.k, obs.StDecide)
-	in.decPending = true
-	c := e.ast.PutAsync(decKey(in.k), v)
-	if err, done := c.Poll(); done {
-		in.decPending = false
-		if err != nil {
-			// Stable storage failed (injected crash): the incarnation
-			// is dying; do not expose an unlogged decision.
-			return
-		}
-		e.installDecisionLocked(in, v)
-		return
-	}
-	c.OnDone(func(err error) {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		in.decPending = false
-		if err != nil {
-			return
-		}
-		e.installDecisionLocked(in, v)
-	})
-}
-
-// installDecisionLocked exposes a durable decision. e.mu held.
-func (e *Engine) installDecisionLocked(in *instance, v []byte) {
 	if in.hasDec {
 		return
 	}
-	if in.quorumAt != 0 {
-		e.met.decideFsyncNS.Observe(time.Now().UnixNano() - in.quorumAt)
+	quorumAt := time.Now().UnixNano()
+	if in.proposedAt != 0 {
+		e.met.quorumNS.Observe(quorumAt - in.proposedAt)
 	}
-	e.tr.MarkRound(e.cfg.Group, in.k, obs.StDecideDurable)
+	e.tr.MarkRound(e.cfg.Group, in.k)
+	c := e.ast.PutAsync(decKey(in.k), v)
+	err, done := c.Poll()
+	if done && err != nil {
+		return
+	}
 	in.decided = v
 	in.hasDec = true
 	close(in.done)
 	in.wake()
+	if done {
+		e.met.decideFsyncNS.Observe(time.Now().UnixNano() - quorumAt)
+		return
+	}
+	c.OnDone(func(err error) {
+		if err == nil {
+			e.met.decideFsyncNS.Observe(time.Now().UnixNano() - quorumAt)
+		}
+	})
 }

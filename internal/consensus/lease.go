@@ -75,6 +75,13 @@ func (e *Engine) grantBoundLocked(k uint64) uint64 {
 	return 0
 }
 
+// leaseCoversLocked reports whether this process holds a lease covering
+// instance k, i.e. whether its next round there would skip phase 1. e.mu
+// held.
+func (e *Engine) leaseCoversLocked(k uint64) bool {
+	return e.leaseHeld && k >= e.leaseFrom
+}
+
 // leaseBallot decides whether instance in may take the fast path and, if
 // so, at which ballot and with which value. A failed precondition that
 // signals the lease is dead (a higher promise in the covered range, lost

@@ -10,13 +10,12 @@ import (
 // engine without an observability plane gets unregistered metrics that
 // still work), so the decide path never branches on wiring.
 type consMetrics struct {
-	// quorumNS is propose → accept-quorum: the coordination cost of one
-	// instance, excluding the decision fsync.
+	// quorumNS is propose → decision learned: what one instance costs
+	// the commit path.
 	quorumNS *obs.Histogram
-	// decideFsyncNS is accept-quorum → durable decision exposed: the
-	// decision cell's group-commit wait, the storage half of decide
-	// latency. Together with quorumNS it splits "decision was slow" into
-	// "consensus was slow" vs "fsync was slow".
+	// decideFsyncNS is decision learned → decision cell durable. It is
+	// off the commit path (the decision is installed when learned); it
+	// says how long a crash could still cost this process a re-learn.
 	decideFsyncNS *obs.Histogram
 }
 

@@ -57,7 +57,7 @@ var ErrSealed = errors.New("core: group sealed for retirement")
 //
 // Tentative marks an optimistic delivery emitted on the fast path (see
 // Config.OnTentative): the position is the sequencer's prediction, made
-// before the round's Consensus decision is durable, and is only final once
+// before the round's Consensus instance has decided, and is only final once
 // the matching OnConfirm fires. Deliveries from OnDeliver, Sequence and
 // recovery replay are never tentative.
 //
@@ -276,9 +276,9 @@ type Config struct {
 	// of group g with Pos < upToPos matched the agreed order exactly (the
 	// authoritative OnDeliver calls for them have already fired, with
 	// identical content and positions) and their effects may now be
-	// externalized. It fires after the confirming round's OnDeliver calls
-	// and only once that round's decision is durable, so confirmation is
-	// as strong as the conservative path.
+	// externalized. It fires after the confirming round's OnDeliver calls,
+	// on a decision an accept quorum holds durably, so confirmation is as
+	// strong as the conservative path.
 	OnConfirm func(g ids.GroupID, upToPos uint64)
 	// OnRevoke retracts the tentative stream: every unconfirmed tentative
 	// delivery (all have Pos >= fromPos) was mispredicted — a competing

@@ -79,6 +79,7 @@ type Protocol struct {
 	inflightMsgs   map[ids.MsgID]uint64
 	pendingSince   time.Time
 	resCh          chan roundResult
+	batchScratch   []msg.Message // assembleBatch's reused pending slice
 
 	// Optimistic-delivery state (Config.OnTentative). tentative holds, in
 	// round order, the predictions emitted at propose time and not yet

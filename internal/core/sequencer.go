@@ -43,6 +43,10 @@ func (p *Protocol) sequencerTask() {
 	defer p.wg.Done()
 	results := make(map[uint64][]byte) // decided out of order, pending commit
 	var cooldown time.Time             // backoff after a discarded wait
+	// One timer for every timed wait of the loop (a stopped or reset timer
+	// leaves no stale tick behind since go 1.23).
+	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
 	for {
 		if p.ctx.Err() != nil {
 			return
@@ -69,10 +73,9 @@ func (p *Protocol) sequencerTask() {
 			continue // the window slid: refill it before blocking
 		}
 
-		var timer *time.Timer
 		var timerC <-chan time.Time
 		if delay > 0 {
-			timer = time.NewTimer(delay)
+			timer.Reset(delay)
 			timerC = timer.C
 		}
 		select {
@@ -82,9 +85,6 @@ func (p *Protocol) sequencerTask() {
 		case <-p.wake:
 			cooldown = time.Time{} // news may unblock a discarded round
 		case <-timerC:
-		}
-		if timer != nil {
-			timer.Stop()
 		}
 	}
 }
@@ -204,10 +204,11 @@ func (p *Protocol) pump(results map[uint64][]byte) time.Duration {
 		// propose(k_p, ...)". The log is the first operation of the
 		// Consensus (§4.2) — Propose issues it. On a group-commit engine
 		// the write is asynchronous: Propose returns once it is issued,
-		// the engine coordinates only after it is durable, and the
-		// proposal logs of all PipelineDepth in-flight rounds share one
-		// fsync. The decision wait below resolves only on a durable
-		// decision, so the commit path still never acts ahead of the log.
+		// the proposal logs of all PipelineDepth in-flight rounds share
+		// one fsync, and the engine sends this value only after it is
+		// durable. The decision wait below resolves on a value an accept
+		// quorum holds durably; the local decision cell may still be in
+		// flight when commit delivers it (see consensus.API).
 		err := p.cons.Propose(r, w.Bytes())
 		wire.PutWriter(w)
 		if err != nil {
@@ -277,6 +278,9 @@ func (p *Protocol) emitTentative(r uint64, batch []msg.Message) {
 // unordered messages (those not already inside an in-flight proposal),
 // truncated by MaxBatch / MaxBatchBytes. ok=false means the round must not
 // be proposed yet; a positive delay says when the time trigger ripens it.
+// batch is borrowed until the next call: it is a prefix of a scratch slice
+// the sequencer goroutine reuses (most calls only answer "hold back" or
+// "nothing to order"), so pump encodes it and emitTentative copies it.
 func (p *Protocol) assembleBatch(r uint64) (batch []msg.Message, delay time.Duration, ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -298,16 +302,17 @@ func (p *Protocol) assembleBatch(r uint64) (batch []msg.Message, delay time.Dura
 		}
 		return nil, 0, true
 	}
-	snap := p.unordered.Slice()
-	pending := make([]msg.Message, 0, len(snap))
+	pending := p.batchScratch[:0]
 	pendingBytes := 0
-	for _, m := range snap {
+	for m := range p.unordered.All() {
 		if _, busy := p.inflightMsgs[m.ID]; busy {
 			continue
 		}
 		pending = append(pending, m)
 		pendingBytes += len(m.Payload)
 	}
+	p.batchScratch = pending // keep what append grew
+	msg.SortCanonical(pending)
 	// Per-sender fairness: when the pending pool overflows the batch caps,
 	// a canonical-order truncation would fill the whole batch from the
 	// lowest-pid hot broadcaster and starve everyone behind it. Interleave
@@ -319,13 +324,13 @@ func (p *Protocol) assembleBatch(r uint64) (batch []msg.Message, delay time.Dura
 	}
 	var size int
 	full, leftover := false, false
-	for _, m := range pending {
-		if (p.cfg.MaxBatch > 0 && len(batch) >= p.cfg.MaxBatch) ||
-			(p.cfg.MaxBatchBytes > 0 && len(batch) > 0 && size+len(m.Payload) > p.cfg.MaxBatchBytes) {
+	for i, m := range pending {
+		if (p.cfg.MaxBatch > 0 && i >= p.cfg.MaxBatch) ||
+			(p.cfg.MaxBatchBytes > 0 && i > 0 && size+len(m.Payload) > p.cfg.MaxBatchBytes) {
 			full, leftover = true, true
 			break
 		}
-		batch = append(batch, m)
+		batch = pending[:i+1]
 		size += len(m.Payload)
 	}
 	if (p.cfg.MaxBatchBytes > 0 && size >= p.cfg.MaxBatchBytes) ||

@@ -53,7 +53,7 @@ func (d *deliveryState) appendBatch(round uint64, batch []msg.Message) []Deliver
 	sorted := make([]msg.Message, len(batch))
 	copy(sorted, batch)
 	msg.SortCanonical(sorted)
-	var out []Delivery
+	out := make([]Delivery, 0, len(sorted))
 	for _, m := range sorted {
 		if d.contains(m.ID) {
 			continue

@@ -422,11 +422,11 @@ type Cursor struct {
 	stream *Stream
 
 	// All fields below are guarded by stream.mu.
-	start     uint64                     // first global round the cursor covers
-	emit      uint64                     // next global round to emit
-	next      map[ids.GroupID]uint64     // per group: next GLOBAL round to accept
+	start     uint64                                     // first global round the cursor covers
+	emit      uint64                                     // next global round to emit
+	next      map[ids.GroupID]uint64                     // per group: next GLOBAL round to accept
 	pend      map[ids.GroupID]map[uint64][]core.Delivery // keyed by global round
-	backlog   []roundEvent               // events buffered while seeding
+	backlog   []roundEvent                               // events buffered while seeding
 	seeded    bool
 	lagged    bool
 	lagDetail string // first gap observed, for diagnostics

@@ -147,8 +147,8 @@ func TestTopologyGlobalRounds(t *testing.T) {
 	// The doc's splice arithmetic: a group joining off anchor round r_j
 	// gets offset anchorOffset+r_j+1, chained joins compose.
 	topo := NewStaticTopology(1)
-	topo.ApplyJoin(0, 9, 1)  // g1 at offset 10
-	topo.ApplyJoin(1, 4, 2)  // g2 anchored in g1: offset 10+4+1 = 15
+	topo.ApplyJoin(0, 9, 1) // g1 at offset 10
+	topo.ApplyJoin(1, 4, 2) // g2 anchored in g1: offset 10+4+1 = 15
 	if sp := topo.Spans[1]; sp.Offset != 10 {
 		t.Fatalf("g1 offset = %d; want 10", sp.Offset)
 	}

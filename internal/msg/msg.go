@@ -10,7 +10,7 @@ package msg
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/ids"
 	"repro/internal/wire"
@@ -103,7 +103,7 @@ func DecodeIDs(r *wire.Reader) []ids.MsgID {
 // each Consensus instance, so all processes append a decided batch to their
 // Agreed queues in exactly the same order.
 func SortCanonical(ms []Message) {
-	sort.Slice(ms, func(i, j int) bool { return ms[i].ID.Less(ms[j].ID) })
+	slices.SortFunc(ms, func(a, b Message) int { return a.ID.Compare(b.ID) })
 }
 
 // MaxIDLen bounds the encoding of one identity (EncodeID): three varints.

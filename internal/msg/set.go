@@ -1,6 +1,9 @@
 package msg
 
 import (
+	"iter"
+	"maps"
+
 	"repro/internal/ids"
 	"repro/internal/wire"
 )
@@ -82,6 +85,10 @@ func (s *Set) Slice() []Message {
 	}
 	return s.sorted
 }
+
+// All iterates over the messages in no particular order, without building
+// the sorted snapshot Slice does. The set must not change during the walk.
+func (s *Set) All() iter.Seq[Message] { return maps.Values(s.byID) }
 
 // Clone returns an independent copy of the set (payloads shared).
 func (s *Set) Clone() *Set {

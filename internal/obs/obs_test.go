@@ -74,7 +74,7 @@ func TestNilSafety(t *testing.T) {
 	p.Reg().Histogram("h").Observe(5)
 	p.Reg().Func("f", func() int64 { return 1 })
 	p.Trace().Mark(ids.MsgID{Seq: 1}, StBroadcast)
-	p.Trace().MarkRound(0, 1, StDecide)
+	p.Trace().MarkRound(0, 1)
 	p.Trace().FoldRound(0, 1, nil)
 	p.Trace().Finish(ids.MsgID{Seq: 1}, StDeliver)
 	p.Flight().Event(EvCheckpoint, 0, 1, 0, 0, "")
@@ -148,8 +148,7 @@ func TestTracerLifecycle(t *testing.T) {
 
 	tr.Mark(id, StBroadcast)
 	tr.Mark(id, StPropose)
-	tr.MarkRound(3, 17, StDecide)
-	tr.MarkRound(3, 17, StDecideDurable)
+	tr.MarkRound(3, 17)
 	tr.FoldRound(3, 17, []ids.MsgID{id})
 	tr.Mark(id, StTentative)
 	time.Sleep(time.Millisecond)
@@ -160,7 +159,7 @@ func TestTracerLifecycle(t *testing.T) {
 	}
 	for _, name := range []string{
 		"abcast.trace.broadcast_ns", "abcast.trace.propose_ns",
-		"abcast.trace.decide_ns", "abcast.trace.decide_durable_ns",
+		"abcast.trace.decide_ns",
 		"abcast.trace.tentative_ns", "abcast.trace.confirm_ns",
 		"abcast.trace.e2e_ns",
 	} {

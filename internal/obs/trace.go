@@ -9,29 +9,28 @@ import (
 
 // Stage is one point in a message's lifecycle. Stages are marked on
 // whichever process the lifecycle touches: the origin marks Broadcast,
-// BatchSeal and Propose; every process marks Decide, DecideDurable,
-// Tentative, Deliver and Confirm for its own commit path; non-origin
+// BatchSeal and Propose; every process marks Decide, Tentative, Deliver
+// and Confirm for its own commit path; non-origin
 // processes mark PayloadArrive (ring relay) or PullRepair (gossip pull)
 // when the body shows up ahead of or behind the order.
 type Stage int
 
 const (
-	StBroadcast Stage = iota // A-broadcast accepted at the origin
-	StBatchSeal              // origin's batch containing the message sealed
-	StPropose                // batch handed to consensus
-	StPayloadArrive          // body arrived via ring dissemination
-	StPullRepair             // body arrived via digest-gossip pull repair
-	StDecide                 // ordering round reached accept quorum
-	StDecideDurable          // round's decision fsynced locally
-	StTentative              // speculative (tentative) delivery
-	StDeliver                // definitive delivery to the application
-	StConfirm                // earlier tentative delivery confirmed
+	StBroadcast     Stage = iota // A-broadcast accepted at the origin
+	StBatchSeal                  // origin's batch containing the message sealed
+	StPropose                    // batch handed to consensus
+	StPayloadArrive              // body arrived via ring dissemination
+	StPullRepair                 // body arrived via digest-gossip pull repair
+	StDecide                     // ordering round reached accept quorum
+	StTentative                  // speculative (tentative) delivery
+	StDeliver                    // definitive delivery to the application
+	StConfirm                    // earlier tentative delivery confirmed
 	numStages
 )
 
 var stageNames = [numStages]string{
 	"broadcast", "batch_seal", "propose", "payload_arrive", "pull_repair",
-	"decide", "decide_durable", "tentative", "deliver", "confirm",
+	"decide", "tentative", "deliver", "confirm",
 }
 
 // String implements fmt.Stringer.
@@ -56,11 +55,6 @@ type roundKey struct {
 	k uint64
 }
 
-type roundStamp struct {
-	decide  int64
-	durable int64
-}
-
 const (
 	spanCap  = 4096 // concurrent in-flight sampled spans
 	roundCap = 1024 // unfolded round stamps
@@ -79,7 +73,7 @@ type Tracer struct {
 
 	mu     sync.Mutex
 	spans  map[ids.MsgID]*span
-	rounds map[roundKey]roundStamp
+	rounds map[roundKey]int64 // when the round reached StDecide
 
 	stageHist [numStages]*Histogram
 	e2e       *Histogram
@@ -94,7 +88,7 @@ func newTracer(reg *Registry, sampleRate int) *Tracer {
 	t := &Tracer{
 		rate:     uint64(sampleRate),
 		spans:    make(map[ids.MsgID]*span),
-		rounds:   make(map[roundKey]roundStamp),
+		rounds:   make(map[roundKey]int64),
 		e2e:      reg.Histogram("abcast.trace.e2e_ns"),
 		finished: reg.Counter("abcast.trace.spans_finished"),
 		dropped:  reg.Counter("abcast.trace.spans_dropped"),
@@ -154,60 +148,41 @@ func (t *Tracer) Mark(id ids.MsgID, s Stage) {
 	t.mu.Unlock()
 }
 
-// MarkRound stamps a round-scoped stage (StDecide, StDecideDurable) for
-// round k of group g — the consensus layer knows rounds, not message
-// identities. Core folds the stamps into message spans at commit.
-func (t *Tracer) MarkRound(g ids.GroupID, k uint64, s Stage) {
+// MarkRound stamps StDecide, the one round-scoped stage, for round k of
+// group g — the consensus layer knows rounds, not message identities. Core
+// folds the stamp into message spans at commit. The first stamp is kept.
+func (t *Tracer) MarkRound(g ids.GroupID, k uint64) {
 	if t == nil || t.rate == 0 {
 		return
 	}
 	now := time.Now().UnixNano()
 	t.mu.Lock()
 	key := roundKey{g, k}
-	rs, ok := t.rounds[key]
-	if !ok && len(t.rounds) >= roundCap {
-		for victim := range t.rounds { // cap safety: evict an arbitrary stale stamp
-			delete(t.rounds, victim)
-			break
+	if _, ok := t.rounds[key]; !ok {
+		if len(t.rounds) >= roundCap {
+			for victim := range t.rounds { // cap safety: evict an arbitrary stale stamp
+				delete(t.rounds, victim)
+				break
+			}
 		}
+		t.rounds[key] = now
 	}
-	switch s {
-	case StDecide:
-		if rs.decide == 0 {
-			rs.decide = now
-		}
-	case StDecideDurable:
-		if rs.durable == 0 {
-			rs.durable = now
-		}
-	}
-	t.rounds[key] = rs
 	t.mu.Unlock()
 }
 
-// FoldRound copies round k's consensus stamps into each sampled id's span
-// and retires the round entry. Called by core when the round commits.
+// FoldRound copies round k's decide stamp into each sampled id's span and
+// retires the round entry. Called by core when the round commits.
 func (t *Tracer) FoldRound(g ids.GroupID, k uint64, msgs []ids.MsgID) {
 	if t == nil || t.rate == 0 {
 		return
 	}
 	t.mu.Lock()
 	key := roundKey{g, k}
-	rs, ok := t.rounds[key]
-	if ok {
+	if decide, ok := t.rounds[key]; ok {
 		delete(t.rounds, key)
-	}
-	if ok && (rs.decide != 0 || rs.durable != 0) {
 		for _, id := range msgs {
-			sp := t.spans[id]
-			if sp == nil {
-				continue
-			}
-			if sp.at[StDecide] == 0 {
-				sp.at[StDecide] = rs.decide
-			}
-			if sp.at[StDecideDurable] == 0 {
-				sp.at[StDecideDurable] = rs.durable
+			if sp := t.spans[id]; sp != nil && sp.at[StDecide] == 0 {
+				sp.at[StDecide] = decide
 			}
 		}
 	}

@@ -9,9 +9,10 @@ import "sync"
 // operation completed before the Completion was returned.
 //
 // The crash-recovery discipline (§2.1/§5.5) is: a process may update its
-// volatile state as soon as the write is issued, but it must not *act* on
-// the write — send the message the log protects, deliver the decision —
-// until the Completion resolves without error.
+// volatile state as soon as the write is issued, but it must not send the
+// message the write protects — a promise, an accepted reply, its own
+// proposed value — until the Completion resolves without error. (The
+// package comment states the whole rule.)
 type Completion struct {
 	mu   sync.Mutex
 	done bool

@@ -15,8 +15,13 @@
 // # Durability policy
 //
 // The paper's crash-recovery model (§2.1, §5.5) requires that logged state
-// be durable before the process acts on it (sends the message the log
-// protects, delivers the decision) — NOT one fsync per log call. That gap
+// be durable before the process sends the message the log protects — NOT
+// one fsync per log call, and not before every action either: a process
+// sends a promise or an accepted reply only after the acceptor cell
+// protecting it is durable, and a proposer sends its own value only after
+// its proposal is durable; everything else (prepare, decide, deliver) may
+// run ahead of the local log, because it carries nothing a quorum does not
+// already hold durably. The gap between "one fsync per call" and that rule
 // is the group-commit engine's opportunity:
 //
 //   - File with syncWrites: every Put/Append fsyncs before returning.
