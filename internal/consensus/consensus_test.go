@@ -327,94 +327,109 @@ func TestLeaderCrashHandsOff(t *testing.T) {
 }
 
 // TestDiscardBelow: the floor drops instance state and deletes exactly the
-// cells each instance wrote — three at the process that proposed and
-// coordinated (proposal, acceptor, decision), two at a process that only
-// accepted and learned — and none of them comes back when the log is
-// reopened.
+// cells each instance wrote — three at a process that proposed (proposal,
+// acceptor, decision), two at a process that only accepted and learned —
+// and none of them comes back when the log is reopened. One row has p0
+// alone propose, the other raises the floor over instances every process
+// proposed to.
 func TestDiscardBelow(t *testing.T) {
-	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
-	wals := make([]*storage.WAL, len(dirs))
-	accts := make([]*storage.Accounted, len(dirs))
-	stores := make([]storage.Stable, len(dirs))
-	for p, dir := range dirs {
-		w, err := storage.OpenWAL(dir, storage.WALOptions{NoSync: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer w.Close()
-		wals[p], accts[p] = w, storage.NewAccounted(w)
-		stores[p] = accts[p]
-	}
-	tc := newStoppedCluster(t, PolicyLeader, transport.MemOptions{Seed: 19}, stores)
-	for p := range tc.procs {
-		tc.start(ids.ProcessID(p), 1)
-	}
-	defer tc.stopAll()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	// p0 alone proposes (and, as the leader, coordinates); p1 only accepts
-	// and learns.
-	for k := uint64(0); k < 5; k++ {
-		if err := tc.procs[0].eng.Propose(k, val(0, k)); err != nil {
-			t.Fatal(err)
-		}
-		for p := 0; p < 2; p++ {
-			if _, err := tc.procs[p].eng.WaitDecided(ctx, k); err != nil {
-				t.Fatal(err)
+	for _, row := range []struct {
+		name      string
+		proposers []int    // in proposing order; p0, the leader, last
+		cells     [2]int64 // cells per instance at p0 and at p1
+	}{
+		{"one proposer", []int{0}, [2]int64{3, 2}},
+		{"every process proposes", []int{2, 1, 0}, [2]int64{3, 3}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
+			wals := make([]*storage.WAL, len(dirs))
+			accts := make([]*storage.Accounted, len(dirs))
+			stores := make([]storage.Stable, len(dirs))
+			for p, dir := range dirs {
+				w, err := storage.OpenWAL(dir, storage.WALOptions{NoSync: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer w.Close()
+				wals[p], accts[p] = w, storage.NewAccounted(w)
+				stores[p] = accts[p]
 			}
-		}
-	}
-	for p, want := range []int64{3 * 3, 3 * 2} {
-		before := accts[p].Layer("cons").DeleteOps
-		if err := tc.procs[p].eng.DiscardBelow(3); err != nil {
-			t.Fatal(err)
-		}
-		if got := accts[p].Layer("cons").DeleteOps - before; got != want {
-			t.Fatalf("p%d: discarding three instances cost %d deletes, want %d", p, got, want)
-		}
-	}
-	if _, ok := tc.procs[0].eng.Proposal(2); ok {
-		t.Fatal("proposal 2 should be discarded")
-	}
-	if _, ok := tc.procs[0].eng.DecidedLocal(2); ok {
-		t.Fatal("decision 2 should be discarded")
-	}
-	if err := tc.procs[0].eng.Propose(2, []byte("x")); err == nil {
-		t.Fatal("propose below floor should fail")
-	}
-	// Instances at/above the floor are intact.
-	if _, ok := tc.procs[0].eng.DecidedLocal(4); !ok {
-		t.Fatal("decision 4 should survive")
-	}
-
-	// Keys below the floor are gone from stable storage, and stay gone
-	// when the log is replayed from disk.
-	tc.stopAll()
-	for p := 0; p < 2; p++ {
-		if err := wals[p].Close(); err != nil {
-			t.Fatal(err)
-		}
-		re, err := storage.OpenWAL(dirs[p], storage.WALOptions{NoSync: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer re.Close()
-		keys, err := re.List("cons/")
-		if err != nil {
-			t.Fatal(err)
-		}
-		kept := 0
-		for _, key := range keys {
-			if _, k, ok := parseKey(key); ok && k < 3 {
-				t.Fatalf("p%d: stale key %s", p, key)
-			} else if ok {
-				kept++
+			tc := newStoppedCluster(t, PolicyLeader, transport.MemOptions{Seed: 19}, stores)
+			for p := range tc.procs {
+				tc.start(ids.ProcessID(p), 1)
 			}
-		}
-		if want := []int{2 * 3, 2 * 2}[p]; kept != want {
-			t.Fatalf("p%d: %d cells at or above the floor, want %d: %v", p, kept, want, keys)
-		}
+			defer tc.stopAll()
+
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			// The leader proposes last: a process that learns the decision
+			// first logs no proposal. A process that does not propose only
+			// accepts and learns.
+			for k := uint64(0); k < 5; k++ {
+				for _, p := range row.proposers {
+					if err := tc.procs[p].eng.Propose(k, val(p, k)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for p := 0; p < 2; p++ {
+					if _, err := tc.procs[p].eng.WaitDecided(ctx, k); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for p, cells := range row.cells {
+				before := accts[p].Layer("cons").DeleteOps
+				if err := tc.procs[p].eng.DiscardBelow(3); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := accts[p].Layer("cons").DeleteOps-before, 3*cells; got != want {
+					t.Fatalf("p%d: discarding three instances cost %d deletes, want %d", p, got, want)
+				}
+			}
+			if _, ok := tc.procs[0].eng.Proposal(2); ok {
+				t.Fatal("proposal 2 should be discarded")
+			}
+			if _, ok := tc.procs[0].eng.DecidedLocal(2); ok {
+				t.Fatal("decision 2 should be discarded")
+			}
+			if err := tc.procs[0].eng.Propose(2, []byte("x")); err == nil {
+				t.Fatal("propose below floor should fail")
+			}
+			// Instances at/above the floor are intact.
+			if _, ok := tc.procs[0].eng.DecidedLocal(4); !ok {
+				t.Fatal("decision 4 should survive")
+			}
+
+			// Keys below the floor are gone from stable storage, and stay
+			// gone when the log is replayed from disk.
+			tc.stopAll()
+			for p, cells := range row.cells {
+				if err := wals[p].Close(); err != nil {
+					t.Fatal(err)
+				}
+				re, err := storage.OpenWAL(dirs[p], storage.WALOptions{NoSync: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer re.Close()
+				keys, err := re.List("cons/")
+				if err != nil {
+					t.Fatal(err)
+				}
+				var kept int64
+				for _, key := range keys {
+					if _, k, ok := parseKey(key); ok && k < 3 {
+						t.Fatalf("p%d: stale key %s", p, key)
+					} else if ok {
+						kept++
+					}
+				}
+				if want := 2 * cells; kept != want {
+					t.Fatalf("p%d: %d cells at or above the floor, want %d: %v", p, kept, want, keys)
+				}
+			}
+		})
 	}
 }
 

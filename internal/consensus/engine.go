@@ -463,14 +463,12 @@ func (e *Engine) DiscardBelow(k uint64) error {
 
 	// Issue all the deletes, then wait: on a group-commit engine the whole
 	// discard shares a handful of fsyncs instead of paying one per cell.
-	// Waiting newest first means only the first wait blocks (and makes a
-	// channel): a log resolves in order, so the rest have resolved by then.
 	dels := make([]*storage.Completion, len(keys))
 	for i, key := range keys {
 		dels[i] = e.ast.DeleteAsync(key)
 	}
-	for i := len(dels) - 1; i >= 0; i-- {
-		if err := dels[i].Wait(); err != nil {
+	for i, c := range dels {
+		if err := c.Wait(); err != nil {
 			return fmt.Errorf("consensus: discard %s: %w", keys[i], err)
 		}
 	}

@@ -71,26 +71,6 @@ func decideFrom(tc *testCluster, proposer int, from, to uint64) {
 	}
 }
 
-// decideUntilLeased decides instances from k on, one at a time from one
-// proposer, until that proposer holds a lease, and returns the next
-// undecided instance. The request a classically decided round sends races
-// the next instance's prepare to the acceptors; the rare one that loses is
-// nacked, and the retry waits out a cooldown longer than many calm
-// in-memory rounds — so a fixed handful of rounds acquires the lease almost
-// always, not always.
-func decideUntilLeased(tc *testCluster, proposer int, k uint64) uint64 {
-	tc.t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for !tc.procs[proposer].eng.LeaseStats().Held {
-		if time.Now().After(deadline) {
-			tc.t.Fatalf("p%d holds no lease after deciding up to instance %d: %+v", proposer, k, tc.procs[proposer].eng.LeaseStats())
-		}
-		decideFrom(tc, proposer, k, k+1)
-		k++
-	}
-	return k
-}
-
 // TestLeaseFastRoundsSkipPrepare: with a stable proposer, the lease turns
 // the steady state into accept-phase-only rounds. The first instance (or
 // few, under message loss) runs full consensus and piggybacks the lease
@@ -101,8 +81,7 @@ func TestLeaseFastRoundsSkipPrepare(t *testing.T) {
 	defer tc.stopAll()
 
 	const rounds = 30
-	k := decideUntilLeased(tc, 0, 0)
-	decideFrom(tc, 0, k, k+rounds)
+	decideFrom(tc, 0, 0, rounds)
 
 	ls := tc.procs[0].eng.LeaseStats()
 	if ls.Acquired == 0 {
@@ -124,8 +103,7 @@ func TestLeaseRevokeFallsBackToFullConsensus(t *testing.T) {
 	tc := newLeaseCluster(t, 3, transport.MemOptions{Seed: 5}, time.Second)
 	defer tc.stopAll()
 
-	k := decideUntilLeased(tc, 0, 0)
-	decideFrom(tc, 0, k, k+10)
+	decideFrom(tc, 0, 0, 10)
 	before := tc.procs[0].eng.LeaseStats()
 	if before.FastRounds == 0 {
 		t.Fatalf("precondition: fast path never engaged: %+v", before)
@@ -136,8 +114,7 @@ func TestLeaseRevokeFallsBackToFullConsensus(t *testing.T) {
 		t.Fatalf("lease still held after revoke: %+v", ls)
 	}
 
-	k = decideUntilLeased(tc, 0, k+10)
-	decideFrom(tc, 0, k, k+10)
+	decideFrom(tc, 0, 10, 20)
 	after := tc.procs[0].eng.LeaseStats()
 	if after.Fallbacks <= before.Fallbacks {
 		t.Fatalf("revocation not recorded as a fallback: before=%+v after=%+v", before, after)

@@ -181,6 +181,31 @@ func TestAdaptiveBatchSizeTrigger(t *testing.T) {
 	})
 }
 
+// TestBatchScratchKeepsNoStaleMessage: assembleBatch reuses one slice for
+// the pending set; a pass that finds fewer pending messages than the last
+// must not leave the last pass's messages (and their payloads) reachable
+// behind its own.
+func TestBatchScratchKeepsNoStaleMessage(t *testing.T) {
+	p, _, _ := newTestProtocol(Config{PipelineDepth: 2})
+	for i := 0; i < 5; i++ {
+		if _, err := p.BroadcastAsync(make([]byte, 32)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if batch, _, ok := p.assembleBatch(0); !ok || len(batch) != 5 {
+		t.Fatalf("round 0: batch of %d, ok=%v, want all 5 messages", len(batch), ok)
+	}
+	// All five are in flight in round 0: round 1 has nothing pending.
+	if batch, _, ok := p.assembleBatch(1); ok || len(batch) != 0 {
+		t.Fatalf("round 1: batch of %d, ok=%v, want nothing to propose", len(batch), ok)
+	}
+	for i, m := range p.batchScratch[:cap(p.batchScratch)] {
+		if m.Payload != nil {
+			t.Fatalf("scratch[%d] still holds %v after a pass that used none of it", i, m.ID)
+		}
+	}
+}
+
 // TestPipelineReproposesLostMessages: when a round decides a competing
 // batch, our in-flight messages return to the pending pool and are
 // re-proposed in a later round — the liveness half of in-flight exclusion.

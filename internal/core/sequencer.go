@@ -302,6 +302,7 @@ func (p *Protocol) assembleBatch(r uint64) (batch []msg.Message, delay time.Dura
 		}
 		return nil, 0, true
 	}
+	used := len(p.batchScratch) // what the last pass left in the scratch
 	pending := p.batchScratch[:0]
 	pendingBytes := 0
 	for m := range p.unordered.All() {
@@ -310,6 +311,11 @@ func (p *Protocol) assembleBatch(r uint64) (batch []msg.Message, delay time.Dura
 		}
 		pending = append(pending, m)
 		pendingBytes += len(m.Payload)
+	}
+	if len(pending) < used {
+		// Same array, shorter fill: drop the last pass's tail, or the
+		// scratch would pin those payloads after they were delivered.
+		clear(pending[len(pending):used])
 	}
 	p.batchScratch = pending // keep what append grew
 	msg.SortCanonical(pending)
