@@ -26,10 +26,10 @@
 //     the total order is exactly the sequential protocol's; recovery
 //     replays (or skips, via state transfer) in-flight rounds from the
 //     consensus log.
-//   - MaxBatch / MaxBatchBytes / MaxBatchDelay control adaptive batching:
-//     pending messages aggregate into one proposal until the batch is full
-//     (size triggers) or the oldest pending message has waited
-//     MaxBatchDelay (time trigger), whichever comes first.
+//   - MaxBatchBytes / MaxBatchDelay control adaptive batching: pending
+//     messages aggregate into one proposal until the batch is full (size
+//     trigger) or the oldest pending message has waited MaxBatchDelay
+//     (time trigger), whichever comes first.
 //
 // Combining BatchedBroadcast with PipelineDepth 4 and a small MaxBatchDelay
 // is the recommended high-throughput configuration; it is the one the
@@ -38,19 +38,20 @@
 // # Group-commit durable logging
 //
 // On durable deployments the storage layer has the same shape of knob:
-// NewWALStorage returns a group-commit write-ahead log that coalesces the
-// log writes of all in-flight rounds and concurrent Broadcast calls into
-// one fsync (SyncEvery / MaxSyncDelay in ProtocolOptions), at durability
-// identical to sync-per-write NewFileStorage. The protocol issues its
-// persists asynchronously and acts on each only once the covering fsync
-// completes, as the paper's crash-recovery model requires (§2.1, §5.5).
+// NewWALStorage, the one durable engine, returns a group-commit write-ahead
+// log that coalesces the log writes of all in-flight rounds and concurrent
+// Broadcast calls into one fsync. Its durability policy (SyncEvery /
+// MaxSyncDelay) is set in WALOptions when the log is opened, and nowhere
+// else. The protocol issues its persists asynchronously and acts on each
+// only once the covering fsync completes, as the paper's crash-recovery
+// model requires (§2.1, §5.5).
 // The benchmark's storage.fsyncs_per_msg and storage.records_per_fsync
 // report how far the coalescing goes.
 //
 // # Sharded multi-group ordering
 //
-// Past the single sequencer's ceiling (PipelineDepth x MaxBatch messages
-// per consensus round trip), Sharded runs G independent ordering groups —
+// Past the single sequencer's ceiling (PipelineDepth batches per consensus
+// round trip), Sharded runs G independent ordering groups —
 // the paper's protocol instantiated G times — behind one API, one
 // multiplexed connection set (NewShardedNetwork) and one shared store
 // whose group-commit fsyncs all groups share. Keys are placed on groups
@@ -95,7 +96,7 @@
 //     ranged promise, multi-Paxos style): while the same process keeps
 //     proposing, each round skips the prepare phase entirely and runs
 //     accept-only at the lease ballot. FD suspicion, a competitor's higher
-//     ballot, or LeaseTTL expiry falls back to full consensus. Safety
+//     ballot, or lease expiry falls back to full consensus. Safety
 //     rests on ballots and quorum intersection, never on clocks, so the
 //     §2.1 crash-recovery durability contract is preserved verbatim.
 //
@@ -114,18 +115,17 @@
 // egress is O(1) in N), while consensus orders only ID+checksum vectors.
 // Delivery is gated on "ID ordered AND payload present": a decided ID
 // whose payload has not arrived yet parks the delivery cursor and issues
-// a targeted pull over the digest-gossip repair path; the cursor advances
+// a targeted pull over the gossip repair path; the cursor advances
 // the moment the payload lands, so loss or a crashed ring successor costs
 // latency, never safety. The ring heals around suspects automatically,
 // and recovery is unchanged — the unordered log persists payloads
 // locally, so replay re-resolves decided ID vectors against it.
 //
 // RingDissem changes the proposal wire format: every process of a
-// deployment must enable it together (it forces DigestGossip on). Enable
-// it when payloads are large (>= a few KiB) and throughput-bound; leave
-// it off for small-message or latency-critical workloads — the ring hop
-// chain adds a relay latency proportional to N before the last member
-// holds the payload.
+// deployment must enable it together. Enable it when payloads are large
+// (>= a few KiB) and throughput-bound; leave it off for small-message or
+// latency-critical workloads — the ring hop chain adds a relay latency
+// proportional to N before the last member holds the payload.
 //
 // # Elastic resharding
 //
@@ -163,13 +163,14 @@
 // A sharded process's background costs do not scale with G: one
 // process-level failure detector serves every group through per-group
 // facades (the paper's liveness oracle is per process, §3.5 — the groups
-// of a process crash and recover together), DigestGossip replaces
-// periodic full-payload gossip with message-ID digests plus pull-based
-// repair, and NewShardedNetworkOpts coalesces small frames from all
-// groups into single transport writes (the network twin of the WAL's
-// group-commit). The benchmark's group.frames_per_msg and
-// group.coalesce_ratio on sharded-closed report it; the README's
-// "Performance tuning" section covers the knobs.
+// of a process crash and recover together), the periodic gossip carries
+// message-ID digests with pull-based repair (a payload crosses a link in
+// the eager push, and again only when a peer pulls it), and
+// NewShardedNetworkOpts coalesces small frames from all groups into single
+// transport writes (the network twin of the WAL's group-commit). The
+// benchmark's group.frames_per_msg and group.coalesce_ratio on
+// sharded-closed report it; the README's "Performance tuning" section
+// covers the knobs.
 //
 // # Quickstart
 //
@@ -317,25 +318,14 @@ type ProtocolOptions struct {
 	// dissemination fair-lossy-proof; shorter intervals spread messages
 	// and round news faster at more background traffic.
 	GossipInterval time.Duration
-	// GossipMaxMessages caps the unordered messages advertised per gossip
-	// frame (zero uses the default, 512). Larger Unordered backlogs are
-	// covered by rotating the window across ticks.
-	GossipMaxMessages int
-	// DigestGossip switches the periodic gossip from full payloads to
-	// message-ID digests with pull-based repair: steady-state background
-	// bandwidth drops from O(|Unordered| * payload bytes) to
-	// O(|Unordered|) IDs, while the eager delta push and recovery
-	// catch-up keep working unchanged. See the README's performance
-	// tuning section.
-	DigestGossip bool
 	// RingDissem enables the ordering/dissemination split: payloads
 	// stream around a failure-detector-derived successor ring while
 	// consensus orders ID+checksum vectors, making per-process egress
 	// O(1) in N instead of the coordinator's O(N x payload). Delivery is
 	// gated on payload presence, with missing payloads pulled over the
-	// digest repair path. Every process of the deployment must set it
-	// together (the proposal wire format changes); it forces DigestGossip
-	// on. See the package comment's "Dissemination" section.
+	// gossip repair path. Every process of the deployment must set it
+	// together (the proposal wire format changes). See the package
+	// comment's "Dissemination" section.
 	RingDissem bool
 
 	// PipelineDepth is the number of consensus rounds that may be in
@@ -344,9 +334,6 @@ type ProtocolOptions struct {
 	// with round k's decision latency for higher throughput. Deliveries
 	// always commit in round order, so the total order is unchanged.
 	PipelineDepth int
-	// MaxBatch caps the messages aggregated into one proposal (0 = no
-	// cap).
-	MaxBatch int
 	// MaxBatchBytes caps the cumulative payload bytes aggregated into
 	// one proposal (0 = no cap); a batch at the cap is "full" and is
 	// proposed immediately.
@@ -371,27 +358,11 @@ type ProtocolOptions struct {
 	// keeps proposing (the common case), each round skips the consensus
 	// prepare phase and runs accept-only at a quorum-granted ballot,
 	// cutting a full message round trip plus its acceptor fsync from the
-	// commit path. Suspicion, competition, or LeaseTTL expiry falls back
+	// commit path. Suspicion, competition, or lease expiry falls back
 	// to full consensus; crash-recovery safety is untouched (the grant is
 	// a durable ranged promise, arbitrated by ballots, not clocks).
 	// PolicyLeader only; ignored under PolicyRotating.
 	Lease bool
-	// LeaseTTL bounds how long a holder keeps trying the fast path
-	// without a successful round (default 500ms). A liveness knob only.
-	LeaseTTL time.Duration
-
-	// SyncEvery and MaxSyncDelay set the storage durability policy when
-	// the process runs over a group-commit engine (NewWALStorage): an
-	// fsync is forced once SyncEvery log records are pending, or when
-	// the oldest pending record has waited MaxSyncDelay — the storage
-	// twin of the MaxBatch/MaxBatchDelay triggers above. Every setting
-	// preserves the §2.1 durability contract (no protocol action before
-	// the covering fsync); the knobs only trade commit latency against
-	// fsyncs per record. Zero values keep the engine's defaults; both
-	// are ignored by engines without a group-commit pipeline (Mem,
-	// File).
-	SyncEvery    int
-	MaxSyncDelay time.Duration
 }
 
 // Validate rejects nonsensical options — negative depths, counts or
@@ -406,14 +377,9 @@ func (o ProtocolOptions) Validate() error {
 	}
 	neg("CheckpointEvery", o.CheckpointEvery < 0)
 	neg("GossipInterval", o.GossipInterval < 0)
-	neg("GossipMaxMessages", o.GossipMaxMessages < 0)
 	neg("PipelineDepth", o.PipelineDepth < 0)
-	neg("MaxBatch", o.MaxBatch < 0)
 	neg("MaxBatchBytes", o.MaxBatchBytes < 0)
 	neg("MaxBatchDelay", o.MaxBatchDelay < 0)
-	neg("LeaseTTL", o.LeaseTTL < 0)
-	neg("SyncEvery", o.SyncEvery < 0)
-	neg("MaxSyncDelay", o.MaxSyncDelay < 0)
 	return errors.Join(errs...)
 }
 
@@ -422,31 +388,22 @@ type Process struct {
 	n *node.Node
 }
 
-// groupCommitter is implemented by storage engines whose durability
-// policy (group-commit triggers) is runtime-tunable — storage.WAL.
-type groupCommitter interface {
-	SetGroupCommit(syncEvery int, maxSyncDelay time.Duration)
-}
-
 // coreConfig maps the public protocol options onto the core layer's
 // config. NewProcess and NewSharded both build their per-node configs
 // from it, so a new ProtocolOptions knob wired here reaches sharded and
 // unsharded deployments alike.
 func (o ProtocolOptions) coreConfig() core.Config {
 	return core.Config{
-		CheckpointEvery:   o.CheckpointEvery,
-		Delta:             o.Delta,
-		BatchedBroadcast:  o.BatchedBroadcast,
-		IncrementalLog:    o.IncrementalLog,
-		Checkpointer:      o.Checkpointer,
-		GossipInterval:    o.GossipInterval,
-		GossipMaxMessages: o.GossipMaxMessages,
-		DigestGossip:      o.DigestGossip,
-		PipelineDepth:     o.PipelineDepth,
-		MaxBatch:          o.MaxBatch,
-		MaxBatchBytes:     o.MaxBatchBytes,
-		MaxBatchDelay:     o.MaxBatchDelay,
-		IdleHeartbeat:     max(o.IdleHeartbeat, 0),
+		CheckpointEvery:  o.CheckpointEvery,
+		Delta:            o.Delta,
+		BatchedBroadcast: o.BatchedBroadcast,
+		IncrementalLog:   o.IncrementalLog,
+		Checkpointer:     o.Checkpointer,
+		GossipInterval:   o.GossipInterval,
+		PipelineDepth:    o.PipelineDepth,
+		MaxBatchBytes:    o.MaxBatchBytes,
+		MaxBatchDelay:    o.MaxBatchDelay,
+		IdleHeartbeat:    max(o.IdleHeartbeat, 0),
 	}
 }
 
@@ -454,17 +411,8 @@ func (o ProtocolOptions) coreConfig() core.Config {
 // coordinator policy onto the consensus layer's config.
 func (o ProtocolOptions) consensusConfig(policy ConsensusPolicy) consensus.Config {
 	return consensus.Config{
-		Policy:   policy,
-		Lease:    o.Lease,
-		LeaseTTL: o.LeaseTTL,
-	}
-}
-
-// applyGroupCommit applies the options' storage durability policy to st
-// when st is a group-commit engine and a policy is set.
-func (o ProtocolOptions) applyGroupCommit(st Storage) {
-	if gc, ok := st.(groupCommitter); ok && (o.SyncEvery > 0 || o.MaxSyncDelay > 0) {
-		gc.SetGroupCommit(o.SyncEvery, o.MaxSyncDelay)
+		Policy: policy,
+		Lease:  o.Lease,
 	}
 }
 
@@ -473,17 +421,10 @@ func (o ProtocolOptions) applyGroupCommit(st Storage) {
 // the same Network must be shared by the whole group. Invalid options
 // (negative depths, counts or delays) are rejected with an explicit
 // error.
-//
-// When st is a group-commit engine (NewWALStorage) and the protocol
-// options carry a durability policy (SyncEvery / MaxSyncDelay), the policy
-// is applied to the engine here, so one ProtocolOptions value describes
-// both halves of the pipeline: how messages batch into rounds and how the
-// rounds' log records batch into fsyncs.
 func NewProcess(cfg Config, st Storage, net Network) (*Process, error) {
 	if err := cfg.Protocol.Validate(); err != nil {
 		return nil, err
 	}
-	cfg.Protocol.applyGroupCommit(st)
 	coreCfg := cfg.Protocol.coreConfig()
 	coreCfg.OnDeliver = cfg.OnDeliver
 	coreCfg.OnRestore = cfg.OnRestore
@@ -590,23 +531,17 @@ func NewTCPNetwork(addrs []string) *transport.TCP {
 // real OS keeps files across process restarts).
 func NewMemStorage() *storage.Mem { return storage.NewMem() }
 
-// NewFileStorage creates file-backed stable storage rooted at dir. With
-// syncWrites every log write is fsynced — one fsync per record. For the
-// high-throughput engine at the same durability, use NewWALStorage.
-func NewFileStorage(dir string, syncWrites bool) (*storage.File, error) {
-	return storage.NewFile(dir, syncWrites)
-}
-
-// WALOptions tunes the group-commit write-ahead-log engine.
+// WALOptions tunes the group-commit write-ahead-log engine; its SyncEvery
+// and MaxSyncDelay are the durability policy (how many records, or how
+// long, one fsync may wait for company).
 type WALOptions = storage.WALOptions
 
 // NewWALStorage creates group-commit write-ahead-log storage rooted at
 // dir: one segmented append-only log, CRC framing, torn-tail recovery, and
 // a committer that coalesces all concurrent writes into one fsync. A
 // Put/Append returns (and the protocol acts) only once the fsync covering
-// its record completes, so durability is identical to NewFileStorage with
-// syncWrites — at a fraction of the fsyncs (the benchmark's
-// storage.fsyncs_per_msg). Close it
+// its record completes, so durability is that of one fsync per write at a
+// fraction of the fsyncs (the benchmark's storage.fsyncs_per_msg). Close it
 // when the process is retired; crashes need no cleanup (reopen replays the
 // durable prefix and truncates any torn tail).
 func NewWALStorage(dir string, opts WALOptions) (*storage.WAL, error) {

@@ -123,7 +123,7 @@ func TestPublicAPICrashRecover(t *testing.T) {
 
 // TestPublicAPIWALStorage runs the pipelined+batched stack over the
 // group-commit WAL engine through the public API, with the durability
-// policy set via ProtocolOptions (SyncEvery / MaxSyncDelay), and exercises
+// policy set where it lives (WALOptions SyncEvery / MaxSyncDelay), and exercises
 // a crash-faithful recovery: the crashed process's WAL is CLOSED and
 // reopened from disk, so the recovered incarnation sees exactly the
 // durable prefix (the reopened engine's replay of the segment files), not
@@ -139,13 +139,12 @@ func TestPublicAPIWALStorage(t *testing.T) {
 		BatchedBroadcast: true,
 		IncrementalLog:   true,
 		MaxBatchDelay:    200 * time.Microsecond,
-		SyncEvery:        32,
-		MaxSyncDelay:     300 * time.Microsecond,
 	}
+	walOpts := abcast.WALOptions{SyncEvery: 32, MaxSyncDelay: 300 * time.Microsecond}
 	stores := make([]*storage.WAL, n)
 	for pid := 0; pid < n; pid++ {
 		pid := pid
-		st, err := abcast.NewWALStorage(fmt.Sprintf("%s/p%d", dir, pid), abcast.WALOptions{})
+		st, err := abcast.NewWALStorage(fmt.Sprintf("%s/p%d", dir, pid), walOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +195,7 @@ func TestPublicAPIWALStorage(t *testing.T) {
 	if err := stores[1].Close(); err != nil {
 		t.Fatal(err)
 	}
-	st1, err := abcast.NewWALStorage(fmt.Sprintf("%s/p%d", dir, 1), abcast.WALOptions{})
+	st1, err := abcast.NewWALStorage(fmt.Sprintf("%s/p%d", dir, 1), walOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

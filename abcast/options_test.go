@@ -41,6 +41,28 @@ func TestProtocolOptionsValidateRejectsNegatives(t *testing.T) {
 	}
 }
 
+// TestProtocolOptionsSurface pins the option surface: every field is one
+// more value tests, soaks and the benchmark must cover, so adding one means
+// editing this list and saying here which two callers need different values
+// (a single value in use is a constant; storage policy belongs to
+// WALOptions, lease timing to consensus.Config).
+func TestProtocolOptionsSurface(t *testing.T) {
+	want := []string{
+		"CheckpointEvery", "Delta", "BatchedBroadcast", "IncrementalLog", "Checkpointer",
+		"GossipInterval", "RingDissem",
+		"PipelineDepth", "MaxBatchBytes", "MaxBatchDelay",
+		"IdleHeartbeat", "Lease",
+	}
+	typ := reflect.TypeOf(ProtocolOptions{})
+	var got []string
+	for i := 0; i < typ.NumField(); i++ {
+		got = append(got, typ.Field(i).Name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ProtocolOptions fields = %v, want %v", got, want)
+	}
+}
+
 // TestProtocolOptionsValidateAllowsNegativeIdleHeartbeat documents the one
 // deliberate exception: a negative IdleHeartbeat is the explicit opt-out
 // from merged-mode heartbeats, not a misconfiguration.
@@ -74,9 +96,9 @@ func TestNewShardedRejectsInvalidOptions(t *testing.T) {
 	_, err := NewSharded(ShardedConfig{
 		PID:      0,
 		N:        1,
-		Protocol: ProtocolOptions{SyncEvery: -1},
+		Protocol: ProtocolOptions{MaxBatchBytes: -1},
 	}, NewMemStorage(), net)
 	if err == nil {
-		t.Fatal("NewSharded accepted a negative SyncEvery")
+		t.Fatal("NewSharded accepted a negative MaxBatchBytes")
 	}
 }

@@ -279,9 +279,6 @@ func (s *Sharded) flight() *obs.Recorder {
 // engine all groups share fsyncs. The same store must be passed again
 // after a crash for recovery, and the same ShardedNetwork must be shared
 // by the whole cluster.
-//
-// As with NewProcess, a group-commit durability policy in cfg.Protocol
-// (SyncEvery / MaxSyncDelay) is applied to the store.
 func NewSharded(cfg ShardedConfig, st Storage, net *ShardedNetwork) (*Sharded, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -311,7 +308,6 @@ func NewSharded(cfg ShardedConfig, st Storage, net *ShardedNetwork) (*Sharded, e
 			s.peers = append(s.peers, pid)
 		}
 	}
-	cfg.Protocol.applyGroupCommit(st)
 
 	// Restore the persisted topology (a resharded deployment restarting)
 	// or fall back to the static epoch-0 shape of the network mux. The

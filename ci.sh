@@ -57,10 +57,12 @@ step_metrics() {
 }
 
 # Names this repository retired must not creep back into code or docs: the
-# experiments past E13 with their JSON files, the autotuner, and two design
-# documents that never existed.
+# experiments past E13 with their JSON files, the autotuner, two design
+# documents that never existed, the full-payload periodic gossip's selector
+# and cap, the file-per-key engine and the WAL's runtime policy setter.
 step_retired() {
 	local pat='DESIGN\.md|EXPERIMENTS\.md|BENCH_e[0-9]+|internal/tune|\bE(1[4-9]|2[0-2])\b'
+	pat+='|\bDigestGossip\b|NewFileStorage|storage\.NewFile\b|SetGroupCommit|\bGossipMaxMessages\b'
 	if grep -rnE "$pat" --include='*.go' . ||
 		grep -nE "$pat" README.md bench/README.md .github/workflows/ci.yml; then
 		echo "retired names found (above)"

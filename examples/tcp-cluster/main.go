@@ -1,8 +1,8 @@
 // Command tcp-cluster runs the full stack over real loopback TCP sockets
-// with file-backed, CRC-framed stable storage — the deployment
-// configuration rather than the simulation one. A process is crashed and
-// recovered from its on-disk log to show that recovery works end-to-end
-// through the production storage and transport engines.
+// with the fsyncing group-commit write-ahead log as stable storage — the
+// deployment configuration rather than the simulation one. A process is
+// crashed and recovered from its log to show that recovery works
+// end-to-end through the production storage and transport engines.
 package main
 
 import (
@@ -38,13 +38,12 @@ func run() error {
 	net := abcast.NewTCPNetwork(addrs)
 
 	procs := make([]*abcast.Process, n)
-	stores := make([]abcast.Storage, n)
 	for pid := 0; pid < n; pid++ {
-		st, err := abcast.NewFileStorage(filepath.Join(dir, fmt.Sprintf("p%d", pid)), false)
+		st, err := abcast.NewWALStorage(filepath.Join(dir, fmt.Sprintf("p%d", pid)), abcast.WALOptions{})
 		if err != nil {
 			return err
 		}
-		stores[pid] = st
+		defer st.Close() // runs after the process's Crash below
 		procs[pid], err = abcast.NewProcess(abcast.Config{
 			PID: abcast.ProcessID(pid),
 			N:   n,
@@ -72,12 +71,12 @@ func run() error {
 	// Crash p2 (its sockets close; peers' sends to it start failing) and
 	// recover it from the on-disk log.
 	procs[2].Crash()
-	fmt.Println("p2 crashed; recovering from file-backed storage...")
+	fmt.Println("p2 crashed; recovering from its write-ahead log...")
 	if err := procs[2].Start(ctx); err != nil {
 		return fmt.Errorf("recover p2: %w", err)
 	}
 	st := procs[2].Stats()
-	fmt.Printf("p2 replayed %d rounds from disk\n", st.ReplayedRounds)
+	fmt.Printf("p2 replayed %d rounds from its log\n", st.ReplayedRounds)
 
 	// p2 must still hold the full order and keep participating.
 	if !procs[2].Delivered(lastID) {

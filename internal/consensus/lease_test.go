@@ -71,24 +71,45 @@ func decideFrom(tc *testCluster, proposer int, from, to uint64) {
 	}
 }
 
+// decideUntilHeld drives instances from `from` on one proposer until it
+// holds a lease, and returns the next undriven instance. A decided round
+// sends one lease request, which can lose the race with the next instance's
+// prepare and then waits out a retry cooldown longer than a handful of
+// in-memory rounds; so the tests wait for the acquisition, round by round,
+// instead of assuming it lands within a fixed count.
+func decideUntilHeld(tc *testCluster, proposer int, from uint64) uint64 {
+	tc.t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	k := from
+	for !tc.procs[proposer].eng.LeaseStats().Held {
+		if ctx.Err() != nil {
+			tc.t.Fatalf("stable proposer never acquired a lease in %d rounds: %+v",
+				k-from, tc.procs[proposer].eng.LeaseStats())
+		}
+		decideFrom(tc, proposer, k, k+1)
+		k++
+	}
+	return k
+}
+
 // TestLeaseFastRoundsSkipPrepare: with a stable proposer, the lease turns
-// the steady state into accept-phase-only rounds. The first instance (or
-// few, under message loss) runs full consensus and piggybacks the lease
-// acquisition; subsequent instances from the same proposer must decide
-// without a prepare phase, which the FastRounds counter certifies.
+// the steady state into accept-phase-only rounds. The first instances run
+// full consensus and piggyback the lease acquisition; once it is held,
+// instances from the same proposer must decide without a prepare phase,
+// which the FastRounds counter certifies.
 func TestLeaseFastRoundsSkipPrepare(t *testing.T) {
 	tc := newLeaseCluster(t, 3, transport.MemOptions{Seed: 3}, time.Second)
 	defer tc.stopAll()
 
 	const rounds = 30
-	decideFrom(tc, 0, 0, rounds)
+	k := decideUntilHeld(tc, 0, 0)
+	before := tc.procs[0].eng.LeaseStats()
+	decideFrom(tc, 0, k, k+rounds)
 
 	ls := tc.procs[0].eng.LeaseStats()
-	if ls.Acquired == 0 {
-		t.Fatalf("stable proposer never acquired a lease: %+v", ls)
-	}
-	if ls.FastRounds < rounds/2 {
-		t.Fatalf("lease held but fast path barely used: %d fast of %d rounds (%+v)", ls.FastRounds, rounds, ls)
+	if fast := ls.FastRounds - before.FastRounds; fast < rounds/2 {
+		t.Fatalf("lease held but fast path barely used: %d fast of %d rounds (%+v)", fast, rounds, ls)
 	}
 	if !ls.Held {
 		t.Fatalf("lease dropped on a calm network: %+v", ls)
@@ -103,7 +124,9 @@ func TestLeaseRevokeFallsBackToFullConsensus(t *testing.T) {
 	tc := newLeaseCluster(t, 3, transport.MemOptions{Seed: 5}, time.Second)
 	defer tc.stopAll()
 
-	decideFrom(tc, 0, 0, 10)
+	const rounds = 10
+	k := decideUntilHeld(tc, 0, 0)
+	decideFrom(tc, 0, k, k+rounds)
 	before := tc.procs[0].eng.LeaseStats()
 	if before.FastRounds == 0 {
 		t.Fatalf("precondition: fast path never engaged: %+v", before)
@@ -114,7 +137,9 @@ func TestLeaseRevokeFallsBackToFullConsensus(t *testing.T) {
 		t.Fatalf("lease still held after revoke: %+v", ls)
 	}
 
-	decideFrom(tc, 0, 10, 20)
+	k = decideUntilHeld(tc, 0, k+rounds)
+	reacquired := tc.procs[0].eng.LeaseStats()
+	decideFrom(tc, 0, k, k+rounds)
 	after := tc.procs[0].eng.LeaseStats()
 	if after.Fallbacks <= before.Fallbacks {
 		t.Fatalf("revocation not recorded as a fallback: before=%+v after=%+v", before, after)
@@ -122,8 +147,8 @@ func TestLeaseRevokeFallsBackToFullConsensus(t *testing.T) {
 	if after.Acquired <= before.Acquired {
 		t.Fatalf("proposer never re-acquired after revoke: before=%+v after=%+v", before, after)
 	}
-	if after.FastRounds <= before.FastRounds {
-		t.Fatalf("fast path never resumed after re-acquisition: before=%+v after=%+v", before, after)
+	if after.FastRounds <= reacquired.FastRounds {
+		t.Fatalf("fast path never resumed after re-acquisition: reacquired=%+v after=%+v", reacquired, after)
 	}
 }
 

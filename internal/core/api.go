@@ -132,21 +132,6 @@ type Config struct {
 
 	// GossipInterval is the period of the gossip task (default 20ms).
 	GossipInterval time.Duration
-	// GossipMaxMessages caps the unordered messages piggybacked on one
-	// gossip (default 512); fairness only needs repetition, not size.
-	// When the Unordered set is larger, successive ticks rotate the
-	// window so every message is advertised within a few ticks.
-	GossipMaxMessages int
-	// DigestGossip makes the periodic gossip task advertise message IDs
-	// instead of shipping full payloads: receivers pull only the payloads
-	// they miss (anti-entropy). The eager delta push and the recovery
-	// round-discovery of §4.2 are unchanged; steady-state gossip
-	// bandwidth drops from O(|Unordered| * payload) to O(|Unordered|)
-	// IDs. Off by default (the paper's full-payload gossip).
-	DigestGossip bool
-	// MaxBatch caps the messages proposed to one Consensus instance
-	// (0 = no cap).
-	MaxBatch int
 	// MaxBatchBytes caps the cumulative payload bytes aggregated into one
 	// proposal (0 = no cap). Reaching the cap makes a batch "full", which
 	// overrides MaxBatchDelay's time trigger.
@@ -202,10 +187,9 @@ type Config struct {
 	// vectors (msg.IDRec) instead of bodies, and delivery is gated on
 	// "ID ordered ∧ payload present" — a decided round whose payloads have
 	// not all arrived parks until the missing ones are pulled over the
-	// digest-gossip repair path. DigestGossip is forced on (an eager
-	// full-payload gossip would defeat the split). Every process of a
-	// deployment must agree on this setting: ring-mode and full-payload
-	// proposals are different wire formats for the same consensus values.
+	// gossip repair path. Every process of a deployment must agree on this
+	// setting: ring-mode and full-payload proposals are different wire
+	// formats for the same consensus values.
 	Dissem Disseminator
 
 	// MergeFloor, when set, bounds how far a checkpoint may fold the
@@ -328,15 +312,13 @@ func (c *Config) fill() {
 	if c.GossipInterval <= 0 {
 		c.GossipInterval = 20 * time.Millisecond
 	}
-	if c.GossipMaxMessages <= 0 {
-		c.GossipMaxMessages = 512
-	}
-	if c.Dissem != nil {
-		// The split's steady-state gossip must be ID-only: payloads travel
-		// the ring, digests + pulls repair the holes.
-		c.DigestGossip = true
-	}
 }
+
+// gossipMaxMessages caps the messages one gossip frame carries or
+// advertises; fairness only needs repetition, not size. When the Unordered
+// set is larger, successive ticks rotate the window so every message is
+// advertised within a few ticks.
+const gossipMaxMessages = 512
 
 // Stats counts protocol events; all fields are cumulative for the
 // incarnation.
@@ -347,7 +329,7 @@ type Stats struct {
 	Broadcasts          uint64 // local A-broadcast invocations
 	GossipSent          uint64
 	GossipReceived      uint64
-	DigestsSent         uint64 // periodic gossips sent as ID digests
+	DigestsSent         uint64 // periodic gossips sent (always ID digests)
 	PullsSent           uint64 // pull requests sent for missing payloads
 	PullsServed         uint64 // pull requests answered with payloads
 	StateSent           uint64 // state messages sent (we were ahead)
@@ -370,6 +352,6 @@ type Stats struct {
 	RingPublished uint64 // payloads published to the dissemination ring
 	PayloadStalls uint64 // commit attempts deferred on a missing payload (ring mode)
 
-	BatchFullSeals  uint64 // proposals sealed by a size cap (MaxBatch/MaxBatchBytes)
+	BatchFullSeals  uint64 // proposals sealed by the size cap (MaxBatchBytes)
 	BatchTimerSeals uint64 // non-full proposals sealed by the time trigger (or immediately)
 }

@@ -49,7 +49,7 @@ func TestFairInterleaveSingleSenderUntouched(t *testing.T) {
 }
 
 // TestFairInterleaveBoundsTruncation drives the real overflow path: with a
-// MaxBatch smaller than one hot sender's backlog, the proposed batch must
+// batch cap smaller than one hot sender's backlog, the proposed batch must
 // still include every sender's head instead of only the lowest pid's run.
 func TestFairInterleaveBoundsTruncation(t *testing.T) {
 	pending := []msg.Message{

@@ -11,9 +11,9 @@ import (
 
 // Core-channel message subtypes.
 const (
-	subGossip uint8 = 1 // gossip(k_p, Unordered_p) — full payloads
+	subGossip uint8 = 1 // gossip(k_p, messages) — full payloads: eager push, pull reply
 	subState  uint8 = 2 // state(k_p - 1, Agreed_p)
-	subDigest uint8 = 3 // gossip(k_p, IDs of Unordered_p) — anti-entropy digest
+	subDigest uint8 = 3 // gossip(k_p, IDs of Unordered_p) — the periodic frame
 	subPull   uint8 = 4 // pull(IDs): please send these messages' payloads
 	subFloor  uint8 = 5 // floor(merge frontier, topology epoch, topology) — cluster GC floor
 )
@@ -37,16 +37,14 @@ func (p *Protocol) gossipTask() {
 	}
 }
 
-// sendGossip emits one periodic gossip frame. With DigestGossip the frame
-// carries (k_p, message IDs) — a few bytes per unordered message instead
-// of its payload; receivers pull only what they miss (see onDigest). The
-// round-discovery half of gossip (§4.2 — "discover the most up-to-date
-// round") rides k_p in both formats, so recovery catch-up is untouched;
-// payload dissemination to processes that missed the eager push happens
-// through the pull exchange (digest mode) or the full frame (classic
-// mode).
+// sendGossip emits one periodic gossip frame: (k_p, message IDs) — a few
+// bytes per unordered message instead of its payload; receivers pull only
+// what they miss (see onDigest). The round-discovery half of gossip (§4.2 —
+// "discover the most up-to-date round") rides k_p, and a process that
+// missed the eager push gets the payload through the pull exchange: the IDs
+// do the repeating, and a payload crosses a link again only after a loss.
 //
-// When the Unordered set exceeds GossipMaxMessages the window ROTATES
+// When the Unordered set exceeds gossipMaxMessages the window ROTATES
 // across ticks (gossipCursor): a fixed canonical-prefix truncation would
 // starve every message past the cut for as long as the set stays large —
 // fairness needs repetition of *all* of Unordered, not its head.
@@ -55,35 +53,22 @@ func (p *Protocol) sendGossip() {
 	p.lastGossip = time.Now()
 	k := p.k
 	snap := p.unordered.Slice()
-	max := p.cfg.GossipMaxMessages
-	digest := p.cfg.DigestGossip
-	var batch []msg.Message
-	if len(snap) > max {
+	batch := snap
+	if len(snap) > gossipMaxMessages {
 		start := p.gossipCursor % len(snap)
-		batch = make([]msg.Message, 0, max)
-		for i := 0; i < max; i++ {
+		batch = make([]msg.Message, 0, gossipMaxMessages)
+		for i := 0; i < gossipMaxMessages; i++ {
 			batch = append(batch, snap[(start+i)%len(snap)])
 		}
-		p.gossipCursor = (start + max) % len(snap)
+		p.gossipCursor = (start + gossipMaxMessages) % len(snap)
 	} else {
-		batch = snap
 		p.gossipCursor = 0
-		if !digest {
-			// Every pending eager payload just shipped in this frame. A
-			// digest ships only IDs, so in digest mode the buffer is
-			// never "covered" here — the eager path still owes peers the
-			// payload push.
-			p.eagerBuf = nil
-		}
 	}
-	// Messages the frame did not carry as payloads (past the rotating
-	// window, or advertised only by ID): keep the eager buffer armed so
-	// the delta path pushes them promptly.
+	// The frame advertises IDs only, so it never covers the eager buffer:
+	// the delta path still owes peers the payload push.
 	pending := len(p.eagerBuf) > 0
 	p.met.gossipSent.Inc()
-	if digest {
-		p.met.digestsSent.Inc()
-	}
+	p.met.digestsSent.Inc()
 	// Ring mode: a payload-starved round must not rely on a single pull
 	// surviving the fair-lossy net. Re-pull its still-missing payloads
 	// every tick (per-message rate limit in lastPull applies) and poke the
@@ -108,11 +93,7 @@ func (p *Protocol) sendGossip() {
 	}
 	p.mu.Unlock()
 
-	if digest {
-		p.digestFrame(k, batch)
-	} else {
-		p.gossipFrame(k, batch, ids.Nobody)
-	}
+	p.digestFrame(k, batch)
 	if fs := p.cfg.FloorSelf; fs != nil {
 		// Piggyback the merge-floor frame on the periodic gossip cadence:
 		// peers fold it into their cluster-floor view (group.FloorTracker),
@@ -139,8 +120,8 @@ func (p *Protocol) sendGossip() {
 }
 
 // gossipFrame encodes one gossip(k, batch) full-payload frame — the shared
-// wire format of the periodic (classic mode), eager, and pull-reply paths
-// — and multisends it (to == ids.Nobody) or sends it to one peer.
+// wire format of the eager and pull-reply paths — and multisends it
+// (to == ids.Nobody) or sends it to one peer.
 func (p *Protocol) gossipFrame(k uint64, batch []msg.Message, to ids.ProcessID) {
 	w := wire.GetWriter(16 + msg.BatchSize(batch))
 	w.U8(subGossip)
@@ -185,13 +166,12 @@ func (p *Protocol) digestFrame(k uint64, batch []msg.Message) {
 // for the next periodic tick. Unlike the periodic task it sends only the
 // delta — re-sending the whole Unordered set per broadcast would make the
 // hot path quadratic under load; repetition (which fairness needs) is the
-// periodic task's job. It always ships full payloads, including in digest
-// mode: the delta is exactly the data peers cannot have yet, so an
-// ID-only frame would only add a pull round-trip. A tiny guard coalesces
-// very tight submission loops (it must stay well under the gossip
-// interval, or it phase-locks onto the periodic ticker and every broadcast
-// waits a full tick); messages skipped by the guard stay buffered for the
-// next flush.
+// periodic task's job. It ships full payloads: the delta is exactly the
+// data peers cannot have yet, so an ID-only frame would only add a pull
+// round-trip. A tiny guard coalesces very tight submission loops (it must
+// stay well under the gossip interval, or it phase-locks onto the periodic
+// ticker and every broadcast waits a full tick); messages skipped by the
+// guard stay buffered for the next flush.
 func (p *Protocol) eagerGossip() {
 	p.mu.Lock()
 	if len(p.eagerBuf) == 0 {
@@ -219,9 +199,9 @@ func (p *Protocol) eagerGossip() {
 		return
 	}
 	batch := p.eagerBuf
-	if len(batch) > p.cfg.GossipMaxMessages {
-		p.eagerBuf = batch[p.cfg.GossipMaxMessages:]
-		batch = batch[:p.cfg.GossipMaxMessages]
+	if len(batch) > gossipMaxMessages {
+		p.eagerBuf = batch[gossipMaxMessages:]
+		batch = batch[:gossipMaxMessages]
 	} else {
 		p.eagerBuf = nil
 	}
@@ -435,7 +415,7 @@ func (p *Protocol) onPull(from ids.ProcessID, r *wire.Reader) {
 	p.mu.Lock()
 	batch := make([]msg.Message, 0, len(idList))
 	for _, id := range idList {
-		if len(batch) >= p.cfg.GossipMaxMessages {
+		if len(batch) >= gossipMaxMessages {
 			break // the next digest tick re-advertises the rest
 		}
 		if m, ok := p.unordered.Get(id); ok {

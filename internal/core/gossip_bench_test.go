@@ -18,10 +18,10 @@ func benchBatch(n, payload int) []msg.Message {
 	return out
 }
 
-// BenchmarkGossipFrameEncode measures the periodic gossip encode paths:
-// the full-payload frame (classic mode) versus the ID digest. The digest
-// is what makes steady-state anti-entropy O(IDs) instead of O(payloads) —
-// the byte counts reported per op ARE the per-tick background cost.
+// BenchmarkGossipFrameEncode measures the two gossip encode paths: the
+// full-payload frame (eager push, pull reply) versus the periodic ID
+// digest. The digest is what makes steady-state anti-entropy O(IDs) instead
+// of O(payloads) — its byte count per op IS the per-tick background cost.
 func BenchmarkGossipFrameEncode(b *testing.B) {
 	for _, n := range []int{16, 256} {
 		batch := benchBatch(n, 256)

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
 	"repro/internal/ids"
 	"repro/internal/msg"
+	"repro/internal/storage"
 	"repro/internal/wire"
 )
 
@@ -31,95 +33,81 @@ func decodeFrame(t *testing.T, frame []byte) (uint8, *wire.Reader) {
 	return r.U8(), r
 }
 
-// frameIDs returns the message IDs advertised by one gossip or digest
-// frame.
+// frameIDs returns the message IDs advertised by one digest frame.
 func frameIDs(t *testing.T, frame []byte) []ids.MsgID {
 	t.Helper()
 	sub, r := decodeFrame(t, frame)
-	r.U64() // k
-	switch sub {
-	case subGossip:
-		batch := msg.DecodeBatch(r)
-		out := make([]ids.MsgID, 0, len(batch))
-		for _, mm := range batch {
-			out = append(out, mm.ID)
-		}
-		return out
-	case subDigest:
-		return msg.DecodeIDs(r)
-	default:
+	if sub != subDigest {
 		t.Fatalf("unexpected subtype %d", sub)
-		return nil
 	}
+	r.U64() // k
+	return msg.DecodeIDs(r)
+}
+
+// backlog returns n unordered messages of one sender, more than one gossip
+// frame advertises when n > gossipMaxMessages.
+func backlog(n int) []msg.Message {
+	all := make([]msg.Message, 0, n)
+	for seq := uint64(1); seq <= uint64(n); seq++ {
+		all = append(all, m(1, 1, seq))
+	}
+	return all
 }
 
 // TestGossipRotationCoversWholeSet is the truncation-starvation
-// regression: with GossipMaxMessages below the Unordered size, successive
-// periodic ticks must rotate the window so every message — including the
-// ones past the truncation point, which a fixed canonical-prefix cut
-// would starve for as long as the set stays large — is advertised within
-// ceil(len/max) ticks. Verified for both the classic full-payload frames
-// and the digest frames.
+// regression: with an Unordered set larger than gossipMaxMessages,
+// successive periodic ticks must rotate the window so every message —
+// including the ones past the truncation point, which a fixed
+// canonical-prefix cut would starve for as long as the set stays large — is
+// advertised within ceil(len/max) ticks.
 func TestGossipRotationCoversWholeSet(t *testing.T) {
-	for _, digest := range []bool{false, true} {
-		name := "full"
-		if digest {
-			name = "digest"
-		}
-		t.Run(name, func(t *testing.T) {
-			p, net, _ := newTestProtocol(Config{GossipMaxMessages: 2, DigestGossip: digest})
-			var all []msg.Message
-			for seq := uint64(1); seq <= 6; seq++ {
-				all = append(all, m(1, 1, seq))
-			}
-			addUnordered(p, all...)
+	p, net, _ := newTestProtocol(Config{})
+	all := backlog(2*gossipMaxMessages + 100)
+	addUnordered(p, all...)
 
-			seen := make(map[ids.MsgID]bool)
-			for tick := 0; tick < 3; tick++ {
-				p.sendGossip()
-			}
-			net.mu.Lock()
-			frames := append([][]byte(nil), net.multi...)
-			net.mu.Unlock()
-			for _, frame := range frames {
-				if got := frameIDs(t, frame); len(got) > 2 {
-					t.Fatalf("frame advertised %d messages, cap is 2", len(got))
-				} else {
-					for _, id := range got {
-						seen[id] = true
-					}
-				}
-			}
-			for _, mm := range all {
-				if !seen[mm.ID] {
-					t.Fatalf("message %v past the truncation point never advertised in 3 ticks", mm.ID)
-				}
-			}
-		})
+	seen := make(map[ids.MsgID]bool)
+	for tick := 0; tick < 3; tick++ {
+		p.sendGossip()
+	}
+	for _, frame := range net.takeMulti() {
+		got := frameIDs(t, frame)
+		if len(got) > gossipMaxMessages {
+			t.Fatalf("frame advertised %d messages, cap is %d", len(got), gossipMaxMessages)
+		}
+		for _, id := range got {
+			seen[id] = true
+		}
+	}
+	for _, mm := range all {
+		if !seen[mm.ID] {
+			t.Fatalf("message %v past the truncation point never advertised in 3 ticks", mm.ID)
+		}
 	}
 }
 
 // TestGossipRotationReachesPeer drives the same scenario end to end at
-// the handler level: messages that were never eager-pushed sit in p0's
-// Unordered set past the truncation point; after enough rotated ticks
-// relayed to a second process, the peer holds every one of them.
+// the handler level: messages that were never eager-pushed sit in a's
+// Unordered set past the truncation point; after enough rotated ticks,
+// each relayed to a second process with the pull and the reply it draws,
+// the peer holds every one of them.
 func TestGossipRotationReachesPeer(t *testing.T) {
-	a, netA, _ := newTestProtocol(Config{GossipMaxMessages: 2})
-	b, _, _ := newTestProtocol(Config{GossipMaxMessages: 2})
-	var all []msg.Message
-	for seq := uint64(1); seq <= 5; seq++ {
-		all = append(all, m(1, 1, seq))
-	}
+	a, netA, _ := newTestProtocol(Config{})
+	b, netB, _ := newTestProtocol(Config{})
+	all := backlog(2*gossipMaxMessages + 100)
 	addUnordered(a, all...)
 
+	// Both test protocols are PID 0, so each sees the other as peer 1.
 	for tick := 0; tick < 3; tick++ {
 		a.sendGossip()
-	}
-	netA.mu.Lock()
-	frames := append([][]byte(nil), netA.multi...)
-	netA.mu.Unlock()
-	for _, frame := range frames {
-		b.OnMessage(0, frame)
+		for _, f := range netA.takeMulti() {
+			b.OnMessage(1, f)
+		}
+		for _, f := range netB.takeSent() {
+			a.OnMessage(1, f)
+		}
+		for _, f := range netA.takeSent() {
+			b.OnMessage(1, f)
+		}
 	}
 	for _, mm := range all {
 		if !b.unorderedHas(mm.ID) {
@@ -128,10 +116,10 @@ func TestGossipRotationReachesPeer(t *testing.T) {
 	}
 }
 
-// TestDigestGossipSendsIDsNotPayloads: digest mode's periodic frame
-// carries the IDs and round number but none of the payload bytes.
+// TestDigestGossipSendsIDsNotPayloads: the periodic frame carries the IDs
+// and round number but none of the payload bytes.
 func TestDigestGossipSendsIDsNotPayloads(t *testing.T) {
-	p, net, _ := newTestProtocol(Config{DigestGossip: true})
+	p, net, _ := newTestProtocol(Config{})
 	big := m(1, 1, 1)
 	big.Payload = make([]byte, 4096)
 	addUnordered(p, big)
@@ -161,7 +149,7 @@ func TestDigestGossipSendsIDsNotPayloads(t *testing.T) {
 // TestOnDigestPullsOnlyMissing: a digest listing known, delivered and
 // unknown messages triggers one pull naming exactly the unknown ones.
 func TestOnDigestPullsOnlyMissing(t *testing.T) {
-	p, net, _ := newTestProtocol(Config{DigestGossip: true})
+	p, net, _ := newTestProtocol(Config{})
 	known := m(1, 1, 1)
 	delivered := m(1, 1, 2)
 	missing := m(1, 1, 3)
@@ -194,7 +182,7 @@ func TestOnDigestPullsOnlyMissing(t *testing.T) {
 // TestOnDigestNoPullWhenNothingMissing: a fully known digest generates no
 // traffic.
 func TestOnDigestNoPullWhenNothingMissing(t *testing.T) {
-	p, net, _ := newTestProtocol(Config{DigestGossip: true})
+	p, net, _ := newTestProtocol(Config{})
 	known := m(1, 1, 1)
 	addUnordered(p, known)
 	w := wire.NewWriter(64)
@@ -211,7 +199,7 @@ func TestOnDigestNoPullWhenNothingMissing(t *testing.T) {
 // unicast full-payload gossip frame holding the requested messages still
 // in Unordered; already-ordered or unknown IDs are omitted.
 func TestOnPullServesUnorderedPayloads(t *testing.T) {
-	p, net, _ := newTestProtocol(Config{DigestGossip: true})
+	p, net, _ := newTestProtocol(Config{})
 	held := m(1, 1, 1)
 	ordered := m(1, 1, 2)
 	addUnordered(p, held)
@@ -249,8 +237,8 @@ func TestOnPullServesUnorderedPayloads(t *testing.T) {
 // every eager push (it was down, §2.1) still converges — the recovery
 // catch-up fallback.
 func TestDigestAntiEntropyRoundTrip(t *testing.T) {
-	a, netA, _ := newTestProtocol(Config{DigestGossip: true})
-	b, netB, _ := newTestProtocol(Config{DigestGossip: true})
+	a, netA, _ := newTestProtocol(Config{})
+	b, netB, _ := newTestProtocol(Config{})
 	var all []msg.Message
 	for seq := uint64(1); seq <= 4; seq++ {
 		mm := m(1, 1, seq)
@@ -262,16 +250,11 @@ func TestDigestAntiEntropyRoundTrip(t *testing.T) {
 	// Both test protocols are PID 0, so each sees the other as peer 1.
 	// a's periodic digest reaches b...
 	a.sendGossip()
-	netA.mu.Lock()
-	digests := append([][]byte(nil), netA.multi...)
-	netA.mu.Unlock()
-	for _, f := range digests {
+	for _, f := range netA.takeMulti() {
 		b.OnMessage(1, f)
 	}
 	// ...b pulls what it misses from a...
-	netB.mu.Lock()
-	pulls := append([][]byte(nil), netB.sent...)
-	netB.mu.Unlock()
+	pulls := netB.takeSent()
 	if len(pulls) == 0 {
 		t.Fatal("no pull emitted")
 	}
@@ -279,9 +262,7 @@ func TestDigestAntiEntropyRoundTrip(t *testing.T) {
 		a.OnMessage(1, f)
 	}
 	// ...and a's unicast payload reply fills b's Unordered set.
-	netA.mu.Lock()
-	replies := append([][]byte(nil), netA.sent...)
-	netA.mu.Unlock()
+	replies := netA.takeSent()
 	if len(replies) == 0 {
 		t.Fatal("no pull reply emitted")
 	}
@@ -298,10 +279,71 @@ func TestDigestAntiEntropyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoggedMessageSurvivesLostEagerPush is what a digest-only periodic
+// frame must never lose: p0 logs a message under BatchedBroadcast, its one
+// eager push is lost, and it crashes. The recovered incarnation retrieves
+// the message with nothing owed to the eager path, so the payload can reach
+// p1 only as digest -> pull -> unicast full-payload reply; p1 then holds it,
+// can propose it, and both deliver it.
+func TestLoggedMessageSurvivesLostEagerPush(t *testing.T) {
+	st := storage.NewMem()
+	cfg := Config{PID: 0, N: 3, Incarnation: 1, BatchedBroadcast: true}
+	first := New(cfg, st, newFakeCons(), &fakeNet{}) // its net delivers nothing
+	first.ctx, first.cancel = context.WithCancel(context.Background())
+	id, err := first.Broadcast(context.Background(), []byte("logged, never pushed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.cancel() // crash: only st survives
+
+	cfg.Incarnation = 2
+	netA := &fakeNet{}
+	a := New(cfg, st, newFakeCons(), netA)
+	if err := a.recoverUnordered(); err != nil {
+		t.Fatal(err)
+	}
+	if !a.unorderedHas(id) || len(a.eagerBuf) != 0 {
+		t.Fatalf("recovered: holds the message = %v, eager buffer = %d (want true, 0)", a.unorderedHas(id), len(a.eagerBuf))
+	}
+	netB := &fakeNet{}
+	b := New(Config{PID: 1, N: 3, Incarnation: 1}, storage.NewMem(), newFakeCons(), netB)
+
+	a.sendGossip()
+	for _, f := range netA.takeMulti() {
+		if sub, _ := decodeFrame(t, f); sub != subDigest {
+			t.Fatalf("periodic frame has subtype %d, want digest", sub)
+		}
+		b.OnMessage(0, f)
+	}
+	for _, f := range netB.takeSent() {
+		a.OnMessage(1, f)
+	}
+	replies := netA.takeSent()
+	if len(replies) != 1 || replies[0][0] != subGossip {
+		t.Fatalf("pull drew %d replies, want one full-payload frame", len(replies))
+	}
+	b.OnMessage(0, replies[0])
+	if !b.unorderedHas(id) {
+		t.Fatal("p1 never received the payload")
+	}
+
+	// p1's proposal for round 0 is its Unordered set; decide it everywhere.
+	w := wire.NewWriter(64)
+	b.mu.Lock()
+	msg.EncodeBatch(w, b.unordered.Slice())
+	b.mu.Unlock()
+	for _, p := range []*Protocol{a, b} {
+		p.commit(0, w.Bytes())
+		if !p.Delivered(id) {
+			t.Fatalf("p%d did not deliver the message", p.cfg.PID)
+		}
+	}
+}
+
 // TestOnDigestTracksAheadRound: the round-discovery half of §4.2 works
 // identically through digests.
 func TestOnDigestTracksAheadRound(t *testing.T) {
-	p, _, _ := newTestProtocol(Config{DigestGossip: true})
+	p, _, _ := newTestProtocol(Config{})
 	w := wire.NewWriter(16)
 	w.U8(subDigest)
 	w.U64(7)
@@ -318,7 +360,7 @@ func TestOnDigestTracksAheadRound(t *testing.T) {
 // TestOnDigestSendsStateWhenPeerLags: the Δ / GC-floor state-transfer
 // trigger fires on digests exactly as it does on full gossip.
 func TestOnDigestSendsStateWhenPeerLags(t *testing.T) {
-	p, net, _ := newTestProtocol(Config{DigestGossip: true, Delta: 3})
+	p, net, _ := newTestProtocol(Config{Delta: 3})
 	p.mu.Lock()
 	p.k = 10
 	p.mu.Unlock()
@@ -339,7 +381,7 @@ func TestOnDigestSendsStateWhenPeerLags(t *testing.T) {
 
 // TestOnPullIgnoresGarbage: malformed pulls and digests have no effect.
 func TestOnPullIgnoresGarbage(t *testing.T) {
-	p, net, _ := newTestProtocol(Config{DigestGossip: true})
+	p, net, _ := newTestProtocol(Config{})
 	p.OnMessage(1, []byte{subPull})
 	p.OnMessage(1, []byte{subPull, 0xff})
 	p.OnMessage(1, []byte{subDigest})
@@ -352,10 +394,9 @@ func TestOnPullIgnoresGarbage(t *testing.T) {
 // TestDigestTickKeepsEagerBuffer: a periodic digest ships only IDs, so it
 // must NOT clear the eager buffer — the payload push the buffer owes
 // peers still happens (as a full-payload delta frame) right after the
-// guard window. In classic mode the same tick ships the payloads and may
-// clear the buffer.
+// guard window.
 func TestDigestTickKeepsEagerBuffer(t *testing.T) {
-	p, net, _ := newTestProtocol(Config{DigestGossip: true})
+	p, net, _ := newTestProtocol(Config{})
 	mm := m(0, 1, 1)
 	p.mu.Lock()
 	p.unordered.Add(mm)
@@ -393,20 +434,6 @@ func TestDigestTickKeepsEagerBuffer(t *testing.T) {
 	if !ok {
 		t.Fatal("eager payload push never happened after the digest tick")
 	}
-
-	// Classic mode: a covering tick clears the buffer (the payloads just
-	// shipped).
-	pc, _, _ := newTestProtocol(Config{})
-	pc.mu.Lock()
-	pc.unordered.Add(mm)
-	pc.eagerBuf = append(pc.eagerBuf, mm)
-	pc.mu.Unlock()
-	pc.sendGossip()
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if len(pc.eagerBuf) != 0 {
-		t.Fatal("classic covering tick did not clear the eager buffer")
-	}
 }
 
 // TestOnDigestDedupsPullsAcrossPeers: within one gossip interval, digests
@@ -414,7 +441,7 @@ func TestDigestTickKeepsEagerBuffer(t *testing.T) {
 // one pull — without the dedup, every advertiser would be pulled and
 // would answer with a redundant full-payload reply.
 func TestOnDigestDedupsPullsAcrossPeers(t *testing.T) {
-	p, net, _ := newTestProtocol(Config{DigestGossip: true, GossipInterval: time.Hour})
+	p, net, _ := newTestProtocol(Config{GossipInterval: time.Hour})
 	missing := m(1, 1, 7)
 	frame := func() []byte {
 		w := wire.NewWriter(32)

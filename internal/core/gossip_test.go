@@ -39,6 +39,24 @@ func (f *fakeNet) sends() int {
 	return len(f.sent)
 }
 
+// takeMulti and takeSent return the frames captured since the last take,
+// so a test can relay one exchange at a time between two protocols.
+func (f *fakeNet) takeMulti() [][]byte {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	out := f.multi
+	f.multi = nil
+	return out
+}
+
+func (f *fakeNet) takeSent() [][]byte {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	out := f.sent
+	f.sent, f.to = nil, nil
+	return out
+}
+
 // fakeCons is a consensus stub: decisions are fed manually.
 type fakeCons struct {
 	mu        sync.Mutex

@@ -15,7 +15,7 @@ import (
 func TestConfigDefaults(t *testing.T) {
 	var c Config
 	c.fill()
-	if c.GossipInterval <= 0 || c.GossipMaxMessages <= 0 {
+	if c.GossipInterval <= 0 {
 		t.Fatalf("defaults not filled: %+v", c)
 	}
 }

@@ -276,7 +276,7 @@ func (p *Protocol) emitTentative(r uint64, batch []msg.Message) {
 
 // assembleBatch collects the proposal for fresh round r: the pending
 // unordered messages (those not already inside an in-flight proposal),
-// truncated by MaxBatch / MaxBatchBytes. ok=false means the round must not
+// truncated by MaxBatchBytes. ok=false means the round must not
 // be proposed yet; a positive delay says when the time trigger ripens it.
 // batch is borrowed until the next call: it is a prefix of a scratch slice
 // the sequencer goroutine reuses (most calls only answer "hold back" or
@@ -319,29 +319,26 @@ func (p *Protocol) assembleBatch(r uint64) (batch []msg.Message, delay time.Dura
 	}
 	p.batchScratch = pending // keep what append grew
 	msg.SortCanonical(pending)
-	// Per-sender fairness: when the pending pool overflows the batch caps,
+	// Per-sender fairness: when the pending pool overflows the batch cap,
 	// a canonical-order truncation would fill the whole batch from the
 	// lowest-pid hot broadcaster and starve everyone behind it. Interleave
 	// round-robin across senders first, so the truncation cuts every
 	// sender's tail instead.
-	if (p.cfg.MaxBatch > 0 && len(pending) > p.cfg.MaxBatch) ||
-		(p.cfg.MaxBatchBytes > 0 && pendingBytes > p.cfg.MaxBatchBytes) {
+	if p.cfg.MaxBatchBytes > 0 && pendingBytes > p.cfg.MaxBatchBytes {
 		pending = fairInterleave(pending)
 	}
 	var size int
 	full, leftover := false, false
 	for i, m := range pending {
-		if (p.cfg.MaxBatch > 0 && i >= p.cfg.MaxBatch) ||
-			(p.cfg.MaxBatchBytes > 0 && i > 0 && size+len(m.Payload) > p.cfg.MaxBatchBytes) {
+		if p.cfg.MaxBatchBytes > 0 && i > 0 && size+len(m.Payload) > p.cfg.MaxBatchBytes {
 			full, leftover = true, true
 			break
 		}
 		batch = pending[:i+1]
 		size += len(m.Payload)
 	}
-	if (p.cfg.MaxBatchBytes > 0 && size >= p.cfg.MaxBatchBytes) ||
-		(p.cfg.MaxBatch > 0 && len(batch) >= p.cfg.MaxBatch) {
-		full = true // at a size cap: the batch cannot grow, don't delay it
+	if p.cfg.MaxBatchBytes > 0 && size >= p.cfg.MaxBatchBytes {
+		full = true // at the size cap: the batch cannot grow, don't delay it
 	}
 	// behind: the group decided rounds we have not learned; propose (even
 	// an empty batch) so WaitDecided pulls the missing decisions in.

@@ -40,7 +40,7 @@ const (
 
 // MuxOptions tunes the mux's write-coalescing pipeline — the network twin
 // of the storage engine's group-commit triggers (SyncEvery/MaxSyncDelay)
-// and the proposal batching triggers (MaxBatch/MaxBatchDelay): small
+// and the proposal batching triggers (MaxBatchBytes/MaxBatchDelay): small
 // frames submitted concurrently by different groups of one process are
 // packed into one length-delimited transport write.
 type MuxOptions struct {

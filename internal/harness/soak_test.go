@@ -16,27 +16,22 @@ import (
 )
 
 // soakVariants are the protocol configurations the randomized soak guards:
-// the paper's basic protocol, the high-throughput pipelined + adaptively
-// batched + checkpointing + state-transfer stack, and the same stack over
-// digest anti-entropy gossip (IDs + pull-based repair instead of full
-// payload re-sends — dissemination, recovery catch-up and the state
-// transfer must all still hold under crashes and loss).
+// the paper's basic protocol, and the high-throughput pipelined + adaptively
+// batched + checkpointing + state-transfer stack. Both gossip IDs and
+// repair by pull, so dissemination, recovery catch-up and the state
+// transfer must all hold under crashes and loss without a payload re-send.
 func soakVariants() map[string]core.Config {
-	pipelined := core.Config{
-		PipelineDepth:    4,
-		BatchedBroadcast: true,
-		IncrementalLog:   true,
-		MaxBatchBytes:    4 << 10,
-		MaxBatchDelay:    300 * time.Microsecond,
-		CheckpointEvery:  8,
-		Delta:            12,
-	}
-	digest := pipelined
-	digest.DigestGossip = true
 	return map[string]core.Config{
-		"basic":     {},
-		"pipelined": pipelined,
-		"digest":    digest,
+		"basic": {},
+		"pipelined": {
+			PipelineDepth:    4,
+			BatchedBroadcast: true,
+			IncrementalLog:   true,
+			MaxBatchBytes:    4 << 10,
+			MaxBatchDelay:    300 * time.Microsecond,
+			CheckpointEvery:  8,
+			Delta:            12,
+		},
 	}
 }
 
@@ -209,7 +204,6 @@ func TestSoakSeedsSharded(t *testing.T) {
 		IncrementalLog:   true,
 		MaxBatchBytes:    4 << 10,
 		MaxBatchDelay:    300 * time.Microsecond,
-		DigestGossip:     true,
 	}
 	ckpt := base
 	ckpt.CheckpointEvery = 6
@@ -275,7 +269,6 @@ func TestSoakSeedsShardedOptimistic(t *testing.T) {
 		IncrementalLog:   true,
 		MaxBatchBytes:    4 << 10,
 		MaxBatchDelay:    300 * time.Microsecond,
-		DigestGossip:     true,
 	}
 	for _, seed := range []uint64{11, 47} {
 		t.Run(fmt.Sprintf("seed=%d/sharded-optimistic", seed), func(t *testing.T) {

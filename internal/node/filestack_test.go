@@ -16,8 +16,8 @@ import (
 )
 
 // TestFullStackOverFileStorage runs three nodes whose stable storage is the
-// CRC-framed file engine (the deployment configuration), crashes one, and
-// verifies recovery replays from disk.
+// file-backed engine, the WAL (the deployment configuration), crashes one,
+// and verifies recovery replays from it.
 func TestFullStackOverFileStorage(t *testing.T) {
 	const n = 3
 	net := transport.NewMem(n, transport.MemOptions{Seed: 71})
@@ -29,7 +29,7 @@ func TestFullStackOverFileStorage(t *testing.T) {
 	nodes := make([]*node.Node, n)
 	for p := 0; p < n; p++ {
 		p := p
-		st, err := storage.NewFile(filepath.Join(t.TempDir(), "st"), false)
+		st, err := storage.OpenWAL(filepath.Join(t.TempDir(), "st"), storage.WALOptions{NoSync: true})
 		if err != nil {
 			t.Fatal(err)
 		}

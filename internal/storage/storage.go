@@ -4,13 +4,12 @@
 // definitively loses the content of its volatile memory; the content of a
 // stable storage is not affected by crashes."
 //
-// Three engines are provided: Mem, a crash-faithful in-memory store used
+// Two engines are provided: Mem, a crash-faithful in-memory store used
 // by the simulation harness (the harness holds it outside the process
 // incarnation, so it survives crashes exactly as stable storage must);
-// File, a file-per-key store with CRC-framed append logs that fsyncs every
-// record when opened with syncWrites; and WAL, a group-commit write-ahead
-// log (one segmented append-only file, an in-memory index, torn-tail
-// recovery) that coalesces all concurrent writes into one fsync.
+// and WAL, the one durable engine, a group-commit write-ahead log (one
+// segmented append-only file, an in-memory index, torn-tail recovery) that
+// coalesces all concurrent writes into one fsync.
 //
 // # Durability policy
 //
@@ -22,20 +21,17 @@
 // its proposal is durable; everything else (prepare, decide, deliver) may
 // run ahead of the local log, because it carries nothing a quorum does not
 // already hold durably. The gap between "one fsync per call" and that rule
-// is the group-commit engine's opportunity:
-//
-//   - File with syncWrites: every Put/Append fsyncs before returning.
-//     One fsync per record — maximal latency.
-//   - WAL: a record is durable once the fsync covering its commit group
-//     completes. A group closes when SyncEvery records are pending or the
-//     oldest has waited MaxSyncDelay, whichever is first. Synchronous
-//     Put/Append still block until that fsync, so the Stable contract
-//     ("returned => durable") is identical to File's — concurrent callers
-//     just share the fsync. The asynchronous API (AsyncStable: PutAsync /
-//     AppendAsync returning a Completion, plus a Sync barrier) lets the
-//     protocol hot path issue every persist of a pipelined round window
-//     up front and act on each as its completion fires, amortizing one
-//     fsync across the whole window.
+// is the group-commit engine's opportunity: a WAL record is durable once
+// the fsync covering its commit group completes. A group closes when
+// SyncEvery records are pending or the oldest has waited MaxSyncDelay,
+// whichever is first — both set in WALOptions at OpenWAL and nowhere else.
+// Synchronous Put/Append still block until that fsync, so the Stable
+// contract ("returned => durable") is that of one fsync per call —
+// concurrent callers just share the fsync. The asynchronous API
+// (AsyncStable: PutAsync / AppendAsync returning a Completion, plus a Sync
+// barrier) lets the protocol hot path issue every persist of a pipelined
+// round window up front and act on each as its completion fires,
+// amortizing one fsync across the whole window.
 //
 // At every SyncEvery/MaxSyncDelay setting the guarantee after a crash is
 // the same: the durable prefix contains exactly the operations whose

@@ -231,6 +231,25 @@ func appendRec(buf []byte, op byte, key string, val []byte) []byte {
 	return endRec(append(buf, val...), start)
 }
 
+// unframe extracts one framed payload, returning it, the remaining bytes and
+// whether the frame was intact. The payload aliases b: a caller whose result
+// must not pin b (one record of a whole segment) copies it out.
+func unframe(b []byte) (payload, rest []byte, ok bool) {
+	if len(b) < 8 {
+		return nil, nil, false
+	}
+	n := binary.LittleEndian.Uint32(b[0:4])
+	crc := binary.LittleEndian.Uint32(b[4:8])
+	if uint32(len(b)-8) < n {
+		return nil, nil, false
+	}
+	payload = b[8 : 8+n : 8+n]
+	if crc32.ChecksumIEEE(payload) != crc {
+		return nil, nil, false
+	}
+	return payload, b[8+n:], true
+}
+
 // appendLogSnapRec frames a walLogSnap record onto buf. Its value packs
 // the log's entries: [count u32] then per entry [len u32][bytes].
 func appendLogSnapRec(buf []byte, key string, entries [][]byte) []byte {
@@ -669,19 +688,6 @@ func (w *WAL) Close() error {
 	err := w.seg.Close()
 	w.seg = nil
 	return err
-}
-
-// SetGroupCommit adjusts the durability policy at runtime (the
-// abcast.ProtocolOptions SyncEvery/MaxSyncDelay knobs route here).
-func (w *WAL) SetGroupCommit(syncEvery int, maxSyncDelay time.Duration) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if syncEvery > 0 {
-		w.opts.SyncEvery = syncEvery
-	}
-	if maxSyncDelay >= 0 {
-		w.opts.MaxSyncDelay = maxSyncDelay
-	}
 }
 
 // Compact forces one incremental compaction pass: the pending queue is
