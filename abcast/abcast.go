@@ -82,7 +82,8 @@
 //
 // # Latency fast path
 //
-// Two independent knobs cut commit latency below a full consensus round:
+// Two independent mechanisms cut commit latency below a full consensus
+// round:
 //
 //   - Config.OnTentative enables optimistic delivery: the sequencer emits
 //     each locally proposed batch in predicted total order BEFORE the
@@ -92,13 +93,18 @@
 //     discard the speculative suffix; the messages re-deliver later). The
 //     OnDeliver stream stays authoritative and unchanged; speculate on
 //     tentative deliveries, externalize only on confirm.
-//   - ProtocolOptions.Lease grants the stable sequencer a quorum lease (a
-//     ranged promise, multi-Paxos style): while the same process keeps
-//     proposing, each round skips the prepare phase entirely and runs
-//     accept-only at the lease ballot. FD suspicion, a competitor's higher
-//     ballot, or lease expiry falls back to full consensus. Safety
-//     rests on ballots and quorum intersection, never on clocks, so the
-//     §2.1 crash-recovery durability contract is preserved verbatim.
+//   - Under PolicyLeader (the default) the stable sequencer always runs
+//     on a quorum lease (a ranged promise, multi-Paxos style) — there is
+//     no option for it: while the same process keeps proposing, each round
+//     skips the prepare phase and runs accept-only at the lease ballot,
+//     its accept sent beside its proposal write, so a commit waits for one
+//     durable write (the accept quorum's) instead of a chain of them. FD
+//     suspicion, a competitor's higher ballot, or lease expiry falls back
+//     to full consensus. Safety rests on ballots and quorum intersection,
+//     never on clocks: a lease ballot is used by one incarnation only, so
+//     no second value can appear at it even when the holder crashes
+//     before its proposal is durable (the README's "Latency" section
+//     states the rule).
 //
 // The README's "Latency" section covers the contract and when not to
 // enable optimism.
@@ -297,7 +303,9 @@ type Config struct {
 }
 
 // ProtocolOptions mirrors the §5 alternative-protocol knobs plus the
-// ordering hot-path options (round pipelining and adaptive batching).
+// ordering hot-path options (round pipelining and adaptive batching). The
+// stable-sequencer lease is not among them: it is how Config.Policy's
+// default, PolicyLeader, orders (see "Latency fast path" above).
 type ProtocolOptions struct {
 	// CheckpointEvery logs (k, Agreed) every so many rounds (§5.1);
 	// 0 disables checkpointing (basic protocol).
@@ -354,15 +362,6 @@ type ProtocolOptions struct {
 	// Heartbeat rounds deliver nothing and are reclaimed by the normal
 	// checkpoint/compaction lifecycle.
 	IdleHeartbeat time.Duration
-	// Lease enables the stable-sequencer lease: while the same process
-	// keeps proposing (the common case), each round skips the consensus
-	// prepare phase and runs accept-only at a quorum-granted ballot,
-	// cutting a full message round trip plus its acceptor fsync from the
-	// commit path. Suspicion, competition, or lease expiry falls back
-	// to full consensus; crash-recovery safety is untouched (the grant is
-	// a durable ranged promise, arbitrated by ballots, not clocks).
-	// PolicyLeader only; ignored under PolicyRotating.
-	Lease bool
 }
 
 // Validate rejects nonsensical options — negative depths, counts or
@@ -407,15 +406,6 @@ func (o ProtocolOptions) coreConfig() core.Config {
 	}
 }
 
-// consensusConfig maps the options' consensus knobs (the lease) plus the
-// coordinator policy onto the consensus layer's config.
-func (o ProtocolOptions) consensusConfig(policy ConsensusPolicy) consensus.Config {
-	return consensus.Config{
-		Policy: policy,
-		Lease:  o.Lease,
-	}
-}
-
 // NewProcess builds a process over the given stable storage and network.
 // The same Storage must be passed again after a crash for recovery to work;
 // the same Network must be shared by the whole group. Invalid options
@@ -435,7 +425,7 @@ func NewProcess(cfg Config, st Storage, net Network) (*Process, error) {
 		PID:        cfg.PID,
 		N:          cfg.N,
 		Core:       coreCfg,
-		Consensus:  cfg.Protocol.consensusConfig(cfg.Policy),
+		Consensus:  consensus.Config{Policy: cfg.Policy},
 		FD:         cfg.FD,
 		RingDissem: cfg.Protocol.RingDissem,
 	}

@@ -51,7 +51,7 @@ func TestProtocolOptionsSurface(t *testing.T) {
 		"CheckpointEvery", "Delta", "BatchedBroadcast", "IncrementalLog", "Checkpointer",
 		"GossipInterval", "RingDissem",
 		"PipelineDepth", "MaxBatchBytes", "MaxBatchDelay",
-		"IdleHeartbeat", "Lease",
+		"IdleHeartbeat",
 	}
 	typ := reflect.TypeOf(ProtocolOptions{})
 	var got []string

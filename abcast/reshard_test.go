@@ -13,7 +13,10 @@ import (
 )
 
 // awaitGroupKnown polls until every process's topology includes g as an
-// active group and its local member node answers (Groups() covers it).
+// active group and its local member node answers. Groups() covering g is
+// not enough: a joined group's node boots asynchronously after the
+// topology learns it, and answers once Merged does (ok only while every
+// group node of the process is up).
 func awaitGroupKnown(t *testing.T, procs []*abcast.Sharded, g abcast.GroupID, d time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(d)
@@ -27,6 +30,10 @@ func awaitGroupKnown(t *testing.T, procs []*abcast.Sharded, g abcast.GroupID, d 
 				}
 			}
 			if !active || s.Groups() <= int(g) {
+				all = false
+				break
+			}
+			if _, _, _, ok := s.Merged(); !ok {
 				all = false
 				break
 			}
@@ -117,9 +124,15 @@ func TestShardedAddGroupLive(t *testing.T) {
 		t.Fatalf("AddGroup minted gid %v; want %v", gid, groups)
 	}
 	awaitGroupKnown(t, procs, gid, 20*time.Second)
+	// The router swaps to the join's epoch a goroutine handoff after the
+	// topology learns the group.
+	deadline := time.Now().Add(20 * time.Second)
 	for p, s := range procs {
-		if e := s.Epoch(); e <= epoch0 {
-			t.Fatalf("p%d epoch %d did not advance past %d on join", p, e, epoch0)
+		for e := s.Epoch(); e <= epoch0; e = s.Epoch() {
+			if time.Now().After(deadline) {
+				t.Fatalf("p%d epoch %d did not advance past %d on join", p, e, epoch0)
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
 
@@ -437,8 +450,15 @@ func TestShardedReshardRestart(t *testing.T) {
 			}
 			procs[p] = s
 		}
+		// All at once: Start returns after replay, and replaying a round
+		// whose proposal was logged but not decided before the crash needs
+		// a quorum of the others up.
+		errs := make(chan error, n)
 		for _, s := range procs {
-			if err := s.Start(ctx); err != nil {
+			go func() { errs <- s.Start(ctx) }()
+		}
+		for range procs {
+			if err := <-errs; err != nil {
 				t.Fatal(err)
 			}
 		}

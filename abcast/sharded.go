@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/dissem"
 	"repro/internal/fd"
@@ -471,7 +472,7 @@ func (s *Sharded) buildGroup(gid GroupID) (Storage, *node.Node) {
 		N:         cfg.N,
 		Group:     gid,
 		Core:      coreCfg,
-		Consensus: cfg.Protocol.consensusConfig(cfg.Policy),
+		Consensus: consensus.Config{Policy: cfg.Policy},
 		FD:        cfg.FD,
 		Obs:       cfg.Obs,
 		// Every group's consensus engine reads the one process-level

@@ -51,7 +51,8 @@ step_metrics() {
 	# Every sample line must be Prometheus-parseable: name{labels} value.
 	bad=$(grep -v '^#' <<<"$scrape" | grep -vE "$sample" || true)
 	test -z "$bad" || { echo "unparseable exposition lines:"; head <<<"$bad"; return 1; }
-	for fam in abcast_core_broadcasts abcast_core_delivered abcast_consensus_quorum_ns abcast_trace_e2e_ns abcast_trace_deliver_ns abcast_fd_suspected; do
+	for fam in abcast_core_broadcasts abcast_core_delivered abcast_consensus_quorum_ns abcast_consensus_lease_fast_rounds \
+		abcast_trace_e2e_ns abcast_trace_deliver_ns abcast_fd_suspected; do
 		grep -q "^# TYPE $fam " <<<"$scrape" || { echo "missing family $fam"; return 1; }
 	done
 }
@@ -59,10 +60,12 @@ step_metrics() {
 # Names this repository retired must not creep back into code or docs: the
 # experiments past E13 with their JSON files, the autotuner, two design
 # documents that never existed, the full-payload periodic gossip's selector
-# and cap, the file-per-key engine and the WAL's runtime policy setter.
+# and cap, the file-per-key engine, the WAL's runtime policy setter and the
+# lease switch (the lease is how PolicyLeader runs).
 step_retired() {
 	local pat='DESIGN\.md|EXPERIMENTS\.md|BENCH_e[0-9]+|internal/tune|\bE(1[4-9]|2[0-2])\b'
 	pat+='|\bDigestGossip\b|NewFileStorage|storage\.NewFile\b|SetGroupCommit|\bGossipMaxMessages\b'
+	pat+='|\bLease: |\bcfg\.Lease\b|ProtocolOptions\.Lease\b'
 	if grep -rnE "$pat" --include='*.go' . ||
 		grep -nE "$pat" README.md bench/README.md .github/workflows/ci.yml; then
 		echo "retired names found (above)"

@@ -156,13 +156,12 @@ func run() error {
 			// On recovery the basic protocol re-delivers the whole
 			// history; the replica resets first.
 			OnRestore: func(s abcast.Snapshot) { kv.Restore(s.App) },
-			// The stable-sequencer lease keeps the durable commit path
-			// on accept-only fast rounds while p0 stays up.
-			Protocol: abcast.ProtocolOptions{Lease: true},
 		}
 		if pid == 0 {
-			// p0 is the stable sequencer (PolicyLeader default), so only
-			// it sees its predictions; the teller speculates on them.
+			// p0 is the stable sequencer (PolicyLeader default, whose
+			// lease keeps the commit path on accept-only rounds while p0
+			// stays up), so only it sees its predictions; the teller
+			// speculates on them.
 			cfg.OnTentative = till.onTentative
 			cfg.OnConfirm = till.onConfirm
 			cfg.OnRevoke = till.onRevoke

@@ -11,28 +11,41 @@
 //
 // The engine follows the logged ballot-voting (synod) discipline, with one
 // rule for what waits for the log: a process sends a promise or an accepted
-// reply only after the acceptor cell protecting it is durable, and a
-// proposer sends its own value only after its proposal is durable;
-// everything else — prepare, decide, handing a decision to WaitDecided —
-// may run ahead of the local log, because it carries nothing a quorum does
-// not already hold durably. A crash and recovery can therefore never
-// retract a promise, change a proposed value (P4) or un-choose a value: a
-// process that learned a decision and crashed before its decision cell was
-// durable learns the same value again, from the accept quorum's cells.
-// "A process proposes by logging its initial value on stable storage"
-// (§3.2) — Propose's first action is that log write, which is exactly the
-// log operation the broadcast layer's minimal-logging claim (§4.3) charges
-// to Consensus; the decision cell is the optional log of §4.3/§5, kept to
-// make replay local.
+// reply only after the acceptor cell protecting it is durable; a proposer
+// sends its own value at a classic ballot only after its proposal is
+// durable, and at its lease ballot beside the proposal write; everything
+// else — prepare, decide, handing a decision to WaitDecided — may run ahead
+// of the local log, because it carries nothing a quorum does not already
+// hold durably. The lease ballot's exception replaces P4 ("the value
+// proposed to k never changes") on that path: a holder that crashes before
+// its proposal is durable may come back and propose another value, so what
+// must hold is that no second value ever appears at the same (k, b). A
+// lease ballot b is used by one incarnation only. Its grant is durable at a
+// majority, and grants only grow, so every later request at b, and every
+// prepare at b in the covered range (a grant's range start never rises), is
+// refused by a member of that majority; values at different ballots are
+// arbitrated by phase 1 as always. A crash and recovery can therefore never
+// retract a promise or un-choose a value: a process that learned a decision
+// and crashed before its decision cell was durable learns the same value
+// again, from the accept quorum's cells. "A process proposes by logging its
+// initial value on stable storage" (§3.2) — that log write is the only one
+// the broadcast layer's minimal-logging claim (§4.3) charges to Consensus,
+// and the steady state waits for nothing else: the lease holder's round is
+// its proposal write beside one accept round trip. The decision cell is the
+// optional log of §4.3/§5, kept to make replay local.
 //
 // Two coordinator policies demonstrate that the broadcast transformation
 // treats Consensus as a black box (paper claim C2):
 //
 //   - PolicyLeader drives instances from the failure detector's Ω leader
-//     hint (the structure of Aguilera–Chen–Toueg [1]);
+//     hint (the structure of Aguilera–Chen–Toueg [1]), through the
+//     stable-sequencer lease (lease.go): after a classically decided round
+//     the leader takes a ranged promise for every later instance and then
+//     runs phase 2 only, until suspicion, a competitor's ballot or an idle
+//     LeaseTTL sends it back to full ballots;
 //   - PolicyRotating rotates the coordinator round-robin with
 //     suspicion-driven hand-off (the structure of Hurfin–Mostefaoui–Raynal
-//     [11]).
+//     [11]). It has no lease: its ballots are not owned by one process.
 package consensus
 
 import (
@@ -78,11 +91,17 @@ var ErrDiscarded = errors.New("consensus: instance discarded")
 // recovery, a process may (re-)invoke these primitives for a Consensus
 // instance that has already started or even terminated" (§4.1).
 type API interface {
-	// Propose submits this process's initial value for instance k. Its
-	// first action is issuing the log write of the value, and the value
-	// is sent to no one before that write is durable; re-proposing a
-	// different value for the same instance keeps the original (property
-	// P4). v is borrowed for the call (the engine keeps its own copy).
+	// Propose submits this process's initial value for instance k and
+	// issues its log write. The value goes out at a classic ballot only
+	// once that write is durable, and at the proposer's lease ballot beside
+	// it: a lease ballot is used by one incarnation only (its grant is
+	// durable at a majority and refuses every later request or prepare at
+	// that ballot), so no second value can appear at it even if the
+	// proposer crashes before the write lands and later proposes another.
+	// A process that granted a lease covering k to another process defers
+	// the write until it would coordinate k itself. Re-proposing a
+	// different value keeps the original (property P4). v is borrowed for
+	// the call (the engine keeps its own copy).
 	Propose(k uint64, v []byte) error
 	// WaitDecided blocks until instance k decides and returns the
 	// decision. Repeated calls return the same value (property P5), in
@@ -124,7 +143,8 @@ type Config struct {
 	// Obs is the process's observability plane. Nil disables consensus
 	// instrumentation at zero cost.
 	Obs *obs.Plane
-	// Policy selects the coordinator policy (default PolicyLeader).
+	// Policy selects the coordinator policy (default PolicyLeader, whose
+	// engines always run the stable-sequencer lease).
 	Policy Policy
 	// RetryMin/RetryMax bound the driver's phase timeout and backoff
 	// (defaults 8ms / 120ms). Small values suit the in-memory network.
@@ -132,19 +152,6 @@ type Config struct {
 	RetryMax time.Duration
 	// Seed randomizes backoff jitter.
 	Seed uint64
-	// Lease enables the stable-sequencer lease fast path (PolicyLeader
-	// only; ignored under PolicyRotating, whose ballots are not owned by a
-	// single process). After deciding a round classically, the Ω-leader
-	// asks every acceptor for a ranged promise covering all instances
-	// >= fromK at one ballot; with a majority granted it skips phase 1 and
-	// runs accept-phase-only rounds at that ballot until a competitor's
-	// higher ballot, an FD leadership change, or LeaseTTL expiry drops the
-	// lease. Safety rests on ballots and quorum intersection alone — never
-	// on clocks: a grant is durably logged before it is acknowledged, and
-	// a granting acceptor nacks every other proposer below the lease
-	// ballot, so the holder's value is the only one choosable at or below
-	// it in the covered range.
-	Lease bool
 	// LeaseTTL bounds how long a holder keeps trying the fast path without
 	// a successful round (default 500ms). Purely a liveness knob — expiry
 	// stops futile fast-path attempts; it revokes nothing at acceptors.

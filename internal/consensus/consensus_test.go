@@ -327,19 +327,24 @@ func TestLeaderCrashHandsOff(t *testing.T) {
 }
 
 // TestDiscardBelow: the floor drops instance state and deletes exactly the
-// cells each instance wrote — three at a process that proposed (proposal,
-// acceptor, decision), two at a process that only accepted and learned —
-// and none of them comes back when the log is reopened. One row has p0
-// alone propose, the other raises the floor over instances every process
-// proposed to.
+// cells each instance wrote — three at a process that logged a proposal
+// (proposal, acceptor, decision), two at a process that only accepted and
+// learned — and none of them comes back when the log is reopened. One row
+// has p0 alone propose, the other raises the floor over instances every
+// process proposed to. There p1 logs its proposal for instance 0 only:
+// p0 decides that round classically and then asks for the lease, which p1
+// grants before it proposes instance 1, so its proposals for instances 1
+// and 2 are deferred and, since p1 coordinates neither, never written —
+// 3+2+2 = 7 deletes at p1, not 9.
 func TestDiscardBelow(t *testing.T) {
 	for _, row := range []struct {
 		name      string
 		proposers []int    // in proposing order; p0, the leader, last
-		cells     [2]int64 // cells per instance at p0 and at p1
+		deletes   [2]int64 // deletes over instances 0-2 at p0 and at p1
+		cells     [2]int64 // cells per instance at or above the floor
 	}{
-		{"one proposer", []int{0}, [2]int64{3, 2}},
-		{"every process proposes", []int{2, 1, 0}, [2]int64{3, 3}},
+		{"one proposer", []int{0}, [2]int64{9, 6}, [2]int64{3, 2}},
+		{"every process proposes", []int{2, 1, 0}, [2]int64{9, 7}, [2]int64{3, 2}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
@@ -356,6 +361,12 @@ func TestDiscardBelow(t *testing.T) {
 				stores[p] = accts[p]
 			}
 			tc := newStoppedCluster(t, PolicyLeader, transport.MemOptions{Seed: 19}, stores)
+			// A learner coordinates anyway after graceWaits idle waits of
+			// about RetryMin each, and would then log its deferred value:
+			// keep that far beyond any scheduling stall of a loaded host.
+			tc.cfg.RetryMin = tc.cfg.RetryMax
+			tap := newWireTap()
+			tc.procs[1].tap = tap
 			for p := range tc.procs {
 				tc.start(ids.ProcessID(p), 1)
 			}
@@ -377,13 +388,17 @@ func TestDiscardBelow(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
+				if k == 0 {
+					// p0's lease request for instances >= 1 has reached p1.
+					tap.awaitHandled(t, ctx, mLeaseReq, 1, 1)
+				}
 			}
-			for p, cells := range row.cells {
+			for p, want := range row.deletes {
 				before := accts[p].Layer("cons").DeleteOps
 				if err := tc.procs[p].eng.DiscardBelow(3); err != nil {
 					t.Fatal(err)
 				}
-				if got, want := accts[p].Layer("cons").DeleteOps-before, 3*cells; got != want {
+				if got := accts[p].Layer("cons").DeleteOps - before; got != want {
 					t.Fatalf("p%d: discarding three instances cost %d deletes, want %d", p, got, want)
 				}
 			}

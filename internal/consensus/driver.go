@@ -2,11 +2,16 @@ package consensus
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"repro/internal/ids"
 	"repro/internal/wire"
 )
+
+// driverTimers recycles the drivers' wait timers: most drivers live for one
+// round.
+var driverTimers = sync.Pool{New: func() any { return time.NewTimer(time.Hour) }}
 
 // startDriverLocked launches the per-instance driver goroutine if it is not
 // already running. e.mu held.
@@ -15,6 +20,9 @@ func (e *Engine) startDriverLocked(in *instance) {
 		return
 	}
 	in.driving = true
+	if in.progress == nil {
+		in.progress = make(chan struct{}, 1)
+	}
 	e.wg.Add(1)
 	go e.drive(in)
 }
@@ -95,16 +103,20 @@ func (e *Engine) drive(in *instance) {
 	stuck := 0
 	var attempt uint64
 
-	// Resume above anything this process ever promised: our own logged
-	// promise is a lower bound on ballots already in circulation.
+	// Resume above anything this process ever promised, lease grants
+	// included: ballots at or below them are already refused here.
 	e.mu.Lock()
-	attempt = e.attemptAbove(in.promised)
+	attempt = e.attemptAbove(max(in.promised, e.grantBoundLocked(in.k)))
 	e.mu.Unlock()
 
 	// One timer serves every wait of this driver: each wait Resets it
-	// (since go 1.23 a reset or stopped timer leaves no stale tick behind).
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
+	// (since go 1.23 a reset or stopped timer leaves no stale tick behind,
+	// so the next driver takes it from the pool as it is).
+	timer := driverTimers.Get().(*time.Timer)
+	defer func() {
+		timer.Stop()
+		driverTimers.Put(timer)
+	}()
 
 	for {
 		if ctx.Err() != nil {
@@ -115,11 +127,12 @@ func (e *Engine) drive(in *instance) {
 			e.mu.Unlock()
 			return
 		}
-		// A proposal whose write is only issued is enough to coordinate
-		// phase 1, which carries no value. Under a held lease there is no
-		// phase 1 to run beside the write: the fast path sends the value
-		// at once, so it waits for hasProp as a learner.
-		canDrive := in.hasProp || (in.propPending && !e.leaseCoversLocked(in.k))
+		// Any proposal is enough to coordinate: a deferred one is logged
+		// below, and the ballot runs beside its write.
+		canDrive := in.proposed()
+		// A deferred proposal expects the lease holder's round, whose
+		// decision arrives unasked: its first wait sends no request.
+		ask := stuck > 0 || !in.propDeferred
 		e.mu.Unlock()
 
 		if e.skipTurn(attempt) {
@@ -129,7 +142,9 @@ func (e *Engine) drive(in *instance) {
 		if !canDrive || !e.myTurn(attempt, stuck) {
 			// Learner mode: ask around for the decision (and the rest
 			// of the pipeline window), then wait.
-			e.send(ids.Nobody, message{kind: mDecideReq, k: in.k, span: decideWindow})
+			if ask {
+				e.send(ids.Nobody, message{kind: mDecideReq, k: in.k, span: decideWindow})
+			}
 			stuck++
 			if !e.waitWake(ctx, in, timer, e.backoff(fails)) {
 				return
@@ -140,11 +155,16 @@ func (e *Engine) drive(in *instance) {
 			continue
 		}
 		stuck = 0
+		e.mu.Lock()
+		if in.propDeferred {
+			_ = e.logProposalLocked(in) // a failure leaves nothing to drive next pass
+		}
+		e.mu.Unlock()
 
 		// Lease fast path: while this process holds the stable-sequencer
 		// lease covering in.k, skip phase 1 and push its own proposal at
-		// the lease ballot. Any failure drops the lease and falls back to
-		// a full ballot.
+		// the lease ballot, beside its log write. Any failure drops the
+		// lease and falls back to a full ballot.
 		if b, v, fast := e.leaseBallot(in); fast {
 			decided, higher := e.runAcceptPhase(ctx, in, timer, b, v)
 			e.leaseRoundDone(decided)
@@ -173,6 +193,15 @@ func (e *Engine) drive(in *instance) {
 		}
 		if higher > 0 {
 			attempt = e.attemptAbove(higher)
+			e.mu.Lock()
+			own := higher == e.leaseReqB
+			e.mu.Unlock()
+			if own {
+				// Outbid by this process's own lease request (a grant
+				// covers everything from the acceptor's oldest grant on):
+				// no competitor to back off from, so re-ballot at once.
+				continue
+			}
 		} else {
 			attempt++
 		}

@@ -1,7 +1,6 @@
 package consensus
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math/rand/v2"
@@ -32,9 +31,23 @@ const keyPrefix = "cons/"
 // explicitly).
 const keyLease = "cons/lease"
 
-func propKey(k uint64) string { return fmt.Sprintf("cons/p/%016x", k) }
-func accKey(k uint64) string  { return fmt.Sprintf("cons/a/%016x", k) }
-func decKey(k uint64) string  { return fmt.Sprintf("cons/d/%016x", k) }
+func propKey(k uint64) string { return cellKey('p', k) }
+func accKey(k uint64) string  { return cellKey('a', k) }
+func decKey(k uint64) string  { return cellKey('d', k) }
+
+// cellKey formats "cons/<kind>/<k as 16 hex digits>" with one allocation,
+// the string itself (a key is made for every cell write and delete).
+func cellKey(kind byte, k uint64) string {
+	const hex = "0123456789abcdef"
+	var b [len(keyPrefix) + 2 + 16]byte
+	n := copy(b[:], keyPrefix)
+	b[n], b[n+1] = kind, '/'
+	for i := len(b) - 1; i >= n+2; i-- {
+		b[i] = hex[k&0xf]
+		k >>= 4
+	}
+	return string(b[:])
+}
 
 // parseKey inverts the key layout; ok is false for foreign keys.
 func parseKey(key string) (kind byte, k uint64, ok bool) {
@@ -54,13 +67,18 @@ func parseKey(key string) (kind byte, k uint64, ok bool) {
 type instance struct {
 	k uint64
 
-	// proposer state. propPending marks an asynchronous proposal write in
-	// flight: the value is issued to stable storage but not yet durable.
-	// A driver may already run phase 1 (a prepare carries no value); the
-	// proposer's own value goes on the wire only once hasProp has flipped.
-	proposal    []byte
-	hasProp     bool
-	propPending bool
+	// proposer state. proposal is this incarnation's value for k, fixed by
+	// its first Propose. hasProp means it is durable (the paper's logged
+	// Proposed_p[k]); propPending that its write is issued, not yet
+	// durable; propDeferred that the write is not issued yet, because this
+	// process granted a lease covering k to another process and logs only
+	// once it would coordinate (see leaseElsewhereLocked). A classic ballot
+	// sends the value only once hasProp has flipped; the holder's lease
+	// ballot sends it beside the write (the rule in the package comment).
+	proposal     []byte
+	hasProp      bool
+	propPending  bool
+	propDeferred bool
 
 	// acceptor state (logged before every reply)
 	promised uint64
@@ -74,13 +92,15 @@ type instance struct {
 	// recovering process the round trip of learning it again.
 	decided []byte
 	hasDec  bool
-	done    chan struct{} // closed when decided
-	// forgotten is closed when a peer reports it garbage-collected this
+	// wasForgot is set when a peer reports it garbage-collected this
 	// instance (mForgotten): the decision may be unrecoverable through
 	// Consensus, so waiters fall back to the broadcast layer's state
 	// transfer.
-	forgotten chan struct{}
 	wasForgot bool
+	// settled is made by the first WaitDecided that has to block, and
+	// closed when the instance decides or is forgotten, whichever is first.
+	// Most instances at most processes never need one.
+	settled chan struct{}
 
 	// observability stamp (volatile): when the local proposal was issued.
 	proposedAt int64
@@ -95,7 +115,9 @@ type instance struct {
 	promises map[ids.ProcessID]promiseInfo
 	accepts  map[ids.ProcessID]bool
 	maxNack  uint64
-	progress chan struct{} // capacity 1; wakes the driver
+	// progress wakes the driver (capacity 1). It is made with the first
+	// driver and never replaced; before that, wake has no one to wake.
+	progress chan struct{}
 }
 
 type promiseInfo struct {
@@ -104,13 +126,20 @@ type promiseInfo struct {
 	accV   []byte
 }
 
-func newInstance(k uint64) *instance {
-	return &instance{
-		k:         k,
-		done:      make(chan struct{}),
-		forgotten: make(chan struct{}),
-		progress:  make(chan struct{}, 1),
+// proposed reports whether this incarnation has a proposal for the
+// instance in any state: durable, in flight or deferred.
+func (in *instance) proposed() bool {
+	return in.hasProp || in.propPending || in.propDeferred
+}
+
+// settle releases the waiters of a decided or forgotten instance. Later
+// WaitDecided calls see hasDec or wasForgot and never block. e.mu held.
+func (in *instance) settle() {
+	if in.settled != nil {
+		close(in.settled)
+		in.settled = nil
 	}
+	in.wake()
 }
 
 // markForgotLocked records a peer's report that it GC'd this instance.
@@ -118,8 +147,7 @@ func newInstance(k uint64) *instance {
 func (in *instance) markForgotLocked() {
 	if !in.wasForgot && !in.hasDec {
 		in.wasForgot = true
-		close(in.forgotten)
-		in.wake()
+		in.settle()
 	}
 }
 
@@ -162,16 +190,17 @@ type Engine struct {
 	grantFrom uint64
 
 	// Holder-side lease (volatile: a recovered holder re-acquires).
+	// leaseSeenB is the highest ballot this incarnation's requests used or
+	// their refusals reported; leaseVotes maps each acceptor that answered
+	// the pending request to whether it granted.
 	leaseHeld      bool
 	leaseB         uint64
 	leaseFrom      uint64
 	leaseUntil     time.Time
 	leaseAcquiring bool
-	leaseAttempt   uint64
-	leaseCooldown  time.Time
 	leaseReqB      uint64
-	leaseAcks      map[ids.ProcessID]bool
-	leaseNackB     uint64
+	leaseSeenB     uint64
+	leaseVotes     map[ids.ProcessID]bool
 	leaseWake      chan struct{}
 	leaseStats     LeaseStats
 
@@ -204,7 +233,7 @@ func New(cfg Config, st storage.Stable, net router.Net, det Suspector) (*Engine,
 	if err := e.restore(); err != nil {
 		return nil, err
 	}
-	if cfg.Lease {
+	if cfg.Policy == PolicyLeader {
 		e.registerLeaseFuncs(cfg.Obs.Reg())
 	}
 	return e, nil
@@ -246,7 +275,6 @@ func (e *Engine) restore() error {
 			if !in.hasDec {
 				in.decided = val
 				in.hasDec = true
-				close(in.done)
 			}
 		}
 	}
@@ -296,7 +324,7 @@ func (e *Engine) Stop() {
 func (e *Engine) getLocked(k uint64) *instance {
 	in, ok := e.insts[k]
 	if !ok {
-		in = newInstance(k)
+		in = &instance{k: k}
 		e.insts[k] = in
 	}
 	return in
@@ -313,56 +341,70 @@ func (e *Engine) Propose(k uint64, v []byte) error {
 	if in.hasDec {
 		return nil
 	}
-	if in.hasProp || in.propPending {
-		// P4: despite crashes and re-executions, the value proposed to
-		// instance k never changes. A different v is a caller bug in
-		// the basic protocol; keep the original.
-		if !bytes.Equal(in.proposal, v) && v != nil {
-			// Keep the logged value; nothing to do.
-			_ = v
-		}
+	if in.proposed() {
+		// P4: the value proposed to instance k never changes — across
+		// crashes through the log, within an incarnation through
+		// in.proposal. A different v is a caller bug; keep the original.
+		e.startDriverLocked(in)
+		return nil
+	}
+	if in.proposal == nil {
+		// A value taken by an earlier Propose whose write failed stays:
+		// it may already be on the wire at the lease ballot.
+		in.proposal = append([]byte{}, v...) // non-nil even when empty
+		in.proposedAt = time.Now().UnixNano()
+	}
+	if e.leaseElsewhereLocked(k) {
+		// Another process's lease makes its value the only one choosable
+		// at or below its ballot here: log ours only if we coordinate.
+		in.propDeferred = true
 		e.startDriverLocked(in)
 		return nil
 	}
 	// "A process proposes by logging its initial value on stable
 	// storage; this is the only logging required by our basic version of
-	// the protocol" (§3.2). The write is issued before anything else. On a
-	// group-commit engine the proposals of all pipelined rounds coalesce
-	// into one fsync and the driver runs phase 1 beside it — a prepare
-	// carries no value, so nothing that reaches the wire depends on this
-	// write until phase 2 (runBallot waits for hasProp there). Synchronous
-	// engines resolve inline, preserving the original propose-then-return
-	// contract (including surfacing the error).
-	cp := make([]byte, len(v))
-	copy(cp, v)
+	// the protocol" (§3.2). The write is issued before anything else.
+	// Synchronous engines resolve inline, preserving the original
+	// propose-then-return contract (including surfacing the error).
+	if err := e.logProposalLocked(in); err != nil {
+		return fmt.Errorf("consensus: log proposal %d: %w", k, err)
+	}
+	e.startDriverLocked(in)
+	return nil
+}
+
+// logProposalLocked issues the write of in.proposal. On a group-commit
+// engine the proposals of all pipelined rounds coalesce into one fsync and
+// the driver runs beside it: phase 1 of a classic ballot (a prepare carries
+// no value; runBallot waits for hasProp before phase 2), or the whole round
+// at the lease ballot. It returns the error of a write that failed at issue.
+// e.mu held.
+func (e *Engine) logProposalLocked(in *instance) error {
+	in.propDeferred = false
 	in.propPending = true
-	in.proposedAt = time.Now().UnixNano()
-	c := e.ast.PutAsync(propKey(k), cp)
+	c := e.ast.PutAsync(propKey(in.k), in.proposal)
 	if err, done := c.Poll(); done {
-		in.propPending = false
-		if err != nil {
-			return fmt.Errorf("consensus: log proposal %d: %w", k, err)
-		}
-		in.proposal = cp
-		in.hasProp = true
-		e.startDriverLocked(in)
-		return nil
+		e.proposalLoggedLocked(in, err)
+		return err
 	}
 	c.OnDone(func(err error) {
 		e.mu.Lock()
 		defer e.mu.Unlock()
-		in.propPending = false
-		if err == nil {
-			in.proposal = cp
-			in.hasProp = true
-			e.startDriverLocked(in)
-		}
+		e.proposalLoggedLocked(in, err)
 		// Either way the driver has news: its value may go out now, or
 		// (dying incarnation) it never will and the ballot is given up.
 		in.wake()
 	})
-	e.startDriverLocked(in)
 	return nil
+}
+
+// proposalLoggedLocked applies the outcome of a proposal write. e.mu held.
+func (e *Engine) proposalLoggedLocked(in *instance, err error) {
+	in.propPending = false
+	if err == nil {
+		in.hasProp = true
+		e.startDriverLocked(in)
+	}
 }
 
 // WaitDecided implements API.
@@ -378,34 +420,31 @@ func (e *Engine) WaitDecided(ctx context.Context, k uint64) ([]byte, error) {
 		e.mu.Unlock()
 		return v, nil
 	}
-	// Ensure someone is working on the instance, at least as a learner
-	// asking for the decision.
-	e.startDriverLocked(in)
-	done := in.done
-	forgot := in.forgotten
-	e.mu.Unlock()
-
-	select {
-	case <-done:
-		e.mu.Lock()
-		v := in.decided
-		e.mu.Unlock()
-		return v, nil
-	case <-forgot:
-		// A peer garbage-collected this instance under a checkpoint:
-		// the decision may no longer be reachable through Consensus.
-		// The caller must catch up via state transfer instead (§5.3).
-		e.mu.Lock()
-		if in.hasDec {
-			v := in.decided
-			e.mu.Unlock()
-			return v, nil
+	if !in.wasForgot {
+		// Ensure someone is working on the instance, at least as a
+		// learner asking for the decision, then wait for it.
+		e.startDriverLocked(in)
+		if in.settled == nil {
+			in.settled = make(chan struct{})
 		}
+		settled := in.settled
 		e.mu.Unlock()
-		return nil, fmt.Errorf("%w: instance %d reported forgotten by a peer", ErrDiscarded, k)
-	case <-ctx.Done():
-		return nil, ctx.Err()
+		select {
+		case <-settled:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		e.mu.Lock()
 	}
+	v, ok := in.decided, in.hasDec
+	e.mu.Unlock()
+	if !ok {
+		// A peer garbage-collected this instance under a checkpoint: the
+		// decision may no longer be reachable through Consensus. The
+		// caller must catch up via state transfer instead (§5.3).
+		return nil, fmt.Errorf("%w: instance %d reported forgotten by a peer", ErrDiscarded, k)
+	}
+	return v, nil
 }
 
 // DecidedLocal implements API.
@@ -463,12 +502,14 @@ func (e *Engine) DiscardBelow(k uint64) error {
 
 	// Issue all the deletes, then wait: on a group-commit engine the whole
 	// discard shares a handful of fsyncs instead of paying one per cell.
+	// They are waited for last to first: a log resolves in issue order, so
+	// once the last has, the others answer without a wait channel each.
 	dels := make([]*storage.Completion, len(keys))
 	for i, key := range keys {
 		dels[i] = e.ast.DeleteAsync(key)
 	}
-	for i, c := range dels {
-		if err := c.Wait(); err != nil {
+	for i := len(dels) - 1; i >= 0; i-- {
+		if err := dels[i].Wait(); err != nil {
 			return fmt.Errorf("consensus: discard %s: %w", keys[i], err)
 		}
 	}
@@ -561,8 +602,7 @@ func (e *Engine) decideLocked(in *instance, v []byte) {
 	}
 	in.decided = v
 	in.hasDec = true
-	close(in.done)
-	in.wake()
+	in.settle()
 	if done {
 		e.met.decideFsyncNS.Observe(time.Now().UnixNano() - quorumAt)
 		return

@@ -17,7 +17,14 @@ import (
 // granter refuses ballots < b there from then on. The holder may therefore
 // skip phase 1 entirely and run accept-phase-only rounds at ballot b, with
 // its own proposal as the value; ballot-uniqueness (PolicyLeader ballots
-// embed the pid) guarantees nobody else proposes at b.
+// embed the pid) guarantees nobody else proposes at b. It is how every
+// PolicyLeader engine orders in the steady state.
+//
+// The holder sends its value beside the proposal write, not after it: b is
+// used by one incarnation only, because the grant majority refuses any
+// later request at b and any prepare at b in the covered range, so a holder
+// that crashes before the write lands can never put a second value at
+// (k, b) — the package comment states the rule.
 //
 // Safety never involves clocks. The grant is logged durably before it is
 // acknowledged (a crash cannot retract it), a replacement grant never
@@ -75,19 +82,24 @@ func (e *Engine) grantBoundLocked(k uint64) uint64 {
 	return 0
 }
 
-// leaseCoversLocked reports whether this process holds a lease covering
-// instance k, i.e. whether its next round there would skip phase 1. e.mu
-// held.
-func (e *Engine) leaseCoversLocked(k uint64) bool {
-	return e.leaseHeld && k >= e.leaseFrom
+// leaseElsewhereLocked reports whether this process's acceptor granted a
+// lease covering k to another process. Its own proposal for k then waits
+// for coordination (propDeferred): the holder's value is the only one
+// choosable at or below the lease ballot, and a value nobody sends needs
+// no log. The choice is about cost only — the write is issued before the
+// value can reach the wire either way. e.mu held.
+func (e *Engine) leaseElsewhereLocked(k uint64) bool {
+	return e.grantBoundLocked(k) > 0 && ids.ProcessID((e.grantB-1)%uint64(e.cfg.N)) != e.cfg.PID
 }
 
 // leaseBallot decides whether instance in may take the fast path and, if
-// so, at which ballot and with which value. A failed precondition that
-// signals the lease is dead (a higher promise in the covered range, lost
-// FD leadership, TTL expiry) drops it.
+// so, at which ballot and with which value. The value may still be on its
+// way to the log (propPending): the rule in the package comment lets the
+// lease ballot carry it. A failed precondition that signals the lease is
+// dead (a higher promise in the covered range, lost FD leadership, TTL
+// expiry) drops it.
 func (e *Engine) leaseBallot(in *instance) (b uint64, v []byte, ok bool) {
-	if !e.cfg.Lease || e.cfg.Policy != PolicyLeader {
+	if e.cfg.Policy != PolicyLeader {
 		return 0, nil, false
 	}
 	e.mu.Lock()
@@ -107,7 +119,7 @@ func (e *Engine) leaseBallot(in *instance) (b uint64, v []byte, ok bool) {
 		e.dropLeaseLocked() // a competitor is past our ballot in our range
 		return 0, nil, false
 	}
-	if in.k < e.leaseFrom || !in.hasProp {
+	if in.k < e.leaseFrom || !(in.hasProp || in.propPending) {
 		return 0, nil, false
 	}
 	return e.leaseB, in.proposal, true
@@ -130,12 +142,11 @@ func (e *Engine) leaseRoundDone(success bool) {
 }
 
 // maybeAcquireLease starts an asynchronous lease acquisition covering every
-// instance >= fromK, if the engine is configured for leases, believes
-// itself the Ω leader, holds none, and is not in a post-failure cooldown.
-// Called after a classically decided round — the moment the process has
-// just demonstrated it is the stable sequencer.
+// instance >= fromK, if the engine runs PolicyLeader, believes itself the
+// Ω leader and holds none. Called after a classically decided round — the
+// moment the process has just demonstrated it is the stable sequencer.
 func (e *Engine) maybeAcquireLease(fromK uint64) {
-	if !e.cfg.Lease || e.cfg.Policy != PolicyLeader {
+	if e.cfg.Policy != PolicyLeader {
 		return
 	}
 	e.mu.Lock()
@@ -146,25 +157,29 @@ func (e *Engine) maybeAcquireLease(fromK uint64) {
 	if e.fd != nil && e.fd.Leader() != e.cfg.PID {
 		return
 	}
-	if time.Now().Before(e.leaseCooldown) {
-		return
-	}
-	if e.leaseAttempt == 0 {
-		e.leaseAttempt = 1
+	// Ask past every instance this process has touched — a pipelined round
+	// still in flight would make the acceptors refuse the range, and it
+	// finishes classically anyway — and one attempt above every ballot it
+	// has seen, so its own classic prepares in the range never outbid it.
+	seen := max(e.grantB, e.leaseSeenB)
+	for k, in := range e.insts {
+		fromK = max(fromK, k+1)
+		seen = max(seen, in.promised)
 	}
 	e.leaseAcquiring = true
-	e.leaseReqB = e.ballotFor(e.leaseAttempt)
-	e.leaseAcks = make(map[ids.ProcessID]bool)
-	e.leaseNackB = 0
+	e.leaseReqB = e.ballotFor(e.attemptAbove(seen) + 1)
+	e.leaseSeenB = e.leaseReqB
+	e.leaseVotes = make(map[ids.ProcessID]bool)
 	e.leaseWake = make(chan struct{}, 1)
 	e.wg.Add(1)
 	go e.acquireLease(fromK, e.leaseReqB, e.leaseWake)
 }
 
 // acquireLease runs one acquisition attempt: broadcast the request, wait
-// for a grant quorum, a conflicting nack, or the phase timeout. One attempt
-// per triggering decision — under steady load the next decided round
-// retries with the learned ballot.
+// for a grant quorum, refusals from enough acceptors that no quorum can
+// grant, or the phase timeout. One attempt per triggering decision — under
+// steady load the next classically decided round asks again, past the
+// instances and above the ballots the refusals reported.
 func (e *Engine) acquireLease(fromK, b uint64, wake chan struct{}) {
 	defer e.wg.Done()
 	e.mu.Lock()
@@ -173,46 +188,39 @@ func (e *Engine) acquireLease(fromK, b uint64, wake chan struct{}) {
 	e.send(ids.Nobody, message{kind: mLeaseReq, k: fromK, b: b})
 	timer := time.NewTimer(e.phaseTimeout())
 	defer timer.Stop()
+	defer func() {
+		e.mu.Lock()
+		e.leaseAcquiring = false
+		e.mu.Unlock()
+	}()
 	for {
 		select {
 		case <-ctx.Done():
-			e.mu.Lock()
-			e.leaseAcquiring = false
-			e.mu.Unlock()
 			return
 		case <-timer.C:
-			e.mu.Lock()
-			e.leaseAttempt++
-			e.leaseCooldown = time.Now().Add(e.backoff(1))
-			e.leaseAcquiring = false
-			e.mu.Unlock()
 			return
 		case <-wake:
 		}
 		e.mu.Lock()
-		if e.leaseNackB >= b {
-			// Outbid: learn the conflicting ballot and cool down so the
-			// competitor (possibly a recovering ex-holder's grant) is not
-			// hammered with doomed requests.
-			e.leaseAttempt = e.attemptAbove(e.leaseNackB)
-			e.leaseCooldown = time.Now().Add(e.backoff(1))
-			e.leaseAcquiring = false
-			e.mu.Unlock()
-			return
+		acks := 0
+		for _, granted := range e.leaseVotes {
+			if granted {
+				acks++
+			}
 		}
-		if len(e.leaseAcks) >= Quorum(e.cfg.N) {
+		if acks >= Quorum(e.cfg.N) {
 			e.leaseHeld = true
 			e.leaseB = b
 			e.leaseFrom = fromK
 			e.leaseUntil = time.Now().Add(e.cfg.LeaseTTL)
-			e.leaseAttempt++
 			e.leaseStats.Acquired++
 			e.fl.Event(obs.EvLeaseAcquire, e.cfg.Group, fromK, int64(b), 0, "")
-			e.leaseAcquiring = false
-			e.mu.Unlock()
+		}
+		refused := len(e.leaseVotes)-acks > e.cfg.N-Quorum(e.cfg.N)
+		e.mu.Unlock()
+		if acks >= Quorum(e.cfg.N) || refused {
 			return
 		}
-		e.mu.Unlock()
 	}
 }
 
@@ -232,15 +240,13 @@ func (e *Engine) onLeaseMsg(from ids.ProcessID, m message) {
 	switch m.kind {
 	case mLeaseReq:
 		e.onLeaseReqLocked(from, m)
-	case mLeaseAck:
+	case mLeaseAck, mLeaseNack:
 		if e.leaseAcquiring && m.b == e.leaseReqB {
-			e.leaseAcks[from] = true
-			e.pokeLeaseLocked()
-		}
-		e.mu.Unlock()
-	case mLeaseNack:
-		if e.leaseAcquiring && m.b == e.leaseReqB && m.promised > e.leaseNackB {
-			e.leaseNackB = m.promised
+			// A grant is durable, so it counts even after a refusal from
+			// the same acceptor (a duplicated request is refused at once,
+			// while its grant is still being logged).
+			e.leaseVotes[from] = e.leaseVotes[from] || m.kind == mLeaseAck
+			e.leaseSeenB = max(e.leaseSeenB, m.promised)
 			e.pokeLeaseLocked()
 		}
 		e.mu.Unlock()

@@ -3,6 +3,7 @@ package consensus
 import (
 	"bytes"
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,8 +12,8 @@ import (
 	"repro/internal/transport"
 )
 
-// newLeaseCluster is newTestCluster with the stable-sequencer lease on
-// (PolicyLeader, as the lease requires a stable proposer to pay off).
+// newLeaseCluster is newTestCluster under PolicyLeader (whose engines run
+// the stable-sequencer lease) with the given lease TTL.
 func newLeaseCluster(t *testing.T, n int, netOpts transport.MemOptions, ttl time.Duration) *testCluster {
 	t.Helper()
 	tc := &testCluster{
@@ -23,7 +24,6 @@ func newLeaseCluster(t *testing.T, n int, netOpts transport.MemOptions, ttl time
 			Policy:   PolicyLeader,
 			RetryMin: 3 * time.Millisecond,
 			RetryMax: 40 * time.Millisecond,
-			Lease:    true,
 			LeaseTTL: ttl,
 		},
 	}
@@ -225,5 +225,230 @@ func TestLeaseSurvivesHolderCrash(t *testing.T) {
 	}
 	if !bytes.Equal(got, val(0, 3)) {
 		t.Fatalf("instance 3 changed across crash: %q", got)
+	}
+}
+
+// leaseOf reads the holder side of e's lease.
+func leaseOf(e *Engine) (b, from uint64, held bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.leaseB, e.leaseFrom, e.leaseHeld
+}
+
+// grantOf reads the acceptor side of e's lease.
+func grantOf(e *Engine) (b uint64, held bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.grantB, e.grantHeld
+}
+
+// leaseTarget is the instance the crash-window tests hold the holder's
+// proposal write of: far past any instance decideUntilHeld reaches, and
+// covered by any lease it acquires.
+const leaseTarget = 1000
+
+func isTargetProposal(key string) bool { return key == propKey(leaseTarget) }
+
+// TestLeaseAcceptBesideProposalLog: under a held lease the holder's round
+// is its proposal write beside one accept round trip. With the write held,
+// mAccept at the lease ballot is on the wire and all three processes
+// decide the holder's value; the proposal becomes durable only afterwards.
+func TestLeaseAcceptBesideProposalLog(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	held := storage.NewHeld(isTargetProposal)
+	tc := newStoppedCluster(t, PolicyLeader, transport.MemOptions{Seed: 41},
+		[]storage.Stable{held, storage.NewMem(), storage.NewMem()})
+	var besideWrite atomic.Bool
+	tap := newWireTap()
+	tap.onSend = func(m message) {
+		if m.kind == mAccept && m.k == leaseTarget && held.Pending(isTargetProposal) == 1 {
+			besideWrite.Store(true)
+		}
+	}
+	tc.procs[0].tap = tap
+	for p := range tc.procs {
+		tc.start(ids.ProcessID(p), 1)
+	}
+	defer tc.stopAll()
+
+	if k := decideUntilHeld(tc, 0, 0); k >= leaseTarget {
+		t.Fatalf("lease acquired only at instance %d", k)
+	}
+	b, _, _ := leaseOf(tc.procs[0].eng)
+	before := tc.procs[0].eng.LeaseStats()
+	v := []byte("beside-the-proposal-log")
+	if err := tc.procs[0].eng.Propose(leaseTarget, v); err != nil {
+		t.Fatal(err)
+	}
+	waitAll(t, ctx, tc, leaseTarget, v, 0, 1, 2)
+	if !besideWrite.Load() {
+		t.Fatal("no mAccept left while the proposal write was held")
+	}
+	for _, m := range tap.sentKind(mAccept, leaseTarget) {
+		if m.b != b {
+			t.Fatalf("mAccept at ballot %d, want the lease ballot %d", m.b, b)
+		}
+	}
+	if len(tap.sentKind(mPrepare, leaseTarget)) != 0 {
+		t.Fatal("the holder ran phase 1")
+	}
+	if after := tc.procs[0].eng.LeaseStats(); after.FastRounds != before.FastRounds+1 {
+		t.Fatalf("fast rounds %d -> %d, want one more", before.FastRounds, after.FastRounds)
+	}
+	if n := held.Pending(isTargetProposal); n != 1 {
+		t.Fatalf("%d proposal writes held after the decision, want 1", n)
+	}
+	if _, ok := tc.procs[0].eng.Proposal(leaseTarget); ok {
+		t.Fatal("Proposal reports a value whose write is not durable")
+	}
+	held.Release(isTargetProposal)
+	if got, ok := tc.procs[0].eng.Proposal(leaseTarget); !ok || !bytes.Equal(got, v) {
+		t.Fatalf("Proposal after release = %q, %v", got, ok)
+	}
+}
+
+// TestLeaseBallotNeverReusedAfterCrash: the holder's accept at its lease
+// ballot b reaches p1 alone, and the holder crashes before its proposal
+// write lands, so it comes back with no memory of the value it sent. The
+// lease ballot is then closed to it: a lease request at b is refused and a
+// prepare at b is nacked, each by a majority — so the different value it
+// proposes next can never appear at b, and exactly one value is decided.
+func TestLeaseBallotNeverReusedAfterCrash(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	held := storage.NewHeld(isTargetProposal)
+	tc := newStoppedCluster(t, PolicyLeader, transport.MemOptions{Seed: 43},
+		[]storage.Stable{held, storage.NewMem(), storage.NewMem()})
+	tap := newWireTap()
+	tap.n = len(tc.procs)
+	tap.drop = func(to ids.ProcessID, m message) bool {
+		return m.kind == mAccept && m.k == leaseTarget && to != 1
+	}
+	tc.procs[0].tap = tap
+	for p := range tc.procs {
+		tc.start(ids.ProcessID(p), 1)
+	}
+	defer tc.stopAll()
+
+	if k := decideUntilHeld(tc, 0, 0); k >= leaseTarget {
+		t.Fatalf("lease acquired only at instance %d", k)
+	}
+	b, from, _ := leaseOf(tc.procs[0].eng)
+	first := []byte("sent-at-the-lease-ballot")
+	if err := tc.procs[0].eng.Propose(leaseTarget, first); err != nil {
+		t.Fatal(err)
+	}
+	tap.awaitHandled(t, ctx, mAccepted, leaseTarget, 1) // p1's cell holds (b, first)
+	if sent := tap.sentKind(mAccept, leaseTarget); len(sent) == 0 || sent[0].b != b {
+		t.Fatalf("mAccept frames %+v, want one at the lease ballot %d", sent, b)
+	}
+
+	tc.crash(0)
+	held.Crash()
+	if _, ok, _ := held.Get(propKey(leaseTarget)); ok {
+		t.Fatal("the proposal write survived the crash")
+	}
+	tap = newWireTap()
+	tc.procs[0].tap = tap
+	tc.start(0, 2)
+	if _, ok := tc.procs[0].eng.Proposal(leaseTarget); ok {
+		t.Fatal("the recovered holder found a proposal")
+	}
+
+	// Whatever the recovered holder might try at b is refused by a majority.
+	tap.Net.Multisend(message{kind: mLeaseReq, k: from, b: b}.encode())
+	tap.awaitHandled(t, ctx, mLeaseNack, from, Quorum(len(tc.procs)))
+	tap.Net.Multisend(message{kind: mPrepare, k: leaseTarget, b: b}.encode())
+	tap.awaitHandled(t, ctx, mNack, leaseTarget, Quorum(len(tc.procs)))
+
+	second := []byte("proposed-after-recovery")
+	if err := tc.procs[0].eng.Propose(leaseTarget, second); err != nil {
+		t.Fatal(err)
+	}
+	got, err := tc.procs[0].eng.WaitDecided(ctx, leaseTarget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, first) && !bytes.Equal(got, second) {
+		t.Fatalf("decided %q, never proposed", got)
+	}
+	waitAll(t, ctx, tc, leaseTarget, got, 0, 1, 2)
+	for _, m := range tap.sentKind(mAccept, leaseTarget) {
+		if m.b <= b {
+			t.Fatalf("the recovered holder sent mAccept at ballot %d <= the old lease ballot %d", m.b, b)
+		}
+	}
+}
+
+// TestNonHolderDefersProposalLog: while p0 holds a lease p1 granted, p1's
+// proposals cost it no log write — p0's value is the only one choosable,
+// and p1 never coordinates — yet once p0 is down, p1 logs its deferred
+// proposal as it takes over and decides it.
+func TestNonHolderDefersProposalLog(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	accts := []*storage.Accounted{
+		storage.NewAccounted(storage.NewMem()),
+		storage.NewAccounted(storage.NewMem()),
+		storage.NewAccounted(storage.NewMem()),
+	}
+	tc := newStoppedCluster(t, PolicyLeader, transport.MemOptions{Seed: 47},
+		[]storage.Stable{accts[0], accts[1], accts[2]})
+	// A learner coordinates anyway after graceWaits idle waits of about
+	// RetryMin each; keep that far beyond a fast round.
+	tc.cfg.RetryMin = tc.cfg.RetryMax
+	for p := range tc.procs {
+		tc.start(ids.ProcessID(p), 1)
+	}
+	defer tc.stopAll()
+
+	// Until p1 has granted the lease p0 holds (a request can lose the race
+	// with the next round's prepare; revoking makes p0 ask again).
+	k := uint64(0)
+	for {
+		k = decideUntilHeld(tc, 0, k)
+		b, _, held := leaseOf(tc.procs[0].eng)
+		if g, ok := grantOf(tc.procs[1].eng); held && ok && g == b {
+			break
+		}
+		tc.procs[0].eng.RevokeLease()
+	}
+
+	propCells := func(p int) []string {
+		keys, err := accts[p].List("cons/p/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return keys
+	}
+	logged := len(propCells(1))
+	puts1, puts2 := accts[1].Layer("cons").PutOps, accts[2].Layer("cons").PutOps
+	for end := k + 5; k < end; k++ {
+		// p1 first: its proposal exists before p0's round decides.
+		if err := tc.procs[1].eng.Propose(k, val(1, k)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.procs[0].eng.Propose(k, val(0, k)); err != nil {
+			t.Fatal(err)
+		}
+		waitAll(t, ctx, tc, k, val(0, k), 0, 1, 2)
+	}
+	if got := propCells(1); len(got) != logged {
+		t.Fatalf("p1 logged proposals under p0's lease: %v", got)
+	}
+	d1 := accts[1].Layer("cons").PutOps - puts1
+	d2 := accts[2].Layer("cons").PutOps - puts2
+	if d1 != d2 {
+		t.Fatalf("p1 (proposing) wrote %d consensus cells, p2 (not proposing) %d", d1, d2)
+	}
+
+	tc.crash(0)
+	if err := tc.procs[1].eng.Propose(k, val(1, k)); err != nil {
+		t.Fatal(err)
+	}
+	waitAll(t, ctx, tc, k, val(1, k), 1, 2)
+	if got := propCells(1); len(got) != logged+1 || got[len(got)-1] != propKey(k) {
+		t.Fatalf("p1's proposal cells after taking over: %v, want %d then %s", got, logged, propKey(k))
 	}
 }

@@ -32,6 +32,11 @@ type wireTap struct {
 	// onSend, when set, runs on the sending goroutine before the frame
 	// leaves: what it observes is the state the engine sent the frame in.
 	onSend func(m message)
+	// drop, when set before the engine starts, withholds a frame from the
+	// destinations it selects; a multisend then leaves as one send to each
+	// of the n processes drop spares.
+	drop func(to ids.ProcessID, m message) bool
+	n    int
 
 	mu   sync.Mutex
 	sent []message
@@ -48,10 +53,10 @@ func (w *wireTap) bind(net router.Net) router.Net {
 	return w
 }
 
-func (w *wireTap) record(payload []byte) {
+func (w *wireTap) record(payload []byte) message {
 	m, err := decodeMessage(payload)
 	if err != nil {
-		return
+		return message{}
 	}
 	m.val = bytes.Clone(m.val) // payload is a pooled buffer
 	if w.onSend != nil {
@@ -60,16 +65,27 @@ func (w *wireTap) record(payload []byte) {
 	w.mu.Lock()
 	w.sent = append(w.sent, m)
 	w.mu.Unlock()
+	return m
 }
 
 func (w *wireTap) Send(to ids.ProcessID, payload []byte) {
-	w.record(payload)
-	w.Net.Send(to, payload)
+	m := w.record(payload)
+	if w.drop == nil || !w.drop(to, m) {
+		w.Net.Send(to, payload)
+	}
 }
 
 func (w *wireTap) Multisend(payload []byte) {
-	w.record(payload)
-	w.Net.Multisend(payload)
+	m := w.record(payload)
+	if w.drop == nil {
+		w.Net.Multisend(payload)
+		return
+	}
+	for to := range w.n {
+		if !w.drop(ids.ProcessID(to), m) {
+			w.Net.Send(ids.ProcessID(to), payload)
+		}
+	}
 }
 
 // sentKind returns the frames of one kind sent so far for instance k.
@@ -97,19 +113,19 @@ func (w *wireTap) handler(h router.Handler) router.Handler {
 	}
 }
 
-// awaitPromises returns once the engine has handled promises for instance k
-// from n distinct processes.
-func (w *wireTap) awaitPromises(t *testing.T, ctx context.Context, k uint64, n int) {
+// awaitHandled returns once the engine has handled frames of one kind for
+// instance k (a lease frame's range start) from n distinct processes.
+func (w *wireTap) awaitHandled(t *testing.T, ctx context.Context, kind uint8, k uint64, n int) {
 	t.Helper()
 	from := make(map[ids.ProcessID]bool)
 	for len(from) < n {
 		select {
 		case f := <-w.handled:
-			if f.m.kind == mPromise && f.m.k == k {
+			if f.m.kind == kind && f.m.k == k {
 				from[f.from] = true
 			}
 		case <-ctx.Done():
-			t.Fatalf("promises for instance %d from %d processes, want %d: %v", k, len(from), n, ctx.Err())
+			t.Fatalf("kind %d frames for instance %d from %d processes, want %d: %v", kind, k, len(from), n, ctx.Err())
 		}
 	}
 }
@@ -159,7 +175,7 @@ func heldProposalCluster(t *testing.T, ctx context.Context, v []byte) (*testClus
 	if held.Pending(isKey(propKey(0))) != 1 {
 		t.Fatal("the proposal write is not held")
 	}
-	tap.awaitPromises(t, ctx, 0, 2)
+	tap.awaitHandled(t, ctx, mPromise, 0, 2)
 	if len(tap.sentKind(mPrepare, 0)) == 0 {
 		t.Fatal("promises handled, but no mPrepare in p0's send log")
 	}
@@ -279,7 +295,7 @@ func TestCrashBetweenDecisionAndItsCell(t *testing.T) {
 	if err := tc.procs[0].eng.Propose(0, lost); err != nil {
 		t.Fatal(err)
 	}
-	tap.awaitPromises(t, ctx, 0, 2)
+	tap.awaitHandled(t, ctx, mPromise, 0, 2)
 	if err := tc.procs[2].eng.Propose(0, chosen); err != nil {
 		t.Fatal(err)
 	}

@@ -299,7 +299,8 @@ func TestOnStateInterruptsSequencer(t *testing.T) {
 	interrupted := make(chan struct{})
 	wctx, cancel := context.WithCancel(context.Background())
 	p.mu.Lock()
-	p.inflightRounds[0] = cancel
+	p.inflightRounds[0] = struct{}{}
+	p.waits, p.cancelWaits = wctx, cancel
 	p.mu.Unlock()
 	go func() {
 		<-wctx.Done()

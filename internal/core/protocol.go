@@ -70,12 +70,16 @@ type Protocol struct {
 	// the round.
 	starved *starvedRound
 
-	// Pipeline state. inflightRounds holds a cancel func per round with a
-	// live decision waiter; inflightMsgs marks unordered messages already
-	// inside an in-flight proposal (so later rounds don't re-propose
-	// them); pendingSince is the arrival time of the oldest pending (not
-	// yet proposed) message, driving the adaptive batching time trigger.
-	inflightRounds map[uint64]context.CancelFunc
+	// Pipeline state. inflightRounds marks the rounds with a live decision
+	// waiter; the waiters of one window share the context waits, which
+	// interruptInflightLocked cancels and the next startWaiter replaces.
+	// inflightMsgs marks unordered messages already inside an in-flight
+	// proposal (so later rounds don't re-propose them); pendingSince is the
+	// arrival time of the oldest pending (not yet proposed) message,
+	// driving the adaptive batching time trigger.
+	inflightRounds map[uint64]struct{}
+	waits          context.Context
+	cancelWaits    context.CancelFunc
 	inflightMsgs   map[ids.MsgID]uint64
 	pendingSince   time.Time
 	resCh          chan roundResult
@@ -141,7 +145,7 @@ func New(cfg Config, st storage.Stable, cons consensus.API, net router.Net) *Pro
 		waiters:        make(map[ids.MsgID][]chan struct{}),
 		lastStateTo:    make(map[ids.ProcessID]time.Time),
 		lastPull:       make(map[ids.MsgID]time.Time),
-		inflightRounds: make(map[uint64]context.CancelFunc),
+		inflightRounds: make(map[uint64]struct{}),
 		inflightMsgs:   make(map[ids.MsgID]uint64),
 		resCh:          make(chan roundResult, depth+1),
 		drainedCh:      make(chan struct{}),

@@ -440,7 +440,7 @@ func (p *Protocol) unmarkRound(r uint64) {
 
 // startWaiter forks a goroutine waiting for round r's decision; the result
 // lands on resCh for the sequencer to commit in order. The waiter's context
-// is the per-round interrupt handle (Fig. 3 line (e) generalizes to
+// is the window's interrupt handle (Fig. 3 line (e) generalizes to
 // cancelling the whole window when a state transfer arrives).
 func (p *Protocol) startWaiter(r uint64) {
 	p.mu.Lock()
@@ -448,17 +448,19 @@ func (p *Protocol) startWaiter(r uint64) {
 		p.mu.Unlock()
 		return
 	}
-	wctx, cancel := context.WithCancel(p.ctx)
-	p.inflightRounds[r] = cancel
+	if p.waits == nil || p.waits.Err() != nil {
+		p.waits, p.cancelWaits = context.WithCancel(p.ctx)
+	}
+	wctx := p.waits
+	p.inflightRounds[r] = struct{}{}
 	if p.pending != nil {
-		cancel() // an adoption is staged: don't outwait it
+		p.cancelWaits() // an adoption is staged: don't outwait it
 	}
 	p.wg.Add(1)
 	p.mu.Unlock()
 	go func() {
 		defer p.wg.Done()
 		val, err := p.cons.WaitDecided(wctx, r)
-		cancel()
 		select {
 		case p.resCh <- roundResult{k: r, val: val, err: err}:
 		case <-p.ctx.Done():
@@ -469,8 +471,8 @@ func (p *Protocol) startWaiter(r uint64) {
 // interruptInflightLocked cancels every in-flight decision wait (the
 // pipelined form of Fig. 3's "terminate task sequencer"). p.mu held.
 func (p *Protocol) interruptInflightLocked() {
-	for _, cancel := range p.inflightRounds {
-		cancel()
+	if p.cancelWaits != nil {
+		p.cancelWaits()
 	}
 }
 

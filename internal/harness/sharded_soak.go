@@ -47,7 +47,7 @@ type ShardedSoakOptions struct {
 	// reconstruct; RunShardedSoak rejects it.
 	Core core.Config
 	// Consensus extends every group's consensus engine configuration —
-	// notably the stable-sequencer lease (PID/N/Seed filled per node).
+	// notably the lease's TTL (PID/N/Seed filled per node).
 	Consensus consensus.Config
 	// Optimistic runs the soak against the optimistic-delivery contract
 	// (see SoakOptions.Optimistic): per-process tentative tracking over

@@ -44,8 +44,8 @@ type SoakOptions struct {
 	// batched, checkpointing, ...).
 	Core core.Config
 	// Consensus extends each process's consensus engine configuration —
-	// notably the stable-sequencer lease (PID/N/Seed are filled per
-	// process, as always).
+	// notably the lease's TTL (PID/N/Seed are filled per process, as
+	// always).
 	Consensus consensus.Config
 	// Optimistic runs the soak against the optimistic-delivery contract:
 	// the cluster's tentative hooks feed a per-process tracker asserting

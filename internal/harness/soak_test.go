@@ -72,7 +72,7 @@ func TestSoakSeeds(t *testing.T) {
 }
 
 // TestSoakSeedsOptimistic runs the seeded soak with the optimistic
-// delivery fast path and the stable-sequencer lease enabled, against a
+// delivery fast path and a short lease TTL, against a
 // schedule where optimism is systematically wrong: besides the usual
 // crashes, recoveries and storage faults, quiet steps now revoke held
 // leases mid-stream (injected suspicion forcing the fast path back onto
@@ -92,7 +92,7 @@ func TestSoakSeedsOptimistic(t *testing.T) {
 				Seed:       seed,
 				N:          3,
 				Core:       soakVariants()["pipelined"],
-				Consensus:  consensus.Config{Lease: true, LeaseTTL: 50 * time.Millisecond},
+				Consensus:  consensus.Config{LeaseTTL: 50 * time.Millisecond},
 				Optimistic: true,
 			})
 			t.Logf("soak: %v", res)
@@ -257,7 +257,7 @@ func TestSoakSeedsSharded(t *testing.T) {
 }
 
 // TestSoakSeedsShardedOptimistic runs the sharded soak with tentative
-// delivery, the lease fast path and the merged-mode idle heartbeat wired
+// delivery, a short lease TTL and the merged-mode idle heartbeat wired
 // through every group: the optimism tracker checks the per-group
 // confirm/revoke contract while the merge verification proves the merged
 // sequence carries only confirmed rounds (tentative deliveries never
@@ -278,7 +278,7 @@ func TestSoakSeedsShardedOptimistic(t *testing.T) {
 				N:          3,
 				Groups:     3,
 				Core:       cfg,
-				Consensus:  consensus.Config{Lease: true, LeaseTTL: 50 * time.Millisecond},
+				Consensus:  consensus.Config{LeaseTTL: 50 * time.Millisecond},
 				Mux:        group.MuxOptions{FlushDelay: 200 * time.Microsecond},
 				Optimistic: true,
 			})

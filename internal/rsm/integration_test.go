@@ -3,6 +3,7 @@ package rsm_test
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,23 +14,75 @@ import (
 	"repro/internal/rsm"
 )
 
-// buildReplicated wires one Store per process into a cluster.
-func buildReplicated(opts harness.Options) (*harness.Cluster, []*rsm.Store) {
-	stores := make([]*rsm.Store, opts.N)
-	for i := range stores {
-		stores[i] = rsm.NewStore()
+// replicas is one Store per process, wired into a cluster's delivery and
+// restore callbacks. The harness records a delivery before the Store
+// applies it, so AwaitAllDelivered can return while a replica is still one
+// Apply behind: compare replicas only after awaitApplied.
+type replicas struct {
+	stores []*rsm.Store
+
+	mu      sync.Mutex
+	changed chan struct{} // closed and replaced whenever a replica changes
+}
+
+// wire makes one Store per process and hooks them into opts.
+func (r *replicas) wire(opts *harness.Options) {
+	r.stores = make([]*rsm.Store, opts.N)
+	for i := range r.stores {
+		r.stores[i] = rsm.NewStore()
 	}
+	r.changed = make(chan struct{})
 	opts.OnDeliver = func(pid ids.ProcessID, d core.Delivery) {
-		stores[pid].Apply(d)
+		r.stores[pid].Apply(d)
+		r.notify()
 	}
 	opts.OnRestore = func(pid ids.ProcessID, s core.Snapshot) {
-		stores[pid].Restore(s.App)
+		r.stores[pid].Restore(s.App)
+		r.notify()
 	}
-	return harness.NewCluster(opts), stores
+}
+
+func (r *replicas) notify() {
+	r.mu.Lock()
+	close(r.changed)
+	r.changed = make(chan struct{})
+	r.mu.Unlock()
+}
+
+// awaitApplied returns once every replica in pids has applied n messages.
+func (r *replicas) awaitApplied(ctx context.Context, n uint64, pids ...ids.ProcessID) error {
+	for {
+		r.mu.Lock()
+		changed := r.changed
+		r.mu.Unlock()
+		behind := -1
+		for _, p := range pids {
+			if r.stores[p].Applied() < n {
+				behind = int(p)
+				break
+			}
+		}
+		if behind < 0 {
+			return nil
+		}
+		select {
+		case <-changed:
+		case <-ctx.Done():
+			return fmt.Errorf("replica %d applied %d of %d: %w", behind, r.stores[behind].Applied(), n, ctx.Err())
+		}
+	}
+}
+
+// buildReplicated wires one Store per process into a cluster.
+func buildReplicated(opts harness.Options) (*harness.Cluster, *replicas) {
+	r := &replicas{}
+	r.wire(&opts)
+	return harness.NewCluster(opts), r
 }
 
 func TestReplicatedKVConverges(t *testing.T) {
-	c, stores := buildReplicated(harness.Options{N: 3, Seed: 61})
+	c, r := buildReplicated(harness.Options{N: 3, Seed: 61})
+	stores := r.stores
 	defer c.Stop()
 	if err := c.StartAll(); err != nil {
 		t.Fatal(err)
@@ -46,6 +99,9 @@ func TestReplicatedKVConverges(t *testing.T) {
 	if err := c.AwaitAllDelivered(ctx, 0, 1, 2); err != nil {
 		t.Fatal(err)
 	}
+	if err := r.awaitApplied(ctx, 20, 0, 1, 2); err != nil {
+		t.Fatal(err)
+	}
 	fp := stores[0].Fingerprint()
 	for p := 1; p < 3; p++ {
 		if stores[p].Fingerprint() != fp {
@@ -58,7 +114,8 @@ func TestReplicatedKVConverges(t *testing.T) {
 }
 
 func TestReplicatedKVRecoversAfterCrash(t *testing.T) {
-	c, stores := buildReplicated(harness.Options{N: 3, Seed: 62})
+	c, r := buildReplicated(harness.Options{N: 3, Seed: 62})
+	stores := r.stores
 	defer c.Stop()
 	if err := c.StartAll(); err != nil {
 		t.Fatal(err)
@@ -84,6 +141,9 @@ func TestReplicatedKVRecoversAfterCrash(t *testing.T) {
 	if err := c.AwaitAllDelivered(ctx, 0, 1, 2); err != nil {
 		t.Fatal(err)
 	}
+	if err := r.awaitApplied(ctx, 15, 0, 2); err != nil {
+		t.Fatal(err)
+	}
 	if stores[2].Fingerprint() != stores[0].Fingerprint() {
 		t.Fatal("recovered replica diverged")
 	}
@@ -92,21 +152,14 @@ func TestReplicatedKVRecoversAfterCrash(t *testing.T) {
 func TestKVCheckpointerPerProcess(t *testing.T) {
 	// Full wiring: per-process Store acts as Checkpointer, OnDeliver and
 	// OnRestore. State transfer then ships real application snapshots.
-	stores := make([]*rsm.Store, 3)
-	for i := range stores {
-		stores[i] = rsm.NewStore()
-	}
 	opts := harness.Options{
 		N:    3,
 		Seed: 64,
 		Core: core.Config{CheckpointEvery: 5, Delta: 3},
-		OnDeliver: func(pid ids.ProcessID, d core.Delivery) {
-			stores[pid].Apply(d)
-		},
-		OnRestore: func(pid ids.ProcessID, s core.Snapshot) {
-			stores[pid].Restore(s.App)
-		},
 	}
+	r := &replicas{}
+	r.wire(&opts)
+	stores := r.stores
 	// The Checkpointer in core.Config is shared across processes in
 	// harness.Options; its Checkpoint fold is pure (state in, state
 	// out), so sharing is safe — Restore must go to the right store,
@@ -140,6 +193,9 @@ func TestKVCheckpointerPerProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := c.AwaitAllDelivered(ctx, 0, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.awaitApplied(ctx, 40, 0, 2); err != nil {
 		t.Fatal(err)
 	}
 	if stores[2].Fingerprint() != stores[0].Fingerprint() {

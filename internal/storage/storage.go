@@ -17,14 +17,19 @@
 // be durable before the process sends the message the log protects — NOT
 // one fsync per log call, and not before every action either: a process
 // sends a promise or an accepted reply only after the acceptor cell
-// protecting it is durable, and a proposer sends its own value only after
-// its proposal is durable; everything else (prepare, decide, deliver) may
-// run ahead of the local log, because it carries nothing a quorum does not
-// already hold durably. The gap between "one fsync per call" and that rule
-// is the group-commit engine's opportunity: a WAL record is durable once
-// the fsync covering its commit group completes. A group closes when
-// SyncEvery records are pending or the oldest has waited MaxSyncDelay,
-// whichever is first — both set in WALOptions at OpenWAL and nowhere else.
+// protecting it is durable; a proposer sends its own value at a classic
+// ballot only after its proposal is durable, and at its lease ballot
+// beside the proposal write — a lease ballot is used by one incarnation
+// only (its grant is durable at a majority, which refuses every later
+// request or prepare at it), so no second value can appear there even if
+// the holder crashes before the write lands; everything else (prepare,
+// decide, deliver) may run ahead of the local log, because it carries
+// nothing a quorum does not already hold durably. The gap between "one
+// fsync per call" and that rule is the group-commit engine's opportunity:
+// a WAL record is durable once the fsync covering its commit group
+// completes. A group closes when SyncEvery records are pending or the
+// oldest has waited MaxSyncDelay, whichever is first — both set in
+// WALOptions at OpenWAL and nowhere else.
 // Synchronous Put/Append still block until that fsync, so the Stable
 // contract ("returned => durable") is that of one fsync per call —
 // concurrent callers just share the fsync. The asynchronous API
