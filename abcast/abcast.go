@@ -109,30 +109,6 @@
 // The README's "Latency" section covers the contract and when not to
 // enable optimism.
 //
-// # Dissemination
-//
-// By default the sequencer's proposals carry full payloads, so every
-// ordered byte crosses the network O(N) times from one process (the
-// consensus coordinator fans the decided value out to all members). Past
-// a few KiB per message that egress link is the throughput ceiling.
-// ProtocolOptions.RingDissem splits ordering from dissemination: payloads
-// stream around a successor ring derived from the failure detector's
-// membership (each process forwards to one live successor, so per-process
-// egress is O(1) in N), while consensus orders only ID+checksum vectors.
-// Delivery is gated on "ID ordered AND payload present": a decided ID
-// whose payload has not arrived yet parks the delivery cursor and issues
-// a targeted pull over the gossip repair path; the cursor advances
-// the moment the payload lands, so loss or a crashed ring successor costs
-// latency, never safety. The ring heals around suspects automatically,
-// and recovery is unchanged — the unordered log persists payloads
-// locally, so replay re-resolves decided ID vectors against it.
-//
-// RingDissem changes the proposal wire format: every process of a
-// deployment must enable it together. Enable it when payloads are large
-// (>= a few KiB) and throughput-bound; leave it off for small-message or
-// latency-critical workloads — the ring hop chain adds a relay latency
-// proportional to N before the last member holds the payload.
-//
 // # Elastic resharding
 //
 // The group count G is no longer fixed at construction: Sharded.AddGroup
@@ -326,15 +302,6 @@ type ProtocolOptions struct {
 	// dissemination fair-lossy-proof; shorter intervals spread messages
 	// and round news faster at more background traffic.
 	GossipInterval time.Duration
-	// RingDissem enables the ordering/dissemination split: payloads
-	// stream around a failure-detector-derived successor ring while
-	// consensus orders ID+checksum vectors, making per-process egress
-	// O(1) in N instead of the coordinator's O(N x payload). Delivery is
-	// gated on payload presence, with missing payloads pulled over the
-	// gossip repair path. Every process of the deployment must set it
-	// together (the proposal wire format changes). See the package
-	// comment's "Dissemination" section.
-	RingDissem bool
 
 	// PipelineDepth is the number of consensus rounds that may be in
 	// flight concurrently. 0 or 1 reproduces the paper's strictly
@@ -422,12 +389,11 @@ func NewProcess(cfg Config, st Storage, net Network) (*Process, error) {
 	coreCfg.OnConfirm = cfg.OnConfirm
 	coreCfg.OnRevoke = cfg.OnRevoke
 	nodeCfg := node.Config{
-		PID:        cfg.PID,
-		N:          cfg.N,
-		Core:       coreCfg,
-		Consensus:  consensus.Config{Policy: cfg.Policy},
-		FD:         cfg.FD,
-		RingDissem: cfg.Protocol.RingDissem,
+		PID:       cfg.PID,
+		N:         cfg.N,
+		Core:      coreCfg,
+		Consensus: consensus.Config{Policy: cfg.Policy},
+		FD:        cfg.FD,
 	}
 	return &Process{n: node.New(nodeCfg, st, net)}, nil
 }

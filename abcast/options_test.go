@@ -49,7 +49,7 @@ func TestProtocolOptionsValidateRejectsNegatives(t *testing.T) {
 func TestProtocolOptionsSurface(t *testing.T) {
 	want := []string{
 		"CheckpointEvery", "Delta", "BatchedBroadcast", "IncrementalLog", "Checkpointer",
-		"GossipInterval", "RingDissem",
+		"GossipInterval",
 		"PipelineDepth", "MaxBatchBytes", "MaxBatchDelay",
 		"IdleHeartbeat",
 	}

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/consensus"
 	"repro/internal/core"
-	"repro/internal/dissem"
 	"repro/internal/fd"
 	"repro/internal/group"
 	"repro/internal/ids"
@@ -222,9 +221,8 @@ type Sharded struct {
 
 	mu       sync.Mutex
 	up       bool
-	startCtx context.Context  // last Start context, for nodes spliced in live
-	sfd      *node.SharedFD   // live process-level failure detector (nil when down)
-	sring    *node.SharedRing // live process-level payload ring (nil when down or ring mode off)
+	startCtx context.Context // last Start context, for nodes spliced in live
+	sfd      *node.SharedFD  // live process-level failure detector (nil when down)
 	reaped   map[GroupID]bool
 	seen     map[GroupID]group.Span // last observed topology (edge-detects seals/joins)
 
@@ -480,12 +478,6 @@ func (s *Sharded) buildGroup(gid GroupID) (Storage, *node.Node) {
 		// heartbeats of their own.
 		SharedFD: func() fd.API { return s.fdView(gid) },
 	}
-	if cfg.Protocol.RingDissem {
-		// All groups of the process share one payload ring over the
-		// mux's dissem lane (the ring twin of the shared detector):
-		// G groups cost one successor stream, not G.
-		ncfg.SharedRing = s.ringView
-	}
 	return gst, node.New(ncfg, gst, s.net.Net(gid))
 }
 
@@ -669,20 +661,6 @@ func (s *Sharded) applySeals() {
 	}
 }
 
-// ringView returns the live process-level ring group nodes register their
-// payload sinks with. A nil ring means a torn-down process — return an
-// inert ring rather than nil so a racing start cannot panic (the node
-// still runs in ring mode, which the deployment's wire format requires;
-// its publishes drop, exactly like traffic from a down process).
-func (s *Sharded) ringView() *dissem.Ring {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.sring == nil {
-		return dissem.Inert()
-	}
-	return s.sring.Ring()
-}
-
 // fdView returns group g's facade over the live shared detector. Group
 // nodes only start after Start boots the detector, so a nil here means a
 // torn-down process — return an inert facade rather than nil so a racing
@@ -752,20 +730,6 @@ func (s *Sharded) Start(ctx context.Context) error {
 	s.sfd = sfd
 	s.mu.Unlock()
 
-	if s.cfg.Protocol.RingDissem {
-		// The shared payload ring follows the detector (it derives ring
-		// successors from it) and precedes the group nodes (they register
-		// their sinks with it as they boot).
-		sring, err := node.StartSharedRing(ctx, s.cfg.PID, s.cfg.N, sfd.Detector(), s.net.DissemNet(), dissem.Options{})
-		if err != nil {
-			s.Crash()
-			return fmt.Errorf("abcast: sharded process %v: %w", s.cfg.PID, err)
-		}
-		s.mu.Lock()
-		s.sring = sring
-		s.mu.Unlock()
-	}
-
 	// Splice in any groups a newer topology knows that this instance has
 	// no node for yet (a recovery that learned of a reshard through the
 	// persisted topology happens in NewSharded; this covers in-process
@@ -806,16 +770,11 @@ func (s *Sharded) Crash() {
 	s.up = false
 	sfd := s.sfd
 	s.sfd = nil
-	sring := s.sring
-	s.sring = nil
 	s.mu.Unlock()
 	for _, n := range s.ns.Load().nodes {
 		if n != nil {
-			n.Crash() // each group unregisters its sink from the shared ring
+			n.Crash()
 		}
-	}
-	if sring != nil {
-		sring.Stop()
 	}
 	if sfd != nil {
 		sfd.Stop()
@@ -1062,29 +1021,6 @@ func (s *Sharded) MergeCursor() (*MergeCursor, error) {
 	return s.stream.Subscribe(s.sequences)
 }
 
-// MergePush is a push-mode subscription to the merged cross-group
-// sequence: the same output as a MergeCursor, delivered over a bounded
-// channel by an adapter goroutine instead of polled. See Sharded.MergeChan.
-type MergePush = group.PushCursor
-
-// MergeChan subscribes a push-mode consumer to this process's merged
-// cross-group sequence: every delivery a MergeCursor would return from
-// Next arrives on the returned subscription's C() channel in the same
-// deterministic merge order. buf is the channel capacity (minimum 1) — the
-// bounded buffer between the merge and the consumer. A consumer that stops
-// reading exerts backpressure: the adapter blocks, the merge stops being
-// drained, and rounds accumulate upstream exactly as they would for an
-// undrained poll cursor; nothing is dropped or reordered.
-//
-// The channel closes when the subscription ends: after Close (Err() == nil)
-// or when a state transfer outruns the merge (Err() wraps
-// ErrMergeCursorLagged — resynchronize by adopting the groups' base
-// snapshots and resubscribing, as with MergeCursor). The same
-// crash/recovery caveats as MergeCursor apply.
-func (s *Sharded) MergeChan(buf int) (*MergePush, error) {
-	return s.stream.SubscribePush(s.sequences, buf)
-}
-
 // MergeFrontier returns the process-wide merge frontier: the highest
 // round every group of this process has committed, i.e. how far Merged /
 // MergeCursor output can extend right now.
@@ -1160,8 +1096,6 @@ func addStats(t *Stats, o Stats) {
 	t.TentativeConfirmed += o.TentativeConfirmed
 	t.TentativeRevoked += o.TentativeRevoked
 	t.HeartbeatRounds += o.HeartbeatRounds
-	t.RingPublished += o.RingPublished
-	t.PayloadStalls += o.PayloadStalls
 	t.BatchFullSeals += o.BatchFullSeals
 	t.BatchTimerSeals += o.BatchTimerSeals
 	t.StateSentGCForced += o.StateSentGCForced
@@ -1389,7 +1323,7 @@ func (s *Sharded) RetireGroup(ctx context.Context, g GroupID) error {
 			return fmt.Errorf("abcast: successor group %v is down; recover and retry", succ)
 		}
 		m.ID.Seq = remapOrphanSeq(g, m.ID.Seq)
-		if spProto.AddDisseminated(m) {
+		if spProto.Inject(m) {
 			orphans++
 		}
 	}

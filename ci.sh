@@ -27,7 +27,7 @@ step_test() { go test ./...; }
 step_race() {
 	go test -race -p 1 ./internal/core/... ./internal/consensus/... ./internal/fd/... \
 		./internal/transport/... ./internal/storage/... ./internal/group/... \
-		./internal/dissem/... ./internal/obs/... ./internal/harness/... ./abcast/... \
+		./internal/node/... ./internal/obs/... ./internal/harness/... ./abcast/... \
 		./internal/wire/... ./internal/msg/... ./internal/router/...
 }
 
@@ -60,12 +60,14 @@ step_metrics() {
 # Names this repository retired must not creep back into code or docs: the
 # experiments past E13 with their JSON files, the autotuner, two design
 # documents that never existed, the full-payload periodic gossip's selector
-# and cap, the file-per-key engine, the WAL's runtime policy setter and the
-# lease switch (the lease is how PolicyLeader runs).
+# and cap, the file-per-key engine, the WAL's runtime policy setter, the
+# lease switch (the lease is how PolicyLeader runs) and ring dissemination
+# (proposals carrying full payloads are the only value path).
 step_retired() {
 	local pat='DESIGN\.md|EXPERIMENTS\.md|BENCH_e[0-9]+|internal/tune|\bE(1[4-9]|2[0-2])\b'
 	pat+='|\bDigestGossip\b|NewFileStorage|storage\.NewFile\b|SetGroupCommit|\bGossipMaxMessages\b'
 	pat+='|\bLease: |\bcfg\.Lease\b|ProtocolOptions\.Lease\b'
+	pat+='|\bRingDissem\b|internal/dissem|\bDissemNet\b|\bSharedRing\b|\bChanDissem\b'
 	if grep -rnE "$pat" --include='*.go' . ||
 		grep -nE "$pat" README.md bench/README.md .github/workflows/ci.yml; then
 		echo "retired names found (above)"

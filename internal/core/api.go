@@ -93,14 +93,6 @@ type Snapshot struct {
 	Pos uint64
 }
 
-// Disseminator is the payload dissemination plane a ring-mode protocol
-// publishes its locally originated messages to (internal/dissem.Ring bound
-// to this protocol's group). Publish may block briefly — that is the
-// dissemination plane's backpressure on broadcasters.
-type Disseminator interface {
-	Publish(m msg.Message)
-}
-
 // Checkpointer is the upcall interface of Fig. 5. Implementations fold
 // delivered messages into an opaque state and reinstall adopted states.
 // Methods are called from protocol goroutines and must not call back into
@@ -179,18 +171,6 @@ type Config struct {
 	// grow neither the delivery suffix nor (past the next checkpoint's
 	// DiscardBelow) the consensus log. 0 disables heartbeats.
 	IdleHeartbeat time.Duration
-
-	// Dissem, when set, enables ring dissemination — the ordering/
-	// dissemination split: locally broadcast payloads are published to the
-	// dissemination plane (a successor ring; see internal/dissem) instead
-	// of the eager full-payload gossip push, proposals carry ID+checksum
-	// vectors (msg.IDRec) instead of bodies, and delivery is gated on
-	// "ID ordered ∧ payload present" — a decided round whose payloads have
-	// not all arrived parks until the missing ones are pulled over the
-	// gossip repair path. Every process of a deployment must agree on this
-	// setting: ring-mode and full-payload proposals are different wire
-	// formats for the same consensus values.
-	Dissem Disseminator
 
 	// MergeFloor, when set, bounds how far a checkpoint may fold the
 	// delivered prefix: CheckpointNow folds only rounds strictly below
@@ -276,11 +256,11 @@ type Config struct {
 	// Obs, when set, is the process-wide observability plane: protocol
 	// counters register under "abcast.core.<name>{group}", sampled
 	// per-message lifecycle spans feed the stage-latency histograms, and
-	// anomalies (payload stalls, state transfers, tentative revokes,
-	// checkpoints) land in the flight recorder. Nil disables all three at
-	// the cost of a few nil checks; the plane must outlive incarnations
-	// (its counters are process-lifetime monotonic — Stats() subtracts an
-	// incarnation baseline).
+	// anomalies (state transfers, tentative revokes, checkpoints) land in
+	// the flight recorder. Nil disables all three at the cost of a few nil
+	// checks; the plane must outlive incarnations (its counters are
+	// process-lifetime monotonic — Stats() subtracts an incarnation
+	// baseline).
 	Obs *obs.Plane
 
 	// FloorSelf, when set, makes every periodic gossip piggyback a merge-
@@ -348,9 +328,6 @@ type Stats struct {
 	TentativeConfirmed  uint64 // tentative deliveries certified by OnConfirm
 	TentativeRevoked    uint64 // tentative deliveries retracted by OnRevoke
 	HeartbeatRounds     uint64 // empty rounds proposed by the idle heartbeat
-
-	RingPublished uint64 // payloads published to the dissemination ring
-	PayloadStalls uint64 // commit attempts deferred on a missing payload (ring mode)
 
 	BatchFullSeals  uint64 // proposals sealed by the size cap (MaxBatchBytes)
 	BatchTimerSeals uint64 // non-full proposals sealed by the time trigger (or immediately)

@@ -144,6 +144,60 @@ func TestCrashedSenderMessageStillDelivered(t *testing.T) {
 	}
 }
 
+// TestDecidedPayloadSurvivesWithoutItsSender pins Termination for the good
+// processes when the only process that ever broadcast is down for good: p0
+// broadcasts, every process crashes, and only p1 and p2 recover. A decided
+// value carries its payloads, so the accept quorum's logs hold every
+// ordered payload and the two survivors replay p0's messages and order new
+// ones without it.
+func TestDecidedPayloadSurvivesWithoutItsSender(t *testing.T) {
+	c := harness.NewCluster(harness.Options{N: 3, Seed: 2601})
+	defer c.Stop()
+	if err := c.StartAll(); err != nil {
+		t.Fatal(err)
+	}
+	ctx := ctxT(t, 30*time.Second)
+
+	for i := 0; i < 4; i++ {
+		id, err := c.Broadcast(ctx, 0, []byte(fmt.Sprintf("from-p0-%d", i)))
+		if err != nil {
+			t.Fatalf("broadcast %d: %v", i, err)
+		}
+		if err := c.AwaitDelivered(ctx, id, 0, 1, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for p := ids.ProcessID(0); p < 3; p++ {
+		c.Crash(p)
+	}
+
+	// p1 and p2 recover together (either replay may need the other's
+	// vote); p0 stays down.
+	errs := make(chan error, 2)
+	for _, p := range []ids.ProcessID{1, 2} {
+		go func() {
+			_, err := c.Recover(p)
+			errs <- err
+		}()
+	}
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatalf("recover: %v", err)
+		}
+	}
+
+	id, err := c.Broadcast(ctx, 1, []byte("from-p1"))
+	if err != nil {
+		t.Fatalf("broadcast at p1: %v", err)
+	}
+	if err := c.AwaitDelivered(ctx, id, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.VerifyAll(1, 2); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDeliverySequencesArePrefixRelated(t *testing.T) {
 	c := harness.NewCluster(harness.Options{N: 3, Seed: 55})
 	defer c.Stop()

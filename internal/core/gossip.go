@@ -69,28 +69,6 @@ func (p *Protocol) sendGossip() {
 	pending := len(p.eagerBuf) > 0
 	p.met.gossipSent.Inc()
 	p.met.digestsSent.Inc()
-	// Ring mode: a payload-starved round must not rely on a single pull
-	// surviving the fair-lossy net. Re-pull its still-missing payloads
-	// every tick (per-message rate limit in lastPull applies) and poke the
-	// sequencer as lost-wakeup insurance.
-	var repull []ids.MsgID
-	starving := p.starved != nil
-	if starving {
-		now := time.Now()
-		for _, rec := range p.starved.recs {
-			if p.ds.contains(rec.ID) || p.unordered.Contains(rec.ID) {
-				continue
-			}
-			if t, seen := p.lastPull[rec.ID]; seen && now.Sub(t) < p.cfg.GossipInterval {
-				continue
-			}
-			p.lastPull[rec.ID] = now
-			repull = append(repull, rec.ID)
-		}
-		if len(repull) > 0 {
-			p.met.pullsSent.Inc()
-		}
-	}
 	p.mu.Unlock()
 
 	p.digestFrame(k, batch)
@@ -107,12 +85,6 @@ func (p *Protocol) sendGossip() {
 		w.Bytes32(topo)
 		p.net.Multisend(w.Bytes())
 		wire.PutWriter(w)
-	}
-	if len(repull) > 0 {
-		p.pullFrame(repull, ids.Nobody)
-	}
-	if starving {
-		p.poke()
 	}
 	if pending {
 		p.eagerGossip() // arms a deferred flush for the kept buffer
@@ -317,7 +289,7 @@ func (p *Protocol) onGossip(from ids.ProcessID, r *wire.Reader) {
 		if p.unordered.Add(m) {
 			added++
 			// A payload we had asked for by ID arrived: stamp the repair
-			// hop so starved-round latency shows up in the trace plane.
+			// hop so pull latency shows up in the trace plane.
 			if _, pulled := p.lastPull[m.ID]; pulled {
 				p.tr.Mark(m.ID, obs.StPullRepair)
 			}
@@ -400,12 +372,7 @@ func (p *Protocol) onDigest(from ids.ProcessID, r *wire.Reader) {
 // go back as one unicast full-payload gossip frame (the digest protocol's
 // payload fallback). Messages already ordered here are omitted — the
 // requester learns them through Consensus or a state transfer, never as
-// unordered payloads it might re-propose — EXCEPT in ring mode, where the
-// delivery suffix also serves: a ring-mode requester pulls precisely
-// because an ID is ordered but its payload never arrived, and this process
-// may have delivered (and removed from Unordered) the only copy. The
-// requester re-adding it to Unordered is harmless: a re-proposal of an
-// already-ordered ID is deduplicated by appendBatch.
+// unordered payloads it might re-propose.
 func (p *Protocol) onPull(from ids.ProcessID, r *wire.Reader) {
 	idList := msg.DecodeIDs(r)
 	if r.Err() != nil || len(idList) == 0 || from == p.cfg.PID {
@@ -420,10 +387,6 @@ func (p *Protocol) onPull(from ids.ProcessID, r *wire.Reader) {
 		}
 		if m, ok := p.unordered.Get(id); ok {
 			batch = append(batch, m)
-		} else if p.ringMode() {
-			if i, ok := p.ds.index[id]; ok {
-				batch = append(batch, p.ds.suffix[i].m)
-			}
 		}
 	}
 	k := p.k

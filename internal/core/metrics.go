@@ -37,8 +37,6 @@ type metrics struct {
 	tentativeConfirmed  *obs.Counter
 	tentativeRevoked    *obs.Counter
 	heartbeatRounds     *obs.Counter
-	ringPublished       *obs.Counter
-	payloadStalls       *obs.Counter
 	batchFullSeals      *obs.Counter
 	batchTimerSeals     *obs.Counter
 
@@ -72,8 +70,6 @@ func newMetrics(reg *obs.Registry, g ids.GroupID) *metrics {
 		tentativeConfirmed:  c("tentative_confirmed"),
 		tentativeRevoked:    c("tentative_revoked"),
 		heartbeatRounds:     c("heartbeat_rounds"),
-		ringPublished:       c("ring_published"),
-		payloadStalls:       c("payload_stalls"),
 		batchFullSeals:      c("batch_full_seals"),
 		batchTimerSeals:     c("batch_timer_seals"),
 	}
@@ -106,8 +102,6 @@ func (m *metrics) snapshot() Stats {
 		TentativeConfirmed:  m.tentativeConfirmed.Value(),
 		TentativeRevoked:    m.tentativeRevoked.Value(),
 		HeartbeatRounds:     m.heartbeatRounds.Value(),
-		RingPublished:       m.ringPublished.Value(),
-		PayloadStalls:       m.payloadStalls.Value(),
 		BatchFullSeals:      m.batchFullSeals.Value(),
 		BatchTimerSeals:     m.batchTimerSeals.Value(),
 	}
@@ -139,8 +133,6 @@ func (m *metrics) incarnation() Stats {
 	s.TentativeConfirmed -= b.TentativeConfirmed
 	s.TentativeRevoked -= b.TentativeRevoked
 	s.HeartbeatRounds -= b.HeartbeatRounds
-	s.RingPublished -= b.RingPublished
-	s.PayloadStalls -= b.PayloadStalls
 	s.BatchFullSeals -= b.BatchFullSeals
 	s.BatchTimerSeals -= b.BatchTimerSeals
 	return s

@@ -10,67 +10,25 @@ import (
 	"repro/internal/wire"
 )
 
-// The sequencer retries a starved round on every wake (payload arrival,
-// gossip tick, pull reply), so the stall counter must count the round's
-// first park only — one stall event per starved round, not one per retry.
-func TestPayloadStallCountedOncePerRound(t *testing.T) {
-	p, _, _ := newTestProtocol(Config{})
-	mm := m(1, 1, 1)
-	recs := []msg.IDRec{msg.Rec(mm)}
-
-	if _, ok := p.resolvePayloads(3, recs); ok {
-		t.Fatal("resolved a round whose payload is missing")
-	}
-	for i := 0; i < 5; i++ { // retries of the same parked round
-		if _, ok := p.resolvePayloads(3, recs); ok {
-			t.Fatal("resolved without the payload")
-		}
-	}
-	if got := p.Stats().PayloadStalls; got != 1 {
-		t.Fatalf("PayloadStalls = %d after retries of one round, want 1", got)
-	}
-
-	// A different round parking is a new stall.
-	if _, ok := p.resolvePayloads(4, recs); ok {
-		t.Fatal("resolved without the payload")
-	}
-	if got := p.Stats().PayloadStalls; got != 2 {
-		t.Fatalf("PayloadStalls = %d after second round parked, want 2", got)
-	}
-
-	// Arrival unblocks the round without further counting.
-	p.mu.Lock()
-	p.unordered.Add(mm)
-	p.mu.Unlock()
-	batch, ok := p.resolvePayloads(4, recs)
-	if !ok || len(batch) != 1 {
-		t.Fatalf("resolve after arrival: ok=%v len=%d", ok, len(batch))
-	}
-	if got := p.Stats().PayloadStalls; got != 2 {
-		t.Fatalf("PayloadStalls = %d after resolution, want 2", got)
-	}
-}
-
 // Registry counters are process-lifetime monotonic (the Prometheus
 // contract), while Protocol.Stats reports per-incarnation values by
 // subtracting the baseline captured at New. A recovering incarnation must
 // therefore start its Stats at zero — recovery replay re-commits rounds,
-// but it can never re-inflate HeartbeatRounds or PayloadStalls, which only
-// the live sequencer and delivery gate increment.
+// but it can never re-inflate HeartbeatRounds, which only the live
+// sequencer increments.
 func TestIncarnationStatsResetOverLifetimeCounters(t *testing.T) {
 	plane := obs.New(obs.Options{})
 	cfg := Config{PID: 0, N: 3, Incarnation: 1, Obs: plane}
 	p1 := New(cfg, storage.NewMem(), newFakeCons(), &fakeNet{})
 	p1.met.heartbeatRounds.Inc()
 	p1.met.heartbeatRounds.Inc()
-	p1.met.payloadStalls.Inc()
-	if st := p1.Stats(); st.HeartbeatRounds != 2 || st.PayloadStalls != 1 {
+	if st := p1.Stats(); st.HeartbeatRounds != 2 {
 		t.Fatalf("incarnation 1 stats: %+v", st)
 	}
 
 	cfg.Incarnation = 2
 	p2 := New(cfg, storage.NewMem(), newFakeCons(), &fakeNet{})
-	if st := p2.Stats(); st.HeartbeatRounds != 0 || st.PayloadStalls != 0 {
+	if st := p2.Stats(); st.HeartbeatRounds != 0 {
 		t.Fatalf("recovered incarnation inherited counters: %+v", st)
 	}
 

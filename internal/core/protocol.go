@@ -63,13 +63,6 @@ type Protocol struct {
 	drained   bool
 	drainedCh chan struct{}
 
-	// starved, in ring mode, is the decided head round whose commit is
-	// deferred because a payload named by its ID vector has not arrived
-	// yet (delivery gate). The gossip tick re-pulls its missing payloads
-	// until an arrival lets the commit retry succeed or an adoption skips
-	// the round.
-	starved *starvedRound
-
 	// Pipeline state. inflightRounds marks the rounds with a live decision
 	// waiter; the waiters of one window share the context waits, which
 	// interruptInflightLocked cancels and the next startWaiter replaces.
@@ -164,6 +157,10 @@ func (p *Protocol) Start(ctx context.Context) error {
 		p.mu.Unlock()
 		return fmt.Errorf("core: already started")
 	}
+	if p.stopped {
+		p.mu.Unlock()
+		return ErrStopped // a crash raced the boot
+	}
 	p.started = true
 	// Under the lock with started: a Broadcast that finds the protocol
 	// started also finds its context.
@@ -175,10 +172,13 @@ func (p *Protocol) Start(ctx context.Context) error {
 	}
 
 	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.stopped {
+		// Stop ran during recovery: fork nothing it would not wait for.
+		return ErrStopped
+	}
 	p.lastProgress = time.Now()
 	p.tentNextPos = p.ds.nextPos()
-	p.mu.Unlock()
-
 	p.wg.Add(2)
 	go p.sequencerTask()
 	go p.gossipTask()
@@ -190,13 +190,15 @@ func (p *Protocol) Start(ctx context.Context) error {
 }
 
 // Stop ends the incarnation: tasks stop, pending Broadcast calls return
-// ErrStopped. The stable storage is untouched.
+// ErrStopped. The stable storage is untouched. It may run concurrently
+// with Start.
 func (p *Protocol) Stop() {
 	p.mu.Lock()
 	p.stopped = true
+	cancel := p.cancel
 	p.mu.Unlock()
-	if p.cancel != nil {
-		p.cancel()
+	if cancel != nil {
+		cancel()
 	}
 	p.wg.Wait()
 }
@@ -290,14 +292,7 @@ func (p *Protocol) recover() error {
 		k := p.k
 		p.mu.Unlock()
 		if res, ok := p.cons.DecidedLocal(k); ok {
-			if !p.commit(k, res) {
-				// Ring mode: the round's ID vector names a payload this
-				// process never held locally (it was relayed, not logged).
-				// Replay cannot finish the round — stop here; once the
-				// tasks fork, the digest/pull exchange fetches the payload
-				// and the sequencer commits the remaining logged rounds.
-				break
-			}
+			p.commit(k, res)
 			replayed++
 			continue
 		}
@@ -322,9 +317,7 @@ func (p *Protocol) recover() error {
 		if err != nil {
 			return fmt.Errorf("core: replay wait %d: %w", k, err)
 		}
-		if !p.commit(k, res) {
-			break // ring mode: payload-starved; repaired after the tasks fork
-		}
+		p.commit(k, res)
 		replayed++
 	}
 	p.mu.Lock()
@@ -407,11 +400,7 @@ func (p *Protocol) Broadcast(ctx context.Context, payload []byte) (ids.MsgID, er
 		Payload: append([]byte(nil), payload...),
 	}
 	p.unordered.Add(m)
-	if p.cfg.Dissem == nil {
-		p.eagerBuf = append(p.eagerBuf, m)
-	} else {
-		p.met.ringPublished.Inc()
-	}
+	p.eagerBuf = append(p.eagerBuf, m)
 	p.notePendingLocked()
 	p.met.broadcasts.Inc()
 	p.tr.Mark(m.ID, obs.StBroadcast)
@@ -438,7 +427,7 @@ func (p *Protocol) Broadcast(ctx context.Context, payload []byte) (ids.MsgID, er
 		}
 		p.mu.Unlock()
 		p.poke()
-		p.disseminate(m)
+		p.eagerGossip()
 		if err := c.Wait(); err != nil {
 			// The log write failed (the incarnation is dying), but m is
 			// already in the volatile Unordered set and may have been
@@ -454,7 +443,7 @@ func (p *Protocol) Broadcast(ctx context.Context, payload []byte) (ids.MsgID, er
 	p.waiters[m.ID] = append(p.waiters[m.ID], ch)
 	p.mu.Unlock()
 	p.poke()
-	p.disseminate(m)
+	p.eagerGossip()
 
 	select {
 	case <-ch:
@@ -496,42 +485,24 @@ func (p *Protocol) BroadcastAsync(payload []byte) (ids.MsgID, error) {
 		Payload: append([]byte(nil), payload...),
 	}
 	p.unordered.Add(m)
-	if p.cfg.Dissem == nil {
-		p.eagerBuf = append(p.eagerBuf, m)
-	} else {
-		p.met.ringPublished.Inc()
-	}
+	p.eagerBuf = append(p.eagerBuf, m)
 	p.notePendingLocked()
 	p.met.broadcasts.Inc()
 	p.tr.Mark(m.ID, obs.StBroadcast)
 	p.mu.Unlock()
 	p.poke()
-	p.disseminate(m)
+	p.eagerGossip()
 	return m.ID, nil
 }
 
-// ringMode reports whether this protocol runs the ordering/dissemination
-// split (consensus values are ID vectors, payloads travel the ring).
-func (p *Protocol) ringMode() bool { return p.cfg.Dissem != nil }
-
-// disseminate pushes a locally added message towards the other processes:
-// the ring publisher in ring mode, the eager delta gossip otherwise.
-func (p *Protocol) disseminate(m msg.Message) {
-	if d := p.cfg.Dissem; d != nil {
-		d.Publish(m)
-		return
-	}
-	p.eagerGossip()
-}
-
-// AddDisseminated ingests one payload from the dissemination plane (the
-// ring sink). It reports whether the message was new here — the ring
-// forwards a relay frame to the successor only when it is.
-func (p *Protocol) AddDisseminated(m msg.Message) bool {
+// Inject adds m, under its existing identity, to the Unordered set: the
+// resharding layer re-injects a retired group's orphans into their
+// successor group through it. It reports whether the message was new here;
+// one already delivered, or arriving after a drain (the sealed sequence is
+// complete), is dropped.
+func (p *Protocol) Inject(m msg.Message) bool {
 	p.mu.Lock()
 	if p.stopped || p.drained || p.ds.contains(m.ID) {
-		// Drained: the sealed sequence is complete; late payloads belong to
-		// the orphan re-injection path, not this group's Unordered set.
 		p.mu.Unlock()
 		return false
 	}
@@ -541,99 +512,18 @@ func (p *Protocol) AddDisseminated(m msg.Message) bool {
 	}
 	p.mu.Unlock()
 	if added {
-		p.tr.Mark(m.ID, obs.StPayloadArrive)
-		// New pending work — and possibly the payload a starved round is
-		// waiting on: wake the sequencer either way.
 		p.poke()
 	}
 	return added
 }
 
-// starvedRound is a decided round whose commit is deferred by the delivery
-// gate: its ID vector names payloads not yet held locally.
-type starvedRound struct {
-	round uint64
-	recs  []msg.IDRec
-}
-
-// resolvePayloads implements the ring-mode delivery gate "ID ordered ∧
-// payload present": it maps a decided ID vector to the locally held
-// payloads. If every needed payload is present (and matches its checksum)
-// the batch is returned ready to commit; otherwise the round is parked as
-// starved, a targeted pull for the missing payloads is multisent over the
-// digest-gossip repair path, and ok=false tells the caller not to advance
-// the delivery cursor. A held payload failing its checksum is dropped from
-// Unordered (Set.Add keeps the first payload for an ID, so the corrupt one
-// would otherwise block the true bytes forever) and treated as missing.
-func (p *Protocol) resolvePayloads(round uint64, recs []msg.IDRec) ([]msg.Message, bool) {
-	p.mu.Lock()
-	batch := make([]msg.Message, 0, len(recs))
-	now := time.Now()
-	missing := 0
-	var pull []ids.MsgID
-	for _, rec := range recs {
-		if p.ds.contains(rec.ID) {
-			continue // already delivered: appendBatch would skip it
-		}
-		m, ok := p.unordered.Get(rec.ID)
-		if ok && msg.Checksum(m.Payload) != rec.Sum {
-			p.unordered.Remove(rec.ID)
-			ok = false
-		}
-		if !ok {
-			missing++
-			// Same per-message pull rate limit as the digest path: all
-			// retries within one gossip interval coalesce.
-			if t, seen := p.lastPull[rec.ID]; !seen || now.Sub(t) >= p.cfg.GossipInterval {
-				p.lastPull[rec.ID] = now
-				pull = append(pull, rec.ID)
-			}
-			continue
-		}
-		batch = append(batch, m)
-	}
-	if missing == 0 {
-		p.starved = nil
-		p.mu.Unlock()
-		return batch, true
-	}
-	// Count the stall (and record the anomaly) only when the round first
-	// parks: the sequencer retries the same starved round on every wake,
-	// and an unguarded increment would count one stall once per retry.
-	if p.starved == nil || p.starved.round != round {
-		p.met.payloadStalls.Inc()
-		p.fl.Event(obs.EvPayloadStall, p.cfg.Group, round, int64(missing), 0, "")
-	}
-	p.starved = &starvedRound{round: round, recs: recs}
-	if len(pull) > 0 {
-		p.met.pullsSent.Inc()
-	}
-	p.mu.Unlock()
-	if len(pull) > 0 {
-		p.pullFrame(pull, ids.Nobody)
-	}
-	return nil, false
-}
-
 // commit finishes round: the decided batch is appended to Agreed by the
 // deterministic rule, the round counter advances, and ordered messages
 // leave the Unordered set. Deliveries run on the caller's goroutine (the
-// sequencer or the recovery procedure), preserving order. In ring mode the
-// decided value is an ID vector and the commit is gated on payload
-// presence: false means the round is parked until the missing payloads
-// arrive (the caller must retry the same round later).
-func (p *Protocol) commit(round uint64, result []byte) bool {
-	r := wire.NewReader(result)
-	var batch []msg.Message
-	if p.ringMode() {
-		recs := msg.DecodeIDVec(r)
-		var ok bool
-		if batch, ok = p.resolvePayloads(round, recs); !ok {
-			return false
-		}
-	} else {
-		batch = msg.DecodeBatch(r)
-	}
+// sequencer or the recovery procedure), preserving order. The decided value
+// carries every payload it orders, so a decided round always commits.
+func (p *Protocol) commit(round uint64, result []byte) {
+	batch := msg.DecodeBatch(wire.NewReader(result))
 
 	p.mu.Lock()
 	deliveries := p.tagGroup(p.ds.appendBatch(round, batch))
@@ -732,7 +622,6 @@ func (p *Protocol) commit(round uint64, result []byte) bool {
 		default:
 		}
 	}
-	return true
 }
 
 // tagGroup stamps the protocol's owning group on deliveries about to

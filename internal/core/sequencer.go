@@ -123,12 +123,7 @@ func (p *Protocol) commitReady(results map[uint64][]byte) bool {
 		if !ok {
 			return committed
 		}
-		if !p.commit(head, val) {
-			// Ring mode: the head round is payload-starved. Keep its
-			// decision parked in results; the select blocks until an
-			// arrival (ring sink, gossip, pull reply) pokes a retry.
-			return committed
-		}
+		p.commit(head, val)
 		delete(results, head)
 		committed = true
 	}
@@ -185,21 +180,8 @@ func (p *Protocol) pump(results map[uint64][]byte) time.Duration {
 			return delay
 		}
 		// Pooled: Propose borrows the value (it keeps a copy of its own).
-		var w *wire.Writer
-		if p.ringMode() {
-			// Ordering/dissemination split: the consensus value is the ID
-			// vector — a few dozen bytes per message however large the
-			// payloads are. The bodies travel the ring (disseminate).
-			recs := make([]msg.IDRec, len(batch))
-			for i, m := range batch {
-				recs[i] = msg.Rec(m)
-			}
-			w = wire.GetWriter(10 + 32*len(recs))
-			msg.EncodeIDVec(w, recs)
-		} else {
-			w = wire.GetWriter(msg.BatchSize(batch))
-			msg.EncodeBatch(w, batch)
-		}
+		w := wire.GetWriter(msg.BatchSize(batch))
+		msg.EncodeBatch(w, batch)
 		// "Proposed_p[k_p] ← Unordered_p; log(Proposed_p[k_p]);
 		// propose(k_p, ...)". The log is the first operation of the
 		// Consensus (§4.2) — Propose issues it. On a group-commit engine
@@ -500,9 +482,6 @@ func (p *Protocol) maybeAdopt() {
 	if p.sealed && !p.drained && p.k >= p.sealFinal+1 {
 		p.drained = true
 		close(p.drainedCh)
-	}
-	if p.starved != nil && p.starved.round < p.k {
-		p.starved = nil // the adoption skipped the payload-starved round
 	}
 	p.unordered.SubtractDelivered(p.ds.contains)
 	if p.unordered.Len() > 0 {

@@ -195,7 +195,9 @@ func decodeDeliveryState(r *wire.Reader) *deliveryState {
 	rounds := r.U64()
 	pos := r.U64()
 	n := r.U64()
-	if r.Err() != nil {
+	if r.Err() != nil || vc == nil {
+		// vclock.Decode rejects malformed hole runs with a nil clock and
+		// no reader error.
 		return nil
 	}
 	d.base = Snapshot{App: app, VC: vc, Rounds: rounds, Pos: pos}

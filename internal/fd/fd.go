@@ -83,6 +83,7 @@ type Detector struct {
 	// (suspicion itself stays derived from lastSeen on every read).
 	suspected []bool
 	fl        *obs.Recorder
+	stopped   bool // Stop ran: a racing Start launches nothing
 
 	wg sync.WaitGroup
 }
@@ -118,6 +119,11 @@ func (d *Detector) SetClock(clock func() time.Time) { d.clock = clock }
 // Start launches the heartbeat task. It returns immediately; the task stops
 // when ctx is cancelled. Wait for it with Stop.
 func (d *Detector) Start(ctx context.Context) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.stopped {
+		return
+	}
 	d.wg.Add(1)
 	go func() {
 		defer d.wg.Done()
@@ -138,7 +144,12 @@ func (d *Detector) Start(ctx context.Context) {
 
 // Stop waits for the heartbeat task to exit (cancel the Start context
 // first).
-func (d *Detector) Stop() { d.wg.Wait() }
+func (d *Detector) Stop() {
+	d.mu.Lock()
+	d.stopped = true
+	d.mu.Unlock()
+	d.wg.Wait()
+}
 
 // scanTransitions compares the derived suspicion state against the last
 // published one and records a flight-recorder event per flip. Runs on the

@@ -15,7 +15,7 @@ import (
 )
 
 // tagLen is the per-frame tag: a little-endian u16. 2 bytes of overhead
-// buys 65534 groups per connection set plus the reserved lanes below.
+// buys maxGroups groups per connection set plus the reserved lanes below.
 const tagLen = 2
 
 // Reserved frame tags above the group range.
@@ -28,15 +28,11 @@ const (
 	// coalTag marks a coalesced frame: a batch of length-delimited tagged
 	// frames packed into one transport write by the write-coalescing mux.
 	coalTag uint16 = 0xFFFE
-	// dissemTag marks the dissemination lane: the virtual network the
-	// process-level payload ring (internal/dissem) runs on when the
-	// ordering/dissemination split is enabled. Like the proc lane it is
-	// process-scoped — relay frames carry their own group tag inside.
-	dissemTag uint16 = 0xFFFD
-	// maxGroups is the highest usable group count (tags below the
-	// reserved lanes).
-	maxGroups = int(dissemTag)
 )
+
+// maxGroups is the highest usable group count: group tags stay below
+// 0xFFFD, clear of the reserved lanes.
+const maxGroups = 0xFFFD
 
 // MuxOptions tunes the mux's write-coalescing pipeline — the network twin
 // of the storage engine's group-commit triggers (SyncEvery/MaxSyncDelay)
@@ -231,22 +227,6 @@ func (n procNet) Attach(pid ids.ProcessID) (transport.Endpoint, error) {
 	return n.m.attach(procTag, pid)
 }
 
-// DissemNet returns the dissemination-lane virtual Network: the lane the
-// process-level payload ring runs on when the ordering/dissemination split
-// is enabled (see internal/dissem and node.StartSharedRing). Same sharing
-// and crash semantics as ProcNet.
-func (m *Mux) DissemNet() transport.Network { return dissemNet{m: m} }
-
-type dissemNet struct{ m *Mux }
-
-var _ transport.Network = dissemNet{}
-
-func (n dissemNet) N() int { return n.m.inner.N() }
-
-func (n dissemNet) Attach(pid ids.ProcessID) (transport.Endpoint, error) {
-	return n.m.attach(dissemTag, pid)
-}
-
 // procMux is one process's shared real endpoint plus the registry of its
 // live virtual endpoints, keyed by frame tag (group id or the proc lane).
 type procMux struct {
@@ -339,7 +319,7 @@ func (pm *procMux) splitCoalesced(from ids.ProcessID, rest []byte) {
 
 // dispatch routes one demultiplexed frame to its lane's inbox.
 func (pm *procMux) dispatch(from ids.ProcessID, tag uint16, payload []byte) {
-	if tag != procTag && tag != dissemTag && int(tag) >= pm.m.Groups() {
+	if tag != procTag && int(tag) >= pm.m.Groups() {
 		pm.m.unknown.Add(1)
 		return
 	}

@@ -431,11 +431,6 @@ type Cursor struct {
 	lagged    bool
 	lagDetail string // first gap observed, for diagnostics
 	closed    bool
-
-	// wake, when non-nil, is a capacity-1 signal channel poked on every
-	// event the cursor absorbs — the push adapter parks on it instead of
-	// polling Next. A full channel means a wake-up is already pending.
-	wake chan struct{}
 }
 
 type roundEvent struct {
@@ -443,18 +438,6 @@ type roundEvent struct {
 	round uint64 // nextRound when skip is set
 	ds    []core.Delivery
 	skip  bool
-}
-
-// pokeLocked wakes a parked push adapter (no-op for poll cursors).
-// stream.mu held.
-func (c *Cursor) pokeLocked() {
-	if c.wake == nil {
-		return
-	}
-	select {
-	case c.wake <- struct{}{}:
-	default: // a wake-up is already pending
-	}
 }
 
 // offerLocked feeds one round event (local round coordinates; the group is
@@ -468,7 +451,6 @@ func (c *Cursor) offerLocked(g ids.GroupID, round uint64, ds []core.Delivery) {
 		return
 	}
 	c.applyLocked(g, round, ds)
-	c.pokeLocked()
 }
 
 // skipLocked handles a round-counter jump (local coordinates). stream.mu
@@ -481,7 +463,6 @@ func (c *Cursor) skipLocked(g ids.GroupID, nextRound uint64) {
 		c.backlog = append(c.backlog, roundEvent{g: g, round: nextRound, skip: true})
 		return
 	}
-	defer c.pokeLocked()
 	sp := c.stream.topo.Spans[g]
 	global := sp.Offset + nextRound
 	if want := c.nextFor(g, sp); global > want {
@@ -719,5 +700,4 @@ func (c *Cursor) Close() {
 	defer c.stream.mu.Unlock()
 	c.closed = true
 	delete(c.stream.cursors, c)
-	c.pokeLocked() // a parked push adapter must notice the close
 }

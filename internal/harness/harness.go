@@ -12,7 +12,6 @@ import (
 	"repro/internal/check"
 	"repro/internal/consensus"
 	"repro/internal/core"
-	"repro/internal/dissem"
 	"repro/internal/fd"
 	"repro/internal/ids"
 	"repro/internal/node"
@@ -60,16 +59,6 @@ type Options struct {
 	// App, when set, is invoked per process at each incarnation start
 	// with the app-channel binding (see node.Config.App).
 	App func(ids.ProcessID, router.Net) router.Handler
-	// RingDissem enables the ordering/dissemination split on every node:
-	// payloads relay around the successor ring while consensus orders
-	// ID+checksum vectors (see node.Config.RingDissem).
-	RingDissem bool
-	// Ring, when set, supplies each node's dissemination ring directly
-	// (node.Config.SharedRing) and implies ring mode; RingDissem is then
-	// ignored. Tests use it to inject inert or instrumented rings — e.g.
-	// dissem.Inert() to force every remote payload through the pull
-	// repair path.
-	Ring func(ids.ProcessID) *dissem.Ring
 	// Obs is the per-process observability template (PID is filled per
 	// process). The zero value gives every process a working plane with
 	// default sampling; set SampleRate to 1 in tests that must trace every
@@ -199,19 +188,13 @@ func NewCluster(opts Options) *Cluster {
 		plane := obs.New(obsOpts)
 		c.Obs = append(c.Obs, plane)
 		ncfg := node.Config{
-			PID:        pid,
-			N:          opts.N,
-			Core:       coreCfg,
-			Consensus:  opts.Consensus,
-			FD:         opts.FD,
-			RingDissem: opts.RingDissem,
-			App:        appHook,
-			Obs:        plane,
-		}
-		if opts.Ring != nil {
-			p := pid
-			ncfg.RingDissem = false
-			ncfg.SharedRing = func() *dissem.Ring { return opts.Ring(p) }
+			PID:       pid,
+			N:         opts.N,
+			Core:      coreCfg,
+			Consensus: opts.Consensus,
+			FD:        opts.FD,
+			App:       appHook,
+			Obs:       plane,
 		}
 		c.Nodes = append(c.Nodes, node.New(ncfg, st, c.net))
 	}

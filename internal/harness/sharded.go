@@ -11,7 +11,6 @@ import (
 	"repro/internal/check"
 	"repro/internal/consensus"
 	"repro/internal/core"
-	"repro/internal/dissem"
 	"repro/internal/fd"
 	"repro/internal/group"
 	"repro/internal/ids"
@@ -43,10 +42,6 @@ type ShardedOptions struct {
 	// reconstructible across checkpoints. Set it for clusters that verify
 	// merged sequences while running a Checkpointer.
 	MergedDelivery bool
-	// RingDissem enables the ordering/dissemination split: one shared
-	// payload ring per process (over the mux's dissem lane) serves every
-	// group, while consensus orders ID+checksum vectors.
-	RingDissem bool
 	// Mux tunes the multiplexer's write coalescing (zero = no coalescing).
 	Mux group.MuxOptions
 	// InjectFaultyStorage wraps each process's shared store in a
@@ -139,9 +134,8 @@ type ShardedCluster struct {
 	ctx         context.Context
 	cancel      context.CancelFunc
 
-	fdMu  sync.Mutex
-	fds   []*node.SharedFD   // per process; nil when down
-	rings []*node.SharedRing // per process; nil when down or ring mode off
+	fdMu sync.Mutex
+	fds  []*node.SharedFD // per process; nil when down
 }
 
 // NewShardedCluster builds (but does not start) a sharded cluster.
@@ -159,7 +153,6 @@ func NewShardedCluster(opts ShardedOptions) *ShardedCluster {
 		c.Recs = append(c.Recs, check.NewRecorder(opts.N))
 	}
 	c.fds = make([]*node.SharedFD, opts.N)
-	c.rings = make([]*node.SharedRing, opts.N)
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 
 	for p := 0; p < opts.N; p++ {
@@ -243,28 +236,12 @@ func NewShardedCluster(opts ShardedOptions) *ShardedCluster {
 				Obs:       plane,
 				SharedFD:  func() fd.API { return c.fdView(pid, gid) },
 			}
-			if opts.RingDissem {
-				ncfg.SharedRing = func() *dissem.Ring { return c.ringView(pid) }
-			}
 			nodes = append(nodes, node.New(ncfg, acct, c.Mux.Net(gid)))
 		}
 		c.Nodes = append(c.Nodes, nodes)
 		c.Stores = append(c.Stores, stores)
 	}
 	return c
-}
-
-// ringView returns process pid's live shared payload ring, or an inert one
-// while the process is down or mid-teardown (the node reading it still runs
-// ring mode — wire-format uniformity — but its publishes drop, like any
-// traffic from a down process).
-func (c *ShardedCluster) ringView(pid ids.ProcessID) *dissem.Ring {
-	c.fdMu.Lock()
-	defer c.fdMu.Unlock()
-	if c.rings[pid] == nil {
-		return dissem.Inert()
-	}
-	return c.rings[pid].Ring()
 }
 
 // fdView returns group gid's facade over process pid's live shared
@@ -321,16 +298,6 @@ func (c *ShardedCluster) Start(pid ids.ProcessID) error {
 	c.fdMu.Lock()
 	c.fds[pid] = sfd
 	c.fdMu.Unlock()
-	if c.Opts.RingDissem {
-		ring, err := node.StartSharedRing(c.ctx, pid, c.Opts.N, sfd.Detector(), c.Mux.DissemNet(), dissem.Options{})
-		if err != nil {
-			c.Crash(pid)
-			return fmt.Errorf("sharded start p%v: shared ring: %w", pid, err)
-		}
-		c.fdMu.Lock()
-		c.rings[pid] = ring
-		c.fdMu.Unlock()
-	}
 	errs := make([]error, c.Opts.Groups)
 	var wg sync.WaitGroup
 	for g, n := range c.Nodes[pid] {
@@ -359,12 +326,7 @@ func (c *ShardedCluster) Crash(pid ids.ProcessID) {
 	c.fdMu.Lock()
 	sfd := c.fds[pid]
 	c.fds[pid] = nil
-	ring := c.rings[pid]
-	c.rings[pid] = nil
 	c.fdMu.Unlock()
-	if ring != nil {
-		ring.Stop()
-	}
 	if sfd != nil {
 		sfd.Stop()
 	}

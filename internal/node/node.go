@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/consensus"
 	"repro/internal/core"
-	"repro/internal/dissem"
 	"repro/internal/fd"
 	"repro/internal/ids"
 	"repro/internal/obs"
@@ -58,20 +57,6 @@ type Config struct {
 	// the FD channel — the process-level service owns both. Nil keeps the
 	// classic one-detector-per-node wiring.
 	SharedFD func() fd.API
-	// RingDissem enables the ordering/dissemination split for this node:
-	// it runs a payload ring (internal/dissem) on the router's dissem
-	// channel, with successors derived from this node's liveness oracle,
-	// and configures the core protocol for ID-only consensus values. Every
-	// process of the deployment must enable it together (the proposal wire
-	// format changes). For sharded processes use SharedRing instead.
-	RingDissem bool
-	// SharedRing, when set, is called at every incarnation start and must
-	// return the process-level dissemination ring shared by every group of
-	// a sharded process (see SharedRing / StartSharedRing — the ring twin
-	// of SharedFD). The node registers its group's payload sink with it for
-	// the lifetime of the incarnation and configures the core protocol for
-	// ring mode. Mutually exclusive with RingDissem.
-	SharedRing func() *dissem.Ring
 	// App, when set, is called at every incarnation start with the
 	// app-channel network binding; the returned handler (if non-nil)
 	// receives app-channel packets (e.g. quorum reads).
@@ -98,10 +83,10 @@ type incarnation struct {
 	own    *fd.Detector // non-nil only when this node runs its own detector
 	eng    *consensus.Engine
 	proto  *core.Protocol
-	ring   *dissem.Ring // nil without ring dissemination
-	// ownRing: the ring above is node-owned (RingDissem) rather than the
-	// shared process-level one, so Crash stops it.
-	ownRing bool
+	// ready is set once proto.Start returned: until then the incarnation
+	// exists only for Crash to tear down, and the accessors report the
+	// node as down.
+	ready bool
 }
 
 // New creates a node. store must be the process's stable storage (it
@@ -160,40 +145,19 @@ func (n *Node) Start(ctx context.Context) error {
 		return fmt.Errorf("node %v: consensus: %w", n.cfg.PID, err)
 	}
 
-	// The dissemination ring: node-owned on the router's dissem channel
-	// (unsharded ring mode), or the process-level one shared by every
-	// group (sharded ring mode, like the shared FD).
-	var ring *dissem.Ring
-	ownRing := false
-	if n.cfg.SharedRing != nil {
-		ring = n.cfg.SharedRing()
-	} else if n.cfg.RingDissem {
-		ring = dissem.New(n.cfg.PID, n.cfg.N, det, rt.Bound(router.ChanDissem), dissem.Options{})
-		ownRing = true
-	}
-
 	pcfg := n.cfg.Core
 	pcfg.PID = n.cfg.PID
 	pcfg.N = n.cfg.N
 	pcfg.Incarnation = epoch
 	pcfg.Group = n.cfg.Group
 	pcfg.Obs = n.cfg.Obs
-	if ring != nil {
-		pcfg.Dissem = ring.Publisher(n.cfg.Group)
-	}
 	proto := core.New(pcfg, n.store, eng, rt.Bound(router.ChanCore))
-	if ring != nil {
-		ring.Register(n.cfg.Group, proto.AddDisseminated)
-	}
 
 	if own != nil {
 		rt.Handle(router.ChanFD, own.OnMessage)
 	}
 	rt.Handle(router.ChanConsensus, eng.OnMessage)
 	rt.Handle(router.ChanCore, proto.OnMessage)
-	if ownRing {
-		rt.Handle(router.ChanDissem, ring.OnMessage)
-	}
 	if n.cfg.App != nil {
 		if h := n.cfg.App(rt.Bound(router.ChanApp)); h != nil {
 			rt.Handle(router.ChanApp, h)
@@ -202,16 +166,17 @@ func (n *Node) Start(ctx context.Context) error {
 
 	ictx, cancel := context.WithCancel(ctx)
 	inc := &incarnation{
-		epoch:   epoch,
-		cancel:  cancel,
-		rt:      rt,
-		det:     det,
-		own:     own,
-		eng:     eng,
-		proto:   proto,
-		ring:    ring,
-		ownRing: ownRing,
+		epoch:  epoch,
+		cancel: cancel,
+		rt:     rt,
+		det:    det,
+		own:    own,
+		eng:    eng,
+		proto:  proto,
 	}
+	// Published before the layers start, so a Crash racing this Start
+	// finds the incarnation and tears it down; the accessors keep
+	// answering "down" until ready.
 	n.mu.Lock()
 	n.inc = inc
 	n.mu.Unlock()
@@ -219,17 +184,11 @@ func (n *Node) Start(ctx context.Context) error {
 	// Wire the storage stack's latency probes (idempotent per engine) and
 	// stamp the incarnation start before any layer produces events.
 	obsWireStorage(n.store, n.cfg.Obs)
-	if ring != nil {
-		ring.SetObs(n.cfg.Obs)
-	}
 	n.cfg.Obs.Flight().Event(obs.EvNodeStart, n.cfg.Group, uint64(epoch), 0, 0, "incarnation started")
 
 	rt.Start(ictx)
 	if own != nil {
 		own.Start(ictx)
-	}
-	if ownRing {
-		ring.Start(ictx)
 	}
 	eng.Start(ictx)
 	if err := proto.Start(ictx); err != nil {
@@ -237,6 +196,12 @@ func (n *Node) Start(ctx context.Context) error {
 		n.Crash()
 		return fmt.Errorf("node %v: recovery: %w", n.cfg.PID, err)
 	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.inc != inc {
+		return fmt.Errorf("node %v: crashed during start", n.cfg.PID)
+	}
+	inc.ready = true
 	return nil
 }
 
@@ -261,16 +226,6 @@ func (n *Node) Crash() {
 		return
 	}
 	inc.cancel()
-	if inc.ring != nil {
-		// Detach the group's payload sink first: relay frames arriving
-		// during teardown must not reach a stopping protocol. A shared
-		// process-level ring outlives the group node (like the shared
-		// detector); a node-owned ring dies with the incarnation.
-		inc.ring.Unregister(n.cfg.Group)
-		if inc.ownRing {
-			inc.ring.Stop()
-		}
-	}
 	inc.rt.Stop() // closes the endpoint: packets now dropped
 	inc.proto.Stop()
 	inc.eng.Stop()
@@ -296,21 +251,23 @@ func (n *Node) Epoch() uint32 {
 	return n.inc.epoch
 }
 
-// Proto returns the live broadcast protocol, or nil if the node is down.
+// Proto returns the live broadcast protocol, or nil if the node is down
+// or its recovery has not finished.
 func (n *Node) Proto() *core.Protocol {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.inc == nil {
+	if n.inc == nil || !n.inc.ready {
 		return nil
 	}
 	return n.inc.proto
 }
 
-// Engine returns the live consensus engine, or nil if the node is down.
+// Engine returns the live consensus engine, or nil if the node is down
+// or its recovery has not finished.
 func (n *Node) Engine() *consensus.Engine {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.inc == nil {
+	if n.inc == nil || !n.inc.ready {
 		return nil
 	}
 	return n.inc.eng

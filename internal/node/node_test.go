@@ -2,12 +2,15 @@ package node_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/harness"
 	"repro/internal/ids"
+	"repro/internal/node"
 )
 
 func TestEpochIncrementsPerIncarnation(t *testing.T) {
@@ -76,6 +79,110 @@ func TestBroadcastWhileDownFails(t *testing.T) {
 	}
 	if c.Nodes[2].Proto() != nil || c.Nodes[2].Engine() != nil || c.Nodes[2].Detector() != nil {
 		t.Fatal("down node exposes live components")
+	}
+}
+
+// TestNodeIsDownUntilRecoveryEnds holds p0's recovery inside its replay
+// phase, on a logged proposal that no quorum can decide while p1 and p2
+// are down. For that whole window the node answers as down, and a Crash
+// racing the boot ends it cleanly (run it with -race).
+func TestNodeIsDownUntilRecoveryEnds(t *testing.T) {
+	c := harness.NewCluster(harness.Options{N: 3, Seed: 206})
+	defer c.Stop()
+	if err := c.StartAll(); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+
+	c.Crash(1)
+	c.Crash(2)
+	if _, err := c.BroadcastAsync(0, []byte("undecidable")); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, ok := c.Nodes[0].Engine().Proposal(0); ok {
+			break
+		}
+		if ctx.Err() != nil {
+			t.Fatal("p0 never logged its proposal")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	c.Crash(0)
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Recover(0)
+		done <- err
+	}()
+	for !c.Nodes[0].Up() {
+		if ctx.Err() != nil {
+			t.Fatal("the boot never began")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	select {
+	case err := <-done:
+		t.Fatalf("recovery finished without a quorum: %v", err)
+	default:
+	}
+	if c.Nodes[0].Proto() != nil || c.Nodes[0].Engine() != nil {
+		t.Fatal("a booting node exposes its protocol")
+	}
+	if _, err := c.Nodes[0].Broadcast(ctx, []byte("x")); !errors.Is(err, node.ErrDown) {
+		t.Fatalf("broadcast during recovery: %v, want ErrDown", err)
+	}
+
+	c.Crash(0)
+	if err := <-done; err == nil {
+		t.Fatal("a boot interrupted by a crash reported success")
+	}
+	if c.Nodes[0].Up() {
+		t.Fatal("crashed node still up")
+	}
+}
+
+// TestCrashRacingStartIsClean crashes p0 the moment each boot publishes
+// its incarnation, while the layers are still starting: the crash must
+// win cleanly (run it with -race), and the next boot must work.
+func TestCrashRacingStartIsClean(t *testing.T) {
+	c := harness.NewCluster(harness.Options{N: 3, Seed: 207})
+	defer c.Stop()
+	if err := c.StartAll(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 30; i++ {
+		c.Crash(0)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			_, _ = c.Recover(0)
+		}()
+	spin:
+		for !c.Nodes[0].Up() {
+			select {
+			case <-done:
+				break spin
+			default:
+				runtime.Gosched()
+			}
+		}
+		c.Crash(0)
+		<-done
+	}
+	c.Crash(0)
+	if _, err := c.Recover(0); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if _, err := c.Broadcast(ctx, 0, []byte("after the races")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AwaitAllDelivered(ctx, 0, 1, 2); err != nil {
+		t.Fatal(err)
 	}
 }
 

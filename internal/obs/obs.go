@@ -5,9 +5,8 @@
 // lifecycle tracer (nanosecond stage timestamps from A-broadcast to
 // confirm, feeding per-stage latency histograms), and a bounded in-memory
 // flight recorder of structured anomaly events (lease churn, tentative
-// revokes, state transfers, payload stalls, slow fsyncs, suspicion and
-// epoch changes) that turns a failing soak seed into a replayable causal
-// timeline.
+// revokes, state transfers, slow fsyncs, suspicion and epoch changes) that
+// turns a failing soak seed into a replayable causal timeline.
 //
 // Every layer of the stack holds an optional *Plane and instruments itself
 // unconditionally: a nil Plane (and every component reached through one)

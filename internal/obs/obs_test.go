@@ -102,7 +102,7 @@ func TestPromExposition(t *testing.T) {
 	r.Counter(`abcast.core.delivered{group="1"}`).Add(5)
 	r.Counter(`abcast.core.delivered{group="2"}`).Add(7)
 	r.Gauge("abcast.wal.live_bytes").Set(1234)
-	r.Func("abcast.ring.relayed", func() int64 { return 42 })
+	r.Func("abcast.mux.tagged", func() int64 { return 42 })
 	r.Histogram("abcast.trace.e2e_ns").Observe(100)
 	r.Histogram("abcast.trace.e2e_ns").Observe(3000)
 
@@ -117,7 +117,7 @@ func TestPromExposition(t *testing.T) {
 		`abcast_core_delivered{group="2",pid="0"} 7`,
 		"# TYPE abcast_wal_live_bytes gauge",
 		`abcast_wal_live_bytes{pid="0"} 1234`,
-		`abcast_ring_relayed{pid="0"} 42`,
+		`abcast_mux_tagged{pid="0"} 42`,
 		"# TYPE abcast_trace_e2e_ns histogram",
 		`abcast_trace_e2e_ns_bucket{pid="0",le="+Inf"} 2`,
 		`abcast_trace_e2e_ns_sum{pid="0"} 3100`,

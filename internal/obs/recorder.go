@@ -25,7 +25,6 @@ const (
 	EvSuspect                          // failure detector began suspecting a peer (A=peer)
 	EvTrust                            // failure detector trusts a peer again (A=peer)
 	EvEpochChange                      // peer's epoch number increased (A=peer, B=epoch)
-	EvPayloadStall                     // delivery blocked awaiting a payload body (Round=round)
 	EvSlowSync                         // durability op over threshold (A=duration ns)
 	EvViolation                        // harness-detected safety/liveness violation
 	EvReshardSeal                      // retiring group sealed (Round=final round, A=drain window)
@@ -39,7 +38,7 @@ var evNames = map[EventKind]string{
 	EvTentativeRevoke: "tentative-revoke", EvStateSent: "state-sent", EvStateAdopt: "state-adopt",
 	EvCursorLag: "cursor-lag", EvCheckpoint: "checkpoint", EvCompaction: "compaction",
 	EvSuspect: "suspect", EvTrust: "trust", EvEpochChange: "epoch-change",
-	EvPayloadStall: "payload-stall", EvSlowSync: "slow-sync",
+	EvSlowSync:  "slow-sync",
 	EvViolation: "VIOLATION", EvReshardSeal: "reshard-seal", EvReshardJoin: "reshard-join",
 	EvReshardDrain: "reshard-drain", EvReshardMigrate: "reshard-migrate",
 }

@@ -86,7 +86,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 }
 
 // Func registers a read-on-scrape gauge backed by fn — how layers that
-// already keep atomic counters (dissem, group mux, WAL) export them without
+// already keep atomic counters (group mux, WAL) export them without
 // double bookkeeping. Re-registering a name replaces the function.
 func (r *Registry) Func(name string, fn func() int64) {
 	if r == nil {

@@ -10,26 +10,24 @@ import (
 // Stage is one point in a message's lifecycle. Stages are marked on
 // whichever process the lifecycle touches: the origin marks Broadcast,
 // BatchSeal and Propose; every process marks Decide, Tentative, Deliver
-// and Confirm for its own commit path; non-origin
-// processes mark PayloadArrive (ring relay) or PullRepair (gossip pull)
-// when the body shows up ahead of or behind the order.
+// and Confirm for its own commit path; a process that missed the eager
+// push marks PullRepair when the body arrives through a gossip pull.
 type Stage int
 
 const (
-	StBroadcast     Stage = iota // A-broadcast accepted at the origin
-	StBatchSeal                  // origin's batch containing the message sealed
-	StPropose                    // batch handed to consensus
-	StPayloadArrive              // body arrived via ring dissemination
-	StPullRepair                 // body arrived via digest-gossip pull repair
-	StDecide                     // ordering round reached accept quorum
-	StTentative                  // speculative (tentative) delivery
-	StDeliver                    // definitive delivery to the application
-	StConfirm                    // earlier tentative delivery confirmed
+	StBroadcast  Stage = iota // A-broadcast accepted at the origin
+	StBatchSeal               // origin's batch containing the message sealed
+	StPropose                 // batch handed to consensus
+	StPullRepair              // body arrived via digest-gossip pull repair
+	StDecide                  // ordering round reached accept quorum
+	StTentative               // speculative (tentative) delivery
+	StDeliver                 // definitive delivery to the application
+	StConfirm                 // earlier tentative delivery confirmed
 	numStages
 )
 
 var stageNames = [numStages]string{
-	"broadcast", "batch_seal", "propose", "payload_arrive", "pull_repair",
+	"broadcast", "batch_seal", "propose", "pull_repair",
 	"decide", "tentative", "deliver", "confirm",
 }
 

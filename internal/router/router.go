@@ -22,7 +22,6 @@ const (
 	ChanConsensus Channel = 2 // consensus engine messages
 	ChanCore      Channel = 3 // atomic broadcast gossip/state messages
 	ChanApp       Channel = 4 // application-level side traffic (quorum reads)
-	ChanDissem    Channel = 5 // payload dissemination ring relay frames
 )
 
 // Handler consumes one packet on a channel. Handlers run on the router's
@@ -38,9 +37,10 @@ type Router struct {
 	mu       sync.Mutex
 	handlers map[Channel]Handler
 	started  bool
+	stopped  bool               // a Start after Stop launches nothing
+	cancel   context.CancelFunc // guarded by mu: Stop may race Start
 
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
+	wg sync.WaitGroup
 }
 
 // New creates a router over ep.
@@ -59,23 +59,25 @@ func (r *Router) Handle(ch Channel, h Handler) {
 // the endpoint closes.
 func (r *Router) Start(ctx context.Context) {
 	r.mu.Lock()
-	if r.started {
-		r.mu.Unlock()
+	defer r.mu.Unlock()
+	if r.started || r.stopped {
 		return
 	}
 	r.started = true
-	r.mu.Unlock()
-
-	ctx, cancel := context.WithCancel(ctx)
-	r.cancel = cancel
+	ctx, r.cancel = context.WithCancel(ctx)
 	r.wg.Add(1)
 	go r.recvLoop(ctx)
 }
 
-// Stop closes the endpoint and waits for the receive loop to exit.
+// Stop closes the endpoint and waits for the receive loop to exit. It may
+// run concurrently with Start (a crash during boot).
 func (r *Router) Stop() {
-	if r.cancel != nil {
-		r.cancel()
+	r.mu.Lock()
+	r.stopped = true
+	cancel := r.cancel
+	r.mu.Unlock()
+	if cancel != nil {
+		cancel()
 	}
 	r.ep.Close()
 	r.wg.Wait()
