@@ -82,32 +82,18 @@
 //
 // # Latency fast path
 //
-// Two independent mechanisms cut commit latency below a full consensus
-// round:
-//
-//   - Config.OnTentative enables optimistic delivery: the sequencer emits
-//     each locally proposed batch in predicted total order BEFORE the
-//     round's consensus instance has decided, then certifies the prediction
-//     with OnConfirm (it matched the agreed order — externalize now) or
-//     retracts it with OnRevoke (a competing batch or state transfer won —
-//     discard the speculative suffix; the messages re-deliver later). The
-//     OnDeliver stream stays authoritative and unchanged; speculate on
-//     tentative deliveries, externalize only on confirm.
-//   - Under PolicyLeader (the default) the stable sequencer always runs
-//     on a quorum lease (a ranged promise, multi-Paxos style) — there is
-//     no option for it: while the same process keeps proposing, each round
-//     skips the prepare phase and runs accept-only at the lease ballot,
-//     its accept sent beside its proposal write, so a commit waits for one
-//     durable write (the accept quorum's) instead of a chain of them. FD
-//     suspicion, a competitor's higher ballot, or lease expiry falls back
-//     to full consensus. Safety rests on ballots and quorum intersection,
-//     never on clocks: a lease ballot is used by one incarnation only, so
-//     no second value can appear at it even when the holder crashes
-//     before its proposal is durable (the README's "Latency" section
-//     states the rule).
-//
-// The README's "Latency" section covers the contract and when not to
-// enable optimism.
+// Under PolicyLeader (the default) the stable sequencer always runs on a
+// quorum lease (a ranged promise, multi-Paxos style) — there is no option
+// for it: while the same process keeps proposing, each round skips the
+// prepare phase and runs accept-only at the lease ballot, its accept sent
+// beside its proposal write, so a commit waits for one durable write (the
+// accept quorum's) instead of a chain of them. FD suspicion, a
+// competitor's higher ballot, or lease expiry falls back to full
+// consensus. Safety rests on ballots and quorum intersection, never on
+// clocks: a lease ballot is used by one incarnation only, so no second
+// value can appear at it even when the holder crashes before its proposal
+// is durable (the README's "Latency" section states the rule). Every
+// delivery is final: OnDeliver is the only delivery stream.
 //
 // # Elastic resharding
 //
@@ -258,24 +244,6 @@ type Config struct {
 	// OnRestore is invoked when the process adopts a checkpoint or
 	// state transfer instead of replaying.
 	OnRestore func(Snapshot)
-	// OnTentative enables the optimistic-delivery fast path: deliveries
-	// with Tentative set arrive in predicted total order before the
-	// round's consensus instance has decided. Speculate on them; hold
-	// externalization until the covering OnConfirm. OnDeliver remains the
-	// authoritative stream either way. See the package comment's "Latency
-	// fast path" section.
-	OnTentative func(Delivery)
-	// OnConfirm certifies the tentative stream of group g up to (but not
-	// including) position upToPos: the predictions matched the agreed
-	// order, their authoritative OnDeliver calls have fired, and their
-	// effects may be externalized. Fires only once the confirming round
-	// is decided, i.e. its value is held durably by an accept quorum.
-	OnConfirm func(g GroupID, upToPos uint64)
-	// OnRevoke retracts every unconfirmed tentative delivery (all at
-	// positions >= fromPos): discard the speculative state built on them
-	// and rebuild from the confirmed OnDeliver stream. Revoked messages
-	// are not lost — they re-deliver (and re-predict) in a later round.
-	OnRevoke func(g GroupID, fromPos uint64)
 }
 
 // ProtocolOptions mirrors the §5 alternative-protocol knobs plus the
@@ -385,9 +353,6 @@ func NewProcess(cfg Config, st Storage, net Network) (*Process, error) {
 	coreCfg := cfg.Protocol.coreConfig()
 	coreCfg.OnDeliver = cfg.OnDeliver
 	coreCfg.OnRestore = cfg.OnRestore
-	coreCfg.OnTentative = cfg.OnTentative
-	coreCfg.OnConfirm = cfg.OnConfirm
-	coreCfg.OnRevoke = cfg.OnRevoke
 	nodeCfg := node.Config{
 		PID:       cfg.PID,
 		N:         cfg.N,
@@ -423,15 +388,6 @@ func (p *Process) Broadcast(ctx context.Context, payload []byte) (MsgID, error) 
 func (p *Process) Delivered(id MsgID) bool {
 	proto := p.n.Proto()
 	return proto != nil && proto.Delivered(id)
-}
-
-// DeliveredTentative reports whether id is in the delivery sequence or in
-// an outstanding optimistic prediction (tentatively delivered, not yet
-// confirmed). A true answer obtained only through a prediction carries no
-// durability guarantee — it can be revoked.
-func (p *Process) DeliveredTentative(id MsgID) bool {
-	proto := p.n.Proto()
-	return proto != nil && proto.DeliveredTentative(id)
 }
 
 // Sequence implements A-deliver-sequence(): the base snapshot that

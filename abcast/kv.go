@@ -26,11 +26,6 @@ func EncodeDel(key string) []byte { return rsm.EncodeDel(key) }
 // EncodeTx builds a broadcast payload for a transaction commit request.
 func EncodeTx(tx Tx) []byte { return rsm.EncodeTx(tx) }
 
-// DecodeTx parses a transaction payload back into a Tx; ok is false for
-// non-transaction payloads. Useful for speculating on the tentative
-// delivery stream without applying it (see examples/bank-ledger).
-func DecodeTx(payload []byte) (tx Tx, ok bool) { return rsm.DecodeTx(payload) }
-
 // ReducedConsensus is Consensus implemented over Atomic Broadcast (§6.1):
 // the first proposal delivered for an instance is its decision.
 type ReducedConsensus = reduction.Consensus

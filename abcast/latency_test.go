@@ -3,147 +3,11 @@ package abcast_test
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/abcast"
 )
-
-// TestTentativeConfirmFastPath exercises the optimistic delivery hooks on
-// a calm network: tentative deliveries appear at the proposing process
-// before their round commits, every one is eventually confirmed (nothing
-// revoked — no competition, no crashes), and each confirmed tentative
-// matches the authoritative delivery at the same position exactly.
-func TestTentativeConfirmFastPath(t *testing.T) {
-	const n, msgs = 3, 24
-	net := abcast.NewMemNetwork(n, abcast.MemNetOptions{Seed: 7})
-	t.Cleanup(net.Close)
-
-	type slot struct {
-		g   abcast.GroupID
-		pos uint64
-	}
-	var (
-		mu        sync.Mutex
-		pending   = make([]map[slot]abcast.MsgID, n) // tentative, unconfirmed
-		actual    = make([]map[slot]abcast.MsgID, n) // authoritative by position
-		tentative int
-		confirmed int
-		failures  []string
-	)
-	fail := func(format string, args ...any) {
-		if len(failures) < 8 {
-			failures = append(failures, fmt.Sprintf(format, args...))
-		}
-	}
-
-	procs := make([]*abcast.Process, n)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	for p := 0; p < n; p++ {
-		pid := p
-		pending[pid] = make(map[slot]abcast.MsgID)
-		actual[pid] = make(map[slot]abcast.MsgID)
-		var nperr error
-		procs[p], nperr = abcast.NewProcess(abcast.Config{
-			PID: abcast.ProcessID(p),
-			N:   n,
-			OnTentative: func(d abcast.Delivery) {
-				mu.Lock()
-				defer mu.Unlock()
-				tentative++
-				if !d.Tentative {
-					fail("p%d: OnTentative delivery not flagged Tentative", pid)
-				}
-				pending[pid][slot{d.Group, d.Pos}] = d.Msg.ID
-			},
-			OnDeliver: func(d abcast.Delivery) {
-				mu.Lock()
-				defer mu.Unlock()
-				actual[pid][slot{d.Group, d.Pos}] = d.Msg.ID
-			},
-			OnConfirm: func(g abcast.GroupID, upTo uint64) {
-				mu.Lock()
-				defer mu.Unlock()
-				for k, id := range pending[pid] {
-					if k.g != g || k.pos >= upTo {
-						continue
-					}
-					if got, ok := actual[pid][k]; !ok || got != id {
-						fail("p%d g%v: pos %d confirmed as %v, authoritative %v (present=%v)",
-							pid, g, k.pos, id, got, ok)
-					} else {
-						confirmed++
-					}
-					delete(pending[pid], k)
-				}
-			},
-			OnRevoke: func(g abcast.GroupID, from uint64) {
-				mu.Lock()
-				defer mu.Unlock()
-				fail("p%d g%v: unexpected revoke from pos %d on a calm network", pid, g, from)
-			},
-		}, abcast.NewMemStorage(), net)
-		if nperr != nil {
-			t.Fatal(nperr)
-		}
-	}
-	t.Cleanup(func() {
-		for _, p := range procs {
-			p.Crash()
-		}
-	})
-	for _, p := range procs {
-		if err := p.Start(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	for i := 0; i < msgs; i++ {
-		id, err := procs[i%n].Broadcast(ctx, fmt.Appendf(nil, "m-%d", i))
-		if err != nil {
-			t.Fatalf("broadcast %d: %v", i, err)
-		}
-		// A returned Broadcast is committed, so the proposer's tentative
-		// (if it predicted this round) is already settled.
-		for _, p := range procs {
-			if !p.Delivered(id) && !p.DeliveredTentative(id) {
-				// DeliveredTentative covers both: tentative overlay or
-				// authoritative. Poll the slow learners below.
-				awaitDeliveredAll(t, procs, id, 20*time.Second)
-				break
-			}
-		}
-	}
-	// Every prediction must settle as a confirm (poll: the confirm of the
-	// last round trails its deliveries by a callback).
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		mu.Lock()
-		left := 0
-		for p := range pending {
-			left += len(pending[p])
-		}
-		tent, conf, errs := tentative, confirmed, len(failures)
-		mu.Unlock()
-		if errs > 0 {
-			mu.Lock()
-			defer mu.Unlock()
-			t.Fatalf("optimism contract violated: %v", failures)
-		}
-		if left == 0 && tent > 0 {
-			if conf == 0 || conf != tent {
-				t.Fatalf("tentative=%d confirmed=%d; want all confirmed", tent, conf)
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("tentatives never settled: tentative=%d confirmed=%d pending=%d", tent, conf, left)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
 
 func awaitDeliveredAll(t *testing.T, procs []*abcast.Process, id abcast.MsgID, d time.Duration) {
 	t.Helper()

@@ -136,15 +136,6 @@ type ShardedConfig struct {
 	// OnRestore is invoked when group g adopts a checkpoint or state
 	// transfer instead of replaying.
 	OnRestore func(GroupID, Snapshot)
-	// OnTentative, OnConfirm and OnRevoke enable the optimistic-delivery
-	// fast path per group, with the same contract as the unsharded
-	// Config hooks: tentative deliveries (tagged with their group) are
-	// predictions, OnConfirm(g, upTo) certifies group g's stream below
-	// upTo, OnRevoke(g, from) retracts g's unconfirmed suffix. Positions
-	// are per group; the merged sequence carries only confirmed rounds.
-	OnTentative func(Delivery)
-	OnConfirm   func(g GroupID, upToPos uint64)
-	OnRevoke    func(g GroupID, fromPos uint64)
 }
 
 // Validate rejects nonsensical sharded configurations with explicit errors
@@ -431,9 +422,6 @@ func (s *Sharded) buildGroup(gid GroupID) (Storage, *node.Node) {
 	if restore := cfg.OnRestore; restore != nil {
 		coreCfg.OnRestore = func(sn Snapshot) { restore(gid, sn) }
 	}
-	coreCfg.OnTentative = cfg.OnTentative
-	coreCfg.OnConfirm = cfg.OnConfirm
-	coreCfg.OnRevoke = cfg.OnRevoke
 	// Every group feeds the process's per-round stream (it also tracks
 	// the decided counters Merged and MergeCursor use); the merge floor
 	// gates checkpoint folds only when the merged sequence is declared
@@ -1092,9 +1080,6 @@ func addStats(t *Stats, o Stats) {
 	t.PipelinedProposals += o.PipelinedProposals
 	t.ProposedMessages += o.ProposedMessages
 	t.DeliveredByTransfer += o.DeliveredByTransfer
-	t.TentativeDeliveries += o.TentativeDeliveries
-	t.TentativeConfirmed += o.TentativeConfirmed
-	t.TentativeRevoked += o.TentativeRevoked
 	t.HeartbeatRounds += o.HeartbeatRounds
 	t.BatchFullSeals += o.BatchFullSeals
 	t.BatchTimerSeals += o.BatchTimerSeals

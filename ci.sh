@@ -61,13 +61,16 @@ step_metrics() {
 # experiments past E13 with their JSON files, the autotuner, two design
 # documents that never existed, the full-payload periodic gossip's selector
 # and cap, the file-per-key engine, the WAL's runtime policy setter, the
-# lease switch (the lease is how PolicyLeader runs) and ring dissemination
-# (proposals carrying full payloads are the only value path).
+# lease switch (the lease is how PolicyLeader runs), ring dissemination
+# (proposals carrying full payloads are the only value path) and tentative
+# delivery (OnDeliver is the only delivery stream).
 step_retired() {
 	local pat='DESIGN\.md|EXPERIMENTS\.md|BENCH_e[0-9]+|internal/tune|\bE(1[4-9]|2[0-2])\b'
 	pat+='|\bDigestGossip\b|NewFileStorage|storage\.NewFile\b|SetGroupCommit|\bGossipMaxMessages\b'
 	pat+='|\bLease: |\bcfg\.Lease\b|ProtocolOptions\.Lease\b'
 	pat+='|\bRingDissem\b|internal/dissem|\bDissemNet\b|\bSharedRing\b|\bChanDissem\b'
+	pat+='|\bOnTentative\b|\bOnConfirm\b|\bOnRevoke\b|DeliveredTentative|\bStTentative\b|\bStConfirm\b'
+	pat+='|EvTentativeRevoke|optimismTracker|Soak(Seeds)?(Sharded)?Optimistic'
 	if grep -rnE "$pat" --include='*.go' . ||
 		grep -nE "$pat" README.md bench/README.md .github/workflows/ci.yml; then
 		echo "retired names found (above)"

@@ -4,16 +4,6 @@
 // every replica certifies them in the same total order, so conflicting
 // transfers get the same commit/abort verdict everywhere and no money is
 // ever created or destroyed — even across a replica crash and recovery.
-//
-// The sequencer replica additionally runs the latency fast path: a
-// teller speculates on the tentative delivery order, issuing provisional
-// receipts as soon as a transfer is predicted into the total order —
-// before the round's consensus decision is durable — and upgrades them
-// to final receipts only when OnConfirm certifies the prediction. A
-// revoked prediction voids its provisional receipts; the transfer is not
-// lost (it re-delivers in a later round), only the speculation is. The
-// stable-sequencer lease keeps the confirmed path itself on the
-// accept-only fast rounds.
 package main
 
 import (
@@ -43,58 +33,6 @@ func main() {
 type bank struct {
 	proc *abcast.Process
 	kv   *abcast.KVStore
-}
-
-// teller is the sequencer-side speculator: it issues provisional
-// receipts from the tentative stream and finalizes them on confirm.
-// Externalizable state (finalized) only ever grows from confirmed
-// positions; everything built on unconfirmed predictions stays in
-// provisional and is discarded wholesale on revoke.
-type teller struct {
-	mu          sync.Mutex
-	provisional map[uint64]string // pos -> txID, speculated but unconfirmed
-	finalized   int
-	voided      int
-}
-
-func newTeller() *teller {
-	return &teller{provisional: make(map[uint64]string)}
-}
-
-func (t *teller) onTentative(d abcast.Delivery) {
-	if tx, ok := abcast.DecodeTx(d.Msg.Payload); ok {
-		t.mu.Lock()
-		t.provisional[d.Pos] = tx.ID
-		t.mu.Unlock()
-	}
-}
-
-func (t *teller) onConfirm(_ abcast.GroupID, upTo uint64) {
-	t.mu.Lock()
-	for pos := range t.provisional {
-		if pos < upTo {
-			delete(t.provisional, pos)
-			t.finalized++
-		}
-	}
-	t.mu.Unlock()
-}
-
-func (t *teller) onRevoke(_ abcast.GroupID, from uint64) {
-	t.mu.Lock()
-	for pos := range t.provisional {
-		if pos >= from {
-			delete(t.provisional, pos)
-			t.voided++
-		}
-	}
-	t.mu.Unlock()
-}
-
-func (t *teller) stats() (pending, finalized, voided int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.provisional), t.finalized, t.voided
 }
 
 // transfer executes a deferred-update transaction moving amount from one
@@ -144,7 +82,6 @@ func run() error {
 	net := abcast.NewMemNetwork(n, abcast.MemNetOptions{Seed: 21, Loss: 0.02})
 	defer net.Close()
 
-	till := newTeller()
 	banks := make([]*bank, n)
 	for pid := 0; pid < n; pid++ {
 		kv := abcast.NewKVStore()
@@ -156,15 +93,6 @@ func run() error {
 			// On recovery the basic protocol re-delivers the whole
 			// history; the replica resets first.
 			OnRestore: func(s abcast.Snapshot) { kv.Restore(s.App) },
-		}
-		if pid == 0 {
-			// p0 is the stable sequencer (PolicyLeader default, whose
-			// lease keeps the commit path on accept-only rounds while p0
-			// stays up), so only it sees its predictions; the teller
-			// speculates on them.
-			cfg.OnTentative = till.onTentative
-			cfg.OnConfirm = till.onConfirm
-			cfg.OnRevoke = till.onRevoke
 		}
 		var err error
 		b.proc, err = abcast.NewProcess(cfg, abcast.NewMemStorage(), net)
@@ -241,24 +169,5 @@ func run() error {
 		}
 	}
 	fmt.Println("money conserved across crash, recovery and conflicts ✓")
-
-	// The teller's speculative receipts: every provisional receipt must
-	// have settled — finalized by a confirm or voided by a revoke — and
-	// voided ones correspond to transfers that simply re-delivered later.
-	// (The last round's confirm trails its delivery by a callback, so
-	// give it a moment.)
-	pending, finalized, voided := till.stats()
-	for wait := time.Now().Add(5 * time.Second); pending > 0 && time.Now().Before(wait); {
-		time.Sleep(5 * time.Millisecond)
-		pending, finalized, voided = till.stats()
-	}
-	fmt.Printf("teller: %d receipts finalized early via tentative order, %d voided by revoke, %d pending\n",
-		finalized, voided, pending)
-	if pending > 0 {
-		return fmt.Errorf("%d provisional receipts never settled", pending)
-	}
-	if finalized == 0 {
-		return fmt.Errorf("speculation never engaged: no tentative transfer was confirmed")
-	}
 	return nil
 }

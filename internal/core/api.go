@@ -55,20 +55,13 @@ var ErrSealed = errors.New("core: group sealed for retirement")
 // multi-group ordering), so one shared OnDeliver handler can serve every
 // group of a sharded process.
 //
-// Tentative marks an optimistic delivery emitted on the fast path (see
-// Config.OnTentative): the position is the sequencer's prediction, made
-// before the round's Consensus instance has decided, and is only final once
-// the matching OnConfirm fires. Deliveries from OnDeliver, Sequence and
-// recovery replay are never tentative.
-//
 // Msg.Payload is read-only: it aliases the received frame or log record
 // and is shared with the delivery sequence and the decided value.
 type Delivery struct {
-	Msg       msg.Message
-	Group     ids.GroupID
-	Round     uint64
-	Pos       uint64
-	Tentative bool
+	Msg   msg.Message
+	Group ids.GroupID
+	Round uint64
+	Pos   uint64
 }
 
 // Snapshot is an application-level checkpoint (§5.2): the pair
@@ -225,38 +218,10 @@ type Config struct {
 	// adoption do not fire at all — OnRoundSkip reports the jump instead.
 	// The slice is shared and must not be mutated.
 	OnRound func(g ids.GroupID, round uint64, deliveries []Delivery)
-	// OnTentative enables the optimistic-delivery fast path: when set, the
-	// sequencer emits every message of a locally proposed batch as a
-	// Tentative Delivery at propose time — in predicted total order, with
-	// predicted positions, BEFORE the round's Consensus decision (and its
-	// fsync) completes. The prediction is exact in the failure-free common
-	// case; it is certified or retracted by OnConfirm/OnRevoke. State
-	// machines may speculate on tentative deliveries but must not
-	// externalize their effects until the covering OnConfirm — tentative
-	// state is volatile and carries none of §2.1's durability guarantees.
-	// Like OnDeliver, calls are made in order on the sequencer goroutine.
-	OnTentative func(Delivery)
-	// OnConfirm certifies the tentative stream: all tentative deliveries
-	// of group g with Pos < upToPos matched the agreed order exactly (the
-	// authoritative OnDeliver calls for them have already fired, with
-	// identical content and positions) and their effects may now be
-	// externalized. It fires after the confirming round's OnDeliver calls,
-	// on a decision an accept quorum holds durably, so confirmation is as
-	// strong as the conservative path.
-	OnConfirm func(g ids.GroupID, upToPos uint64)
-	// OnRevoke retracts the tentative stream: every unconfirmed tentative
-	// delivery (all have Pos >= fromPos) was mispredicted — a competing
-	// batch won the round, a state transfer skipped it, or positions
-	// shifted — and the speculative state built on them must be discarded
-	// and rebuilt from the confirmed OnDeliver stream. It fires before the
-	// conflicting round's OnDeliver calls. Revoked messages are not lost:
-	// they re-enter the Unordered set and are re-delivered (and, with
-	// OnTentative, re-predicted) by a later round.
-	OnRevoke func(g ids.GroupID, fromPos uint64)
 	// Obs, when set, is the process-wide observability plane: protocol
 	// counters register under "abcast.core.<name>{group}", sampled
 	// per-message lifecycle spans feed the stage-latency histograms, and
-	// anomalies (state transfers, tentative revokes, checkpoints) land in
+	// anomalies (state transfers, lease churn, checkpoints) land in
 	// the flight recorder. Nil disables all three at the cost of a few nil
 	// checks; the plane must outlive incarnations (its counters are
 	// process-lifetime monotonic — Stats() subtracts an incarnation
@@ -324,10 +289,7 @@ type Stats struct {
 	ProposedMessages    uint64 // messages across all submitted proposals
 	DeliveredByTransfer uint64 // messages skipped over via state adoption
 
-	TentativeDeliveries uint64 // optimistic deliveries emitted at propose time
-	TentativeConfirmed  uint64 // tentative deliveries certified by OnConfirm
-	TentativeRevoked    uint64 // tentative deliveries retracted by OnRevoke
-	HeartbeatRounds     uint64 // empty rounds proposed by the idle heartbeat
+	HeartbeatRounds uint64 // empty rounds proposed by the idle heartbeat
 
 	BatchFullSeals  uint64 // proposals sealed by the size cap (MaxBatchBytes)
 	BatchTimerSeals uint64 // non-full proposals sealed by the time trigger (or immediately)

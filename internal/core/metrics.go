@@ -33,9 +33,6 @@ type metrics struct {
 	pipelinedProposals  *obs.Counter
 	proposedMessages    *obs.Counter
 	deliveredByTransfer *obs.Counter
-	tentativeDeliveries *obs.Counter
-	tentativeConfirmed  *obs.Counter
-	tentativeRevoked    *obs.Counter
 	heartbeatRounds     *obs.Counter
 	batchFullSeals      *obs.Counter
 	batchTimerSeals     *obs.Counter
@@ -66,9 +63,6 @@ func newMetrics(reg *obs.Registry, g ids.GroupID) *metrics {
 		pipelinedProposals:  c("pipelined_proposals"),
 		proposedMessages:    c("proposed_messages"),
 		deliveredByTransfer: c("delivered_by_transfer"),
-		tentativeDeliveries: c("tentative_deliveries"),
-		tentativeConfirmed:  c("tentative_confirmed"),
-		tentativeRevoked:    c("tentative_revoked"),
 		heartbeatRounds:     c("heartbeat_rounds"),
 		batchFullSeals:      c("batch_full_seals"),
 		batchTimerSeals:     c("batch_timer_seals"),
@@ -98,9 +92,6 @@ func (m *metrics) snapshot() Stats {
 		PipelinedProposals:  m.pipelinedProposals.Value(),
 		ProposedMessages:    m.proposedMessages.Value(),
 		DeliveredByTransfer: m.deliveredByTransfer.Value(),
-		TentativeDeliveries: m.tentativeDeliveries.Value(),
-		TentativeConfirmed:  m.tentativeConfirmed.Value(),
-		TentativeRevoked:    m.tentativeRevoked.Value(),
 		HeartbeatRounds:     m.heartbeatRounds.Value(),
 		BatchFullSeals:      m.batchFullSeals.Value(),
 		BatchTimerSeals:     m.batchTimerSeals.Value(),
@@ -129,9 +120,6 @@ func (m *metrics) incarnation() Stats {
 	s.PipelinedProposals -= b.PipelinedProposals
 	s.ProposedMessages -= b.ProposedMessages
 	s.DeliveredByTransfer -= b.DeliveredByTransfer
-	s.TentativeDeliveries -= b.TentativeDeliveries
-	s.TentativeConfirmed -= b.TentativeConfirmed
-	s.TentativeRevoked -= b.TentativeRevoked
 	s.HeartbeatRounds -= b.HeartbeatRounds
 	s.BatchFullSeals -= b.BatchFullSeals
 	s.BatchTimerSeals -= b.BatchTimerSeals

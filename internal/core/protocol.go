@@ -78,13 +78,6 @@ type Protocol struct {
 	resCh          chan roundResult
 	batchScratch   []msg.Message // assembleBatch's reused pending slice
 
-	// Optimistic-delivery state (Config.OnTentative). tentative holds, in
-	// round order, the predictions emitted at propose time and not yet
-	// settled by a committed round; tentNextPos is the position the next
-	// prediction starts at (the delivery frontier plus every outstanding
-	// prediction). Volatile: a recovery starts with no predictions.
-	tentative   []tentRound
-	tentNextPos uint64
 	// lastProgress is when the last round committed (or the incarnation
 	// started); the idle-heartbeat deadline is measured from it.
 	lastProgress time.Time
@@ -178,7 +171,6 @@ func (p *Protocol) Start(ctx context.Context) error {
 		return ErrStopped
 	}
 	p.lastProgress = time.Now()
-	p.tentNextPos = p.ds.nextPos()
 	p.wg.Add(2)
 	go p.sequencerTask()
 	go p.gossipTask()
@@ -566,39 +558,25 @@ func (p *Protocol) commit(round uint64, result []byte) {
 		p.drained = true
 		close(p.drainedCh)
 	}
-	confirmTo, confirmN, revokeFrom, revoked := p.settleTentativeLocked(round, deliveries)
 	ckptDue := p.cfg.CheckpointEvery > 0 && p.k%uint64(p.cfg.CheckpointEvery) == 0
 	deliverCb := p.cfg.OnDeliver
 	roundCb := p.cfg.OnRound
-	confirmCb := p.cfg.OnConfirm
-	revokeCb := p.cfg.OnRevoke
 	p.mu.Unlock()
 
 	if p.tr != nil {
 		// Close the sampled lifecycle spans: fold the round-scoped
-		// consensus stamps in, then stamp delivery. A round that exactly
-		// confirmed its prediction ends at StConfirm, otherwise StDeliver.
+		// consensus stamps in, then stamp delivery.
 		mids := make([]ids.MsgID, len(deliveries))
 		for i, d := range deliveries {
 			mids[i] = d.Msg.ID
 		}
 		p.tr.FoldRound(p.cfg.Group, round, mids)
-		final := obs.StDeliver
-		if confirmN > 0 {
-			final = obs.StConfirm
-		}
 		for _, id := range mids {
 			p.tr.Mark(id, obs.StDeliver)
-			p.tr.Finish(id, final)
+			p.tr.Finish(id, obs.StDeliver)
 		}
 	}
 
-	if revoked && revokeCb != nil {
-		// Before this round's OnDeliver calls: the speculative suffix must
-		// be gone before the authoritative stream delivers the round that
-		// contradicted it.
-		revokeCb(p.cfg.Group, revokeFrom)
-	}
 	if deliverCb != nil {
 		for _, d := range deliveries {
 			deliverCb(d)
@@ -610,11 +588,6 @@ func (p *Protocol) commit(round uint64, result []byte) {
 		// driven by these events has seen every round a checkpoint
 		// triggered here may fold under.
 		roundCb(p.cfg.Group, round, deliveries)
-	}
-	if confirmN > 0 && confirmCb != nil {
-		// After the round's OnDeliver calls: the authoritative deliveries
-		// the confirmation certifies have already fired.
-		confirmCb(p.cfg.Group, confirmTo)
 	}
 	if ckptDue {
 		select {
@@ -633,85 +606,6 @@ func (p *Protocol) tagGroup(ds []Delivery) []Delivery {
 		ds[i].Group = p.cfg.Group
 	}
 	return ds
-}
-
-// tentRound is one outstanding optimistic prediction: the messages of a
-// locally proposed batch, emitted as tentative deliveries, with from the
-// predicted position of the first one.
-type tentRound struct {
-	round uint64
-	ids   []ids.MsgID
-	from  uint64
-}
-
-// tentMatch reports whether a committed round's deliveries are exactly the
-// predicted ones, in the predicted order at the predicted positions.
-func tentMatch(t tentRound, deliveries []Delivery) bool {
-	if len(deliveries) != len(t.ids) {
-		return false
-	}
-	for i, d := range deliveries {
-		if d.Msg.ID != t.ids[i] || d.Pos != t.from+uint64(i) {
-			return false
-		}
-	}
-	return true
-}
-
-// settleTentativeLocked settles the oldest outstanding prediction against
-// the round that just committed. Exactly one of three things happens: the
-// round matches the prediction (confirm it), the round conflicts with it (a
-// competing batch won, or an unpredicted round delivered messages and
-// shifted every predicted position — revoke all predictions, since the
-// later ones were built on the mispredicted ones), or the round was not
-// predicted and delivered nothing (the predictions still hold). p.mu held.
-func (p *Protocol) settleTentativeLocked(round uint64, deliveries []Delivery) (confirmTo uint64, confirmN int, revokeFrom uint64, revoked bool) {
-	if len(p.tentative) == 0 {
-		p.tentNextPos = p.ds.nextPos()
-		return
-	}
-	t := p.tentative[0]
-	switch {
-	case t.round == round && tentMatch(t, deliveries):
-		p.tentative = p.tentative[1:]
-		confirmN = len(t.ids)
-		confirmTo = t.from + uint64(len(t.ids))
-		p.met.tentativeConfirmed.Add(uint64(confirmN))
-	case t.round == round || len(deliveries) > 0:
-		revoked = true
-		revokeFrom = t.from
-		n := 0
-		for _, tr := range p.tentative {
-			p.met.tentativeRevoked.Add(uint64(len(tr.ids)))
-			n += len(tr.ids)
-		}
-		p.fl.Event(obs.EvTentativeRevoke, p.cfg.Group, round, int64(n), int64(revokeFrom), "competing batch won")
-		p.tentative = nil
-	}
-	if len(p.tentative) == 0 {
-		p.tentNextPos = p.ds.nextPos()
-	}
-	return
-}
-
-// revokeAllTentativeLocked drops every outstanding prediction (state
-// transfer adoption, where the agreed sequence jumps past the predicted
-// rounds). It returns whether OnRevoke must fire and from which position.
-// p.mu held; the caller fires the callback after unlocking.
-func (p *Protocol) revokeAllTentativeLocked() (fromPos uint64, revoked bool) {
-	if len(p.tentative) > 0 {
-		revoked = true
-		fromPos = p.tentative[0].from
-		n := 0
-		for _, tr := range p.tentative {
-			p.met.tentativeRevoked.Add(uint64(len(tr.ids)))
-			n += len(tr.ids)
-		}
-		p.fl.Event(obs.EvTentativeRevoke, p.cfg.Group, p.k, int64(n), int64(fromPos), "state transfer adoption")
-		p.tentative = nil
-	}
-	p.tentNextPos = p.ds.nextPos()
-	return
 }
 
 // notePendingLocked records the arrival of a pending (not yet proposed)
@@ -824,26 +718,6 @@ func (p *Protocol) Delivered(id ids.MsgID) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.ds.contains(id)
-}
-
-// DeliveredTentative reports whether id is in the delivery sequence or in
-// an outstanding optimistic prediction (tentatively delivered but not yet
-// confirmed). Like Delivery.Tentative itself, a true answer obtained only
-// through a prediction carries no durability guarantee.
-func (p *Protocol) DeliveredTentative(id ids.MsgID) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.ds.contains(id) {
-		return true
-	}
-	for _, t := range p.tentative {
-		for _, tid := range t.ids {
-			if tid == id {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // Sequence implements A-deliver-sequence(): it returns the base snapshot

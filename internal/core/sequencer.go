@@ -201,58 +201,6 @@ func (p *Protocol) pump(results map[uint64][]byte) time.Duration {
 			p.tr.Mark(m.ID, obs.StPropose)
 		}
 		p.startWaiter(r)
-		p.emitTentative(r, batch)
-	}
-}
-
-// emitTentative publishes the optimistic prediction for freshly proposed
-// round r (Config.OnTentative): the batch, in the canonical order
-// appendBatch will apply, at the positions it will occupy if the proposal
-// wins the round — which, while the sequencer is stable, it does. Only
-// fresh local proposals are predicted: replayed proposals are not (their
-// outcome is already settled in the log), and neither are proposals for
-// rounds the group is known to have decided (p.gossipK > r — a behind-pull
-// proposal almost surely loses to the already-decided batch).
-func (p *Protocol) emitTentative(r uint64, batch []msg.Message) {
-	cb := p.cfg.OnTentative
-	if cb == nil || len(batch) == 0 {
-		return
-	}
-	pred := append([]msg.Message(nil), batch...)
-	msg.SortCanonical(pred)
-	p.mu.Lock()
-	if p.stopped || r < p.k || p.gossipK > r {
-		p.mu.Unlock()
-		return
-	}
-	t := tentRound{round: r, from: p.tentNextPos}
-	out := make([]Delivery, 0, len(pred))
-	for _, m := range pred {
-		if p.ds.contains(m.ID) {
-			continue
-		}
-		t.ids = append(t.ids, m.ID)
-		out = append(out, Delivery{
-			Msg:       m,
-			Group:     p.cfg.Group,
-			Round:     r,
-			Pos:       t.from + uint64(len(t.ids)-1),
-			Tentative: true,
-		})
-	}
-	if len(t.ids) == 0 {
-		p.mu.Unlock()
-		return
-	}
-	p.tentNextPos = t.from + uint64(len(t.ids))
-	p.tentative = append(p.tentative, t)
-	p.met.tentativeDeliveries.Add(uint64(len(t.ids)))
-	p.mu.Unlock()
-	// Same goroutine as commit's callbacks (the sequencer), so tentative
-	// and authoritative deliveries never interleave out of order.
-	for _, d := range out {
-		p.tr.Mark(d.Msg.ID, obs.StTentative)
-		cb(d)
 	}
 }
 
@@ -262,7 +210,7 @@ func (p *Protocol) emitTentative(r uint64, batch []msg.Message) {
 // be proposed yet; a positive delay says when the time trigger ripens it.
 // batch is borrowed until the next call: it is a prefix of a scratch slice
 // the sequencer goroutine reuses (most calls only answer "hold back" or
-// "nothing to order"), so pump encodes it and emitTentative copies it.
+// "nothing to order"), so pump encodes it before the next call.
 func (p *Protocol) assembleBatch(r uint64) (batch []msg.Message, delay time.Duration, ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -502,15 +450,11 @@ func (p *Protocol) maybeAdopt() {
 		byTransfer = int64(next - oldNext)
 	}
 	p.fl.Event(obs.EvStateAdopt, p.cfg.Group, newK, byTransfer, 0, "state transfer adopted")
-	// The adopted sequence jumps past every predicted round: the
-	// speculative suffix is void, whatever those rounds end up deciding.
-	revokeFrom, revoked := p.revokeAllTentativeLocked()
 	base := p.ds.snapshotBase()
 	suffix := p.tagGroup(p.ds.deliveries())
 	restoreCb := p.cfg.OnRestore
 	deliverCb := p.cfg.OnDeliver
 	skipCb := p.cfg.OnRoundSkip
-	revokeCb := p.cfg.OnRevoke
 	w := wire.GetWriter(p.ds.sizeHint())
 	defer wire.PutWriter(w)
 	w.U64(p.k)
@@ -518,11 +462,6 @@ func (p *Protocol) maybeAdopt() {
 	ckptBytes := w.Bytes()
 	p.mu.Unlock()
 
-	if revoked && revokeCb != nil {
-		// Before the restore callback: speculative state goes first, then
-		// the application resets to the adopted snapshot.
-		revokeCb(p.cfg.Group, revokeFrom)
-	}
 	if restoreCb != nil {
 		restoreCb(base)
 	}

@@ -49,13 +49,6 @@ type Options struct {
 	// callbacks for each process (application hooks).
 	OnDeliver func(ids.ProcessID, core.Delivery)
 	OnRestore func(ids.ProcessID, core.Snapshot)
-	// OnTentative/OnConfirm/OnRevoke, when set, receive each process's
-	// optimistic-delivery stream (the core.Config hooks with the process
-	// id prepended). The recorder never sees tentative deliveries — only
-	// the authoritative order is checked against the specification.
-	OnTentative func(ids.ProcessID, core.Delivery)
-	OnConfirm   func(ids.ProcessID, ids.GroupID, uint64)
-	OnRevoke    func(ids.ProcessID, ids.GroupID, uint64)
 	// App, when set, is invoked per process at each incarnation start
 	// with the app-channel binding (see node.Config.App).
 	App func(ids.ProcessID, router.Net) router.Handler
@@ -167,15 +160,6 @@ func NewCluster(opts Options) *Cluster {
 			if userRestore != nil {
 				userRestore(pid, s)
 			}
-		}
-		if userTent := opts.OnTentative; userTent != nil {
-			coreCfg.OnTentative = func(d core.Delivery) { userTent(pid, d) }
-		}
-		if userConfirm := opts.OnConfirm; userConfirm != nil {
-			coreCfg.OnConfirm = func(g ids.GroupID, upTo uint64) { userConfirm(pid, g, upTo) }
-		}
-		if userRevoke := opts.OnRevoke; userRevoke != nil {
-			coreCfg.OnRevoke = func(g ids.GroupID, from uint64) { userRevoke(pid, g, from) }
 		}
 		var appHook func(router.Net) router.Handler
 		if opts.App != nil {

@@ -55,17 +55,6 @@ type ShardedOptions struct {
 	// Transport, when set, replaces the simulated in-memory network
 	// (e.g. TCP loopback); Net is then ignored and Cluster.Net is nil.
 	Transport transport.Network
-	// OnDeliver/OnRestore, when set, are chained after the recorder and
-	// stream callbacks for each node (application hooks; the process and
-	// group ids are prepended).
-	OnDeliver func(ids.ProcessID, ids.GroupID, core.Delivery)
-	OnRestore func(ids.ProcessID, ids.GroupID, core.Snapshot)
-	// OnTentative/OnConfirm/OnRevoke, when set, receive each node's
-	// optimistic-delivery stream (positions are per group; the recorders
-	// and the merge stream see only the authoritative order).
-	OnTentative func(ids.ProcessID, core.Delivery)
-	OnConfirm   func(ids.ProcessID, ids.GroupID, uint64)
-	OnRevoke    func(ids.ProcessID, ids.GroupID, uint64)
 	// Obs is the per-process observability template (PID is filled per
 	// process). One plane serves all groups of a process — per-group
 	// metrics carry a {group} label, so they stay distinguishable.
@@ -196,31 +185,8 @@ func NewShardedCluster(opts ShardedOptions) *ShardedCluster {
 			stores = append(stores, acct)
 
 			coreCfg := opts.Core
-			deliver := c.Recs[g].OnDeliver(pid)
-			restore := c.Recs[g].OnRestore(pid)
-			userDeliver := opts.OnDeliver
-			userRestore := opts.OnRestore
-			coreCfg.OnDeliver = func(d core.Delivery) {
-				deliver(d)
-				if userDeliver != nil {
-					userDeliver(pid, gid, d)
-				}
-			}
-			coreCfg.OnRestore = func(s core.Snapshot) {
-				restore(s)
-				if userRestore != nil {
-					userRestore(pid, gid, s)
-				}
-			}
-			if userTent := opts.OnTentative; userTent != nil {
-				coreCfg.OnTentative = func(d core.Delivery) { userTent(pid, d) }
-			}
-			if userConfirm := opts.OnConfirm; userConfirm != nil {
-				coreCfg.OnConfirm = func(gg ids.GroupID, upTo uint64) { userConfirm(pid, gg, upTo) }
-			}
-			if userRevoke := opts.OnRevoke; userRevoke != nil {
-				coreCfg.OnRevoke = func(gg ids.GroupID, from uint64) { userRevoke(pid, gg, from) }
-			}
+			coreCfg.OnDeliver = c.Recs[g].OnDeliver(pid)
+			coreCfg.OnRestore = c.Recs[g].OnRestore(pid)
 			coreCfg.OnRound = stream.NoteRound
 			coreCfg.OnRoundSkip = stream.NoteSkip
 			if opts.MergedDelivery {

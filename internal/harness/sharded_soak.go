@@ -49,12 +49,6 @@ type ShardedSoakOptions struct {
 	// Consensus extends every group's consensus engine configuration —
 	// notably the lease's TTL (PID/N/Seed filled per node).
 	Consensus consensus.Config
-	// Optimistic runs the soak against the optimistic-delivery contract
-	// (see SoakOptions.Optimistic): per-process tentative tracking over
-	// every group, plus lease revocations and injected fsync latency in
-	// the schedule. The merge stream is unaffected — it carries only
-	// confirmed rounds.
-	Optimistic bool
 	// Mux tunes the multiplexer's write coalescing (zero = none), so the
 	// soak can exercise the coalesced data plane under crash/recovery.
 	Mux group.MuxOptions
@@ -105,20 +99,12 @@ type ShardedSoakResult struct {
 	FoldedRounds  uint64 // rounds folded into base checkpoints (p0, summed over groups)
 	CursorMerged  int    // deliveries streamed by p0's cursor (== batch merge length)
 	CursorResyncs int    // cursor resubscriptions after GC-forced state transfers
-	LeaseRevokes  int    // lease revocations the schedule injected (Optimistic)
-	Tentatives    int    // tentative deliveries observed across groups (Optimistic)
-	Confirmed     int    // tentatives certified against the authoritative order
-	Revoked       int    // tentatives retracted by OnRevoke
+	LeaseRevokes  int    // lease revocations the schedule injected
 }
 
 func (r ShardedSoakResult) String() string {
-	s := fmt.Sprintf("crashes=%d recoveries=%d storage-faults=%d broadcasts=%d returned=%d delivered=%d merged-rounds=%d folded-rounds=%d cursor-merged=%d cursor-resyncs=%d",
-		r.Crashes, r.Recoveries, r.StorageFaults, r.Broadcasts, r.Returned, r.Delivered, r.MergedRounds, r.FoldedRounds, r.CursorMerged, r.CursorResyncs)
-	if r.Tentatives > 0 {
-		s += fmt.Sprintf(" lease-revokes=%d tentative=%d confirmed=%d revoked=%d",
-			r.LeaseRevokes, r.Tentatives, r.Confirmed, r.Revoked)
-	}
-	return s
+	return fmt.Sprintf("crashes=%d recoveries=%d storage-faults=%d broadcasts=%d returned=%d delivered=%d merged-rounds=%d folded-rounds=%d cursor-merged=%d cursor-resyncs=%d lease-revokes=%d",
+		r.Crashes, r.Recoveries, r.StorageFaults, r.Broadcasts, r.Returned, r.Delivered, r.MergedRounds, r.FoldedRounds, r.CursorMerged, r.CursorResyncs, r.LeaseRevokes)
 }
 
 // shardedTarget adapts a ShardedCluster to the soak engine: crash and
@@ -183,17 +169,6 @@ func RunShardedSoak(opts ShardedSoakOptions) (ShardedSoakResult, error) {
 		// merged-mode discipline: folds gated by the merge frontier.
 		MergedDelivery: opts.Core.Checkpointer != nil,
 	}
-	var tracker *optimismTracker
-	if opts.Optimistic {
-		tracker = newOptimismTracker(opts.N)
-		shOpts.OnTentative = tracker.onTentative
-		shOpts.OnConfirm = tracker.onConfirm
-		shOpts.OnRevoke = tracker.onRevoke
-		shOpts.OnDeliver = tracker.onDeliver
-		// Crashes are whole-process, so one group's restore clears the
-		// process's entire speculative set (all groups died with it).
-		shOpts.OnRestore = func(pid ids.ProcessID, _ ids.GroupID, _ core.Snapshot) { tracker.onRestore(pid) }
-	}
 	c := NewShardedCluster(shOpts)
 	defer c.Stop()
 	if err := c.StartAll(); err != nil {
@@ -222,7 +197,6 @@ func RunShardedSoak(opts ShardedSoakOptions) (ShardedSoakResult, error) {
 		payload:      opts.Payload,
 		maxDown:      opts.MaxDown,
 		drainTimeout: opts.DrainTimeout,
-		optimistic:   opts.Optimistic,
 	}, shardedTarget{c})
 	res = ShardedSoakResult{
 		Crashes:       counts.crashes,
@@ -248,15 +222,6 @@ func RunShardedSoak(opts ShardedSoakOptions) (ShardedSoakResult, error) {
 	}
 	for _, rec := range c.Recs {
 		res.Delivered += len(rec.DeliveredAnywhere())
-	}
-	if tracker != nil {
-		if err := tracker.awaitSettled(drainCtx); err != nil {
-			return res, fmt.Errorf("sharded soak seed=%d: %w", opts.Seed, err)
-		}
-		res.Tentatives, res.Confirmed, res.Revoked = tracker.counts()
-		if err := tracker.err(); err != nil {
-			return res, fmt.Errorf("sharded soak seed=%d: %w", opts.Seed, err)
-		}
 	}
 	if err := c.VerifyMergeDeterminism(all...); err != nil {
 		return res, fmt.Errorf("sharded soak seed=%d: %w", opts.Seed, err)

@@ -15,14 +15,17 @@ import (
 
 // SoakOptions configures one randomized crash-recovery soak run. A soak
 // interleaves a broadcast workload with a seeded random schedule of
-// crashes, recoveries and injected storage faults over a lossy network,
-// then recovers everyone, drains, and verifies the full Atomic Broadcast
-// specification (total order, no loss of returned broadcasts, no
-// duplication) via the recorder.
+// crashes, recoveries, injected storage faults, sequencer lease
+// revocations and fsync latency over a lossy network, then recovers
+// everyone, drains, and verifies the full Atomic Broadcast specification
+// (total order, no loss of returned broadcasts, no duplication) via the
+// recorder.
 //
 // Every run is a pure function of Seed (plus the scheduler's goroutine
 // interleavings): re-running a failing seed reproduces the same fault
-// schedule. See RunSoak.
+// schedule. Lease revocations and fsync latency joined every schedule
+// after some seeds were recorded, so a seed noted before then walks a
+// different schedule now. See RunSoak.
 type SoakOptions struct {
 	// Seed drives the whole schedule (also the network's loss/dup/delay
 	// pattern). Required; 0 picks the harness default.
@@ -47,14 +50,6 @@ type SoakOptions struct {
 	// notably the lease's TTL (PID/N/Seed are filled per process, as
 	// always).
 	Consensus consensus.Config
-	// Optimistic runs the soak against the optimistic-delivery contract:
-	// the cluster's tentative hooks feed a per-process tracker asserting
-	// that every tentative delivery is confirmed (matching the
-	// authoritative order exactly) or revoked, and that confirmed state is
-	// never retracted; the schedule additionally revokes sequencer leases
-	// mid-stream and injects fsync latency — the disturbances that make
-	// speculation systematically wrong.
-	Optimistic bool
 	// NewStore, when set, supplies each process's stable-storage engine
 	// (default in-memory). The soak's storage-fault injection sits on
 	// top of it either way, so a WAL-backed soak exercises injected
@@ -97,20 +92,12 @@ type SoakResult struct {
 	Broadcasts    int // broadcast attempts that produced a message id
 	Returned      int // broadcasts whose A-broadcast returned (must deliver)
 	Delivered     int // distinct messages in the final total order
-	LeaseRevokes  int // lease revocations the schedule injected (Optimistic)
-	Tentatives    int // tentative deliveries observed (Optimistic)
-	Confirmed     int // tentatives certified against the authoritative order
-	Revoked       int // tentatives retracted by OnRevoke
+	LeaseRevokes  int // lease revocations the schedule injected
 }
 
 func (r SoakResult) String() string {
-	s := fmt.Sprintf("crashes=%d recoveries=%d storage-faults=%d broadcasts=%d returned=%d delivered=%d",
-		r.Crashes, r.Recoveries, r.StorageFaults, r.Broadcasts, r.Returned, r.Delivered)
-	if r.Tentatives > 0 {
-		s += fmt.Sprintf(" lease-revokes=%d tentative=%d confirmed=%d revoked=%d",
-			r.LeaseRevokes, r.Tentatives, r.Confirmed, r.Revoked)
-	}
-	return s
+	return fmt.Sprintf("crashes=%d recoveries=%d storage-faults=%d broadcasts=%d returned=%d delivered=%d lease-revokes=%d",
+		r.Crashes, r.Recoveries, r.StorageFaults, r.Broadcasts, r.Returned, r.Delivered, r.LeaseRevokes)
 }
 
 // soakState tracks per-process lifecycle so the schedule never starts two
@@ -166,9 +153,9 @@ type soakTarget interface {
 	Fault(pid ids.ProcessID) *storage.Faulty
 	Broadcast(ctx context.Context, pid ids.ProcessID, msgIndex int, payload []byte) (ids.MsgID, error)
 	// RevokeLease drops the process's held sequencer lease(s), modelling
-	// the injected suspicion an optimistic schedule uses to force the
-	// fast path back onto full consensus mid-stream. A no-op when the
-	// process is down or holds no lease.
+	// an injected suspicion that forces the fast path back onto full
+	// consensus mid-stream. A no-op when the process is down or holds no
+	// lease.
 	RevokeLease(pid ids.ProcessID)
 }
 
@@ -181,10 +168,6 @@ type soakSchedule struct {
 	payload      int
 	maxDown      int
 	drainTimeout time.Duration
-	// optimistic adds lease-revocation and fsync-latency disturbances to
-	// the schedule's quiet steps (the seeded walk is otherwise unchanged,
-	// so non-optimistic seeds keep their schedules).
-	optimistic bool
 }
 
 // soakCounts is what the schedule engine observed.
@@ -193,13 +176,13 @@ type soakCounts struct {
 	recoveries    int
 	storageFaults int
 	broadcasts    int // attempts that produced a message id
-	leaseRevokes  int // injected lease revocations (optimistic schedules)
+	leaseRevokes  int // injected lease revocations
 }
 
 // runSoakSchedule is the soak engine shared by RunSoak and
 // RunShardedSoak: it drives the closed-loop broadcast workload and the
-// seeded random walk of crashes, async recoveries and armed storage
-// faults against the target, then winds down — stopping the workload,
+// seeded random walk of crashes, async recoveries, armed storage faults,
+// lease revocations and fsync latency against the target, then winds down — stopping the workload,
 // waiting out in-flight recoveries and fault trips, and recovering every
 // process (retrying within drainTimeout). The caller drains and verifies
 // afterwards; the drain context is returned so it covers both phases.
@@ -267,7 +250,7 @@ func runSoakSchedule(sch soakSchedule, t soakTarget) (soakCounts, context.Contex
 	var recWG, tripWG sync.WaitGroup
 	for step := 0; step < sch.steps; step++ {
 		time.Sleep(time.Duration(1+rng.IntN(12)) * time.Millisecond)
-		if sch.optimistic && step == sch.steps/2 {
+		if step == sch.steps/2 {
 			// Deterministic mid-run suspicion burst: revoke every held
 			// lease so the fast path is contested on every seed (the
 			// random disturbances below may miss short schedules).
@@ -358,10 +341,7 @@ func runSoakSchedule(sch soakSchedule, t soakTarget) (soakCounts, context.Contex
 				}()
 			})
 			res.storageFaults++
-		default: // let the cluster run — or, optimistically, disturb it
-			if !sch.optimistic {
-				continue
-			}
+		default: // disturb the lease holder's fast path
 			pid, ok := st.pick(rng, func(i int) bool {
 				return st.up[i] && !st.recovering[i]
 			})
@@ -371,13 +351,12 @@ func runSoakSchedule(sch soakSchedule, t soakTarget) (soakCounts, context.Contex
 			switch rng.IntN(3) {
 			case 0:
 				// Injected suspicion: drop the held lease mid-stream, so
-				// the next round falls back to full consensus and any
-				// prediction built on the fast path gets contested.
+				// the next round falls back to full consensus.
 				t.RevokeLease(pid)
 				res.leaseRevokes++
 			case 1:
-				// Slow disk: widen the propose→fsync window tentative
-				// deliveries live in, keeping speculation exposed longer.
+				// Slow disk: widen the propose→fsync window, keeping
+				// rounds in flight across the crashes and revocations.
 				t.Fault(pid).SetLatency(time.Duration(1+rng.IntN(2)) * time.Millisecond)
 			default:
 				t.Fault(pid).SetLatency(0)
@@ -471,15 +450,6 @@ func RunSoak(opts SoakOptions) (SoakResult, error) {
 		InjectFaultyStorage: true,
 		NewStore:            opts.NewStore,
 	}
-	var tracker *optimismTracker
-	if opts.Optimistic {
-		tracker = newOptimismTracker(opts.N)
-		clOpts.OnTentative = tracker.onTentative
-		clOpts.OnConfirm = tracker.onConfirm
-		clOpts.OnRevoke = tracker.onRevoke
-		clOpts.OnDeliver = func(pid ids.ProcessID, d core.Delivery) { tracker.onDeliver(pid, 0, d) }
-		clOpts.OnRestore = func(pid ids.ProcessID, _ core.Snapshot) { tracker.onRestore(pid) }
-	}
 	c := NewCluster(clOpts)
 	defer c.Stop()
 	if err := c.StartAll(); err != nil {
@@ -494,7 +464,6 @@ func RunSoak(opts SoakOptions) (SoakResult, error) {
 		payload:      opts.Payload,
 		maxDown:      opts.MaxDown,
 		drainTimeout: opts.DrainTimeout,
-		optimistic:   opts.Optimistic,
 	}, clusterTarget{c})
 	res = SoakResult{
 		Crashes:       counts.crashes,
@@ -517,15 +486,6 @@ func RunSoak(opts SoakOptions) (SoakResult, error) {
 		return res, fmt.Errorf("soak seed=%d: drain: %w", opts.Seed, err)
 	}
 	res.Delivered = len(c.Rec.DeliveredAnywhere())
-	if tracker != nil {
-		if err := tracker.awaitSettled(drainCtx); err != nil {
-			return res, fmt.Errorf("soak seed=%d: %w", opts.Seed, err)
-		}
-		res.Tentatives, res.Confirmed, res.Revoked = tracker.counts()
-		if err := tracker.err(); err != nil {
-			return res, fmt.Errorf("soak seed=%d: %w", opts.Seed, err)
-		}
-	}
 	if err := verifyObsInvariants(c.Obs); err != nil {
 		return res, fmt.Errorf("soak seed=%d: %w", opts.Seed, err)
 	}

@@ -37,9 +37,11 @@ func soakVariants() map[string]core.Config {
 
 // TestSoakSeeds runs the randomized crash-recovery soak for a fixed set of
 // seeds: each seed generates a random schedule of crashes, async
-// recoveries, and injected storage faults under a lossy network while a
-// closed-loop workload broadcasts, then everything recovers, drains, and
-// the recorder verifies Validity, Integrity, Total Order and Termination.
+// recoveries, injected storage faults, sequencer lease revocations and
+// fsync latency under a lossy network while a closed-loop workload
+// broadcasts, then everything recovers, drains, and the recorder verifies
+// Validity, Integrity, Total Order and Termination. The pipelined variant
+// runs a short lease TTL, so leases also expire mid-stream.
 //
 // Reproducing a failure: the schedule is a pure function of the seed, so
 // re-run the failing subtest by name, e.g.
@@ -52,12 +54,17 @@ func TestSoakSeeds(t *testing.T) {
 	seeds := []uint64{1, 7, 23}
 	for _, seed := range seeds {
 		for name, cfg := range soakVariants() {
+			var cons consensus.Config
+			if name == "pipelined" {
+				cons.LeaseTTL = 50 * time.Millisecond
+			}
 			t.Run(fmt.Sprintf("seed=%d/%s", seed, name), func(t *testing.T) {
 				t.Parallel()
 				res, err := RunSoak(SoakOptions{
-					Seed: seed,
-					N:    3,
-					Core: cfg,
+					Seed:      seed,
+					N:         3,
+					Core:      cfg,
+					Consensus: cons,
 				})
 				t.Logf("soak: %v", res)
 				if err != nil {
@@ -66,49 +73,11 @@ func TestSoakSeeds(t *testing.T) {
 				if res.Crashes+res.StorageFaults == 0 {
 					t.Fatalf("schedule exercised no faults (seed too tame?): %v", res)
 				}
+				if res.LeaseRevokes == 0 {
+					t.Fatalf("schedule injected no lease revocations: %v", res)
+				}
 			})
 		}
-	}
-}
-
-// TestSoakSeedsOptimistic runs the seeded soak with the optimistic
-// delivery fast path and a short lease TTL, against a
-// schedule where optimism is systematically wrong: besides the usual
-// crashes, recoveries and storage faults, quiet steps now revoke held
-// leases mid-stream (injected suspicion forcing the fast path back onto
-// full consensus) and inject fsync latency (widening the window between
-// a tentative delivery and its confirm). The optimism tracker asserts
-// the confirm/revoke contract event by event — every confirmed tentative
-// matches the authoritative delivery at its position, a revoke never
-// retracts a confirmed watermark, and nothing speculative survives
-// unsettled — while the recorder holds the authoritative order to the
-// full Atomic Broadcast specification: a tentative rolled back on a
-// sequencer crash must re-appear through the usual delivery path.
-func TestSoakSeedsOptimistic(t *testing.T) {
-	for _, seed := range []uint64{1, 7, 23} {
-		t.Run(fmt.Sprintf("seed=%d/optimistic", seed), func(t *testing.T) {
-			t.Parallel()
-			res, err := RunSoak(SoakOptions{
-				Seed:       seed,
-				N:          3,
-				Core:       soakVariants()["pipelined"],
-				Consensus:  consensus.Config{LeaseTTL: 50 * time.Millisecond},
-				Optimistic: true,
-			})
-			t.Logf("soak: %v", res)
-			if err != nil {
-				t.Fatalf("soak failed: %v", err)
-			}
-			if res.Crashes+res.StorageFaults == 0 {
-				t.Fatalf("schedule exercised no faults (seed too tame?): %v", res)
-			}
-			if res.Tentatives == 0 {
-				t.Fatalf("optimistic soak observed no tentative deliveries: %v", res)
-			}
-			if res.LeaseRevokes == 0 {
-				t.Fatalf("schedule injected no lease revocations: %v", res)
-			}
-		})
 	}
 }
 
@@ -188,7 +157,9 @@ func (soakCheckpointer) Restore([]byte) {}
 //
 // The cluster runs the full shared-substrate stack under test: shared
 // process-level failure detector (the harness default), digest
-// anti-entropy gossip, and the write-coalescing mux. The ckpt variant
+// anti-entropy gossip, and the write-coalescing mux. Like every soak, the
+// schedule revokes leases and injects fsync latency; the plain variant
+// also runs a short lease TTL, so leases expire mid-stream. The ckpt variant
 // additionally runs merged-mode application checkpointing (folds gated by
 // the merge floor) with WAL segment compaction underneath, and the soak's
 // final phase force-folds every group and re-verifies the merge over the
@@ -214,7 +185,10 @@ func TestSoakSeedsSharded(t *testing.T) {
 	}
 	for _, seed := range []uint64{11, 47} {
 		for name, cfg := range variants {
-			cfg := cfg
+			var cons consensus.Config
+			if name == "sharded-wal" {
+				cons.LeaseTTL = 50 * time.Millisecond
+			}
 			t.Run(fmt.Sprintf("seed=%d/%s", seed, name), func(t *testing.T) {
 				t.Parallel()
 				dir := t.TempDir()
@@ -227,11 +201,12 @@ func TestSoakSeedsSharded(t *testing.T) {
 					walOpts.CompactMinBytes = 4 << 10
 				}
 				res, err := RunShardedSoak(ShardedSoakOptions{
-					Seed:   seed,
-					N:      3,
-					Groups: 3,
-					Core:   cfg,
-					Mux:    group.MuxOptions{FlushDelay: 200 * time.Microsecond},
+					Seed:      seed,
+					N:         3,
+					Groups:    3,
+					Core:      cfg,
+					Consensus: cons,
+					Mux:       group.MuxOptions{FlushDelay: 200 * time.Microsecond},
 					NewStore: func(pid ids.ProcessID) storage.Stable {
 						w, werr := storage.OpenWAL(
 							filepath.Join(dir, fmt.Sprintf("p%d", pid)), walOpts)
@@ -248,51 +223,14 @@ func TestSoakSeedsSharded(t *testing.T) {
 				if res.Crashes+res.StorageFaults == 0 {
 					t.Fatalf("schedule exercised no faults (seed too tame?): %v", res)
 				}
+				if res.LeaseRevokes == 0 {
+					t.Fatalf("schedule injected no lease revocations: %v", res)
+				}
 				if cfg.Checkpointer != nil && res.FoldedRounds == 0 {
 					t.Fatalf("checkpointing variant folded nothing: %v", res)
 				}
 			})
 		}
-	}
-}
-
-// TestSoakSeedsShardedOptimistic runs the sharded soak with tentative
-// delivery, a short lease TTL and the merged-mode idle heartbeat wired
-// through every group: the optimism tracker checks the per-group
-// confirm/revoke contract while the merge verification proves the merged
-// sequence carries only confirmed rounds (tentative deliveries never
-// reach the recorders or the stream).
-func TestSoakSeedsShardedOptimistic(t *testing.T) {
-	cfg := core.Config{
-		PipelineDepth:    4,
-		BatchedBroadcast: true,
-		IncrementalLog:   true,
-		MaxBatchBytes:    4 << 10,
-		MaxBatchDelay:    300 * time.Microsecond,
-	}
-	for _, seed := range []uint64{11, 47} {
-		t.Run(fmt.Sprintf("seed=%d/sharded-optimistic", seed), func(t *testing.T) {
-			t.Parallel()
-			res, err := RunShardedSoak(ShardedSoakOptions{
-				Seed:       seed,
-				N:          3,
-				Groups:     3,
-				Core:       cfg,
-				Consensus:  consensus.Config{LeaseTTL: 50 * time.Millisecond},
-				Mux:        group.MuxOptions{FlushDelay: 200 * time.Microsecond},
-				Optimistic: true,
-			})
-			t.Logf("sharded soak: %v", res)
-			if err != nil {
-				t.Fatalf("sharded soak failed: %v", err)
-			}
-			if res.Crashes+res.StorageFaults == 0 {
-				t.Fatalf("schedule exercised no faults (seed too tame?): %v", res)
-			}
-			if res.Tentatives == 0 {
-				t.Fatalf("optimistic soak observed no tentative deliveries: %v", res)
-			}
-		})
 	}
 }
 

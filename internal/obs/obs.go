@@ -3,9 +3,9 @@
 // histograms behind one "abcast.<layer>.<name>" namespace, exported via
 // expvar and a Prometheus text-format handler), a sampled per-message
 // lifecycle tracer (nanosecond stage timestamps from A-broadcast to
-// confirm, feeding per-stage latency histograms), and a bounded in-memory
-// flight recorder of structured anomaly events (lease churn, tentative
-// revokes, state transfers, slow fsyncs, suspicion and epoch changes) that
+// delivery, feeding per-stage latency histograms), and a bounded in-memory
+// flight recorder of structured anomaly events (lease churn, state
+// transfers, slow fsyncs, suspicion and epoch changes) that
 // turns a failing soak seed into a replayable causal timeline.
 //
 // Every layer of the stack holds an optional *Plane and instruments itself

@@ -150,17 +150,15 @@ func TestTracerLifecycle(t *testing.T) {
 	tr.Mark(id, StPropose)
 	tr.MarkRound(3, 17)
 	tr.FoldRound(3, 17, []ids.MsgID{id})
-	tr.Mark(id, StTentative)
 	time.Sleep(time.Millisecond)
-	tr.Finish(id, StConfirm)
+	tr.Finish(id, StDeliver)
 
 	if tr.Pending() != 0 {
 		t.Fatalf("span leaked: %d", tr.Pending())
 	}
 	for _, name := range []string{
 		"abcast.trace.broadcast_ns", "abcast.trace.propose_ns",
-		"abcast.trace.decide_ns",
-		"abcast.trace.tentative_ns", "abcast.trace.confirm_ns",
+		"abcast.trace.decide_ns", "abcast.trace.deliver_ns",
 		"abcast.trace.e2e_ns",
 	} {
 		s, ok := reg.HistogramSnapshot(name)

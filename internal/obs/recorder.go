@@ -13,29 +13,28 @@ import (
 type EventKind int
 
 const (
-	EvNodeStart       EventKind = iota // incarnation started (A=incarnation)
-	EvLeaseAcquire                     // sequencer lease acquired (A=holder pid)
-	EvLeaseLost                        // lease dropped/revoked (A=holder pid)
-	EvTentativeRevoke                  // speculative deliveries rolled back (A=count)
-	EvStateSent                        // checkpoint state served to a peer (A=peer, Round=upto)
-	EvStateAdopt                       // checkpoint state adopted from a peer (Round=new next round)
-	EvCursorLag                        // merge cursor lagged behind the retention floor
-	EvCheckpoint                       // checkpoint cut (Round=next undelivered)
-	EvCompaction                       // WAL segment compaction pass (A=segments before, B=after)
-	EvSuspect                          // failure detector began suspecting a peer (A=peer)
-	EvTrust                            // failure detector trusts a peer again (A=peer)
-	EvEpochChange                      // peer's epoch number increased (A=peer, B=epoch)
-	EvSlowSync                         // durability op over threshold (A=duration ns)
-	EvViolation                        // harness-detected safety/liveness violation
-	EvReshardSeal                      // retiring group sealed (Round=final round, A=drain window)
-	EvReshardJoin                      // new group spliced into the order (A=new gid, B=global offset)
-	EvReshardDrain                     // retiring group drained (Round=final+1, A=orphan count, B=drain ns)
-	EvReshardMigrate                   // retired namespace archived into successor (A=keys, B=bytes)
+	EvNodeStart      EventKind = iota // incarnation started (A=incarnation)
+	EvLeaseAcquire                    // sequencer lease acquired (A=holder pid)
+	EvLeaseLost                       // lease dropped/revoked (A=holder pid)
+	EvStateSent                       // checkpoint state served to a peer (A=peer, Round=upto)
+	EvStateAdopt                      // checkpoint state adopted from a peer (Round=new next round)
+	EvCursorLag                       // merge cursor lagged behind the retention floor
+	EvCheckpoint                      // checkpoint cut (Round=next undelivered)
+	EvCompaction                      // WAL segment compaction pass (A=segments before, B=after)
+	EvSuspect                         // failure detector began suspecting a peer (A=peer)
+	EvTrust                           // failure detector trusts a peer again (A=peer)
+	EvEpochChange                     // peer's epoch number increased (A=peer, B=epoch)
+	EvSlowSync                        // durability op over threshold (A=duration ns)
+	EvViolation                       // harness-detected safety/liveness violation
+	EvReshardSeal                     // retiring group sealed (Round=final round, A=drain window)
+	EvReshardJoin                     // new group spliced into the order (A=new gid, B=global offset)
+	EvReshardDrain                    // retiring group drained (Round=final+1, A=orphan count, B=drain ns)
+	EvReshardMigrate                  // retired namespace archived into successor (A=keys, B=bytes)
 )
 
 var evNames = map[EventKind]string{
 	EvNodeStart: "node-start", EvLeaseAcquire: "lease-acquire", EvLeaseLost: "lease-lost",
-	EvTentativeRevoke: "tentative-revoke", EvStateSent: "state-sent", EvStateAdopt: "state-adopt",
+	EvStateSent: "state-sent", EvStateAdopt: "state-adopt",
 	EvCursorLag: "cursor-lag", EvCheckpoint: "checkpoint", EvCompaction: "compaction",
 	EvSuspect: "suspect", EvTrust: "trust", EvEpochChange: "epoch-change",
 	EvSlowSync:  "slow-sync",

@@ -9,9 +9,9 @@ import (
 
 // Stage is one point in a message's lifecycle. Stages are marked on
 // whichever process the lifecycle touches: the origin marks Broadcast,
-// BatchSeal and Propose; every process marks Decide, Tentative, Deliver
-// and Confirm for its own commit path; a process that missed the eager
-// push marks PullRepair when the body arrives through a gossip pull.
+// BatchSeal and Propose; every process marks Decide and Deliver for its
+// own commit path; a process that missed the eager push marks PullRepair
+// when the body arrives through a gossip pull.
 type Stage int
 
 const (
@@ -20,15 +20,12 @@ const (
 	StPropose                 // batch handed to consensus
 	StPullRepair              // body arrived via digest-gossip pull repair
 	StDecide                  // ordering round reached accept quorum
-	StTentative               // speculative (tentative) delivery
-	StDeliver                 // definitive delivery to the application
-	StConfirm                 // earlier tentative delivery confirmed
+	StDeliver                 // delivery to the application
 	numStages
 )
 
 var stageNames = [numStages]string{
-	"broadcast", "batch_seal", "propose", "pull_repair",
-	"decide", "tentative", "deliver", "confirm",
+	"broadcast", "batch_seal", "propose", "pull_repair", "decide", "deliver",
 }
 
 // String implements fmt.Stringer.
@@ -213,17 +210,6 @@ func (t *Tracer) Finish(id ids.MsgID, final Stage) {
 	}
 	t.e2e.Observe(sp.at[final] - sp.start)
 	t.finished.Inc()
-}
-
-// Abort drops id's span without recording (revoked-and-never-redelivered
-// cleanup). No-op for unknown ids.
-func (t *Tracer) Abort(id ids.MsgID) {
-	if t == nil || t.rate == 0 {
-		return
-	}
-	t.mu.Lock()
-	delete(t.spans, id)
-	t.mu.Unlock()
 }
 
 // Pending returns the number of open spans (tests, leak checks).

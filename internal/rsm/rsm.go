@@ -110,11 +110,12 @@ func EncodeTx(tx Tx) []byte {
 	return w.Bytes()
 }
 
-// DecodeTx parses a transaction commit request produced by EncodeTx; ok
-// is false when the payload is not a well-formed transaction. Speculators
-// consuming the tentative delivery stream use it to inspect predicted
-// transactions without applying them.
-func DecodeTx(payload []byte) (tx Tx, ok bool) {
+// decodeTx parses a transaction commit request produced by EncodeTx; ok
+// is false when the payload is not a well-formed transaction. The counts
+// come from the payload, which every replica delivers and replays alike,
+// so they size nothing: the maps grow one decoded entry at a time and a
+// count larger than the payload stops at its first truncated entry.
+func decodeTx(payload []byte) (tx Tx, ok bool) {
 	r := wire.NewReader(payload)
 	if r.U8() != cmdTx {
 		return Tx{}, false
@@ -172,40 +173,27 @@ func (s *Store) applyPayload(payload []byte) {
 			s.data[key] = entry{value: "", version: e.version + 1}
 		}
 	case cmdTx:
-		txID := r.String()
-		nReads := r.U64()
-		reads := make(map[string]uint64, nReads)
-		for i := uint64(0); i < nReads && r.Err() == nil; i++ {
-			k := r.String()
-			reads[k] = r.U64()
-		}
-		nWrites := r.U64()
-		type kv struct{ k, v string }
-		writes := make([]kv, 0, nWrites)
-		for i := uint64(0); i < nWrites && r.Err() == nil; i++ {
-			writes = append(writes, kv{r.String(), r.String()})
-		}
-		if r.Err() != nil {
+		tx, ok := decodeTx(payload)
+		if !ok {
 			return
 		}
 		// Certification: every read version must still be current.
-		ok := true
-		for k, v := range reads {
+		for k, v := range tx.Reads {
 			if s.data[k].version != v {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			for _, w := range writes {
-				e := s.data[w.k]
-				s.data[w.k] = entry{value: w.v, version: e.version + 1}
+			for k, v := range tx.Writes {
+				e := s.data[k]
+				s.data[k] = entry{value: v, version: e.version + 1}
 			}
 			s.committed++
 		} else {
 			s.aborted++
 		}
-		s.outcomes[txID] = ok
+		s.outcomes[tx.ID] = ok
 	default:
 		return
 	}

@@ -263,12 +263,18 @@ func appendLogSnapRec(buf []byte, key string, entries [][]byte) []byte {
 }
 
 // decodeLogSnap unpacks a walLogSnap value; nil, false on malformed input.
+// Every entry takes at least its 4-byte length, so a count past len(b)/4
+// is malformed before it sizes anything: a bad record must not ask replay
+// for gigabytes.
 func decodeLogSnap(b []byte) ([][]byte, bool) {
 	if len(b) < 4 {
 		return nil, false
 	}
 	count := binary.LittleEndian.Uint32(b)
 	b = b[4:]
+	if int64(count) > int64(len(b)/4) {
+		return nil, false
+	}
 	entries := make([][]byte, 0, count)
 	for i := uint32(0); i < count; i++ {
 		if len(b) < 4 {
