@@ -399,6 +399,9 @@ func decodeReaped(b []byte) ([]GroupID, error) {
 		return nil, fmt.Errorf("bad count")
 	}
 	b = b[n:]
+	if cnt > uint64(len(b)) { // a group ID is a uvarint of at least a byte
+		return nil, fmt.Errorf("%d groups in %d bytes", cnt, len(b))
+	}
 	out := make([]GroupID, 0, cnt)
 	for i := uint64(0); i < cnt; i++ {
 		v, n := binary.Uvarint(b)

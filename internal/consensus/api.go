@@ -34,12 +34,22 @@
 // its proposal write beside one accept round trip. The decision cell is the
 // optional log of §4.3/§5, kept to make replay local.
 //
+// The protocol is a step machine, and every rule above lives in it
+// (machine.go): each input — a received frame, a write's completion, a
+// timer firing, or a call of Propose, WaitDecided, DiscardBelow or
+// RevokeLease — runs to completion and leaves effects in one reused
+// buffer: sends, writes (a reply that a write protects rides on it),
+// deletes, timer arms, and the settles of decided or forgotten instances.
+// The machine does no I/O, reads no clock and starts no goroutine. Engine
+// (engine.go) carries its effects out over the process's log, network and
+// wall clock; the tests' simulator, on a virtual one.
+//
 // Two coordinator policies demonstrate that the broadcast transformation
 // treats Consensus as a black box (paper claim C2):
 //
 //   - PolicyLeader drives instances from the failure detector's Ω leader
 //     hint (the structure of Aguilera–Chen–Toueg [1]), through the
-//     stable-sequencer lease (lease.go): after a classically decided round
+//     stable-sequencer lease: after a classically decided round
 //     the leader takes a ranged promise for every later instance and then
 //     runs phase 2 only, until suspicion, a competitor's ballot or an idle
 //     LeaseTTL sends it back to full ballots;

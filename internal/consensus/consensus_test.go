@@ -16,11 +16,8 @@ import (
 
 // testProc bundles one process's stack for consensus-level tests.
 type testProc struct {
-	pid   ids.ProcessID
-	store storage.Stable
-	// tap, when set before start, sees every frame the engine sends and
-	// every frame it has finished handling.
-	tap    *wireTap
+	pid    ids.ProcessID
+	store  storage.Stable
 	rt     *router.Router
 	det    *fd.Detector
 	eng    *Engine
@@ -49,7 +46,7 @@ func newTestCluster(t *testing.T, n int, policy Policy, netOpts transport.MemOpt
 }
 
 // newStoppedCluster wires one process per store without starting any, so a
-// test can attach taps first.
+// test can adjust the configuration first.
 func newStoppedCluster(t *testing.T, policy Policy, netOpts transport.MemOptions, stores []storage.Stable) *testCluster {
 	t.Helper()
 	tc := &testCluster{
@@ -85,21 +82,13 @@ func (tc *testCluster) start(pid ids.ProcessID, epoch uint32) {
 	cfg := tc.cfg
 	cfg.PID = pid
 	cfg.Seed = uint64(pid) + uint64(epoch)<<16 + 1
-	var net router.Net = pr.rt.Bound(router.ChanConsensus)
-	if pr.tap != nil {
-		net = pr.tap.bind(net)
-	}
-	eng, err := New(cfg, pr.store, net, pr.det)
+	eng, err := New(cfg, pr.store, pr.rt.Bound(router.ChanConsensus), pr.det)
 	if err != nil {
 		tc.t.Fatalf("new engine %v: %v", pid, err)
 	}
 	pr.eng = eng
 	pr.rt.Handle(router.ChanFD, pr.det.OnMessage)
-	if pr.tap != nil {
-		pr.rt.Handle(router.ChanConsensus, pr.tap.handler(eng.OnMessage))
-	} else {
-		pr.rt.Handle(router.ChanConsensus, eng.OnMessage)
-	}
+	pr.rt.Handle(router.ChanConsensus, eng.OnMessage)
 	ctx, cancel := context.WithCancel(context.Background())
 	pr.cancel = cancel
 	pr.rt.Start(ctx)
@@ -329,114 +318,71 @@ func TestLeaderCrashHandsOff(t *testing.T) {
 // TestDiscardBelow: the floor drops instance state and deletes exactly the
 // cells each instance wrote — three at a process that logged a proposal
 // (proposal, acceptor, decision), two at a process that only accepted and
-// learned — and none of them comes back when the log is reopened. One row
-// has p0 alone propose, the other raises the floor over instances every
-// process proposed to. There p1 logs its proposal for instance 0 only:
-// p0 decides that round classically and then asks for the lease, which p1
-// grants before it proposes instance 1, so its proposals for instances 1
-// and 2 are deferred and, since p1 coordinates neither, never written —
-// 3+2+2 = 7 deletes at p1, not 9.
+// learned — and none of them is left on disk. One row has p0 alone
+// propose, the other raises the floor over instances every process
+// proposed to. There p1 logs its proposal for instance 0 only: p0 decides
+// that round classically and then asks for the lease, which p1 grants
+// before it proposes instance 1, so its proposals for instances 1 and 2 are
+// deferred and, since p1 coordinates neither, never written — 3+2+2 = 7
+// deletes at p1, not 9.
 func TestDiscardBelow(t *testing.T) {
 	for _, row := range []struct {
 		name      string
-		proposers []int    // in proposing order; p0, the leader, last
-		deletes   [2]int64 // deletes over instances 0-2 at p0 and at p1
-		cells     [2]int64 // cells per instance at or above the floor
+		proposers []ids.ProcessID // in proposing order; p0, the leader, last
+		deletes   [2]int          // deletes over instances 0-2 at p0 and at p1
+		cells     [2]int          // cells per instance at or above the floor
 	}{
-		{"one proposer", []int{0}, [2]int64{9, 6}, [2]int64{3, 2}},
-		{"every process proposes", []int{2, 1, 0}, [2]int64{9, 7}, [2]int64{3, 2}},
+		{"one proposer", []ids.ProcessID{0}, [2]int{9, 6}, [2]int{3, 2}},
+		{"every process proposes", []ids.ProcessID{2, 1, 0}, [2]int{9, 7}, [2]int{3, 2}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
-			wals := make([]*storage.WAL, len(dirs))
-			accts := make([]*storage.Accounted, len(dirs))
-			stores := make([]storage.Stable, len(dirs))
-			for p, dir := range dirs {
-				w, err := storage.OpenWAL(dir, storage.WALOptions{NoSync: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer w.Close()
-				wals[p], accts[p] = w, storage.NewAccounted(w)
-				stores[p] = accts[p]
-			}
-			tc := newStoppedCluster(t, PolicyLeader, transport.MemOptions{Seed: 19}, stores)
-			// A learner coordinates anyway after graceWaits idle waits of
-			// about RetryMin each, and would then log its deferred value:
-			// keep that far beyond any scheduling stall of a loaded host.
-			tc.cfg.RetryMin = tc.cfg.RetryMax
-			tap := newWireTap()
-			tc.procs[1].tap = tap
-			for p := range tc.procs {
-				tc.start(ids.ProcessID(p), 1)
-			}
-			defer tc.stopAll()
-
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
+			s := newScriptedSim(t, simOptions{})
 			// The leader proposes last: a process that learns the decision
 			// first logs no proposal. A process that does not propose only
 			// accepts and learns.
 			for k := uint64(0); k < 5; k++ {
 				for _, p := range row.proposers {
-					if err := tc.procs[p].eng.Propose(k, val(p, k)); err != nil {
-						t.Fatal(err)
-					}
+					s.propose(p, k, val(int(p), k))
 				}
-				for p := 0; p < 2; p++ {
-					if _, err := tc.procs[p].eng.WaitDecided(ctx, k); err != nil {
-						t.Fatal(err)
-					}
-				}
+				s.awaitDecided(t, k, val(0, k), 0, 1)
 				if k == 0 {
-					// p0's lease request for instances >= 1 has reached p1.
-					tap.awaitHandled(t, ctx, mLeaseReq, 1, 1)
+					s.await(t, "p0's lease request for instances >= 1 at p1", func() bool {
+						return s.received(1, mLeaseReq, 1, 0) > 0
+					})
 				}
 			}
+			s.settle(50 * ms)
 			for p, want := range row.deletes {
-				before := accts[p].Layer("cons").DeleteOps
-				if err := tc.procs[p].eng.DiscardBelow(3); err != nil {
-					t.Fatal(err)
-				}
-				if got := accts[p].Layer("cons").DeleteOps - before; got != want {
+				since := len(s.trace)
+				s.discardBelow(ids.ProcessID(p), 3)
+				if got := s.effects(ids.ProcessID(p), opDelete, 0, since); got != want {
 					t.Fatalf("p%d: discarding three instances cost %d deletes, want %d", p, got, want)
 				}
 			}
-			if _, ok := tc.procs[0].eng.Proposal(2); ok {
-				t.Fatal("proposal 2 should be discarded")
+			m := s.procs[0].m
+			if _, ok := m.insts[2]; ok {
+				t.Fatal("instance 2 should be discarded")
 			}
-			if _, ok := tc.procs[0].eng.DecidedLocal(2); ok {
-				t.Fatal("decision 2 should be discarded")
-			}
-			if err := tc.procs[0].eng.Propose(2, []byte("x")); err == nil {
+			if err := m.propose(2, []byte("x"), 0); err == nil {
 				t.Fatal("propose below floor should fail")
 			}
-			// Instances at/above the floor are intact.
-			if _, ok := tc.procs[0].eng.DecidedLocal(4); !ok {
+			if _, ok := s.decided(0, 4); !ok {
 				t.Fatal("decision 4 should survive")
 			}
 
-			// Keys below the floor are gone from stable storage, and stay
-			// gone when the log is replayed from disk.
-			tc.stopAll()
+			// Keys below the floor are gone from stable storage, and the
+			// ones at or above it are all there.
+			s.settle(50 * ms)
 			for p, cells := range row.cells {
-				if err := wals[p].Close(); err != nil {
-					t.Fatal(err)
-				}
-				re, err := storage.OpenWAL(dirs[p], storage.WALOptions{NoSync: true})
+				keys, err := s.procs[p].disk.List(keyPrefix)
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer re.Close()
-				keys, err := re.List("cons/")
-				if err != nil {
-					t.Fatal(err)
-				}
-				var kept int64
+				kept := 0
 				for _, key := range keys {
-					if _, k, ok := parseKey(key); ok && k < 3 {
+					if kind, k, ok := parseKey(key); ok && kind != cellLease && k < 3 {
 						t.Fatalf("p%d: stale key %s", p, key)
-					} else if ok {
+					} else if ok && kind != cellLease {
 						kept++
 					}
 				}

@@ -3,7 +3,6 @@ package consensus
 import (
 	"bytes"
 	"context"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -228,84 +227,46 @@ func TestLeaseSurvivesHolderCrash(t *testing.T) {
 	}
 }
 
-// leaseOf reads the holder side of e's lease.
-func leaseOf(e *Engine) (b, from uint64, held bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.leaseB, e.leaseFrom, e.leaseHeld
-}
-
-// grantOf reads the acceptor side of e's lease.
-func grantOf(e *Engine) (b uint64, held bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.grantB, e.grantHeld
-}
-
-// leaseTarget is the instance the crash-window tests hold the holder's
+// leaseTarget is the instance the crash-window schedules hold the holder's
 // proposal write of: far past any instance decideUntilHeld reaches, and
 // covered by any lease it acquires.
 const leaseTarget = 1000
-
-func isTargetProposal(key string) bool { return key == propKey(leaseTarget) }
 
 // TestLeaseAcceptBesideProposalLog: under a held lease the holder's round
 // is its proposal write beside one accept round trip. With the write held,
 // mAccept at the lease ballot is on the wire and all three processes
 // decide the holder's value; the proposal becomes durable only afterwards.
 func TestLeaseAcceptBesideProposalLog(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	held := storage.NewHeld(isTargetProposal)
-	tc := newStoppedCluster(t, PolicyLeader, transport.MemOptions{Seed: 41},
-		[]storage.Stable{held, storage.NewMem(), storage.NewMem()})
-	var besideWrite atomic.Bool
-	tap := newWireTap()
-	tap.onSend = func(m message) {
-		if m.kind == mAccept && m.k == leaseTarget && held.Pending(isTargetProposal) == 1 {
-			besideWrite.Store(true)
-		}
-	}
-	tc.procs[0].tap = tap
-	for p := range tc.procs {
-		tc.start(ids.ProcessID(p), 1)
-	}
-	defer tc.stopAll()
-
-	if k := decideUntilHeld(tc, 0, 0); k >= leaseTarget {
-		t.Fatalf("lease acquired only at instance %d", k)
-	}
-	b, _, _ := leaseOf(tc.procs[0].eng)
-	before := tc.procs[0].eng.LeaseStats()
+	s := newScriptedSim(t, simOptions{})
+	s.procs[0].hold = isCell(cellProposal, leaseTarget)
+	s.decideUntilHeld(t, 0)
+	m := s.procs[0].m
+	b, before := m.leaseB, m.leaseStats
+	since := len(s.trace)
 	v := []byte("beside-the-proposal-log")
-	if err := tc.procs[0].eng.Propose(leaseTarget, v); err != nil {
-		t.Fatal(err)
+	s.propose(0, leaseTarget, v)
+	s.awaitDecided(t, leaseTarget, v, 0, 1, 2)
+
+	sent := s.sent(0, mAccept, leaseTarget, since)
+	if len(sent) == 0 || s.heldWrites(0, isCell(cellProposal, leaseTarget)) != 1 {
+		t.Fatalf("%d mAccept sent, want them beside the held proposal write", len(sent))
 	}
-	waitAll(t, ctx, tc, leaseTarget, v, 0, 1, 2)
-	if !besideWrite.Load() {
-		t.Fatal("no mAccept left while the proposal write was held")
-	}
-	for _, m := range tap.sentKind(mAccept, leaseTarget) {
-		if m.b != b {
-			t.Fatalf("mAccept at ballot %d, want the lease ballot %d", m.b, b)
+	for _, msg := range sent {
+		if msg.b != b {
+			t.Fatalf("mAccept at ballot %d, want the lease ballot %d", msg.b, b)
 		}
 	}
-	if len(tap.sentKind(mPrepare, leaseTarget)) != 0 {
+	if len(s.sent(0, mPrepare, leaseTarget, since)) != 0 {
 		t.Fatal("the holder ran phase 1")
 	}
-	if after := tc.procs[0].eng.LeaseStats(); after.FastRounds != before.FastRounds+1 {
+	if after := m.leaseStats; after.FastRounds != before.FastRounds+1 {
 		t.Fatalf("fast rounds %d -> %d, want one more", before.FastRounds, after.FastRounds)
 	}
-	if n := held.Pending(isTargetProposal); n != 1 {
-		t.Fatalf("%d proposal writes held after the decision, want 1", n)
+	if m.insts[leaseTarget].hasProp {
+		t.Fatal("the holder reports a proposal whose write is not durable")
 	}
-	if _, ok := tc.procs[0].eng.Proposal(leaseTarget); ok {
-		t.Fatal("Proposal reports a value whose write is not durable")
-	}
-	held.Release(isTargetProposal)
-	if got, ok := tc.procs[0].eng.Proposal(leaseTarget); !ok || !bytes.Equal(got, v) {
-		t.Fatalf("Proposal after release = %q, %v", got, ok)
-	}
+	s.release(0, isCell(cellProposal, leaseTarget))
+	s.await(t, "the proposal durable", func() bool { return m.insts[leaseTarget].hasProp })
 }
 
 // TestLeaseBallotNeverReusedAfterCrash: the holder's accept at its lease
@@ -313,70 +274,57 @@ func TestLeaseAcceptBesideProposalLog(t *testing.T) {
 // write lands, so it comes back with no memory of the value it sent. The
 // lease ballot is then closed to it: a lease request at b is refused and a
 // prepare at b is nacked, each by a majority — so the different value it
-// proposes next can never appear at b, and exactly one value is decided.
+// proposes next can never appear at b (the oracle checks that no two values
+// are sent at one ballot), and exactly one value is decided.
 func TestLeaseBallotNeverReusedAfterCrash(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	held := storage.NewHeld(isTargetProposal)
-	tc := newStoppedCluster(t, PolicyLeader, transport.MemOptions{Seed: 43},
-		[]storage.Stable{held, storage.NewMem(), storage.NewMem()})
-	tap := newWireTap()
-	tap.n = len(tc.procs)
-	tap.drop = func(to ids.ProcessID, m message) bool {
-		return m.kind == mAccept && m.k == leaseTarget && to != 1
+	s := newScriptedSim(t, simOptions{})
+	s.procs[0].hold = isCell(cellProposal, leaseTarget)
+	s.drop = func(from, to ids.ProcessID, m message) bool {
+		return from == 0 && to != 1 && m.kind == mAccept && m.k == leaseTarget
 	}
-	tc.procs[0].tap = tap
-	for p := range tc.procs {
-		tc.start(ids.ProcessID(p), 1)
-	}
-	defer tc.stopAll()
-
-	if k := decideUntilHeld(tc, 0, 0); k >= leaseTarget {
-		t.Fatalf("lease acquired only at instance %d", k)
-	}
-	b, from, _ := leaseOf(tc.procs[0].eng)
+	s.decideUntilHeld(t, 0)
+	b, from := s.procs[0].m.leaseB, s.procs[0].m.leaseFrom
 	first := []byte("sent-at-the-lease-ballot")
-	if err := tc.procs[0].eng.Propose(leaseTarget, first); err != nil {
-		t.Fatal(err)
-	}
-	tap.awaitHandled(t, ctx, mAccepted, leaseTarget, 1) // p1's cell holds (b, first)
-	if sent := tap.sentKind(mAccept, leaseTarget); len(sent) == 0 || sent[0].b != b {
+	s.propose(0, leaseTarget, first)
+	s.await(t, "p1's mAccepted", func() bool { return s.received(0, mAccepted, leaseTarget, 0) >= 1 })
+	if sent := s.sent(0, mAccept, leaseTarget, 0); len(sent) == 0 || sent[0].b != b {
 		t.Fatalf("mAccept frames %+v, want one at the lease ballot %d", sent, b)
 	}
 
-	tc.crash(0)
-	held.Crash()
-	if _, ok, _ := held.Get(propKey(leaseTarget)); ok {
+	s.crash(0)
+	s.drop = nil
+	if _, ok := s.onDisk(0, cellProposal, leaseTarget); ok {
 		t.Fatal("the proposal write survived the crash")
 	}
-	tap = newWireTap()
-	tc.procs[0].tap = tap
-	tc.start(0, 2)
-	if _, ok := tc.procs[0].eng.Proposal(leaseTarget); ok {
+	s.recover(0)
+	since := len(s.trace)
+	if in, ok := s.procs[0].m.insts[leaseTarget]; ok && in.hasProp {
 		t.Fatal("the recovered holder found a proposal")
 	}
 
 	// Whatever the recovered holder might try at b is refused by a majority.
-	tap.Net.Multisend(message{kind: mLeaseReq, k: from, b: b}.encode())
-	tap.awaitHandled(t, ctx, mLeaseNack, from, Quorum(len(tc.procs)))
-	tap.Net.Multisend(message{kind: mPrepare, k: leaseTarget, b: b}.encode())
-	tap.awaitHandled(t, ctx, mNack, leaseTarget, Quorum(len(tc.procs)))
+	s.inject(0, message{kind: mLeaseReq, k: from, b: b})
+	s.await(t, "a majority refusing the lease at b", func() bool {
+		return s.received(0, mLeaseNack, from, since) >= Quorum(3)
+	})
+	s.inject(0, message{kind: mPrepare, k: leaseTarget, b: b})
+	s.await(t, "a majority refusing a prepare at b", func() bool {
+		return s.received(0, mNack, leaseTarget, since) >= Quorum(3)
+	})
 
 	second := []byte("proposed-after-recovery")
-	if err := tc.procs[0].eng.Propose(leaseTarget, second); err != nil {
-		t.Fatal(err)
-	}
-	got, err := tc.procs[0].eng.WaitDecided(ctx, leaseTarget)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s.propose(0, leaseTarget, second)
+	s.await(t, "p0 decides", func() bool { _, ok := s.decided(0, leaseTarget); return ok })
+	got, _ := s.decided(0, leaseTarget)
 	if !bytes.Equal(got, first) && !bytes.Equal(got, second) {
 		t.Fatalf("decided %q, never proposed", got)
 	}
-	waitAll(t, ctx, tc, leaseTarget, got, 0, 1, 2)
-	for _, m := range tap.sentKind(mAccept, leaseTarget) {
-		if m.b <= b {
-			t.Fatalf("the recovered holder sent mAccept at ballot %d <= the old lease ballot %d", m.b, b)
+	s.learn(1, leaseTarget)
+	s.learn(2, leaseTarget)
+	s.awaitDecided(t, leaseTarget, got, 0, 1, 2)
+	for _, msg := range s.sent(0, mAccept, leaseTarget, since) {
+		if msg.b <= b {
+			t.Fatalf("the recovered holder sent mAccept at ballot %d <= the old lease ballot %d", msg.b, b)
 		}
 	}
 }
@@ -386,69 +334,40 @@ func TestLeaseBallotNeverReusedAfterCrash(t *testing.T) {
 // and p1 never coordinates — yet once p0 is down, p1 logs its deferred
 // proposal as it takes over and decides it.
 func TestNonHolderDefersProposalLog(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	accts := []*storage.Accounted{
-		storage.NewAccounted(storage.NewMem()),
-		storage.NewAccounted(storage.NewMem()),
-		storage.NewAccounted(storage.NewMem()),
-	}
-	tc := newStoppedCluster(t, PolicyLeader, transport.MemOptions{Seed: 47},
-		[]storage.Stable{accts[0], accts[1], accts[2]})
-	// A learner coordinates anyway after graceWaits idle waits of about
-	// RetryMin each; keep that far beyond a fast round.
-	tc.cfg.RetryMin = tc.cfg.RetryMax
-	for p := range tc.procs {
-		tc.start(ids.ProcessID(p), 1)
-	}
-	defer tc.stopAll()
-
+	s := newScriptedSim(t, simOptions{})
 	// Until p1 has granted the lease p0 holds (a request can lose the race
 	// with the next round's prepare; revoking makes p0 ask again).
 	k := uint64(0)
 	for {
-		k = decideUntilHeld(tc, 0, k)
-		b, _, held := leaseOf(tc.procs[0].eng)
-		if g, ok := grantOf(tc.procs[1].eng); held && ok && g == b {
+		k = s.decideUntilHeld(t, k)
+		if m1 := s.procs[1].m; m1.grantHeld && m1.grantB == s.procs[0].m.leaseB {
 			break
 		}
-		tc.procs[0].eng.RevokeLease()
+		s.revokeLease(0)
 	}
-
-	propCells := func(p int) []string {
-		keys, err := accts[p].List("cons/p/")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return keys
-	}
-	logged := len(propCells(1))
-	puts1, puts2 := accts[1].Layer("cons").PutOps, accts[2].Layer("cons").PutOps
+	since := len(s.trace)
 	for end := k + 5; k < end; k++ {
 		// p1 first: its proposal exists before p0's round decides.
-		if err := tc.procs[1].eng.Propose(k, val(1, k)); err != nil {
-			t.Fatal(err)
-		}
-		if err := tc.procs[0].eng.Propose(k, val(0, k)); err != nil {
-			t.Fatal(err)
-		}
-		waitAll(t, ctx, tc, k, val(0, k), 0, 1, 2)
+		s.propose(1, k, val(1, k))
+		s.propose(0, k, val(0, k))
+		s.awaitDecided(t, k, val(0, k), 0, 1, 2)
 	}
-	if got := propCells(1); len(got) != logged {
-		t.Fatalf("p1 logged proposals under p0's lease: %v", got)
+	if n := s.effects(1, opPut, cellProposal, since); n != 0 {
+		t.Fatalf("p1 logged %d proposals under p0's lease", n)
 	}
-	d1 := accts[1].Layer("cons").PutOps - puts1
-	d2 := accts[2].Layer("cons").PutOps - puts2
-	if d1 != d2 {
+	if d1, d2 := s.effects(1, opPut, 0, since), s.effects(2, opPut, 0, since); d1 != d2 {
 		t.Fatalf("p1 (proposing) wrote %d consensus cells, p2 (not proposing) %d", d1, d2)
 	}
 
-	tc.crash(0)
-	if err := tc.procs[1].eng.Propose(k, val(1, k)); err != nil {
-		t.Fatal(err)
+	s.crash(0)
+	s.suspect(0, true)
+	since = len(s.trace)
+	s.propose(1, k, val(1, k))
+	s.awaitDecided(t, k, val(1, k), 1, 2)
+	if n := s.effects(1, opPut, cellProposal, since); n != 1 {
+		t.Fatalf("p1 logged %d proposals taking over, want 1", n)
 	}
-	waitAll(t, ctx, tc, k, val(1, k), 1, 2)
-	if got := propCells(1); len(got) != logged+1 || got[len(got)-1] != propKey(k) {
-		t.Fatalf("p1's proposal cells after taking over: %v, want %d then %s", got, logged, propKey(k))
+	if _, ok := s.onDisk(1, cellProposal, k); !ok {
+		t.Fatalf("p1's proposal for %d is not durable", k)
 	}
 }

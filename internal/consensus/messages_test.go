@@ -59,10 +59,10 @@ func TestDecodeMessageRejectsGarbage(t *testing.T) {
 
 func TestParseKeyRoundTrip(t *testing.T) {
 	for _, k := range []uint64{0, 1, 255, 1 << 40} {
-		for _, mk := range []func(uint64) string{propKey, accKey, decKey} {
-			key := mk(k)
+		for _, cell := range []byte{cellProposal, cellAcceptor, cellDecision} {
+			key := cellKey(cell, k)
 			kind, got, ok := parseKey(key)
-			if !ok || got != k {
+			if !ok || got != k || kind != cell {
 				t.Fatalf("parse %q: kind=%c k=%d ok=%v", key, kind, got, ok)
 			}
 		}
@@ -75,7 +75,8 @@ func TestParseKeyRoundTrip(t *testing.T) {
 }
 
 func TestKeysSortNumerically(t *testing.T) {
-	if !(propKey(9) < propKey(10) && propKey(10) < propKey(255) && propKey(255) < propKey(1<<30)) {
+	key := func(k uint64) string { return cellKey(cellProposal, k) }
+	if !(key(9) < key(10) && key(10) < key(255) && key(255) < key(1<<30)) {
 		t.Fatal("fixed-width keys do not sort numerically")
 	}
 }
@@ -85,7 +86,7 @@ func TestBallotUniquenessAcrossProcesses(t *testing.T) {
 	for _, policy := range []Policy{PolicyLeader, PolicyRotating} {
 		seen := make(map[uint64]int)
 		for pid := 0; pid < 5; pid++ {
-			e := &Engine{cfg: Config{PID: ids.ProcessID(pid), N: 5, Policy: policy}}
+			e := &machine{cfg: Config{PID: ids.ProcessID(pid), N: 5, Policy: policy}}
 			for a := uint64(0); a < 40; a++ {
 				if policy == PolicyRotating && !e.myTurn(a, 0) {
 					continue // rotating: attempt a belongs to a%n only

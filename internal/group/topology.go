@@ -183,6 +183,12 @@ func DecodeTopology(b []byte) (*Topology, error) {
 		return nil, fmt.Errorf("group: topology: bad count")
 	}
 	b = b[n:]
+	// cnt comes off the wire or the disk: a span is four uvarints of at
+	// least a byte each, so a count the rest cannot hold is malformed —
+	// reject it before sizing anything by it.
+	if cnt > uint64(len(b))/4 {
+		return nil, fmt.Errorf("group: topology: %d spans in %d bytes", cnt, len(b))
+	}
 	t := &Topology{Epoch: epoch, Spans: make(map[ids.GroupID]Span, cnt)}
 	for i := uint64(0); i < cnt; i++ {
 		var vals [4]uint64

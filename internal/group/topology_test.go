@@ -2,6 +2,9 @@ package group
 
 import (
 	"bytes"
+	"encoding/binary"
+	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -155,4 +158,41 @@ func TestTopologyGlobalRounds(t *testing.T) {
 	if sp := topo.Spans[2]; sp.Offset != 15 {
 		t.Fatalf("g2 offset = %d; want 15", sp.Offset)
 	}
+}
+
+// TestDecodeTopologyBoundsCount: a five-byte descriptor claiming 2^24 spans
+// (a peer's floor gossip or a corrupt abcast/topo cell) is refused before
+// anything is sized by the count.
+func TestDecodeTopologyBoundsCount(t *testing.T) {
+	b := binary.AppendUvarint(binary.AppendUvarint(nil, 1), 1<<24)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeTopology(b)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a descriptor claiming 2^24 spans in no bytes decoded")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("decoding it allocated %d bytes", n)
+	}
+}
+
+// FuzzDecodeTopology feeds arbitrary descriptors to the decoder. None may
+// panic it, and what it accepts must survive a re-encode:
+// decode(encode(decode(x))) == decode(x). testdata/fuzz holds today's
+// encodings (static, joined and sealed spans) and the hostile count.
+func FuzzDecodeTopology(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		topo, err := DecodeTopology(b)
+		if err != nil {
+			return
+		}
+		back, err := DecodeTopology(topo.Encode())
+		if err != nil {
+			t.Fatalf("re-encoded %+v does not decode: %v", topo, err)
+		}
+		if !reflect.DeepEqual(back, topo) {
+			t.Fatalf("round trip: %+v, want %+v", back, topo)
+		}
+	})
 }
