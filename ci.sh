@@ -63,9 +63,9 @@ step_metrics() {
 # and cap, the file-per-key engine, the WAL's runtime policy setter, the
 # lease switch (the lease is how PolicyLeader runs), ring dissemination
 # (proposals carrying full payloads are the only value path), tentative
-# delivery (OnDeliver is the only delivery stream), and consensus's driver
-# goroutines and wire tap (the step machine and its simulator replaced
-# them).
+# delivery (OnDeliver is the only delivery stream), consensus's driver
+# goroutines and wire tap, and the core's task goroutines, decision waiters
+# and held store (the step machines and their simulators replaced them).
 step_retired() {
 	local pat='DESIGN\.md|EXPERIMENTS\.md|BENCH_e[0-9]+|internal/tune|\bE(1[4-9]|2[0-2])\b'
 	pat+='|\bDigestGossip\b|NewFileStorage|storage\.NewFile\b|SetGroupCommit|\bGossipMaxMessages\b'
@@ -74,6 +74,8 @@ step_retired() {
 	pat+='|\bOnTentative\b|\bOnConfirm\b|\bOnRevoke\b|DeliveredTentative|\bStTentative\b|\bStConfirm\b'
 	pat+='|EvTentativeRevoke|optimismTracker|Soak(Seeds)?(Sharded)?Optimistic'
 	pat+='|driverTimers|\bwireTap\b|acquireLease|leaseWake|startDriverLocked'
+	pat+='|sequencerTask|gossipTask|checkpointTask|startWaiter|\bcancelWaits\b|\broundResult\b'
+	pat+='|interruptInflightLocked|storage\.NewHeld|\bNewHeld\b'
 	if grep -rnE "$pat" --include='*.go' . ||
 		grep -nE "$pat" README.md bench/README.md .github/workflows/ci.yml; then
 		echo "retired names found (above)"

@@ -39,7 +39,8 @@
 // timer firing, or a call of Propose, WaitDecided, DiscardBelow or
 // RevokeLease — runs to completion and leaves effects in one reused
 // buffer: sends, writes (a reply that a write protects rides on it),
-// deletes, timer arms, and the settles of decided or forgotten instances.
+// deletes, timer arms, and the settles of decided or forgotten instances,
+// which release WaitDecided and the broadcast layer's OnSettle upcall.
 // The machine does no I/O, reads no clock and starts no goroutine. Engine
 // (engine.go) carries its effects out over the process's log, network and
 // wall clock; the tests' simulator, on a virtual one.
@@ -131,8 +132,16 @@ type API interface {
 	// DiscardBelow garbage-collects all state of instances < k
 	// ("Proposed_p[i], i < k_p can be discarded from the log", Fig. 4
 	// line (c)). Only safe once the caller has a checkpoint covering
-	// those instances.
+	// those instances. It issues the deletes and does not wait for them:
+	// a crash before they are durable leaves cells below the floor, which
+	// the next discard deletes again.
 	DiscardBelow(k uint64) error
+	// OnSettle registers the one upcall of Fig. 1's decided(k, v): it runs
+	// for every instance this process learns decided (decided true) or
+	// that a peer reports garbage-collected (decided false), after the
+	// engine's lock is released, and never for a decision restored from
+	// the log — DecidedLocal answers those.
+	OnSettle(fn func(k uint64, v []byte, decided bool))
 }
 
 // Suspector is the failure-detector view the engine needs. It matches

@@ -109,10 +109,11 @@ type Engine struct {
 	// waiters holds the channel that the WaitDecided calls blocked on an
 	// instance share, closed when it decides or is forgotten.
 	waiters map[uint64]chan struct{}
-	pending []pendingPut // writes issued and not yet resolved
-	onDone  func(error)  // e.persistedLater, bound once
-	alarms  []alarm      // armed timers; superseded ones linger until a scan
-	wall    *time.Timer  // runs e.onAlarm at wallAt, the earliest live alarm
+	settle  func(k uint64, v []byte, decided bool) // OnSettle's upcall
+	pending []pendingPut                           // writes issued and not yet resolved
+	onDone  func(error)                            // e.persistedLater, bound once
+	alarms  []alarm                                // armed timers; superseded ones linger until a scan
+	wall    *time.Timer                            // runs e.onAlarm at wallAt, the earliest live alarm
 	wallAt  int64
 	unhook  func() bool // undoes Start's context.AfterFunc
 }
@@ -131,6 +132,12 @@ type alarm struct {
 type frame struct {
 	to ids.ProcessID
 	w  *wire.Writer
+}
+
+type settled struct {
+	k       uint64
+	v       []byte
+	decided bool
 }
 
 var _ API = (*Engine)(nil)
@@ -280,11 +287,9 @@ func (e *Engine) Proposal(k uint64) ([]byte, bool) {
 	return in.proposal, true
 }
 
-// DiscardBelow implements API. It issues all the deletes, then waits: on a
-// group-commit log the whole discard shares a handful of fsyncs instead of
-// paying one per cell. They are waited for last to first: a log resolves
-// in issue order, so once the last has, the others answer without a wait
-// channel each. A WaitDecided blocked on a discarded instance stays
+// DiscardBelow implements API. It issues all the deletes, which share a
+// handful of group commits on a log that has them, and reports a delete
+// that failed at issue. A WaitDecided blocked on a discarded instance stays
 // blocked until its context ends.
 func (e *Engine) DiscardBelow(k uint64) error {
 	e.mu.Lock()
@@ -295,12 +300,19 @@ func (e *Engine) DiscardBelow(k uint64) error {
 		}
 	}
 	_, dels := e.flush()
-	for i := len(dels) - 1; i >= 0; i-- {
-		if err := dels[i].Wait(); err != nil {
+	for _, c := range dels {
+		if err, done := c.Poll(); done && err != nil {
 			return fmt.Errorf("consensus: discard below %d: %w", k, err)
 		}
 	}
 	return nil
+}
+
+// OnSettle implements API.
+func (e *Engine) OnSettle(fn func(k uint64, v []byte, decided bool)) {
+	e.mu.Lock()
+	e.settle = fn
+	e.mu.Unlock()
 }
 
 // Floor returns the current GC floor.
@@ -343,12 +355,15 @@ func (e *Engine) RevokeLease() {
 }
 
 // flush carries out the machine's effects, including those of the drivers
-// they wake, and releases e.mu. It returns the error of a proposal write
+// they wake, and releases e.mu; the frames go out and the settles reach
+// the OnSettle upcall after that. It returns the error of a proposal write
 // that failed at issue (for Propose) and the deletes it issued (for
 // DiscardBelow).
 func (e *Engine) flush() (proposeErr error, dels []*storage.Completion) {
 	var buf [4]frame
 	frames := buf[:0]
+	var sbuf [4]settled
+	settles := sbuf[:0]
 	now := e.now()
 	for i := 0; e.m.more(i); i++ {
 		ef := e.m.out[i]
@@ -388,6 +403,9 @@ func (e *Engine) flush() (proposeErr error, dels []*storage.Completion) {
 				close(ch) // release the WaitDecided calls blocked on k
 				delete(e.waiters, ef.k)
 			}
+			if e.settle != nil {
+				settles = append(settles, settled{ef.k, ef.val, ef.op == opDecided})
+			}
 		case opLeaseAcquired:
 			e.fl.Event(obs.EvLeaseAcquire, e.m.cfg.Group, ef.msg.k, int64(ef.msg.b), 0, "")
 		case opLeaseLost:
@@ -395,6 +413,7 @@ func (e *Engine) flush() (proposeErr error, dels []*storage.Completion) {
 		}
 	}
 	e.m.drained()
+	settle := e.settle
 	e.mu.Unlock()
 	// Send/Multisend copy before returning at every transport layer, so
 	// each encode buffer is released right after its call.
@@ -405,6 +424,9 @@ func (e *Engine) flush() (proposeErr error, dels []*storage.Completion) {
 			e.net.Send(f.to, f.w.Bytes())
 		}
 		wire.PutWriter(f.w)
+	}
+	for _, s := range settles {
+		settle(s.k, s.v, s.decided)
 	}
 	return proposeErr, dels
 }

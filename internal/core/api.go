@@ -19,6 +19,25 @@
 //   - BatchedBroadcast logs the Unordered set so A-broadcast returns before
 //     the message is ordered (§5.4);
 //   - IncrementalLog logs only the new part of the Unordered set (§5.5).
+//
+// The protocol is a step machine, and every rule lives in it (machine.go):
+// the sequencer's pipeline and adaptive batching, the gossip task and the
+// core-channel handlers, state adoption, the checkpoint task, recovery's
+// retrieve half, and the ordering rules between them — rounds commit in
+// round order, a BatchedBroadcast returns once its record is durable, the
+// checkpoint and GC-floor cells are durable before a discard, an adopted
+// state is logged as a checkpoint before its discard. Each input — a
+// received frame, decided(k, v) or forgotten(k) from Consensus, a write's
+// completion, a timer firing, a client call — runs to completion and
+// leaves effects in one reused buffer: sends, writes, propose, learn and
+// discardBelow to Consensus, timer arms, the release of a blocked
+// Broadcast, and the ordered upcalls (deliver, round, restore, skip,
+// checkpointed). The machine does no I/O, reads no clock and starts no
+// goroutine. Protocol (protocol.go) is its one adapter: it carries the
+// effects out over the process's log, network, consensus engine and wall
+// clock, replays the logged instances at Start, and runs the upcalls, in
+// order, on its one goroutine. The tests also run the machine in a seeded
+// simulator (sim_test.go) on a virtual clock.
 package core
 
 import (
@@ -88,8 +107,8 @@ type Snapshot struct {
 
 // Checkpointer is the upcall interface of Fig. 5. Implementations fold
 // delivered messages into an opaque state and reinstall adopted states.
-// Methods are called from protocol goroutines and must not call back into
-// the Protocol.
+// Checkpoint is called under the protocol lock, off the transport's and
+// consensus's goroutines, and must not call back into the Protocol.
 type Checkpointer interface {
 	// Checkpoint returns the application state obtained by applying
 	// delivered to prev. Checkpoint(nil, nil) must return the initial
@@ -187,8 +206,8 @@ type Config struct {
 	// to the cluster-wide minimum of the gossiped durable frontiers
 	// (group.FloorTracker.ClusterFloor localized to the group's span).
 	// Nil discards everything below k (the paper's Fig. 4 line (c)).
-	// Called outside the protocol lock; it may take its own locks but
-	// must not call back into the Protocol.
+	// Called under the protocol lock, like MergeFloor; it may take its own
+	// locks but must not call back into the Protocol.
 	DiscardFloor func() uint64
 
 	// OnCheckpoint, when set, is invoked after a checkpoint cell has been
@@ -202,7 +221,9 @@ type Config struct {
 	// OnDeliver, when set, is invoked in delivery order for every
 	// A-delivered message (including re-deliveries during the replay
 	// phase, which reconstruct the application state in the basic
-	// protocol).
+	// protocol). It and the other ordered upcalls (OnRestore, OnRound,
+	// OnRoundSkip, OnCheckpoint) run outside every lock on the protocol's
+	// own goroutine — never the transport's — and must not call Stop.
 	OnDeliver func(Delivery)
 	// OnRestore, when set, is invoked when the process adopts a
 	// checkpoint or a state transfer instead of replaying: the

@@ -15,7 +15,7 @@ func TestFoldBelowRetainsRoundsAtOrAboveFloor(t *testing.T) {
 	d.appendBatch(1, []msg.Message{m(0, 1, 2)})
 	d.appendBatch(3, []msg.Message{m(1, 1, 2)}) // round 2 was empty
 
-	d.foldBelow([]byte("app"), 2)
+	d.foldPrefix([]byte("app"), d.cutBelow(2), 2)
 	if d.base.Rounds != 2 || d.base.Pos != 3 || string(d.base.App) != "app" {
 		t.Fatalf("base after partial fold: %+v", d.base)
 	}
@@ -34,12 +34,12 @@ func TestFoldBelowRetainsRoundsAtOrAboveFloor(t *testing.T) {
 		t.Fatalf("retained delivery: %+v", ds)
 	}
 	// Folding again at a higher floor absorbs the rest.
-	d.foldBelow([]byte("app2"), 4)
+	d.foldPrefix([]byte("app2"), d.cutBelow(4), 4)
 	if len(d.suffix) != 0 || d.base.Rounds != 4 || d.base.Pos != 4 {
 		t.Fatalf("full fold after partial: %+v", d.base)
 	}
 	// A floor below the current base never regresses it.
-	d.foldBelow([]byte("app3"), 1)
+	d.foldPrefix([]byte("app3"), d.cutBelow(1), 1)
 	if d.base.Rounds != 4 {
 		t.Fatalf("fold regressed base rounds: %+v", d.base)
 	}
@@ -75,7 +75,7 @@ func TestFoldedCoverageIsExact(t *testing.T) {
 	folded.appendBatch(0, []msg.Message{m4})
 	unfolded.appendBatch(0, []msg.Message{m4})
 	// One process checkpoints, the other does not.
-	folded.fold([]byte("app"), 1)
+	folded.foldPrefix([]byte("app"), folded.cutBelow(1), 1)
 	if folded.contains(m3.ID) {
 		t.Fatal("folded state claims to contain the undelivered m3")
 	}

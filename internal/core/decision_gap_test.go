@@ -2,96 +2,56 @@ package core_test
 
 import (
 	"fmt"
-	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/harness"
 	"repro/internal/ids"
-	"repro/internal/storage"
 )
 
 // TestCrashBetweenDeliveryAndDecisionCell: a process delivers rounds whose
 // decision cells never reach its log (consensus installs a decision ahead of
 // its cell), crashes, and recovers with none of them. It must re-learn every
 // round from the others and deliver the same messages at the same positions
-// again — as the sequencer, which finds its logged proposals and re-runs
-// their ballots, and as a process that replays whatever it happened to log.
+// and rounds again — as a process that logged its proposals, which replays
+// them, and as one that logged none (it granted the lease elsewhere), which
+// learns the rounds through gossip.
 func TestCrashBetweenDeliveryAndDecisionCell(t *testing.T) {
 	for _, victim := range []ids.ProcessID{0, 1} {
 		t.Run(fmt.Sprintf("p%d", victim), func(t *testing.T) {
-			held := storage.NewHeld(func(key string) bool { return strings.HasPrefix(key, "cons/d/") })
-			var mu sync.Mutex
-			var lives [][]core.Delivery // the victim's OnDeliver stream, one slice per incarnation
-			c := harness.NewCluster(harness.Options{
-				N: 3, Seed: 53,
-				NewStore: func(pid ids.ProcessID) storage.Stable {
-					if pid == victim {
-						return held
-					}
-					return storage.NewMem()
-				},
-				OnRestore: func(pid ids.ProcessID, _ core.Snapshot) {
-					if pid == victim {
-						mu.Lock()
-						lives = append(lives, nil)
-						mu.Unlock()
-					}
-				},
-				OnDeliver: func(pid ids.ProcessID, d core.Delivery) {
-					if pid == victim {
-						mu.Lock()
-						lives[len(lives)-1] = append(lives[len(lives)-1], d)
-						mu.Unlock()
-					}
-				},
-			})
-			defer c.Stop()
-			if err := c.StartAll(); err != nil {
-				t.Fatal(err)
-			}
-			ctx := ctxT(t, 30*time.Second)
+			s := newScriptedSim(t, 3, core.Config{})
+			v := s.procs[victim]
+			v.noDecisionCells = true
+			v.deferProposals = victim == 1
+			s.boot()
 
-			// Blocking broadcasts: each returns once the victim delivered it.
 			const before = 6
-			for i := 0; i < before; i++ {
-				if _, err := c.Broadcast(ctx, victim, []byte(fmt.Sprintf("before-%d", i))); err != nil {
-					t.Fatalf("broadcast %d: %v", i, err)
-				}
+			for range before {
+				s.broadcastAndWait(t, victim)
 			}
-			if err := c.AwaitAllDelivered(ctx, 0, 1, 2); err != nil {
-				t.Fatal(err)
+			s.await(t, "every process delivered", s.terminated)
+			if len(v.known) == 0 {
+				t.Fatal("the victim delivered, yet holds no decision")
 			}
-			all := func(string) bool { return true }
-			if held.Pending(all) == 0 {
-				t.Fatal("the victim delivered, yet no decision write is held")
-			}
-			if keys, _ := held.List("cons/d/"); len(keys) != 0 {
+			if keys, _ := v.disk.List("cons/d/"); len(keys) != 0 {
 				t.Fatalf("decision cells reached the victim's log: %v", keys)
 			}
+			if keys, _ := v.disk.List("cons/p/"); (len(keys) > 0) != (victim == 0) {
+				t.Fatalf("the victim logged proposals %v", keys)
+			}
 
-			c.Crash(victim)
-			held.Crash()
+			s.crash(victim)
 			survivor := (victim + 1) % 3
-			for i := 0; i < 2; i++ {
-				if _, err := c.Broadcast(ctx, survivor, []byte(fmt.Sprintf("while-down-%d", i))); err != nil {
-					t.Fatalf("broadcast while down: %v", err)
-				}
+			for range 2 {
+				s.broadcastAndWait(t, survivor)
 			}
-			if _, err := c.Recover(victim); err != nil {
-				t.Fatalf("recover: %v", err)
-			}
-			if err := c.AwaitAllDelivered(ctx, 0, 1, 2); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.VerifyAll(0, 1, 2); err != nil {
+			s.recover(victim)
+			s.await(t, "every process delivered after the recovery", s.terminated)
+			if err := s.rec.Verify(); err != nil {
 				t.Fatal(err)
 			}
 
-			_, want := c.Nodes[survivor].Proto().Sequence()
-			_, got := c.Nodes[victim].Proto().Sequence()
+			_, want := s.procs[survivor].m.Sequence()
+			_, got := v.m.Sequence()
 			if len(want) != before+2 {
 				t.Fatalf("survivor's sequence has %d messages, want %d", len(want), before+2)
 			}
@@ -108,13 +68,11 @@ func TestCrashBetweenDeliveryAndDecisionCell(t *testing.T) {
 				}
 			}
 			same("recovered Sequence()", got, want)
-			mu.Lock()
-			defer mu.Unlock()
-			if len(lives) != 2 {
-				t.Fatalf("%d incarnations delivered, want 2", len(lives))
+			if len(v.lives) != 2 {
+				t.Fatalf("%d incarnations, want 2", len(v.lives))
 			}
-			same("first life's OnDeliver stream", lives[0], want[:before])
-			same("second life's OnDeliver stream", lives[1], want)
+			same("first life's OnDeliver stream", v.lives[0], want[:before])
+			same("second life's OnDeliver stream", v.lives[1], want)
 		})
 	}
 }

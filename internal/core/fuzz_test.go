@@ -11,8 +11,8 @@ import (
 // state, floor and unknown subtypes) to a protocol that has committed
 // three rounds (the first delivering two messages) and holds one unordered
 // message, so every handler finds state to act on. No frame may panic a
-// handler, the state adoption a state frame stages for the sequencer, or a
-// read of the state that results. testdata/fuzz holds today's encodings of
+// handler, the state adoption a state frame causes, its upcalls, or a read
+// of the state that results. testdata/fuzz holds today's encodings of
 // every subtype as the seed corpus.
 func FuzzOnMessage(f *testing.F) {
 	f.Fuzz(func(t *testing.T, frame []byte) {
@@ -27,7 +27,7 @@ func FuzzOnMessage(f *testing.F) {
 		}
 
 		p.OnMessage(1, frame)
-		p.maybeAdopt()
+		p.drainUpcalls()
 		_ = p.Round()
 		_, _ = p.Sequence()
 	})
@@ -55,7 +55,6 @@ func TestOnStateRejectsCorruptVectorClock(t *testing.T) {
 	w.U64(0) // pos
 	w.U64(0) // empty suffix
 	p.OnMessage(1, w.Bytes())
-	p.maybeAdopt()
 	if p.Round() != 0 || p.Delivered(m(1, 1, 1).ID) {
 		t.Fatalf("corrupt state adopted: round %d", p.Round())
 	}

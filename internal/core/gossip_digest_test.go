@@ -17,10 +17,13 @@ import (
 func addUnordered(p *Protocol, ms ...msg.Message) {
 	p.mu.Lock()
 	for _, mm := range ms {
-		p.unordered.Add(mm)
+		p.m.unordered.Add(mm)
 	}
 	p.mu.Unlock()
 }
+
+// gossipTick runs the gossip task's periodic tick.
+func (p *Protocol) gossipTick() { p.step(func(m *machine) { m.sendGossip() }) }
 
 // decodeFrame splits one captured core-channel frame into its subtype and
 // payload reader.
@@ -67,7 +70,7 @@ func TestGossipRotationCoversWholeSet(t *testing.T) {
 
 	seen := make(map[ids.MsgID]bool)
 	for tick := 0; tick < 3; tick++ {
-		p.sendGossip()
+		p.gossipTick()
 	}
 	for _, frame := range net.takeMulti() {
 		got := frameIDs(t, frame)
@@ -98,7 +101,7 @@ func TestGossipRotationReachesPeer(t *testing.T) {
 
 	// Both test protocols are PID 0, so each sees the other as peer 1.
 	for tick := 0; tick < 3; tick++ {
-		a.sendGossip()
+		a.gossipTick()
 		for _, f := range netA.takeMulti() {
 			b.OnMessage(1, f)
 		}
@@ -124,7 +127,7 @@ func TestDigestGossipSendsIDsNotPayloads(t *testing.T) {
 	big.Payload = make([]byte, 4096)
 	addUnordered(p, big)
 
-	p.sendGossip()
+	p.gossipTick()
 	net.mu.Lock()
 	frames := append([][]byte(nil), net.multi...)
 	net.mu.Unlock()
@@ -155,7 +158,7 @@ func TestOnDigestPullsOnlyMissing(t *testing.T) {
 	missing := m(1, 1, 3)
 	addUnordered(p, known)
 	p.mu.Lock()
-	p.ds.appendBatch(0, []msg.Message{delivered})
+	p.m.ds.appendBatch(0, []msg.Message{delivered})
 	p.mu.Unlock()
 
 	w := wire.NewWriter(64)
@@ -204,7 +207,7 @@ func TestOnPullServesUnorderedPayloads(t *testing.T) {
 	ordered := m(1, 1, 2)
 	addUnordered(p, held)
 	p.mu.Lock()
-	p.ds.appendBatch(0, []msg.Message{ordered})
+	p.m.ds.appendBatch(0, []msg.Message{ordered})
 	p.mu.Unlock()
 
 	w := wire.NewWriter(64)
@@ -249,7 +252,7 @@ func TestDigestAntiEntropyRoundTrip(t *testing.T) {
 
 	// Both test protocols are PID 0, so each sees the other as peer 1.
 	// a's periodic digest reaches b...
-	a.sendGossip()
+	a.gossipTick()
 	for _, f := range netA.takeMulti() {
 		b.OnMessage(1, f)
 	}
@@ -289,26 +292,26 @@ func TestLoggedMessageSurvivesLostEagerPush(t *testing.T) {
 	st := storage.NewMem()
 	cfg := Config{PID: 0, N: 3, Incarnation: 1, BatchedBroadcast: true}
 	first := New(cfg, st, newFakeCons(), &fakeNet{}) // its net delivers nothing
-	first.ctx, first.cancel = context.WithCancel(context.Background())
 	id, err := first.Broadcast(context.Background(), []byte("logged, never pushed"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	first.cancel() // crash: only st survives
+	first.Stop() // crash: only st survives
 
 	cfg.Incarnation = 2
 	netA := &fakeNet{}
 	a := New(cfg, st, newFakeCons(), netA)
-	if err := a.recoverUnordered(); err != nil {
+	if err := a.recover(); err != nil {
 		t.Fatal(err)
 	}
-	if !a.unorderedHas(id) || len(a.eagerBuf) != 0 {
-		t.Fatalf("recovered: holds the message = %v, eager buffer = %d (want true, 0)", a.unorderedHas(id), len(a.eagerBuf))
+	if !a.unorderedHas(id) || len(a.m.eagerBuf) != 0 {
+		t.Fatalf("recovered: holds the message = %v, eager buffer = %d (want true, 0)", a.unorderedHas(id), len(a.m.eagerBuf))
 	}
 	netB := &fakeNet{}
 	b := New(Config{PID: 1, N: 3, Incarnation: 1}, storage.NewMem(), newFakeCons(), netB)
+	b.m.restored = true
 
-	a.sendGossip()
+	a.gossipTick()
 	for _, f := range netA.takeMulti() {
 		if sub, _ := decodeFrame(t, f); sub != subDigest {
 			t.Fatalf("periodic frame has subtype %d, want digest", sub)
@@ -330,7 +333,7 @@ func TestLoggedMessageSurvivesLostEagerPush(t *testing.T) {
 	// p1's proposal for round 0 is its Unordered set; decide it everywhere.
 	w := wire.NewWriter(64)
 	b.mu.Lock()
-	msg.EncodeBatch(w, b.unordered.Slice())
+	msg.EncodeBatch(w, b.m.unordered.Slice())
 	b.mu.Unlock()
 	for _, p := range []*Protocol{a, b} {
 		p.commit(0, w.Bytes())
@@ -350,7 +353,7 @@ func TestOnDigestTracksAheadRound(t *testing.T) {
 	msg.EncodeIDs(w, nil)
 	p.OnMessage(1, w.Bytes())
 	p.mu.Lock()
-	gk := p.gossipK
+	gk := p.m.gossipK
 	p.mu.Unlock()
 	if gk != 7 {
 		t.Fatalf("gossipK = %d", gk)
@@ -362,7 +365,7 @@ func TestOnDigestTracksAheadRound(t *testing.T) {
 func TestOnDigestSendsStateWhenPeerLags(t *testing.T) {
 	p, net, _ := newTestProtocol(Config{Delta: 3})
 	p.mu.Lock()
-	p.k = 10
+	p.m.k = 10
 	p.mu.Unlock()
 	w := wire.NewWriter(16)
 	w.U8(subDigest)
@@ -392,48 +395,36 @@ func TestOnPullIgnoresGarbage(t *testing.T) {
 }
 
 // TestDigestTickKeepsEagerBuffer: a periodic digest ships only IDs, so it
-// must NOT clear the eager buffer — the payload push the buffer owes
-// peers still happens (as a full-payload delta frame) right after the
-// guard window.
+// must NOT clear the eager buffer — the payload push the buffer owes peers
+// still happens (as a full-payload delta frame) once the guard window ends.
 func TestDigestTickKeepsEagerBuffer(t *testing.T) {
 	p, net, _ := newTestProtocol(Config{})
+	defer p.Stop()
 	mm := m(0, 1, 1)
-	p.mu.Lock()
-	p.unordered.Add(mm)
-	p.eagerBuf = append(p.eagerBuf, mm)
-	p.mu.Unlock()
-
-	p.sendGossip() // digest tick: IDs only
-	p.mu.Lock()
-	kept := len(p.eagerBuf) > 0 || p.flushArmed
-	p.mu.Unlock()
-	if !kept {
+	var flushAt int64
+	p.step(func(mc *machine) {
+		mc.running = true
+		mc.unordered.Add(mm)
+		mc.eagerBuf = append(mc.eagerBuf, mm)
+		mc.sendGossip() // digest tick: IDs only
+		flushAt = mc.flushAt
+	})
+	if flushAt == never {
 		t.Fatal("digest tick cancelled the pending eager payload push")
 	}
-	// The deferred eager flush (armed behind the guard window) must ship
-	// the payload as a full-payload frame shortly after.
-	deadline := time.Now().Add(time.Second)
-	ok := false
-	for time.Now().Before(deadline) && !ok {
-		net.mu.Lock()
-		for _, f := range net.multi {
-			if len(f) > 0 && f[0] == subGossip {
-				r := wire.NewReader(f[1:])
-				r.U64() // k
-				batch := msg.DecodeBatch(r)
-				if len(batch) == 1 && batch[0].Equal(mm) {
-					ok = true
-				}
+	// The deferred eager flush (armed behind the guard window) ships the
+	// payload as a full-payload frame.
+	p.step(func(mc *machine) { mc.fire(flushAt) })
+	for _, f := range net.takeMulti() {
+		if len(f) > 0 && f[0] == subGossip {
+			r := wire.NewReader(f[1:])
+			r.U64() // k
+			if batch := msg.DecodeBatch(r); len(batch) == 1 && batch[0].Equal(mm) {
+				return
 			}
 		}
-		net.mu.Unlock()
-		if !ok {
-			time.Sleep(time.Millisecond)
-		}
 	}
-	if !ok {
-		t.Fatal("eager payload push never happened after the digest tick")
-	}
+	t.Fatal("eager payload push never happened after the digest tick")
 }
 
 // TestOnDigestDedupsPullsAcrossPeers: within one gossip interval, digests

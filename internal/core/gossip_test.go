@@ -57,12 +57,14 @@ func (f *fakeNet) takeSent() [][]byte {
 	return out
 }
 
-// fakeCons is a consensus stub: decisions are fed manually.
+// fakeCons is a consensus stub: decisions are fed manually and reach the
+// protocol through its settle upcall, as a real engine's do.
 type fakeCons struct {
 	mu        sync.Mutex
 	proposals map[uint64][]byte
 	decisions map[uint64][]byte
 	floor     uint64
+	settle    func(k uint64, v []byte, decided bool)
 }
 
 func newFakeCons() *fakeCons {
@@ -120,16 +122,24 @@ func (f *fakeCons) DiscardBelow(k uint64) error {
 	return nil
 }
 
+func (f *fakeCons) OnSettle(fn func(k uint64, v []byte, decided bool)) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.settle = fn
+}
+
 func (f *fakeCons) decide(k uint64, batch []msg.Message) {
 	w := wire.NewWriter(64)
 	msg.EncodeBatch(w, batch)
 	f.mu.Lock()
 	f.decisions[k] = w.Bytes()
+	settle := f.settle
 	f.mu.Unlock()
+	settle(k, w.Bytes(), true)
 }
 
-// newTestProtocol builds an unstarted Protocol with fakes, for direct
-// handler testing.
+// newTestProtocol builds an unstarted Protocol over fakes, recovered from
+// an empty log, for direct handler testing.
 func newTestProtocol(cfg Config) (*Protocol, *fakeNet, *fakeCons) {
 	cfg.PID = 0
 	cfg.N = 3
@@ -137,7 +147,39 @@ func newTestProtocol(cfg Config) (*Protocol, *fakeNet, *fakeCons) {
 	net := &fakeNet{}
 	cons := newFakeCons()
 	p := New(cfg, storage.NewMem(), cons, net)
+	p.m.restored = true
 	return p, net, cons
+}
+
+// step runs one machine input through the adapter, as its own entry points
+// do, then the upcalls it queued (an unstarted protocol has no upcall
+// goroutine).
+func (p *Protocol) step(in func(m *machine)) {
+	p.mu.Lock()
+	p.m.now = p.now()
+	in(p.m)
+	p.run()
+	p.drainUpcalls()
+}
+
+// drainUpcalls runs the queued upcalls on the caller's goroutine: an
+// unstarted protocol has no upcall goroutine.
+func (p *Protocol) drainUpcalls() {
+	for {
+		p.mu.Lock()
+		batch := p.upcalls
+		p.upcalls = nil
+		p.mu.Unlock()
+		if len(batch) == 0 {
+			return
+		}
+		p.runUpcalls(batch)
+	}
+}
+
+// commit has the protocol learn round k's decision.
+func (p *Protocol) commit(k uint64, value []byte) {
+	p.step(func(m *machine) { m.decided(m.now, k, value) })
 }
 
 func encodeGossip(k uint64, batch []msg.Message) []byte {
@@ -175,14 +217,14 @@ func TestOnGossipMergesUnordered(t *testing.T) {
 func (p *Protocol) unorderedHas(id ids.MsgID) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.unordered.Contains(id)
+	return p.m.unordered.Contains(id)
 }
 
 func TestOnGossipSkipsDeliveredMessages(t *testing.T) {
 	p, _, _ := newTestProtocol(Config{})
 	mm := m(1, 1, 1)
 	p.mu.Lock()
-	p.ds.appendBatch(0, []msg.Message{mm})
+	p.m.ds.appendBatch(0, []msg.Message{mm})
 	p.mu.Unlock()
 	p.OnMessage(1, encodeGossip(1, []msg.Message{mm}))
 	if p.UnorderedLen() != 0 {
@@ -194,7 +236,7 @@ func TestOnGossipTracksAheadRound(t *testing.T) {
 	p, _, _ := newTestProtocol(Config{})
 	p.OnMessage(1, encodeGossip(7, nil))
 	p.mu.Lock()
-	gk := p.gossipK
+	gk := p.m.gossipK
 	p.mu.Unlock()
 	if gk != 7 {
 		t.Fatalf("gossipK = %d", gk)
@@ -202,7 +244,7 @@ func TestOnGossipTracksAheadRound(t *testing.T) {
 	// A lower round does not regress it.
 	p.OnMessage(2, encodeGossip(3, nil))
 	p.mu.Lock()
-	gk = p.gossipK
+	gk = p.m.gossipK
 	p.mu.Unlock()
 	if gk != 7 {
 		t.Fatalf("gossipK regressed to %d", gk)
@@ -212,7 +254,7 @@ func TestOnGossipTracksAheadRound(t *testing.T) {
 func TestOnGossipSendsStateWhenPeerLagsBeyondDelta(t *testing.T) {
 	p, net, _ := newTestProtocol(Config{Delta: 3})
 	p.mu.Lock()
-	p.k = 10
+	p.m.k = 10
 	p.mu.Unlock()
 	// Peer at round 2: 10 > 2+3 — send state.
 	p.OnMessage(1, encodeGossip(2, nil))
@@ -233,7 +275,7 @@ func TestOnGossipSendsStateWhenPeerLagsBeyondDelta(t *testing.T) {
 func TestOnGossipNoStateWithinDelta(t *testing.T) {
 	p, net, _ := newTestProtocol(Config{Delta: 10})
 	p.mu.Lock()
-	p.k = 5
+	p.m.k = 5
 	p.mu.Unlock()
 	p.OnMessage(1, encodeGossip(2, nil)) // lag 3 <= Δ=10
 	if net.sends() != 0 {
@@ -246,8 +288,8 @@ func TestOnGossipGCFloorForcesState(t *testing.T) {
 	// message — it can never replay the discarded instances.
 	p, net, _ := newTestProtocol(Config{Delta: 1000, CheckpointEvery: 5})
 	p.mu.Lock()
-	p.k = 12
-	p.gcFloor = 10
+	p.m.k = 12
+	p.m.gcFloor = 10
 	p.mu.Unlock()
 	p.OnMessage(1, encodeGossip(4, nil))
 	if net.sends() != 1 {
@@ -260,10 +302,8 @@ func TestOnStateStagesAdoptionWhenBehind(t *testing.T) {
 	src := newDeliveryState()
 	src.appendBatch(0, []msg.Message{m(1, 1, 1)})
 	p.OnMessage(1, encodeState(9, 0, src)) // newK=10 > 0+2
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.pending == nil || p.pendingK != 10 {
-		t.Fatalf("adoption not staged: pending=%v k=%d", p.pending != nil, p.pendingK)
+	if p.Round() != 10 || !p.Delivered(m(1, 1, 1).ID) {
+		t.Fatalf("state not adopted: round %d", p.Round())
 	}
 }
 
@@ -273,11 +313,11 @@ func TestOnStateSmallDesyncOnlyUpdatesGossipK(t *testing.T) {
 	p.OnMessage(1, encodeState(4, 0, src)) // newK=5 <= 0+10
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.pending != nil {
-		t.Fatal("adoption staged for small desync")
+	if p.m.k != 0 {
+		t.Fatal("state adopted for a small desync")
 	}
-	if p.gossipK != 5 {
-		t.Fatalf("gossipK = %d", p.gossipK)
+	if p.m.gossipK != 5 {
+		t.Fatalf("gossipK = %d", p.m.gossipK)
 	}
 }
 
@@ -287,31 +327,33 @@ func TestOnStateAdoptsWhenBelowSendersFloor(t *testing.T) {
 	p, _, _ := newTestProtocol(Config{Delta: 10})
 	src := newDeliveryState()
 	p.OnMessage(1, encodeState(5, 5, src))
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.pending == nil {
-		t.Fatal("GC-forced adoption not staged")
+	if p.Round() != 6 {
+		t.Fatalf("GC-forced adoption: round %d, want 6", p.Round())
 	}
 }
 
+// TestOnStateInterruptsSequencer: a state transfer is Fig. 3's "terminate
+// task sequencer" for the whole window: the in-flight rounds are given up
+// (their messages pending again, a decision held for one of them dropped)
+// and the pipeline restarts from the adopted round.
 func TestOnStateInterruptsSequencer(t *testing.T) {
-	p, _, _ := newTestProtocol(Config{Delta: 1})
-	interrupted := make(chan struct{})
-	wctx, cancel := context.WithCancel(context.Background())
+	p, _, cons := newTestProtocol(Config{Delta: 1, PipelineDepth: 3})
+	defer p.Stop()
+	p.step(func(m *machine) { m.start(m.now) })
+	id, _ := p.BroadcastAsync([]byte("in flight"))
+	if _, ok := cons.Proposal(0); !ok {
+		t.Fatal("round 0 not proposed")
+	}
+	cons.decide(1, nil) // held: round 0 is undecided
+	p.OnMessage(1, encodeState(99, 0, newDeliveryState()))
 	p.mu.Lock()
-	p.inflightRounds[0] = struct{}{}
-	p.waits, p.cancelWaits = wctx, cancel
-	p.mu.Unlock()
-	go func() {
-		<-wctx.Done()
-		close(interrupted)
-	}()
-	src := newDeliveryState()
-	p.OnMessage(1, encodeState(99, 0, src))
-	select {
-	case <-interrupted:
-	case <-time.After(2 * time.Second):
-		t.Fatal("sequencer not interrupted by state transfer")
+	defer p.mu.Unlock()
+	if p.m.k != 100 || p.m.window[1].ok {
+		t.Fatalf("window not restarted: k=%d, round 1's decision held=%v", p.m.k, p.m.window[1].ok)
+	}
+	// The message is proposed again, from the adopted round on.
+	if r, ok := p.m.inflight[id]; !p.m.unordered.Contains(id) || !ok || r != 100 {
+		t.Fatalf("in-flight message: unordered=%v, round %d (%v), want round 100", p.m.unordered.Contains(id), r, ok)
 	}
 }
 
@@ -329,19 +371,11 @@ func TestOnMessageIgnoresGarbage(t *testing.T) {
 func TestMaybeAdoptSkipsStaleTransfer(t *testing.T) {
 	p, _, _ := newTestProtocol(Config{Delta: 1})
 	p.mu.Lock()
-	p.k = 50
-	src := newDeliveryState()
-	p.pending = src
-	p.pendingK = 10 // older than our current round
+	p.m.k = 50
 	p.mu.Unlock()
-	p.maybeAdopt()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.k != 50 || p.Stats().StateAdopted != 0 {
+	p.OnMessage(1, encodeState(9, 0, newDeliveryState())) // older than our round
+	if p.Round() != 50 || p.Stats().StateAdopted != 0 {
 		t.Fatal("stale transfer adopted")
-	}
-	if p.pending != nil {
-		t.Fatal("stale transfer not cleared")
 	}
 }
 
@@ -354,22 +388,22 @@ func TestMaybeAdoptInstallsStateAndNotifiesWaiters(t *testing.T) {
 		OnDeliver: func(d Delivery) { delivered = append(delivered, d) },
 	})
 	mm := m(0, 1, 1) // our own broadcast, covered by the transfer
-	waiter := make(chan struct{})
+	waiter := make(chan error, 1)
 	src := newDeliveryState()
 	src.appendBatch(0, []msg.Message{mm})
-	src.fold([]byte("app"), 1)
+	src.foldPrefix([]byte("app"), src.cutBelow(1), 1)
 	src.appendBatch(1, []msg.Message{m(1, 1, 1)})
 
 	p.mu.Lock()
-	p.waiters[mm.ID] = []chan struct{}{waiter}
-	p.pending = src
-	p.pendingK = 2
+	p.m.blocked[mm.ID] = struct{}{}
+	p.waiting[mm.ID] = waiter
 	p.mu.Unlock()
-	p.maybeAdopt()
+	p.OnMessage(1, encodeState(1, 0, src))
+	p.drainUpcalls()
 
 	select {
 	case <-waiter:
-	case <-time.After(time.Second):
+	default:
 		t.Fatal("waiter not notified by adoption")
 	}
 	if len(restored) != 1 || string(restored[0].App) != "app" {

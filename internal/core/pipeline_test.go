@@ -192,14 +192,16 @@ func TestBatchScratchKeepsNoStaleMessage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if batch, _, ok := p.assembleBatch(0); !ok || len(batch) != 5 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if batch, _, ok := p.m.assembleBatch(0); !ok || len(batch) != 5 {
 		t.Fatalf("round 0: batch of %d, ok=%v, want all 5 messages", len(batch), ok)
 	}
 	// All five are in flight in round 0: round 1 has nothing pending.
-	if batch, _, ok := p.assembleBatch(1); ok || len(batch) != 0 {
+	if batch, _, ok := p.m.assembleBatch(1); ok || len(batch) != 0 {
 		t.Fatalf("round 1: batch of %d, ok=%v, want nothing to propose", len(batch), ok)
 	}
-	for i, m := range p.batchScratch[:cap(p.batchScratch)] {
+	for i, m := range p.m.batchScratch[:cap(p.m.batchScratch)] {
 		if m.Payload != nil {
 			t.Fatalf("scratch[%d] still holds %v after a pass that used none of it", i, m.ID)
 		}

@@ -48,7 +48,7 @@ func TestBroadcastCopiesPayload(t *testing.T) {
 	buf[0] = 'X'
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, mm := range p.unordered.Slice() {
+	for _, mm := range p.m.unordered.Slice() {
 		if mm.ID == id && string(mm.Payload) != "mutable" {
 			t.Fatal("payload aliased caller buffer")
 		}
@@ -57,9 +57,7 @@ func TestBroadcastCopiesPayload(t *testing.T) {
 
 func TestBroadcastAfterStopFails(t *testing.T) {
 	p, _, _ := newTestProtocol(Config{})
-	p.mu.Lock()
-	p.stopped = true
-	p.mu.Unlock()
+	p.Stop()
 	if _, err := p.BroadcastAsync([]byte("x")); !errors.Is(err, ErrStopped) {
 		t.Fatalf("want ErrStopped, got %v", err)
 	}
@@ -82,8 +80,6 @@ func TestBlockingBroadcastBeforeStartIsRefused(t *testing.T) {
 
 func TestBatchedBroadcastLogsBeforeReturn(t *testing.T) {
 	p, _, _ := newTestProtocol(Config{BatchedBroadcast: true})
-	p.ctx, p.cancel = context.WithCancel(context.Background())
-	defer p.cancel()
 	ctx := context.Background()
 	if _, err := p.Broadcast(ctx, []byte("persisted")); err != nil {
 		t.Fatal(err)
@@ -102,8 +98,6 @@ func TestBatchedBroadcastLogsBeforeReturn(t *testing.T) {
 
 func TestBatchedIncrementalBroadcastAppendsRecord(t *testing.T) {
 	p, _, _ := newTestProtocol(Config{BatchedBroadcast: true, IncrementalLog: true})
-	p.ctx, p.cancel = context.WithCancel(context.Background())
-	defer p.cancel()
 	for i := 0; i < 3; i++ {
 		if _, err := p.Broadcast(context.Background(), []byte("m")); err != nil {
 			t.Fatal(err)
@@ -141,7 +135,7 @@ func TestRecoverUnorderedMergesCellAndLog(t *testing.T) {
 
 	cfg := Config{PID: 0, N: 3, Incarnation: 2, BatchedBroadcast: true}
 	p := New(cfg, st, newFakeCons(), &fakeNet{})
-	if err := p.recoverUnordered(); err != nil {
+	if err := p.recover(); err != nil {
 		t.Fatal(err)
 	}
 	if p.UnorderedLen() != 2 {
@@ -158,10 +152,11 @@ func TestCommitNotifiesWaitersAndSubtractsUnordered(t *testing.T) {
 		OnDeliver: func(d Delivery) { delivered = append(delivered, d) },
 	})
 	mm := m(0, 1, 1)
-	ch := make(chan struct{})
+	ch := make(chan error, 1)
 	p.mu.Lock()
-	p.unordered.Add(mm)
-	p.waiters[mm.ID] = []chan struct{}{ch}
+	p.m.unordered.Add(mm)
+	p.m.blocked[mm.ID] = struct{}{}
+	p.waiting[mm.ID] = ch
 	p.mu.Unlock()
 
 	w := wire.NewWriter(0)

@@ -95,25 +95,11 @@ func (d *deliveryState) cutBelow(floor uint64) int {
 	return cut
 }
 
-// fold replaces the whole delivered prefix with a checkpoint: the base
-// absorbs the suffix (vector clock + position) and adopts the given
-// application state. rounds is the next round number at the time of the
-// fold (all suffix rounds are below it).
-func (d *deliveryState) fold(app []byte, rounds uint64) {
-	d.foldBelow(app, rounds)
-}
-
-// foldBelow folds only the suffix entries of rounds below floor into the
-// base — the merge-floor generalization of fold: entries of rounds at or
-// above floor keep their explicit per-round form so a cross-group merge
-// (batch or streaming) can still reconstruct their interleave. app is the
-// application state containing every folded message.
-func (d *deliveryState) foldBelow(app []byte, floor uint64) {
-	d.foldPrefix(app, d.cutBelow(floor), floor)
-}
-
-// foldPrefix is foldBelow with the suffix cut point already computed
-// (CheckpointNow scans the suffix once and reuses it).
+// foldPrefix folds the first cut suffix entries — those of rounds below
+// floor, as cutBelow computes them — into the base, which adopts app, the
+// application state containing every folded message. Entries of rounds at
+// or above floor keep their explicit per-round form, so a cross-group
+// merge (batch or streaming) can still reconstruct their interleave.
 func (d *deliveryState) foldPrefix(app []byte, cut int, floor uint64) {
 	for _, e := range d.suffix[:cut] {
 		d.base.VC.Observe(e.m.ID)

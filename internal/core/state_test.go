@@ -51,7 +51,7 @@ func TestFoldMovesSuffixIntoBase(t *testing.T) {
 	d := newDeliveryState()
 	d.appendBatch(0, []msg.Message{m(0, 1, 1), m(1, 1, 1)})
 	d.appendBatch(1, []msg.Message{m(0, 1, 2)})
-	d.fold([]byte("appstate"), 2)
+	d.foldPrefix([]byte("appstate"), d.cutBelow(2), 2)
 	if len(d.suffix) != 0 {
 		t.Fatal("suffix not cleared")
 	}
@@ -77,7 +77,7 @@ func TestFoldMovesSuffixIntoBase(t *testing.T) {
 func TestAdoptClonesState(t *testing.T) {
 	src := newDeliveryState()
 	src.appendBatch(0, []msg.Message{m(0, 1, 1)})
-	src.fold([]byte("s"), 1)
+	src.foldPrefix([]byte("s"), src.cutBelow(1), 1)
 	src.appendBatch(1, []msg.Message{m(1, 1, 1)})
 
 	dst := newDeliveryState()
@@ -106,7 +106,7 @@ func TestDeliveryStateEncodeDecodeRoundTrip(t *testing.T) {
 			d.appendBatch(round, batch)
 			round++
 			if rng.IntN(3) == 0 {
-				d.fold([]byte{byte(r)}, round)
+				d.foldPrefix([]byte{byte(r)}, d.cutBelow(round), round)
 			}
 		}
 		w := wire.NewWriter(0)

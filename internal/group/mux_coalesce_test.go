@@ -241,3 +241,93 @@ func TestMuxProcLane(t *testing.T) {
 		t.Fatalf("re-attach proc lane after full close: %v", err)
 	}
 }
+
+// FuzzSplitCoalesced feeds arbitrary bytes to the receive side of the
+// write-coalescing mux as the body of a coalesced frame. No input may
+// panic it; every well-formed subframe (a uvarint length, a lane tag, a
+// payload) is dispatched exactly once, in order, to the lane its tag names
+// — counted as unknown or detached where there is none — and every
+// malformed one (a length past the end, which ends the frame; a subframe
+// too short for a tag; a nested coalesced frame) is counted. The
+// dispatched subframes, coalesced again, split into the same dispatch with
+// nothing malformed. testdata/fuzz holds the encodings of the coalescer
+// and the malformed shapes of TestMuxCoalescedMalformedSubframes.
+func FuzzSplitCoalesced(f *testing.F) {
+	type sub struct {
+		tag     uint16
+		payload string
+	}
+	// split runs one coalesced body through a process with lanes 0 and the
+	// process lane attached, lane 1 of 2 detached.
+	split := func(body []byte) (got []sub, st MuxStats) {
+		m := NewMux(nil, 2)
+		pm := &procMux{m: m, veps: make(map[uint16]*muxEndpoint)}
+		for _, tag := range []uint16{0, procTag} {
+			pm.veps[tag] = &muxEndpoint{pm: pm, tag: tag, inbox: make(chan transport.Packet, len(body)+1)}
+		}
+		pm.splitCoalesced(1, body)
+		for _, tag := range []uint16{0, procTag} {
+			for len(pm.veps[tag].inbox) > 0 {
+				pkt := <-pm.veps[tag].inbox
+				got = append(got, sub{tag, string(pkt.Data)})
+			}
+		}
+		return got, m.Stats()
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		// The model: the subframes the format says are there.
+		var want []sub
+		var malformed, unknown, detached int64
+		for rest := body; len(rest) > 0; {
+			n, sz := binary.Uvarint(rest)
+			if sz <= 0 || n > uint64(len(rest)-sz) {
+				malformed++
+				break
+			}
+			frame := rest[sz : sz+int(n)]
+			rest = rest[sz+int(n):]
+			switch {
+			case len(frame) < tagLen || binary.LittleEndian.Uint16(frame) == coalTag:
+				malformed++
+			case binary.LittleEndian.Uint16(frame) == 1:
+				detached++
+			case binary.LittleEndian.Uint16(frame) == 0 || binary.LittleEndian.Uint16(frame) == procTag:
+				want = append(want, sub{binary.LittleEndian.Uint16(frame), string(frame[tagLen:])})
+			default:
+				unknown++
+			}
+		}
+		got, st := split(body)
+		// Lanes drain one after the other: compare per lane, in order.
+		byLane := func(ss []sub, tag uint16) (out []string) {
+			for _, s := range ss {
+				if s.tag == tag {
+					out = append(out, s.payload)
+				}
+			}
+			return out
+		}
+		for _, tag := range []uint16{0, procTag} {
+			if g, w := byLane(got, tag), byLane(want, tag); fmt.Sprint(g) != fmt.Sprint(w) {
+				t.Fatalf("lane %#x got %q, want %q", tag, g, w)
+			}
+		}
+		if st.DroppedMalformed != malformed || st.DroppedUnknown != unknown || st.DroppedDetached != detached ||
+			st.Demuxed != int64(len(want)) || st.DroppedOverrun != 0 {
+			t.Fatalf("counters %+v, want %d malformed, %d unknown, %d detached, %d dispatched",
+				st, malformed, unknown, detached, len(want))
+		}
+		// Coalesce what was dispatched again: the same dispatch, nothing
+		// malformed.
+		var again []byte
+		for _, s := range want {
+			again = binary.AppendUvarint(again, uint64(tagLen+len(s.payload)))
+			again = binary.LittleEndian.AppendUint16(again, s.tag)
+			again = append(again, s.payload...)
+		}
+		got2, st2 := split(again)
+		if fmt.Sprint(got2) != fmt.Sprint(got) || st2.DroppedMalformed != 0 {
+			t.Fatalf("re-coalesced: %q (%d malformed), want %q", got2, st2.DroppedMalformed, got)
+		}
+	})
+}

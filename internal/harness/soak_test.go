@@ -15,70 +15,19 @@ import (
 	"repro/internal/wire"
 )
 
-// soakVariants are the protocol configurations the randomized soak guards:
-// the paper's basic protocol, and the high-throughput pipelined + adaptively
-// batched + checkpointing + state-transfer stack. Both gossip IDs and
-// repair by pull, so dissemination, recovery catch-up and the state
-// transfer must all hold under crashes and loss without a payload re-send.
-func soakVariants() map[string]core.Config {
-	return map[string]core.Config{
-		"basic": {},
-		"pipelined": {
-			PipelineDepth:    4,
-			BatchedBroadcast: true,
-			IncrementalLog:   true,
-			MaxBatchBytes:    4 << 10,
-			MaxBatchDelay:    300 * time.Microsecond,
-			CheckpointEvery:  8,
-			Delta:            12,
-		},
-	}
-}
-
-// TestSoakSeeds runs the randomized crash-recovery soak for a fixed set of
-// seeds: each seed generates a random schedule of crashes, async
-// recoveries, injected storage faults, sequencer lease revocations and
-// fsync latency under a lossy network while a closed-loop workload
-// broadcasts, then everything recovers, drains, and the recorder verifies
-// Validity, Integrity, Total Order and Termination. The pipelined variant
-// runs a short lease TTL, so leases also expire mid-stream.
-//
-// Reproducing a failure: the schedule is a pure function of the seed, so
-// re-run the failing subtest by name, e.g.
-//
-//	go test ./internal/harness -run 'TestSoakSeeds/seed=23/pipelined' -v -count=1
-//
-// and iterate with -race for interleaving-dependent bugs. To investigate a
-// new seed, add it to the seeds list below or call RunSoak directly.
-func TestSoakSeeds(t *testing.T) {
-	seeds := []uint64{1, 7, 23}
-	for _, seed := range seeds {
-		for name, cfg := range soakVariants() {
-			var cons consensus.Config
-			if name == "pipelined" {
-				cons.LeaseTTL = 50 * time.Millisecond
-			}
-			t.Run(fmt.Sprintf("seed=%d/%s", seed, name), func(t *testing.T) {
-				t.Parallel()
-				res, err := RunSoak(SoakOptions{
-					Seed:      seed,
-					N:         3,
-					Core:      cfg,
-					Consensus: cons,
-				})
-				t.Logf("soak: %v", res)
-				if err != nil {
-					t.Fatalf("soak failed: %v", err)
-				}
-				if res.Crashes+res.StorageFaults == 0 {
-					t.Fatalf("schedule exercised no faults (seed too tame?): %v", res)
-				}
-				if res.LeaseRevokes == 0 {
-					t.Fatalf("schedule injected no lease revocations: %v", res)
-				}
-			})
-		}
-	}
+// soakCore is the pipelined + adaptively batched + checkpointing +
+// state-transfer stack the wall-clock soak runs. The unsharded fault matrix
+// itself — this stack and the basic protocol, at three and five processes —
+// runs in the core simulator (internal/core TestSimSchedules), where a
+// failing seed replays step for step.
+var soakCore = core.Config{
+	PipelineDepth:    4,
+	BatchedBroadcast: true,
+	IncrementalLog:   true,
+	MaxBatchBytes:    4 << 10,
+	MaxBatchDelay:    300 * time.Microsecond,
+	CheckpointEvery:  8,
+	Delta:            12,
 }
 
 // TestSoakSeedsWAL runs the seeded soak schedule over the group-commit WAL
@@ -99,7 +48,7 @@ func TestSoakSeedsWAL(t *testing.T) {
 			res, err := RunSoak(SoakOptions{
 				Seed: seed,
 				N:    3,
-				Core: soakVariants()["pipelined"],
+				Core: soakCore,
 				NewStore: func(pid ids.ProcessID) storage.Stable {
 					w, werr := storage.OpenWAL(
 						filepath.Join(dir, fmt.Sprintf("p%d", pid)),
@@ -231,24 +180,5 @@ func TestSoakSeedsSharded(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestSoakFiveProcesses widens the group so schedules can take two
-// processes down at once while a majority keeps ordering.
-func TestSoakFiveProcesses(t *testing.T) {
-	res, err := RunSoak(SoakOptions{
-		Seed:  99,
-		N:     5,
-		Steps: 50,
-		Core: core.Config{
-			PipelineDepth:    3,
-			BatchedBroadcast: true,
-			MaxBatchDelay:    300 * time.Microsecond,
-		},
-	})
-	t.Logf("soak: %v", res)
-	if err != nil {
-		t.Fatalf("soak failed: %v", err)
 	}
 }
