@@ -318,8 +318,16 @@ func TestShardedDeliverCallbackTagging(t *testing.T) {
 		}
 		awaitShardedDelivered(t, procs, g, id, 20*time.Second)
 	}
+	// OnDeliver runs on the protocol's upcall goroutine, so it may trail
+	// Delivered: wait for a callback from every group before counting.
+	deadline := time.Now().Add(20 * time.Second)
 	mu.Lock()
 	defer mu.Unlock()
+	for len(got) < groups && time.Now().Before(deadline) {
+		mu.Unlock()
+		time.Sleep(time.Millisecond)
+		mu.Lock()
+	}
 	for g := abcast.GroupID(0); int(g) < groups; g++ {
 		if got[g] != 1 {
 			t.Fatalf("OnDeliver tag counts = %v; want one delivery per group", got)

@@ -224,6 +224,8 @@ type Config struct {
 	// protocol). It and the other ordered upcalls (OnRestore, OnRound,
 	// OnRoundSkip, OnCheckpoint) run outside every lock on the protocol's
 	// own goroutine — never the transport's — and must not call Stop.
+	// Delivered and Sequence may report a delivery before its OnDeliver
+	// has run.
 	OnDeliver func(Delivery)
 	// OnRestore, when set, is invoked when the process adopts a
 	// checkpoint or a state transfer instead of replaying: the

@@ -15,19 +15,75 @@ import (
 	"repro/internal/wire"
 )
 
-// soakCore is the pipelined + adaptively batched + checkpointing +
-// state-transfer stack the wall-clock soak runs. The unsharded fault matrix
-// itself — this stack and the basic protocol, at three and five processes —
-// runs in the core simulator (internal/core TestSimSchedules), where a
-// failing seed replays step for step.
-var soakCore = core.Config{
-	PipelineDepth:    4,
-	BatchedBroadcast: true,
-	IncrementalLog:   true,
-	MaxBatchBytes:    4 << 10,
-	MaxBatchDelay:    300 * time.Microsecond,
-	CheckpointEvery:  8,
-	Delta:            12,
+// soakVariants are the protocol configurations the randomized soak guards:
+// the paper's basic protocol, and the high-throughput pipelined + adaptively
+// batched + checkpointing + state-transfer stack. Both gossip IDs and
+// repair by pull, so dissemination, recovery catch-up and the state
+// transfer must all hold under crashes and loss without a payload re-send.
+// The same two configurations, at three and five processes, also run in
+// the core simulator (internal/core TestSimSchedules), where a failing
+// seed replays step for step.
+func soakVariants() map[string]core.Config {
+	return map[string]core.Config{
+		"basic": {},
+		"pipelined": {
+			PipelineDepth:    4,
+			BatchedBroadcast: true,
+			IncrementalLog:   true,
+			MaxBatchBytes:    4 << 10,
+			MaxBatchDelay:    300 * time.Microsecond,
+			CheckpointEvery:  8,
+			Delta:            12,
+		},
+	}
+}
+
+// TestSoakSeeds runs the randomized crash-recovery soak for a fixed set of
+// seeds on the wall clock, over the real consensus engine and transport:
+// each seed generates a random schedule of crashes, async recoveries,
+// injected storage faults, sequencer lease revocations and fsync latency
+// under a lossy network while a closed-loop workload broadcasts, then
+// everything recovers, drains, and the recorder verifies Validity,
+// Integrity, Total Order and Termination. The pipelined variant runs a
+// short lease TTL, so leases also expire mid-stream.
+//
+// Reproducing a failure: the schedule is a pure function of the seed, but
+// goroutine interleavings are not, so re-run the failing subtest by name,
+// e.g.
+//
+//	go test ./internal/harness -run 'TestSoakSeeds/seed=23/pipelined' -v -count=1
+//
+// and iterate with -race. A core-level failure replays exactly in the core
+// simulator instead.
+func TestSoakSeeds(t *testing.T) {
+	seeds := []uint64{1, 7, 23}
+	for _, seed := range seeds {
+		for name, cfg := range soakVariants() {
+			var cons consensus.Config
+			if name == "pipelined" {
+				cons.LeaseTTL = 50 * time.Millisecond
+			}
+			t.Run(fmt.Sprintf("seed=%d/%s", seed, name), func(t *testing.T) {
+				t.Parallel()
+				res, err := RunSoak(SoakOptions{
+					Seed:      seed,
+					N:         3,
+					Core:      cfg,
+					Consensus: cons,
+				})
+				t.Logf("soak: %v", res)
+				if err != nil {
+					t.Fatalf("soak failed: %v", err)
+				}
+				if res.Crashes+res.StorageFaults == 0 {
+					t.Fatalf("schedule exercised no faults (seed too tame?): %v", res)
+				}
+				if res.LeaseRevokes == 0 {
+					t.Fatalf("schedule injected no lease revocations: %v", res)
+				}
+			})
+		}
+	}
 }
 
 // TestSoakSeedsWAL runs the seeded soak schedule over the group-commit WAL
@@ -48,7 +104,7 @@ func TestSoakSeedsWAL(t *testing.T) {
 			res, err := RunSoak(SoakOptions{
 				Seed: seed,
 				N:    3,
-				Core: soakCore,
+				Core: soakVariants()["pipelined"],
 				NewStore: func(pid ids.ProcessID) storage.Stable {
 					w, werr := storage.OpenWAL(
 						filepath.Join(dir, fmt.Sprintf("p%d", pid)),
