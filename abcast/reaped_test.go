@@ -1,6 +1,7 @@
 package abcast
 
 import (
+	"bytes"
 	"encoding/binary"
 	"reflect"
 	"runtime"
@@ -25,4 +26,45 @@ func TestDecodeReapedBoundsCount(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(gs, []GroupID{1, 3}) {
 		t.Fatalf("round trip: %v, %v", gs, err)
 	}
+}
+
+// TestDecodeReapedRejectsWideGroup: an entry wider than a GroupID is
+// refused, not truncated onto another group (FuzzDecodeReaped found 2^32+3
+// decoding as group 3, and wider values as negative groups).
+func TestDecodeReapedRejectsWideGroup(t *testing.T) {
+	b := binary.AppendUvarint(binary.AppendUvarint(nil, 1), 1<<32|3)
+	if gs, err := decodeReaped(b); err == nil {
+		t.Fatalf("an entry of 2^32+3 decoded as %v", gs)
+	}
+}
+
+// FuzzDecodeReaped feeds arbitrary bytes to the decoder of the reaped-group
+// cell NewSharded reads back from disk. None may panic it; what it accepts
+// sizes its result by the input (at most one group per byte), holds only
+// GroupIDs, and survives a re-encode: encodeReaped∘decodeReaped is stable.
+// testdata/fuzz holds an empty set, a real set, the hostile count and a
+// group wider than 32 bits.
+func FuzzDecodeReaped(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		gs, err := decodeReaped(b)
+		if err != nil {
+			return
+		}
+		if cap(gs) > len(b) {
+			t.Fatalf("%d bytes decoded into a slice of capacity %d", len(b), cap(gs))
+		}
+		for _, g := range gs {
+			if g < 0 {
+				t.Fatalf("decoded group %v", g)
+			}
+		}
+		enc := encodeReaped(gs)
+		back, err := decodeReaped(enc)
+		if err != nil {
+			t.Fatalf("re-encoded %v does not decode: %v", gs, err)
+		}
+		if again := encodeReaped(back); !bytes.Equal(again, enc) {
+			t.Fatalf("encoding is not stable: %x, then %x", enc, again)
+		}
+	})
 }

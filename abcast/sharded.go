@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -407,6 +408,9 @@ func decodeReaped(b []byte) ([]GroupID, error) {
 		v, n := binary.Uvarint(b)
 		if n <= 0 {
 			return nil, fmt.Errorf("truncated")
+		}
+		if v > math.MaxInt32 {
+			return nil, fmt.Errorf("group %d out of range", v)
 		}
 		out = append(out, GroupID(v))
 		b = b[n:]

@@ -64,8 +64,11 @@ step_metrics() {
 # lease switch (the lease is how PolicyLeader runs), ring dissemination
 # (proposals carrying full payloads are the only value path), tentative
 # delivery (OnDeliver is the only delivery stream), consensus's driver
-# goroutines and wire tap, and the core's task goroutines, decision waiters
-# and held store (the step machines and their simulators replaced them).
+# goroutines and wire tap, the core's task goroutines, decision waiters
+# and held store (the step machines and their simulators replaced them),
+# and the engine's lease-revocation hook and the sharded harness's own
+# copies of the front end's wiring and merge checks (the sharded soaks run
+# abcast.Sharded and isolate processes instead).
 step_retired() {
 	local pat='DESIGN\.md|EXPERIMENTS\.md|BENCH_e[0-9]+|internal/tune|\bE(1[4-9]|2[0-2])\b'
 	pat+='|\bDigestGossip\b|NewFileStorage|storage\.NewFile\b|SetGroupCommit|\bGossipMaxMessages\b'
@@ -76,6 +79,7 @@ step_retired() {
 	pat+='|driverTimers|\bwireTap\b|acquireLease|leaseWake|startDriverLocked'
 	pat+='|sequencerTask|gossipTask|checkpointTask|startWaiter|\bcancelWaits\b|\broundResult\b'
 	pat+='|interruptInflightLocked|storage\.NewHeld|\bNewHeld\b'
+	pat+='|\bRevokeLease\b|\bLayerTotals\b|\btrimBelow\b|verifyMergedAgreement|verifyCursorMatchesBatch|reshardRecorders'
 	if grep -rnE "$pat" --include='*.go' . ||
 		grep -nE "$pat" README.md bench/README.md .github/workflows/ci.yml; then
 		echo "retired names found (above)"

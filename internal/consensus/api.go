@@ -36,10 +36,10 @@
 //
 // The protocol is a step machine, and every rule above lives in it
 // (machine.go): each input — a received frame, a write's completion, a
-// timer firing, or a call of Propose, WaitDecided, DiscardBelow or
-// RevokeLease — runs to completion and leaves effects in one reused
-// buffer: sends, writes (a reply that a write protects rides on it),
-// deletes, timer arms, and the settles of decided or forgotten instances,
+// timer firing, or a call of Propose, WaitDecided or DiscardBelow — runs
+// to completion and leaves effects in one reused buffer: sends, writes (a
+// reply that a write protects rides on it), deletes, timer arms, and the
+// settles of decided or forgotten instances,
 // which release WaitDecided and the broadcast layer's OnSettle upcall.
 // The machine does no I/O, reads no clock and starts no goroutine. Engine
 // (engine.go) carries its effects out over the process's log, network and

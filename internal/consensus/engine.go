@@ -344,16 +344,6 @@ func (e *Engine) LeaseStats() LeaseStats {
 	return s
 }
 
-// RevokeLease drops the holder-side lease, forcing the next rounds back to
-// full consensus until a new lease is acquired. Soak tests use it to model
-// a suspicion-driven revocation at an arbitrary protocol step. Acceptor
-// grants are untouched (they expire only by being outbid).
-func (e *Engine) RevokeLease() {
-	e.mu.Lock()
-	e.m.dropLease()
-	e.flush()
-}
-
 // flush carries out the machine's effects, including those of the drivers
 // they wake, and releases e.mu; the frames go out and the settles reach
 // the OnSettle upcall after that. It returns the error of a proposal write

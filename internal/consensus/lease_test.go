@@ -115,10 +115,19 @@ func TestLeaseFastRoundsSkipPrepare(t *testing.T) {
 	}
 }
 
-// TestLeaseRevokeFallsBackToFullConsensus: an explicit revocation (the
-// suspicion-burst hook the soaks use) must force the next round through
-// full consensus — and the proposer then re-acquires and returns to the
-// fast path. Correctness is unaffected throughout.
+// revokeLease drops e's held lease as the machine does on suspicion, so
+// the next rounds fall back to full consensus until a new lease is
+// acquired. Acceptor grants are untouched (they expire only by being
+// outbid).
+func revokeLease(e *Engine) {
+	e.mu.Lock()
+	e.m.dropLease()
+	e.flush()
+}
+
+// TestLeaseRevokeFallsBackToFullConsensus: a revocation must force the
+// next round through full consensus — and the proposer then re-acquires
+// and returns to the fast path. Correctness is unaffected throughout.
 func TestLeaseRevokeFallsBackToFullConsensus(t *testing.T) {
 	tc := newLeaseCluster(t, 3, transport.MemOptions{Seed: 5}, time.Second)
 	defer tc.stopAll()
@@ -131,7 +140,7 @@ func TestLeaseRevokeFallsBackToFullConsensus(t *testing.T) {
 		t.Fatalf("precondition: fast path never engaged: %+v", before)
 	}
 
-	tc.procs[0].eng.RevokeLease()
+	revokeLease(tc.procs[0].eng)
 	if ls := tc.procs[0].eng.LeaseStats(); ls.Held {
 		t.Fatalf("lease still held after revoke: %+v", ls)
 	}

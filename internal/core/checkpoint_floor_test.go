@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/msg"
+	"repro/internal/wire"
 )
 
 // TestFoldBelowRetainsRoundsAtOrAboveFloor: the merge-floor fold moves
@@ -89,5 +90,38 @@ func TestFoldedCoverageIsExact(t *testing.T) {
 	if a[0].Pos != b[0].Pos || a[0].Msg.ID != b[0].Msg.ID {
 		t.Fatalf("sequences diverged: folded delivers %v@%d, unfolded %v@%d",
 			a[0].Msg.ID, a[0].Pos, b[0].Msg.ID, b[0].Pos)
+	}
+}
+
+// TestRecoveryWithoutFloorCellForcesNoState: a crash between the two writes
+// of a process's first checkpoint leaves the checkpoint cell without a
+// GC-floor cell. Discards wait for both, so the recovered process dropped
+// nothing and must not force a state transfer on a peer one round behind
+// it. (Assuming everything below the cell's round gone made the sharded
+// soak's merge cursors lag behind such transfers.)
+func TestRecoveryWithoutFloorCellForcesNoState(t *testing.T) {
+	d := newDeliveryState()
+	d.appendBatch(0, []msg.Message{m(1, 1, 1)})
+	cell := wire.NewWriter(64)
+	cell.U64(1)
+	d.encode(cell)
+	cfg := Config{PID: 0, N: 3}
+	cfg.fill()
+	mc := newMachine(cfg, newMetrics(nil, 0), nil, nil)
+	if _, err := mc.recover(cell.Bytes(), nil, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	mc.start(0)
+	mc.flushed()
+
+	digest := wire.NewWriter(16)
+	digest.U8(subDigest)
+	digest.U64(0) // the peer's round: it still needs round 0
+	msg.EncodeIDs(digest, nil)
+	mc.receive(0, 1, digest.Bytes())
+	for _, ef := range mc.out {
+		if ef.op == opSend && ef.w.Bytes()[0] == subState {
+			t.Fatalf("recovered at round 1 with nothing discarded, yet sent state to %v at round 0", ef.to)
+		}
 	}
 }

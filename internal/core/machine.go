@@ -220,10 +220,13 @@ func (m *machine) recover(ckpt, floor, unord []byte, recs [][]byte) (int, error)
 			return 0, fmt.Errorf("core: corrupt checkpoint cell")
 		}
 		// The checkpoint discarded Consensus state below the floor it
-		// logged beside the cell; without one (an adoption's cell) assume
-		// the worst case — everything below k is gone.
-		m.gcFloor = k
+		// logged beside the cell, and only once both cells were durable: a
+		// crash between the two writes leaves the previous floor cell, or
+		// none before the first discard, and nothing went past it. An
+		// unreadable floor cell assumes the worst — everything below k is
+		// gone.
 		if floor != nil {
+			m.gcFloor = k
 			fr := wire.NewReader(floor)
 			if f := fr.U64(); fr.Done() == nil && f < k {
 				m.gcFloor = f

@@ -1,7 +1,16 @@
 // Package harness orchestrates clusters of processes for tests,
 // experiments and benchmarks: it owns the simulated network, the per-
 // process stable stores (which survive crashes), fault injection, the
-// history recorder, and workload/metric helpers.
+// history recorders, and workload/metric helpers.
+//
+// Cluster runs unsharded node.Node processes. ShardedCluster runs the
+// shipped front end, abcast.Sharded, over one multiplexed network, with
+// one recorder per ordering group. RunSoak and RunShardedSoak share one
+// seeded fault schedule, which injects suspicion as a real fault: a
+// process is isolated on the simulated network, so a lease holder loses
+// its lease to the failure detector and a higher ballot, as in
+// production. RunReshardSoak drives a ShardedCluster through joins and
+// retirements.
 package harness
 
 import (

@@ -3,58 +3,43 @@ package harness
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
+	"math"
+	"sort"
 	"sync"
 	"time"
 
+	"repro/abcast"
 	"repro/internal/check"
-	"repro/internal/consensus"
-	"repro/internal/core"
-	"repro/internal/fd"
 	"repro/internal/group"
 	"repro/internal/ids"
-	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/transport"
 )
 
-// ShardedOptions configures a ShardedCluster: N processes, each hosting
-// Groups independent ordering groups over one multiplexed network and one
+// ShardedOptions configures a ShardedCluster: N abcast.Sharded processes,
+// each hosting Groups ordering groups over one multiplexed network and one
 // shared per-process store.
 type ShardedOptions struct {
 	N      int
 	Groups int
 	Seed   uint64
 	Net    transport.MemOptions
-	// Consensus policy/timing (PID/N/Seed filled per process and group).
-	Consensus consensus.Config
-	// Core protocol options, applied to every group (PID/N/Group/
-	// Incarnation and the recorder callbacks are filled per node).
-	Core core.Config
-	FD   fd.Options
-	// MergedDelivery wires each group's checkpoint fold to the
-	// process-wide merge frontier (core.Config.MergeFloor over the
-	// process's group.Stream), the merged-mode checkpointing discipline:
-	// per-round delivery metadata is retained until every group of the
-	// process has committed past it, so the cross-group interleave stays
+	// Protocol configures every group of every process.
+	Protocol abcast.ProtocolOptions
+	FD       abcast.FDOptions
+	// MergedDelivery is abcast.ShardedConfig.MergedDelivery: checkpoint
+	// folds stop at the merge floor, so merged sequences stay
 	// reconstructible across checkpoints. Set it for clusters that verify
 	// merged sequences while running a Checkpointer.
 	MergedDelivery bool
 	// Mux tunes the multiplexer's write coalescing (zero = no coalescing).
-	Mux group.MuxOptions
-	// InjectFaultyStorage wraps each process's shared store in a
-	// storage.Faulty trigger — below the group namespaces, so one fault
-	// takes the whole process down, like a real disk failure.
-	InjectFaultyStorage bool
+	Mux abcast.ShardedNetOptions
 	// NewStore, when set, supplies each process's shared stable-storage
 	// engine (default storage.NewMem): all groups of the process run in
 	// namespaces of it, so a group-commit engine coalesces their fsyncs.
 	NewStore func(ids.ProcessID) storage.Stable
-	// Transport, when set, replaces the simulated in-memory network
-	// (e.g. TCP loopback); Net is then ignored and Cluster.Net is nil.
-	Transport transport.Network
 	// Obs is the per-process observability template (PID is filled per
 	// process). One plane serves all groups of a process — per-group
 	// metrics carry a {group} label, so they stay distinguishable.
@@ -74,14 +59,8 @@ func (o *ShardedOptions) fill() {
 	if o.Net.Seed == 0 {
 		o.Net.Seed = o.Seed
 	}
-	if o.Consensus.RetryMin <= 0 {
-		o.Consensus.RetryMin = 3 * time.Millisecond
-	}
-	if o.Consensus.RetryMax <= 0 {
-		o.Consensus.RetryMax = 50 * time.Millisecond
-	}
-	if o.Core.GossipInterval <= 0 {
-		o.Core.GossipInterval = 10 * time.Millisecond
+	if o.Protocol.GossipInterval <= 0 {
+		o.Protocol.GossipInterval = 10 * time.Millisecond
 	}
 	if o.FD.Heartbeat <= 0 {
 		o.FD.Heartbeat = 5 * time.Millisecond
@@ -91,149 +70,91 @@ func (o *ShardedOptions) fill() {
 	}
 }
 
-// ShardedCluster is N processes x G ordering groups over one multiplexed
-// network. Group g's nodes across all processes form one instance of the
-// paper's protocol, verified by its own recorder; crash and recovery act
-// on whole processes (all groups at once), as they would in production.
+// ShardedCluster is N abcast.Sharded processes over one multiplexed
+// in-memory network: the sharded front end exactly as it ships, crashed and
+// recovered as whole processes. Each process's shared store sits on a
+// storage.Faulty trigger, so one storage fault takes every group of the
+// process down, like a real disk failure. One recorder per ordering group
+// verifies that group's history against the full specification.
 type ShardedCluster struct {
 	Opts ShardedOptions
-	Net  *transport.Mem // nil when Options.Transport overrides it
-	Mux  *group.Mux
-	// Nodes[pid][gid] is group gid's node at process pid.
-	Nodes [][]*node.Node
-	// Stores[pid][gid] is the per-group accounted view over the process's
-	// shared engine (true layer names: the group namespace sits below).
-	Stores [][]*storage.Accounted
-	// Faults[pid] is the process-level fault trigger (with
-	// InjectFaultyStorage only).
+	Net  *transport.Mem
+	Mux  *abcast.ShardedNetwork
+	// Procs[pid] is process pid. RunReshardSoak replaces a crashed entry
+	// with one rebuilt from the same store.
+	Procs  []*abcast.Sharded
 	Faults []*storage.Faulty
-	// Recs[gid] is group gid's safety recorder.
-	Recs []*check.Recorder
-	// Streams[pid] is process pid's per-round merge stream: every group's
-	// OnRound feeds it, Frontier is the process's merge floor, and
-	// SubscribeMerged hangs streaming cursors off it.
-	Streams []*group.Stream
 	// Obs[pid] is process pid's observability plane, shared by all of its
-	// groups. Always populated.
+	// groups.
 	Obs []*obs.Plane
 
-	net         transport.Network
-	inners      []storage.Stable // engines to close on Stop
-	epochStores []storage.Stable // per process: holds the proc-epoch cell
-	ctx         context.Context
-	cancel      context.CancelFunc
-
-	fdMu sync.Mutex
-	fds  []*node.SharedFD // per process; nil when down
+	recs    *groupRecorders
+	engines []storage.Stable // engines from NewStore (closed by Stop)
+	ctx     context.Context
+	cancel  context.CancelFunc
 }
 
 // NewShardedCluster builds (but does not start) a sharded cluster.
-func NewShardedCluster(opts ShardedOptions) *ShardedCluster {
+func NewShardedCluster(opts ShardedOptions) (*ShardedCluster, error) {
 	opts.fill()
-	c := &ShardedCluster{Opts: opts}
-	if opts.Transport != nil {
-		c.net = opts.Transport
-	} else {
-		c.Net = transport.NewMem(opts.N, opts.Net)
-		c.net = c.Net
+	c := &ShardedCluster{
+		Opts:  opts,
+		Net:   transport.NewMem(opts.N, opts.Net),
+		Procs: make([]*abcast.Sharded, opts.N),
+		recs:  newGroupRecorders(opts.N),
 	}
-	c.Mux = group.NewMuxOpts(c.net, opts.Groups, opts.Mux)
-	for g := 0; g < opts.Groups; g++ {
-		c.Recs = append(c.Recs, check.NewRecorder(opts.N))
-	}
-	c.fds = make([]*node.SharedFD, opts.N)
+	c.Mux = abcast.NewShardedNetworkOpts(c.Net, opts.Groups, opts.Mux)
 	c.ctx, c.cancel = context.WithCancel(context.Background())
-
 	for p := 0; p < opts.N; p++ {
 		pid := ids.ProcessID(p)
 		obsOpts := opts.Obs
 		obsOpts.PID = pid
-		plane := obs.New(obsOpts)
-		c.Obs = append(c.Obs, plane)
-		if p == 0 {
-			// The mux is cluster-global in this simulated harness; its
-			// counters land on process 0's registry.
-			c.Mux.SetObs(plane)
-		}
-		stream := group.NewStream(opts.Groups)
-		stream.SetObs(plane)
-		c.Streams = append(c.Streams, stream)
-		// The process's shared engine, with the optional process-level
-		// fault trigger below every group namespace.
-		var shared storage.Stable
+		c.Obs = append(c.Obs, obs.New(obsOpts))
+		var st storage.Stable = storage.NewMem()
 		if opts.NewStore != nil {
-			shared = opts.NewStore(pid)
-			c.inners = append(c.inners, shared)
-		} else {
-			shared = storage.NewMem()
+			st = opts.NewStore(pid)
+			c.engines = append(c.engines, st)
 		}
-		if opts.InjectFaultyStorage {
-			f := storage.NewFaulty(shared)
-			c.Faults = append(c.Faults, f)
-			shared = f
-		}
-		// The proc-epoch cell rides the shared engine, below the fault
-		// trigger: an armed storage fault kills the whole process's
-		// recovery, epoch log included.
-		c.epochStores = append(c.epochStores, shared)
-
-		var nodes []*node.Node
-		var stores []*storage.Accounted
-		for g := 0; g < opts.Groups; g++ {
-			gid := ids.GroupID(g)
-			acct := storage.NewAccounted(storage.NewPrefixed(shared, group.StoreNamespace(gid)))
-			stores = append(stores, acct)
-
-			coreCfg := opts.Core
-			coreCfg.OnDeliver = c.Recs[g].OnDeliver(pid)
-			coreCfg.OnRestore = c.Recs[g].OnRestore(pid)
-			coreCfg.OnRound = stream.NoteRound
-			coreCfg.OnRoundSkip = stream.NoteSkip
-			if opts.MergedDelivery {
-				coreCfg.MergeFloor = stream.Frontier
-			}
-			ncfg := node.Config{
-				PID:       pid,
-				N:         opts.N,
-				Group:     gid,
-				Core:      coreCfg,
-				Consensus: opts.Consensus,
-				FD:        opts.FD,
-				Obs:       plane,
-				SharedFD:  func() fd.API { return c.fdView(pid, gid) },
-			}
-			nodes = append(nodes, node.New(ncfg, acct, c.Mux.Net(gid)))
-		}
-		c.Nodes = append(c.Nodes, nodes)
-		c.Stores = append(c.Stores, stores)
+		c.Faults = append(c.Faults, storage.NewFaulty(st))
 	}
-	return c
+	// The mux is cluster-global in this simulated harness; its counters
+	// land on process 0's registry.
+	c.Mux.SetObs(c.Obs[0])
+	for p := 0; p < opts.N; p++ {
+		if err := c.build(ids.ProcessID(p)); err != nil {
+			c.Stop()
+			return nil, err
+		}
+	}
+	return c, nil
 }
 
-// fdView returns group gid's facade over process pid's live shared
-// detector. During the window where no detector is up (the process is
-// down or mid-teardown) it returns an inert facade; the node reading it
-// is being crashed anyway.
-func (c *ShardedCluster) fdView(pid ids.ProcessID, gid ids.GroupID) fd.API {
-	c.fdMu.Lock()
-	defer c.fdMu.Unlock()
-	if c.fds[pid] == nil {
-		return fd.InertView(pid, c.Opts.N, c.Opts.FD, gid)
+// build makes process pid a new abcast.Sharded over its store: the
+// persisted topology and reaped set are read back, as on a restart.
+func (c *ShardedCluster) build(pid ids.ProcessID) error {
+	s, err := abcast.NewSharded(abcast.ShardedConfig{
+		PID:            pid,
+		N:              c.Opts.N,
+		Protocol:       c.Opts.Protocol,
+		FD:             c.Opts.FD,
+		MergedDelivery: c.Opts.MergedDelivery,
+		// Every process of a run comes back, so none may age out of the
+		// GC floor: here a GC-forced state transfer is always a bug.
+		MergeFloorStaleness: -1,
+		Obs:                 c.Obs[pid],
+		OnDeliver:           c.recs.onDeliver(pid),
+		OnRestore:           c.recs.onRestore(pid),
+	}, c.Faults[pid], c.Mux)
+	if err != nil {
+		return fmt.Errorf("sharded p%v: %w", pid, err)
 	}
-	return c.fds[pid].View(gid)
-}
-
-// FD returns process pid's live shared failure detector (nil when the
-// process is down).
-func (c *ShardedCluster) FD(pid ids.ProcessID) *node.SharedFD {
-	c.fdMu.Lock()
-	defer c.fdMu.Unlock()
-	return c.fds[pid]
+	c.Procs[pid] = s
+	return nil
 }
 
 // StartAll boots every process.
 func (c *ShardedCluster) StartAll() error {
-	for p := 0; p < c.Opts.N; p++ {
+	for p := range c.Procs {
 		if err := c.Start(ids.ProcessID(p)); err != nil {
 			return err
 		}
@@ -241,92 +162,24 @@ func (c *ShardedCluster) StartAll() error {
 	return nil
 }
 
-// Start boots process pid: the shared failure detector comes up first
-// (one proc-epoch log write, one heartbeat stream), then every group
-// starts concurrently (their replay phases are independent) and Start
-// returns when all are up. On any failure the whole process is crashed
-// again — a sharded process is either fully up or fully down.
+// Start boots process pid (initialization or recovery). Every group's
+// recorder opens a new session first: replay delivers into it.
 func (c *ShardedCluster) Start(pid ids.ProcessID) error {
-	for g := range c.Recs {
-		c.Recs[g].StartSession(pid)
-	}
-	if c.Faults != nil {
-		c.Faults[pid].Disarm()
-	}
-	epoch, err := node.NextProcEpoch(c.epochStores[pid])
-	if err != nil {
-		return fmt.Errorf("sharded start p%v: %w", pid, err)
-	}
-	sfd, err := node.StartSharedFD(c.ctx, pid, c.Opts.N, epoch, c.Opts.FD, c.Mux.ProcNet())
-	if err != nil {
-		return fmt.Errorf("sharded start p%v: %w", pid, err)
-	}
-	c.fdMu.Lock()
-	c.fds[pid] = sfd
-	c.fdMu.Unlock()
-	errs := make([]error, c.Opts.Groups)
-	var wg sync.WaitGroup
-	for g, n := range c.Nodes[pid] {
-		wg.Add(1)
-		go func(g int, n *node.Node) {
-			defer wg.Done()
-			errs[g] = n.Start(c.ctx)
-		}(g, n)
-	}
-	wg.Wait()
-	for g, err := range errs {
-		if err != nil {
-			c.Crash(pid)
-			return fmt.Errorf("sharded start p%v g%d: %w", pid, g, err)
-		}
-	}
-	return nil
+	c.recs.startSessions(pid, c.Procs[pid].Groups())
+	c.Faults[pid].Disarm()
+	return c.Procs[pid].Start(c.ctx)
 }
 
-// Crash kills process pid: every group's volatile state is lost at once,
-// and the shared failure detector stops with them.
-func (c *ShardedCluster) Crash(pid ids.ProcessID) {
-	for _, n := range c.Nodes[pid] {
-		n.Crash()
-	}
-	c.fdMu.Lock()
-	sfd := c.fds[pid]
-	c.fds[pid] = nil
-	c.fdMu.Unlock()
-	if sfd != nil {
-		sfd.Stop()
-	}
-}
-
-// Recover restarts process pid and returns once every group's replay
-// completes.
-func (c *ShardedCluster) Recover(pid ids.ProcessID) (time.Duration, error) {
-	start := time.Now()
-	err := c.Start(pid)
-	return time.Since(start), err
-}
-
-// Up reports whether every group of process pid is running.
-func (c *ShardedCluster) Up(pid ids.ProcessID) bool {
-	for _, n := range c.Nodes[pid] {
-		if !n.Up() {
-			return false
-		}
-	}
-	return true
-}
-
-// Stop tears the whole cluster down, closing any engines the store hooks
-// opened.
+// Stop tears the whole cluster down, closing any engines NewStore opened.
 func (c *ShardedCluster) Stop() {
-	for p := range c.Nodes {
-		c.Crash(ids.ProcessID(p))
+	for _, s := range c.Procs {
+		if s != nil {
+			s.Crash()
+		}
 	}
 	c.cancel()
-	if c.Net != nil {
-		c.Net.Close()
-	}
-	for _, st := range c.inners {
+	c.Net.Close()
+	for _, st := range c.engines {
 		if cl, ok := st.(storage.Closer); ok {
 			cl.Close()
 		}
@@ -334,20 +187,10 @@ func (c *ShardedCluster) Stop() {
 }
 
 // Broadcast submits a payload on group g at process pid, records it with
-// the group's recorder, and waits until it is ordered (basic A-broadcast
-// semantics).
+// the group's recorder, and waits until it is ordered.
 func (c *ShardedCluster) Broadcast(ctx context.Context, pid ids.ProcessID, g ids.GroupID, payload []byte) (ids.MsgID, error) {
-	p := c.Nodes[pid][g].Proto()
-	if p == nil {
-		return ids.MsgID{}, node.ErrDown
-	}
-	id, err := p.Broadcast(ctx, payload)
-	if id != (ids.MsgID{}) {
-		c.Recs[g].RecordBroadcast(id, payload)
-	}
-	if err == nil {
-		c.Recs[g].MarkReturned(id)
-	}
+	id, err := c.Procs[pid].BroadcastTo(ctx, g, payload)
+	c.recs.submitted(g, id, payload, err == nil)
 	return id, err
 }
 
@@ -357,8 +200,7 @@ func (c *ShardedCluster) AwaitDelivered(ctx context.Context, g ids.GroupID, id i
 	for {
 		all := true
 		for _, pid := range pids {
-			p := c.Nodes[pid][g].Proto()
-			if p == nil || !p.Delivered(id) {
+			if !c.Procs[pid].Delivered(g, id) {
 				all = false
 				break
 			}
@@ -391,27 +233,29 @@ func (c *ShardedCluster) violation(err error) error {
 	return fmt.Errorf("%w\n--- flight recorder ---\n%s", err, c.FlightDump())
 }
 
+// mustDeliver is group g's Termination set: every message delivered
+// anywhere, plus every broadcast that returned.
+func mustDeliver(rec *check.Recorder) []ids.MsgID {
+	return append(rec.DeliveredAnywhere(), rec.ReturnedBroadcasts()...)
+}
+
 // VerifyAll runs every group's safety checks plus Termination for the
 // given good processes (which must be fully up).
 func (c *ShardedCluster) VerifyAll(good ...ids.ProcessID) error {
-	for g, rec := range c.Recs {
-		gid := ids.GroupID(g)
-		if err := rec.Verify(); err != nil {
-			return c.violation(fmt.Errorf("group %v: %w", gid, err))
-		}
-		must := rec.DeliveredAnywhere()
-		must = append(must, rec.ReturnedBroadcasts()...)
+	if err := c.recs.verify(); err != nil {
+		return c.violation(err)
+	}
+	for _, g := range c.recs.groups() {
 		finals := make([]check.Final, 0, len(good))
 		for _, pid := range good {
-			p := c.Nodes[pid][gid].Proto()
-			if p == nil {
-				return fmt.Errorf("group %v: good process p%d is down", gid, pid)
+			if !c.Procs[pid].Up() {
+				return fmt.Errorf("group %v: good process p%d is down", g, pid)
 			}
-			base, suffix := p.Sequence()
+			base, suffix := c.Procs[pid].Sequence(g)
 			finals = append(finals, check.NewFinal(pid, base, suffix))
 		}
-		if err := check.VerifyTermination(must, finals); err != nil {
-			return c.violation(fmt.Errorf("group %v: %w", gid, err))
+		if err := check.VerifyTermination(mustDeliver(c.recs.rec(g)), finals); err != nil {
+			return c.violation(fmt.Errorf("group %v: %w", g, err))
 		}
 	}
 	return nil
@@ -423,29 +267,24 @@ func (c *ShardedCluster) VerifyAll(good ...ids.ProcessID) error {
 func (c *ShardedCluster) AwaitAllDelivered(ctx context.Context, good ...ids.ProcessID) error {
 	for {
 		total := 0
-		for g, rec := range c.Recs {
-			must := rec.DeliveredAnywhere()
-			must = append(must, rec.ReturnedBroadcasts()...)
+		for _, g := range c.recs.groups() {
+			must := mustDeliver(c.recs.rec(g))
 			total += len(must)
 			for _, id := range must {
-				if err := c.AwaitDelivered(ctx, ids.GroupID(g), id, good...); err != nil {
+				if err := c.AwaitDelivered(ctx, g, id, good...); err != nil {
 					return err
 				}
 			}
 		}
 		quiesced := true
-	outer:
-		for _, pid := range good {
-			for _, n := range c.Nodes[pid] {
-				if p := n.Proto(); p == nil || p.UnorderedLen() > 0 {
+		again := 0
+		for _, g := range c.recs.groups() {
+			again += len(mustDeliver(c.recs.rec(g)))
+			for _, pid := range good {
+				if !c.Procs[pid].Up() || c.Procs[pid].UnorderedLen(g) > 0 {
 					quiesced = false
-					break outer
 				}
 			}
-		}
-		again := 0
-		for _, rec := range c.Recs {
-			again += len(rec.DeliveredAnywhere()) + len(rec.ReturnedBroadcasts())
 		}
 		if quiesced && again == total {
 			break
@@ -459,60 +298,19 @@ func (c *ShardedCluster) AwaitAllDelivered(ctx context.Context, good ...ids.Proc
 	return c.VerifyAll(good...)
 }
 
-// Sequences snapshots every group's delivery sequence at process pid
-// (Merge / Subscribe input).
-func (c *ShardedCluster) Sequences(pid ids.ProcessID) ([]group.Sequence, error) {
-	seqs := make([]group.Sequence, 0, c.Opts.Groups)
-	for g, n := range c.Nodes[pid] {
-		p := n.Proto()
-		if p == nil {
-			return nil, fmt.Errorf("p%v g%d is down", pid, g)
-		}
-		r := p.Round() // read before Sequence: under-reports, never over
-		base, suffix := p.Sequence()
-		seqs = append(seqs, group.Sequence{
-			Group:      ids.GroupID(g),
-			Base:       base,
-			Deliveries: suffix,
-			Rounds:     r,
-		})
-	}
-	return seqs, nil
-}
-
-// MergedAt computes process pid's deterministic cross-group merge,
-// covering rounds [from, rounds). ok is false while the process is down.
-func (c *ShardedCluster) MergedAt(pid ids.ProcessID) (merged []core.Delivery, from, rounds uint64, ok bool) {
-	seqs, err := c.Sequences(pid)
-	if err != nil {
-		return nil, 0, 0, false
-	}
-	merged, from, rounds = group.Merge(seqs)
-	return merged, from, rounds, true
-}
-
-// SubscribeMerged subscribes a streaming merge cursor at process pid.
-func (c *ShardedCluster) SubscribeMerged(pid ids.ProcessID) (*group.Cursor, error) {
-	return c.Streams[pid].Subscribe(func() ([]group.Sequence, error) {
-		return c.Sequences(pid)
-	})
-}
-
 // VerifyMergeDeterminism checks that the merged sequences of all listed
 // processes agree on the rounds they all cover. Processes may have folded
 // different prefixes (their checkpoint floors advance independently), so
 // each merge is first trimmed to the highest base among them.
 func (c *ShardedCluster) VerifyMergeDeterminism(pids ...ids.ProcessID) error {
-	merges := make([][]core.Delivery, 0, len(pids))
+	merges := make([][]abcast.Delivery, 0, len(pids))
 	var base uint64
 	for _, pid := range pids {
-		m, from, _, ok := c.MergedAt(pid)
+		m, from, _, ok := c.Procs[pid].Merged()
 		if !ok {
 			return fmt.Errorf("merge at p%v unavailable (process down?)", pid)
 		}
-		if from > base {
-			base = from
-		}
+		base = max(base, from)
 		merges = append(merges, m)
 	}
 	ref := group.TrimBelowRound(merges[0], base)
@@ -528,178 +326,95 @@ func (c *ShardedCluster) VerifyMergeDeterminism(pids ...ids.ProcessID) error {
 // deliveryEqual is the byte-identical comparison the streaming-vs-batch
 // differential uses: identity, position, round, owning group and payload
 // must all agree.
-func deliveryEqual(a, b core.Delivery) bool {
+func deliveryEqual(a, b abcast.Delivery) bool {
 	return a.Group == b.Group && a.Round == b.Round && a.Pos == b.Pos &&
 		a.Msg.ID == b.Msg.ID && bytes.Equal(a.Msg.Payload, b.Msg.Payload)
 }
 
-// sliceRounds cuts a round-ordered delivery sequence down to the rounds
-// in [lo, hi).
-func sliceRounds(m []core.Delivery, lo, hi uint64) []core.Delivery {
-	m = group.TrimBelowRound(m, lo)
-	end := 0
-	for end < len(m) && m[end].Round < hi {
-		end++
-	}
-	return m[:end]
-}
-
 // cursorState is one long-lived streaming subscription plus everything it
-// has streamed so far; the soak threads it through its differential
+// has streamed so far; the soaks thread it through their differential
 // checks.
 type cursorState struct {
-	cur      *group.Cursor
-	streamed []core.Delivery
-	resyncs  int
+	cur      *abcast.MergeCursor
+	streamed []abcast.Delivery
 }
 
 // verifyCursorAgainstBatch drains cs's cursor and compares the whole
 // streamed sequence against the batch merge at pid, polling until both
 // views converge on identical sequences (events trail commits by
-// microseconds) or ctx expires. Any content mismatch fails immediately.
-//
-// A lagged cursor — the process adopted a GC-forced state transfer whose
-// skipped rounds no consumer can reconstruct — is handled the way a real
-// consumer must: the prefix streamed before the lag is verified against
-// the batch merge over the rounds both cover, then the subscription is
-// replaced by a fresh one (which resumes at the merge base) and the check
-// continues. The return value is the agreed sequence length of the final
-// comparison.
+// microseconds, and a group spliced in live boots asynchronously) or ctx
+// expires. Any content mismatch fails immediately, and so does a lagged
+// cursor: only a state transfer skips rounds, and the soaks run without
+// Δ-triggered transfers at the cursor's process and assert that the GC
+// floor forces none. The return value is the agreed sequence length.
 func (c *ShardedCluster) verifyCursorAgainstBatch(ctx context.Context, pid ids.ProcessID, cs *cursorState) (int, error) {
 	for {
 		var err error
 		cs.streamed, err = cs.cur.Next(cs.streamed)
-		if errors.Is(err, group.ErrCursorLagged) {
-			if err := c.verifyLaggedPrefix(pid, cs); err != nil {
-				return 0, err
-			}
-			fresh, err := c.SubscribeMerged(pid)
-			if err != nil {
-				return 0, fmt.Errorf("cursor p%v: resubscribe after lag: %w", pid, err)
-			}
-			cs.cur.Close()
-			cs.cur, cs.streamed = fresh, nil
-			cs.resyncs++
-			continue
-		}
 		if err != nil {
 			return 0, fmt.Errorf("cursor p%v: %w", pid, err)
 		}
-		batch, from, _, ok := c.MergedAt(pid)
-		if !ok {
-			return 0, fmt.Errorf("cursor p%v: batch merge unavailable", pid)
-		}
-		trimmed := group.TrimBelowRound(cs.streamed, from)
-		n := len(trimmed)
-		if len(batch) < n {
-			n = len(batch)
-		}
-		for i := 0; i < n; i++ {
-			if !deliveryEqual(trimmed[i], batch[i]) {
-				return 0, fmt.Errorf("cursor p%v: streaming and batch merge disagree at index %d (past round %d): stream %v/%v@%d batch %v/%v@%d",
-					pid, i, from,
-					trimmed[i].Group, trimmed[i].Msg.ID, trimmed[i].Pos,
-					batch[i].Group, batch[i].Msg.ID, batch[i].Pos)
+		state := "batch merge unavailable"
+		if batch, from, _, ok := c.Procs[pid].Merged(); ok {
+			trimmed := group.TrimBelowRound(cs.streamed, from)
+			for i := 0; i < min(len(trimmed), len(batch)); i++ {
+				if !deliveryEqual(trimmed[i], batch[i]) {
+					return 0, fmt.Errorf("cursor p%v: streaming and batch merge disagree at index %d (past round %d): stream %v/%v@%d batch %v/%v@%d",
+						pid, i, from,
+						trimmed[i].Group, trimmed[i].Msg.ID, trimmed[i].Pos,
+						batch[i].Group, batch[i].Msg.ID, batch[i].Pos)
+				}
 			}
-		}
-		if len(trimmed) == len(batch) {
-			return len(batch), nil
+			if len(trimmed) == len(batch) {
+				return len(batch), nil
+			}
+			state = fmt.Sprintf("streaming (%d) and batch (%d) merges differ in length", len(trimmed), len(batch))
 		}
 		select {
 		case <-ctx.Done():
-			return 0, fmt.Errorf("cursor p%v: streaming (%d) and batch (%d) merges never converged: %w",
-				pid, len(trimmed), len(batch), ctx.Err())
+			return 0, fmt.Errorf("cursor p%v: %s: %w", pid, state, ctx.Err())
 		case <-time.After(time.Millisecond):
 		}
 	}
 }
 
-// verifyLaggedPrefix checks that what a now-lagged cursor streamed before
-// the gap is byte-identical to the batch merge over the rounds both
-// cover.
-func (c *ShardedCluster) verifyLaggedPrefix(pid ids.ProcessID, cs *cursorState) error {
-	batch, from, rounds, ok := c.MergedAt(pid)
-	if !ok {
-		return fmt.Errorf("cursor p%v: batch merge unavailable after lag", pid)
-	}
-	lo, hi := cs.cur.StartRound(), cs.cur.Emitted()
-	if from > lo {
-		lo = from
-	}
-	if rounds < hi {
-		hi = rounds
-	}
-	if hi <= lo {
-		return nil // no overlap to compare
-	}
-	a := sliceRounds(cs.streamed, lo, hi)
-	b := sliceRounds(batch, lo, hi)
-	if len(a) != len(b) {
-		return fmt.Errorf("cursor p%v: lagged prefix covers rounds [%d,%d) with %d deliveries; batch has %d",
-			pid, lo, hi, len(a), len(b))
-	}
-	for i := range a {
-		if !deliveryEqual(a[i], b[i]) {
-			return fmt.Errorf("cursor p%v: lagged prefix disagrees with batch at index %d (rounds [%d,%d))", pid, i, lo, hi)
-		}
-	}
-	return nil
-}
-
-// verifyFoldedMerge is the bounded-state phase of a checkpointing soak:
-// it force-checkpoints every group of every process (folding under the
-// merge floor), asserts the folds actually reclaimed delivered prefix and
-// left no explicit delivery below the merge floor, and re-verifies merge
-// determinism, the long-lived cursors, and a freshly subscribed cursor
-// over the genuinely folded state. Returns the rounds folded at p0
-// (summed over groups).
+// verifyFoldedMerge is the bounded-state phase of a checkpointing soak. It
+// checks folds against the bound production folds use: the cluster floor,
+// the lowest durable frontier the processes gossip, not a process's own
+// merge frontier. Every process samples its merge frontier and then
+// checkpoints past it, so once the gossip has carried the new durable
+// frontiers, every fold reaches the lowest sample. Until the deadline it
+// checkpoints every process again until no group anywhere keeps a round
+// below that floor and every process has folded delivered prefix. Then it
+// re-verifies merge determinism, the long-lived cursors and a freshly
+// subscribed cursor over the folded state. It returns the rounds folded at
+// the first process (summed over groups).
 func (c *ShardedCluster) verifyFoldedMerge(ctx context.Context, all []ids.ProcessID, cursors []*cursorState) (uint64, error) {
-	everyGroupActive := true
-	for _, rec := range c.Recs {
-		if len(rec.DeliveredAnywhere()) == 0 {
-			everyGroupActive = false
+	floor := uint64(math.MaxUint64)
+	for _, pid := range all {
+		floor = min(floor, c.Procs[pid].MergeFrontier())
+		if err := c.Procs[pid].CheckpointNow(); err != nil {
+			return 0, fmt.Errorf("folded merge: checkpoint p%v: %w", pid, err)
 		}
 	}
-	for _, pid := range all {
-		var foldedMsgs uint64
-		// The frontier only moves forward, so whatever a fold below leaves
-		// in a group's explicit suffix must lie at or above this sample.
-		floor := c.Streams[pid].Frontier()
-		for g, n := range c.Nodes[pid] {
-			p := n.Proto()
-			if p == nil {
-				return 0, fmt.Errorf("folded merge: p%v g%d down at verification", pid, g)
-			}
-			if err := p.CheckpointNow(); err != nil {
-				return 0, fmt.Errorf("folded merge: checkpoint p%v g%d: %w", pid, g, err)
-			}
-			base, suffix := p.Sequence()
-			foldedMsgs += base.Pos
-			// Bounded suffix: the fold keeps only the rounds the merge has
-			// not passed yet, however long the history behind them is.
-			if len(suffix) > 0 && suffix[0].Round < floor {
-				return 0, fmt.Errorf("folded merge: p%v g%d retains round %d (%d deliveries) below the merge floor %d",
-					pid, g, suffix[0].Round, len(suffix), floor)
-			}
+	for {
+		err := c.foldedTo(all, floor)
+		if err == nil {
+			break
 		}
-		// Bounded state: the slowest group's floor equals its own round
-		// counter, so with every group active the forced fold must have
-		// absorbed delivered prefix somewhere at this process.
-		if everyGroupActive && foldedMsgs == 0 {
-			return 0, fmt.Errorf("folded merge: p%v folded nothing under the merge floor (frontier %d)",
-				pid, c.Streams[pid].Frontier())
+		select {
+		case <-ctx.Done():
+			return 0, fmt.Errorf("folded merge: %w: %w", err, ctx.Err())
+		case <-time.After(2 * time.Millisecond):
 		}
 	}
 	if err := c.VerifyMergeDeterminism(all...); err != nil {
 		return 0, fmt.Errorf("folded merge: %w", err)
 	}
 	var folded uint64
-	for g, n := range c.Nodes[all[0]] {
-		p := n.Proto()
-		if p == nil {
-			return 0, fmt.Errorf("folded merge: p%v g%d down", all[0], g)
-		}
-		base, _ := p.Sequence()
+	s := c.Procs[all[0]]
+	for g := 0; g < s.Groups(); g++ {
+		base, _ := s.Sequence(ids.GroupID(g))
 		folded += base.Rounds
 	}
 	for _, pid := range all {
@@ -710,7 +425,7 @@ func (c *ShardedCluster) verifyFoldedMerge(ctx context.Context, all []ids.Proces
 		}
 		// ...and a fresh subscription must still reconstruct everything
 		// from the merge base on — the metadata the floor retained.
-		fresh, err := c.SubscribeMerged(pid)
+		fresh, err := c.Procs[pid].MergeCursor()
 		if err != nil {
 			return 0, fmt.Errorf("folded merge: fresh subscribe p%v: %w", pid, err)
 		}
@@ -724,20 +439,194 @@ func (c *ShardedCluster) verifyFoldedMerge(ctx context.Context, all []ids.Proces
 	return folded, nil
 }
 
-// LayerTotals rolls the per-group accounted stats of process pid up by
-// layer name ("cons", "abcast", "node", ...): group namespaces sit below
-// the accounting, so the per-layer attribution stays truthful and summing
-// across groups double-counts nothing (each group's ops are its own; the
-// shared engine's fsyncs are not per-group state and are read from the
-// engine once).
-func (c *ShardedCluster) LayerTotals(pid ids.ProcessID) map[string]storage.LayerStats {
-	out := make(map[string]storage.LayerStats)
-	for _, acct := range c.Stores[pid] {
-		for name, st := range acct.Layers() {
-			cur := out[name]
-			cur.Add(st)
-			out[name] = cur
+// foldedTo checkpoints every process and reports the first group that
+// still keeps a delivery below floor, or a process that folded nothing.
+// The topology is static, so the global floor is every group's local one.
+func (c *ShardedCluster) foldedTo(all []ids.ProcessID, floor uint64) error {
+	for _, pid := range all {
+		s := c.Procs[pid]
+		if err := s.CheckpointNow(); err != nil {
+			return fmt.Errorf("checkpoint p%v: %w", pid, err)
+		}
+		var foldedMsgs uint64
+		for g := 0; g < s.Groups(); g++ {
+			base, suffix := s.Sequence(ids.GroupID(g))
+			foldedMsgs += base.Pos
+			if len(suffix) > 0 && suffix[0].Round < floor {
+				return fmt.Errorf("p%v g%d retains round %d (%d deliveries) below the cluster floor %d",
+					pid, g, suffix[0].Round, len(suffix), floor)
+			}
+		}
+		if foldedMsgs == 0 {
+			return fmt.Errorf("p%v folded nothing below the cluster floor %d", pid, floor)
 		}
 	}
-	return out
+	return nil
+}
+
+// verifyNoGCForced asserts the GC floor's promise: no process ever served a
+// state transfer because a peer had fallen below its collection floor. It
+// reads the process-lifetime counters behind
+// Stats().Total.StateSentGCForced, which itself counts only the live
+// incarnation, and returns their sum over every process and group.
+func (c *ShardedCluster) verifyNoGCForced() (uint64, error) {
+	var n uint64
+	for p, s := range c.Procs {
+		for g := 0; g < s.Groups(); g++ {
+			n += c.Obs[p].Reg().Counter(obs.GroupLabel("abcast.core.state_sent_gc_forced", ids.GroupID(g))).Value()
+		}
+	}
+	if n == 0 {
+		return 0, nil
+	}
+	detail := ""
+	for p, plane := range c.Obs {
+		for _, e := range plane.Flight().Dump() {
+			if e.Kind == obs.EvStateSent && e.Note == "peer below gc floor" {
+				detail += fmt.Sprintf(" [p%d g%v k=%d to=p%d kq=%d]", p, e.Group, e.Round, e.A, e.B)
+			}
+		}
+	}
+	return n, fmt.Errorf("%d GC-forced state transfers:%s", n, detail)
+}
+
+// orphanTag is the lowest sequence number of a re-injected orphan: the
+// front end tags an orphan's sequence number with its retiring group at
+// bit 48 and above, where native counters never reach.
+const orphanTag = 1 << 48
+
+// groupRecorders is a cluster's one set of specification recorders: one
+// check.Recorder per ordering group, keyed by Delivery.Group and minted on
+// first sight (a resharded cluster's group set grows). Validity is strict:
+// a broadcast is recorded when it is submitted, so an identity that is
+// delivered but was never submitted fails Verify. The two kinds of message
+// the front end originates itself — reshard markers and re-injected
+// orphans — are recorded on delivery instead.
+type groupRecorders struct {
+	mu     sync.Mutex
+	n      int
+	recs   map[ids.GroupID]*check.Recorder
+	events map[ids.GroupID][]int // per process: deliver+restore events recorded
+	seen   []map[string]bool     // per process: payloads ever delivered to it
+}
+
+func newGroupRecorders(n int) *groupRecorders {
+	rr := &groupRecorders{
+		n:      n,
+		recs:   make(map[ids.GroupID]*check.Recorder),
+		events: make(map[ids.GroupID][]int),
+		seen:   make([]map[string]bool, n),
+	}
+	for p := range rr.seen {
+		rr.seen[p] = make(map[string]bool)
+	}
+	return rr
+}
+
+// rec returns group g's recorder, minting it on first sight.
+func (rr *groupRecorders) rec(g ids.GroupID) *check.Recorder {
+	rr.mu.Lock()
+	defer rr.mu.Unlock()
+	return rr.recLocked(g)
+}
+
+func (rr *groupRecorders) recLocked(g ids.GroupID) *check.Recorder {
+	r, ok := rr.recs[g]
+	if !ok {
+		r = check.NewRecorder(rr.n)
+		rr.recs[g] = r
+		rr.events[g] = make([]int, rr.n)
+	}
+	return r
+}
+
+// groups returns the groups seen so far, ascending.
+func (rr *groupRecorders) groups() []ids.GroupID {
+	rr.mu.Lock()
+	defer rr.mu.Unlock()
+	gs := make([]ids.GroupID, 0, len(rr.recs))
+	for g := range rr.recs {
+		gs = append(gs, g)
+	}
+	sort.Slice(gs, func(i, j int) bool { return gs[i] < gs[j] })
+	return gs
+}
+
+// submitted records a broadcast on group g (the Validity set) once it has
+// an identity, and marks it owed to every good process if it returned.
+func (rr *groupRecorders) submitted(g ids.GroupID, id ids.MsgID, payload []byte, returned bool) {
+	if id == (ids.MsgID{}) {
+		return
+	}
+	r := rr.rec(g)
+	r.RecordBroadcast(id, payload)
+	if returned {
+		r.MarkReturned(id)
+	}
+}
+
+func (rr *groupRecorders) onDeliver(pid ids.ProcessID) func(abcast.Delivery) {
+	return func(d abcast.Delivery) {
+		rr.mu.Lock()
+		r := rr.recLocked(d.Group)
+		if abcast.IsReshardMarker(d.Msg.Payload) || d.Msg.ID.Seq >= orphanTag {
+			r.RecordBroadcast(d.Msg.ID, d.Msg.Payload)
+		}
+		rr.events[d.Group][pid]++
+		rr.seen[pid][string(d.Msg.Payload)] = true
+		rr.mu.Unlock()
+		r.OnDeliver(pid)(d)
+	}
+}
+
+func (rr *groupRecorders) onRestore(pid ids.ProcessID) func(abcast.GroupID, abcast.Snapshot) {
+	return func(g abcast.GroupID, snap abcast.Snapshot) {
+		rr.mu.Lock()
+		r := rr.recLocked(g)
+		rr.events[g][pid]++
+		rr.mu.Unlock()
+		r.OnRestore(pid)(snap)
+	}
+}
+
+// startSessions opens one incarnation history per hosted group. With the
+// empty-session reuse in check.Recorder this is restart-count-free: idle
+// groups do not accumulate history objects (verify bounds it).
+func (rr *groupRecorders) startSessions(pid ids.ProcessID, groups int) {
+	for g := 0; g < groups; g++ {
+		rr.rec(ids.GroupID(g)).StartSession(pid)
+	}
+}
+
+// verify runs every group's specification check plus the recorder-leak
+// growth bound: sessions partition recorded events, so a recorder may
+// retain at most one session more than the events it recorded for a pid.
+func (rr *groupRecorders) verify() error {
+	rr.mu.Lock()
+	defer rr.mu.Unlock()
+	for g, r := range rr.recs {
+		if err := r.Verify(); err != nil {
+			return fmt.Errorf("group %v: %w", g, err)
+		}
+		for p, e := range rr.events[g] {
+			if s := r.Sessions(ids.ProcessID(p)); s > e+1 {
+				return fmt.Errorf("group %v: recorder leak: p%d retains %d sessions for %d events", g, p, s, e)
+			}
+		}
+	}
+	return nil
+}
+
+// delivered reports whether pid has ever delivered payload (in any group,
+// under any identity — orphan re-injection remaps ids but not bytes).
+func (rr *groupRecorders) delivered(pid ids.ProcessID, payload string) bool {
+	rr.mu.Lock()
+	defer rr.mu.Unlock()
+	return rr.seen[pid][payload]
+}
+
+func (rr *groupRecorders) deliveredCount(pid ids.ProcessID) int {
+	rr.mu.Lock()
+	defer rr.mu.Unlock()
+	return len(rr.seen[pid])
 }

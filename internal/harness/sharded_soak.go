@@ -5,21 +5,20 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/consensus"
-	"repro/internal/core"
-	"repro/internal/group"
+	"repro/abcast"
 	"repro/internal/ids"
 	"repro/internal/storage"
+	"repro/internal/transport"
 )
 
 // ShardedSoakOptions configures one randomized crash-recovery soak over a
-// sharded multi-group cluster: the seeded schedule (shared with RunSoak)
-// crashes and recovers whole processes (every group at once) and arms
-// process-level storage faults below the group namespaces, while
-// closed-loop senders spread the broadcast workload over every group. The
-// final verification is per group — each group must satisfy the full
-// Atomic Broadcast specification — plus the cross-group merge determinism
-// check.
+// cluster of abcast.Sharded processes: the seeded schedule (shared with
+// RunSoak) crashes and recovers whole processes (every group at once),
+// arms process-level storage faults below the group namespaces and
+// isolates processes on the network, while closed-loop senders spread the
+// broadcast workload over every group. The final verification is per
+// group — each group must satisfy the full Atomic Broadcast specification
+// — plus the cross-group merge checks.
 type ShardedSoakOptions struct {
 	// Seed drives the whole schedule. Required; 0 picks the default.
 	Seed uint64
@@ -37,21 +36,17 @@ type ShardedSoakOptions struct {
 	// MaxDown caps how many processes may be down simultaneously
 	// (default N-1).
 	MaxDown int
-	// Core selects the protocol variant under test. Application
+	// Protocol selects the protocol variant under test. Application
 	// checkpointing (CheckpointEvery + Checkpointer) is supported: the
-	// cluster then runs the merged-mode checkpointing discipline (each
-	// group's folds gated by the process-wide merge frontier), and the
-	// final phase force-folds and re-verifies the merge over genuinely
-	// checkpointed prefixes. Δ-triggered state transfer must stay off —
-	// an adoption skips rounds wholesale, which no merge consumer can
-	// reconstruct; RunShardedSoak rejects it.
-	Core core.Config
-	// Consensus extends every group's consensus engine configuration —
-	// notably the lease's TTL (PID/N/Seed filled per node).
-	Consensus consensus.Config
+	// cluster then runs in merged mode (each group's folds gated by the
+	// merge floor), and the final phase force-folds and re-verifies the
+	// merge over genuinely checkpointed prefixes. Δ-triggered state
+	// transfer must stay off — an adoption skips rounds wholesale, which no
+	// merge consumer can reconstruct; RunShardedSoak rejects it.
+	Protocol abcast.ProtocolOptions
 	// Mux tunes the multiplexer's write coalescing (zero = none), so the
 	// soak can exercise the coalesced data plane under crash/recovery.
-	Mux group.MuxOptions
+	Mux abcast.ShardedNetOptions
 	// NewStore, when set, supplies each process's shared engine (all
 	// groups in namespaces of it); default in-memory.
 	NewStore func(ids.ProcessID) storage.Stable
@@ -92,43 +87,45 @@ type ShardedSoakResult struct {
 	Crashes       int
 	Recoveries    int
 	StorageFaults int
+	Isolations    int // processes the schedule cut off from their peers
+	LeasesLost    int // lease-lost events in the flight recorders
 	Broadcasts    int
 	Returned      int // across all groups
 	Delivered     int // distinct messages across all groups' final orders
 	MergedRounds  uint64
 	FoldedRounds  uint64 // rounds folded into base checkpoints (p0, summed over groups)
 	CursorMerged  int    // deliveries streamed by p0's cursor (== batch merge length)
-	CursorResyncs int    // cursor resubscriptions after GC-forced state transfers
-	LeaseRevokes  int    // lease revocations the schedule injected
+	GCForced      uint64 // state transfers forced by a peer's GC floor (must be 0)
 }
 
 func (r ShardedSoakResult) String() string {
-	return fmt.Sprintf("crashes=%d recoveries=%d storage-faults=%d broadcasts=%d returned=%d delivered=%d merged-rounds=%d folded-rounds=%d cursor-merged=%d cursor-resyncs=%d lease-revokes=%d",
-		r.Crashes, r.Recoveries, r.StorageFaults, r.Broadcasts, r.Returned, r.Delivered, r.MergedRounds, r.FoldedRounds, r.CursorMerged, r.CursorResyncs, r.LeaseRevokes)
+	return fmt.Sprintf("crashes=%d recoveries=%d storage-faults=%d isolations=%d leases-lost=%d broadcasts=%d returned=%d delivered=%d merged-rounds=%d folded-rounds=%d cursor-merged=%d gc-forced=%d",
+		r.Crashes, r.Recoveries, r.StorageFaults, r.Isolations, r.LeasesLost, r.Broadcasts, r.Returned, r.Delivered, r.MergedRounds, r.FoldedRounds, r.CursorMerged, r.GCForced)
 }
 
 // shardedTarget adapts a ShardedCluster to the soak engine: crash and
-// recovery act on whole processes, and the workload walks the groups
-// round-robin (offset per sender) so every group sees traffic — merge
-// liveness needs every group to keep deciding rounds.
+// recovery act on whole processes (Crash, then Start on the same
+// abcast.Sharded, so cursors subscribed before the faults keep streaming),
+// and each lane is a group: the workload walks the groups round-robin
+// (offset per sender) so every group sees traffic — merge liveness needs
+// every group to keep deciding rounds.
 type shardedTarget struct{ c *ShardedCluster }
 
-func (t shardedTarget) Crash(pid ids.ProcessID) { t.c.Crash(pid) }
-func (t shardedTarget) Recover(pid ids.ProcessID) (time.Duration, error) {
-	return t.c.Recover(pid)
-}
-func (t shardedTarget) ProcessUp(pid ids.ProcessID) bool        { return t.c.Up(pid) }
+func (t shardedTarget) Crash(pid ids.ProcessID)                 { t.c.Procs[pid].Crash() }
+func (t shardedTarget) Start(pid ids.ProcessID) error           { return t.c.Start(pid) }
+func (t shardedTarget) ProcessUp(pid ids.ProcessID) bool        { return t.c.Procs[pid].Up() }
 func (t shardedTarget) Fault(pid ids.ProcessID) *storage.Faulty { return t.c.Faults[pid] }
-func (t shardedTarget) RevokeLease(pid ids.ProcessID) {
-	for _, n := range t.c.Nodes[pid] {
-		if e := n.Engine(); e != nil {
-			e.RevokeLease()
+func (t shardedTarget) Net() *transport.Mem                     { return t.c.Net }
+func (t shardedTarget) Leader() (ids.ProcessID, bool) {
+	for _, s := range t.c.Procs {
+		if d := s.FD(); d != nil {
+			return d.Leader(), true
 		}
 	}
+	return 0, false
 }
-func (t shardedTarget) Broadcast(ctx context.Context, pid ids.ProcessID, msgIndex int, payload []byte) (ids.MsgID, error) {
-	g := ids.GroupID((msgIndex + int(pid)) % t.c.Opts.Groups)
-	return t.c.Broadcast(ctx, pid, g, payload)
+func (t shardedTarget) Broadcast(ctx context.Context, pid ids.ProcessID, lane int, payload []byte) (ids.MsgID, error) {
+	return t.c.Broadcast(ctx, pid, ids.GroupID(lane%t.c.Opts.Groups), payload)
 }
 
 // RunShardedSoak executes one randomized sharded crash-recovery soak and
@@ -138,38 +135,39 @@ func (t shardedTarget) Broadcast(ctx context.Context, pid ids.ProcessID, msgInde
 // Beyond the per-group specification checks, the final phase verifies the
 // streaming merge against the batch merge: a cursor subscribed at every
 // process before the faults begin must, after the drain, have streamed a
-// sequence byte-identical to what batch Merge reconstructs — across every
-// crash, recovery and (in the checkpointing variant) merge-floor-gated
-// fold the schedule produced. With a Checkpointer configured the run then
-// force-folds every group under the merge floor, asserts the folds
-// actually reclaimed delivered prefix (bounded state), and re-verifies
-// merge determinism plus a freshly subscribed cursor over the folded
-// state.
+// sequence byte-identical to what batch Merged reconstructs — across every
+// crash, recovery and (in the checkpointing variant) merge-floor-gated fold
+// the schedule produced. No process may have served a GC-forced state
+// transfer: the cluster floor holds every fold behind the slowest
+// recoverer. With a Checkpointer configured the run then force-folds every
+// group down to the cluster floor, asserts the folds reclaimed delivered
+// prefix (bounded state), and re-verifies merge determinism plus a freshly
+// subscribed cursor over the folded state.
 func RunShardedSoak(opts ShardedSoakOptions) (ShardedSoakResult, error) {
 	opts.fill()
 	var res ShardedSoakResult
-	if opts.Core.Delta > 0 {
+	if opts.Protocol.Delta > 0 {
 		return res, fmt.Errorf("sharded soak: Δ state transfer skips rounds wholesale, which no merge consumer can reconstruct — run that variant through RunSoak")
 	}
-	if opts.Core.CheckpointEvery > 0 && opts.Core.Checkpointer == nil {
+	if opts.Protocol.CheckpointEvery > 0 && opts.Protocol.Checkpointer == nil {
 		return res, fmt.Errorf("sharded soak: CheckpointEvery without a Checkpointer never folds; configure one (the variant under test is merged-mode application checkpointing)")
 	}
 
-	shOpts := ShardedOptions{
-		N:                   opts.N,
-		Groups:              opts.Groups,
-		Seed:                opts.Seed,
-		Net:                 DefaultLossyNet(opts.Seed),
-		Consensus:           opts.Consensus,
-		Core:                opts.Core,
-		Mux:                 opts.Mux,
-		InjectFaultyStorage: true,
-		NewStore:            opts.NewStore,
+	c, err := NewShardedCluster(ShardedOptions{
+		N:        opts.N,
+		Groups:   opts.Groups,
+		Seed:     opts.Seed,
+		Net:      DefaultLossyNet(opts.Seed),
+		Protocol: opts.Protocol,
+		Mux:      opts.Mux,
+		NewStore: opts.NewStore,
 		// The soak consumes merged sequences, so checkpointing runs the
-		// merged-mode discipline: folds gated by the merge frontier.
-		MergedDelivery: opts.Core.Checkpointer != nil,
+		// merged-mode discipline: folds gated by the merge floor.
+		MergedDelivery: opts.Protocol.Checkpointer != nil,
+	})
+	if err != nil {
+		return res, fmt.Errorf("sharded soak seed=%d: %w", opts.Seed, err)
 	}
-	c := NewShardedCluster(shOpts)
 	defer c.Stop()
 	if err := c.StartAll(); err != nil {
 		return res, fmt.Errorf("sharded soak seed=%d: start: %w", opts.Seed, err)
@@ -177,12 +175,9 @@ func RunShardedSoak(opts ShardedSoakOptions) (ShardedSoakResult, error) {
 
 	// One streaming cursor per process, subscribed before any fault: its
 	// output is the differential oracle's counterpart for the whole run.
-	// A GC-forced state transfer during the schedule lags a cursor; the
-	// verification then checks its pre-lag prefix and resubscribes, the
-	// protocol real merged-mode consumers follow.
 	cursors := make([]*cursorState, opts.N)
 	for p := 0; p < opts.N; p++ {
-		cur, err := c.SubscribeMerged(ids.ProcessID(p))
+		cur, err := c.Procs[p].MergeCursor()
 		if err != nil {
 			return res, fmt.Errorf("sharded soak seed=%d: subscribe p%d: %w", opts.Seed, p, err)
 		}
@@ -196,21 +191,23 @@ func RunShardedSoak(opts ShardedSoakOptions) (ShardedSoakResult, error) {
 		msgs:         opts.Msgs,
 		payload:      opts.Payload,
 		maxDown:      opts.MaxDown,
+		isolation:    isolationFDTimeouts * c.Opts.FD.Timeout,
 		drainTimeout: opts.DrainTimeout,
+		planes:       c.Obs,
 	}, shardedTarget{c})
 	res = ShardedSoakResult{
 		Crashes:       counts.crashes,
 		Recoveries:    counts.recoveries,
 		StorageFaults: counts.storageFaults,
+		Isolations:    counts.isolations,
 		Broadcasts:    counts.broadcasts,
-		LeaseRevokes:  counts.leaseRevokes,
 	}
 	if err != nil {
 		return res, fmt.Errorf("sharded soak seed=%d: %w", opts.Seed, err)
 	}
 	defer cancel()
-	for _, rec := range c.Recs {
-		res.Returned += len(rec.ReturnedBroadcasts())
+	for _, g := range c.recs.groups() {
+		res.Returned += len(c.recs.rec(g).ReturnedBroadcasts())
 	}
 
 	var all []ids.ProcessID
@@ -220,18 +217,23 @@ func RunShardedSoak(opts ShardedSoakOptions) (ShardedSoakResult, error) {
 	if err := c.AwaitAllDelivered(drainCtx, all...); err != nil {
 		return res, fmt.Errorf("sharded soak seed=%d: drain: %w", opts.Seed, err)
 	}
-	for _, rec := range c.Recs {
-		res.Delivered += len(rec.DeliveredAnywhere())
+	for _, g := range c.recs.groups() {
+		res.Delivered += len(c.recs.rec(g).DeliveredAnywhere())
+	}
+	res.LeasesLost = leasesLost(c.Obs)
+	// Checked before the cursors: a GC-forced transfer would lag them.
+	if res.GCForced, err = c.verifyNoGCForced(); err != nil {
+		return res, fmt.Errorf("sharded soak seed=%d: %w", opts.Seed, err)
 	}
 	if err := c.VerifyMergeDeterminism(all...); err != nil {
 		return res, fmt.Errorf("sharded soak seed=%d: %w", opts.Seed, err)
 	}
-	if _, _, rounds, ok := c.MergedAt(0); ok {
+	if _, _, rounds, ok := c.Procs[0].Merged(); ok {
 		res.MergedRounds = rounds
 	}
 
 	// Streaming-vs-batch differential: every process's cursor must have
-	// streamed exactly the interleave batch Merge reconstructs.
+	// streamed exactly the interleave batch Merged reconstructs.
 	for p := 0; p < opts.N; p++ {
 		n, err := c.verifyCursorAgainstBatch(drainCtx, ids.ProcessID(p), cursors[p])
 		if err != nil {
@@ -240,10 +242,9 @@ func RunShardedSoak(opts ShardedSoakOptions) (ShardedSoakResult, error) {
 		if p == 0 {
 			res.CursorMerged = n
 		}
-		res.CursorResyncs += cursors[p].resyncs
 	}
 
-	if opts.Core.Checkpointer != nil {
+	if opts.Protocol.Checkpointer != nil {
 		folded, err := c.verifyFoldedMerge(drainCtx, all, cursors)
 		if err != nil {
 			return res, fmt.Errorf("sharded soak seed=%d: %w", opts.Seed, err)
@@ -263,33 +264,26 @@ func RunShardedSoak(opts ShardedSoakOptions) (ShardedSoakResult, error) {
 // awaitSharedFDConvergence asserts the shared-FD recovery contract after
 // every process came back up: each process's one detector must re-trust
 // every peer at that peer's CURRENT process-level epoch — a crashed and
-// recovered process advertises a higher epoch and all groups' facades see
-// the re-trust at once (they read the same detector). Heartbeats are
-// periodic, so the check polls until the views converge.
+// recovered process advertises a higher epoch. Heartbeats are periodic, so
+// the check polls until the views converge.
 func awaitSharedFDConvergence(ctx context.Context, c *ShardedCluster, all []ids.ProcessID) error {
 	for {
 		converged := true
 		var detail string
 		for _, p := range all {
-			fdP := c.FD(p)
+			fdP := c.Procs[p].FD()
 			if fdP == nil {
 				return fmt.Errorf("shared fd: p%v has no detector while up", p)
 			}
 			for _, q := range all {
-				fdQ := c.FD(q)
+				fdQ := c.Procs[q].FD()
 				if fdQ == nil {
 					return fmt.Errorf("shared fd: p%v has no detector while up", q)
 				}
-				want := fdQ.Detector().SelfEpoch()
-				// Every group's facade reads the shared state; check one
-				// per group to pin the facade path itself.
-				for g := 0; g < c.Opts.Groups; g++ {
-					v := fdP.View(ids.GroupID(g))
-					if v.Epoch(q) != want || v.Suspects(q) {
-						converged = false
-						detail = fmt.Sprintf("p%v g%d sees p%v at epoch %d (want %d), suspected=%v",
-							p, g, q, v.Epoch(q), want, v.Suspects(q))
-					}
+				if want := fdQ.SelfEpoch(); fdP.Epoch(q) != want || fdP.Suspects(q) {
+					converged = false
+					detail = fmt.Sprintf("p%v sees p%v at epoch %d (want %d), suspected=%v",
+						p, q, fdP.Epoch(q), want, fdP.Suspects(q))
 				}
 			}
 		}

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
+	"repro/abcast"
 	"repro/internal/ids"
 )
 
@@ -15,12 +15,15 @@ import (
 // recorders verify the full specification, and the merged sequences agree.
 func TestShardedClusterOrdersPerGroup(t *testing.T) {
 	const groups = 3
-	c := NewShardedCluster(ShardedOptions{
-		N:      3,
-		Groups: groups,
-		Seed:   17,
-		Core:   core.Config{PipelineDepth: 2, MaxBatchDelay: 100 * time.Microsecond},
+	c, err := NewShardedCluster(ShardedOptions{
+		N:        3,
+		Groups:   groups,
+		Seed:     17,
+		Protocol: abcast.ProtocolOptions{PipelineDepth: 2, MaxBatchDelay: 100 * time.Microsecond},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer c.Stop()
 	if err := c.StartAll(); err != nil {
 		t.Fatal(err)
@@ -41,7 +44,7 @@ func TestShardedClusterOrdersPerGroup(t *testing.T) {
 	if err := c.VerifyMergeDeterminism(0, 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	merged, from, rounds, ok := c.MergedAt(0)
+	merged, from, rounds, ok := c.Procs[0].Merged()
 	if !ok || rounds == 0 || from != 0 {
 		t.Fatalf("merge unavailable: from=%d rounds=%d ok=%v", from, rounds, ok)
 	}
@@ -62,27 +65,20 @@ func TestShardedClusterOrdersPerGroup(t *testing.T) {
 			t.Fatalf("merge invented deliveries: %d > 30", len(merged))
 		}
 	}
-
-	// Layer rollup: consensus ops exist in every group, and the rolled-up
-	// map uses true layer names (namespaces stay below the accounting).
-	layers := c.LayerTotals(0)
-	if layers["cons"].LogOps() == 0 {
-		t.Fatalf("no consensus log ops in rollup: %+v", layers)
-	}
-	if _, bad := layers["g0"]; bad {
-		t.Fatalf("group namespace leaked into layer accounting: %+v", layers)
-	}
 }
 
 // TestShardedClusterProcessCrashRecovery crashes a whole process and
 // recovers it: every group replays to the common order.
 func TestShardedClusterProcessCrashRecovery(t *testing.T) {
 	const groups = 2
-	c := NewShardedCluster(ShardedOptions{
+	c, err := NewShardedCluster(ShardedOptions{
 		N:      3,
 		Groups: groups,
 		Seed:   23,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer c.Stop()
 	if err := c.StartAll(); err != nil {
 		t.Fatal(err)
@@ -95,8 +91,8 @@ func TestShardedClusterProcessCrashRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.Crash(1)
-	if c.Up(1) {
+	c.Procs[1].Crash()
+	if c.Procs[1].Up() {
 		t.Fatal("crashed process reports up")
 	}
 	for i := 0; i < 10; i++ {
@@ -104,7 +100,7 @@ func TestShardedClusterProcessCrashRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.Recover(1); err != nil {
+	if err := c.Start(1); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
 	if err := c.AwaitAllDelivered(ctx, 0, 1, 2); err != nil {

@@ -10,22 +10,23 @@ import (
 	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/ids"
+	"repro/internal/obs"
 	"repro/internal/storage"
+	"repro/internal/transport"
 )
 
 // SoakOptions configures one randomized crash-recovery soak run. A soak
 // interleaves a broadcast workload with a seeded random schedule of
-// crashes, recoveries, injected storage faults, sequencer lease
-// revocations and fsync latency over a lossy network, then recovers
-// everyone, drains, and verifies the full Atomic Broadcast specification
-// (total order, no loss of returned broadcasts, no duplication) via the
-// recorder.
+// crashes, recoveries, injected storage faults, process isolations and
+// fsync latency over a lossy network, then recovers everyone, drains, and
+// verifies the full Atomic Broadcast specification (total order, no loss
+// of returned broadcasts, no duplication) via the recorder.
 //
 // Every run is a pure function of Seed (plus the scheduler's goroutine
 // interleavings): re-running a failing seed reproduces the same fault
-// schedule. Lease revocations and fsync latency joined every schedule
-// after some seeds were recorded, so a seed noted before then walks a
-// different schedule now. See RunSoak.
+// schedule. Isolations and fsync latency joined every schedule after some
+// seeds were recorded, so a seed noted before then walks a different
+// schedule now. See RunSoak.
 type SoakOptions struct {
 	// Seed drives the whole schedule (also the network's loss/dup/delay
 	// pattern). Required; 0 picks the harness default.
@@ -92,12 +93,13 @@ type SoakResult struct {
 	Broadcasts    int // broadcast attempts that produced a message id
 	Returned      int // broadcasts whose A-broadcast returned (must deliver)
 	Delivered     int // distinct messages in the final total order
-	LeaseRevokes  int // lease revocations the schedule injected
+	Isolations    int // processes the schedule cut off from their peers
+	LeasesLost    int // lease-lost events in the flight recorders
 }
 
 func (r SoakResult) String() string {
-	return fmt.Sprintf("crashes=%d recoveries=%d storage-faults=%d broadcasts=%d returned=%d delivered=%d lease-revokes=%d",
-		r.Crashes, r.Recoveries, r.StorageFaults, r.Broadcasts, r.Returned, r.Delivered, r.LeaseRevokes)
+	return fmt.Sprintf("crashes=%d recoveries=%d storage-faults=%d broadcasts=%d returned=%d delivered=%d isolations=%d leases-lost=%d",
+		r.Crashes, r.Recoveries, r.StorageFaults, r.Broadcasts, r.Returned, r.Delivered, r.Isolations, r.LeasesLost)
 }
 
 // soakState tracks per-process lifecycle so the schedule never starts two
@@ -144,19 +146,53 @@ func (s *soakState) downCount() int {
 // soakTarget abstracts the cluster under soak — a single-group Cluster or
 // a ShardedCluster — behind the whole-process operations the schedule
 // acts on. Crash must be idempotent (crashing a down or half-down process
-// finishes the job); Broadcast receives the workload's message index so a
-// sharded target can spread messages over its groups.
+// finishes the job); Broadcast receives a lane, which a sharded target maps
+// onto one of its groups (lane 0 is group 0, the only group of a Cluster).
 type soakTarget interface {
 	Crash(pid ids.ProcessID)
-	Recover(pid ids.ProcessID) (time.Duration, error)
+	Start(pid ids.ProcessID) error
 	ProcessUp(pid ids.ProcessID) bool
 	Fault(pid ids.ProcessID) *storage.Faulty
-	Broadcast(ctx context.Context, pid ids.ProcessID, msgIndex int, payload []byte) (ids.MsgID, error)
-	// RevokeLease drops the process's held sequencer lease(s), modelling
-	// an injected suspicion that forces the fast path back onto full
-	// consensus mid-stream. A no-op when the process is down or holds no
-	// lease.
-	RevokeLease(pid ids.ProcessID)
+	Broadcast(ctx context.Context, pid ids.ProcessID, lane int, payload []byte) (ids.MsgID, error)
+	// Net is the simulated network the schedule isolates processes on.
+	Net() *transport.Mem
+	// Leader returns the Ω leader as the first up process's failure
+	// detector sees it; false when no process is up.
+	Leader() (ids.ProcessID, bool)
+}
+
+// isolationFDTimeouts is how long an isolation lasts, in FD timeouts: long
+// enough for the peers to suspect the isolated process and a new leader to
+// run a higher ballot.
+const isolationFDTimeouts = 3
+
+// holdsLease reports whether plane's flight recorder shows its process
+// holding group 0's lease: its last lease acquisition there came after its
+// last lease loss and incarnation start.
+func holdsLease(plane *obs.Plane) bool {
+	held := false
+	for _, e := range plane.Flight().Dump() {
+		if e.Group != 0 {
+			continue
+		}
+		switch e.Kind {
+		case obs.EvLeaseAcquire:
+			held = true
+		case obs.EvLeaseLost, obs.EvNodeStart:
+			held = false
+		}
+	}
+	return held
+}
+
+// leaseHolder returns an up process that holds group 0's lease.
+func leaseHolder(t soakTarget, planes []*obs.Plane) (ids.ProcessID, bool) {
+	for p, plane := range planes {
+		if pid := ids.ProcessID(p); holdsLease(plane) && t.ProcessUp(pid) {
+			return pid, true
+		}
+	}
+	return 0, false
 }
 
 // soakSchedule holds the shape parameters shared by every soak flavor.
@@ -167,7 +203,9 @@ type soakSchedule struct {
 	msgs         int
 	payload      int
 	maxDown      int
+	isolation    time.Duration // how long an isolated process stays cut off
 	drainTimeout time.Duration
+	planes       []*obs.Plane // the processes' planes, read for lease holders
 }
 
 // soakCounts is what the schedule engine observed.
@@ -176,16 +214,17 @@ type soakCounts struct {
 	recoveries    int
 	storageFaults int
 	broadcasts    int // attempts that produced a message id
-	leaseRevokes  int // injected lease revocations
+	isolations    int
 }
 
 // runSoakSchedule is the soak engine shared by RunSoak and
 // RunShardedSoak: it drives the closed-loop broadcast workload and the
 // seeded random walk of crashes, async recoveries, armed storage faults,
-// lease revocations and fsync latency against the target, then winds down — stopping the workload,
-// waiting out in-flight recoveries and fault trips, and recovering every
-// process (retrying within drainTimeout). The caller drains and verifies
-// afterwards; the drain context is returned so it covers both phases.
+// process isolations and fsync latency against the target, then winds
+// down — stopping the workload, waiting out in-flight recoveries and fault
+// trips, and recovering every process (retrying within drainTimeout). The
+// caller drains and verifies afterwards; the drain context is returned so
+// it covers both phases.
 func runSoakSchedule(sch soakSchedule, t soakTarget) (soakCounts, context.Context, context.CancelFunc, error) {
 	var res soakCounts
 	rng := rand.New(rand.NewPCG(sch.seed, sch.seed^0x50a4_50a4_50a4_50a4))
@@ -209,6 +248,16 @@ func runSoakSchedule(sch soakSchedule, t soakTarget) (soakCounts, context.Contex
 		resMu sync.Mutex
 		sent  int
 	)
+	// broadcast submits one message and counts it once it has an id.
+	broadcast := func(ctx context.Context, pid ids.ProcessID, lane int, payload []byte) error {
+		id, err := t.Broadcast(ctx, pid, lane, payload)
+		if id != (ids.MsgID{}) {
+			resMu.Lock()
+			sent++
+			resMu.Unlock()
+		}
+		return err
+	}
 	perSender := sch.msgs / sch.n
 	for p := 0; p < sch.n; p++ {
 		wg.Add(1)
@@ -224,13 +273,8 @@ func runSoakSchedule(sch soakSchedule, t soakTarget) (soakCounts, context.Contex
 					payload[b] = byte(wrng.Uint64())
 				}
 				callCtx, cancel := context.WithTimeout(wctx, 250*time.Millisecond)
-				id, err := t.Broadcast(callCtx, pid, i, payload)
+				err := broadcast(callCtx, pid, i+int(pid), payload)
 				cancel()
-				resMu.Lock()
-				if id != (ids.MsgID{}) {
-					sent++
-				}
-				resMu.Unlock()
 				if err != nil {
 					// Down, stopped, or timed out: pause briefly so a
 					// dead process doesn't spin.
@@ -244,20 +288,54 @@ func runSoakSchedule(sch soakSchedule, t soakTarget) (soakCounts, context.Contex
 		}(ids.ProcessID(p), sch.seed)
 	}
 
+	// isolate cuts pid off from every peer for sch.isolation, then heals
+	// the network. Meanwhile a broadcast at pid makes it run a round: a
+	// group 0 lease it holds finds no quorum and is dropped, while the
+	// peers suspect pid and take over at a higher ballot, as in
+	// production. A holder stays cut off until its round has timed out and
+	// the lease is gone (the phase timeout may exceed sch.isolation), for
+	// at most a second. One isolation at a time, healed before the
+	// schedule moves on.
+	probe := make([]byte, sch.payload)
+	isolate := func(pid ids.ProcessID) {
+		var peers []ids.ProcessID
+		for p := 0; p < sch.n; p++ {
+			if ids.ProcessID(p) != pid {
+				peers = append(peers, ids.ProcessID(p))
+			}
+		}
+		t.Net().Partition([]ids.ProcessID{pid}, peers)
+		ctx, cancel := context.WithTimeout(context.Background(), sch.isolation)
+		_ = broadcast(ctx, pid, 0, probe)
+		<-ctx.Done()
+		cancel()
+		for end := time.Now().Add(time.Second); holdsLease(sch.planes[pid]) && t.ProcessUp(pid) && time.Now().Before(end); {
+			time.Sleep(time.Millisecond)
+		}
+		t.Net().Heal()
+		res.isolations++
+	}
+	// From mid-run on, steps isolate group 0's lease holder until one
+	// isolation has cost a holder its lease, so on every seed a lease
+	// changes hands (the random isolations below may meet no holder, and
+	// an isolated holder may crash first).
+	holderIsolated := false
+	isolateHolder := func() bool {
+		pid, ok := leaseHolder(t, sch.planes)
+		if ok {
+			isolate(pid)
+		}
+		return ok && !holdsLease(sch.planes[pid])
+	}
+
 	// Fault schedule: the seeded random walk. tripWG tracks the async
 	// crash launched by every tripped storage fault, so the wind-down can
 	// wait for them deterministically instead of racing the scheduler.
 	var recWG, tripWG sync.WaitGroup
 	for step := 0; step < sch.steps; step++ {
 		time.Sleep(time.Duration(1+rng.IntN(12)) * time.Millisecond)
-		if step == sch.steps/2 {
-			// Deterministic mid-run suspicion burst: revoke every held
-			// lease so the fast path is contested on every seed (the
-			// random disturbances below may miss short schedules).
-			for p := 0; p < sch.n; p++ {
-				t.RevokeLease(ids.ProcessID(p))
-			}
-			res.leaseRevokes += sch.n
+		if step >= sch.steps/2 && !holderIsolated {
+			holderIsolated = isolateHolder()
 		}
 		switch rng.IntN(10) {
 		case 0, 1, 2: // crash a fully-up process (respecting maxDown)
@@ -310,7 +388,7 @@ func runSoakSchedule(sch soakSchedule, t soakTarget) (soakCounts, context.Contex
 			recWG.Add(1)
 			go func(pid ids.ProcessID) {
 				defer recWG.Done()
-				_, err := t.Recover(pid)
+				err := t.Start(pid)
 				st.mu.Lock()
 				st.recovering[pid] = false
 				st.up[pid] = err == nil
@@ -350,13 +428,10 @@ func runSoakSchedule(sch soakSchedule, t soakTarget) (soakCounts, context.Contex
 			}
 			switch rng.IntN(3) {
 			case 0:
-				// Injected suspicion: drop the held lease mid-stream, so
-				// the next round falls back to full consensus.
-				t.RevokeLease(pid)
-				res.leaseRevokes++
+				isolate(pid)
 			case 1:
 				// Slow disk: widen the propose→fsync window, keeping
-				// rounds in flight across the crashes and revocations.
+				// rounds in flight across the crashes and isolations.
 				t.Fault(pid).SetLatency(time.Duration(1+rng.IntN(2)) * time.Millisecond)
 			default:
 				t.Fault(pid).SetLatency(0)
@@ -394,7 +469,7 @@ func runSoakSchedule(sch soakSchedule, t soakTarget) (soakCounts, context.Contex
 			defer finalWG.Done()
 			for !t.ProcessUp(pid) && drainCtx.Err() == nil {
 				t.Crash(pid) // tear down a half-started incarnation, retry
-				if _, err := t.Recover(pid); err != nil {
+				if err := t.Start(pid); err != nil {
 					time.Sleep(5 * time.Millisecond)
 					continue
 				}
@@ -411,6 +486,19 @@ func runSoakSchedule(sch soakSchedule, t soakTarget) (soakCounts, context.Contex
 			return res, nil, nil, fmt.Errorf("final recovery of p%d did not complete within DrainTimeout", p)
 		}
 	}
+	// No holder met the schedule (each had just crashed): with everyone
+	// up, drive rounds through the Ω leader until it acquires a lease, then
+	// isolate it.
+	for !holderIsolated && drainCtx.Err() == nil {
+		if leader, ok := t.Leader(); ok {
+			ctx, cancel := context.WithTimeout(drainCtx, sch.isolation)
+			_ = broadcast(ctx, leader, 0, probe)
+			cancel()
+		}
+		for wait := time.Now().Add(sch.isolation); !holderIsolated && time.Now().Before(wait); time.Sleep(time.Millisecond) {
+			holderIsolated = isolateHolder()
+		}
+	}
 	resMu.Lock()
 	res.broadcasts = sent
 	resMu.Unlock()
@@ -420,16 +508,18 @@ func runSoakSchedule(sch soakSchedule, t soakTarget) (soakCounts, context.Contex
 // clusterTarget adapts the single-group Cluster to the soak engine.
 type clusterTarget struct{ c *Cluster }
 
-func (t clusterTarget) Crash(pid ids.ProcessID) { t.c.Crash(pid) }
-func (t clusterTarget) Recover(pid ids.ProcessID) (time.Duration, error) {
-	return t.c.Recover(pid)
-}
+func (t clusterTarget) Crash(pid ids.ProcessID)                 { t.c.Crash(pid) }
+func (t clusterTarget) Start(pid ids.ProcessID) error           { return t.c.Start(pid) }
 func (t clusterTarget) ProcessUp(pid ids.ProcessID) bool        { return t.c.Nodes[pid].Up() }
 func (t clusterTarget) Fault(pid ids.ProcessID) *storage.Faulty { return t.c.Faults[pid] }
-func (t clusterTarget) RevokeLease(pid ids.ProcessID) {
-	if e := t.c.Nodes[pid].Engine(); e != nil {
-		e.RevokeLease()
+func (t clusterTarget) Net() *transport.Mem                     { return t.c.Net }
+func (t clusterTarget) Leader() (ids.ProcessID, bool) {
+	for _, n := range t.c.Nodes {
+		if d := n.Detector(); d != nil {
+			return d.Leader(), true
+		}
 	}
+	return 0, false
 }
 func (t clusterTarget) Broadcast(ctx context.Context, pid ids.ProcessID, _ int, payload []byte) (ids.MsgID, error) {
 	return t.c.Broadcast(ctx, pid, payload)
@@ -463,14 +553,16 @@ func RunSoak(opts SoakOptions) (SoakResult, error) {
 		msgs:         opts.Msgs,
 		payload:      opts.Payload,
 		maxDown:      opts.MaxDown,
+		isolation:    isolationFDTimeouts * c.Opts.FD.Timeout,
 		drainTimeout: opts.DrainTimeout,
+		planes:       c.Obs,
 	}, clusterTarget{c})
 	res = SoakResult{
 		Crashes:       counts.crashes,
 		Recoveries:    counts.recoveries,
 		StorageFaults: counts.storageFaults,
 		Broadcasts:    counts.broadcasts,
-		LeaseRevokes:  counts.leaseRevokes,
+		Isolations:    counts.isolations,
 	}
 	if err != nil {
 		return res, fmt.Errorf("soak seed=%d: %w", opts.Seed, err)
@@ -486,8 +578,23 @@ func RunSoak(opts SoakOptions) (SoakResult, error) {
 		return res, fmt.Errorf("soak seed=%d: drain: %w", opts.Seed, err)
 	}
 	res.Delivered = len(c.Rec.DeliveredAnywhere())
+	res.LeasesLost = leasesLost(c.Obs)
 	if err := verifyObsInvariants(c.Obs); err != nil {
 		return res, fmt.Errorf("soak seed=%d: %w", opts.Seed, err)
 	}
 	return res, nil
+}
+
+// leasesLost counts the lease-lost events in the planes' flight recorders:
+// the evidence that an isolation cost a holder its lease.
+func leasesLost(planes []*obs.Plane) int {
+	n := 0
+	for _, p := range planes {
+		for _, e := range p.Flight().Dump() {
+			if e.Kind == obs.EvLeaseLost {
+				n++
+			}
+		}
+	}
+	return n
 }

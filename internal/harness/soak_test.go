@@ -6,9 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/abcast"
 	"repro/internal/consensus"
 	"repro/internal/core"
-	"repro/internal/group"
 	"repro/internal/ids"
 	"repro/internal/msg"
 	"repro/internal/storage"
@@ -41,11 +41,13 @@ func soakVariants() map[string]core.Config {
 // TestSoakSeeds runs the randomized crash-recovery soak for a fixed set of
 // seeds on the wall clock, over the real consensus engine and transport:
 // each seed generates a random schedule of crashes, async recoveries,
-// injected storage faults, sequencer lease revocations and fsync latency
-// under a lossy network while a closed-loop workload broadcasts, then
-// everything recovers, drains, and the recorder verifies Validity,
-// Integrity, Total Order and Termination. The pipelined variant runs a
-// short lease TTL, so leases also expire mid-stream.
+// injected storage faults, process isolations and fsync latency under a
+// lossy network while a closed-loop workload broadcasts, then everything
+// recovers, drains, and the recorder verifies Validity, Integrity, Total
+// Order and Termination. Every run must isolate a process and show a lease
+// lost in the flight recorders: suspicion really moved the lease. The
+// pipelined variant runs a short lease TTL, so leases also expire
+// mid-stream.
 //
 // Reproducing a failure: the schedule is a pure function of the seed, but
 // goroutine interleavings are not, so re-run the failing subtest by name,
@@ -78,11 +80,21 @@ func TestSoakSeeds(t *testing.T) {
 				if res.Crashes+res.StorageFaults == 0 {
 					t.Fatalf("schedule exercised no faults (seed too tame?): %v", res)
 				}
-				if res.LeaseRevokes == 0 {
-					t.Fatalf("schedule injected no lease revocations: %v", res)
-				}
+				requireLeaseLost(t, res.Isolations, res.LeasesLost)
 			})
 		}
+	}
+}
+
+// requireLeaseLost fails a soak that isolated no process, or whose
+// isolations cost no lease holder its lease.
+func requireLeaseLost(t *testing.T, isolations, leasesLost int) {
+	t.Helper()
+	if isolations == 0 {
+		t.Fatal("schedule isolated no process")
+	}
+	if leasesLost == 0 {
+		t.Fatalf("%d isolations, but no lease-lost event in any flight recorder", isolations)
 	}
 }
 
@@ -122,6 +134,7 @@ func TestSoakSeedsWAL(t *testing.T) {
 			if res.Crashes+res.StorageFaults == 0 {
 				t.Fatalf("schedule exercised no faults (seed too tame?): %v", res)
 			}
+			requireLeaseLost(t, res.Isolations, res.LeasesLost)
 		})
 	}
 }
@@ -150,31 +163,33 @@ func (soakCheckpointer) Checkpoint(prev []byte, delivered []msg.Message) []byte 
 func (soakCheckpointer) Restore([]byte) {}
 
 // TestSoakSeedsSharded extends the soak matrix to sharded multi-group
-// clusters over a shared WAL: whole-process crashes, async recoveries and
-// process-level storage faults (below the group namespaces, so one fault
-// kills every group's write path at once) under a lossy network, while the
-// workload spreads broadcasts over every group. Verification is per group
-// — each group's total order must satisfy the full specification — plus
-// cross-group merge determinism, the streaming-vs-batch merge
-// differential (a cursor subscribed before the faults must stream exactly
-// what batch Merge reconstructs), and shared-FD re-trust at recovered
-// epochs (RunShardedSoak's awaitSharedFDConvergence).
+// clusters of abcast.Sharded processes over a shared WAL: whole-process
+// crashes, async recoveries and process-level storage faults (below the
+// group namespaces, so one fault kills every group's write path at once)
+// under a lossy network, while the workload spreads broadcasts over every
+// group. Verification is per group — each group's total order must
+// satisfy the full specification — plus cross-group merge determinism,
+// the streaming-vs-batch merge differential (a cursor subscribed before
+// the faults must stream exactly what batch Merged reconstructs), shared-FD
+// re-trust at recovered epochs (RunShardedSoak's
+// awaitSharedFDConvergence), and zero GC-forced state transfers: the
+// front end's cluster GC floor holds every fold behind the slowest
+// recoverer, so no cursor has to resubscribe.
 //
-// The cluster runs the full shared-substrate stack under test: shared
-// process-level failure detector (the harness default), digest
-// anti-entropy gossip, and the write-coalescing mux. Like every soak, the
-// schedule revokes leases and injects fsync latency; the plain variant
-// also runs a short lease TTL, so leases expire mid-stream. The ckpt variant
-// additionally runs merged-mode application checkpointing (folds gated by
-// the merge floor) with WAL segment compaction underneath, and the soak's
-// final phase force-folds every group and re-verifies the merge over the
-// checkpointed prefixes.
+// The processes run the shipped shared-substrate stack: the process-level
+// failure detector, digest anti-entropy gossip, the cluster floor gossip
+// and the write-coalescing mux. Like every soak, the schedule isolates
+// processes and injects fsync latency. The ckpt variant additionally runs
+// merged-mode application checkpointing (folds gated by the merge floor)
+// with WAL segment compaction underneath, and the soak's final phase
+// folds every group down to the cluster floor and re-verifies the merge
+// over the checkpointed prefixes.
 //
 // Reproduce a failing seed like the other soaks:
 //
 //	go test ./internal/harness -run 'TestSoakSeedsSharded/seed=11' -v -count=1
 func TestSoakSeedsSharded(t *testing.T) {
-	base := core.Config{
+	base := abcast.ProtocolOptions{
 		PipelineDepth:    4,
 		BatchedBroadcast: true,
 		IncrementalLog:   true,
@@ -184,16 +199,12 @@ func TestSoakSeedsSharded(t *testing.T) {
 	ckpt := base
 	ckpt.CheckpointEvery = 6
 	ckpt.Checkpointer = soakCheckpointer{}
-	variants := map[string]core.Config{
+	variants := map[string]abcast.ProtocolOptions{
 		"sharded-wal":      base,
 		"sharded-wal-ckpt": ckpt,
 	}
 	for _, seed := range []uint64{11, 47} {
 		for name, cfg := range variants {
-			var cons consensus.Config
-			if name == "sharded-wal" {
-				cons.LeaseTTL = 50 * time.Millisecond
-			}
 			t.Run(fmt.Sprintf("seed=%d/%s", seed, name), func(t *testing.T) {
 				t.Parallel()
 				dir := t.TempDir()
@@ -206,12 +217,11 @@ func TestSoakSeedsSharded(t *testing.T) {
 					walOpts.CompactMinBytes = 4 << 10
 				}
 				res, err := RunShardedSoak(ShardedSoakOptions{
-					Seed:      seed,
-					N:         3,
-					Groups:    3,
-					Core:      cfg,
-					Consensus: cons,
-					Mux:       group.MuxOptions{FlushDelay: 200 * time.Microsecond},
+					Seed:     seed,
+					N:        3,
+					Groups:   3,
+					Protocol: cfg,
+					Mux:      abcast.ShardedNetOptions{FlushDelay: 200 * time.Microsecond},
 					NewStore: func(pid ids.ProcessID) storage.Stable {
 						w, werr := storage.OpenWAL(
 							filepath.Join(dir, fmt.Sprintf("p%d", pid)), walOpts)
@@ -228,9 +238,7 @@ func TestSoakSeedsSharded(t *testing.T) {
 				if res.Crashes+res.StorageFaults == 0 {
 					t.Fatalf("schedule exercised no faults (seed too tame?): %v", res)
 				}
-				if res.LeaseRevokes == 0 {
-					t.Fatalf("schedule injected no lease revocations: %v", res)
-				}
+				requireLeaseLost(t, res.Isolations, res.LeasesLost)
 				if cfg.Checkpointer != nil && res.FoldedRounds == 0 {
 					t.Fatalf("checkpointing variant folded nothing: %v", res)
 				}

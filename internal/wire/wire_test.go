@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -161,4 +162,103 @@ func TestPutWriterPoisonsTheBuffer(t *testing.T) {
 			}
 		}
 	}
+}
+
+// readOp applies read number op%7 to r and returns what it read, boxed.
+func readOp(r *Reader, op byte) any {
+	switch op % 7 {
+	case 0:
+		return r.U8()
+	case 1:
+		return r.Bool()
+	case 2:
+		return r.U64()
+	case 3:
+		return r.I64()
+	case 4:
+		return r.Bytes32()
+	case 5:
+		return r.BytesCopy()
+	default:
+		return r.String()
+	}
+}
+
+// writeOp writes v, a value readOp(_, op) returned, so that the same read
+// decodes it again.
+func writeOp(w *Writer, op byte, v any) {
+	switch op % 7 {
+	case 0:
+		w.U8(v.(uint8))
+	case 1:
+		w.Bool(v.(bool))
+	case 2:
+		w.U64(v.(uint64))
+	case 3:
+		w.I64(v.(int64))
+	case 4, 5:
+		w.Bytes32(v.([]byte))
+	default:
+		w.String(v.(string))
+	}
+}
+
+// FuzzReader runs an arbitrary sequence of reads (one per byte of ops)
+// over arbitrary bytes. No read may panic or reach past the end: the
+// remaining count never grows or goes negative, and a decoded byte string
+// is a capacity-capped window of the input. Once Err is set it stays the
+// same error, and every later read returns a zero value and consumes
+// nothing. The values read before any error, written back by a Writer,
+// read back equal under the same sequence of reads. testdata/fuzz holds an
+// encoding of every kind, a truncated string and a hostile length.
+func FuzzReader(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data, ops []byte) {
+		r := NewReader(data)
+		var vals []any
+		var firstErr error
+		for _, op := range ops {
+			before := r.Remaining()
+			v := readOp(r, op)
+			after := r.Remaining()
+			if after < 0 || after > before {
+				t.Fatalf("op %d: remaining %d -> %d", op%7, before, after)
+			}
+			if b, ok := v.([]byte); ok && op%7 == 4 && cap(b) != len(b) {
+				t.Fatalf("Bytes32 returned len %d cap %d: the caller could append over the input", len(b), cap(b))
+			}
+			if firstErr != nil {
+				if r.Err() != firstErr || after != before || !reflect.ValueOf(v).IsZero() {
+					t.Fatalf("op %d after %v: err %v, remaining %d -> %d, value %v", op%7, firstErr, r.Err(), before, after, v)
+				}
+				continue
+			}
+			if firstErr = r.Err(); firstErr == nil {
+				vals = append(vals, v)
+			}
+		}
+
+		w := NewWriter(0)
+		for i, v := range vals {
+			writeOp(w, ops[i], v)
+		}
+		back := NewReader(w.Bytes())
+		for i, v := range vals {
+			got := readOp(back, ops[i])
+			if !reflect.DeepEqual(normalize(got), normalize(v)) {
+				t.Fatalf("read %d (op %d): wrote %v, read back %v", i, ops[i]%7, v, got)
+			}
+		}
+		if err := back.Done(); err != nil {
+			t.Fatalf("round trip: %v", err)
+		}
+	})
+}
+
+// normalize maps an empty byte string to nil: Bytes32 of a zero length
+// aliases the input and is non-nil, BytesCopy of one is nil.
+func normalize(v any) any {
+	if b, ok := v.([]byte); ok && len(b) == 0 {
+		return []byte(nil)
+	}
+	return v
 }
