@@ -1323,9 +1323,9 @@ func (s *Sharded) RetireGroup(ctx context.Context, g GroupID) error {
 	s.flight().Event(obs.EvReshardDrain, g, sp.Final+1, int64(orphans), drainNS, "")
 
 	// Archive the sealed namespace into the anchor's store: on a shared
-	// WAL engine this rides the compactor's live-state rewrite (the
-	// export enumerates exactly the live index) and lands as ordinary
-	// writes the next commit group fsyncs.
+	// WAL engine the export enumerates exactly the live index, reads each
+	// value back from its record, and lands as ordinary writes the next
+	// commit group fsyncs.
 	anchor, ok := topo.Anchor()
 	if !ok {
 		return fmt.Errorf("abcast: no active group to archive %v into", g)

@@ -28,7 +28,8 @@ step_race() {
 	go test -race -p 1 ./internal/core/... ./internal/consensus/... ./internal/fd/... \
 		./internal/transport/... ./internal/storage/... ./internal/group/... \
 		./internal/node/... ./internal/obs/... ./internal/harness/... ./abcast/... \
-		./internal/wire/... ./internal/msg/... ./internal/router/...
+		./internal/wire/... ./internal/msg/... ./internal/router/... \
+		./internal/quorum/... ./internal/rsm/... ./internal/check/...
 }
 
 # bench/ is a module of its own, so the steps above never compile it.

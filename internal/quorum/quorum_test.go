@@ -50,6 +50,25 @@ func build(n int, seed uint64) *fixture {
 	return f
 }
 
+// awaitApplied waits until every replica in pids has applied key at
+// version or later. The harness judges delivery by Delivered, which turns
+// true slightly before OnDeliver hands the write to the replica.
+func (f *fixture) awaitApplied(ctx context.Context, t *testing.T, key string, version uint64, pids ...ids.ProcessID) {
+	t.Helper()
+	for _, pid := range pids {
+		for {
+			if v, ok := f.replica(pid).Local(key); ok && v.Version >= version {
+				break
+			}
+			select {
+			case <-ctx.Done():
+				t.Fatalf("p%d never applied %s at version %d", pid, key, version)
+			case <-time.After(200 * time.Microsecond):
+			}
+		}
+	}
+}
+
 func TestQuorumReadSeesLatestWrite(t *testing.T) {
 	f := build(3, 81)
 	defer f.c.Stop()
@@ -68,6 +87,7 @@ func TestQuorumReadSeesLatestWrite(t *testing.T) {
 	if err := f.c.AwaitAllDelivered(ctx, 0, 1, 2); err != nil {
 		t.Fatal(err)
 	}
+	f.awaitApplied(ctx, t, "x", 2, 0, 1, 2)
 	// Read quorum of 2 from each replica: everyone sees v2.
 	for p := 0; p < 3; p++ {
 		got, err := f.replica(ids.ProcessID(p)).Read(ctx, "x", 2)
@@ -95,6 +115,7 @@ func TestQuorumReadOutvotesStaleReplica(t *testing.T) {
 	if err := f.c.AwaitAllDelivered(ctx, 0, 1, 2); err != nil {
 		t.Fatal(err)
 	}
+	f.awaitApplied(ctx, t, "k", 1, 0, 1, 2)
 	// p2 crashes; a new write lands while it is down.
 	f.c.Crash(2)
 	if _, err := f.c.Broadcast(ctx, 0, quorum.EncodeWrite("k", "new")); err != nil {
@@ -103,6 +124,7 @@ func TestQuorumReadOutvotesStaleReplica(t *testing.T) {
 	if err := f.c.AwaitAllDelivered(ctx, 0, 1); err != nil {
 		t.Fatal(err)
 	}
+	f.awaitApplied(ctx, t, "k", 2, 0, 1)
 	if _, err := f.c.Recover(2); err != nil {
 		t.Fatal(err)
 	}
@@ -134,6 +156,7 @@ func TestQuorumLocalVsQuorumRead(t *testing.T) {
 	if err := f.c.AwaitAllDelivered(ctx, 0, 1, 2); err != nil {
 		t.Fatal(err)
 	}
+	f.awaitApplied(ctx, t, "seq", 5, 1)
 	local, ok := f.replica(1).Local("seq")
 	if !ok || local.Value != "v4" {
 		t.Fatalf("local read: %+v %v", local, ok)

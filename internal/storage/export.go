@@ -3,11 +3,12 @@ package storage
 // Namespace snapshot export/import for live resharding: when a retired
 // group's sealed history is archived into its successor's namespace, the
 // whole source namespace (cells and logs alike) is rewritten key-for-key
-// into the destination. Run against a WAL engine this rides the compactor's
-// live-state representation — the export enumerates exactly the live index
-// (dead records were already dropped by compaction), and the import lands as
-// ordinary writes that the next commit group fsyncs and the next compaction
-// cycle folds.
+// into the destination. There is no blob format: the export is the Stable
+// interface itself. Run against a WAL engine, List enumerates exactly the
+// live index, Get and Records read each value back from where its record
+// is, and the import lands as ordinary writes that the next commit group
+// fsyncs; the source's records die when PurgeNamespace deletes them, and
+// compaction reclaims them.
 
 // ExportNamespace copies every key of src (cells via Put, logs via Append,
 // preserving record order) into dst, returning the number of keys and

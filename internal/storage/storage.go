@@ -8,8 +8,10 @@
 // by the simulation harness (the harness holds it outside the process
 // incarnation, so it survives crashes exactly as stable storage must);
 // and WAL, the one durable engine, a group-commit write-ahead log (one
-// segmented append-only file, an in-memory index, torn-tail recovery) that
-// coalesces all concurrent writes into one fsync.
+// segmented append-only file, an in-memory index of where each live record
+// is, torn-tail recovery) that coalesces all concurrent writes into one
+// fsync. The WAL holds no copy of a durable value: reads, which the
+// protocol makes only when it recovers, go to the disk.
 //
 // # Durability policy
 //
@@ -59,22 +61,28 @@
 //     an explicit Compact call). Compact() forces one cycle
 //     synchronously; DiskBytes, LiveBytes and CompactCount expose the
 //     footprint.
-//   - Mechanism: the committer drains the write queue, snapshots the
-//     index at exactly that stream position, rolls to a fresh segment,
-//     and rewrites the snapshot into it — every cell as a put record,
-//     every append-log as ONE atomic log-snapshot record (a torn or
-//     missing snapshot frame leaves the pre-compaction log intact; a
-//     delete-then-re-append encoding could lose acknowledged entries to
-//     a partial replay). Writes enqueued during the cycle simply land
-//     after the rewrite in the stream.
-//   - Crash safety: old segments are unlinked only after the rewrite's
-//     fsync, oldest first. A crash before the unlinks replays the old
-//     stream plus an arbitrary (possibly torn) prefix of the rewrite —
-//     idempotent over the state it describes; a crash mid-unlink leaves
-//     a contiguous suffix of old segments, so no delete record is ever
+//   - Mechanism: one incremental pass per cycle. The committer drains the
+//     write queue and opens the pass at exactly that stream position,
+//     then streams the oldest segment (the victim) and rescues the state
+//     of every still-live key its records touch into the tail — a cell
+//     as a put record, an append-log as ONE atomic log-snapshot record (a
+//     torn or missing snapshot frame leaves the pre-compaction log
+//     intact; a delete-then-re-append encoding could lose acknowledged
+//     entries to a partial replay). Values are copied from the victim's
+//     stream or read by location; nothing is snapshotted in memory. A
+//     write enqueued during the pass lands after the rescue in the
+//     stream; the first one to replace or delete a key's state keeps that
+//     state for the pass, so the rescue writes the index as it stood at
+//     the drain.
+//   - Crash safety: the victim is unlinked only after the rescue's fsync,
+//     and the index is repointed at the rescue's copies before that. A
+//     crash before the unlink replays the old stream plus an arbitrary
+//     (possibly torn) prefix of the rescue — idempotent over the state
+//     it describes; the victim is always the oldest segment, so the
+//     survivors stay a contiguous suffix and no delete record is ever
 //     separated from the earlier record it masks. Replay therefore
 //     recovers the exact index at every crash point (the compaction
-//     crash tests cut the rewrite at arbitrary byte offsets).
+//     crash tests cut the rescue at arbitrary byte offsets).
 //
 // The checkpoint floor bounds what compaction can reclaim: records stay
 // live until the protocol's checkpoint deletes them, so a deployment

@@ -1,8 +1,8 @@
 package storage
 
 import (
-	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -19,8 +19,8 @@ import (
 
 // WAL is the group-commit write-ahead-log engine: a single segmented
 // append-only file per store (not per key), CRC-framed records, an
-// in-memory index of cells and logs, and a committer that coalesces all
-// concurrent Put/Append calls into one write + one fsync.
+// in-memory index of where each live record is, and a committer that
+// coalesces all concurrent Put/Append calls into one write + one fsync.
 //
 // # Durability policy
 //
@@ -35,45 +35,55 @@ import (
 // AppendAsync return a Completion that resolves at the same point,
 // letting a caller issue many writes and pay one fsync for the lot.
 //
-// Reads (Get/Records/List) are served from the in-memory index and
-// therefore see issued-but-not-yet-durable writes of this same WAL
-// instance (read-your-writes). After a crash, reopening replays only the
-// durable prefix: a torn tail (partial group at the moment of the crash)
-// is detected by the CRC framing and truncated, exactly the recovery
-// discipline of §5.5 — which is safe because no operation covering those
-// records ever completed, so no process acted on them.
+// # Index
+//
+// The index maps each live cell to the location of its latest record and
+// each log to the locations of its entries — never to a copy of the
+// bytes. An issued write frames its record straight into the pending
+// group buffer, the one in-memory copy of its value, and the committer
+// writes that buffer as it is. Reads (Get/Records) follow the location:
+// into the pending or in-flight group buffer while the record is not yet
+// written, otherwise a pread from its segment. They therefore see
+// issued-but-not-yet-durable writes of this same WAL instance
+// (read-your-writes) without ever waiting for an fsync. Resident memory is
+// O(live keys); the values live on disk. After a crash, reopening replays
+// only the durable prefix: a torn tail (partial group at the moment of the
+// crash) is detected by the CRC framing and truncated, exactly the
+// recovery discipline of §5.5 — which is safe because no operation
+// covering those records ever completed, so no process acted on them.
 //
 // # Compaction
 //
 // Deleted and overwritten records stay on disk until segment compaction
 // reclaims them. Compaction is incremental — one segment per pass: with
 // CompactFactor > 0 (or an explicit Compact call) the committer picks
-// the oldest segment, rescues the current state of every still-live key
-// it touches into the tail (cells as fresh put records, logs as one
-// atomic log-snapshot record each), fsyncs, and unlinks just that
-// segment. A pass therefore costs one segment plus the live state it
-// shadows, never a whole-log rewrite; the background trigger keeps
-// firing a pass per commit group until the dead-space ratio is back
-// under CompactFactor. The rescue rides the same group-commit pipeline
-// position as the records it replaces: the queue is drained first, the
-// snapshot is taken at exactly that stream position, and the victim is
-// unlinked only after the rescue's fsync — so a crash at any point
-// replays to the same index (see the package doc's "Log lifecycle"
-// section for the crash argument).
+// the oldest segment, streams it, rescues the current state of every
+// still-live key it touches into the tail (cells as fresh put records,
+// logs as one atomic log-snapshot record each; a value the victim holds is
+// copied from the stream, any other is read by location), fsyncs,
+// repoints the index and unlinks just that segment. A pass
+// therefore costs one segment plus the live state it shadows, never a
+// whole-log rewrite; the background trigger keeps firing a pass per
+// commit group until the dead-space ratio is back under CompactFactor.
+// The rescue sits at the stream position of the group drained with it:
+// it writes the index as it stood there, writes issued later land after
+// it, and the victim is unlinked only after the rescue's fsync — so a
+// crash at any point replays to the same index (see the package doc's
+// "Log lifecycle" section for the crash argument).
 //
 // # Failure model
 //
 // A write or fsync error poisons the engine: the failed group and every
-// later operation resolve with the error. This mirrors a dying
-// incarnation — the caller must crash and recover from the durable
+// later operation, reads included, resolve with the error. This mirrors a
+// dying incarnation — the caller must crash and recover from the durable
 // prefix.
 type WAL struct {
 	dir  string
 	opts WALOptions
 
 	mu         sync.Mutex
-	cells      map[string][]byte
-	logs       map[string][][]byte
+	cells      map[string]loc
+	logs       map[string][]loc
 	queue      []*walOp
 	oldest     time.Time // arrival of queue[0]
 	urgent     bool      // a barrier (or Close) demands an immediate flush
@@ -82,18 +92,38 @@ type WAL struct {
 	liveBytes  int64         // approximate record bytes of the live index
 	compactReq []*Completion // explicit Compact callers awaiting a cycle
 
+	// pend is the pending group: every queued record framed in place, its
+	// CRC left for the committer. flight is the group the committer is
+	// writing. A record still in one of them is located by the group's
+	// generation (loc.seg = -gen).
+	pend      []byte
+	pendGen   int
+	flight    []byte
+	flightGen int
+	// files holds one read handle per segment, opened on first use and
+	// closed when the segment is unlinked or the WAL closes.
+	files map[int]*os.File
+	// pass is the drained index a compaction pass rescues; nil between
+	// passes.
+	pass *passState
+
 	// compactHook, when set (tests only, under mu), is called from the
 	// committer at named stages of a compaction cycle to freeze crash
-	// points.
+	// points, and at "write" while a drained group is in flight.
 	compactHook func(stage string)
 
-	// Committer-owned (no lock needed: single goroutine). groupBuf is the
-	// buffer every write is framed in — a commit group, a chunk of rescue
-	// records — reused from one write to the next.
-	seg      *os.File
-	segSeq   int
-	segSize  int64
-	groupBuf []byte
+	// Committer-owned (no lock needed: single goroutine). segs lists the
+	// segments on disk, oldest first. groupBuf is the spare group buffer
+	// (the next pending group), rescueBuf the one compaction frames its
+	// rescue records in, and scanBuf the one segments stream through; each
+	// is reused from one use to the next.
+	seg       *os.File
+	segSeq    int
+	segSize   int64
+	segs      []int
+	groupBuf  []byte
+	rescueBuf []byte
+	scanBuf   []byte
 
 	kick    chan struct{} // wakes the committer (capacity 1)
 	closeCh chan struct{}
@@ -172,20 +202,37 @@ var (
 	_ Closer      = (*WAL)(nil)
 )
 
-// walOp is one queued mutation and its completion. val is the index's own
-// copy of the value — immutable once installed, so the committer frames the
-// record straight from it and the value is allocated once on its way to
-// disk. A barrier has op 0.
+// loc is where a value's bytes are: n bytes at offset off of segment seg
+// (segments number from 1), or, while the record is not yet written, at
+// offset off of the group buffer of generation -seg.
+type loc struct {
+	seg int
+	off int64
+	n   int
+}
+
+// walOp is one queued mutation and its completion; its record sits in the
+// group buffer, in queue order. A barrier has op 0.
 type walOp struct {
 	op  byte
 	key string
-	val []byte
 	c   *Completion
 	err error
 }
 
-// maxGroupBuf caps the framing buffer the committer keeps between writes;
-// one huge group must not pin its buffer for good.
+// passState is the index as it stood at a compaction pass's drain point,
+// kept copy-on-write: a write issued after the drain that overwrites or
+// deletes a drained cell, or deletes a drained log, saves the drained
+// state here first. Appends save nothing — they only add entries past the
+// drained ones.
+type passState struct {
+	gen   int              // generation of the group drained with the pass
+	cells map[string]loc   // drained cells since overwritten or deleted
+	logs  map[string][]loc // drained logs since deleted
+}
+
+// maxGroupBuf caps the buffers the WAL keeps between uses; one huge group
+// or record must not pin its buffer for good.
 const maxGroupBuf = 4 << 20
 
 // Record ops.
@@ -204,11 +251,12 @@ const (
 // The on-disk format is one frame per record, [len u32][crc u32][record],
 // the record being [op][keylen u32][key][value] and the CRC covering it.
 // beginRec/endRec are its only encoder: they frame in place, onto a buffer
-// the caller reuses, so no record is assembled anywhere else first.
+// the caller reuses, so no record is assembled anywhere else first, and
+// sealFrames adds the CRCs when the buffer is written.
 
-// beginRec appends a frame header (patched by endRec) and the record header
-// for (op, key); the caller appends the value, then calls endRec with the
-// returned start offset.
+// beginRec appends a frame header (patched by endRec and sealFrames) and
+// the record header for (op, key); the caller appends the value, then
+// calls endRec with the returned start offset.
 func beginRec(buf []byte, op byte, key string) ([]byte, int) {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0, op)
@@ -216,79 +264,68 @@ func beginRec(buf []byte, op byte, key string) ([]byte, int) {
 	return append(buf, key...), start
 }
 
-// endRec completes the frame begun at start: length and CRC of everything
-// appended after the frame header.
+// endRec writes the length of the frame begun at start: everything
+// appended after its header.
 func endRec(buf []byte, start int) []byte {
-	rec := buf[start+8:]
-	binary.LittleEndian.PutUint32(buf[start:], uint32(len(rec)))
-	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(rec))
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start-8))
 	return buf
 }
 
-// appendRec frames one (op, key, val) record onto buf.
-func appendRec(buf []byte, op byte, key string, val []byte) []byte {
-	buf, start := beginRec(buf, op, key)
-	return endRec(append(buf, val...), start)
-}
-
-// unframe extracts one framed payload, returning it, the remaining bytes and
-// whether the frame was intact. The payload aliases b: a caller whose result
-// must not pin b (one record of a whole segment) copies it out.
-func unframe(b []byte) (payload, rest []byte, ok bool) {
-	if len(b) < 8 {
-		return nil, nil, false
+// sealFrames computes the CRC of every frame in buf and returns the number
+// of frames. The committer runs it on each buffer it writes, so an issued
+// write costs its memcpy alone under w.mu.
+func sealFrames(buf []byte) (frames int) {
+	for ; len(buf) > 0; frames++ {
+		n := binary.LittleEndian.Uint32(buf)
+		binary.LittleEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(buf[8:8+n]))
+		buf = buf[8+n:]
 	}
-	n := binary.LittleEndian.Uint32(b[0:4])
-	crc := binary.LittleEndian.Uint32(b[4:8])
-	if uint32(len(b)-8) < n {
-		return nil, nil, false
-	}
-	payload = b[8 : 8+n : 8+n]
-	if crc32.ChecksumIEEE(payload) != crc {
-		return nil, nil, false
-	}
-	return payload, b[8+n:], true
+	return frames
 }
 
 // appendLogSnapRec frames a walLogSnap record onto buf. Its value packs
-// the log's entries: [count u32] then per entry [len u32][bytes].
-func appendLogSnapRec(buf []byte, key string, entries [][]byte) []byte {
+// the log's entries: [count u32] then per entry [len u32][bytes], read
+// writing each entry's bytes into the space made for them.
+func appendLogSnapRec(buf []byte, key string, entries []loc, read func(dst []byte, e loc) error) ([]byte, error) {
 	buf, start := beginRec(buf, walLogSnap, key)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(entries)))
 	for _, e := range entries {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e)))
-		buf = append(buf, e...)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.n))
+		at := len(buf)
+		buf = append(buf, make([]byte, e.n)...)
+		if err := read(buf[at:], e); err != nil {
+			return buf[:start], err
+		}
 	}
-	return endRec(buf, start)
+	return endRec(buf, start), nil
 }
 
-// decodeLogSnap unpacks a walLogSnap value; nil, false on malformed input.
-// Every entry takes at least its 4-byte length, so a count past len(b)/4
-// is malformed before it sizes anything: a bad record must not ask replay
-// for gigabytes.
-func decodeLogSnap(b []byte) ([][]byte, bool) {
+// decodeLogSnap unpacks a walLogSnap value into the locations of its
+// entries, as offsets into b; nil, false on malformed input. Every entry
+// takes at least its 4-byte length, so a count past len(b)/4 is malformed
+// before it sizes anything: a bad record must not ask replay for
+// gigabytes.
+func decodeLogSnap(b []byte) ([]loc, bool) {
 	if len(b) < 4 {
 		return nil, false
 	}
 	count := binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	if int64(count) > int64(len(b)/4) {
+	if int64(count) > int64(len(b)/4-1) {
 		return nil, false
 	}
-	entries := make([][]byte, 0, count)
+	entries := make([]loc, 0, count)
+	off := 4
 	for i := uint32(0); i < count; i++ {
-		if len(b) < 4 {
+		if len(b)-off < 4 {
 			return nil, false
 		}
-		l := binary.LittleEndian.Uint32(b)
-		b = b[4:]
-		if uint32(len(b)) < l {
+		l := binary.LittleEndian.Uint32(b[off:])
+		off += 4
+		if uint32(len(b)-off) < l {
 			return nil, false
 		}
-		cp := make([]byte, l)
-		copy(cp, b[:l])
-		entries = append(entries, cp)
-		b = b[l:]
+		entries = append(entries, loc{off: int64(off), n: int(l)})
+		off += int(l)
 	}
 	return entries, true
 }
@@ -307,6 +344,94 @@ func decodeWALRec(b []byte) (op byte, key, val []byte, ok bool) {
 
 func segName(seq int) string { return fmt.Sprintf("wal-%08d.log", seq) }
 
+// errTorn marks a frame cut short or failing its CRC.
+var errTorn = errors.New("storage: wal torn frame")
+
+// segScanner streams one segment's frames through a buffer reused from
+// segment to segment; a record larger than the buffer grows it to fit.
+type segScanner struct {
+	f      *os.File
+	size   int64 // the segment's length
+	buf    []byte
+	base   int64 // file offset of buf[0]
+	lo, hi int   // buf[lo:hi] is read but not yet scanned
+}
+
+// scanner starts streaming f (size bytes) through the WAL's scan buffer;
+// release hands the buffer back.
+func (w *WAL) scanner(f *os.File, size int64) *segScanner {
+	buf := w.scanBuf
+	if want := int(min(size, 256<<10)); len(buf) < want {
+		buf = make([]byte, want)
+	}
+	return &segScanner{f: f, size: size, buf: buf}
+}
+
+func (w *WAL) release(s *segScanner) {
+	w.scanBuf = nil
+	if len(s.buf) <= maxGroupBuf {
+		w.scanBuf = s.buf
+	}
+}
+
+// next returns the next frame's record, aliasing the buffer until the
+// following call, and the file offset of the frame; io.EOF at the end of
+// the segment, errTorn at a frame that is cut short or fails its CRC.
+func (s *segScanner) next() (rec []byte, at int64, err error) {
+	at = s.base + int64(s.lo)
+	if at == s.size {
+		return nil, at, io.EOF
+	}
+	if err := s.fill(8); err != nil {
+		return nil, at, err
+	}
+	n := int64(binary.LittleEndian.Uint32(s.buf[s.lo:]))
+	if n > s.size-at-8 {
+		return nil, at, errTorn // the length runs past the end of the segment
+	}
+	if err := s.fill(8 + int(n)); err != nil {
+		return nil, at, err
+	}
+	frame := s.buf[s.lo : s.lo+8+int(n)]
+	rec = frame[8:len(frame):len(frame)]
+	if crc32.ChecksumIEEE(rec) != binary.LittleEndian.Uint32(frame[4:]) {
+		return nil, at, errTorn
+	}
+	s.lo += len(frame)
+	return rec, at, nil
+}
+
+// fill makes buf[lo:hi] hold at least need bytes.
+func (s *segScanner) fill(need int) error {
+	if s.hi-s.lo >= need {
+		return nil
+	}
+	if need > len(s.buf) {
+		grown := make([]byte, max(need, 2*len(s.buf)))
+		s.hi = copy(grown, s.buf[s.lo:s.hi])
+		s.buf = grown
+	} else {
+		s.hi = copy(s.buf, s.buf[s.lo:s.hi])
+	}
+	s.base += int64(s.lo)
+	s.lo = 0
+	for s.hi < need {
+		want := min(int64(len(s.buf)-s.hi), s.size-s.base-int64(s.hi))
+		if want <= 0 {
+			return errTorn
+		}
+		n, err := s.f.ReadAt(s.buf[s.hi:s.hi+int(want)], s.base+int64(s.hi))
+		s.hi += n
+		if err != nil && int64(n) < want {
+			if err == io.EOF {
+				return errTorn
+			}
+			return fmt.Errorf("storage: wal read: %w", err)
+		}
+	}
+	return nil
+}
+
 // OpenWAL opens (creating if needed) a WAL store rooted at dir and replays
 // the durable record stream into the in-memory index. A torn frame in the
 // last segment truncates the segment there (anything at or past the first
@@ -322,8 +447,10 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
 	w := &WAL{
 		dir:        dir,
 		opts:       opts,
-		cells:      make(map[string][]byte),
-		logs:       make(map[string][][]byte),
+		cells:      make(map[string]loc),
+		logs:       make(map[string][]loc),
+		pendGen:    1,
+		files:      make(map[int]*os.File),
 		kick:       make(chan struct{}, 1),
 		closeCh:    make(chan struct{}),
 		notify:     make(chan []*walOp, 128),
@@ -331,6 +458,7 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
 		displDone:  make(chan struct{}),
 	}
 	if err := w.replay(); err != nil {
+		w.closeFiles()
 		return nil, err
 	}
 	go w.commitLoop()
@@ -338,8 +466,8 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
 	return w, nil
 }
 
-// replay rebuilds the index from the segments and opens the tail segment
-// for appending.
+// replay rebuilds the index from the segments, streaming each through the
+// scan buffer, and opens the tail segment for appending.
 func (w *WAL) replay() error {
 	entries, err := os.ReadDir(w.dir)
 	if err != nil {
@@ -361,39 +489,48 @@ func (w *WAL) replay() error {
 
 	for i, seq := range seqs {
 		path := filepath.Join(w.dir, segName(seq))
-		data, err := os.ReadFile(path)
+		f, err := w.segFileLocked(seq)
 		if err != nil {
-			return fmt.Errorf("storage: wal read %s: %w", path, err)
+			return err
 		}
-		b := data
-		kept := len(data)
-		for len(b) > 0 {
-			rec, rest, ok := unframe(b)
-			if !ok {
-				// Torn frame: fine at the very tail of the last
-				// segment (crash mid-group-commit; nothing covering
-				// these bytes ever completed), corruption anywhere
-				// else.
+		st, err := f.Stat()
+		if err != nil {
+			return fmt.Errorf("storage: wal stat %s: %w", path, err)
+		}
+		sc := w.scanner(f, st.Size())
+		kept := st.Size()
+		for {
+			rec, at, err := sc.next()
+			if err == io.EOF {
+				break
+			}
+			if err == errTorn {
+				// Torn frame: fine at the very tail of the last segment
+				// (crash mid-group-commit; nothing covering these bytes
+				// ever completed), corruption anywhere else.
 				if i != len(seqs)-1 {
 					return fmt.Errorf("storage: wal segment %s: torn frame mid-stream", path)
 				}
-				off := int64(len(data) - len(b))
-				if err := os.Truncate(path, off); err != nil {
+				if err := os.Truncate(path, at); err != nil {
 					return fmt.Errorf("storage: wal truncate torn tail: %w", err)
 				}
-				kept = int(off)
+				kept = at
 				break
 			}
-			w.applyRec(rec)
-			b = rest
+			if err != nil {
+				return err
+			}
+			w.applyRec(seq, at+8, rec)
 		}
-		w.diskBytes.Add(int64(kept))
+		w.release(sc)
+		w.diskBytes.Add(kept)
 	}
 
-	w.segSeq = 1
-	if n := len(seqs); n > 0 {
-		w.segSeq = seqs[n-1]
+	if len(seqs) == 0 {
+		seqs = []int{1}
 	}
+	w.segs = seqs
+	w.segSeq = seqs[len(seqs)-1]
 	path := filepath.Join(w.dir, segName(w.segSeq))
 	seg, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -430,78 +567,90 @@ func syncDirEntry(dir string) error {
 	return nil
 }
 
-// applyRec replays one durable record into the index. rec aliases the
-// segment's read buffer; what the index keeps is copied out of it.
-func (w *WAL) applyRec(rec []byte) {
+// applyRec replays one durable record, found at offset off of segment seg,
+// into the index: what it keeps is where the value is.
+func (w *WAL) applyRec(seg int, off int64, rec []byte) {
 	op, k, val, ok := decodeWALRec(rec)
 	if !ok {
 		return // framed but malformed: skip (forward compatibility)
 	}
 	key := string(k)
+	at := loc{seg: seg, off: off + 5 + int64(len(k)), n: len(val)}
+	if op != walLogSnap {
+		w.apply(op, key, at)
+	} else if entries, ok := decodeLogSnap(val); ok {
+		for i := range entries {
+			entries[i].seg = seg
+			entries[i].off += at.off
+		}
+		w.applyLogSnap(key, entries)
+	}
+}
+
+// apply points the index at one put or append's value, or deletes a key.
+// Callers hold w.mu or run single-threaded (replay).
+func (w *WAL) apply(op byte, key string, at loc) {
 	switch op {
 	case walPut:
-		cp := make([]byte, len(val))
-		copy(cp, val)
-		w.applyPut(key, cp)
+		w.applyPut(key, at)
 	case walAppend:
-		cp := make([]byte, len(val))
-		copy(cp, val)
-		w.applyAppend(key, cp)
+		w.applyAppend(key, at)
 	case walDelete:
 		w.applyDelete(key)
-	case walLogSnap:
-		if entries, ok := decodeLogSnap(val); ok {
-			w.applyLogSnap(key, entries)
-		}
 	}
 }
 
 // recLiveBytes is the on-disk footprint of one record (frame + header +
 // key + value): the live-bytes counter driving the compaction trigger sums
-// it over the index, and the committer sizes a group with it.
+// it over the index.
 func recLiveBytes(key string, valLen int) int64 {
 	return int64(13 + len(key) + valLen)
 }
 
-// applyPut installs a cell value (already copied). Callers hold w.mu or
-// run single-threaded (replay, committer snapshot application).
-func (w *WAL) applyPut(key string, cp []byte) {
+// applyPut points a cell at its new value.
+func (w *WAL) applyPut(key string, at loc) {
 	if old, ok := w.cells[key]; ok {
-		w.liveBytes -= recLiveBytes(key, len(old))
+		w.liveBytes -= recLiveBytes(key, old.n)
+		w.saveDrainedCell(key, old)
 	}
-	w.liveBytes += recLiveBytes(key, len(cp))
-	w.cells[key] = cp
+	w.liveBytes += recLiveBytes(key, at.n)
+	w.cells[key] = at
 }
 
-// applyAppend appends one (already copied) log entry.
-func (w *WAL) applyAppend(key string, cp []byte) {
-	w.liveBytes += recLiveBytes(key, len(cp))
-	w.logs[key] = append(w.logs[key], cp)
+// applyAppend appends one log entry.
+func (w *WAL) applyAppend(key string, at loc) {
+	w.liveBytes += recLiveBytes(key, at.n)
+	w.logs[key] = append(w.logs[key], at)
 }
 
 // applyDelete removes a cell or log.
 func (w *WAL) applyDelete(key string) {
 	if old, ok := w.cells[key]; ok {
-		w.liveBytes -= recLiveBytes(key, len(old))
+		w.liveBytes -= recLiveBytes(key, old.n)
+		w.saveDrainedCell(key, old)
 		delete(w.cells, key)
 	}
 	if recs, ok := w.logs[key]; ok {
 		for _, r := range recs {
-			w.liveBytes -= recLiveBytes(key, len(r))
+			w.liveBytes -= recLiveBytes(key, r.n)
+		}
+		if w.pass != nil && w.pass.drained(recs[0]) {
+			w.pass.logs[key] = recs
 		}
 		delete(w.logs, key)
 	}
 }
 
-// applyLogSnap replaces a whole log with the snapshot's entries.
-func (w *WAL) applyLogSnap(key string, entries [][]byte) {
+// applyLogSnap replaces a whole log with the snapshot's entries (replay
+// only).
+func (w *WAL) applyLogSnap(key string, entries []loc) {
 	if recs, ok := w.logs[key]; ok {
 		for _, r := range recs {
-			w.liveBytes -= recLiveBytes(key, len(r))
+			w.liveBytes -= recLiveBytes(key, r.n)
 		}
 	}
 	for _, e := range entries {
-		w.liveBytes += recLiveBytes(key, len(e))
+		w.liveBytes += recLiveBytes(key, e.n)
 	}
 	if len(entries) == 0 {
 		delete(w.logs, key)
@@ -510,14 +659,30 @@ func (w *WAL) applyLogSnap(key string, entries [][]byte) {
 	w.logs[key] = entries
 }
 
-// enqueueLocked queues one mutation (op 0: a barrier); val must be the
-// index's copy, never the caller's buffer. w.mu held.
-func (w *WAL) enqueueLocked(op byte, key string, val []byte) *Completion {
+// saveDrainedCell keeps a cell's drained state for the running pass
+// before a write replaces it. w.mu held.
+func (w *WAL) saveDrainedCell(key string, old loc) {
+	if w.pass != nil && w.pass.drained(old) {
+		w.pass.cells[key] = old
+	}
+}
+
+// drained reports whether l belongs to the index as it stood at the drain:
+// on disk, or in the group drained with the pass. Anything later was
+// issued after the drain, so the first write to replace a drained location
+// is the one that saves it.
+func (p *passState) drained(l loc) bool {
+	return l.seg > 0 || l.seg == -p.gen
+}
+
+// enqueueLocked queues one mutation (op 0: a barrier) whose record, if
+// any, is already in the pending group. w.mu held.
+func (w *WAL) enqueueLocked(op byte, key string) *Completion {
 	c := newCompletion()
 	if len(w.queue) == 0 {
 		w.oldest = time.Now()
 	}
-	w.queue = append(w.queue, &walOp{op: op, key: key, val: val, c: c})
+	w.queue = append(w.queue, &walOp{op: op, key: key, c: c})
 	return c
 }
 
@@ -528,49 +693,48 @@ func (w *WAL) wakeCommitter() {
 	}
 }
 
-// PutAsync implements AsyncStable: the index is updated immediately
-// (read-your-writes), durability resolves with the group's fsync.
-func (w *WAL) PutAsync(key string, val []byte) *Completion {
+// issue frames one mutation into the pending group — the one copy of its
+// value the WAL makes — points the index at it (read-your-writes) and
+// queues it; durability resolves with the group's fsync.
+func (w *WAL) issue(op byte, key string, val []byte) *Completion {
 	w.mu.Lock()
-	if c, bad := w.unusableLocked(); bad {
+	if err := w.errLocked(); err != nil {
 		w.mu.Unlock()
-		return c
+		return completed(err)
 	}
-	cp := make([]byte, len(val))
-	copy(cp, val)
-	w.applyPut(key, cp)
-	c := w.enqueueLocked(walPut, key, cp)
+	buf, start := beginRec(w.pend, op, key)
+	at := loc{seg: -w.pendGen, off: int64(len(buf)), n: len(val)}
+	w.pend = endRec(append(buf, val...), start)
+	w.apply(op, key, at)
+	c := w.enqueueLocked(op, key)
 	w.mu.Unlock()
 	w.wakeCommitter()
 	return c
+}
+
+// PutAsync implements AsyncStable.
+func (w *WAL) PutAsync(key string, val []byte) *Completion {
+	return w.issue(walPut, key, val)
 }
 
 // AppendAsync implements AsyncStable.
 func (w *WAL) AppendAsync(key string, rec []byte) *Completion {
-	w.mu.Lock()
-	if c, bad := w.unusableLocked(); bad {
-		w.mu.Unlock()
-		return c
-	}
-	cp := make([]byte, len(rec))
-	copy(cp, rec)
-	w.applyAppend(key, cp)
-	c := w.enqueueLocked(walAppend, key, cp)
-	w.mu.Unlock()
-	w.wakeCommitter()
-	return c
+	return w.issue(walAppend, key, rec)
 }
 
-// unusableLocked returns a resolved error completion when the engine can
-// no longer accept writes. w.mu held.
-func (w *WAL) unusableLocked() (*Completion, bool) {
+// DeleteAsync implements AsyncStable. Deletions are logged records too, so
+// they survive recovery.
+func (w *WAL) DeleteAsync(key string) *Completion {
+	return w.issue(walDelete, key, nil)
+}
+
+// errLocked is the error every operation returns once the engine is
+// closed or poisoned. w.mu held.
+func (w *WAL) errLocked() error {
 	if w.closed {
-		return completed(ErrClosed), true
+		return ErrClosed
 	}
-	if w.failed != nil {
-		return completed(w.failed), true
-	}
-	return nil, false
+	return w.failed
 }
 
 // Put implements Stable: PutAsync + wait, so concurrent synchronous
@@ -584,21 +748,6 @@ func (w *WAL) Append(key string, rec []byte) error {
 	return w.AppendAsync(key, rec).Wait()
 }
 
-// DeleteAsync implements AsyncStable. Deletions are logged records too, so
-// they survive recovery.
-func (w *WAL) DeleteAsync(key string) *Completion {
-	w.mu.Lock()
-	if c, bad := w.unusableLocked(); bad {
-		w.mu.Unlock()
-		return c
-	}
-	w.applyDelete(key)
-	c := w.enqueueLocked(walDelete, key, nil)
-	w.mu.Unlock()
-	w.wakeCommitter()
-	return c
-}
-
 // Delete implements Stable.
 func (w *WAL) Delete(key string) error {
 	return w.DeleteAsync(key).Wait()
@@ -608,46 +757,101 @@ func (w *WAL) Delete(key string) error {
 // issued before it is durable.
 func (w *WAL) Sync() error {
 	w.mu.Lock()
-	if c, bad := w.unusableLocked(); bad {
+	if err := w.errLocked(); err != nil {
 		w.mu.Unlock()
-		return c.Wait()
+		return err
 	}
-	c := w.enqueueLocked(0, "", nil)
+	c := w.enqueueLocked(0, "")
 	w.urgent = true
 	w.mu.Unlock()
 	w.wakeCommitter()
 	return c.Wait()
 }
 
-// Get implements Stable (from the index).
+// readLocked returns a fresh copy of the value at l: from its group buffer
+// if not yet written, else read from its segment. w.mu held.
+func (w *WAL) readLocked(l loc) ([]byte, error) {
+	out := make([]byte, l.n)
+	if l.seg < 0 {
+		buf := w.flight
+		if -l.seg == w.pendGen {
+			buf = w.pend
+		}
+		copy(out, buf[l.off:])
+		return out, nil
+	}
+	f, err := w.segFileLocked(l.seg)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := f.ReadAt(out, l.off); err != nil {
+		return nil, fmt.Errorf("storage: wal read %s: %w", segName(l.seg), err)
+	}
+	return out, nil
+}
+
+// segFileLocked returns the read handle of segment seq, opening it on
+// first use. w.mu held, or replay.
+func (w *WAL) segFileLocked(seq int) (*os.File, error) {
+	if f, ok := w.files[seq]; ok {
+		return f, nil
+	}
+	f, err := os.Open(filepath.Join(w.dir, segName(seq)))
+	if err != nil {
+		return nil, fmt.Errorf("storage: wal open for read: %w", err)
+	}
+	w.files[seq] = f
+	return f, nil
+}
+
+// segFile is segFileLocked for the committer.
+func (w *WAL) segFile(seq int) (*os.File, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.segFileLocked(seq)
+}
+
+// closeFiles closes every read handle.
+func (w *WAL) closeFiles() {
+	for seq, f := range w.files {
+		f.Close()
+		delete(w.files, seq)
+	}
+}
+
+// Get implements Stable.
 func (w *WAL) Get(key string) ([]byte, bool, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
-		return nil, false, ErrClosed
+	if err := w.errLocked(); err != nil {
+		return nil, false, err
 	}
-	v, ok := w.cells[key]
+	l, ok := w.cells[key]
 	if !ok {
 		return nil, false, nil
 	}
-	cp := make([]byte, len(v))
-	copy(cp, v)
-	return cp, true, nil
+	v, err := w.readLocked(l)
+	if err != nil {
+		return nil, false, err
+	}
+	return v, true, nil
 }
 
-// Records implements Stable (from the index).
+// Records implements Stable.
 func (w *WAL) Records(key string) ([][]byte, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
-		return nil, ErrClosed
+	if err := w.errLocked(); err != nil {
+		return nil, err
 	}
 	recs := w.logs[key]
 	out := make([][]byte, len(recs))
 	for i, r := range recs {
-		cp := make([]byte, len(r))
-		copy(cp, r)
-		out[i] = cp
+		v, err := w.readLocked(r)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
 	}
 	return out, nil
 }
@@ -656,8 +860,8 @@ func (w *WAL) Records(key string) ([][]byte, error) {
 func (w *WAL) List(prefix string) ([]string, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
-		return nil, ErrClosed
+	if err := w.errLocked(); err != nil {
+		return nil, err
 	}
 	var keys []string
 	for k := range w.cells {
@@ -678,7 +882,7 @@ func (w *WAL) List(prefix string) ([]string, error) {
 }
 
 // Close implements Closer: flushes the queue, stops the pipeline, closes
-// the segment. Pending completions resolve before Close returns.
+// the segments. Pending completions resolve before Close returns.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	if w.closed {
@@ -691,13 +895,16 @@ func (w *WAL) Close() error {
 	w.wakeCommitter()
 	<-w.commitDone
 	<-w.displDone
+	w.mu.Lock()
+	w.closeFiles()
+	w.mu.Unlock()
 	err := w.seg.Close()
 	w.seg = nil
 	return err
 }
 
 // Compact forces one incremental compaction pass: the pending queue is
-// flushed, the still-live keys of the oldest segment are rescued into
+// flushed, the still-live records of the oldest segment are rescued into
 // the tail (group-committed: the rescue's fsync completes first), and
 // that one segment is unlinked. It returns once the pass is durable.
 // One call reclaims one segment; call it repeatedly — or rely on
@@ -706,9 +913,9 @@ func (w *WAL) Close() error {
 // to converge on a fully compacted log.
 func (w *WAL) Compact() error {
 	w.mu.Lock()
-	if c, bad := w.unusableLocked(); bad {
+	if err := w.errLocked(); err != nil {
 		w.mu.Unlock()
-		return c.Wait()
+		return err
 	}
 	c := newCompletion()
 	w.compactReq = append(w.compactReq, c)
@@ -749,9 +956,8 @@ func (w *WAL) RecordCount() int64 { return w.recordCount.Load() }
 // holds the group open to let it grow (size/time triggers, mirroring the
 // protocol's adaptive batching), then writes the whole group with one
 // write and one fsync and hands it to the dispatcher. Compaction runs on
-// this goroutine too: the queue is drained and the index snapshotted in
-// one critical section, so the rewrite sits at exactly its stream
-// position.
+// this goroutine too: a pass is opened in the critical section that
+// drains the queue, so its rescue sits at exactly that stream position.
 func (w *WAL) commitLoop() {
 	defer close(w.commitDone)
 	for {
@@ -798,18 +1004,28 @@ func (w *WAL) commitLoop() {
 		err := w.failed
 		reqs := w.compactReq
 		w.compactReq = nil
-		// The compaction snapshot is taken in the same critical section
-		// that drains the queue: the snapshot's logical position in the
-		// record stream is exactly "after batch, before anything enqueued
-		// later", which is where the rewrite will be written.
-		var snap *compactSnap
-		if err == nil && !w.closed && (len(reqs) > 0 || w.compactDueLocked()) {
-			snap = w.snapshotLocked()
+		group, gen := w.pend, w.pendGen
+		w.flight, w.flightGen = group, gen
+		w.pend, w.groupBuf = w.groupBuf[:0], nil
+		w.pendGen++
+		// A pass opens in the same critical section that drains the
+		// queue: the index it rescues is the one "after batch, before
+		// anything enqueued later", which is where the rescue will be
+		// written.
+		compacting := err == nil && !w.closed && (len(reqs) > 0 || w.compactDueLocked())
+		if compacting {
+			w.pass = &passState{gen: gen, cells: make(map[string]loc), logs: make(map[string][]loc)}
 		}
+		hook := w.compactHook
 		w.mu.Unlock()
 
+		var seg int
+		var base int64
 		if err == nil {
-			err = w.writeGroup(batch)
+			if hook != nil && len(group) > 0 {
+				hook("write")
+			}
+			seg, base, err = w.writeGroup(group)
 			if err != nil {
 				w.poison(err)
 			}
@@ -818,20 +1034,71 @@ func (w *WAL) commitLoop() {
 			op.err = err
 		}
 		w.notify <- batch
+		// Until it is placed, the group reads from the in-flight buffer.
+		w.mu.Lock()
+		if err == nil {
+			w.placeLocked(batch, gen, seg, base)
+		}
+		w.flight, w.flightGen = nil, 0
+		w.mu.Unlock()
+		w.groupBuf = reusable(group)
 
-		if snap != nil && err == nil {
-			if cerr := w.compact(snap); cerr != nil {
-				w.poison(cerr)
-				err = cerr
+		if compacting {
+			if err == nil {
+				if cerr := w.compact(hook); cerr != nil {
+					w.poison(cerr)
+					err = cerr
+				}
 			}
+			w.mu.Lock()
+			w.pass = nil
+			w.mu.Unlock()
 		}
 		if len(reqs) > 0 {
 			cerr := err
-			if cerr == nil && snap == nil {
+			if cerr == nil && !compacting {
 				cerr = ErrClosed // Close raced the request; the cycle never ran
 			}
 			for _, c := range reqs {
 				c.complete(cerr)
+			}
+		}
+	}
+}
+
+// placeLocked repoints the index from the group buffer of generation gen,
+// now written at offset base of segment seg, to the disk. A location that
+// no longer names that buffer was overwritten or deleted meanwhile; the
+// drained state a pass saved is repointed too. w.mu held.
+func (w *WAL) placeLocked(batch []*walOp, gen, seg int, base int64) {
+	place := func(l *loc) bool {
+		if l.seg != -gen {
+			return false
+		}
+		l.seg, l.off = seg, base+l.off
+		return true
+	}
+	placeLog := func(recs []loc) {
+		// The group's entries sit in the log's not-yet-written tail.
+		for i := len(recs) - 1; i >= 0 && recs[i].seg < 0; i-- {
+			place(&recs[i])
+		}
+	}
+	for _, op := range batch {
+		switch op.op {
+		case walPut:
+			if l, ok := w.cells[op.key]; ok && place(&l) {
+				w.cells[op.key] = l
+			}
+			if w.pass != nil {
+				if l, ok := w.pass.cells[op.key]; ok && place(&l) {
+					w.pass.cells[op.key] = l
+				}
+			}
+		case walAppend:
+			placeLog(w.logs[op.key])
+			if w.pass != nil {
+				placeLog(w.pass.logs[op.key])
 			}
 		}
 	}
@@ -847,14 +1114,6 @@ func (w *WAL) poison(err error) {
 	w.mu.Unlock()
 }
 
-// compactSnap is the live index at one record-stream position, pending
-// rewrite.
-type compactSnap struct {
-	cells map[string][]byte
-	logs  map[string][][]byte
-	hook  func(stage string)
-}
-
 // compactDueLocked evaluates the background trigger. w.mu held.
 func (w *WAL) compactDueLocked() bool {
 	if w.opts.CompactFactor <= 0 {
@@ -865,162 +1124,72 @@ func (w *WAL) compactDueLocked() bool {
 		float64(disk) > w.opts.CompactFactor*float64(w.liveBytes)
 }
 
-// snapshotLocked shallow-copies the index (values and log entries are
-// immutable once installed, so copying the map headers suffices). w.mu
-// held.
-func (w *WAL) snapshotLocked() *compactSnap {
-	cs := &compactSnap{
-		cells: make(map[string][]byte, len(w.cells)),
-		logs:  make(map[string][][]byte, len(w.logs)),
-		hook:  w.compactHook,
-	}
-	for k, v := range w.cells {
-		cs.cells[k] = v
-	}
-	for k, recs := range w.logs {
-		// Clamp the capacity so a concurrent append to the live log
-		// allocates a new backing array instead of sharing this one.
-		cs.logs[k] = recs[:len(recs):len(recs)]
-	}
-	return cs
-}
-
-// oldestSegment returns the lowest segment sequence present on disk.
-func (w *WAL) oldestSegment() (int, bool, error) {
-	entries, err := os.ReadDir(w.dir)
-	if err != nil {
-		return 0, false, fmt.Errorf("storage: wal compact list: %w", err)
-	}
-	oldest, found := 0, false
-	for _, e := range entries {
-		var seq int
-		if _, err := fmt.Sscanf(e.Name(), "wal-%08d.log", &seq); err == nil {
-			if !found || seq < oldest {
-				oldest, found = seq, true
-			}
-		}
-	}
-	return oldest, found, nil
-}
-
-// victimKeys streams one sealed segment, one record at a time through a
-// scratch buffer, and returns the set of keys its records touch plus the
-// segment's size; only the keys are kept. The segment is sealed (never the
-// write target), so every frame is complete — a torn frame here is
-// corruption, not a crash artifact.
-func (w *WAL) victimKeys(path string) (map[string]struct{}, int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("storage: wal compact read: %w", err)
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, 0, fmt.Errorf("storage: wal compact stat: %w", err)
-	}
-	torn := fmt.Errorf("storage: wal compact: torn frame in sealed segment %s", path)
-	br := bufio.NewReaderSize(f, 64<<10)
-	keys := make(map[string]struct{})
-	var size int64
-	var hdr [8]byte
-	var rec []byte
-	for {
-		if _, err := io.ReadFull(br, hdr[:]); err == io.EOF {
-			return keys, size, nil
-		} else if err != nil {
-			return nil, 0, torn
-		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		if int64(n) > st.Size()-size-8 {
-			return nil, 0, torn // the length runs past the end of the file
-		}
-		if uint32(cap(rec)) < n {
-			rec = make([]byte, n)
-		}
-		rec = rec[:n]
-		if _, err := io.ReadFull(br, rec); err != nil {
-			return nil, 0, torn
-		}
-		if crc32.ChecksumIEEE(rec) != binary.LittleEndian.Uint32(hdr[4:8]) {
-			return nil, 0, torn
-		}
-		if _, key, _, ok := decodeWALRec(rec); ok {
-			// The lookup converts without allocating; only a key's
-			// first sighting pays for its string.
-			if _, seen := keys[string(key)]; !seen {
-				keys[string(key)] = struct{}{}
-			}
-		}
-		size += 8 + int64(n)
-	}
+// moved is one rescued cell or log: its drained location (a cell's, or a
+// log's first entry) and where the rescue record put its bytes.
+type moved struct {
+	key  string
+	from loc
+	to   []loc // the cell's new location, or the log's entries'
+	cell bool
 }
 
 // compact performs ONE incremental compaction pass on the committer
-// goroutine: pick the oldest segment on disk as the victim, rescue the
-// current state of every still-live key it touches into the active tail
-// (cells as put records, logs as atomic log-snapshot records), fsync,
-// then unlink just that one segment. The pass cost is bounded by one
-// segment plus the live state it shadows — not by total log size, which
-// is what the old whole-log rewrite paid. Repeated passes (one per
-// commit-loop iteration while the CompactFactor trigger stays hot, or
-// one per explicit Compact call) converge on a fully compacted log.
+// goroutine: pick the oldest segment on disk as the victim, stream it, and
+// rescue the drained state of every still-live key its records touch into
+// the active tail — a cell as a put record, its value copied from the
+// stream when the victim holds it and read by location otherwise; a log as
+// one log-snapshot record whose entries are read by location — fsync,
+// repoint the index at the copies, then unlink just that one segment. The
+// pass cost is bounded by one segment plus the live state it shadows —
+// not by total log size. Repeated passes (one per commit-loop iteration
+// while the CompactFactor trigger stays hot, or one per explicit Compact
+// call) converge on a fully compacted log.
 //
 // Correctness: the victim is the oldest segment, so its records sit at
 // the bottom of the replay stream — every key it touches is either dead
 // (masked by a later record; dropping it changes nothing) or rescued as
 // a put / log-snapshot appended at the very top, which replays to
-// exactly the current state no matter what the intervening segments
+// exactly the drained state no matter what the intervening segments
 // say. A log-snapshot replaces its log atomically, so middle-segment
-// appends beneath it cannot double-apply. Crash safety: until the
-// unlink, replay sees the victim plus (a possibly torn suffix of) the
-// rescue records, which are idempotent over the state they describe;
-// after the fsync the rescue fully substitutes for the victim. When the
-// victim IS the active tail (a lone segment full of dead bytes), it is
-// rolled first so the frozen file can be rescued and unlinked — without
-// that, a single-segment log could never shrink.
-func (w *WAL) compact(snap *compactSnap) error {
-	victim, found, err := w.oldestSegment()
-	if err != nil {
-		return err
-	}
-	if !found {
-		return nil
-	}
+// appends beneath it cannot double-apply. Crash safety: until the unlink,
+// replay sees the victim plus (a possibly torn suffix of) the rescue
+// records, which are idempotent over the state they describe; after the
+// fsync the rescue fully substitutes for the victim. When the victim IS
+// the active tail (a lone segment full of dead bytes), it is rolled first
+// so the frozen file can be rescued and unlinked — without that, a
+// single-segment log could never shrink.
+func (w *WAL) compact(hook func(stage string)) error {
+	victim := w.segs[0]
 	if victim == w.segSeq {
 		if err := w.rollSegment(); err != nil {
 			return err
 		}
 	}
-	victimPath := filepath.Join(w.dir, segName(victim))
-	touched, victimSize, err := w.victimKeys(victimPath)
+	vf, err := w.segFile(victim)
 	if err != nil {
 		return err
 	}
+	st, err := vf.Stat()
+	if err != nil {
+		return fmt.Errorf("storage: wal compact stat: %w", err)
+	}
+	victimSize := st.Size()
 	// "begin": the victim is chosen and the tail is about to grow rescue
 	// records; crash tests record the tail's durable size here.
-	if snap.hook != nil {
-		snap.hook("begin")
+	if hook != nil {
+		hook("begin")
 	}
 
-	keys := make([]string, 0, len(touched))
-	for k := range touched {
-		if _, live := snap.cells[k]; live {
-			keys = append(keys, k)
-			continue
-		}
-		if len(snap.logs[k]) > 0 {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-
+	var moves []moved
+	rescuedKeys := make(map[string]struct{})
 	var rescued int64
-	buf := w.groupBuf[:0]
-	defer func() { w.keepGroupBuf(buf) }()
+	buf := w.rescueBuf[:0]
+	defer func() { w.rescueBuf = reusable(buf) }()
 	flush := func() error {
 		if len(buf) == 0 {
 			return nil
 		}
+		sealFrames(buf)
 		if _, err := w.seg.Write(buf); err != nil {
 			return fmt.Errorf("storage: wal compact write: %w", err)
 		}
@@ -1029,12 +1198,89 @@ func (w *WAL) compact(snap *compactSnap) error {
 		buf = buf[:0]
 		return nil
 	}
-	for _, k := range keys {
-		if v, ok := snap.cells[k]; ok {
-			buf = appendRec(buf, walPut, k, v)
+	read := func(dst []byte, e loc) error {
+		f, err := w.segFile(e.seg)
+		if err != nil {
+			return err
 		}
-		if entries := snap.logs[k]; len(entries) > 0 {
-			buf = appendLogSnapRec(buf, k, entries)
+		if _, err := f.ReadAt(dst, e.off); err != nil {
+			return fmt.Errorf("storage: wal compact read: %w", err)
+		}
+		return nil
+	}
+
+	sc := w.scanner(vf, victimSize)
+	defer w.release(sc)
+	for {
+		rec, at, err := sc.next()
+		if err == io.EOF {
+			break
+		}
+		if err == errTorn {
+			// The victim is sealed (never the write target), so every
+			// frame is complete: a torn one is corruption.
+			return fmt.Errorf("storage: wal compact: torn frame in sealed segment %s", segName(victim))
+		} else if err != nil {
+			return err
+		}
+		op, k, val, ok := decodeWALRec(rec)
+		if !ok {
+			continue
+		}
+		if _, done := rescuedKeys[string(k)]; done {
+			continue
+		}
+		// The key's drained state: a cell still on disk unless a later
+		// write saved it first, and the log entries on disk — everything
+		// issued since the drain is past them.
+		w.mu.Lock()
+		cell, hasCell := w.pass.cells[string(k)]
+		if !hasCell {
+			cell, hasCell = w.cells[string(k)]
+			hasCell = hasCell && cell.seg > 0
+		}
+		recs, saved := w.pass.logs[string(k)]
+		if !saved {
+			recs = w.logs[string(k)]
+		}
+		n := 0
+		for n < len(recs) && recs[n].seg > 0 {
+			n++
+		}
+		entries := recs[:n:n]
+		w.mu.Unlock()
+		if !hasCell && n == 0 {
+			continue // dead: masked by later records
+		}
+		key := string(k)
+		rescuedKeys[key] = struct{}{}
+		if hasCell {
+			var start int
+			buf, start = beginRec(buf, walPut, key)
+			valAt := len(buf)
+			if op == walPut && cell == (loc{seg: victim, off: at + 13 + int64(len(k)), n: len(val)}) {
+				buf = append(buf, val...) // the live record itself: copy it from the stream
+			} else {
+				buf = append(buf, make([]byte, cell.n)...)
+				if err := read(buf[valAt:], cell); err != nil {
+					return err
+				}
+			}
+			buf = endRec(buf, start)
+			to := loc{seg: w.segSeq, off: w.segSize + int64(valAt), n: cell.n}
+			moves = append(moves, moved{key: key, from: cell, to: []loc{to}, cell: true})
+		}
+		if n > 0 {
+			valAt := len(buf) + 13 + len(key)
+			if buf, err = appendLogSnapRec(buf, key, entries, read); err != nil {
+				return err
+			}
+			to, _ := decodeLogSnap(buf[valAt:])
+			for i := range to {
+				to[i].seg = w.segSeq
+				to[i].off += w.segSize + int64(valAt)
+			}
+			moves = append(moves, moved{key: key, from: entries[0], to: to})
 		}
 		if len(buf) >= 1<<20 {
 			if err := flush(); err != nil {
@@ -1047,8 +1293,8 @@ func (w *WAL) compact(snap *compactSnap) error {
 	}
 	// "rewrite": the rescue records are written but not yet durable — a
 	// crash here leaves an arbitrary suffix of them torn off the tail.
-	if snap.hook != nil {
-		snap.hook("rewrite")
+	if hook != nil {
+		hook("rewrite")
 	}
 	if !w.opts.NoSync {
 		if err := w.seg.Sync(); err != nil {
@@ -1056,15 +1302,31 @@ func (w *WAL) compact(snap *compactSnap) error {
 		}
 		w.syncCount.Add(1)
 	}
-	if snap.hook != nil {
-		snap.hook("unlink")
+	if hook != nil {
+		hook("unlink")
 	}
 
-	// The rescue is durable: the victim is garbage. It is the oldest
-	// segment, so removing it keeps the survivors a contiguous suffix.
-	if err := os.Remove(victimPath); err != nil && !os.IsNotExist(err) {
+	// The rescue is durable: repoint every key still in its drained state
+	// at its copy, after which nothing refers to the victim.
+	w.mu.Lock()
+	for _, m := range moves {
+		if m.cell {
+			if w.cells[m.key] == m.from {
+				w.cells[m.key] = m.to[0]
+			}
+		} else if recs := w.logs[m.key]; len(recs) > 0 && recs[0] == m.from {
+			copy(recs, m.to)
+		}
+	}
+	delete(w.files, victim)
+	w.mu.Unlock()
+	vf.Close()
+	// The victim is the oldest segment, so removing it keeps the
+	// survivors a contiguous suffix.
+	if err := os.Remove(filepath.Join(w.dir, segName(victim))); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("storage: wal compact unlink: %w", err)
 	}
+	w.segs = w.segs[1:]
 	// Make the unlink durable: a power loss that resurrected the victim
 	// is harmless for correctness (its records are masked from above) but
 	// would skew the disk accounting on replay.
@@ -1080,62 +1342,45 @@ func (w *WAL) compact(snap *compactSnap) error {
 	return nil
 }
 
-// writeGroup writes one group to the current segment (rolling it first if
-// the group would overflow) and fsyncs once. Committer goroutine only.
-func (w *WAL) writeGroup(batch []*walOp) error {
-	var n int64
-	var recs int
-	for _, op := range batch {
-		if op.op != 0 {
-			n += recLiveBytes(op.key, len(op.val))
-			recs++
-		}
+// writeGroup seals one group's frames, writes it to the current segment
+// (rolling it first if the group would overflow) and fsyncs once,
+// returning where the group landed. Committer goroutine only.
+func (w *WAL) writeGroup(group []byte) (seg int, base int64, err error) {
+	if len(group) == 0 {
+		return 0, 0, nil // pure barrier: all prior groups already synced
 	}
-	if recs == 0 {
-		return nil // pure barrier: all prior groups already synced
-	}
-	if w.segSize > 0 && w.segSize+n > w.opts.SegmentBytes {
+	if w.segSize > 0 && w.segSize+int64(len(group)) > w.opts.SegmentBytes {
 		if err := w.rollSegment(); err != nil {
-			return err
+			return 0, 0, err
 		}
 	}
-	// Frame the whole group — header, key, value, CRC per record, straight
-	// from the index's copies — into the reused buffer, then one write.
-	buf := w.groupBuf[:0]
-	if int64(cap(buf)) < n {
-		buf = make([]byte, 0, n)
+	recs := sealFrames(group)
+	if _, err := w.seg.Write(group); err != nil {
+		return 0, 0, fmt.Errorf("storage: wal write: %w", err)
 	}
-	for _, op := range batch {
-		if op.op != 0 {
-			buf = appendRec(buf, op.op, op.key, op.val)
-		}
-	}
-	w.keepGroupBuf(buf)
-	if _, err := w.seg.Write(buf); err != nil {
-		return fmt.Errorf("storage: wal write: %w", err)
-	}
-	w.segSize += int64(len(buf))
-	w.diskBytes.Add(int64(len(buf)))
+	seg, base = w.segSeq, w.segSize
+	w.segSize += int64(len(group))
+	w.diskBytes.Add(int64(len(group)))
 	if !w.opts.NoSync {
 		start := time.Now()
 		if err := w.seg.Sync(); err != nil {
-			return fmt.Errorf("storage: wal fsync: %w", err)
+			return 0, 0, fmt.Errorf("storage: wal fsync: %w", err)
 		}
 		w.syncCount.Add(1)
 		w.obsState.Load().observe(start, "wal fsync")
 	}
 	w.groupCount.Add(1)
 	w.recordCount.Add(int64(recs))
-	return nil
+	return seg, base, nil
 }
 
-// keepGroupBuf keeps buf as the next write's framing buffer unless it grew
-// past maxGroupBuf. Committer goroutine only.
-func (w *WAL) keepGroupBuf(buf []byte) {
-	w.groupBuf = nil
-	if cap(buf) <= maxGroupBuf {
-		w.groupBuf = buf[:0]
+// reusable returns buf emptied for its next use, or nil if it grew past
+// maxGroupBuf.
+func reusable(buf []byte) []byte {
+	if cap(buf) > maxGroupBuf {
+		return nil
 	}
+	return buf[:0]
 }
 
 // rollSegment closes the current (fully synced) segment and starts the
@@ -1157,6 +1402,7 @@ func (w *WAL) rollSegment() error {
 	}
 	w.seg = seg
 	w.segSize = 0
+	w.segs = append(w.segs, w.segSeq)
 	return nil
 }
 
