@@ -129,8 +129,7 @@
 // # Shared process services
 //
 // A sharded process's background costs do not scale with G: one
-// process-level failure detector serves every group through per-group
-// facades (the paper's liveness oracle is per process, §3.5 — the groups
+// process-level failure detector serves every group (the paper's liveness oracle is per process, §3.5 — the groups
 // of a process crash and recover together), the periodic gossip carries
 // message-ID digests with pull-based repair (a payload crosses a link in
 // the eager push, and again only when a peer pulls it), and

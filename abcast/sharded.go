@@ -217,6 +217,7 @@ type Sharded struct {
 	sfd      *node.SharedFD  // live process-level failure detector (nil when down)
 	reaped   map[GroupID]bool
 	seen     map[GroupID]group.Span // last observed topology (edge-detects seals/joins)
+	seenAt   uint64                 // its epoch
 
 	// reshardMu serializes AddGroup / RetireGroup / ReapRetired. It is
 	// never taken by the topology hook, which runs on delivery goroutines
@@ -366,6 +367,7 @@ func NewSharded(cfg ShardedConfig, st Storage, net *ShardedNetwork) (*Sharded, e
 	for g, sp := range topo.Spans {
 		s.seen[g] = sp
 	}
+	s.seenAt = topo.Epoch
 	s.installTopology(topo)
 	s.stream.SetOnTopology(s.onTopology)
 	return s, nil
@@ -469,9 +471,8 @@ func (s *Sharded) buildGroup(gid GroupID) (Storage, *node.Node) {
 		FD:        cfg.FD,
 		Obs:       cfg.Obs,
 		// Every group's consensus engine reads the one process-level
-		// detector through its own facade; the group nodes send no
-		// heartbeats of their own.
-		SharedFD: func() fd.API { return s.fdView(gid) },
+		// detector; the group nodes send no heartbeats of their own.
+		SharedFD: s.liveFD,
 	}
 	return gst, node.New(ncfg, gst, s.net.Net(gid))
 }
@@ -520,13 +521,23 @@ func (s *Sharded) installTopology(t *group.Topology) {
 // flight recorder. It must never take reshardMu (a reshard call may be
 // blocked broadcasting the very marker that triggered it).
 func (s *Sharded) onTopology(t *group.Topology) {
+	// Two delivery goroutines may hand over their snapshots out of epoch
+	// order: an older one must not roll back the router, the persisted
+	// topology or the observed spans (the newer one's seal would then be
+	// seen, and stamped, a second time). s.mu orders the swap, the write
+	// and the edge detection.
+	s.mu.Lock()
+	if t.Epoch < s.seenAt {
+		s.mu.Unlock()
+		return
+	}
+	s.seenAt = t.Epoch
 	s.installTopology(t)
 	if err := s.shared.Put(keyTopo, t.Encode()); err != nil {
 		s.flight().Event(obs.EvViolation, -1, 0, 0, 0, "persist topology: "+err.Error())
 	}
 
 	// Edge-detect transitions against the last observed spans.
-	s.mu.Lock()
 	var sealed, joined []GroupID
 	for g, sp := range t.Spans {
 		prev, known := s.seen[g]
@@ -656,17 +667,18 @@ func (s *Sharded) applySeals() {
 	}
 }
 
-// fdView returns group g's facade over the live shared detector. Group
-// nodes only start after Start boots the detector, so a nil here means a
-// torn-down process — return an inert facade rather than nil so a racing
-// start cannot panic (it will be crashed anyway).
-func (s *Sharded) fdView(g GroupID) fd.API {
+// liveFD returns the live shared detector, which every group's engine
+// reads. Group nodes only start after Start boots the detector, so a nil
+// here means a torn-down process — return a detector that was never
+// started rather than nil (it trusts everyone, the never-heard grace
+// rule), so a racing start cannot panic (it will be crashed anyway).
+func (s *Sharded) liveFD() fd.API {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.sfd == nil {
-		return fd.InertView(s.cfg.PID, s.cfg.N, s.cfg.FD, g)
+		return fd.New(s.cfg.PID, s.cfg.N, 0, s.cfg.FD, nil)
 	}
-	return s.sfd.View(g)
+	return s.sfd.Detector()
 }
 
 // Groups returns the number of ordering groups ever hosted (GroupIDs are
@@ -796,9 +808,9 @@ func (s *Sharded) Up() bool {
 // groups).
 func (s *Sharded) Route(key []byte) GroupID { return s.router.Load().r.Route(key) }
 
-// FD returns the live process-level failure-detector view shared by every
-// group (nil when the process is down). All groups' facades read the same
-// state, so one query answers for the whole process.
+// FD returns the live process-level failure detector shared by every
+// group (nil when the process is down). Every group's engine reads it, so
+// one query answers for the whole process.
 func (s *Sharded) FD() fd.API {
 	s.mu.Lock()
 	defer s.mu.Unlock()

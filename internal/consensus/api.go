@@ -43,7 +43,8 @@
 // which release WaitDecided and the broadcast layer's OnSettle upcall.
 // The machine does no I/O, reads no clock and starts no goroutine. Engine
 // (engine.go) carries its effects out over the process's log, network and
-// wall clock; the tests' simulator, on a virtual one.
+// wall clock; Machine (step.go) exports the step surface, which the
+// simulators run on a virtual one.
 //
 // Two coordinator policies demonstrate that the broadcast transformation
 // treats Consensus as a black box (paper claim C2):
@@ -134,7 +135,9 @@ type API interface {
 	// line (c)). Only safe once the caller has a checkpoint covering
 	// those instances. It issues the deletes and does not wait for them:
 	// a crash before they are durable leaves cells below the floor, which
-	// the next discard deletes again.
+	// the next discard deletes again. The floor itself is volatile: a
+	// recovering process sets it again before it takes part in rounds. A
+	// WaitDecided blocked below the floor returns ErrDiscarded.
 	DiscardBelow(k uint64) error
 	// OnSettle registers the one upcall of Fig. 1's decided(k, v): it runs
 	// for every instance this process learns decided (decided true) or

@@ -260,7 +260,7 @@ func (e *Engine) WaitDecided(ctx context.Context, k uint64) ([]byte, error) {
 		// A peer garbage-collected this instance under a checkpoint: the
 		// decision may no longer be reachable through Consensus. The caller
 		// must catch up via state transfer instead (§5.3).
-		return nil, fmt.Errorf("%w: instance %d reported forgotten by a peer", ErrDiscarded, k)
+		return nil, fmt.Errorf("%w: instance %d garbage-collected here or at a peer", ErrDiscarded, k)
 	}
 	return v, nil
 }
@@ -269,33 +269,27 @@ func (e *Engine) WaitDecided(ctx context.Context, k uint64) ([]byte, error) {
 func (e *Engine) DecidedLocal(k uint64) ([]byte, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	in, ok := e.m.insts[k]
-	if !ok || !in.hasDec {
-		return nil, false
-	}
-	return in.decided, true
+	return e.m.decidedLocal(k)
 }
 
 // Proposal implements API.
 func (e *Engine) Proposal(k uint64) ([]byte, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	in, ok := e.m.insts[k]
-	if !ok || !in.hasProp {
-		return nil, false
-	}
-	return in.proposal, true
+	return e.m.proposal(k)
 }
 
 // DiscardBelow implements API. It issues all the deletes, which share a
 // handful of group commits on a log that has them, and reports a delete
-// that failed at issue. A WaitDecided blocked on a discarded instance stays
-// blocked until its context ends.
+// that failed at issue. A WaitDecided blocked on a discarded instance
+// returns its decision, or ErrDiscarded: a recovery replaying that
+// instance goes on past it rather than waiting for good.
 func (e *Engine) DiscardBelow(k uint64) error {
 	e.mu.Lock()
 	e.m.discardBelow(k)
-	for kk := range e.waiters {
+	for kk, ch := range e.waiters {
 		if kk < k {
+			close(ch)
 			delete(e.waiters, kk)
 		}
 	}
@@ -313,26 +307,6 @@ func (e *Engine) OnSettle(fn func(k uint64, v []byte, decided bool)) {
 	e.mu.Lock()
 	e.settle = fn
 	e.mu.Unlock()
-}
-
-// Floor returns the current GC floor.
-func (e *Engine) Floor() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.m.floor
-}
-
-// MaxKnown returns the highest instance with any local state, and whether
-// one exists.
-func (e *Engine) MaxKnown() (uint64, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var maxK uint64
-	found := false
-	for k := range e.m.insts {
-		maxK, found = max(maxK, k), true
-	}
-	return maxK, found
 }
 
 // LeaseStats returns a snapshot of the holder-side lease counters.

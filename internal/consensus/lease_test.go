@@ -2,94 +2,40 @@ package consensus
 
 import (
 	"bytes"
-	"context"
 	"testing"
 	"time"
 
 	"repro/internal/ids"
-	"repro/internal/storage"
-	"repro/internal/transport"
 )
 
-// newLeaseCluster is newTestCluster under PolicyLeader (whose engines run
-// the stable-sequencer lease) with the given lease TTL.
-func newLeaseCluster(t *testing.T, n int, netOpts transport.MemOptions, ttl time.Duration) *testCluster {
+// newLeaseSim is a scripted simulator under PolicyLeader (whose machines
+// run the stable-sequencer lease) with the given lease TTL.
+func newLeaseSim(t *testing.T, ttl time.Duration) *sim {
+	return newScriptedSim(t, simOptions{retryMin: 3 * time.Millisecond, retryMax: 40 * time.Millisecond, leaseTTL: ttl})
+}
+
+// decideFrom has proposer propose instances [from, to), one after the
+// other, each decided by every live process as the sole proposal.
+func (s *sim) decideFrom(t *testing.T, proposer ids.ProcessID, from, to uint64) {
 	t.Helper()
-	tc := &testCluster{
-		t:   t,
-		net: transport.NewMem(n, netOpts),
-		cfg: Config{
-			N:        n,
-			Policy:   PolicyLeader,
-			RetryMin: 3 * time.Millisecond,
-			RetryMax: 40 * time.Millisecond,
-			LeaseTTL: ttl,
-		},
+	var up []ids.ProcessID
+	for _, p := range s.procs {
+		if p.m != nil {
+			up = append(up, p.pid)
+		}
 	}
-	t.Cleanup(tc.net.Close)
-	for p := 0; p < n; p++ {
-		tc.procs = append(tc.procs, &testProc{
-			pid:   ids.ProcessID(p),
-			store: storage.NewMem(),
-		})
-	}
-	for p := range tc.procs {
-		tc.start(ids.ProcessID(p), 1)
-	}
-	return tc
-}
-
-// decideFrom drives instances [from, to) from a single proposer and
-// checks all live processes decide the same value for each.
-func decideFrom(tc *testCluster, proposer int, from, to uint64) {
-	tc.t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
 	for k := from; k < to; k++ {
-		if err := tc.procs[proposer].eng.Propose(k, val(proposer, k)); err != nil {
-			tc.t.Fatalf("propose %d: %v", k, err)
-		}
-		var first []byte
-		for p, pr := range tc.procs {
-			if pr.eng == nil {
-				continue
-			}
-			got, err := pr.eng.WaitDecided(ctx, k)
-			if err != nil {
-				tc.t.Fatalf("p%d wait %d: %v", p, k, err)
-			}
-			if first == nil {
-				first = got
-			} else if !bytes.Equal(first, got) {
-				tc.t.Fatalf("agreement violated at %d: %q vs %q", k, first, got)
-			}
-		}
-		if !bytes.Equal(first, val(proposer, k)) {
-			tc.t.Fatalf("instance %d decided %q, want the sole proposal %q", k, first, val(proposer, k))
-		}
+		s.propose(proposer, k, val(int(proposer), k))
+		s.awaitDecided(t, k, val(int(proposer), k), up...)
 	}
 }
 
-// decideUntilHeld drives instances from `from` on one proposer until it
-// holds a lease, and returns the next undriven instance. A decided round
-// sends one lease request, which can lose the race with the next instance's
-// prepare and then waits out a retry cooldown longer than a handful of
-// in-memory rounds; so the tests wait for the acquisition, round by round,
-// instead of assuming it lands within a fixed count.
-func decideUntilHeld(tc *testCluster, proposer int, from uint64) uint64 {
-	tc.t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	k := from
-	for !tc.procs[proposer].eng.LeaseStats().Held {
-		if ctx.Err() != nil {
-			tc.t.Fatalf("stable proposer never acquired a lease in %d rounds: %+v",
-				k-from, tc.procs[proposer].eng.LeaseStats())
-		}
-		decideFrom(tc, proposer, k, k+1)
-		k++
-	}
-	return k
+// leaseStats is pid's Engine.LeaseStats.
+func (s *sim) leaseStats(pid ids.ProcessID) LeaseStats {
+	m := s.procs[pid].m
+	ls := m.leaseStats
+	ls.Held = m.leaseHeld
+	return ls
 }
 
 // TestLeaseFastRoundsSkipPrepare: with a stable proposer, the lease turns
@@ -98,57 +44,53 @@ func decideUntilHeld(tc *testCluster, proposer int, from uint64) uint64 {
 // instances from the same proposer must decide without a prepare phase,
 // which the FastRounds counter certifies.
 func TestLeaseFastRoundsSkipPrepare(t *testing.T) {
-	tc := newLeaseCluster(t, 3, transport.MemOptions{Seed: 3}, time.Second)
-	defer tc.stopAll()
-
+	s := newLeaseSim(t, time.Second)
 	const rounds = 30
-	k := decideUntilHeld(tc, 0, 0)
-	before := tc.procs[0].eng.LeaseStats()
-	decideFrom(tc, 0, k, k+rounds)
+	k := s.decideUntilHeld(t, 0)
+	before := s.leaseStats(0)
+	since := len(s.trace)
+	s.decideFrom(t, 0, k, k+rounds)
 
-	ls := tc.procs[0].eng.LeaseStats()
+	ls := s.leaseStats(0)
 	if fast := ls.FastRounds - before.FastRounds; fast < rounds/2 {
 		t.Fatalf("lease held but fast path barely used: %d fast of %d rounds (%+v)", fast, rounds, ls)
 	}
 	if !ls.Held {
 		t.Fatalf("lease dropped on a calm network: %+v", ls)
 	}
-}
-
-// revokeLease drops e's held lease as the machine does on suspicion, so
-// the next rounds fall back to full consensus until a new lease is
-// acquired. Acceptor grants are untouched (they expire only by being
-// outbid).
-func revokeLease(e *Engine) {
-	e.mu.Lock()
-	e.m.dropLease()
-	e.flush()
+	for kk := k; kk < k+rounds; kk++ {
+		if len(s.sent(0, mPrepare, kk, since)) != 0 {
+			t.Fatalf("instance %d ran a prepare under the lease", kk)
+		}
+	}
 }
 
 // TestLeaseRevokeFallsBackToFullConsensus: a revocation must force the
 // next round through full consensus — and the proposer then re-acquires
 // and returns to the fast path. Correctness is unaffected throughout.
 func TestLeaseRevokeFallsBackToFullConsensus(t *testing.T) {
-	tc := newLeaseCluster(t, 3, transport.MemOptions{Seed: 5}, time.Second)
-	defer tc.stopAll()
-
+	s := newLeaseSim(t, time.Second)
 	const rounds = 10
-	k := decideUntilHeld(tc, 0, 0)
-	decideFrom(tc, 0, k, k+rounds)
-	before := tc.procs[0].eng.LeaseStats()
+	k := s.decideUntilHeld(t, 0)
+	s.decideFrom(t, 0, k, k+rounds)
+	before := s.leaseStats(0)
 	if before.FastRounds == 0 {
 		t.Fatalf("precondition: fast path never engaged: %+v", before)
 	}
 
-	revokeLease(tc.procs[0].eng)
-	if ls := tc.procs[0].eng.LeaseStats(); ls.Held {
+	s.revokeLease(0)
+	if ls := s.leaseStats(0); ls.Held {
 		t.Fatalf("lease still held after revoke: %+v", ls)
 	}
 
-	k = decideUntilHeld(tc, 0, k+rounds)
-	reacquired := tc.procs[0].eng.LeaseStats()
-	decideFrom(tc, 0, k, k+rounds)
-	after := tc.procs[0].eng.LeaseStats()
+	since := len(s.trace)
+	k = s.decideUntilHeld(t, k+rounds)
+	if len(s.sent(0, mPrepare, k-1, since)) == 0 {
+		t.Fatalf("instance %d after the revoke ran no prepare", k-1)
+	}
+	reacquired := s.leaseStats(0)
+	s.decideFrom(t, 0, k, k+rounds)
+	after := s.leaseStats(0)
 	if after.Fallbacks <= before.Fallbacks {
 		t.Fatalf("revocation not recorded as a fallback: before=%+v after=%+v", before, after)
 	}
@@ -164,46 +106,16 @@ func TestLeaseRevokeFallsBackToFullConsensus(t *testing.T) {
 // correctness lever. With every process proposing every instance over a
 // lossy, reordering network, agreement and validity must hold exactly as
 // without the lease — acceptor-side grant bounds make a stale leaseholder
-// lose to any higher classic ballot.
+// lose to any higher classic ballot. The oracle checks both.
 func TestLeaseSafeUnderContention(t *testing.T) {
-	tc := newLeaseCluster(t, 3, transport.MemOptions{
-		Seed:     17,
-		Loss:     0.10,
-		Dup:      0.05,
-		MaxDelay: 2 * time.Millisecond,
-	}, 200*time.Millisecond)
-	defer tc.stopAll()
-
+	s := newLeaseSim(t, 200*time.Millisecond)
+	s.Loss, s.Dup, s.Delay = 0.10, 0.05, [2]int64{0, 2 * ms}
 	const rounds = 25
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
 	for k := uint64(0); k < rounds; k++ {
-		for p, pr := range tc.procs {
-			if err := pr.eng.Propose(k, val(p, k)); err != nil {
-				t.Fatalf("p%d propose %d: %v", p, k, err)
-			}
+		for p := range s.procs {
+			s.propose(ids.ProcessID(p), k, val(p, k))
 		}
-		var first []byte
-		for p, pr := range tc.procs {
-			got, err := pr.eng.WaitDecided(ctx, k)
-			if err != nil {
-				t.Fatalf("p%d wait %d: %v", p, k, err)
-			}
-			if first == nil {
-				first = got
-			} else if !bytes.Equal(first, got) {
-				t.Fatalf("agreement violated at %d: %q vs %q", k, first, got)
-			}
-		}
-		valid := false
-		for p := range tc.procs {
-			if bytes.Equal(first, val(p, k)) {
-				valid = true
-			}
-		}
-		if !valid {
-			t.Fatalf("instance %d decided %q, never proposed", k, first)
-		}
+		s.awaitAll(t, k+1)
 	}
 }
 
@@ -213,27 +125,20 @@ func TestLeaseSafeUnderContention(t *testing.T) {
 // recovered process (or another) decides further instances, and earlier
 // decisions are intact.
 func TestLeaseSurvivesHolderCrash(t *testing.T) {
-	tc := newLeaseCluster(t, 3, transport.MemOptions{Seed: 23}, time.Second)
-	defer tc.stopAll()
+	s := newLeaseSim(t, time.Second)
+	s.decideFrom(t, 0, 0, 8)
 
-	decideFrom(tc, 0, 0, 8)
-
-	tc.crash(0)
-	time.Sleep(40 * time.Millisecond) // let suspicion fire
-	tc.start(0, 2)
+	s.crash(0)
+	s.suspect(0, true)
+	s.Settle(40 * ms)
+	s.recover(0)
+	s.suspect(0, false)
 
 	// A fresh incarnation holds no lease — it must re-run full consensus
 	// (or re-acquire) yet still decide, and old decisions must replay.
-	decideFrom(tc, 0, 8, 16)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	got, err := tc.procs[0].eng.WaitDecided(ctx, 3)
-	if err != nil {
-		t.Fatalf("recovered process lost instance 3: %v", err)
-	}
-	if !bytes.Equal(got, val(0, 3)) {
-		t.Fatalf("instance 3 changed across crash: %q", got)
-	}
+	s.decideFrom(t, 0, 8, 16)
+	s.learn(0, 3)
+	s.awaitDecided(t, 3, val(0, 3), 0)
 }
 
 // leaseTarget is the instance the crash-window schedules hold the holder's
@@ -275,7 +180,7 @@ func TestLeaseAcceptBesideProposalLog(t *testing.T) {
 		t.Fatal("the holder reports a proposal whose write is not durable")
 	}
 	s.release(0, isCell(cellProposal, leaseTarget))
-	s.await(t, "the proposal durable", func() bool { return m.insts[leaseTarget].hasProp })
+	s.Await(t, "the proposal durable", func() bool { return m.insts[leaseTarget].hasProp })
 }
 
 // TestLeaseBallotNeverReusedAfterCrash: the holder's accept at its lease
@@ -295,7 +200,7 @@ func TestLeaseBallotNeverReusedAfterCrash(t *testing.T) {
 	b, from := s.procs[0].m.leaseB, s.procs[0].m.leaseFrom
 	first := []byte("sent-at-the-lease-ballot")
 	s.propose(0, leaseTarget, first)
-	s.await(t, "p1's mAccepted", func() bool { return s.received(0, mAccepted, leaseTarget, 0) >= 1 })
+	s.Await(t, "p1's mAccepted", func() bool { return s.received(0, mAccepted, leaseTarget, 0) >= 1 })
 	if sent := s.sent(0, mAccept, leaseTarget, 0); len(sent) == 0 || sent[0].b != b {
 		t.Fatalf("mAccept frames %+v, want one at the lease ballot %d", sent, b)
 	}
@@ -313,17 +218,17 @@ func TestLeaseBallotNeverReusedAfterCrash(t *testing.T) {
 
 	// Whatever the recovered holder might try at b is refused by a majority.
 	s.inject(0, message{kind: mLeaseReq, k: from, b: b})
-	s.await(t, "a majority refusing the lease at b", func() bool {
+	s.Await(t, "a majority refusing the lease at b", func() bool {
 		return s.received(0, mLeaseNack, from, since) >= Quorum(3)
 	})
 	s.inject(0, message{kind: mPrepare, k: leaseTarget, b: b})
-	s.await(t, "a majority refusing a prepare at b", func() bool {
+	s.Await(t, "a majority refusing a prepare at b", func() bool {
 		return s.received(0, mNack, leaseTarget, since) >= Quorum(3)
 	})
 
 	second := []byte("proposed-after-recovery")
 	s.propose(0, leaseTarget, second)
-	s.await(t, "p0 decides", func() bool { _, ok := s.decided(0, leaseTarget); return ok })
+	s.Await(t, "p0 decides", func() bool { _, ok := s.decided(0, leaseTarget); return ok })
 	got, _ := s.decided(0, leaseTarget)
 	if !bytes.Equal(got, first) && !bytes.Equal(got, second) {
 		t.Fatalf("decided %q, never proposed", got)

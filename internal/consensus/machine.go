@@ -399,6 +399,22 @@ func (m *machine) decide(in *instance, v []byte) {
 	m.wake(in)
 }
 
+// decidedLocal returns k's decision, if this process knows it.
+func (m *machine) decidedLocal(k uint64) ([]byte, bool) {
+	if in, ok := m.insts[k]; ok && in.hasDec {
+		return in.decided, true
+	}
+	return nil, false
+}
+
+// proposal returns k's logged proposal, if any.
+func (m *machine) proposal(k uint64) ([]byte, bool) {
+	if in, ok := m.insts[k]; ok && in.hasProp {
+		return in.proposal, true
+	}
+	return nil, false
+}
+
 // markForgot records a peer's report that it GC'd this instance.
 func (m *machine) markForgot(in *instance) {
 	if !in.wasForgot && !in.hasDec {

@@ -20,7 +20,7 @@ func heldProposal(t *testing.T, v []byte) *sim {
 	s := newScriptedSim(t, simOptions{})
 	s.procs[0].hold = isCell(cellProposal, 0)
 	s.propose(0, 0, v)
-	s.await(t, "promises from p1 and p2", func() bool { return s.received(0, mPromise, 0, 0) >= 2 })
+	s.Await(t, "promises from p1 and p2", func() bool { return s.received(0, mPromise, 0, 0) >= 2 })
 	if len(s.sent(0, mPrepare, 0, 0)) == 0 || s.heldWrites(0, isCell(cellProposal, 0)) != 1 {
 		t.Fatal("phase 1 did not run beside the held proposal write")
 	}
@@ -50,7 +50,7 @@ func TestPrepareRunsBesideProposalLog(t *testing.T) {
 // mAccept — and the instance decides through p1, on p1's value.
 func TestFailedProposalWriteNeverReachesTheWire(t *testing.T) {
 	s := heldProposal(t, []byte("never-logged"))
-	s.failHeld(0)
+	s.FailHeld(0)
 	other := []byte("from-p1")
 	s.propose(1, 0, other)
 	s.awaitDecided(t, 0, other, 0, 1, 2)
@@ -81,7 +81,7 @@ func TestDecisionInstalledAheadOfItsCell(t *testing.T) {
 		}
 		s.release(p, isCell(cellDecision, -1))
 	}
-	s.settle(10 * ms)
+	s.Settle(10 * ms)
 	for p := range ids.ProcessID(2) {
 		if got, ok := s.onDisk(p, cellDecision, 0); !ok || !bytes.Equal(got, v) {
 			t.Fatalf("p%d: released decision cell = %q, %v", p, got, ok)
@@ -105,10 +105,10 @@ func TestCrashBetweenDecisionAndItsCell(t *testing.T) {
 	// chosen in the first life is p2's.
 	lost, chosen := []byte("p0-logged-but-lost"), []byte("p2-chosen")
 	s.propose(0, 0, lost)
-	s.await(t, "promises from p1 and p2", func() bool { return s.received(0, mPromise, 0, 0) >= 2 })
+	s.Await(t, "promises from p1 and p2", func() bool { return s.received(0, mPromise, 0, 0) >= 2 })
 	s.propose(2, 0, chosen)
 	s.awaitDecided(t, 0, chosen, 0, 1, 2)
-	s.await(t, "p0 and p1 accepted the chosen value durably", func() bool {
+	s.Await(t, "p0 and p1 accepted the chosen value durably", func() bool {
 		return hasAccepted(s, 0, chosen) && hasAccepted(s, 1, chosen)
 	})
 	// Only now does p0's proposal reach its log: a recovered p0 finds a
@@ -116,7 +116,7 @@ func TestCrashBetweenDecisionAndItsCell(t *testing.T) {
 	if n := s.release(0, isCell(cellProposal, 0)); n != 1 {
 		t.Fatalf("released %d proposal writes, want 1", n)
 	}
-	s.await(t, "p0's proposal durable", func() bool { _, ok := s.onDisk(0, cellProposal, 0); return ok })
+	s.Await(t, "p0's proposal durable", func() bool { _, ok := s.onDisk(0, cellProposal, 0); return ok })
 	for p := range ids.ProcessID(2) {
 		if n := s.heldWrites(p, isCell(cellDecision, 0)); n != 1 {
 			t.Fatalf("p%d: %d decision writes held, want 1", p, n)

@@ -36,8 +36,9 @@
 // goroutine. Protocol (protocol.go) is its one adapter: it carries the
 // effects out over the process's log, network, consensus engine and wall
 // clock, replays the logged instances at Start, and runs the upcalls, in
-// order, on its one goroutine. The tests also run the machine in a seeded
-// simulator (sim_test.go) on a virtual clock.
+// order, on its one goroutine. Machine (step.go) is the same step surface
+// exported: the full-stack simulator (internal/sim/stack) runs it beside
+// the consensus and failure-detector machines on a virtual clock.
 package core
 
 import (

@@ -231,6 +231,11 @@ func (m *machine) recover(ckpt, floor, unord []byte, recs [][]byte) (int, error)
 			if f := fr.U64(); fr.Done() == nil && f < k {
 				m.gcFloor = f
 			}
+			// Consensus keeps no floor of its own across a crash: an
+			// acceptor whose cells below it are gone would promise in those
+			// instances as if it had never accepted there, and let a stale
+			// logged proposal be chosen a second time. Restore it first.
+			m.emit(effect{op: opDiscard, k: m.gcFloor})
 		}
 		m.k, m.ds = k, ds
 		// Rounds the checkpoint folded never reach OnRound in this

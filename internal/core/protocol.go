@@ -120,7 +120,7 @@ func (p *Protocol) Start(ctx context.Context) error {
 	go p.upcallLoop()
 	p.mu.Unlock()
 
-	if err := p.recover(); err != nil {
+	if err := p.Recover(); err != nil {
 		return err
 	}
 	if err := p.replay(); err != nil {
@@ -160,31 +160,25 @@ func (p *Protocol) Stop() {
 	}
 }
 
-// recover retrieves the logged state (Fig. 2 / Fig. 3): the checkpoint
-// cell and GC floor, present only if the alternative protocol's checkpoint
-// (or a past state-transfer adoption) logged them, and the Unordered cell
-// and log of BatchedBroadcast.
+// Recover is Start's first step alone, the retrieve of the logged state,
+// for a caller that runs it before the network delivers anything: it
+// hands Consensus its GC floor back before the engine takes part in any
+// instance. Start skips it once it ran.
+func (p *Protocol) Recover() error {
+	p.mu.Lock()
+	restored := p.m.restored
+	p.mu.Unlock()
+	if restored {
+		return nil
+	}
+	return p.recover()
+}
+
+// recover retrieves the logged state (retrieve) into the machine.
 func (p *Protocol) recover() error {
-	ckpt, hasCkpt, err := p.st.Get(keyCkpt)
+	ckpt, floor, unord, recs, err := retrieve(p.st, p.cfg.BatchedBroadcast)
 	if err != nil {
-		return fmt.Errorf("core: retrieve checkpoint: %w", err)
-	}
-	var floor, unord []byte
-	var recs [][]byte
-	if hasCkpt {
-		if floor, _, err = p.st.Get(keyGCFloor); err != nil {
-			return fmt.Errorf("core: retrieve gc floor: %w", err)
-		}
-	} else {
-		ckpt = nil
-	}
-	if p.cfg.BatchedBroadcast {
-		if unord, _, err = p.st.Get(keyUnord); err != nil {
-			return fmt.Errorf("core: retrieve unordered: %w", err)
-		}
-		if recs, err = p.st.Records(keyUnordLog); err != nil {
-			return fmt.Errorf("core: read unordered log: %w", err)
-		}
+		return err
 	}
 	p.mu.Lock()
 	n, err := p.m.recover(ckpt, floor, unord, recs)
@@ -192,36 +186,29 @@ func (p *Protocol) recover() error {
 		p.mu.Unlock()
 		return err
 	}
-	p.recoveredFromCkpt.Store(hasCkpt)
+	p.recoveredFromCkpt.Store(ckpt != nil)
 	p.recoveredUnordered.Store(int64(n))
 	p.run()
 	return nil
 }
 
-// replay is the replay phase: the recovery procedure "parses the log of
-// proposed and agreed values (which is kept internally by Consensus)"
-// (§4.2). A round with a logged decision commits straight from the log; a
-// round with only a logged proposal is re-proposed idempotently and
-// awaited; the first round with neither ends the phase. Re-deliveries
-// reconstruct the Agreed queue.
+// replay is the replay phase (ReplayNext): re-deliveries reconstruct the
+// Agreed queue.
 func (p *Protocol) replay() error {
 	for {
 		p.mu.Lock()
 		k := p.m.k
 		p.mu.Unlock()
-		v, ok := p.cons.DecidedLocal(k)
-		if !ok {
-			prop, logged := p.cons.Proposal(k)
-			if !logged {
-				return nil
-			}
-			err := p.cons.Propose(k, prop)
+		move, v := ReplayNext(p.cons, k)
+		switch move {
+		case ReplayEnd:
+			return nil
+		case ReplayAwait:
+			err := p.cons.Propose(k, v)
 			if err == nil {
 				v, err = p.cons.WaitDecided(p.ctx, k)
 			}
 			if errors.Is(err, consensus.ErrDiscarded) {
-				// Peers garbage-collected this instance: the gossip exchange
-				// triggers a state transfer that skips it (§5.3).
 				return nil
 			}
 			if err != nil {
@@ -642,13 +629,6 @@ func (p *Protocol) Drained() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.m.drained
-}
-
-// DrainedChan returns a channel closed when the sealed group drains (never,
-// for an unsealed group). The resharding layer waits on it to bound the
-// drain window.
-func (p *Protocol) DrainedChan() <-chan struct{} {
-	return p.drainedCh
 }
 
 // TakeOrphans removes and returns the messages left in the Unordered set

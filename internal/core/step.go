@@ -1,0 +1,168 @@
+package core
+
+import (
+	"fmt"
+
+	"repro/internal/ids"
+	"repro/internal/storage"
+	"repro/internal/wire"
+)
+
+// Machine is the broadcast machine of one process incarnation, stepped by
+// a runner outside this package: the full-stack simulator
+// (internal/sim/stack), which runs it beside the consensus machine and the
+// failure detector on a virtual clock. Protocol is the production runner.
+// Each input method is one step; Effects hands out what the steps left.
+type Machine struct{ m *machine }
+
+// Effect kinds, as Machine hands them out.
+const (
+	OpSend          = opSend
+	OpPut           = opPut
+	OpAppend        = opAppend
+	OpDelete        = opDelete
+	OpPropose       = opPropose
+	OpLearn         = opLearn
+	OpDiscard       = opDiscard
+	OpArm           = opArm
+	OpRelease       = opRelease
+	OpRestore       = opRestore
+	OpDeliver       = opDeliver
+	OpRound         = opRound
+	OpSkip          = opSkip
+	OpCheckpointDue = opCheckpointDue
+)
+
+// The broadcast layer's stable-storage keys.
+const (
+	KeyCkpt     = keyCkpt
+	KeyUnord    = keyUnord
+	KeyUnordLog = keyUnordLog
+	KeyGCFloor  = keyGCFloor
+)
+
+// Effect is one effect. Bytes is its frame, value or record, copied out of
+// the pooled writer (which is released).
+type Effect struct {
+	Op    uint8
+	To    ids.ProcessID
+	Key   string
+	Bytes []byte
+	K     uint64
+	At    int64
+	ID    ids.MsgID
+	Err   error
+	Ds    []Delivery
+	Snap  Snapshot
+	ef    effect
+}
+
+// NewMachine builds a machine without observability sinks.
+func NewMachine(cfg Config) *Machine {
+	cfg.fill()
+	return &Machine{newMachine(cfg, newMetrics(nil, cfg.Group), nil, nil)}
+}
+
+// Recover is the retrieve half of the recovery procedure over st, as
+// Protocol.Start runs it; the replay phase follows (ReplayNext), and
+// Start ends it.
+func (s *Machine) Recover(st storage.Stable) error {
+	ckpt, floor, unord, recs, err := retrieve(st, s.m.cfg.BatchedBroadcast)
+	if err == nil {
+		_, err = s.m.recover(ckpt, floor, unord, recs)
+	}
+	return err
+}
+
+func (s *Machine) Start(now int64)                                     { s.m.start(now) }
+func (s *Machine) Receive(now int64, from ids.ProcessID, frame []byte) { s.m.receive(now, from, frame) }
+func (s *Machine) Decided(now int64, k uint64, v []byte)               { s.m.decided(now, k, v) }
+func (s *Machine) Forgotten(now int64, k uint64)                       { s.m.forgotten(now, k) }
+func (s *Machine) Fire(now int64)                                      { s.m.fire(now) }
+func (s *Machine) Checkpoint(now int64, release bool)                  { s.m.checkpoint(now, release) }
+func (s *Machine) Persisted(now int64, ef Effect, err error)           { s.m.persisted(now, &ef.ef, err) }
+func (s *Machine) Broadcast(now int64, payload []byte, async bool) (ids.MsgID, error) {
+	return s.m.broadcast(now, payload, async)
+}
+func (s *Machine) K() uint64                   { return s.m.k }
+func (s *Machine) Delivered(id ids.MsgID) bool { return s.m.ds.contains(id) }
+func (s *Machine) Sequence() (Snapshot, []Delivery) {
+	return s.m.ds.snapshotBase(), s.m.tagGroup(s.m.ds.deliveries())
+}
+
+// Effects returns the effects of the steps since the last call, in order.
+func (s *Machine) Effects() []Effect {
+	out := make([]Effect, len(s.m.out))
+	for i := range s.m.out {
+		ef := s.m.out[i]
+		e := Effect{Op: ef.op, To: ef.to, Key: ef.key, K: ef.k, At: ef.at, ID: ef.id,
+			Err: ef.err, Ds: ef.ds, Snap: ef.snap}
+		if ef.w != nil {
+			e.Bytes = append([]byte(nil), ef.w.Bytes()...)
+			wire.PutWriter(ef.w)
+			ef.w = nil
+		}
+		e.ef = ef
+		out[i] = e
+	}
+	s.m.flushed()
+	return out
+}
+
+// retrieve reads the logged state the recovery procedure starts from
+// (Fig. 2 / Fig. 3): the checkpoint cell and GC floor, present only if the
+// alternative protocol's checkpoint (or a past state-transfer adoption)
+// logged them, and, with BatchedBroadcast, the Unordered cell and log.
+func retrieve(st storage.Stable, batched bool) (ckpt, floor, unord []byte, recs [][]byte, err error) {
+	ckpt, hasCkpt, err := st.Get(keyCkpt)
+	if err != nil {
+		return nil, nil, nil, nil, fmt.Errorf("core: retrieve checkpoint: %w", err)
+	}
+	if hasCkpt {
+		if floor, _, err = st.Get(keyGCFloor); err != nil {
+			return nil, nil, nil, nil, fmt.Errorf("core: retrieve gc floor: %w", err)
+		}
+	} else {
+		ckpt = nil
+	}
+	if batched {
+		if unord, _, err = st.Get(keyUnord); err != nil {
+			return nil, nil, nil, nil, fmt.Errorf("core: retrieve unordered: %w", err)
+		}
+		if recs, err = st.Records(keyUnordLog); err != nil {
+			return nil, nil, nil, nil, fmt.Errorf("core: read unordered log: %w", err)
+		}
+	}
+	return ckpt, floor, unord, recs, nil
+}
+
+// ConsensusLog is what the replay phase reads of Consensus's log.
+type ConsensusLog interface {
+	DecidedLocal(k uint64) ([]byte, bool)
+	Proposal(k uint64) ([]byte, bool)
+}
+
+// Replay moves: what the replay phase does with its next round.
+const (
+	ReplayCommit = iota + 1 // commit the logged decision
+	ReplayAwait             // re-propose the logged proposal and await the decision
+	ReplayEnd               // nothing is logged: the replay phase is over
+)
+
+// ReplayNext is the replay phase's rule for round k: the recovery
+// procedure "parses the log of proposed and agreed values (which is kept
+// internally by Consensus)" (§4.2). A round with a logged decision commits
+// straight from the log (v is the decision); a round with only a logged
+// proposal is re-proposed idempotently and awaited (v is the proposal);
+// the first round with neither ends the phase. So does a round whose
+// instance peers garbage-collected: the gossip exchange then triggers a
+// state transfer that skips it (§5.3).
+func ReplayNext(log ConsensusLog, k uint64) (move int, v []byte) {
+	if v, ok := log.DecidedLocal(k); ok {
+		return ReplayCommit, v
+	}
+	if prop, logged := log.Proposal(k); logged {
+		return ReplayAwait, prop
+	}
+	return ReplayEnd, nil
+}

@@ -8,13 +8,21 @@
 // Per the paper's claim C2, the atomic broadcast layer never touches this
 // package; only the consensus engine does (§3.5).
 //
+// The detector is a step machine (Machine) and its adapter (Detector). The
+// machine's inputs are a heartbeat (from, epoch) and a tick, each at a
+// time now, and suspicion is a function of now; its effects are the
+// heartbeat multisend, the next tick and the suspect/trust and epoch
+// transitions. The full-stack simulator (internal/sim/stack) runs it on a
+// virtual clock; Detector, over the network, a ticker goroutine and the
+// wall clock, with the transitions in the flight recorder.
+//
 // The detector's scope is one *process incarnation*, not one ordering
 // group: §3.5's liveness oracle answers "is process q alive at epoch e",
 // which is the same question for every group a sharded process hosts
 // (groups of one process crash and recover together). A sharded deployment
-// therefore runs ONE Detector per process and hands each group's consensus
-// engine a View facade — G heartbeat streams per peer collapse to one,
-// with identical suspicion output.
+// therefore runs ONE Detector per process and hands it to every group's
+// consensus engine — G heartbeat streams per peer collapse to one, with
+// identical suspicion output.
 package fd
 
 import (
@@ -50,8 +58,7 @@ func (o *Options) fill() {
 	}
 }
 
-// API is the detector interface the rest of the stack programs against —
-// satisfied by both a Detector and a per-group View over a shared one. It
+// API is the detector interface the rest of the stack programs against. It
 // is a superset of consensus.Suspector.
 type API interface {
 	// Suspects reports whether p is currently suspected.
@@ -66,24 +73,169 @@ type API interface {
 	SelfEpoch() uint32
 }
 
-// Detector is a heartbeat failure detector for one process incarnation.
-type Detector struct {
-	pid   ids.ProcessID
-	n     int
-	epoch uint32
-	opts  Options
-	net   router.Net
-	clock func() time.Time
+// Effect kinds: what a step asks its runner to do, in order.
+const (
+	OpBeat    uint8 = iota + 1 // multisend a heartbeat carrying Epoch
+	OpTick                     // call Tick at At
+	OpSuspect                  // Peer (last seen at Epoch) is now suspected
+	OpTrust                    // Peer is trusted again
+	OpEpoch                    // Peer recovered: its epoch went from Prev to Epoch
+)
 
-	mu       sync.Mutex
-	lastSeen []time.Time
+// Effect is one output of a step.
+type Effect struct {
+	Op    uint8
+	Peer  ids.ProcessID
+	Epoch uint32
+	Prev  uint32
+	At    int64
+}
+
+// Machine is the detector of one process incarnation (pid of n, at epoch)
+// as a step machine. Times are ns on the runner's clock.
+type Machine struct {
+	pid      ids.ProcessID
+	n        int
+	epoch    uint32
+	interval int64
+	timeout  int64
+
+	heard    []bool // a heartbeat from p arrived in this incarnation
+	lastSeen []int64
 	epochs   []uint32
-	// suspected caches the last published suspicion per peer, so the
-	// heartbeat task can emit flight-recorder events only on transitions
-	// (suspicion itself stays derived from lastSeen on every read).
+	// suspected is the suspicion last published per peer, so a tick emits
+	// transitions only (suspicion itself is derived from lastSeen on every
+	// read).
 	suspected []bool
-	fl        *obs.Recorder
-	stopped   bool // Stop ran: a racing Start launches nothing
+	out       []Effect
+}
+
+// NewMachine returns the machine of process pid (of n) running incarnation
+// epoch.
+func NewMachine(pid ids.ProcessID, n int, epoch uint32, opts Options) *Machine {
+	opts.fill()
+	m := &Machine{
+		pid:       pid,
+		n:         n,
+		epoch:     epoch,
+		interval:  int64(opts.Heartbeat),
+		timeout:   int64(opts.Timeout),
+		heard:     make([]bool, n),
+		lastSeen:  make([]int64, n),
+		epochs:    make([]uint32, n),
+		suspected: make([]bool, n),
+	}
+	m.epochs[pid] = epoch
+	return m
+}
+
+// Effects returns the effects of the steps since the last call, in order.
+// The slice is reused by the next step.
+func (m *Machine) Effects() []Effect {
+	out := m.out
+	m.out = m.out[:0]
+	return out
+}
+
+// Start is the incarnation's first heartbeat.
+func (m *Machine) Start(now int64) {
+	m.out = append(m.out, Effect{Op: OpBeat, Epoch: m.epoch}, Effect{Op: OpTick, At: now + m.interval})
+}
+
+// Tick is the heartbeat timer: a heartbeat goes out, and suspicion flips
+// since the last tick are published, so a suspicion is timestamped within
+// one interval.
+func (m *Machine) Tick(now int64) {
+	m.out = append(m.out, Effect{Op: OpBeat, Epoch: m.epoch})
+	for p := range ids.ProcessID(m.n) {
+		if p == m.pid {
+			continue
+		}
+		if s := m.Suspects(now, p); s != m.suspected[p] {
+			m.suspected[p] = s
+			op := OpTrust
+			if s {
+				op = OpSuspect
+			}
+			m.out = append(m.out, Effect{Op: op, Peer: p, Epoch: m.epochs[p]})
+		}
+	}
+	m.out = append(m.out, Effect{Op: OpTick, At: now + m.interval})
+}
+
+// Heartbeat is a heartbeat of process from, at epoch, arriving at now.
+func (m *Machine) Heartbeat(now int64, from ids.ProcessID, epoch uint32) {
+	if from < 0 || int(from) >= m.n {
+		return
+	}
+	m.heard[from], m.lastSeen[from] = true, now
+	if prev := m.epochs[from]; epoch > prev {
+		m.epochs[from] = epoch
+		if prev != 0 || epoch > 1 {
+			// A jump past the first observation: the peer recovered into a
+			// new incarnation while we watched.
+			m.out = append(m.out, Effect{Op: OpEpoch, Peer: from, Epoch: epoch, Prev: prev})
+		}
+	}
+}
+
+// Suspects reports whether p is suspected at now. A process never suspects
+// itself, nor one it never heard from in this incarnation: that one gets
+// the grace of the timeout from the incarnation's start.
+func (m *Machine) Suspects(now int64, p ids.ProcessID) bool {
+	return p != m.pid && m.heard[p] && now-m.lastSeen[p] > m.timeout
+}
+
+// Trusted returns the processes not suspected at now, in pid order.
+func (m *Machine) Trusted(now int64) []ids.ProcessID {
+	out := make([]ids.ProcessID, 0, m.n)
+	for p := range ids.ProcessID(m.n) {
+		if !m.Suspects(now, p) {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// Leader returns the Ω-style eventual leader hint at now: the lowest-id
+// trusted process. With accurate-enough timeouts all good processes
+// eventually agree on it.
+func (m *Machine) Leader(now int64) ids.ProcessID {
+	for p := range ids.ProcessID(m.n) {
+		if !m.Suspects(now, p) {
+			return p
+		}
+	}
+	return m.pid
+}
+
+// Epoch returns the highest incarnation number observed for p.
+func (m *Machine) Epoch(p ids.ProcessID) uint32 { return m.epochs[p] }
+
+// SelfEpoch returns this incarnation's epoch.
+func (m *Machine) SelfEpoch() uint32 { return m.epoch }
+
+// EncodeHeartbeat writes the heartbeat frame of an incarnation at epoch.
+func EncodeHeartbeat(w *wire.Writer, epoch uint32) { w.U64(uint64(epoch)) }
+
+// DecodeHeartbeat reads a heartbeat frame; ok is false for a malformed one.
+func DecodeHeartbeat(payload []byte) (epoch uint32, ok bool) {
+	r := wire.NewReader(payload)
+	epoch = uint32(r.U64())
+	return epoch, r.Err() == nil
+}
+
+// Detector is the machine's adapter for one process incarnation: the
+// machine run over the FD channel and the wall clock.
+type Detector struct {
+	net   router.Net
+	fl    *obs.Recorder
+	start time.Time
+	every time.Duration
+
+	mu      sync.Mutex
+	m       *Machine
+	stopped bool // Stop ran: a racing Start launches nothing
 
 	wg sync.WaitGroup
 }
@@ -95,26 +247,20 @@ var _ API = (*Detector)(nil)
 func New(pid ids.ProcessID, n int, epoch uint32, opts Options, net router.Net) *Detector {
 	opts.fill()
 	d := &Detector{
-		pid:       pid,
-		n:         n,
-		epoch:     epoch,
-		opts:      opts,
-		net:       net,
-		clock:     time.Now,
-		lastSeen:  make([]time.Time, n),
-		epochs:    make([]uint32, n),
-		suspected: make([]bool, n),
-		fl:        opts.Obs.Flight(),
+		net:   net,
+		fl:    opts.Obs.Flight(),
+		start: time.Now(),
+		every: opts.Heartbeat,
+		m:     NewMachine(pid, n, epoch, opts),
 	}
-	d.epochs[pid] = epoch
 	opts.Obs.Reg().Func("abcast.fd.suspected", func() int64 {
-		return int64(d.n - len(d.Trusted()))
+		return int64(n - len(d.Trusted()))
 	})
 	return d
 }
 
-// SetClock overrides the time source (tests only).
-func (d *Detector) SetClock(clock func() time.Time) { d.clock = clock }
+// now is the adapter's clock: monotonic ns since New.
+func (d *Detector) now() int64 { return int64(time.Since(d.start)) }
 
 // Start launches the heartbeat task. It returns immediately; the task stops
 // when ctx is cancelled. Wait for it with Stop.
@@ -127,16 +273,21 @@ func (d *Detector) Start(ctx context.Context) {
 	d.wg.Add(1)
 	go func() {
 		defer d.wg.Done()
-		ticker := time.NewTicker(d.opts.Heartbeat)
+		// The ticker keeps the machine's cadence: its OpTick effects are
+		// all one interval apart.
+		ticker := time.NewTicker(d.every)
 		defer ticker.Stop()
-		d.beat()
+		d.mu.Lock()
+		d.m.Start(d.now())
+		d.flush()
 		for {
 			select {
 			case <-ctx.Done():
 				return
 			case <-ticker.C:
-				d.beat()
-				d.scanTransitions()
+				d.mu.Lock()
+				d.m.Tick(d.now())
+				d.flush()
 			}
 		}
 	}()
@@ -151,155 +302,68 @@ func (d *Detector) Stop() {
 	d.wg.Wait()
 }
 
-// scanTransitions compares the derived suspicion state against the last
-// published one and records a flight-recorder event per flip. Runs on the
-// heartbeat cadence, so a suspicion is timestamped within one interval.
-func (d *Detector) scanTransitions() {
-	if d.fl == nil {
-		return
-	}
-	now := d.clock()
-	d.mu.Lock()
-	for p := 0; p < d.n; p++ {
-		if ids.ProcessID(p) == d.pid {
-			continue
+// flush carries out the effects of the input just stepped and releases
+// d.mu: the transitions go into the flight recorder, the heartbeat onto the
+// network after the lock.
+func (d *Detector) flush() {
+	beat, epoch := false, uint32(0)
+	for _, ef := range d.m.Effects() {
+		switch ef.Op {
+		case OpBeat:
+			beat, epoch = true, ef.Epoch
+		case OpSuspect:
+			d.fl.Event(obs.EvSuspect, 0, uint64(ef.Epoch), int64(ef.Peer), 0, "")
+		case OpTrust:
+			d.fl.Event(obs.EvTrust, 0, uint64(ef.Epoch), int64(ef.Peer), 0, "")
+		case OpEpoch:
+			d.fl.Event(obs.EvEpochChange, 0, uint64(ef.Epoch), int64(ef.Peer), int64(ef.Prev), "peer incarnation advanced")
 		}
-		last := d.lastSeen[p]
-		s := !last.IsZero() && now.Sub(last) > d.opts.Timeout
-		if s == d.suspected[p] {
-			continue
-		}
-		d.suspected[p] = s
-		kind := obs.EvTrust
-		if s {
-			kind = obs.EvSuspect
-		}
-		d.fl.Event(kind, 0, uint64(d.epochs[p]), int64(p), 0, "")
 	}
 	d.mu.Unlock()
-}
-
-func (d *Detector) beat() {
-	w := wire.GetWriter(8)
-	w.U64(uint64(d.epoch))
-	d.net.Multisend(w.Bytes())
-	wire.PutWriter(w)
+	if beat {
+		w := wire.GetWriter(8)
+		EncodeHeartbeat(w, epoch)
+		d.net.Multisend(w.Bytes())
+		wire.PutWriter(w)
+	}
 }
 
 // OnMessage is the router handler for FD heartbeats.
 func (d *Detector) OnMessage(from ids.ProcessID, payload []byte) {
-	r := wire.NewReader(payload)
-	epoch := uint32(r.U64())
-	if r.Err() != nil || from < 0 || int(from) >= d.n {
-		return
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.lastSeen[from] = d.clock()
-	if epoch > d.epochs[from] {
-		prev := d.epochs[from]
-		d.epochs[from] = epoch
-		if prev != 0 || epoch > 1 {
-			// A jump past the first observation: the peer recovered into a
-			// new incarnation while we watched.
-			d.fl.Event(obs.EvEpochChange, 0, uint64(epoch), int64(from), int64(prev), "peer incarnation advanced")
-		}
+	if epoch, ok := DecodeHeartbeat(payload); ok {
+		d.mu.Lock()
+		d.m.Heartbeat(d.now(), from, epoch)
+		d.flush()
 	}
 }
 
-// Suspects reports whether p is currently suspected. A process never
-// suspects itself.
+// Suspects implements API.
 func (d *Detector) Suspects(p ids.ProcessID) bool {
-	if p == d.pid {
-		return false
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	last := d.lastSeen[p]
-	if last.IsZero() {
-		// Never heard from p this incarnation: give it one timeout of
-		// grace from our own start rather than suspecting instantly.
-		return false
-	}
-	return d.clock().Sub(last) > d.opts.Timeout
+	return d.m.Suspects(d.now(), p)
 }
 
-// Trusted returns the processes currently not suspected, in pid order.
+// Trusted implements API.
 func (d *Detector) Trusted() []ids.ProcessID {
-	out := make([]ids.ProcessID, 0, d.n)
-	for p := 0; p < d.n; p++ {
-		if !d.Suspects(ids.ProcessID(p)) {
-			out = append(out, ids.ProcessID(p))
-		}
-	}
-	return out
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.m.Trusted(d.now())
 }
 
-// Leader returns the Ω-style eventual leader hint: the lowest-id trusted
-// process. With accurate-enough timeouts all good processes eventually
-// agree on it.
+// Leader implements API.
 func (d *Detector) Leader() ids.ProcessID {
-	for p := 0; p < d.n; p++ {
-		if !d.Suspects(ids.ProcessID(p)) {
-			return ids.ProcessID(p)
-		}
-	}
-	return d.pid
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.m.Leader(d.now())
 }
 
-// Epoch returns the highest incarnation number observed for p.
+// Epoch implements API.
 func (d *Detector) Epoch(p ids.ProcessID) uint32 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.epochs[p]
+	return d.m.Epoch(p)
 }
-
-// SelfEpoch returns this incarnation's epoch.
-func (d *Detector) SelfEpoch() uint32 { return d.epoch }
-
-// View is one ordering group's facade over a process-level Detector shared
-// by every group of a sharded process. All facades of one process expose
-// the same suspicions and epochs — correct per §3.5, because the groups of
-// one process share its crash/recovery lifecycle: a process that recovers
-// at a higher epoch is re-trusted by every group's facade at once. The
-// Group tag exists purely for observability (logs, tests).
-type View struct {
-	d     *Detector
-	group ids.GroupID
-}
-
-var _ API = View{}
-
-// View returns group g's facade over the shared detector.
-func (d *Detector) View(g ids.GroupID) View { return View{d: d, group: g} }
-
-// InertView returns a facade over a detector that was never started and
-// never hears a heartbeat: it trusts everyone (the never-heard grace rule)
-// and reports epoch 0. Owners of a shared detector hand it out in the
-// window where no live detector exists (process torn down or still
-// booting) so a racing reader gets a safe, never-nil oracle instead of a
-// crash.
-func InertView(pid ids.ProcessID, n int, opts Options, g ids.GroupID) View {
-	return New(pid, n, 0, opts, nil).View(g)
-}
-
-// Group returns the ordering group this facade was handed to.
-func (v View) Group() ids.GroupID { return v.group }
-
-// Detector returns the shared process-level detector behind the facade.
-func (v View) Detector() *Detector { return v.d }
-
-// Suspects implements API.
-func (v View) Suspects(p ids.ProcessID) bool { return v.d.Suspects(p) }
-
-// Leader implements API.
-func (v View) Leader() ids.ProcessID { return v.d.Leader() }
-
-// Trusted implements API.
-func (v View) Trusted() []ids.ProcessID { return v.d.Trusted() }
-
-// Epoch implements API.
-func (v View) Epoch(p ids.ProcessID) uint32 { return v.d.Epoch(p) }
 
 // SelfEpoch implements API.
-func (v View) SelfEpoch() uint32 { return v.d.SelfEpoch() }
+func (d *Detector) SelfEpoch() uint32 { return d.m.SelfEpoch() }

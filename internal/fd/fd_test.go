@@ -47,84 +47,91 @@ func TestHeartbeatTaskBeats(t *testing.T) {
 	}
 }
 
+// ms is one millisecond of the machine's clock.
+const ms = int64(time.Millisecond)
+
 func TestSuspicionLifecycle(t *testing.T) {
-	net := &fakeNet{}
-	d := New(0, 3, 1, Options{Heartbeat: 5 * time.Millisecond, Timeout: 20 * time.Millisecond}, net)
-	now := time.Unix(1000, 0)
-	d.SetClock(func() time.Time { return now })
+	m := NewMachine(0, 3, 1, Options{Heartbeat: 5 * time.Millisecond, Timeout: 20 * time.Millisecond})
+	now := 1000 * ms
 
 	// Never-heard processes get grace: not suspected.
-	if d.Suspects(1) {
+	if m.Suspects(now, 1) {
 		t.Fatal("grace period ignored")
 	}
 	// Fresh heartbeat: trusted.
-	hb := wire.NewWriter(4)
-	hb.U64(7)
-	d.OnMessage(1, hb.Bytes())
-	if d.Suspects(1) {
+	m.Heartbeat(now, 1, 7)
+	if m.Suspects(now, 1) {
 		t.Fatal("fresh heartbeat suspected")
 	}
-	if d.Epoch(1) != 7 {
-		t.Fatalf("epoch = %d", d.Epoch(1))
+	if m.Epoch(1) != 7 {
+		t.Fatalf("epoch = %d", m.Epoch(1))
 	}
-	// Silence beyond the timeout: suspected.
-	now = now.Add(50 * time.Millisecond)
-	if !d.Suspects(1) {
+	// Silence beyond the timeout: suspected, and the next tick says so.
+	now += 50 * ms
+	if !m.Suspects(now, 1) {
 		t.Fatal("silent process not suspected")
 	}
+	m.Tick(now)
+	if !hasEffect(m.Effects(), OpSuspect, 1) {
+		t.Fatal("the tick published no suspicion of p1")
+	}
 	// It speaks again with a higher epoch (it recovered): trusted again.
-	hb2 := wire.NewWriter(4)
-	hb2.U64(8)
-	d.OnMessage(1, hb2.Bytes())
-	if d.Suspects(1) {
+	m.Heartbeat(now, 1, 8)
+	if !hasEffect(m.Effects(), OpEpoch, 1) {
+		t.Fatal("no epoch transition for the recovered p1")
+	}
+	if m.Suspects(now, 1) {
 		t.Fatal("recovered process still suspected")
 	}
-	if d.Epoch(1) != 8 {
-		t.Fatalf("epoch after recovery = %d", d.Epoch(1))
+	if m.Epoch(1) != 8 {
+		t.Fatalf("epoch after recovery = %d", m.Epoch(1))
+	}
+	m.Tick(now)
+	if !hasEffect(m.Effects(), OpTrust, 1) {
+		t.Fatal("the tick published no re-trust of p1")
 	}
 }
 
+// hasEffect reports whether effs holds an op about peer.
+func hasEffect(effs []Effect, op uint8, peer ids.ProcessID) bool {
+	for _, ef := range effs {
+		if ef.Op == op && ef.Peer == peer {
+			return true
+		}
+	}
+	return false
+}
+
 func TestNeverSuspectsSelf(t *testing.T) {
-	d := New(2, 3, 1, Options{}, &fakeNet{})
-	now := time.Unix(0, 0)
-	d.SetClock(func() time.Time { return now })
-	now = now.Add(time.Hour)
-	if d.Suspects(2) {
+	m := NewMachine(2, 3, 1, Options{})
+	m.Heartbeat(0, 2, 1)
+	if m.Suspects(3600_000*ms, 2) {
 		t.Fatal("self-suspicion")
 	}
 }
 
 func TestLeaderIsLowestTrusted(t *testing.T) {
-	net := &fakeNet{}
-	d := New(2, 3, 1, Options{Timeout: 10 * time.Millisecond}, net)
-	now := time.Unix(1000, 0)
-	d.SetClock(func() time.Time { return now })
-
-	hb := wire.NewWriter(4)
-	hb.U64(1)
-	d.OnMessage(0, hb.Bytes())
-	d.OnMessage(1, hb.Bytes())
-	if d.Leader() != 0 {
-		t.Fatalf("leader = %v", d.Leader())
+	m := NewMachine(2, 3, 1, Options{Timeout: 10 * time.Millisecond})
+	now := 1000 * ms
+	m.Heartbeat(now, 0, 1)
+	m.Heartbeat(now, 1, 1)
+	if m.Leader(now) != 0 {
+		t.Fatalf("leader = %v", m.Leader(now))
 	}
 	// p0 goes silent past the timeout; p1 stays fresh.
-	now = now.Add(20 * time.Millisecond)
-	d.OnMessage(1, hb.Bytes())
-	if d.Leader() != 1 {
-		t.Fatalf("leader after p0 silence = %v", d.Leader())
+	now += 20 * ms
+	m.Heartbeat(now, 1, 1)
+	if m.Leader(now) != 1 {
+		t.Fatalf("leader after p0 silence = %v", m.Leader(now))
 	}
 }
 
 func TestEpochNeverRegresses(t *testing.T) {
-	d := New(0, 2, 1, Options{}, &fakeNet{})
-	hbHigh := wire.NewWriter(4)
-	hbHigh.U64(9)
-	d.OnMessage(1, hbHigh.Bytes())
-	hbLow := wire.NewWriter(4)
-	hbLow.U64(3) // stale duplicate from an old incarnation
-	d.OnMessage(1, hbLow.Bytes())
-	if d.Epoch(1) != 9 {
-		t.Fatalf("epoch regressed to %d", d.Epoch(1))
+	m := NewMachine(0, 2, 1, Options{})
+	m.Heartbeat(0, 1, 9)
+	m.Heartbeat(0, 1, 3) // stale duplicate from an old incarnation
+	if m.Epoch(1) != 9 {
+		t.Fatalf("epoch regressed to %d", m.Epoch(1))
 	}
 }
 
@@ -180,63 +187,48 @@ func TestTrustedListOverRealNetwork(t *testing.T) {
 }
 
 // TestSharedViewsReTrustRecoveredEpoch is the shared-FD recovery contract:
-// all group facades of one process-level detector expose the same
-// suspicion flip when a peer crashes, and when the peer recovers with a
-// higher epoch every facade re-trusts it at that new epoch at once —
-// per-group crash semantics are preserved precisely because the groups of
-// a process share its lifecycle.
+// every group of a sharded process reads the one process-level detector, so
+// all of them see the same suspicion flip when a peer crashes, and when the
+// peer recovers with a higher epoch they re-trust it at that new epoch at
+// once — per-group crash semantics are preserved precisely because the
+// groups of a process share its lifecycle.
 func TestSharedViewsReTrustRecoveredEpoch(t *testing.T) {
 	d := New(0, 3, 1, Options{Heartbeat: 5 * time.Millisecond, Timeout: 20 * time.Millisecond}, &fakeNet{})
-	now := time.Unix(1000, 0)
-	d.SetClock(func() time.Time { return now })
-
-	views := []View{d.View(0), d.View(1), d.View(2)}
-	for g, v := range views {
-		if v.Group() != ids.GroupID(g) {
-			t.Fatalf("view %d tagged %v", g, v.Group())
-		}
+	var groups [3]API
+	for g := range groups {
+		groups[g] = d // what a sharded process hands each group's engine
 	}
+	m := d.m // the detector's machine, stepped here on a virtual clock
+	now := 1000 * ms
 
-	// p1 alive at epoch 2: every facade trusts it and reads the epoch.
-	hb := wire.NewWriter(4)
-	hb.U64(2)
-	d.OnMessage(1, hb.Bytes())
-	for g, v := range views {
-		if v.Suspects(1) || v.Epoch(1) != 2 {
+	// p1 alive at epoch 2: every group trusts it and reads the epoch.
+	m.Heartbeat(now, 1, 2)
+	for g, v := range groups {
+		if m.Suspects(now, 1) || v.Epoch(1) != 2 {
 			t.Fatalf("g%d: fresh peer suspected or epoch=%d", g, v.Epoch(1))
 		}
 	}
 
-	// p1 crashes (silence beyond the timeout): every facade flips at once.
-	now = now.Add(50 * time.Millisecond)
-	for g, v := range views {
-		if !v.Suspects(1) {
-			t.Fatalf("g%d: crashed peer not suspected", g)
-		}
+	// p1 crashes (silence beyond the timeout): suspected.
+	now += 50 * ms
+	if !m.Suspects(now, 1) || m.Leader(now) != 0 {
+		t.Fatal("crashed peer not suspected")
 	}
 
-	// p1 recovers and heartbeats at epoch 3: every facade re-trusts it at
-	// the new epoch.
-	hb2 := wire.NewWriter(4)
-	hb2.U64(3)
-	d.OnMessage(1, hb2.Bytes())
-	for g, v := range views {
+	// p1 recovers and heartbeats at epoch 3: re-trusted at the new epoch,
+	// through the adapter every group holds.
+	hb := wire.NewWriter(8)
+	EncodeHeartbeat(hb, 3)
+	d.OnMessage(1, hb.Bytes())
+	for g, v := range groups {
 		if v.Suspects(1) {
 			t.Fatalf("g%d: recovered peer still suspected", g)
 		}
 		if v.Epoch(1) != 3 {
 			t.Fatalf("g%d: epoch after recovery = %d, want 3", g, v.Epoch(1))
 		}
-	}
-
-	// The facades share leader/trusted/self-epoch output with the
-	// detector itself.
-	for g, v := range views {
-		if v.Leader() != d.Leader() || v.SelfEpoch() != d.SelfEpoch() {
-			t.Fatalf("g%d: facade output diverged from the detector", g)
-		}
-		if len(v.Trusted()) != len(d.Trusted()) {
-			t.Fatalf("g%d: trusted list diverged", g)
+		if v.SelfEpoch() != 1 || len(v.Trusted()) != 3 {
+			t.Fatalf("g%d: self epoch %d, trusted %v", g, v.SelfEpoch(), v.Trusted())
 		}
 	}
 }

@@ -5,12 +5,14 @@
 //
 // Cluster runs unsharded node.Node processes. ShardedCluster runs the
 // shipped front end, abcast.Sharded, over one multiplexed network, with
-// one recorder per ordering group. RunSoak and RunShardedSoak share one
-// seeded fault schedule, which injects suspicion as a real fault: a
+// one recorder per ordering group. RunShardedSoak is the wall-clock soak:
+// a seeded fault schedule that also injects suspicion as a real fault — a
 // process is isolated on the simulated network, so a lease holder loses
 // its lease to the failure detector and a higher ballot, as in
 // production. RunReshardSoak drives a ShardedCluster through joins and
-// retirements.
+// retirements. The unsharded soaks (TestSoakSeeds, TestSoakSeedsWAL) are
+// batches of the full-stack simulator, internal/sim/stack, where a seed
+// replays step for step.
 package harness
 
 import (
@@ -45,15 +47,6 @@ type Options struct {
 	// InjectFaultyStorage wraps each store in a storage.Faulty trigger
 	// reachable via Cluster.Faulty.
 	InjectFaultyStorage bool
-	// NewStore, when set, supplies each process's stable-storage engine
-	// (default storage.NewMem). It is still wrapped in the Accounted
-	// (and optionally Faulty) layers; engines implementing
-	// storage.Closer are closed by Cluster.Stop.
-	NewStore func(ids.ProcessID) storage.Stable
-	// Transport, when set, replaces the simulated in-memory network
-	// (e.g. a TCP loopback cluster); Net is then ignored and
-	// Cluster.Net is nil.
-	Transport transport.Network
 	// OnDeliver/OnRestore, when set, are chained after the recorder's
 	// callbacks for each process (application hooks).
 	OnDeliver func(ids.ProcessID, core.Delivery)
@@ -109,7 +102,7 @@ func DefaultLossyNet(seed uint64) transport.MemOptions {
 // Cluster is a group of processes over one simulated network.
 type Cluster struct {
 	Opts   Options
-	Net    *transport.Mem // nil when Options.Transport overrides it
+	Net    *transport.Mem
 	Nodes  []*node.Node
 	Stores []*storage.Accounted
 	Faults []*storage.Faulty // non-nil only with InjectFaultyStorage
@@ -118,8 +111,6 @@ type Cluster struct {
 	// lifecycle tracer and anomaly flight recorder. Always populated.
 	Obs []*obs.Plane
 
-	net    transport.Network
-	inners []storage.Stable // engines from NewStore (closed by Stop)
 	ctx    context.Context
 	cancel context.CancelFunc
 }
@@ -129,23 +120,13 @@ func NewCluster(opts Options) *Cluster {
 	opts.fill()
 	c := &Cluster{
 		Opts: opts,
+		Net:  transport.NewMem(opts.N, opts.Net),
 		Rec:  check.NewRecorder(opts.N),
-	}
-	if opts.Transport != nil {
-		c.net = opts.Transport
-	} else {
-		c.Net = transport.NewMem(opts.N, opts.Net)
-		c.net = c.Net
 	}
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 	for p := 0; p < opts.N; p++ {
 		pid := ids.ProcessID(p)
-		var inner storage.Stable = storage.NewMem()
-		if opts.NewStore != nil {
-			inner = opts.NewStore(pid)
-			c.inners = append(c.inners, inner)
-		}
-		acct := storage.NewAccounted(inner)
+		acct := storage.NewAccounted(storage.NewMem())
 		c.Stores = append(c.Stores, acct)
 		var st storage.Stable = acct
 		if opts.InjectFaultyStorage {
@@ -189,7 +170,7 @@ func NewCluster(opts Options) *Cluster {
 			App:       appHook,
 			Obs:       plane,
 		}
-		c.Nodes = append(c.Nodes, node.New(ncfg, st, c.net))
+		c.Nodes = append(c.Nodes, node.New(ncfg, st, c.Net))
 	}
 	return c
 }
@@ -226,20 +207,13 @@ func (c *Cluster) Recover(pid ids.ProcessID) (time.Duration, error) {
 	return time.Since(start), err
 }
 
-// Stop tears the whole cluster down, closing any engines NewStore opened.
+// Stop tears the whole cluster down.
 func (c *Cluster) Stop() {
 	for _, n := range c.Nodes {
 		n.Crash()
 	}
 	c.cancel()
-	if c.Net != nil {
-		c.Net.Close()
-	}
-	for _, st := range c.inners {
-		if cl, ok := st.(storage.Closer); ok {
-			cl.Close()
-		}
-	}
+	c.Net.Close()
 }
 
 // Broadcast submits a payload at pid, records it, and (basic protocol)

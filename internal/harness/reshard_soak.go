@@ -21,40 +21,19 @@ import (
 type ReshardSoakOptions struct {
 	// Seed drives the whole schedule (0 picks the default).
 	Seed uint64
-	// N is the process count (default 3). Process 0 never crashes: it
-	// holds the run-long merge cursor whose output is diffed against the
-	// batch merge at the end.
-	N int
-	// Groups is the starting group count (default 2).
-	Groups int
-	// Steps is the schedule length (default 30).
-	Steps int
-	// MaxGroups caps how many groups a run may ever mint (default 6).
-	MaxGroups int
-	// DrainTimeout bounds the final catch-up-and-verify phase (default 60s).
-	DrainTimeout time.Duration
 }
 
-func (o *ReshardSoakOptions) fill() {
-	if o.Seed == 0 {
-		o.Seed = 42
-	}
-	if o.N <= 0 {
-		o.N = 3
-	}
-	if o.Groups <= 0 {
-		o.Groups = 2
-	}
-	if o.Steps <= 0 {
-		o.Steps = 30
-	}
-	if o.MaxGroups <= o.Groups {
-		o.MaxGroups = o.Groups + 4
-	}
-	if o.DrainTimeout <= 0 {
-		o.DrainTimeout = 60 * time.Second
-	}
-}
+// The reshard soak's shape: reshardN processes (process 0 never crashes:
+// it holds the run-long merge cursor whose output is diffed against the
+// batch merge at the end), reshardGroups groups at the start and at most
+// reshardMaxGroups ever minted, and reshardSteps schedule steps. The final
+// catch-up and verification get soakDrain.
+const (
+	reshardN         = 3
+	reshardGroups    = 2
+	reshardMaxGroups = 6
+	reshardSteps     = 30
+)
 
 // ReshardSoakResult summarizes what one resharding soak exercised.
 type ReshardSoakResult struct {
@@ -114,13 +93,15 @@ func (foldCount) Restore([]byte) {}
 //   - the observability conservation laws, including the reshard-event
 //     edge-detection laws, hold on every process's plane.
 func RunReshardSoak(opts ReshardSoakOptions) (ReshardSoakResult, error) {
-	opts.fill()
+	if opts.Seed == 0 {
+		opts.Seed = 42
+	}
 	var res ReshardSoakResult
 	rng := rand.New(rand.NewSource(int64(opts.Seed)))
 
 	c, err := NewShardedCluster(ShardedOptions{
-		N:      opts.N,
-		Groups: opts.Groups,
+		N:      reshardN,
+		Groups: reshardGroups,
 		Seed:   opts.Seed,
 		Protocol: abcast.ProtocolOptions{
 			PipelineDepth:   2,
@@ -158,11 +139,11 @@ func RunReshardSoak(opts ReshardSoakOptions) (ReshardSoakResult, error) {
 	down := -1                            // crashed pid (at most one; never 0)
 	retired := make(map[ids.GroupID]bool) // groups sealed by this run
 	admitted := make(map[string]bool)     // payloads owed delivery everywhere
-	minted := opts.Groups
+	minted := reshardGroups
 
 	upProcs := func() []int {
 		var up []int
-		for p := 0; p < opts.N; p++ {
+		for p := 0; p < reshardN; p++ {
 			if p != down {
 				up = append(up, p)
 			}
@@ -230,7 +211,7 @@ func RunReshardSoak(opts ReshardSoakOptions) (ReshardSoakResult, error) {
 			rcancel()
 			if err != nil && !strings.Contains(err.Error(), "reaped") {
 				detail := ""
-				for q := 0; q < opts.N; q++ {
+				for q := 0; q < reshardN; q++ {
 					detail += fmt.Sprintf(" p%d{k=%d active=%v epoch=%d}", q, procs[q].Round(g), procs[q].ActiveGroups(), procs[q].Epoch())
 				}
 				return fmt.Errorf("re-retire %v at recovered p%d: %w:%s", g, pid, err, detail)
@@ -244,14 +225,14 @@ func RunReshardSoak(opts ReshardSoakOptions) (ReshardSoakResult, error) {
 	// recover it. No process ages out of the harness's GC floor, so the
 	// gossiped floor must have held every fold behind the laggard — the
 	// GCForced == 0 assertion at the end is this phase's teeth.
-	lagStart := opts.Steps / 3
+	lagStart := reshardSteps / 3
 
-	for step := 0; step < opts.Steps; step++ {
+	for step := 0; step < reshardSteps; step++ {
 		if step == lagStart {
 			if err := recoverProc(); err != nil {
 				return res, fmt.Errorf("reshard soak seed=%d: %w", opts.Seed, err)
 			}
-			down = 1 + rng.Intn(opts.N-1)
+			down = 1 + rng.Intn(reshardN-1)
 			procs[down].Crash()
 			res.Crashes++
 			broadcast(step)
@@ -269,7 +250,7 @@ func RunReshardSoak(opts ReshardSoakOptions) (ReshardSoakResult, error) {
 			broadcast(step)
 		case pick < 5: // crash (never p0, at most one down, not during the lag phase)
 			if down < 0 && (step < lagStart || step > lagStart+3) {
-				down = 1 + rng.Intn(opts.N-1)
+				down = 1 + rng.Intn(reshardN-1)
 				procs[down].Crash()
 				res.Crashes++
 			} else {
@@ -280,7 +261,7 @@ func RunReshardSoak(opts ReshardSoakOptions) (ReshardSoakResult, error) {
 				return res, fmt.Errorf("reshard soak seed=%d: %w", opts.Seed, err)
 			}
 		case pick < 8: // scale-out
-			if minted >= opts.MaxGroups {
+			if minted >= reshardMaxGroups {
 				broadcast(step)
 				break
 			}
@@ -333,7 +314,7 @@ func RunReshardSoak(opts ReshardSoakOptions) (ReshardSoakResult, error) {
 				rcancel()
 				if err != nil && !strings.Contains(err.Error(), "reaped") {
 					detail := ""
-					for q := 0; q < opts.N; q++ {
+					for q := 0; q < reshardN; q++ {
 						detail += fmt.Sprintf(" p%d{groups=%d active=%v epoch=%d k=%d}", q, procs[q].Groups(), procs[q].ActiveGroups(), procs[q].Epoch(), procs[q].Round(g))
 					}
 					return res, fmt.Errorf("reshard soak seed=%d step=%d: RetireGroup(%v) at p%d: %w:%s", opts.Seed, step, g, p, err, detail)
@@ -350,11 +331,11 @@ func RunReshardSoak(opts ReshardSoakOptions) (ReshardSoakResult, error) {
 	if err := recoverProc(); err != nil {
 		return res, fmt.Errorf("reshard soak seed=%d: %w", opts.Seed, err)
 	}
-	drainCtx, drainCancel := context.WithTimeout(ctx, opts.DrainTimeout)
+	drainCtx, drainCancel := context.WithTimeout(ctx, soakDrain)
 	defer drainCancel()
 	for {
 		missing := ""
-		for p := 0; p < opts.N; p++ {
+		for p := 0; p < reshardN; p++ {
 			for payload := range admitted {
 				if !c.recs.delivered(ids.ProcessID(p), payload) {
 					missing = fmt.Sprintf("p%d missing %q", p, payload)
@@ -390,7 +371,7 @@ func RunReshardSoak(opts ReshardSoakOptions) (ReshardSoakResult, error) {
 	// merge until it is up), and the run-long cursor streamed exactly the
 	// batch interleave.
 	var all []ids.ProcessID
-	for p := 0; p < opts.N; p++ {
+	for p := 0; p < reshardN; p++ {
 		all = append(all, ids.ProcessID(p))
 	}
 	for {
@@ -411,7 +392,7 @@ func RunReshardSoak(opts ReshardSoakOptions) (ReshardSoakResult, error) {
 
 	// Give the floor-gated reap one chance to fire (not asserted: remote
 	// floors may legitimately still lag the final rounds).
-	for p := 0; p < opts.N; p++ {
+	for p := 0; p < reshardN; p++ {
 		res.Reaped += procs[p].ReapRetired()
 	}
 

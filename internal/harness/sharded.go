@@ -28,7 +28,6 @@ type ShardedOptions struct {
 	Net    transport.MemOptions
 	// Protocol configures every group of every process.
 	Protocol abcast.ProtocolOptions
-	FD       abcast.FDOptions
 	// MergedDelivery is abcast.ShardedConfig.MergedDelivery: checkpoint
 	// folds stop at the merge floor, so merged sequences stay
 	// reconstructible across checkpoints. Set it for clusters that verify
@@ -40,11 +39,10 @@ type ShardedOptions struct {
 	// engine (default storage.NewMem): all groups of the process run in
 	// namespaces of it, so a group-commit engine coalesces their fsyncs.
 	NewStore func(ids.ProcessID) storage.Stable
-	// Obs is the per-process observability template (PID is filled per
-	// process). One plane serves all groups of a process — per-group
-	// metrics carry a {group} label, so they stay distinguishable.
-	Obs obs.Options
 }
+
+// shardedFD is every process's failure detector: fast timers.
+var shardedFD = abcast.FDOptions{Heartbeat: 5 * time.Millisecond, Timeout: 30 * time.Millisecond}
 
 func (o *ShardedOptions) fill() {
 	if o.N <= 0 {
@@ -61,12 +59,6 @@ func (o *ShardedOptions) fill() {
 	}
 	if o.Protocol.GossipInterval <= 0 {
 		o.Protocol.GossipInterval = 10 * time.Millisecond
-	}
-	if o.FD.Heartbeat <= 0 {
-		o.FD.Heartbeat = 5 * time.Millisecond
-	}
-	if o.FD.Timeout <= 0 {
-		o.FD.Timeout = 30 * time.Millisecond
 	}
 }
 
@@ -107,9 +99,9 @@ func NewShardedCluster(opts ShardedOptions) (*ShardedCluster, error) {
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 	for p := 0; p < opts.N; p++ {
 		pid := ids.ProcessID(p)
-		obsOpts := opts.Obs
-		obsOpts.PID = pid
-		c.Obs = append(c.Obs, obs.New(obsOpts))
+		// One plane serves all groups of a process: per-group metrics carry
+		// a {group} label.
+		c.Obs = append(c.Obs, obs.New(obs.Options{PID: pid}))
 		var st storage.Stable = storage.NewMem()
 		if opts.NewStore != nil {
 			st = opts.NewStore(pid)
@@ -136,7 +128,7 @@ func (c *ShardedCluster) build(pid ids.ProcessID) error {
 		PID:            pid,
 		N:              c.Opts.N,
 		Protocol:       c.Opts.Protocol,
-		FD:             c.Opts.FD,
+		FD:             shardedFD,
 		MergedDelivery: c.Opts.MergedDelivery,
 		// Every process of a run comes back, so none may age out of the
 		// GC floor: here a GC-forced state transfer is always a bug.

@@ -8,34 +8,32 @@ import (
 	"repro/abcast"
 	"repro/internal/ids"
 	"repro/internal/storage"
-	"repro/internal/transport"
+)
+
+// The sharded soak's shape: soakN processes of soakGroups groups,
+// soakSteps fault-schedule steps with at most soakN-1 processes down at
+// once, soakMsgs broadcast attempts of soakPayload bytes spread round-robin
+// over the groups, and soakDrain for the final catch-up and verification.
+const (
+	soakN       = 3
+	soakGroups  = 3
+	soakSteps   = 40
+	soakMsgs    = 120
+	soakPayload = 32
+	soakDrain   = 60 * time.Second
 )
 
 // ShardedSoakOptions configures one randomized crash-recovery soak over a
-// cluster of abcast.Sharded processes: the seeded schedule (shared with
-// RunSoak) crashes and recovers whole processes (every group at once),
-// arms process-level storage faults below the group namespaces and
-// isolates processes on the network, while closed-loop senders spread the
-// broadcast workload over every group. The final verification is per
+// cluster of abcast.Sharded processes: the seeded schedule crashes and
+// recovers whole processes (every group at once), arms process-level
+// storage faults below the group namespaces and isolates processes on the
+// network, while closed-loop senders spread the broadcast workload over
+// every group. The final verification is per
 // group — each group must satisfy the full Atomic Broadcast specification
 // — plus the cross-group merge checks.
 type ShardedSoakOptions struct {
 	// Seed drives the whole schedule. Required; 0 picks the default.
 	Seed uint64
-	// N is the process count (default 3); Groups the ordering-group count
-	// (default 2).
-	N      int
-	Groups int
-	// Steps is the number of fault-schedule steps (default 40).
-	Steps int
-	// Msgs is the number of broadcast attempts across the run (default
-	// 120), spread round-robin over the groups.
-	Msgs int
-	// Payload is the broadcast payload size in bytes (default 32).
-	Payload int
-	// MaxDown caps how many processes may be down simultaneously
-	// (default N-1).
-	MaxDown int
 	// Protocol selects the protocol variant under test. Application
 	// checkpointing (CheckpointEvery + Checkpointer) is supported: the
 	// cluster then runs in merged mode (each group's folds gated by the
@@ -44,41 +42,14 @@ type ShardedSoakOptions struct {
 	// transfer must stay off — an adoption skips rounds wholesale, which no
 	// merge consumer can reconstruct; RunShardedSoak rejects it.
 	Protocol abcast.ProtocolOptions
-	// Mux tunes the multiplexer's write coalescing (zero = none), so the
-	// soak can exercise the coalesced data plane under crash/recovery.
-	Mux abcast.ShardedNetOptions
 	// NewStore, when set, supplies each process's shared engine (all
 	// groups in namespaces of it); default in-memory.
 	NewStore func(ids.ProcessID) storage.Stable
-	// DrainTimeout bounds the final catch-up-and-verify phase (default
-	// 60s).
-	DrainTimeout time.Duration
 }
 
 func (o *ShardedSoakOptions) fill() {
 	if o.Seed == 0 {
 		o.Seed = 42
-	}
-	if o.N <= 0 {
-		o.N = 3
-	}
-	if o.Groups <= 0 {
-		o.Groups = 2
-	}
-	if o.Steps <= 0 {
-		o.Steps = 40
-	}
-	if o.Msgs <= 0 {
-		o.Msgs = 120
-	}
-	if o.Payload <= 0 {
-		o.Payload = 32
-	}
-	if o.MaxDown <= 0 || o.MaxDown >= o.N {
-		o.MaxDown = o.N - 1
-	}
-	if o.DrainTimeout <= 0 {
-		o.DrainTimeout = 60 * time.Second
 	}
 }
 
@@ -103,34 +74,9 @@ func (r ShardedSoakResult) String() string {
 		r.Crashes, r.Recoveries, r.StorageFaults, r.Isolations, r.LeasesLost, r.Broadcasts, r.Returned, r.Delivered, r.MergedRounds, r.FoldedRounds, r.CursorMerged, r.GCForced)
 }
 
-// shardedTarget adapts a ShardedCluster to the soak engine: crash and
-// recovery act on whole processes (Crash, then Start on the same
-// abcast.Sharded, so cursors subscribed before the faults keep streaming),
-// and each lane is a group: the workload walks the groups round-robin
-// (offset per sender) so every group sees traffic — merge liveness needs
-// every group to keep deciding rounds.
-type shardedTarget struct{ c *ShardedCluster }
-
-func (t shardedTarget) Crash(pid ids.ProcessID)                 { t.c.Procs[pid].Crash() }
-func (t shardedTarget) Start(pid ids.ProcessID) error           { return t.c.Start(pid) }
-func (t shardedTarget) ProcessUp(pid ids.ProcessID) bool        { return t.c.Procs[pid].Up() }
-func (t shardedTarget) Fault(pid ids.ProcessID) *storage.Faulty { return t.c.Faults[pid] }
-func (t shardedTarget) Net() *transport.Mem                     { return t.c.Net }
-func (t shardedTarget) Leader() (ids.ProcessID, bool) {
-	for _, s := range t.c.Procs {
-		if d := s.FD(); d != nil {
-			return d.Leader(), true
-		}
-	}
-	return 0, false
-}
-func (t shardedTarget) Broadcast(ctx context.Context, pid ids.ProcessID, lane int, payload []byte) (ids.MsgID, error) {
-	return t.c.Broadcast(ctx, pid, ids.GroupID(lane%t.c.Opts.Groups), payload)
-}
-
 // RunShardedSoak executes one randomized sharded crash-recovery soak and
 // returns the verification error, if any. Every run is a pure function of
-// Seed (plus goroutine interleavings), like RunSoak.
+// Seed (plus goroutine interleavings).
 //
 // Beyond the per-group specification checks, the final phase verifies the
 // streaming merge against the batch merge: a cursor subscribed at every
@@ -147,19 +93,20 @@ func RunShardedSoak(opts ShardedSoakOptions) (ShardedSoakResult, error) {
 	opts.fill()
 	var res ShardedSoakResult
 	if opts.Protocol.Delta > 0 {
-		return res, fmt.Errorf("sharded soak: Δ state transfer skips rounds wholesale, which no merge consumer can reconstruct — run that variant through RunSoak")
+		return res, fmt.Errorf("sharded soak: Δ state transfer skips rounds wholesale, which no merge consumer can reconstruct — the unsharded soaks run that variant")
 	}
 	if opts.Protocol.CheckpointEvery > 0 && opts.Protocol.Checkpointer == nil {
 		return res, fmt.Errorf("sharded soak: CheckpointEvery without a Checkpointer never folds; configure one (the variant under test is merged-mode application checkpointing)")
 	}
 
 	c, err := NewShardedCluster(ShardedOptions{
-		N:        opts.N,
-		Groups:   opts.Groups,
+		N:        soakN,
+		Groups:   soakGroups,
 		Seed:     opts.Seed,
 		Net:      DefaultLossyNet(opts.Seed),
 		Protocol: opts.Protocol,
-		Mux:      opts.Mux,
+		// The coalesced data plane, under crash and recovery.
+		Mux:      abcast.ShardedNetOptions{FlushDelay: 200 * time.Microsecond},
 		NewStore: opts.NewStore,
 		// The soak consumes merged sequences, so checkpointing runs the
 		// merged-mode discipline: folds gated by the merge floor.
@@ -175,8 +122,8 @@ func RunShardedSoak(opts ShardedSoakOptions) (ShardedSoakResult, error) {
 
 	// One streaming cursor per process, subscribed before any fault: its
 	// output is the differential oracle's counterpart for the whole run.
-	cursors := make([]*cursorState, opts.N)
-	for p := 0; p < opts.N; p++ {
+	cursors := make([]*cursorState, soakN)
+	for p := 0; p < soakN; p++ {
 		cur, err := c.Procs[p].MergeCursor()
 		if err != nil {
 			return res, fmt.Errorf("sharded soak seed=%d: subscribe p%d: %w", opts.Seed, p, err)
@@ -184,24 +131,7 @@ func RunShardedSoak(opts ShardedSoakOptions) (ShardedSoakResult, error) {
 		cursors[p] = &cursorState{cur: cur}
 	}
 
-	counts, drainCtx, cancel, err := runSoakSchedule(soakSchedule{
-		seed:         opts.Seed,
-		n:            opts.N,
-		steps:        opts.Steps,
-		msgs:         opts.Msgs,
-		payload:      opts.Payload,
-		maxDown:      opts.MaxDown,
-		isolation:    isolationFDTimeouts * c.Opts.FD.Timeout,
-		drainTimeout: opts.DrainTimeout,
-		planes:       c.Obs,
-	}, shardedTarget{c})
-	res = ShardedSoakResult{
-		Crashes:       counts.crashes,
-		Recoveries:    counts.recoveries,
-		StorageFaults: counts.storageFaults,
-		Isolations:    counts.isolations,
-		Broadcasts:    counts.broadcasts,
-	}
+	drainCtx, cancel, err := runSoakSchedule(opts, c, &res)
 	if err != nil {
 		return res, fmt.Errorf("sharded soak seed=%d: %w", opts.Seed, err)
 	}
@@ -211,7 +141,7 @@ func RunShardedSoak(opts ShardedSoakOptions) (ShardedSoakResult, error) {
 	}
 
 	var all []ids.ProcessID
-	for p := 0; p < opts.N; p++ {
+	for p := 0; p < soakN; p++ {
 		all = append(all, ids.ProcessID(p))
 	}
 	if err := c.AwaitAllDelivered(drainCtx, all...); err != nil {
@@ -234,7 +164,7 @@ func RunShardedSoak(opts ShardedSoakOptions) (ShardedSoakResult, error) {
 
 	// Streaming-vs-batch differential: every process's cursor must have
 	// streamed exactly the interleave batch Merged reconstructs.
-	for p := 0; p < opts.N; p++ {
+	for p := 0; p < soakN; p++ {
 		n, err := c.verifyCursorAgainstBatch(drainCtx, ids.ProcessID(p), cursors[p])
 		if err != nil {
 			return res, fmt.Errorf("sharded soak seed=%d: %w", opts.Seed, err)

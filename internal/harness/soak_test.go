@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"flag"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -11,76 +12,45 @@ import (
 	"repro/internal/core"
 	"repro/internal/ids"
 	"repro/internal/msg"
+	"repro/internal/sim/stack"
 	"repro/internal/storage"
 	"repro/internal/wire"
 )
 
-// soakVariants are the protocol configurations the randomized soak guards:
-// the paper's basic protocol, and the high-throughput pipelined + adaptively
-// batched + checkpointing + state-transfer stack. Both gossip IDs and
-// repair by pull, so dissemination, recovery catch-up and the state
-// transfer must all hold under crashes and loss without a payload re-send.
-// The same two configurations, at three and five processes, also run in
-// the core simulator (internal/core TestSimSchedules), where a failing
-// seed replays step for step.
-func soakVariants() map[string]core.Config {
-	return map[string]core.Config{
-		"basic": {},
-		"pipelined": {
-			PipelineDepth:    4,
-			BatchedBroadcast: true,
-			IncrementalLog:   true,
-			MaxBatchBytes:    4 << 10,
-			MaxBatchDelay:    300 * time.Microsecond,
-			CheckpointEvery:  8,
-			Delta:            12,
-		},
+var simSeed = flag.Uint64("sim.seed", 0, "run only this full-stack simulator seed in each selected soak batch, and print its steps")
+
+// soakBatch runs one soak batch of the full-stack simulator
+// (stack.Schedule with Soak): schedules base*1000 .. base*1000+19, or only
+// -sim.seed. Like the wall-clock soak before it, every schedule isolates
+// processes for at least 3 FD timeouts, lease holders among them, and must
+// show an isolation and a lost lease in its effects.
+func soakBatch(t *testing.T, base uint64, cfg core.Config, cons consensus.Config) {
+	sc := stack.Schedule{N: 3, Core: cfg, Consensus: cons, Soak: true}
+	tally := sc.Check(t, base*1000, 20, *simSeed, "go test ./internal/harness/ -run '"+t.Name()+"$' -sim.seed=%d -v")
+	t.Logf("soak: %+v", tally)
+	if tally.Crashes == 0 && *simSeed == 0 {
+		t.Fatalf("the batch crashed no process (seeds too tame?): %+v", tally)
 	}
+	requireLeaseLost(t, tally.Isolations, tally.LeasesLost)
 }
 
 // TestSoakSeeds runs the randomized crash-recovery soak for a fixed set of
-// seeds on the wall clock, over the real consensus engine and transport:
-// each seed generates a random schedule of crashes, async recoveries,
-// injected storage faults, process isolations and fsync latency under a
-// lossy network while a closed-loop workload broadcasts, then everything
-// recovers, drains, and the recorder verifies Validity, Integrity, Total
-// Order and Termination. Every run must isolate a process and show a lease
-// lost in the flight recorders: suspicion really moved the lease. The
+// base seeds, as batches of the full-stack simulator (soakBatch). The
 // pipelined variant runs a short lease TTL, so leases also expire
-// mid-stream.
+// mid-stream. A failing schedule prints its steps and the command that
+// replays it exactly, e.g.
 //
-// Reproducing a failure: the schedule is a pure function of the seed, but
-// goroutine interleavings are not, so re-run the failing subtest by name,
-// e.g.
-//
-//	go test ./internal/harness -run 'TestSoakSeeds/seed=23/pipelined' -v -count=1
-//
-// and iterate with -race. A core-level failure replays exactly in the core
-// simulator instead.
+//	go test ./internal/harness/ -run 'TestSoakSeeds/seed=23/pipelined$' -sim.seed=23004 -v
 func TestSoakSeeds(t *testing.T) {
-	seeds := []uint64{1, 7, 23}
-	for _, seed := range seeds {
-		for name, cfg := range soakVariants() {
+	for _, seed := range []uint64{1, 7, 23} {
+		for name, cfg := range stack.Variants() {
 			var cons consensus.Config
 			if name == "pipelined" {
 				cons.LeaseTTL = 50 * time.Millisecond
 			}
 			t.Run(fmt.Sprintf("seed=%d/%s", seed, name), func(t *testing.T) {
 				t.Parallel()
-				res, err := RunSoak(SoakOptions{
-					Seed:      seed,
-					N:         3,
-					Core:      cfg,
-					Consensus: cons,
-				})
-				t.Logf("soak: %v", res)
-				if err != nil {
-					t.Fatalf("soak failed: %v", err)
-				}
-				if res.Crashes+res.StorageFaults == 0 {
-					t.Fatalf("schedule exercised no faults (seed too tame?): %v", res)
-				}
-				requireLeaseLost(t, res.Isolations, res.LeasesLost)
+				soakBatch(t, seed, cfg, cons)
 			})
 		}
 	}
@@ -98,44 +68,72 @@ func requireLeaseLost(t *testing.T, isolations, leasesLost int) {
 	}
 }
 
-// TestSoakSeedsWAL runs the seeded soak schedule over the group-commit WAL
-// engine with storage.Faulty injection on top: injected faults fail log
-// operations at arbitrary points of the asynchronous pipeline and the
-// resulting crash/recovery cycles must still produce one total order with
-// no loss and no duplication. Like the harness's in-memory stores, the WAL
-// instances stay open across simulated crashes (the node's volatile
-// incarnation dies; the storage object does not), so this soak exercises
-// fault-time behavior of the pipeline, not loss of the un-fsynced tail —
-// cold-restart recovery from the durable prefix alone is covered by the
-// reopen tests in internal/storage and abcast's TestPublicAPIWALStorage.
+// TestSoakSeedsWAL runs the pipelined soak batch for the WAL's seeds. The
+// simulated disk stands in for the WAL's contract: writes resolve in issue
+// order, and a crash loses the tail that has not resolved. The real WAL
+// under storage.Faulty injection stays covered by the sharded-wal soaks
+// (TestSoakSeedsSharded), FuzzWALAgainstMem and the WAL crash tests in
+// internal/storage.
 func TestSoakSeedsWAL(t *testing.T) {
 	for _, seed := range []uint64{5, 31} {
 		t.Run(fmt.Sprintf("seed=%d/wal", seed), func(t *testing.T) {
 			t.Parallel()
-			dir := t.TempDir()
-			res, err := RunSoak(SoakOptions{
-				Seed: seed,
-				N:    3,
-				Core: soakVariants()["pipelined"],
-				NewStore: func(pid ids.ProcessID) storage.Stable {
-					w, werr := storage.OpenWAL(
-						filepath.Join(dir, fmt.Sprintf("p%d", pid)),
-						storage.WALOptions{SyncEvery: 16, MaxSyncDelay: 500 * time.Microsecond})
-					if werr != nil {
-						t.Fatalf("open wal: %v", werr)
-					}
-					return w
-				},
-			})
-			t.Logf("soak: %v", res)
-			if err != nil {
-				t.Fatalf("soak failed: %v", err)
-			}
-			if res.Crashes+res.StorageFaults == 0 {
-				t.Fatalf("schedule exercised no faults (seed too tame?): %v", res)
-			}
-			requireLeaseLost(t, res.Isolations, res.LeasesLost)
+			soakBatch(t, seed, stack.Variants()["pipelined"], consensus.Config{})
 		})
+	}
+}
+
+// TestLeaseLostUnderIsolation pins, in virtual time, the property the
+// wall-clock soak could only observe: a lease holder isolated for 3 FD
+// timeouts emits lease-lost; another process decides the next rounds at a
+// higher ballot; and once healed, the old holder orders again, through
+// classic ballots or a lease it re-acquires at a new ballot — with the
+// oracle holding throughout.
+func TestLeaseLostUnderIsolation(t *testing.T) {
+	s := stack.Scripted(t)
+	s.Boot()
+	holder := s.Procs[0]
+	for i := 0; holder.LeaseB == 0; i++ {
+		if i > 20 {
+			t.Fatal("p0 holds no lease after 20 rounds")
+		}
+		s.BroadcastAndWait(t, 0)
+	}
+	b, k, lost := holder.LeaseB, holder.Core.K(), holder.LeasesLost
+
+	iso := stack.IsolationFDTimeouts * int64(stack.FDTimeout)
+	end := s.Now + iso
+	s.Isolate(0, iso)
+	s.Broadcast(0, true) // a round at the lease ballot finds no quorum
+	s.Await(t, "the isolated holder loses its lease", func() bool { return holder.LeasesLost > lost })
+	if s.Now > end {
+		t.Fatalf("the lease was lost %.3fms after the isolation ended", float64(s.Now-end)/float64(time.Millisecond))
+	}
+
+	since := len(s.Accepts)
+	s.BroadcastAndWait(t, 1)
+	higher := false
+	for _, a := range s.Accepts[since:] {
+		if a.PID == 0 && a.Ballot == b && a.K >= k {
+			t.Fatalf("the isolated holder's accept reached round %d at its lost ballot", a.K)
+		}
+		higher = higher || a.PID != 0 && a.K >= k && a.Ballot > b
+	}
+	if !higher {
+		t.Fatalf("no process decided round %d on at a ballot above the lease's %d: %+v", k, b, s.Accepts[since:])
+	}
+
+	s.Await(t, "the isolation ends", func() bool { return s.Now >= end })
+	since = len(s.Accepts)
+	s.BroadcastAndWait(t, 0)
+	s.Await(t, "every process delivered", s.Terminated)
+	for _, a := range s.Accepts[since:] {
+		if a.Ballot == b {
+			t.Fatalf("round %d went out at the lost lease's ballot %d", a.K, b)
+		}
+	}
+	if err := s.Rec.Verify(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -218,10 +216,7 @@ func TestSoakSeedsSharded(t *testing.T) {
 				}
 				res, err := RunShardedSoak(ShardedSoakOptions{
 					Seed:     seed,
-					N:        3,
-					Groups:   3,
 					Protocol: cfg,
-					Mux:      abcast.ShardedNetOptions{FlushDelay: 200 * time.Microsecond},
 					NewStore: func(pid ids.ProcessID) storage.Stable {
 						w, werr := storage.OpenWAL(
 							filepath.Join(dir, fmt.Sprintf("p%d", pid)), walOpts)

@@ -51,8 +51,8 @@ type Config struct {
 	// starts into the flight recorder. Nil disables all instrumentation.
 	Obs *obs.Plane
 	// SharedFD, when set, is called at every incarnation start and must
-	// return the process-level failure-detector facade this node's
-	// consensus engine should use (see SharedFD / StartSharedFD). The node
+	// return the process-level failure detector this node's consensus
+	// engine should use (see SharedFD / StartSharedFD). The node
 	// then runs no detector of its own: it sends no heartbeats and ignores
 	// the FD channel — the process-level service owns both. Nil keeps the
 	// classic one-detector-per-node wiring.
@@ -79,7 +79,7 @@ type incarnation struct {
 	epoch  uint32
 	cancel context.CancelFunc
 	rt     *router.Router
-	det    fd.API       // own detector or the shared process-level facade
+	det    fd.API       // own detector or the shared process-level one
 	own    *fd.Detector // non-nil only when this node runs its own detector
 	eng    *consensus.Engine
 	proto  *core.Protocol
@@ -117,9 +117,9 @@ func (n *Node) Start(ctx context.Context) error {
 	}
 	rt := router.New(ep)
 
-	// The liveness oracle: this node's own detector, or a facade over the
-	// process-level one shared by every group of a sharded process (then
-	// this node sends no heartbeats at all).
+	// The liveness oracle: this node's own detector, or the process-level
+	// one shared by every group of a sharded process (then this node sends
+	// no heartbeats at all).
 	var det fd.API
 	var own *fd.Detector
 	if n.cfg.SharedFD != nil {
@@ -152,6 +152,13 @@ func (n *Node) Start(ctx context.Context) error {
 	pcfg.Group = n.cfg.Group
 	pcfg.Obs = n.cfg.Obs
 	proto := core.New(pcfg, n.store, eng, rt.Bound(router.ChanCore))
+	// Consensus keeps no GC floor across a crash; core's retrieve hands it
+	// back, before the router delivers a frame the engine could answer.
+	if err := proto.Recover(); err != nil {
+		rt.Stop()
+		eng.Stop()
+		return fmt.Errorf("node %v: recovery: %w", n.cfg.PID, err)
+	}
 
 	if own != nil {
 		rt.Handle(router.ChanFD, own.OnMessage)
@@ -273,9 +280,8 @@ func (n *Node) Engine() *consensus.Engine {
 	return n.inc.eng
 }
 
-// Detector returns the live failure-detector view (the node's own
-// detector, or its facade over the shared process-level one), or nil if
-// the node is down.
+// Detector returns the live failure detector (the node's own, or the
+// shared process-level one), or nil if the node is down.
 func (n *Node) Detector() fd.API {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -20,7 +20,8 @@ const keyProcEpoch = "proc/epoch"
 
 // SharedFD is the process-level failure-detector service of a sharded
 // process: one Detector covering the whole process incarnation, serving
-// every ordering group through per-group fd.View facades. The paper's
+// every ordering group: each group's consensus engine reads the one
+// Detector. The paper's
 // liveness oracle is per process (§3.5) — a process's groups crash and
 // recover together — so G per-group detectors send G identical heartbeat
 // streams per peer where one suffices. SharedFD runs that one stream over
@@ -54,10 +55,6 @@ func StartSharedFD(ctx context.Context, pid ids.ProcessID, n int, epoch uint32, 
 
 // Detector returns the shared process-level detector.
 func (s *SharedFD) Detector() *fd.Detector { return s.det }
-
-// View returns group g's facade over the shared detector — the value to
-// pass to that group's node via Config.SharedFD.
-func (s *SharedFD) View(g ids.GroupID) fd.API { return s.det.View(g) }
 
 // Stop ends the service: the heartbeat task exits and the process-lane
 // endpoint detaches (frames to it are dropped, like any crashed lane).
