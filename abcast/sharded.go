@@ -117,9 +117,9 @@ type ShardedConfig struct {
 	MergeFloorStaleness time.Duration
 
 	// Obs, when set, is the process's observability plane: it is threaded
-	// into every group node (metrics, traces, flight recorder), the merge
-	// stream, and the resharding machinery ("abcast.reshard.*" counters
-	// and EvReshard* flight events).
+	// into every group node (metrics, traces, flight recorder), the shared
+	// failure detector, the merge stream, and the resharding machinery
+	// ("abcast.reshard.*" counters and EvReshard* flight events).
 	Obs *obs.Plane
 
 	// OnDeliver receives every A-delivered message of every group, tagged
@@ -672,7 +672,7 @@ func (s *Sharded) applySeals() {
 // here means a torn-down process — return a detector that was never
 // started rather than nil (it trusts everyone, the never-heard grace
 // rule), so a racing start cannot panic (it will be crashed anyway).
-func (s *Sharded) liveFD() fd.API {
+func (s *Sharded) liveFD() *fd.Detector {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.sfd == nil {
@@ -728,7 +728,9 @@ func (s *Sharded) Start(ctx context.Context) error {
 		s.Crash()
 		return fmt.Errorf("abcast: sharded process %v: %w", s.cfg.PID, err)
 	}
-	sfd, err := node.StartSharedFD(ctx, s.cfg.PID, s.cfg.N, epoch, s.cfg.FD, s.net.ProcNet())
+	fdOpts := s.cfg.FD
+	fdOpts.Obs = s.cfg.Obs // the live detector's alone: liveFD's placeholder stays off the plane
+	sfd, err := node.StartSharedFD(ctx, s.cfg.PID, s.cfg.N, epoch, fdOpts, s.net.ProcNet())
 	if err != nil {
 		s.Crash()
 		return fmt.Errorf("abcast: sharded process %v: %w", s.cfg.PID, err)
@@ -811,7 +813,7 @@ func (s *Sharded) Route(key []byte) GroupID { return s.router.Load().r.Route(key
 // FD returns the live process-level failure detector shared by every
 // group (nil when the process is down). Every group's engine reads it, so
 // one query answers for the whole process.
-func (s *Sharded) FD() fd.API {
+func (s *Sharded) FD() *fd.Detector {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.sfd == nil {

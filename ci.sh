@@ -67,9 +67,12 @@ step_metrics() {
 # delivery (OnDeliver is the only delivery stream), consensus's driver
 # goroutines and wire tap, the core's task goroutines, decision waiters
 # and held store (the step machines and their simulators replaced them),
-# and the engine's lease-revocation hook and the sharded harness's own
+# the engine's lease-revocation hook and the sharded harness's own
 # copies of the front end's wiring and merge checks (the sharded soaks run
-# abcast.Sharded and isolate processes instead).
+# abcast.Sharded and isolate processes instead), and the adapters' own
+# write queues, settle upcall and upcall goroutine (one loop per
+# incarnation runs them, internal/loop). The machines' adapters start no
+# goroutine and arm no wall timer of their own either: only the loop does.
 step_retired() {
 	local pat='DESIGN\.md|EXPERIMENTS\.md|BENCH_e[0-9]+|internal/tune|\bE(1[4-9]|2[0-2])\b'
 	pat+='|\bDigestGossip\b|NewFileStorage|storage\.NewFile\b|SetGroupCommit|\bGossipMaxMessages\b'
@@ -82,9 +85,15 @@ step_retired() {
 	pat+='|interruptInflightLocked|storage\.NewHeld|\bNewHeld\b'
 	pat+='|\bRevokeLease\b|\bLayerTotals\b|\btrimBelow\b|verifyMergedAgreement|verifyCursorMatchesBatch|reshardRecorders'
 	pat+='|\bRunSoak\b|\bSoakOptions\b|\bSoakResult\b|\bclusterTarget\b|\bSetClock\b|\bInertView\b|\bnoDecisionCells\b|\bdeferProposals\b|\bevChoose\b|\bevSettle\b'
+	pat+='|persistedLater|settleWrites|upcallLoop|\bOnSettle\b|pendingPut|pendingWrite'
 	if grep -rnE "$pat" --include='*.go' . ||
 		grep -nE "$pat" README.md bench/README.md .github/workflows/ci.yml; then
 		echo "retired names found (above)"
+		return 1
+	fi
+	if grep -rnE '^\s*go |time\.(AfterFunc|NewTimer|NewTicker)|context\.AfterFunc' --include='*.go' --exclude='*_test.go' \
+		internal/core internal/consensus internal/fd internal/node; then
+		echo "goroutines or wall timers outside internal/loop (above)"
 		return 1
 	fi
 }

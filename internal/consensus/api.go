@@ -39,12 +39,13 @@
 // timer firing, or a call of Propose, WaitDecided or DiscardBelow — runs
 // to completion and leaves effects in one reused buffer: sends, writes (a
 // reply that a write protects rides on it), deletes, timer arms, and the
-// settles of decided or forgotten instances,
-// which release WaitDecided and the broadcast layer's OnSettle upcall.
-// The machine does no I/O, reads no clock and starts no goroutine. Engine
-// (engine.go) carries its effects out over the process's log, network and
-// wall clock; Machine (step.go) exports the step surface, which the
-// simulators run on a virtual one.
+// settles of decided or forgotten instances, which release WaitDecided and
+// are Fig. 1's decided upcall. The machine does no I/O, reads no clock and
+// starts no goroutine. Engine (engine.go) carries its effects out on a
+// loop (internal/loop) over the process's log, network and wall clock: in
+// a process, the loop it shares with the broadcast core, which takes each
+// settle as its input in the same step (Box); Machine (step.go) exports
+// the step surface, which the simulators run on a virtual clock.
 //
 // Two coordinator policies demonstrate that the broadcast transformation
 // treats Consensus as a black box (paper claim C2):
@@ -61,7 +62,6 @@
 package consensus
 
 import (
-	"context"
 	"errors"
 	"time"
 
@@ -97,55 +97,6 @@ var ErrStopped = errors.New("consensus: engine stopped")
 // ErrDiscarded is returned for instances below the garbage-collection floor
 // set by DiscardBelow.
 var ErrDiscarded = errors.New("consensus: instance discarded")
-
-// API is the interface the atomic broadcast layer programs against
-// (Fig. 1's propose/decided box). All methods are idempotent: "upon
-// recovery, a process may (re-)invoke these primitives for a Consensus
-// instance that has already started or even terminated" (§4.1).
-type API interface {
-	// Propose submits this process's initial value for instance k and
-	// issues its log write. The value goes out at a classic ballot only
-	// once that write is durable, and at the proposer's lease ballot beside
-	// it: a lease ballot is used by one incarnation only (its grant is
-	// durable at a majority and refuses every later request or prepare at
-	// that ballot), so no second value can appear at it even if the
-	// proposer crashes before the write lands and later proposes another.
-	// A process that granted a lease covering k to another process defers
-	// the write until it would coordinate k itself. Re-proposing a
-	// different value keeps the original (property P4). v is borrowed for
-	// the call (the engine keeps its own copy).
-	Propose(k uint64, v []byte) error
-	// WaitDecided blocks until instance k decides and returns the
-	// decision. Repeated calls return the same value (property P5), in
-	// this incarnation and in any later one: the value is held durably by
-	// an accept quorum, whether or not this process's own decision cell
-	// has reached its log yet. A decided value — like a Proposal — is
-	// immutable and may be aliased, never modified: the engine serves
-	// the same slice to every caller and to lagging peers.
-	WaitDecided(ctx context.Context, k uint64) ([]byte, error)
-	// DecidedLocal returns the locally known decision of k, if any,
-	// without blocking or touching the network.
-	DecidedLocal(k uint64) ([]byte, bool)
-	// Proposal returns the logged initial value for k, if any. The
-	// broadcast replay procedure iterates instances "while
-	// Proposed_p[k_p] ≠ ⊥" (Fig. 2).
-	Proposal(k uint64) ([]byte, bool)
-	// DiscardBelow garbage-collects all state of instances < k
-	// ("Proposed_p[i], i < k_p can be discarded from the log", Fig. 4
-	// line (c)). Only safe once the caller has a checkpoint covering
-	// those instances. It issues the deletes and does not wait for them:
-	// a crash before they are durable leaves cells below the floor, which
-	// the next discard deletes again. The floor itself is volatile: a
-	// recovering process sets it again before it takes part in rounds. A
-	// WaitDecided blocked below the floor returns ErrDiscarded.
-	DiscardBelow(k uint64) error
-	// OnSettle registers the one upcall of Fig. 1's decided(k, v): it runs
-	// for every instance this process learns decided (decided true) or
-	// that a peer reports garbage-collected (decided false), after the
-	// engine's lock is released, and never for a decision restored from
-	// the log — DecidedLocal answers those.
-	OnSettle(fn func(k uint64, v []byte, decided bool))
-}
 
 // Suspector is the failure-detector view the engine needs. It matches
 // *fd.Detector.

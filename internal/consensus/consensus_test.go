@@ -229,11 +229,13 @@ func TestDiscardReleasesWaiters(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { _, err := e.WaitDecided(ctx, 2); done <- err }()
 	for waiting := false; !waiting; time.Sleep(time.Millisecond) {
-		e.mu.Lock()
+		e.l.Lock()
 		waiting = e.waiters[2] != nil
-		e.mu.Unlock()
+		e.l.Unlock()
 	}
-	_ = e.DiscardBelow(5)
+	e.l.Enter()
+	e.Box().DiscardBelow(5)
+	e.l.Exit()
 	if err := <-done; !errors.Is(err, ErrDiscarded) {
 		t.Fatalf("WaitDecided returned %v, want ErrDiscarded", err)
 	}

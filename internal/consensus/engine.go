@@ -3,13 +3,11 @@ package consensus
 import (
 	"context"
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
 
 	"repro/internal/ids"
+	"repro/internal/loop"
 	"repro/internal/obs"
 	"repro/internal/router"
 	"repro/internal/storage"
@@ -86,17 +84,18 @@ func restore(m *machine, st storage.Stable) error {
 }
 
 // Engine is the multi-instance consensus engine for one process
-// incarnation: the machine run over the process's log, network and wall
-// clock. Create it with New (which replays the stable log), register
-// OnMessage with the router, then Start. One callback serves every write's
-// completion and one wall-clock timer every timer the machine arms, so a
+// incarnation: the machine run on a loop (internal/loop) over the
+// process's log, network and wall clock. New builds it on a loop of its
+// own; NewOn on the loop of the incarnation, where the broadcast core
+// drives it through Box and carries out its effects with its own in one
+// drain. Register OnMessage with the router, then Start. A write's
+// completion and a timer go back to the engine as typed loop inputs, so a
 // step costs no goroutine, channel or closure.
 type Engine struct {
-	ast   storage.AsyncStable
-	net   router.Net
-	tr    *obs.Tracer
-	fl    *obs.Recorder
-	epoch time.Time
+	l   *loop.Loop
+	net router.Net
+	tr  *obs.Tracer
+	fl  *obs.Recorder
 	// quorumNS is propose → decision learned: what one instance costs the
 	// commit path. decideFsyncNS is decision learned → decision cell
 	// durable: off the commit path, it says how long a crash could still
@@ -104,136 +103,121 @@ type Engine struct {
 	// never branches on wiring.
 	quorumNS, decideFsyncNS *obs.Histogram
 
-	mu sync.Mutex
-	m  *machine
+	m *machine
 	// waiters holds the channel that the WaitDecided calls blocked on an
 	// instance share, closed when it decides or is forgotten.
 	waiters map[uint64]chan struct{}
-	settle  func(k uint64, v []byte, decided bool) // OnSettle's upcall
-	pending []pendingPut                           // writes issued and not yet resolved
-	onDone  func(error)                            // e.persistedLater, bound once
-	alarms  []alarm                                // armed timers; superseded ones linger until a scan
-	wall    *time.Timer                            // runs e.onAlarm at wallAt, the earliest live alarm
-	wallAt  int64
-	unhook  func() bool // undoes Start's context.AfterFunc
+	puts    loop.Queue[cellWrite] // cell writes issued and not yet reported
+	next    int                   // the effect settle carries out next
 }
 
-type pendingPut struct {
-	c  *storage.Completion
+type cellWrite struct {
 	ef effect
 	at int64 // when it was issued
 }
 
-type alarm struct {
-	at int64
-	t  timer
-}
-
-type frame struct {
-	to ids.ProcessID
-	w  *wire.Writer
-}
-
-type settled struct {
-	k       uint64
-	v       []byte
-	decided bool
-}
-
-var _ API = (*Engine)(nil)
-
-// New builds an engine and restores all logged instance state — this is the
-// consensus side of crash recovery. net must be bound to the consensus
-// channel.
+// New builds an engine on a loop of its own over st and restores all
+// logged instance state — this is the consensus side of crash recovery.
+// net must be bound to the consensus channel.
 func New(cfg Config, st storage.Stable, net router.Net, det Suspector) (*Engine, error) {
+	l := loop.New(st)
+	e, err := NewOn(l, cfg, net, det)
+	if err == nil {
+		l.Bind(e.drain, nil)
+	}
+	return e, err
+}
+
+// NewOn builds an engine on l, restored from l's store. The caller binds
+// the loop's drain, which must carry out the engine's effects (Box.Settle).
+func NewOn(l *loop.Loop, cfg Config, net router.Net, det Suspector) (*Engine, error) {
 	m := newMachine(cfg, det)
-	if err := restore(m, st); err != nil {
+	if err := restore(m, l.Store()); err != nil {
 		return nil, err
 	}
 	e := &Engine{
-		ast:     storage.Async(st),
+		l:       l,
 		net:     net,
 		tr:      cfg.Obs.Trace(),
 		fl:      cfg.Obs.Flight(),
-		epoch:   time.Now(),
 		m:       m,
 		waiters: make(map[uint64]chan struct{}),
-		wallAt:  math.MaxInt64,
 
 		quorumNS:      cfg.Obs.Reg().Histogram(obs.GroupLabel("abcast.consensus.quorum_ns", cfg.Group)),
 		decideFsyncNS: cfg.Obs.Reg().Histogram(obs.GroupLabel("abcast.consensus.decide_fsync_ns", cfg.Group)),
 	}
-	e.onDone = e.persistedLater
-	e.wall = time.AfterFunc(math.MaxInt64, e.onAlarm) // opArm effects reset it
 	if m.cfg.Policy == PolicyLeader {
 		e.registerLeaseFuncs(cfg.Obs.Reg(), cfg.Group)
 	}
 	return e, nil
 }
 
-// now is the adapter's clock: monotonic ns since New.
-func (e *Engine) now() int64 { return int64(time.Since(e.epoch)) }
-
 // Start arms the engine with its incarnation context: drivers and lease
 // acquisitions run until ctx is cancelled, and instances whose proposal is
 // logged without a decision resume at once.
 func (e *Engine) Start(ctx context.Context) {
-	e.mu.Lock()
-	e.m.start()
-	e.unhook = context.AfterFunc(ctx, func() {
-		e.mu.Lock()
-		e.m.running = false
-		e.mu.Unlock()
-	})
-	e.flush()
-}
-
-// Stop ends the incarnation's drivers, timers and lease acquisitions, as
-// cancelling the Start context does, and releases the wall-clock timer.
-func (e *Engine) Stop() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.m.running = false
-	e.wall.Stop()
-	if e.unhook != nil {
-		e.unhook()
+	e.l.Start(ctx)
+	if e.l.Enter() {
+		e.m.start()
+		e.l.Exit()
 	}
 }
 
-// OnMessage is the router handler for the consensus channel. It runs on
-// the router's receive goroutine; writes are issued asynchronously and a
-// reply a write protects leaves on its completion, so the receive
-// goroutine never blocks on an fsync.
+// Stop ends the incarnation's loop, as cancelling the Start context does:
+// no input steps the machine any more.
+func (e *Engine) Stop() { e.l.Stop() }
+
+// OnMessage is the router handler for the consensus channel. Writes are
+// issued asynchronously and a reply a write protects leaves on its
+// completion, so the receive goroutine never blocks on an fsync.
 func (e *Engine) OnMessage(from ids.ProcessID, payload []byte) {
 	msg, err := decodeMessage(payload)
 	if err != nil {
 		return // malformed packets are dropped like lost packets
 	}
-	e.mu.Lock()
-	e.m.receive(from, msg)
-	e.flush()
+	if e.l.Enter() {
+		e.m.receive(from, msg)
+		e.l.Exit()
+	}
 }
 
-// Propose implements API. Synchronous logs resolve the proposal write
-// inline, preserving the propose-then-return contract, including
-// surfacing its error.
+// Propose is Fig. 1's propose(k, v) for a caller outside the engine's
+// loop (the broadcast core proposes in-step, through Box). It submits this
+// process's initial value for instance k and issues its log write before
+// it returns (on a synchronous log the write is durable by then). The
+// value goes out at a classic ballot only once that write is durable, and
+// at the proposer's lease ballot beside it: a lease ballot is used by one
+// incarnation only (its grant is durable at a majority and refuses every
+// later request or prepare at that ballot), so no second value can appear
+// at it even if the proposer crashes before the write lands and later
+// proposes another. A process that granted a lease covering k to another
+// process defers the write until it would coordinate k itself.
+// Re-proposing a different value keeps the original (property P4), and
+// "upon recovery, a process may (re-)invoke these primitives for a
+// Consensus instance that has already started or even terminated" (§4.1).
+// v is borrowed for the call (the engine keeps its own copy).
 func (e *Engine) Propose(k uint64, v []byte) error {
-	e.mu.Lock()
-	if err := e.m.propose(k, v, e.now()); err != nil {
-		e.mu.Unlock()
-		return err
+	if !e.l.Enter() {
+		return ErrStopped
 	}
-	if err, _ := e.flush(); err != nil {
-		return fmt.Errorf("consensus: log proposal %d: %w", k, err)
-	}
-	return nil
+	err := e.m.propose(k, v, e.l.Now())
+	e.l.Exit()
+	return err
 }
 
-// WaitDecided implements API.
+// WaitDecided blocks until instance k decides and returns the decision.
+// Repeated calls return the same value (property P5), in this incarnation
+// and in any later one: the value is held durably by an accept quorum,
+// whether or not this process's own decision cell has reached its log yet.
+// A decided value — like a Proposal — is immutable and may be aliased,
+// never modified: the engine serves the same slice to every caller and to
+// lagging peers.
 func (e *Engine) WaitDecided(ctx context.Context, k uint64) ([]byte, error) {
-	e.mu.Lock()
+	if !e.l.Enter() {
+		return nil, ErrStopped
+	}
 	if k < e.m.floor {
-		e.mu.Unlock()
+		e.l.Unlock()
 		return nil, fmt.Errorf("%w: instance %d", ErrDiscarded, k)
 	}
 	in := e.m.get(k)
@@ -246,16 +230,18 @@ func (e *Engine) WaitDecided(ctx context.Context, k uint64) ([]byte, error) {
 			ch = make(chan struct{})
 			e.waiters[k] = ch
 		}
-		e.flush()
+		e.l.Exit()
 		select {
 		case <-ch:
 		case <-ctx.Done():
 			return nil, ctx.Err()
+		case <-e.l.Done():
+			return nil, ErrStopped
 		}
-		e.mu.Lock()
+		e.l.Lock()
 	}
 	v, ok := in.decided, in.hasDec
-	e.mu.Unlock()
+	e.l.Unlock()
 	if !ok {
 		// A peer garbage-collected this instance under a checkpoint: the
 		// decision may no longer be reachable through Consensus. The caller
@@ -265,27 +251,9 @@ func (e *Engine) WaitDecided(ctx context.Context, k uint64) ([]byte, error) {
 	return v, nil
 }
 
-// DecidedLocal implements API.
-func (e *Engine) DecidedLocal(k uint64) ([]byte, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.m.decidedLocal(k)
-}
-
-// Proposal implements API.
-func (e *Engine) Proposal(k uint64) ([]byte, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.m.proposal(k)
-}
-
-// DiscardBelow implements API. It issues all the deletes, which share a
-// handful of group commits on a log that has them, and reports a delete
-// that failed at issue. A WaitDecided blocked on a discarded instance
-// returns its decision, or ErrDiscarded: a recovery replaying that
-// instance goes on past it rather than waiting for good.
-func (e *Engine) DiscardBelow(k uint64) error {
-	e.mu.Lock()
+// discardBelow is Box.DiscardBelow. A WaitDecided blocked on a discarded
+// instance returns its decision, or ErrDiscarded.
+func (e *Engine) discardBelow(k uint64) {
 	e.m.discardBelow(k)
 	for kk, ch := range e.waiters {
 		if kk < k {
@@ -293,163 +261,111 @@ func (e *Engine) DiscardBelow(k uint64) error {
 			delete(e.waiters, kk)
 		}
 	}
-	_, dels := e.flush()
-	for _, c := range dels {
-		if err, done := c.Poll(); done && err != nil {
-			return fmt.Errorf("consensus: discard below %d: %w", k, err)
-		}
-	}
-	return nil
-}
-
-// OnSettle implements API.
-func (e *Engine) OnSettle(fn func(k uint64, v []byte, decided bool)) {
-	e.mu.Lock()
-	e.settle = fn
-	e.mu.Unlock()
 }
 
 // LeaseStats returns a snapshot of the holder-side lease counters.
 func (e *Engine) LeaseStats() LeaseStats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.l.Lock()
+	defer e.l.Unlock()
 	s := e.m.leaseStats
 	s.Held = e.m.leaseHeld
 	return s
 }
 
-// flush carries out the machine's effects, including those of the drivers
-// they wake, and releases e.mu; the frames go out and the settles reach
-// the OnSettle upcall after that. It returns the error of a proposal write
-// that failed at issue (for Propose) and the deletes it issued (for
-// DiscardBelow).
-func (e *Engine) flush() (proposeErr error, dels []*storage.Completion) {
-	var buf [4]frame
-	frames := buf[:0]
-	var sbuf [4]settled
-	settles := sbuf[:0]
-	now := e.now()
-	for i := 0; e.m.more(i); i++ {
-		ef := e.m.out[i]
+// Box returns the engine as the layer above it on the same loop drives it.
+func (e *Engine) Box() Box { return Box{e} }
+
+// Box is Fig. 1's consensus box as the broadcast core drives it on the
+// loop the two share: every method is one step, or a read, under the
+// loop's lock, which the caller holds. The loop's drain carries out the
+// effects through Settle, which hands out the box's decided(k, v) and
+// forgotten(k) in the order the machine emitted them, so the layer above
+// takes each as its input in the same step. The other methods are
+// Machine's.
+type Box struct{ e *Engine }
+
+func (b Box) Propose(k uint64, v []byte, now int64) error { return b.e.m.propose(k, v, now) }
+func (b Box) DecidedLocal(k uint64) ([]byte, bool)        { return b.e.m.decidedLocal(k) }
+func (b Box) Proposal(k uint64) ([]byte, bool)            { return b.e.m.proposal(k) }
+func (b Box) Forgot(k uint64) bool                        { return b.e.m.forgot(k) }
+
+// DiscardBelow also releases the WaitDecided calls blocked below k.
+func (b Box) DiscardBelow(k uint64) { b.e.discardBelow(k) }
+
+// Settle carries out the machine's effects, including those of the
+// drivers they wake, up to the next instance decided or forgotten, and
+// returns it; ok is false once no effect is left.
+func (b Box) Settle() (k uint64, v []byte, decided, ok bool) { return b.e.settle() }
+
+// drain is the loop's drain of an engine on a loop of its own.
+func (e *Engine) drain() {
+	for {
+		if _, _, _, ok := e.settle(); !ok {
+			return
+		}
+	}
+}
+
+// settle is Box.Settle. Frames go out after the loop's lock is released;
+// writes and timers are queued on the loop under it.
+func (e *Engine) settle() (uint64, []byte, bool, bool) {
+	m := e.m
+	for m.more(e.next) {
+		ef := m.out[e.next]
+		e.next++
 		switch ef.op {
 		case opSend:
 			w := wire.GetWriter(24 + len(ef.msg.val))
 			ef.msg.encodeTo(w)
-			frames = append(frames, frame{ef.to, w})
+			e.l.Send(e.net, ef.to, w)
 		case opPut:
-			p := pendingPut{c: e.ast.PutAsync(cellKey(ef.cell, ef.k), ef.val), ef: ef, at: now}
-			err, done := p.c.Poll()
-			if !done {
-				e.pending = append(e.pending, p)
-				p.c.OnDone(e.onDone)
-				break
-			}
-			e.persisted(&p, err, now)
-			if err != nil && ef.cell == cellProposal {
-				proposeErr = err
-			}
+			c := e.l.Store().PutAsync(cellKey(ef.cell, ef.k), ef.val)
+			e.puts.Push(cellWrite{ef, e.l.Now()})
+			e.l.Issue(e, c)
 		case opDelete:
-			dels = append(dels, e.ast.DeleteAsync(cellKey(ef.cell, ef.k)))
+			e.l.Issue(nil, e.l.Store().DeleteAsync(cellKey(ef.cell, ef.k)))
 		case opArm:
-			e.alarms = append(e.alarms, alarm{now + ef.after, ef.t})
-			if now+ef.after < e.wallAt {
-				e.wallAt = now + ef.after
-				e.wall.Reset(time.Duration(ef.after))
-			}
+			e.l.Arm(e, e.l.Now()+ef.after, loop.Token{K: ef.t.k, Gen: ef.t.gen})
 		case opDecided:
 			if ef.stamp != 0 {
-				e.quorumNS.Observe(now - ef.stamp)
+				e.quorumNS.Observe(e.l.Now() - ef.stamp)
 			}
-			e.tr.MarkRound(e.m.cfg.Group, ef.k)
+			e.tr.MarkRound(m.cfg.Group, ef.k)
 			fallthrough
 		case opForgot:
 			if ch, ok := e.waiters[ef.k]; ok {
 				close(ch) // release the WaitDecided calls blocked on k
 				delete(e.waiters, ef.k)
 			}
-			if e.settle != nil {
-				settles = append(settles, settled{ef.k, ef.val, ef.op == opDecided})
-			}
+			return ef.k, ef.val, ef.op == opDecided, true
 		case opLeaseAcquired:
-			e.fl.Event(obs.EvLeaseAcquire, e.m.cfg.Group, ef.msg.k, int64(ef.msg.b), 0, "")
+			e.fl.Event(obs.EvLeaseAcquire, m.cfg.Group, ef.msg.k, int64(ef.msg.b), 0, "")
 		case opLeaseLost:
-			e.fl.Event(obs.EvLeaseLost, e.m.cfg.Group, ef.msg.k, int64(ef.msg.b), 0, "fast path dropped")
+			e.fl.Event(obs.EvLeaseLost, m.cfg.Group, ef.msg.k, int64(ef.msg.b), 0, "fast path dropped")
 		}
 	}
-	e.m.drained()
-	settle := e.settle
-	e.mu.Unlock()
-	// Send/Multisend copy before returning at every transport layer, so
-	// each encode buffer is released right after its call.
-	for _, f := range frames {
-		if f.to == ids.Nobody {
-			e.net.Multisend(f.w.Bytes())
-		} else {
-			e.net.Send(f.to, f.w.Bytes())
-		}
-		wire.PutWriter(f.w)
-	}
-	for _, s := range settles {
-		settle(s.k, s.v, s.decided)
-	}
-	return proposeErr, dels
+	m.drained()
+	e.next = 0
+	return 0, nil, false, false
 }
 
-// persisted hands a resolved write back to the machine. The decision
-// cell's latency is measured from the moment the decision was learned,
-// which is when its write was issued.
-func (e *Engine) persisted(p *pendingPut, err error, now int64) {
+// Persisted implements loop.Layer: the oldest cell write not yet reported
+// resolved. The decision cell's latency is measured from the moment the
+// decision was learned, which is when its write was issued.
+func (e *Engine) Persisted(now int64, err error) {
+	p := e.puts.Pop()
 	if err == nil && p.ef.cell == cellDecision {
 		e.decideFsyncNS.Observe(now - p.at)
 	}
 	e.m.persisted(&p.ef, err)
 }
 
-// persistedLater is the completion callback of every write that did not
-// resolve at issue. It cannot tell which write resolved, so it serves
-// every pending one that has: a log resolves in issue order, so that is
-// usually the first.
-func (e *Engine) persistedLater(error) {
-	e.mu.Lock()
-	now := e.now()
-	kept := e.pending[:0]
-	for i := range e.pending {
-		p := &e.pending[i]
-		if err, done := p.c.Poll(); done {
-			e.persisted(p, err, now)
-		} else {
-			kept = append(kept, *p)
-		}
-	}
-	clear(e.pending[len(kept):])
-	e.pending = kept
-	e.flush()
-}
+// Fire implements loop.Layer.
+func (e *Engine) Fire(_ int64, tok loop.Token) { e.m.fire(timer{k: tok.K, gen: tok.Gen}) }
 
-// onAlarm fires the due timers, forgets the superseded ones, and sets the
-// wall-clock timer for the earliest live one: a phase deadline whose
-// instance decided costs no wake-up of its own.
-func (e *Engine) onAlarm() {
-	e.mu.Lock()
-	now := e.now()
-	e.wallAt = math.MaxInt64
-	live := e.alarms[:0]
-	for _, a := range e.alarms {
-		switch {
-		case a.at <= now:
-			e.m.fire(a.t)
-		case e.m.live(a.t):
-			live = append(live, a)
-			e.wallAt = min(e.wallAt, a.at)
-		}
-	}
-	clear(e.alarms[len(live):])
-	e.alarms = live
-	if e.wallAt < math.MaxInt64 {
-		e.wall.Reset(time.Duration(e.wallAt - now))
-	}
-	e.flush()
-}
+// Live implements loop.Layer: a phase deadline whose instance decided
+// costs no wake-up of its own.
+func (e *Engine) Live(tok loop.Token) bool { return e.m.live(timer{k: tok.K, gen: tok.Gen}) }
 
 // registerLeaseFuncs exports the holder-side lease counters as
 // read-on-scrape metrics. Re-registration on each incarnation replaces the

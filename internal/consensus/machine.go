@@ -332,7 +332,7 @@ func (m *machine) fire(t timer) {
 	m.wake(in)
 }
 
-// propose implements API.Propose; the adapter wraps its write's failure.
+// propose is Engine.Propose's step.
 func (m *machine) propose(k uint64, v []byte, stamp int64) error {
 	if k < m.floor {
 		return fmt.Errorf("%w: instance %d below floor %d", ErrDiscarded, k, m.floor)
@@ -415,6 +415,13 @@ func (m *machine) proposal(k uint64) ([]byte, bool) {
 	return nil, false
 }
 
+// forgot reports whether k is below the floor or a peer reported it
+// garbage-collected, with no decision here.
+func (m *machine) forgot(k uint64) bool {
+	in, ok := m.insts[k]
+	return k < m.floor || ok && in.wasForgot && !in.hasDec
+}
+
 // markForgot records a peer's report that it GC'd this instance.
 func (m *machine) markForgot(in *instance) {
 	if !in.wasForgot && !in.hasDec {
@@ -424,7 +431,7 @@ func (m *machine) markForgot(in *instance) {
 	}
 }
 
-// discardBelow implements API.DiscardBelow: it drops the instances below
+// discardBelow is Machine.DiscardBelow: it drops the instances below
 // k and deletes only the cells each has — deleting an absent key still
 // costs the log a tombstone record and a persist, and a process that never
 // coordinated round k never wrote its proposal cell.

@@ -10,8 +10,9 @@ import (
 // Machine is the consensus machine of one process incarnation, stepped by
 // a runner outside this package: the full-stack simulator
 // (internal/sim/stack), which runs it beside the broadcast core and the
-// failure detector on a virtual clock. Engine is the production runner.
-// Each input method is one step; Effects hands out what the steps left.
+// failure detector on a virtual clock. Engine is the production runner,
+// and its Box the same step surface for the broadcast core. Each input
+// method is one step; Effects hands out what the steps left.
 type Machine struct{ m *machine }
 
 // Effect kinds, as Machine hands them out.
@@ -64,7 +65,7 @@ func (s *Machine) Receive(from ids.ProcessID, frame []byte) {
 	}
 }
 
-// Propose is API.Propose at virtual time now.
+// Propose is Engine.Propose as a step at now.
 func (s *Machine) Propose(k uint64, v []byte, now int64) error { return s.m.propose(k, v, now) }
 
 // Fire is the timer an OpArm effect armed going off.
@@ -73,21 +74,28 @@ func (s *Machine) Fire(ef *Effect) { s.m.fire(ef.ef.t) }
 // Persisted is an OpPut effect's write resolving.
 func (s *Machine) Persisted(ef *Effect, err error) { s.m.persisted(&ef.ef, err) }
 
-// DiscardBelow is API.DiscardBelow.
+// DiscardBelow garbage-collects all state of instances < k
+// ("Proposed_p[i], i < k_p can be discarded from the log", Fig. 4 line
+// (c)). Only safe once the caller has a checkpoint covering those
+// instances. It issues the deletes and does not wait for them: a crash
+// before they are durable leaves cells below the floor, which the next
+// discard deletes again. The floor itself is volatile: a recovering
+// process sets it again before it takes part in rounds. A WaitDecided
+// blocked below the floor returns ErrDiscarded.
 func (s *Machine) DiscardBelow(k uint64) { s.m.discardBelow(k) }
 
-// DecidedLocal is API.DecidedLocal.
+// DecidedLocal returns the locally known decision of k, if any, without
+// touching the network.
 func (s *Machine) DecidedLocal(k uint64) ([]byte, bool) { return s.m.decidedLocal(k) }
 
-// Proposal is API.Proposal.
+// Proposal returns the logged initial value for k, if any. The broadcast
+// replay procedure iterates instances "while Proposed_p[k_p] ≠ ⊥"
+// (Fig. 2).
 func (s *Machine) Proposal(k uint64) ([]byte, bool) { return s.m.proposal(k) }
 
-// Forgot reports whether a peer reported k garbage-collected, or k is
-// below the floor: WaitDecided fails with ErrDiscarded for it.
-func (s *Machine) Forgot(k uint64) bool {
-	in, ok := s.m.insts[k]
-	return k < s.m.floor || ok && in.wasForgot && !in.hasDec
-}
+// Forgot reports whether k is below the floor or a peer reported it
+// garbage-collected: WaitDecided fails with ErrDiscarded for it.
+func (s *Machine) Forgot(k uint64) bool { return s.m.forgot(k) }
 
 // Effects returns the effects of the steps since the last call, in order,
 // drivers woken by them included.

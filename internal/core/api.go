@@ -33,12 +33,15 @@
 // discardBelow to Consensus, timer arms, the release of a blocked
 // Broadcast, and the ordered upcalls (deliver, round, restore, skip,
 // checkpointed). The machine does no I/O, reads no clock and starts no
-// goroutine. Protocol (protocol.go) is its one adapter: it carries the
-// effects out over the process's log, network, consensus engine and wall
-// clock, replays the logged instances at Start, and runs the upcalls, in
+// goroutine. Protocol (protocol.go) is its one adapter: on the loop of the
+// incarnation (internal/loop), which it shares with the consensus engine,
+// its drain carries out both machines' effects in one step, so a decision
+// is this machine's input under the lock that learned it; it replays the
+// logged instances at Start (Replay), and the loop runs the upcalls, in
 // order, on its one goroutine. Machine (step.go) is the same step surface
 // exported: the full-stack simulator (internal/sim/stack) runs it beside
-// the consensus and failure-detector machines on a virtual clock.
+// the consensus and failure-detector machines on a virtual clock, with the
+// same Replay.
 package core
 
 import (
@@ -108,8 +111,9 @@ type Snapshot struct {
 
 // Checkpointer is the upcall interface of Fig. 5. Implementations fold
 // delivered messages into an opaque state and reinstall adopted states.
-// Checkpoint is called under the protocol lock, off the transport's and
-// consensus's goroutines, and must not call back into the Protocol.
+// Checkpoint is called under the lock of the incarnation's loop, which
+// consensus shares, off the transport's goroutines, and must not call back
+// into the Protocol.
 type Checkpointer interface {
 	// Checkpoint returns the application state obtained by applying
 	// delivered to prev. Checkpoint(nil, nil) must return the initial
@@ -193,7 +197,7 @@ type Config struct {
 	// until every group of the process has passed the round — which is
 	// what makes application checkpointing compose with merged-mode
 	// sharding. Nil folds everything below k (the paper's §5.2 behavior).
-	// The hook is called under the protocol lock and must not call back
+	// The hook is called under the loop's lock and must not call back
 	// into the Protocol.
 	MergeFloor func() uint64
 
@@ -207,7 +211,7 @@ type Config struct {
 	// to the cluster-wide minimum of the gossiped durable frontiers
 	// (group.FloorTracker.ClusterFloor localized to the group's span).
 	// Nil discards everything below k (the paper's Fig. 4 line (c)).
-	// Called under the protocol lock, like MergeFloor; it may take its own
+	// Called under the loop's lock, like MergeFloor; it may take its own
 	// locks but must not call back into the Protocol.
 	DiscardFloor func() uint64
 
@@ -259,7 +263,8 @@ type Config struct {
 	// to a group.FloorTracker; the cluster-wide minimum (bounded by a
 	// staleness cap) then drives MergeFloor, so checkpoint folds and WAL
 	// compaction wait for the slowest live consumer instead of forcing a
-	// GC-triggered state transfer onto it. Called outside the protocol lock.
+	// GC-triggered state transfer onto it. Called on the protocol's upcall
+	// goroutine, outside every lock.
 	FloorSelf func() (floor uint64, epoch uint64, topo []byte)
 	// OnPeerFloor, when set with FloorSelf, receives the merge-floor frames
 	// piggybacked by peers (same gossip lane as digests). Called on the

@@ -15,11 +15,11 @@ import (
 // they had arrived by gossip — in particular, without ever touching the
 // eager buffer (the ISSUE's "never eager-pushed" stale case).
 func addUnordered(p *Protocol, ms ...msg.Message) {
-	p.mu.Lock()
+	p.l.Lock()
 	for _, mm := range ms {
 		p.m.unordered.Add(mm)
 	}
-	p.mu.Unlock()
+	p.l.Unlock()
 }
 
 // gossipTick runs the gossip task's periodic tick.
@@ -157,9 +157,9 @@ func TestOnDigestPullsOnlyMissing(t *testing.T) {
 	delivered := m(1, 1, 2)
 	missing := m(1, 1, 3)
 	addUnordered(p, known)
-	p.mu.Lock()
+	p.l.Lock()
 	p.m.ds.appendBatch(0, []msg.Message{delivered})
-	p.mu.Unlock()
+	p.l.Unlock()
 
 	w := wire.NewWriter(64)
 	w.U8(subDigest)
@@ -206,9 +206,9 @@ func TestOnPullServesUnorderedPayloads(t *testing.T) {
 	held := m(1, 1, 1)
 	ordered := m(1, 1, 2)
 	addUnordered(p, held)
-	p.mu.Lock()
+	p.l.Lock()
 	p.m.ds.appendBatch(0, []msg.Message{ordered})
-	p.mu.Unlock()
+	p.l.Unlock()
 
 	w := wire.NewWriter(64)
 	w.U8(subPull)
@@ -291,7 +291,7 @@ func TestDigestAntiEntropyRoundTrip(t *testing.T) {
 func TestLoggedMessageSurvivesLostEagerPush(t *testing.T) {
 	st := storage.NewMem()
 	cfg := Config{PID: 0, N: 3, Incarnation: 1, BatchedBroadcast: true}
-	first := New(cfg, st, newFakeCons(), &fakeNet{}) // its net delivers nothing
+	first := newProto(cfg, st, &fakeNet{}) // its net delivers nothing
 	id, err := first.Broadcast(context.Background(), []byte("logged, never pushed"))
 	if err != nil {
 		t.Fatal(err)
@@ -300,15 +300,15 @@ func TestLoggedMessageSurvivesLostEagerPush(t *testing.T) {
 
 	cfg.Incarnation = 2
 	netA := &fakeNet{}
-	a := New(cfg, st, newFakeCons(), netA)
-	if err := a.recover(); err != nil {
+	a := newProto(cfg, st, netA)
+	if err := a.Recover(); err != nil {
 		t.Fatal(err)
 	}
 	if !a.unorderedHas(id) || len(a.m.eagerBuf) != 0 {
 		t.Fatalf("recovered: holds the message = %v, eager buffer = %d (want true, 0)", a.unorderedHas(id), len(a.m.eagerBuf))
 	}
 	netB := &fakeNet{}
-	b := New(Config{PID: 1, N: 3, Incarnation: 1}, storage.NewMem(), newFakeCons(), netB)
+	b := newProto(Config{PID: 1, N: 3, Incarnation: 1}, storage.NewMem(), netB)
 	b.m.restored = true
 
 	a.gossipTick()
@@ -332,9 +332,9 @@ func TestLoggedMessageSurvivesLostEagerPush(t *testing.T) {
 
 	// p1's proposal for round 0 is its Unordered set; decide it everywhere.
 	w := wire.NewWriter(64)
-	b.mu.Lock()
+	b.l.Lock()
 	msg.EncodeBatch(w, b.m.unordered.Slice())
-	b.mu.Unlock()
+	b.l.Unlock()
 	for _, p := range []*Protocol{a, b} {
 		p.commit(0, w.Bytes())
 		if !p.Delivered(id) {
@@ -352,9 +352,9 @@ func TestOnDigestTracksAheadRound(t *testing.T) {
 	w.U64(7)
 	msg.EncodeIDs(w, nil)
 	p.OnMessage(1, w.Bytes())
-	p.mu.Lock()
+	p.l.Lock()
 	gk := p.m.gossipK
-	p.mu.Unlock()
+	p.l.Unlock()
 	if gk != 7 {
 		t.Fatalf("gossipK = %d", gk)
 	}
@@ -364,9 +364,9 @@ func TestOnDigestTracksAheadRound(t *testing.T) {
 // trigger fires on digests exactly as it does on full gossip.
 func TestOnDigestSendsStateWhenPeerLags(t *testing.T) {
 	p, net, _ := newTestProtocol(Config{Delta: 3})
-	p.mu.Lock()
+	p.l.Lock()
 	p.m.k = 10
-	p.mu.Unlock()
+	p.l.Unlock()
 	w := wire.NewWriter(16)
 	w.U8(subDigest)
 	w.U64(2) // peer at round 2: 10 > 2+3

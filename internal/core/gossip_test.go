@@ -1,12 +1,11 @@
 package core
 
 import (
-	"context"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/ids"
+	"repro/internal/loop"
 	"repro/internal/msg"
 	"repro/internal/storage"
 	"repro/internal/wire"
@@ -57,46 +56,33 @@ func (f *fakeNet) takeSent() [][]byte {
 	return out
 }
 
-// fakeCons is a consensus stub: decisions are fed manually and reach the
-// protocol through its settle upcall, as a real engine's do.
+// fakeCons is a consensus box run in-step on the protocol's loop:
+// decisions are fed manually and reach the protocol through Settle, as a
+// real engine's do. Its mutex serves the test goroutine's reads.
 type fakeCons struct {
+	l         *loop.Loop
 	mu        sync.Mutex
 	proposals map[uint64][]byte
 	decisions map[uint64][]byte
 	floor     uint64
-	settle    func(k uint64, v []byte, decided bool)
+	settled   []uint64 // decided, not yet handed out by Settle
 }
 
-func newFakeCons() *fakeCons {
+func newFakeCons(l *loop.Loop) *fakeCons {
 	return &fakeCons{
+		l:         l,
 		proposals: make(map[uint64][]byte),
 		decisions: make(map[uint64][]byte),
 	}
 }
 
-func (f *fakeCons) Propose(k uint64, v []byte) error {
+func (f *fakeCons) Propose(k uint64, v []byte, _ int64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if _, ok := f.proposals[k]; !ok {
 		f.proposals[k] = append([]byte(nil), v...)
 	}
 	return nil
-}
-
-func (f *fakeCons) WaitDecided(ctx context.Context, k uint64) ([]byte, error) {
-	for {
-		f.mu.Lock()
-		v, ok := f.decisions[k]
-		f.mu.Unlock()
-		if ok {
-			return v, nil
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(time.Millisecond):
-		}
-	}
 }
 
 func (f *fakeCons) DecidedLocal(k uint64) ([]byte, bool) {
@@ -113,29 +99,44 @@ func (f *fakeCons) Proposal(k uint64) ([]byte, bool) {
 	return v, ok
 }
 
-func (f *fakeCons) DiscardBelow(k uint64) error {
+func (f *fakeCons) Forgot(k uint64) bool { return false }
+
+func (f *fakeCons) DiscardBelow(k uint64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if k > f.floor {
-		f.floor = k
+	f.floor = max(f.floor, k)
+}
+
+func (f *fakeCons) Settle() (uint64, []byte, bool, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.settled) == 0 {
+		return 0, nil, false, false
 	}
-	return nil
+	k := f.settled[0]
+	f.settled = f.settled[1:]
+	return k, f.decisions[k], true, true
 }
 
-func (f *fakeCons) OnSettle(fn func(k uint64, v []byte, decided bool)) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.settle = fn
-}
-
+// decide has consensus decide round k, as one step of the protocol's loop.
 func (f *fakeCons) decide(k uint64, batch []msg.Message) {
 	w := wire.NewWriter(64)
 	msg.EncodeBatch(w, batch)
+	if !f.l.Enter() {
+		return
+	}
 	f.mu.Lock()
 	f.decisions[k] = w.Bytes()
-	settle := f.settle
+	f.settled = append(f.settled, k)
 	f.mu.Unlock()
-	settle(k, w.Bytes(), true)
+	f.l.Exit()
+}
+
+// newProto builds a Protocol over a fake consensus box on a loop of its
+// own over st.
+func newProto(cfg Config, st storage.Stable, net *fakeNet) *Protocol {
+	l := loop.New(st)
+	return New(cfg, l, newFakeCons(l), net)
 }
 
 // newTestProtocol builds an unstarted Protocol over fakes, recovered from
@@ -145,20 +146,19 @@ func newTestProtocol(cfg Config) (*Protocol, *fakeNet, *fakeCons) {
 	cfg.N = 3
 	cfg.Incarnation = 1
 	net := &fakeNet{}
-	cons := newFakeCons()
-	p := New(cfg, storage.NewMem(), cons, net)
+	p := newProto(cfg, storage.NewMem(), net)
 	p.m.restored = true
-	return p, net, cons
+	return p, net, p.cons.(*fakeCons)
 }
 
 // step runs one machine input through the adapter, as its own entry points
 // do, then the upcalls it queued (an unstarted protocol has no upcall
 // goroutine).
 func (p *Protocol) step(in func(m *machine)) {
-	p.mu.Lock()
-	p.m.now = p.now()
+	p.l.Lock()
+	p.m.now = p.l.Now()
 	in(p.m)
-	p.run()
+	p.l.Exit()
 	p.drainUpcalls()
 }
 
@@ -166,14 +166,13 @@ func (p *Protocol) step(in func(m *machine)) {
 // unstarted protocol has no upcall goroutine.
 func (p *Protocol) drainUpcalls() {
 	for {
-		p.mu.Lock()
-		batch := p.upcalls
-		p.upcalls = nil
-		p.mu.Unlock()
-		if len(batch) == 0 {
+		p.l.Lock()
+		p.TakeUpcalls()
+		p.l.Unlock()
+		if len(p.batch) == 0 {
 			return
 		}
-		p.runUpcalls(batch)
+		p.RunUpcalls()
 	}
 }
 
@@ -215,17 +214,17 @@ func TestOnGossipMergesUnordered(t *testing.T) {
 
 // unorderedHas is a test accessor.
 func (p *Protocol) unorderedHas(id ids.MsgID) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.l.Lock()
+	defer p.l.Unlock()
 	return p.m.unordered.Contains(id)
 }
 
 func TestOnGossipSkipsDeliveredMessages(t *testing.T) {
 	p, _, _ := newTestProtocol(Config{})
 	mm := m(1, 1, 1)
-	p.mu.Lock()
+	p.l.Lock()
 	p.m.ds.appendBatch(0, []msg.Message{mm})
-	p.mu.Unlock()
+	p.l.Unlock()
 	p.OnMessage(1, encodeGossip(1, []msg.Message{mm}))
 	if p.UnorderedLen() != 0 {
 		t.Fatal("already-delivered message re-added to Unordered")
@@ -235,17 +234,17 @@ func TestOnGossipSkipsDeliveredMessages(t *testing.T) {
 func TestOnGossipTracksAheadRound(t *testing.T) {
 	p, _, _ := newTestProtocol(Config{})
 	p.OnMessage(1, encodeGossip(7, nil))
-	p.mu.Lock()
+	p.l.Lock()
 	gk := p.m.gossipK
-	p.mu.Unlock()
+	p.l.Unlock()
 	if gk != 7 {
 		t.Fatalf("gossipK = %d", gk)
 	}
 	// A lower round does not regress it.
 	p.OnMessage(2, encodeGossip(3, nil))
-	p.mu.Lock()
+	p.l.Lock()
 	gk = p.m.gossipK
-	p.mu.Unlock()
+	p.l.Unlock()
 	if gk != 7 {
 		t.Fatalf("gossipK regressed to %d", gk)
 	}
@@ -253,9 +252,9 @@ func TestOnGossipTracksAheadRound(t *testing.T) {
 
 func TestOnGossipSendsStateWhenPeerLagsBeyondDelta(t *testing.T) {
 	p, net, _ := newTestProtocol(Config{Delta: 3})
-	p.mu.Lock()
+	p.l.Lock()
 	p.m.k = 10
-	p.mu.Unlock()
+	p.l.Unlock()
 	// Peer at round 2: 10 > 2+3 — send state.
 	p.OnMessage(1, encodeGossip(2, nil))
 	if net.sends() != 1 {
@@ -274,9 +273,9 @@ func TestOnGossipSendsStateWhenPeerLagsBeyondDelta(t *testing.T) {
 
 func TestOnGossipNoStateWithinDelta(t *testing.T) {
 	p, net, _ := newTestProtocol(Config{Delta: 10})
-	p.mu.Lock()
+	p.l.Lock()
 	p.m.k = 5
-	p.mu.Unlock()
+	p.l.Unlock()
 	p.OnMessage(1, encodeGossip(2, nil)) // lag 3 <= Δ=10
 	if net.sends() != 0 {
 		t.Fatal("state sent within Δ")
@@ -287,10 +286,10 @@ func TestOnGossipGCFloorForcesState(t *testing.T) {
 	// Even with a huge Δ, a peer below our GC floor must get a state
 	// message — it can never replay the discarded instances.
 	p, net, _ := newTestProtocol(Config{Delta: 1000, CheckpointEvery: 5})
-	p.mu.Lock()
+	p.l.Lock()
 	p.m.k = 12
 	p.m.gcFloor = 10
-	p.mu.Unlock()
+	p.l.Unlock()
 	p.OnMessage(1, encodeGossip(4, nil))
 	if net.sends() != 1 {
 		t.Fatalf("GC-forced state not sent (sends=%d)", net.sends())
@@ -311,8 +310,8 @@ func TestOnStateSmallDesyncOnlyUpdatesGossipK(t *testing.T) {
 	p, _, _ := newTestProtocol(Config{Delta: 10})
 	src := newDeliveryState()
 	p.OnMessage(1, encodeState(4, 0, src)) // newK=5 <= 0+10
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.l.Lock()
+	defer p.l.Unlock()
 	if p.m.k != 0 {
 		t.Fatal("state adopted for a small desync")
 	}
@@ -346,8 +345,8 @@ func TestOnStateInterruptsSequencer(t *testing.T) {
 	}
 	cons.decide(1, nil) // held: round 0 is undecided
 	p.OnMessage(1, encodeState(99, 0, newDeliveryState()))
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.l.Lock()
+	defer p.l.Unlock()
 	if p.m.k != 100 || p.m.window[1].ok {
 		t.Fatalf("window not restarted: k=%d, round 1's decision held=%v", p.m.k, p.m.window[1].ok)
 	}
@@ -370,9 +369,9 @@ func TestOnMessageIgnoresGarbage(t *testing.T) {
 
 func TestMaybeAdoptSkipsStaleTransfer(t *testing.T) {
 	p, _, _ := newTestProtocol(Config{Delta: 1})
-	p.mu.Lock()
+	p.l.Lock()
 	p.m.k = 50
-	p.mu.Unlock()
+	p.l.Unlock()
 	p.OnMessage(1, encodeState(9, 0, newDeliveryState())) // older than our round
 	if p.Round() != 50 || p.Stats().StateAdopted != 0 {
 		t.Fatal("stale transfer adopted")
@@ -394,10 +393,10 @@ func TestMaybeAdoptInstallsStateAndNotifiesWaiters(t *testing.T) {
 	src.foldPrefix([]byte("app"), src.cutBelow(1), 1)
 	src.appendBatch(1, []msg.Message{m(1, 1, 1)})
 
-	p.mu.Lock()
+	p.l.Lock()
 	p.m.blocked[mm.ID] = struct{}{}
 	p.waiting[mm.ID] = waiter
-	p.mu.Unlock()
+	p.l.Unlock()
 	p.OnMessage(1, encodeState(1, 0, src))
 	p.drainUpcalls()
 
@@ -420,7 +419,7 @@ func TestMaybeAdoptInstallsStateAndNotifiesWaiters(t *testing.T) {
 		t.Fatalf("stats: %+v", st)
 	}
 	// The adoption persisted a checkpoint and discarded consensus state.
-	if _, ok, _ := p.st.Get(keyCkpt); !ok {
+	if _, ok, _ := p.l.Store().Get(keyCkpt); !ok {
 		t.Fatal("adoption did not persist a checkpoint")
 	}
 	cons.mu.Lock()

@@ -39,7 +39,7 @@ const (
 	opLearn                    // consensus: report k's decision now if it is already known here
 	opDiscard                  // consensus: discardBelow(k)
 	opArm                      // call fire at `at`; an earlier arm supersedes, a stale one is harmless
-	opFloor                    // piggyback the merge-floor frame (Config.FloorSelf) on this gossip tick
+	opFloor                    // piggyback the merge-floor frame (Config.FloorSelf) on this gossip tick, from the upcall goroutine
 	opRelease                  // the Broadcast call of id returns err
 	opDrained                  // the sealed group has drained
 	// The ordered upcalls: run in this order, outside every lock.
@@ -49,6 +49,7 @@ const (
 	opSkip          // OnRoundSkip(k)
 	opCheckpointed  // OnCheckpoint(k) unless err; releases a CheckpointNow caller if release
 	opCheckpointDue // run the periodic checkpoint (off the delivery path)
+	opStarted       // the replay phase is over: recovery ends once the upcalls before it ran
 )
 
 // What a write's completion does.
@@ -286,6 +287,7 @@ func (m *machine) recover(ckpt, floor, unord []byte, recs [][]byte) (int, error)
 func (m *machine) start(now int64) {
 	m.now = now
 	m.running = true
+	m.emit(effect{op: opStarted})
 	m.lastProgress = now
 	m.sendGossip()
 	m.ask()

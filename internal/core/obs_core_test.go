@@ -19,7 +19,7 @@ import (
 func TestIncarnationStatsResetOverLifetimeCounters(t *testing.T) {
 	plane := obs.New(obs.Options{})
 	cfg := Config{PID: 0, N: 3, Incarnation: 1, Obs: plane}
-	p1 := New(cfg, storage.NewMem(), newFakeCons(), &fakeNet{})
+	p1 := newProto(cfg, storage.NewMem(), &fakeNet{})
 	p1.met.heartbeatRounds.Inc()
 	p1.met.heartbeatRounds.Inc()
 	if st := p1.Stats(); st.HeartbeatRounds != 2 {
@@ -27,7 +27,7 @@ func TestIncarnationStatsResetOverLifetimeCounters(t *testing.T) {
 	}
 
 	cfg.Incarnation = 2
-	p2 := New(cfg, storage.NewMem(), newFakeCons(), &fakeNet{})
+	p2 := newProto(cfg, storage.NewMem(), &fakeNet{})
 	if st := p2.Stats(); st.HeartbeatRounds != 0 {
 		t.Fatalf("recovered incarnation inherited counters: %+v", st)
 	}

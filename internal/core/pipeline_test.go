@@ -192,8 +192,8 @@ func TestBatchScratchKeepsNoStaleMessage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.l.Lock()
+	defer p.l.Unlock()
 	if batch, _, ok := p.m.assembleBatch(0); !ok || len(batch) != 5 {
 		t.Fatalf("round 0: batch of %d, ok=%v, want all 5 messages", len(batch), ok)
 	}

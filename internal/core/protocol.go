@@ -2,15 +2,11 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math"
-	"sync"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/consensus"
 	"repro/internal/ids"
+	"repro/internal/loop"
 	"repro/internal/msg"
 	"repro/internal/router"
 	"repro/internal/storage"
@@ -18,87 +14,75 @@ import (
 )
 
 // Protocol is one process's Atomic Broadcast endpoint for one incarnation:
-// the machine run over the process's log, network, consensus engine and
-// wall clock. Create it with New, then Start (which runs the recovery
-// procedure), then use Broadcast and the delivery APIs. Stop ends the
-// incarnation.
+// the machine run on the incarnation's loop (internal/loop), beside the
+// consensus box it drives, over the process's log, network and wall clock.
+// Create it with New, then Start (which runs the recovery procedure), then
+// use Broadcast and the delivery APIs. Stop ends the incarnation.
 //
-// Every input steps the machine under p.mu, on the goroutine it arrives
-// on; the effects are carried out in order: writes are issued under the
-// lock (so the log sees them in step order), frames and proposals go out
-// after it, and the ordered upcalls run on the one goroutine the adapter
-// starts, outside every lock.
+// Every input steps the machine under the loop's lock, on the goroutine it
+// arrives on, and the loop's drain carries out both layers' effects in
+// that step: the consensus box's decided and forgotten instances are this
+// machine's inputs, and its propose, learn and discard effects the box's.
+// Writes are issued under the lock (so the log sees them in step order),
+// frames go out after it, and the ordered upcalls run on the loop's one
+// goroutine, outside every lock.
 type Protocol struct {
 	cfg  Config
-	st   storage.Stable
-	ast  storage.AsyncStable
-	cons consensus.API
+	l    *loop.Loop
+	cons Consensus
 	net  router.Net
 
 	met                *metrics
 	recoveredFromCkpt  atomic.Bool
 	recoveredUnordered atomic.Int64
 
-	epoch  time.Time
-	ctx    context.Context // the incarnation: cancelled by Stop
-	cancel context.CancelFunc
-
-	mu        sync.Mutex
 	m         *machine
+	replay    Replay
 	started   bool
-	stopped   bool
 	waiting   map[ids.MsgID]chan error // Broadcast calls the machine releases
 	ckptWaits []chan error             // CheckpointNow calls, in checkpoint order
-	writes    []pendingWrite           // issued, reported to the machine in issue order
-	onDone    func(error)              // p.onWrite, bound once
-	wall      *time.Timer              // runs p.onAlarm at wallAt
-	wallAt    int64
+	writes    loop.Queue[effect]       // issued, not yet reported to the machine
 	drainedCh chan struct{}
+	replayed  chan struct{} // closed once the upcalls of recovery ran
 
-	// The ordered upcalls, run by upcallLoop in the order the machine
-	// emitted them; busy while it runs a batch.
-	upcalls  []effect
-	upcallCV *sync.Cond
-	busy     bool
-	loopDone chan struct{}
+	// The ordered upcalls, in the order the machine emitted them, and the
+	// batch the loop's goroutine runs.
+	upcalls, batch []effect
 }
 
-type pendingWrite struct {
-	c      *storage.Completion
-	ef     effect
-	hooked bool
+// Consensus is Fig. 1's consensus box as the broadcast layer drives it:
+// in-step, on the loop the two layers share, with its lock held
+// (consensus.Box). Propose and DiscardBelow are its inputs; Settle carries
+// out its effects up to its next decided(k, v) or forgotten(k), which is
+// then this layer's input in the same step.
+type Consensus interface {
+	ReplayLog
+	DiscardBelow(k uint64)
+	Settle() (k uint64, v []byte, decided, ok bool)
 }
 
-// New creates a Protocol. st is the process's stable storage, cons the
-// consensus building block, net the router binding for the core channel.
-// Register OnMessage with the router before calling Start.
-func New(cfg Config, st storage.Stable, cons consensus.API, net router.Net) *Protocol {
+// New creates a Protocol on l, the incarnation's loop, whose store is the
+// process's stable storage; cons is the consensus box on the same loop,
+// net the router binding for the core channel. New binds the loop to the
+// protocol. Register OnMessage with the router before calling Start.
+func New(cfg Config, l *loop.Loop, cons Consensus, net router.Net) *Protocol {
 	cfg.fill()
 	met := newMetrics(cfg.Obs.Reg(), cfg.Group)
 	p := &Protocol{
 		cfg:       cfg,
-		st:        st,
-		ast:       storage.Async(st),
+		l:         l,
 		cons:      cons,
 		net:       net,
 		met:       met,
-		epoch:     time.Now(),
 		m:         newMachine(cfg, met, cfg.Obs.Trace(), cfg.Obs.Flight()),
 		waiting:   make(map[ids.MsgID]chan error),
-		wallAt:    never,
 		drainedCh: make(chan struct{}),
-		loopDone:  make(chan struct{}),
+		replayed:  make(chan struct{}),
 	}
-	p.ctx, p.cancel = context.WithCancel(context.Background())
-	p.onDone = p.onWrite
-	p.upcallCV = sync.NewCond(&p.mu)
-	p.wall = time.AfterFunc(math.MaxInt64, p.onAlarm) // opArm effects reset it
-	cons.OnSettle(p.onSettle)
+	p.replay = Replay{m: p.m, log: cons}
+	l.Bind(p.drain, p)
 	return p
 }
-
-// now is the adapter's clock: monotonic ns since New.
-func (p *Protocol) now() int64 { return int64(time.Since(p.epoch)) }
 
 // Start runs the paper's "upon initialization or recovery" procedure:
 // retrieve logged state, replay logged Consensus instances, then start the
@@ -106,151 +90,117 @@ func (p *Protocol) now() int64 { return int64(time.Since(p.epoch)) }
 // completes and its upcalls have run (so its return marks the end of
 // recovery). Cancelling ctx stops the incarnation like Stop.
 func (p *Protocol) Start(ctx context.Context) error {
-	p.mu.Lock()
-	if p.started {
-		p.mu.Unlock()
-		return fmt.Errorf("core: already started")
-	}
-	if p.stopped {
-		p.mu.Unlock()
+	if !p.l.Enter() {
 		return ErrStopped // a crash raced the boot
 	}
+	started := p.started
 	p.started = true
-	context.AfterFunc(ctx, p.Stop)
-	go p.upcallLoop()
-	p.mu.Unlock()
-
+	p.l.Exit()
+	if started {
+		return fmt.Errorf("core: already started")
+	}
 	if err := p.Recover(); err != nil {
 		return err
 	}
-	if err := p.replay(); err != nil {
-		return err
-	}
-	if !p.lock() {
+	p.l.Start(ctx)
+	if !p.l.Enter() {
 		return ErrStopped
 	}
-	p.m.start(p.now())
-	p.run()
-	// Recovery ends once its upcalls have run.
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for (len(p.upcalls) > 0 || p.busy) && !p.stopped {
-		p.upcallCV.Wait()
-	}
-	if p.stopped {
+	p.replay.Begin(p.l.Now())
+	p.l.Exit()
+	select {
+	case <-p.replayed:
+		return nil
+	case <-p.l.Done():
 		return ErrStopped
 	}
-	return nil
 }
 
 // Stop ends the incarnation: nothing steps the machine any more, the
 // upcall goroutine exits, and pending Broadcast calls return ErrStopped.
 // The stable storage is untouched. It may run concurrently with Start,
 // and not from inside an upcall.
-func (p *Protocol) Stop() {
-	p.mu.Lock()
-	p.stopped = true
-	p.cancel()
-	p.wall.Stop()
-	p.upcallCV.Broadcast()
-	started := p.started
-	p.mu.Unlock()
-	if started {
-		<-p.loopDone
-	}
-}
+func (p *Protocol) Stop() { p.l.Stop() }
 
 // Recover is Start's first step alone, the retrieve of the logged state,
 // for a caller that runs it before the network delivers anything: it
 // hands Consensus its GC floor back before the engine takes part in any
 // instance. Start skips it once it ran.
 func (p *Protocol) Recover() error {
-	p.mu.Lock()
+	p.l.Lock()
 	restored := p.m.restored
-	p.mu.Unlock()
+	p.l.Unlock()
 	if restored {
 		return nil
 	}
-	return p.recover()
-}
-
-// recover retrieves the logged state (retrieve) into the machine.
-func (p *Protocol) recover() error {
-	ckpt, floor, unord, recs, err := retrieve(p.st, p.cfg.BatchedBroadcast)
+	ckpt, floor, unord, recs, err := retrieve(p.l.Store(), p.cfg.BatchedBroadcast)
 	if err != nil {
 		return err
 	}
-	p.mu.Lock()
+	if !p.l.Enter() {
+		return ErrStopped
+	}
 	n, err := p.m.recover(ckpt, floor, unord, recs)
-	if err != nil {
-		p.mu.Unlock()
-		return err
+	if err == nil {
+		p.recoveredFromCkpt.Store(ckpt != nil)
+		p.recoveredUnordered.Store(int64(n))
 	}
-	p.recoveredFromCkpt.Store(ckpt != nil)
-	p.recoveredUnordered.Store(int64(n))
-	p.run()
-	return nil
+	p.l.Exit()
+	return err
 }
 
-// replay is the replay phase (ReplayNext): re-deliveries reconstruct the
-// Agreed queue.
-func (p *Protocol) replay() error {
+// drain is the loop's drain: it carries out both layers' effects until
+// neither has any. The loop's lock is held.
+func (p *Protocol) drain() {
 	for {
-		p.mu.Lock()
-		k := p.m.k
-		p.mu.Unlock()
-		move, v := ReplayNext(p.cons, k)
-		switch move {
-		case ReplayEnd:
-			return nil
-		case ReplayAwait:
-			err := p.cons.Propose(k, v)
-			if err == nil {
-				v, err = p.cons.WaitDecided(p.ctx, k)
+		now := p.l.Now()
+		for {
+			k, v, decided, ok := p.cons.Settle()
+			if !ok {
+				break
 			}
-			if errors.Is(err, consensus.ErrDiscarded) {
-				return nil
+			if decided {
+				p.m.decided(now, k, v)
+			} else {
+				p.m.forgotten(now, k)
 			}
-			if err != nil {
-				return fmt.Errorf("core: replay %d: %w", k, err)
-			}
+			p.replay.Settled(now, k, decided)
 		}
-		p.mu.Lock()
-		if p.stopped {
-			p.mu.Unlock()
-			return ErrStopped
+		if len(p.m.out) == 0 {
+			return
 		}
-		p.m.decided(p.now(), k, v)
-		p.run()
+		p.run(now)
 	}
 }
 
-// run carries out the machine's effects and releases p.mu. Under the
-// lock, in order: writes, the upcall queue, and the consensus calls that
-// never settle an instance — the learn (a decision already here is an
-// input at once) and the discard. Frames and proposals go after it.
-func (p *Protocol) run() {
-	var buf [8]effect
-	later := buf[:0]
+// run carries out the machine's effects, in order: writes go to the log,
+// frames to the loop, which sends them after the lock; propose, learn and
+// discard are inputs of the consensus box; the ordered upcalls are queued
+// for the loop's goroutine.
+func (p *Protocol) run(now int64) {
 	m := p.m
 	for i := 0; i < len(m.out); i++ {
 		ef := &m.out[i]
 		switch ef.op {
+		case opSend:
+			p.l.Send(p.net, ef.to, ef.w)
 		case opPut, opAppend, opDelete:
 			p.issue(ef)
+		case opPropose:
+			// Propose borrows the value (it keeps a copy of its own). It
+			// fails only below the consensus floor: every round proposed is
+			// at or above it.
+			_ = p.cons.Propose(ef.k, ef.w.Bytes(), now)
+			wire.PutWriter(ef.w)
 		case opLearn:
 			if v, ok := p.cons.DecidedLocal(ef.k); ok {
-				m.decided(p.now(), ef.k, v)
+				m.decided(now, ef.k, v)
 			}
 		case opDiscard:
-			// A delete failing at issue means a dying log; the cells it
-			// leaves below the floor go with the next discard.
-			_ = p.cons.DiscardBelow(ef.k)
+			p.cons.DiscardBelow(ef.k)
+			p.replay.Discarded(now)
 		case opArm:
-			if ef.at < p.wallAt {
-				p.wallAt = ef.at
-				p.wall.Reset(time.Duration(ef.at - p.now()))
-			}
+			p.l.Arm(p, ef.at, loop.Token{K: uint64(ef.at)})
 		case opRelease:
 			if ch, ok := p.waiting[ef.id]; ok {
 				ch <- ef.err
@@ -266,120 +216,46 @@ func (p *Protocol) run() {
 				p.ckptWaits[0] <- ef.err
 				p.ckptWaits = p.ckptWaits[1:]
 			}
-		case opRestore, opDeliver, opRound, opSkip, opCheckpointDue:
+		default: // the ordered upcalls, and the floor frame they order
 			p.upcall(ef)
-		default:
-			later = append(later, *ef)
 		}
 	}
 	m.flushed()
-	p.mu.Unlock()
-	for i := range later {
-		ef := &later[i]
-		switch ef.op {
-		case opSend:
-			// Send/Multisend copy before returning at every transport layer,
-			// so the buffer is released right after the call.
-			if ef.to == ids.Nobody {
-				p.net.Multisend(ef.w.Bytes())
-			} else {
-				p.net.Send(ef.to, ef.w.Bytes())
-			}
-			wire.PutWriter(ef.w)
-		case opPropose:
-			// Propose borrows the value (it keeps a copy of its own). It
-			// fails only in a dying incarnation: every round proposed is at
-			// or above the consensus floor.
-			_ = p.cons.Propose(ef.k, ef.w.Bytes())
-			wire.PutWriter(ef.w)
-		case opFloor:
-			p.sendFloor()
-		}
-	}
 }
 
 // issue hands one write to the log and queues its completion.
 func (p *Protocol) issue(ef *effect) {
 	var c *storage.Completion
+	ast := p.l.Store()
 	switch ef.op {
 	case opPut:
-		c = p.ast.PutAsync(ef.key, ef.w.Bytes())
+		c = ast.PutAsync(ef.key, ef.w.Bytes())
 	case opAppend:
-		c = p.ast.AppendAsync(ef.key, ef.w.Bytes())
+		c = ast.AppendAsync(ef.key, ef.w.Bytes())
 	default:
-		c = p.ast.DeleteAsync(ef.key)
+		c = ast.DeleteAsync(ef.key)
 	}
 	if ef.w != nil {
 		wire.PutWriter(ef.w) // the log borrows the value for the call
 		ef.w = nil
 	}
-	p.writes = append(p.writes, pendingWrite{c: c, ef: *ef})
-	p.settleWrites()
+	p.writes.Push(*ef)
+	p.l.Issue(p, c)
 }
 
-// settleWrites reports the resolved writes at the head of the issue queue
-// to the machine: it sees completions in issue order even where a store
-// resolves them out of it. p.mu held.
-func (p *Protocol) settleWrites() {
-	for len(p.writes) > 0 {
-		w := &p.writes[0]
-		err, done := w.c.Poll()
-		if !done {
-			if !w.hooked {
-				w.hooked = true
-				w.c.OnDone(p.onDone)
-			}
-			return
-		}
-		ef := w.ef
-		n := copy(p.writes, p.writes[1:])
-		p.writes[n] = pendingWrite{}
-		p.writes = p.writes[:n]
-		p.m.persisted(p.now(), &ef, err)
-	}
+// Persisted implements loop.Layer: the loop reports the machine's writes
+// in issue order, even where a store resolves them out of it.
+func (p *Protocol) Persisted(now int64, err error) {
+	ef := p.writes.Pop()
+	p.m.persisted(now, &ef, err)
 }
 
-// onWrite is the completion callback of a write that did not resolve at
-// issue; it runs on the log's completion goroutine.
-func (p *Protocol) onWrite(error) {
-	if p.lock() {
-		p.settleWrites()
-		p.run()
-	}
-}
+// Fire implements loop.Layer: the wall clock reached the machine's timer.
+func (p *Protocol) Fire(now int64, _ loop.Token) { p.m.fire(now) }
 
-// onAlarm is the wall-clock timer: it fires the machine's due timers.
-func (p *Protocol) onAlarm() {
-	if p.lock() {
-		p.wallAt = never
-		p.m.fire(p.now())
-		p.run()
-	}
-}
-
-// onSettle is the consensus engine's decided/forgotten upcall.
-func (p *Protocol) onSettle(k uint64, v []byte, decided bool) {
-	if !p.lock() {
-		return
-	}
-	if decided {
-		p.m.decided(p.now(), k, v)
-	} else {
-		p.m.forgotten(p.now(), k)
-	}
-	p.run()
-}
-
-// lock takes p.mu for an input and reports whether the incarnation still
-// takes inputs; it releases the lock when not.
-func (p *Protocol) lock() bool {
-	p.mu.Lock()
-	if p.stopped {
-		p.mu.Unlock()
-		return false
-	}
-	return true
-}
+// Live implements loop.Layer: the machine asks for one wake-up at a time,
+// the earliest.
+func (p *Protocol) Live(tok loop.Token) bool { return int64(tok.K) == p.m.wakeAt }
 
 // sendFloor piggybacks the merge-floor frame on the periodic gossip: peers
 // fold it into their cluster-floor view (group.FloorTracker), and the
@@ -398,41 +274,22 @@ func (p *Protocol) sendFloor() {
 
 // ---- the ordered upcalls ----
 
-// upcall queues one ordered upcall. p.mu held.
+// upcall queues one ordered upcall. The lock is held.
 func (p *Protocol) upcall(ef *effect) {
 	p.upcalls = append(p.upcalls, *ef)
-	p.upcallCV.Broadcast()
+	p.l.Upcall()
 }
 
-// upcallLoop is the adapter's one goroutine: it runs the ordered upcalls
-// outside every lock, so a slow application stalls neither the transport
-// nor consensus.
-func (p *Protocol) upcallLoop() {
-	defer close(p.loopDone)
-	var batch []effect
-	p.mu.Lock()
-	for {
-		for len(p.upcalls) == 0 && !p.stopped {
-			p.upcallCV.Wait()
-		}
-		if p.stopped {
-			p.mu.Unlock()
-			return
-		}
-		batch, p.upcalls = p.upcalls, batch[:0]
-		p.busy = true
-		p.mu.Unlock()
-		p.runUpcalls(batch)
-		p.mu.Lock()
-		p.busy = false
-		p.upcallCV.Broadcast() // Start may wait for the queue to empty
-	}
-}
+// TakeUpcalls implements loop.Upcaller.
+func (p *Protocol) TakeUpcalls() { p.batch, p.upcalls = p.upcalls, p.batch[:0] }
 
-func (p *Protocol) runUpcalls(batch []effect) {
+// RunUpcalls implements loop.Upcaller: it runs the batch on the loop's
+// goroutine, outside every lock, so a slow application stalls neither the
+// transport nor consensus.
+func (p *Protocol) RunUpcalls() {
 	c := &p.cfg
-	for i := range batch {
-		ef := &batch[i]
+	for i := range p.batch {
+		ef := &p.batch[i]
 		switch ef.op {
 		case opRestore:
 			if c.OnRestore != nil {
@@ -455,9 +312,13 @@ func (p *Protocol) runUpcalls(batch []effect) {
 			c.OnCheckpoint(ef.k)
 		case opCheckpointDue:
 			_ = p.checkpoint(nil)
+		case opFloor:
+			p.sendFloor()
+		case opStarted:
+			close(p.replayed)
 		}
 	}
-	clear(batch)
+	clear(p.batch)
 }
 
 // ---- client calls ----
@@ -468,9 +329,9 @@ func (p *Protocol) OnMessage(from ids.ProcessID, payload []byte) {
 		p.onFloor(from, payload[1:])
 		return
 	}
-	if p.lock() {
-		p.m.receive(p.now(), from, payload)
-		p.run()
+	if p.l.Enter() {
+		p.m.receive(p.l.Now(), from, payload)
+		p.l.Exit()
 	}
 }
 
@@ -492,21 +353,23 @@ func (p *Protocol) onFloor(from ids.ProcessID, frame []byte) {
 // returns once m's Unordered record is durable (§5.4): concurrent callers
 // share one group commit on engines that have it.
 func (p *Protocol) Broadcast(ctx context.Context, payload []byte) (ids.MsgID, error) {
-	p.mu.Lock()
-	if p.stopped || (!p.started && !p.cfg.BatchedBroadcast) {
-		// The node publishes the incarnation before Start runs, so a caller
-		// can get here first; the blocking form needs the tasks running.
-		p.mu.Unlock()
+	if !p.l.Enter() {
 		return ids.MsgID{}, ErrStopped
 	}
-	id, err := p.m.broadcast(p.now(), payload, false)
+	if !p.started && !p.cfg.BatchedBroadcast {
+		// The node publishes the incarnation before Start runs, so a caller
+		// can get here first; the blocking form needs the tasks running.
+		p.l.Unlock()
+		return ids.MsgID{}, ErrStopped
+	}
+	id, err := p.m.broadcast(p.l.Now(), payload, false)
 	if err != nil {
-		p.mu.Unlock()
+		p.l.Unlock()
 		return id, err
 	}
 	ch := make(chan error, 1)
 	p.waiting[id] = ch
-	p.run()
+	p.l.Exit()
 	var drained, cancelled <-chan struct{}
 	if !p.cfg.BatchedBroadcast {
 		drained, cancelled = p.drainedCh, ctx.Done()
@@ -531,7 +394,7 @@ func (p *Protocol) Broadcast(ctx context.Context, payload []byte) (ids.MsgID, er
 		return id, ErrSealed
 	case <-cancelled:
 		return id, ctx.Err()
-	case <-p.ctx.Done():
+	case <-p.l.Done():
 		return id, ErrStopped
 	}
 }
@@ -541,11 +404,11 @@ func (p *Protocol) Broadcast(ctx context.Context, payload []byte) (ids.MsgID, er
 // might crash immediately after invoking A-broadcast). Load generators use
 // it to drive open-loop workloads.
 func (p *Protocol) BroadcastAsync(payload []byte) (ids.MsgID, error) {
-	if !p.lock() {
+	if !p.l.Enter() {
 		return ids.MsgID{}, ErrStopped
 	}
-	id, err := p.m.broadcast(p.now(), payload, true)
-	p.run()
+	id, err := p.m.broadcast(p.l.Now(), payload, true)
+	p.l.Exit()
 	return id, err
 }
 
@@ -555,11 +418,11 @@ func (p *Protocol) BroadcastAsync(payload []byte) (ids.MsgID, error) {
 // one already delivered, or arriving after a drain (the sealed sequence is
 // complete), is dropped.
 func (p *Protocol) Inject(m msg.Message) bool {
-	if !p.lock() {
+	if !p.l.Enter() {
 		return false
 	}
-	added := p.m.inject(p.now(), m)
-	p.run()
+	added := p.m.inject(p.l.Now(), m)
+	p.l.Exit()
 	return added
 }
 
@@ -578,7 +441,7 @@ func (p *Protocol) CheckpointNow() error {
 			return fmt.Errorf("core: checkpoint: %w", err)
 		}
 		return nil
-	case <-p.ctx.Done():
+	case <-p.l.Done():
 		return ErrStopped
 	}
 }
@@ -586,18 +449,18 @@ func (p *Protocol) CheckpointNow() error {
 // checkpoint steps a checkpoint; ch, when set, receives its outcome (the
 // periodic one, with none, does not wait).
 func (p *Protocol) checkpoint(ch chan error) error {
-	if !p.lock() {
+	if !p.l.Enter() {
 		return ErrStopped
 	}
 	if !p.m.restored {
-		p.mu.Unlock()
+		p.l.Unlock()
 		return fmt.Errorf("core: checkpoint before recovery")
 	}
 	if ch != nil {
 		p.ckptWaits = append(p.ckptWaits, ch)
 	}
-	p.m.checkpoint(p.now(), ch != nil)
-	p.run()
+	p.m.checkpoint(p.l.Now(), ch != nil)
+	p.l.Exit()
 	return nil
 }
 
@@ -609,25 +472,17 @@ func (p *Protocol) checkpoint(ch chan error) error {
 // (final = marker round + drain window), so all processes seal at the same
 // boundary. Idempotent; a later seal is ignored.
 func (p *Protocol) Seal(final uint64) {
-	if p.lock() {
-		p.m.seal(p.now(), final)
-		p.run()
+	if p.l.Enter() {
+		p.m.seal(p.l.Now(), final)
+		p.l.Exit()
 	}
-}
-
-// Sealed returns the retirement seal state: whether Seal was applied and,
-// if so, the final round of the sealed sequence.
-func (p *Protocol) Sealed() (bool, uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.m.sealed, p.m.sealFinal
 }
 
 // Drained reports whether a sealed group has committed its full sequence
 // (round counter past the final round). Always false before Seal.
 func (p *Protocol) Drained() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.l.Lock()
+	defer p.l.Unlock()
 	return p.m.drained
 }
 
@@ -637,23 +492,23 @@ func (p *Protocol) Drained() bool {
 // into the successor group, where delivery-state dedup keeps the injection
 // idempotent across the processes all doing the same. Nil until the drain.
 func (p *Protocol) TakeOrphans() []msg.Message {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.l.Lock()
+	defer p.l.Unlock()
 	return p.m.takeOrphans()
 }
 
 // Round returns the current round counter k_p.
 func (p *Protocol) Round() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.l.Lock()
+	defer p.l.Unlock()
 	return p.m.k
 }
 
 // Delivered reports whether id is in the delivery sequence (explicitly or
 // via the base checkpoint).
 func (p *Protocol) Delivered(id ids.MsgID) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.l.Lock()
+	defer p.l.Unlock()
 	return p.m.ds.contains(id)
 }
 
@@ -661,15 +516,15 @@ func (p *Protocol) Delivered(id ids.MsgID) bool {
 // that initiates the sequence (empty in the basic protocol) and the
 // explicitly delivered suffix.
 func (p *Protocol) Sequence() (Snapshot, []Delivery) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.l.Lock()
+	defer p.l.Unlock()
 	return p.m.ds.snapshotBase(), p.m.tagGroup(p.m.ds.deliveries())
 }
 
 // UnorderedLen returns the size of the Unordered set (observability).
 func (p *Protocol) UnorderedLen() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.l.Lock()
+	defer p.l.Unlock()
 	return p.m.unordered.Len()
 }
 

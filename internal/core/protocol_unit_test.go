@@ -46,8 +46,8 @@ func TestBroadcastCopiesPayload(t *testing.T) {
 	buf := []byte("mutable")
 	id, _ := p.BroadcastAsync(buf)
 	buf[0] = 'X'
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.l.Lock()
+	defer p.l.Unlock()
 	for _, mm := range p.m.unordered.Slice() {
 		if mm.ID == id && string(mm.Payload) != "mutable" {
 			t.Fatal("payload aliased caller buffer")
@@ -85,7 +85,7 @@ func TestBatchedBroadcastLogsBeforeReturn(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The Unordered cell must already be on stable storage.
-	raw, ok, err := p.st.Get(keyUnord)
+	raw, ok, err := p.l.Store().Get(keyUnord)
 	if err != nil || !ok {
 		t.Fatalf("unordered cell missing: %v %v", ok, err)
 	}
@@ -103,7 +103,7 @@ func TestBatchedIncrementalBroadcastAppendsRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	recs, err := p.st.Records(keyUnordLog)
+	recs, err := p.l.Store().Records(keyUnordLog)
 	if err != nil || len(recs) != 3 {
 		t.Fatalf("incremental records = %d (%v)", len(recs), err)
 	}
@@ -134,8 +134,8 @@ func TestRecoverUnorderedMergesCellAndLog(t *testing.T) {
 	st.Append(keyUnordLog, []byte{0xff}) // torn record
 
 	cfg := Config{PID: 0, N: 3, Incarnation: 2, BatchedBroadcast: true}
-	p := New(cfg, st, newFakeCons(), &fakeNet{})
-	if err := p.recover(); err != nil {
+	p := newProto(cfg, st, &fakeNet{})
+	if err := p.Recover(); err != nil {
 		t.Fatal(err)
 	}
 	if p.UnorderedLen() != 2 {
@@ -153,11 +153,11 @@ func TestCommitNotifiesWaitersAndSubtractsUnordered(t *testing.T) {
 	})
 	mm := m(0, 1, 1)
 	ch := make(chan error, 1)
-	p.mu.Lock()
+	p.l.Lock()
 	p.m.unordered.Add(mm)
 	p.m.blocked[mm.ID] = struct{}{}
 	p.waiting[mm.ID] = ch
-	p.mu.Unlock()
+	p.l.Unlock()
 
 	w := wire.NewWriter(0)
 	msg.EncodeBatch(w, []msg.Message{mm})
@@ -226,7 +226,7 @@ func TestCheckpointNowFoldsWithCheckpointer(t *testing.T) {
 	if fold.calls != 1 || fold.lastCount != 2 {
 		t.Fatalf("checkpointer: %+v", fold)
 	}
-	if _, ok, _ := p.st.Get(keyCkpt); !ok {
+	if _, ok, _ := p.l.Store().Get(keyCkpt); !ok {
 		t.Fatal("checkpoint cell not written")
 	}
 	cons.mu.Lock()
@@ -269,9 +269,9 @@ func TestCheckpointNowWithoutCheckpointerKeepsSuffix(t *testing.T) {
 
 func TestDoubleStartRejected(t *testing.T) {
 	p, _, _ := newTestProtocol(Config{})
-	p.mu.Lock()
+	p.l.Lock()
 	p.started = true
-	p.mu.Unlock()
+	p.l.Unlock()
 	if err := p.Start(context.Background()); err == nil {
 		t.Fatal("double start accepted")
 	}

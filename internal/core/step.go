@@ -74,7 +74,6 @@ func (s *Machine) Recover(st storage.Stable) error {
 	return err
 }
 
-func (s *Machine) Start(now int64)                                     { s.m.start(now) }
 func (s *Machine) Receive(now int64, from ids.ProcessID, frame []byte) { s.m.receive(now, from, frame) }
 func (s *Machine) Decided(now int64, k uint64, v []byte)               { s.m.decided(now, k, v) }
 func (s *Machine) Forgotten(now int64, k uint64)                       { s.m.forgotten(now, k) }
@@ -136,33 +135,85 @@ func retrieve(st storage.Stable, batched bool) (ckpt, floor, unord []byte, recs 
 	return ckpt, floor, unord, recs, nil
 }
 
-// ConsensusLog is what the replay phase reads of Consensus's log.
-type ConsensusLog interface {
+// ReplayLog is what the replay phase reads of Consensus's log and asks of
+// it, in-step: consensus.Box on the incarnation's loop, consensus.Machine
+// in the simulator.
+type ReplayLog interface {
 	DecidedLocal(k uint64) ([]byte, bool)
 	Proposal(k uint64) ([]byte, bool)
+	Propose(k uint64, v []byte, now int64) error
+	Forgot(k uint64) bool
 }
 
-// Replay moves: what the replay phase does with its next round.
-const (
-	ReplayCommit = iota + 1 // commit the logged decision
-	ReplayAwait             // re-propose the logged proposal and await the decision
-	ReplayEnd               // nothing is logged: the replay phase is over
-)
+// Replay is the replay phase of "upon initialization or recovery"
+// (Fig. 2), run in-step by whatever carries out the machine's and
+// Consensus's effects: Protocol on its loop, and the full-stack simulator.
+// The recovery procedure "parses the log of proposed and agreed values
+// (which is kept internally by Consensus)" (§4.2): a round with a logged
+// decision commits straight from the log; a round with only a logged
+// proposal is re-proposed, idempotently, and the phase waits for
+// Consensus to settle it; the first round with neither ends the phase, and
+// so does a round whose instance peers garbage-collected: the gossip
+// exchange then triggers a state transfer that skips it (§5.3). The end of
+// the phase starts the machine.
+type Replay struct {
+	m     *machine
+	log   ReplayLog
+	on    bool
+	waitK uint64 // the round whose decision the phase waits for
+}
 
-// ReplayNext is the replay phase's rule for round k: the recovery
-// procedure "parses the log of proposed and agreed values (which is kept
-// internally by Consensus)" (§4.2). A round with a logged decision commits
-// straight from the log (v is the decision); a round with only a logged
-// proposal is re-proposed idempotently and awaited (v is the proposal);
-// the first round with neither ends the phase. So does a round whose
-// instance peers garbage-collected: the gossip exchange then triggers a
-// state transfer that skips it (§5.3).
-func ReplayNext(log ConsensusLog, k uint64) (move int, v []byte) {
-	if v, ok := log.DecidedLocal(k); ok {
-		return ReplayCommit, v
+// NewReplay returns the replay phase of m over log.
+func NewReplay(m *Machine, log ReplayLog) *Replay { return &Replay{m: m.m, log: log} }
+
+// On reports whether the phase is under way.
+func (r *Replay) On() bool { return r.on }
+
+// Begin starts the phase at the machine's round, after its retrieve.
+func (r *Replay) Begin(now int64) {
+	r.on = true
+	r.advance(now)
+}
+
+// Settled is Consensus's decided(k) (decided) or forgotten(k), after the
+// machine took it as its input: the awaited round decided goes on with
+// the next round, a forgotten one ends the phase.
+func (r *Replay) Settled(now int64, k uint64, decided bool) {
+	switch {
+	case !r.on || k != r.waitK:
+	case decided:
+		r.advance(now)
+	default:
+		r.end(now)
 	}
-	if prop, logged := log.Proposal(k); logged {
-		return ReplayAwait, prop
+}
+
+// Discarded is a discardBelow that reached Consensus: a wait on a round
+// it discarded ends the phase.
+func (r *Replay) Discarded(now int64) {
+	if r.on && r.log.Forgot(r.waitK) {
+		r.end(now)
 	}
-	return ReplayEnd, nil
+}
+
+func (r *Replay) advance(now int64) {
+	for r.on {
+		k := r.m.k
+		if v, ok := r.log.DecidedLocal(k); ok {
+			if r.m.decided(now, k, v); r.m.k == k {
+				panic(fmt.Sprintf("core: replay: round %d's logged decision did not commit", k))
+			}
+			continue
+		}
+		if v, ok := r.log.Proposal(k); ok && !r.log.Forgot(k) && r.log.Propose(k, v, now) == nil {
+			r.waitK = k
+			return
+		}
+		r.end(now)
+	}
+}
+
+func (r *Replay) end(now int64) {
+	r.on = false
+	r.m.start(now)
 }

@@ -43,7 +43,7 @@ type Config struct {
 // the sequencer runs the CT transformation.
 type Protocol struct {
 	cfg  Config
-	cons consensus.API
+	cons *consensus.Engine
 	net  router.Net
 
 	mu         sync.Mutex
@@ -62,7 +62,7 @@ type Protocol struct {
 
 // New creates a baseline process over the given consensus engine and
 // network binding (use router.ChanCore).
-func New(cfg Config, cons consensus.API, net router.Net) *Protocol {
+func New(cfg Config, cons *consensus.Engine, net router.Net) *Protocol {
 	return &Protocol{
 		cfg:        cfg,
 		cons:       cons,

@@ -13,8 +13,9 @@
 // time now, and suspicion is a function of now; its effects are the
 // heartbeat multisend, the next tick and the suspect/trust and epoch
 // transitions. The full-stack simulator (internal/sim/stack) runs it on a
-// virtual clock; Detector, over the network, a ticker goroutine and the
-// wall clock, with the transitions in the flight recorder.
+// virtual clock; Detector on a loop of its own (internal/loop), its tick a
+// loop timer, over the network and the wall clock, with the transitions in
+// the flight recorder.
 //
 // The detector's scope is one *process incarnation*, not one ordering
 // group: §3.5's liveness oracle answers "is process q alive at epoch e",
@@ -27,10 +28,10 @@ package fd
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"repro/internal/ids"
+	"repro/internal/loop"
 	"repro/internal/obs"
 	"repro/internal/router"
 	"repro/internal/wire"
@@ -56,21 +57,6 @@ func (o *Options) fill() {
 	if o.Timeout <= 0 {
 		o.Timeout = 4 * o.Heartbeat
 	}
-}
-
-// API is the detector interface the rest of the stack programs against. It
-// is a superset of consensus.Suspector.
-type API interface {
-	// Suspects reports whether p is currently suspected.
-	Suspects(p ids.ProcessID) bool
-	// Leader returns the Ω-style eventual-leader hint.
-	Leader() ids.ProcessID
-	// Trusted returns the processes currently not suspected, in pid order.
-	Trusted() []ids.ProcessID
-	// Epoch returns the highest incarnation observed for p.
-	Epoch(p ids.ProcessID) uint32
-	// SelfEpoch returns the observing incarnation's own epoch.
-	SelfEpoch() uint32
 }
 
 // Effect kinds: what a step asks its runner to do, in order.
@@ -226,91 +212,60 @@ func DecodeHeartbeat(payload []byte) (epoch uint32, ok bool) {
 }
 
 // Detector is the machine's adapter for one process incarnation: the
-// machine run over the FD channel and the wall clock.
+// machine run on a loop of its own (internal/loop) over the FD channel and
+// the wall clock, its tick a loop timer. Its lock is a leaf: consensus
+// reads the detector under the lock of its own loop, and the detector
+// never calls up.
 type Detector struct {
-	net   router.Net
-	fl    *obs.Recorder
-	start time.Time
-	every time.Duration
-
-	mu      sync.Mutex
-	m       *Machine
-	stopped bool // Stop ran: a racing Start launches nothing
-
-	wg sync.WaitGroup
+	l   *loop.Loop
+	net router.Net
+	fl  *obs.Recorder
+	m   *Machine
 }
-
-var _ API = (*Detector)(nil)
 
 // New creates a detector for process pid (of n) running incarnation epoch.
 // net must be bound to the FD channel.
 func New(pid ids.ProcessID, n int, epoch uint32, opts Options, net router.Net) *Detector {
 	opts.fill()
 	d := &Detector{
-		net:   net,
-		fl:    opts.Obs.Flight(),
-		start: time.Now(),
-		every: opts.Heartbeat,
-		m:     NewMachine(pid, n, epoch, opts),
+		l:   loop.New(nil),
+		net: net,
+		fl:  opts.Obs.Flight(),
+		m:   NewMachine(pid, n, epoch, opts),
 	}
+	d.l.Bind(d.flush, nil)
 	opts.Obs.Reg().Func("abcast.fd.suspected", func() int64 {
 		return int64(n - len(d.Trusted()))
 	})
 	return d
 }
 
-// now is the adapter's clock: monotonic ns since New.
-func (d *Detector) now() int64 { return int64(time.Since(d.start)) }
-
-// Start launches the heartbeat task. It returns immediately; the task stops
-// when ctx is cancelled. Wait for it with Stop.
+// Start sends the first heartbeat and arms the tick; the detector stops
+// when ctx is cancelled, or at Stop. A Start after Stop does nothing.
 func (d *Detector) Start(ctx context.Context) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.stopped {
-		return
+	d.l.Start(ctx)
+	if d.l.Enter() {
+		d.m.Start(d.l.Now())
+		d.l.Exit()
 	}
-	d.wg.Add(1)
-	go func() {
-		defer d.wg.Done()
-		// The ticker keeps the machine's cadence: its OpTick effects are
-		// all one interval apart.
-		ticker := time.NewTicker(d.every)
-		defer ticker.Stop()
-		d.mu.Lock()
-		d.m.Start(d.now())
-		d.flush()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-ticker.C:
-				d.mu.Lock()
-				d.m.Tick(d.now())
-				d.flush()
-			}
-		}
-	}()
 }
 
-// Stop waits for the heartbeat task to exit (cancel the Start context
-// first).
-func (d *Detector) Stop() {
-	d.mu.Lock()
-	d.stopped = true
-	d.mu.Unlock()
-	d.wg.Wait()
-}
+// Stop ends the detector: it refuses inputs and arms no tick any more; a
+// heartbeat a step queued before it may still be leaving.
+func (d *Detector) Stop() { d.l.Stop() }
 
-// flush carries out the effects of the input just stepped and releases
-// d.mu: the transitions go into the flight recorder, the heartbeat onto the
-// network after the lock.
+// flush is the loop's drain: the transitions go into the flight recorder,
+// the heartbeat onto the network after the lock, the next tick on the
+// loop's timer queue.
 func (d *Detector) flush() {
-	beat, epoch := false, uint32(0)
 	for _, ef := range d.m.Effects() {
 		switch ef.Op {
 		case OpBeat:
-			beat, epoch = true, ef.Epoch
+			w := wire.GetWriter(8)
+			EncodeHeartbeat(w, ef.Epoch)
+			d.l.Send(d.net, ids.Nobody, w)
+		case OpTick:
+			d.l.Arm(d, ef.At, loop.Token{})
 		case OpSuspect:
 			d.fl.Event(obs.EvSuspect, 0, uint64(ef.Epoch), int64(ef.Peer), 0, "")
 		case OpTrust:
@@ -319,51 +274,52 @@ func (d *Detector) flush() {
 			d.fl.Event(obs.EvEpochChange, 0, uint64(ef.Epoch), int64(ef.Peer), int64(ef.Prev), "peer incarnation advanced")
 		}
 	}
-	d.mu.Unlock()
-	if beat {
-		w := wire.GetWriter(8)
-		EncodeHeartbeat(w, epoch)
-		d.net.Multisend(w.Bytes())
-		wire.PutWriter(w)
-	}
 }
+
+// Persisted implements loop.Layer; the detector writes nothing.
+func (d *Detector) Persisted(int64, error) {}
+
+// Fire implements loop.Layer: the heartbeat tick.
+func (d *Detector) Fire(now int64, _ loop.Token) { d.m.Tick(now) }
+
+// Live implements loop.Layer: one tick is armed at a time.
+func (d *Detector) Live(loop.Token) bool { return true }
 
 // OnMessage is the router handler for FD heartbeats.
 func (d *Detector) OnMessage(from ids.ProcessID, payload []byte) {
-	if epoch, ok := DecodeHeartbeat(payload); ok {
-		d.mu.Lock()
-		d.m.Heartbeat(d.now(), from, epoch)
-		d.flush()
+	if epoch, ok := DecodeHeartbeat(payload); ok && d.l.Enter() {
+		d.m.Heartbeat(d.l.Now(), from, epoch)
+		d.l.Exit()
 	}
 }
 
-// Suspects implements API.
+// Suspects reports whether p is currently suspected.
 func (d *Detector) Suspects(p ids.ProcessID) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.m.Suspects(d.now(), p)
+	d.l.Lock()
+	defer d.l.Unlock()
+	return d.m.Suspects(d.l.Now(), p)
 }
 
-// Trusted implements API.
+// Trusted returns the processes currently not suspected, in pid order.
 func (d *Detector) Trusted() []ids.ProcessID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.m.Trusted(d.now())
+	d.l.Lock()
+	defer d.l.Unlock()
+	return d.m.Trusted(d.l.Now())
 }
 
-// Leader implements API.
+// Leader returns the Ω-style eventual-leader hint.
 func (d *Detector) Leader() ids.ProcessID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.m.Leader(d.now())
+	d.l.Lock()
+	defer d.l.Unlock()
+	return d.m.Leader(d.l.Now())
 }
 
-// Epoch implements API.
+// Epoch returns the highest incarnation observed for p.
 func (d *Detector) Epoch(p ids.ProcessID) uint32 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.l.Lock()
+	defer d.l.Unlock()
 	return d.m.Epoch(p)
 }
 
-// SelfEpoch implements API.
+// SelfEpoch returns the observing incarnation's own epoch.
 func (d *Detector) SelfEpoch() uint32 { return d.m.SelfEpoch() }

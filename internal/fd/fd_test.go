@@ -47,6 +47,33 @@ func TestHeartbeatTaskBeats(t *testing.T) {
 	}
 }
 
+// TestStoppedDetectorSendsNothing: once Stop returns (and a beat already
+// on its way has left), no heartbeat leaves for three intervals, and a
+// Start after Stop arms no tick.
+func TestStoppedDetectorSendsNothing(t *testing.T) {
+	const every = 5 * time.Millisecond
+	net := &fakeNet{}
+	d := New(0, 3, 1, Options{Heartbeat: every}, net)
+	d.Start(context.Background())
+	for deadline := time.Now().Add(5 * time.Second); net.count() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the detector never beat")
+		}
+	}
+	d.Stop()
+	time.Sleep(time.Millisecond)
+	sent := net.count()
+	time.Sleep(3 * every)
+	if n := net.count(); n != sent {
+		t.Fatalf("%d heartbeats after Stop", n-sent)
+	}
+	d.Start(context.Background())
+	time.Sleep(3 * every)
+	if n := net.count(); n != sent {
+		t.Fatalf("a Start after Stop sent %d heartbeats", n-sent)
+	}
+}
+
 // ms is one millisecond of the machine's clock.
 const ms = int64(time.Millisecond)
 
@@ -194,7 +221,7 @@ func TestTrustedListOverRealNetwork(t *testing.T) {
 // groups of a process share its lifecycle.
 func TestSharedViewsReTrustRecoveredEpoch(t *testing.T) {
 	d := New(0, 3, 1, Options{Heartbeat: 5 * time.Millisecond, Timeout: 20 * time.Millisecond}, &fakeNet{})
-	var groups [3]API
+	var groups [3]*Detector
 	for g := range groups {
 		groups[g] = d // what a sharded process hands each group's engine
 	}

@@ -1,7 +1,11 @@
 // Package node hosts one process of the group: it wires the transport
 // endpoint, stable storage, failure detector, consensus engine and atomic
 // broadcast protocol into a single lifecycle with crash and recover
-// transitions.
+// transitions. An incarnation runs consensus and the broadcast core on one
+// loop (internal/loop): one lock, one timer queue, one write queue and one
+// upcall goroutine, so a decision is the core's input in the step that
+// learns it. A detector runs on a loop of its own, which a sharded
+// process's groups share.
 //
 // A crash destroys the incarnation: every task stops, the endpoint detaches
 // (messages arriving while down are lost, §2.1), and all volatile state is
@@ -21,6 +25,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fd"
 	"repro/internal/ids"
+	"repro/internal/loop"
 	"repro/internal/obs"
 	"repro/internal/router"
 	"repro/internal/storage"
@@ -56,7 +61,7 @@ type Config struct {
 	// then runs no detector of its own: it sends no heartbeats and ignores
 	// the FD channel — the process-level service owns both. Nil keeps the
 	// classic one-detector-per-node wiring.
-	SharedFD func() fd.API
+	SharedFD func() *fd.Detector
 	// App, when set, is called at every incarnation start with the
 	// app-channel network binding; the returned handler (if non-nil)
 	// receives app-channel packets (e.g. quorum reads).
@@ -79,9 +84,8 @@ type incarnation struct {
 	epoch  uint32
 	cancel context.CancelFunc
 	rt     *router.Router
-	det    fd.API       // own detector or the shared process-level one
+	det    *fd.Detector // own detector or the shared process-level one
 	own    *fd.Detector // non-nil only when this node runs its own detector
-	eng    *consensus.Engine
 	proto  *core.Protocol
 	// ready is set once proto.Start returned: until then the incarnation
 	// exists only for Crash to tear down, and the accessors report the
@@ -120,8 +124,7 @@ func (n *Node) Start(ctx context.Context) error {
 	// The liveness oracle: this node's own detector, or the process-level
 	// one shared by every group of a sharded process (then this node sends
 	// no heartbeats at all).
-	var det fd.API
-	var own *fd.Detector
+	var det, own *fd.Detector
 	if n.cfg.SharedFD != nil {
 		det = n.cfg.SharedFD()
 	} else {
@@ -139,7 +142,9 @@ func (n *Node) Start(ctx context.Context) error {
 	if ccfg.Seed == 0 {
 		ccfg.Seed = uint64(n.cfg.PID)<<32 | uint64(epoch)
 	}
-	eng, err := consensus.New(ccfg, n.store, rt.Bound(router.ChanConsensus), det)
+	// One loop runs the incarnation's consensus and broadcast machines.
+	l := loop.New(n.store)
+	eng, err := consensus.NewOn(l, ccfg, rt.Bound(router.ChanConsensus), det)
 	if err != nil {
 		rt.Stop()
 		return fmt.Errorf("node %v: consensus: %w", n.cfg.PID, err)
@@ -151,12 +156,12 @@ func (n *Node) Start(ctx context.Context) error {
 	pcfg.Incarnation = epoch
 	pcfg.Group = n.cfg.Group
 	pcfg.Obs = n.cfg.Obs
-	proto := core.New(pcfg, n.store, eng, rt.Bound(router.ChanCore))
+	proto := core.New(pcfg, l, eng.Box(), rt.Bound(router.ChanCore))
 	// Consensus keeps no GC floor across a crash; core's retrieve hands it
 	// back, before the router delivers a frame the engine could answer.
 	if err := proto.Recover(); err != nil {
 		rt.Stop()
-		eng.Stop()
+		l.Stop()
 		return fmt.Errorf("node %v: recovery: %w", n.cfg.PID, err)
 	}
 
@@ -178,7 +183,6 @@ func (n *Node) Start(ctx context.Context) error {
 		rt:     rt,
 		det:    det,
 		own:    own,
-		eng:    eng,
 		proto:  proto,
 	}
 	// Published before the layers start, so a Crash racing this Start
@@ -233,9 +237,8 @@ func (n *Node) Crash() {
 		return
 	}
 	inc.cancel()
-	inc.rt.Stop() // closes the endpoint: packets now dropped
-	inc.proto.Stop()
-	inc.eng.Stop()
+	inc.rt.Stop()    // closes the endpoint: packets now dropped
+	inc.proto.Stop() // stops the loop consensus shares
 	if inc.own != nil {
 		inc.own.Stop() // a shared detector outlives the group node
 	}
@@ -269,20 +272,9 @@ func (n *Node) Proto() *core.Protocol {
 	return n.inc.proto
 }
 
-// Engine returns the live consensus engine, or nil if the node is down
-// or its recovery has not finished.
-func (n *Node) Engine() *consensus.Engine {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.inc == nil || !n.inc.ready {
-		return nil
-	}
-	return n.inc.eng
-}
-
 // Detector returns the live failure detector (the node's own, or the
 // shared process-level one), or nil if the node is down.
-func (n *Node) Detector() fd.API {
+func (n *Node) Detector() *fd.Detector {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.inc == nil {

@@ -77,7 +77,7 @@ func TestBroadcastWhileDownFails(t *testing.T) {
 	if _, err := c.Broadcast(ctx, 2, []byte("x")); err == nil {
 		t.Fatal("broadcast on down node accepted")
 	}
-	if c.Nodes[2].Proto() != nil || c.Nodes[2].Engine() != nil || c.Nodes[2].Detector() != nil {
+	if c.Nodes[2].Proto() != nil || c.Nodes[2].Detector() != nil {
 		t.Fatal("down node exposes live components")
 	}
 }
@@ -101,7 +101,7 @@ func TestNodeIsDownUntilRecoveryEnds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for {
-		if _, ok := c.Nodes[0].Engine().Proposal(0); ok {
+		if _, ok, _ := c.Stores[0].Get("cons/p/0000000000000000"); ok { // round 0's proposal cell
 			break
 		}
 		if ctx.Err() != nil {
@@ -128,7 +128,7 @@ func TestNodeIsDownUntilRecoveryEnds(t *testing.T) {
 		t.Fatalf("recovery finished without a quorum: %v", err)
 	default:
 	}
-	if c.Nodes[0].Proto() != nil || c.Nodes[0].Engine() != nil {
+	if c.Nodes[0].Proto() != nil {
 		t.Fatal("a booting node exposes its protocol")
 	}
 	if _, err := c.Nodes[0].Broadcast(ctx, []byte("x")); !errors.Is(err, node.ErrDown) {

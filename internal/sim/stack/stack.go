@@ -90,11 +90,10 @@ type Proc struct {
 	// LeaseB is the ballot of the lease this incarnation holds, 0 if none.
 	LeaseB uint64
 
-	replaying bool
-	waitK     uint64 // the round the replay phase awaits
-	wallAt    int64  // the one timer the core machine armed
-	nextRound uint64 // the round its next OnRound must carry
-	lastKey   string // the key of the last core write issued
+	replay    *core.Replay // nil while down
+	wallAt    int64        // the one timer the core machine armed
+	nextRound uint64       // the round its next OnRound must carry
+	lastKey   string       // the key of the last core write issued
 }
 
 // Up reports whether p has a live incarnation.
@@ -275,15 +274,11 @@ func (s *Sim) consEffect(p *Proc, ef *consensus.Effect) {
 			s.Fail("%v", err)
 		}
 		p.Core.Decided(s.Now, ef.K, ef.Val)
-		if p.replaying && ef.K == p.waitK {
-			s.replay(p)
-		}
+		p.replay.Settled(s.Now, ef.K, true)
 	case consensus.OpForgot:
 		s.Note(p.PID, "forgotten", ef.K, nil)
 		p.Core.Forgotten(s.Now, ef.K)
-		if p.replaying && ef.K == p.waitK {
-			s.endReplay(p)
-		}
+		p.replay.Settled(s.Now, ef.K, false)
 	case consensus.OpLeaseAcquired:
 		s.Note(p.PID, "lease acquired", ef.Ballot, nil)
 		p.LeaseB = ef.Ballot
@@ -328,10 +323,7 @@ func (s *Sim) coreEffect(p *Proc, ef core.Effect) {
 		s.Note(p.PID, "discard below", ef.K, nil)
 		s.checkDiscard(p, ef.K)
 		p.Cons.DiscardBelow(ef.K)
-		if p.replaying && p.Cons.Forgot(p.waitK) {
-			// The awaited round's WaitDecided fails with ErrDiscarded.
-			s.endReplay(p)
-		}
+		p.replay.Discarded(s.Now)
 	case core.OpArm:
 		if ef.At < p.wallAt {
 			p.wallAt = ef.At
@@ -421,7 +413,7 @@ func (s *Sim) Crash(pid ids.ProcessID) {
 	s.Note(pid, "crash", 0, nil)
 	s.Kernel.Crash(pid)
 	s.Crashes++
-	p.Core, p.Cons, p.FD, p.replaying, p.LeaseB = nil, nil, nil, false, 0
+	p.Core, p.Cons, p.FD, p.replay, p.LeaseB = nil, nil, nil, nil, 0
 }
 
 // Recover boots a new incarnation of pid from its disk, as node.Start
@@ -452,6 +444,7 @@ func (s *Sim) Recover(pid ids.ProcessID) {
 	cfg := s.Opts.Core
 	cfg.PID, cfg.N, cfg.Incarnation = pid, s.Opts.N, epoch
 	p.Core, p.Cons = core.NewMachine(cfg), cons
+	p.replay = core.NewReplay(p.Core, cons)
 
 	p.FD.Start(s.Now)
 	if err := p.Core.Recover(p.Disk); err != nil {
@@ -460,44 +453,15 @@ func (s *Sim) Recover(pid ids.ProcessID) {
 	}
 	s.drain(p) // consensus gets its floor back before it starts
 	p.Cons.Start()
-	p.replaying = true
-	s.replay(p)
+	p.replay.Begin(s.Now)
 	s.drain(p)
-}
-
-// replay runs the replay phase from the core machine's round on, until it
-// awaits a round's decision or ends.
-func (s *Sim) replay(p *Proc) {
-	for p.replaying {
-		k := p.Core.K()
-		move, v := core.ReplayNext(p.Cons, k)
-		switch {
-		case move == core.ReplayCommit:
-			p.Core.Decided(s.Now, k, v)
-			if p.Core.K() == k {
-				s.Fail("p%d replay: round %d's logged decision did not commit", p.PID, k)
-				return
-			}
-		case move == core.ReplayAwait && !p.Cons.Forgot(k) && p.Cons.Propose(k, v, s.Now) == nil:
-			p.waitK = k
-			return
-		default:
-			s.endReplay(p)
-		}
-	}
-}
-
-func (s *Sim) endReplay(p *Proc) {
-	p.replaying = false
-	s.Note(p.PID, "start", p.Core.K(), nil)
-	p.Core.Start(s.Now)
 }
 
 // Broadcast is a client's Broadcast (async: BroadcastAsync) at pid; it
 // returns the message's identity, zero when the process refused the call.
 func (s *Sim) Broadcast(pid ids.ProcessID, async bool) ids.MsgID {
 	p := s.Procs[pid]
-	if !p.Up() || p.replaying && !async && !s.Opts.Core.BatchedBroadcast {
+	if !p.Up() || p.replay.On() && !async && !s.Opts.Core.BatchedBroadcast {
 		return ids.MsgID{} // the process answers as down
 	}
 	s.bcasts++
@@ -538,7 +502,7 @@ func (s *Sim) Terminated() bool { return s.termination() == nil }
 func (s *Sim) termination() error {
 	var finals []check.Final
 	for _, p := range s.Procs {
-		if !p.Up() || p.replaying {
+		if !p.Up() || p.replay.On() {
 			return fmt.Errorf("p%d is down or replaying", p.PID)
 		}
 		for _, q := range s.Procs {
