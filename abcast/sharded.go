@@ -670,8 +670,8 @@ func (s *Sharded) applySeals() {
 // liveFD returns the live shared detector, which every group's engine
 // reads. Group nodes only start after Start boots the detector, so a nil
 // here means a torn-down process — return a detector that was never
-// started rather than nil (it trusts everyone, the never-heard grace
-// rule), so a racing start cannot panic (it will be crashed anyway).
+// started rather than nil (it trusts everyone for the grace of one
+// timeout), so a racing start cannot panic (it will be crashed anyway).
 func (s *Sharded) liveFD() *fd.Detector {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1305,7 +1305,12 @@ func (s *Sharded) RetireGroup(ctx context.Context, g GroupID) error {
 	}
 	drainNS := time.Since(start).Nanoseconds()
 
+	// The stream runs its topology hook after it unlocks, so Drained can
+	// turn true before the hook has swapped the router: run the hook here
+	// too (it is idempotent per epoch), so the router and Epoch show the
+	// seal once RetireGroup returns.
 	topo = s.stream.Topology()
+	s.onTopology(topo)
 	sp = topo.Spans[g]
 	p := s.protoAt(g)
 	if p == nil {

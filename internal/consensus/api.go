@@ -34,6 +34,12 @@
 // its proposal write beside one accept round trip. The decision cell is the
 // optional log of §4.3/§5, kept to make replay local.
 //
+// The same invariant carries the decision. A value travels once, in the
+// accept at (k, b); the coordinator's decision names (k, b) and no value
+// (mChosen), and an acceptor that accepted at exactly b decides the value
+// it holds. A learner holding another ballot's value, or none, asks the
+// coordinator with a decide request, whose reply carries the value.
+//
 // The protocol is a step machine, and every rule above lives in it
 // (machine.go): each input — a received frame, a write's completion, a
 // timer firing, or a call of Propose, WaitDecided or DiscardBelow — runs

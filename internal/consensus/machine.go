@@ -607,10 +607,10 @@ func (m *machine) phaseOver(in *instance) bool {
 		}
 	}
 	if in.phase == 2 && len(in.accepts) >= q {
-		// Chosen by the quorum's durable acceptor cells: decide and tell
-		// everyone.
+		// Chosen by the quorum's durable acceptor cells: decide, and tell
+		// everyone the ballot. The value already went out in the accept.
 		m.decide(in, in.val)
-		m.send(ids.Nobody, message{kind: mDecide, k: in.k, val: in.val})
+		m.send(ids.Nobody, message{kind: mChosen, k: in.k, b: in.curBallot})
 		return m.afterBallot(in, true, 0)
 	}
 	return in.timer == 0 && m.afterBallot(in, false, 0)
@@ -818,6 +818,21 @@ func (m *machine) receive(from ids.ProcessID, msg message) {
 
 	case mDecide:
 		m.decide(in, msg.val)
+
+	case mChosen:
+		// Decide by ballot: an acceptor that accepted at exactly b holds the
+		// one value ever sent at (k, b), a slice of the accept frame, so it
+		// decides that without a copy. A learner that accepted at another
+		// ballot, or nothing (a lost accept, a nacked ballot, a recovery
+		// without the cell), asks the coordinator, which answers with the
+		// value; if that is lost, the instance's driver asks again.
+		switch {
+		case in.hasDec:
+		case in.hasAcc && in.accB == msg.b:
+			m.decide(in, in.accV)
+		default:
+			m.send(from, message{kind: mDecideReq, k: msg.k, span: decideWindow})
+		}
 
 	case mDecideReq:
 		// Collect every known decision in the learner's window [k, k+span]

@@ -11,8 +11,8 @@ const (
 	mAccept      uint8 = 3 // coordinator -> all: accept (b, v)
 	mAccepted    uint8 = 4 // acceptor -> coordinator: accepted b
 	mNack        uint8 = 5 // acceptor -> coordinator: ballot refused, promised attached
-	mDecide      uint8 = 6 // anyone -> anyone: instance k decided v
-	mDecideReq   uint8 = 7 // learner -> all: please resend decisions of [k, k+span]
+	mDecide      uint8 = 6 // responder -> learner: instance k decided v
+	mDecideReq   uint8 = 7 // learner -> all, or the sender of an mChosen: please resend decisions of [k, k+span]
 	mForgotten   uint8 = 8 // responder -> learner: instance k was GC'd; floor attached
 	mDecideMulti uint8 = 9 // responder -> learner: batched decisions for a window
 
@@ -25,6 +25,11 @@ const (
 	mLeaseReq  uint8 = 10 // would-be holder -> all: grant me (fromK, b)
 	mLeaseAck  uint8 = 11 // acceptor -> holder: granted (durably logged)
 	mLeaseNack uint8 = 12 // acceptor -> holder: refused; conflict attached
+
+	// The coordinator's decision names the ballot, not the value: the value
+	// travelled once, in the accept at (k, b), and no two values are ever
+	// sent at one (k, b), so an acceptor that accepted at b holds it.
+	mChosen uint8 = 13 // coordinator -> all: instance k chosen at ballot b
 )
 
 // decideWindow is the extra window a learner asks for with every decide

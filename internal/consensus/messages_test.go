@@ -19,6 +19,7 @@ func TestMessageRoundTrip(t *testing.T) {
 		{kind: mDecide, k: 1, val: []byte("decided")},
 		{kind: mDecideReq, k: 77},
 		{kind: mForgotten, k: 4, promised: 100},
+		{kind: mChosen, k: 9, b: 22},
 	}
 	for _, in := range cases {
 		got, err := decodeMessage(in.encode())

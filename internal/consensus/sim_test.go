@@ -231,7 +231,7 @@ var opNames = map[uint8]string{
 var kindNames = map[uint8]string{
 	mPrepare: "prepare", mPromise: "promise", mAccept: "accept", mAccepted: "accepted", mNack: "nack",
 	mDecide: "decide", mDecideReq: "decide-req", mForgotten: "forgotten", mDecideMulti: "decide-multi",
-	mLeaseReq: "lease-req", mLeaseAck: "lease-ack", mLeaseNack: "lease-nack",
+	mLeaseReq: "lease-req", mLeaseAck: "lease-ack", mLeaseNack: "lease-nack", mChosen: "chosen",
 }
 
 func (st simStep) String() string {

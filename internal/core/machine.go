@@ -469,7 +469,11 @@ func (m *machine) pump() {
 			continue
 		}
 		if m.now < m.holdUntil && (m.cfg.MaxBatchBytes <= 0 || m.heldBytes < m.cfg.MaxBatchBytes) {
-			return // still held back; the time trigger is armed
+			// Still held back. The trigger is armed again: the pump timer
+			// of an earlier hold may be what fired and called this.
+			m.pumpAt = min(m.pumpAt, m.holdUntil)
+			m.arm(m.pumpAt)
+			return
 		}
 		batch, wait, ok := m.assembleBatch(r)
 		if !ok {

@@ -86,8 +86,8 @@ type Machine struct {
 	interval int64
 	timeout  int64
 
-	heard    []bool // a heartbeat from p arrived in this incarnation
-	lastSeen []int64
+	startAt  int64   // Start's now: a peer not heard since is silent from then
+	lastSeen []int64 // when p's last heartbeat arrived, 0 if none did
 	epochs   []uint32
 	// suspected is the suspicion last published per peer, so a tick emits
 	// transitions only (suspicion itself is derived from lastSeen on every
@@ -106,7 +106,6 @@ func NewMachine(pid ids.ProcessID, n int, epoch uint32, opts Options) *Machine {
 		epoch:     epoch,
 		interval:  int64(opts.Heartbeat),
 		timeout:   int64(opts.Timeout),
-		heard:     make([]bool, n),
 		lastSeen:  make([]int64, n),
 		epochs:    make([]uint32, n),
 		suspected: make([]bool, n),
@@ -123,8 +122,10 @@ func (m *Machine) Effects() []Effect {
 	return out
 }
 
-// Start is the incarnation's first heartbeat.
+// Start is the incarnation's first heartbeat; the grace a peer gets
+// before its first heartbeat runs from now.
 func (m *Machine) Start(now int64) {
+	m.startAt = now
 	m.out = append(m.out, Effect{Op: OpBeat, Epoch: m.epoch}, Effect{Op: OpTick, At: now + m.interval})
 }
 
@@ -154,7 +155,7 @@ func (m *Machine) Heartbeat(now int64, from ids.ProcessID, epoch uint32) {
 	if from < 0 || int(from) >= m.n {
 		return
 	}
-	m.heard[from], m.lastSeen[from] = true, now
+	m.lastSeen[from] = now
 	if prev := m.epochs[from]; epoch > prev {
 		m.epochs[from] = epoch
 		if prev != 0 || epoch > 1 {
@@ -165,11 +166,13 @@ func (m *Machine) Heartbeat(now int64, from ids.ProcessID, epoch uint32) {
 	}
 }
 
-// Suspects reports whether p is suspected at now. A process never suspects
-// itself, nor one it never heard from in this incarnation: that one gets
-// the grace of the timeout from the incarnation's start.
+// Suspects reports whether p is suspected at now: silent for longer than
+// the timeout since its last heartbeat, or, if none arrived in this
+// incarnation, since the incarnation's start (so a peer that is down when
+// a process recovers is suspected after one timeout). A process never
+// suspects itself.
 func (m *Machine) Suspects(now int64, p ids.ProcessID) bool {
-	return p != m.pid && m.heard[p] && now-m.lastSeen[p] > m.timeout
+	return p != m.pid && now-max(m.lastSeen[p], m.startAt) > m.timeout
 }
 
 // Trusted returns the processes not suspected at now, in pid order.

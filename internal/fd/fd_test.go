@@ -80,10 +80,15 @@ const ms = int64(time.Millisecond)
 func TestSuspicionLifecycle(t *testing.T) {
 	m := NewMachine(0, 3, 1, Options{Heartbeat: 5 * time.Millisecond, Timeout: 20 * time.Millisecond})
 	now := 1000 * ms
+	m.Start(now)
 
-	// Never-heard processes get grace: not suspected.
-	if m.Suspects(now, 1) {
+	// Never-heard processes get the grace of the timeout from the start,
+	// and no more.
+	if m.Suspects(now, 1) || m.Suspects(now+20*ms, 2) {
 		t.Fatal("grace period ignored")
+	}
+	if !m.Suspects(now+21*ms, 2) {
+		t.Fatal("a process never heard from is trusted past the grace")
 	}
 	// Fresh heartbeat: trusted.
 	m.Heartbeat(now, 1, 7)
