@@ -71,7 +71,8 @@ step_metrics() {
 # copies of the front end's wiring and merge checks (the sharded soaks run
 # abcast.Sharded and isolate processes instead), and the adapters' own
 # write queues, settle upcall and upcall goroutine (one loop per
-# incarnation runs them, internal/loop). The machines' adapters start no
+# incarnation runs them, internal/loop), and the transport's loopback (no
+# process sends itself a frame). The machines' adapters start no
 # goroutine and arm no wall timer of their own either: only the loop does.
 step_retired() {
 	local pat='DESIGN\.md|EXPERIMENTS\.md|BENCH_e[0-9]+|internal/tune|\bE(1[4-9]|2[0-2])\b'
@@ -86,6 +87,7 @@ step_retired() {
 	pat+='|\bRevokeLease\b|\bLayerTotals\b|\btrimBelow\b|verifyMergedAgreement|verifyCursorMatchesBatch|reshardRecorders'
 	pat+='|\bRunSoak\b|\bSoakOptions\b|\bSoakResult\b|\bclusterTarget\b|\bSetClock\b|\bInertView\b|\bnoDecisionCells\b|\bdeferProposals\b|\bevChoose\b|\bevSettle\b'
 	pat+='|persistedLater|settleWrites|upcallLoop|\bOnSettle\b|pendingPut|pendingWrite'
+	pat+='|Reliable local delivery|this one included|including the sender'
 	if grep -rnE "$pat" --include='*.go' . ||
 		grep -nE "$pat" README.md bench/README.md .github/workflows/ci.yml; then
 		echo "retired names found (above)"

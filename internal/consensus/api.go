@@ -40,6 +40,12 @@
 // it holds. A learner holding another ballot's value, or none, asks the
 // coordinator with a decide request, whose reply carries the value.
 //
+// No process sends itself a frame. Its own share of a prepare, an accept
+// or a lease request, and of the replies to them, is an input of the step
+// that sent it, the message itself (machine.send): the holder's acceptor
+// cell is issued in the step that issues its proposal write, and its own
+// accept counts, like anyone's, once that cell is durable.
+//
 // The protocol is a step machine, and every rule above lives in it
 // (machine.go): each input — a received frame, a write's completion, a
 // timer firing, or a call of Propose, WaitDecided or DiscardBelow — runs

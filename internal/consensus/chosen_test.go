@@ -31,7 +31,9 @@ func TestChosenNeverDecidesAnotherBallotsValue(t *testing.T) {
 	s := newScriptedSim(t, simOptions{})
 	v1, v2 := []byte("v1-at-b1"), []byte("v2-at-b2")
 
-	// Ballot b1: p0's accept reaches p2 only, so nothing is chosen at b1.
+	// Ballot b1: p0's accept reaches p2 only, and p0's own acceptor cell
+	// never becomes durable, so nothing is chosen at b1.
+	s.procs[0].hold = isCell(cellAcceptor, 0)
 	s.drop = func(from, to ids.ProcessID, m message) bool {
 		return from == 0 && m.kind == mAccept && to != 2
 	}
@@ -41,9 +43,13 @@ func TestChosenNeverDecidesAnotherBallotsValue(t *testing.T) {
 		return ok && in.hasAcc && bytes.Equal(in.accV, v1)
 	})
 	b1 := s.procs[2].m.insts[0].accB
+	s.crash(0)
+	s.procs[0].hold, s.procs[0].fd.leader = nil, 1
+	s.recover(0)
 
-	// Ballot b2: p0 stops coordinating (its ballots reach no one) and p1
-	// runs b2 over {p0, p1}; p2 sees neither its prepare nor its accept.
+	// Ballot b2: p0 stops coordinating (it follows p1, and its ballots
+	// reach no one) and p1 runs b2 over {p0, p1}; p2 sees neither its
+	// prepare nor its accept.
 	s.drop = func(from, to ids.ProcessID, m message) bool {
 		ballot := m.kind == mPrepare || m.kind == mAccept
 		return ballot && (from == 0 || from == 1 && to == 2)

@@ -12,7 +12,7 @@ import (
 
 // Effect kinds: what a step asks its runner to do, in order.
 const (
-	opSend          uint8 = iota + 1 // msg to `to` (Nobody: every process, this one included)
+	opSend          uint8 = iota + 1 // msg to `to` (Nobody: every other process); never to this one
 	opPut                            // write val to cell (cell, k); once durable, send msg to `to` if msg.kind != 0
 	opDelete                         // remove cell (cell, k)
 	opArm                            // fire t after `after` ns; a later arm of the same timer supersedes it
@@ -155,6 +155,7 @@ type machine struct {
 
 	gen   uint64      // last timer generation handed out
 	ready []*instance // drivers a step woke, run by more
+	local []message   // this process's own share of its sends, taken by more
 	out   []effect
 	cells wire.Writer // the values of this step's cell writes
 }
@@ -234,21 +235,33 @@ func (m *machine) get(k uint64) *instance {
 	return in
 }
 
-// more reports whether out has an effect at index i, first running the
-// drivers woken so far when the effects up to i are all carried out: so a
-// driver sees the completions that its input's writes resolved at issue.
+// more reports whether out has an effect at index i. Once the effects up
+// to i are all carried out, it first takes the messages this process sent
+// itself as inputs, then runs the drivers woken so far, until one of them
+// leaves an effect: so a driver sees the completions that its input's
+// writes resolved at issue, and no input is stepped inside another.
 func (m *machine) more(i int) bool {
-	if i < len(m.out) {
-		return true
+	for i >= len(m.out) {
+		switch {
+		case len(m.local) > 0:
+			for j := 0; j < len(m.local); j++ {
+				m.receive(m.cfg.PID, m.local[j])
+			}
+			clear(m.local)
+			m.local = m.local[:0]
+		case len(m.ready) > 0:
+			for j := 0; j < len(m.ready); j++ {
+				in := m.ready[j]
+				in.queued = false
+				m.drive(in)
+			}
+			clear(m.ready)
+			m.ready = m.ready[:0]
+		default:
+			return false
+		}
 	}
-	for j := 0; j < len(m.ready); j++ {
-		in := m.ready[j]
-		in.queued = false
-		m.drive(in)
-	}
-	clear(m.ready)
-	m.ready = m.ready[:0]
-	return i < len(m.out)
+	return true
 }
 
 // drained empties out once every effect in it is carried out.
@@ -259,8 +272,17 @@ func (m *machine) drained() {
 	m.cells.Reset()
 }
 
+// send emits msg for `to`, Nobody for every process. No process sends
+// itself a frame: its own share is the message itself, queued as an input
+// that more takes after the effects issued so far, with no encode, copy or
+// decode. A decision and a learner's request are news to the others only.
 func (m *machine) send(to ids.ProcessID, msg message) {
-	m.out = append(m.out, effect{op: opSend, to: to, msg: msg})
+	if to != m.cfg.PID {
+		m.out = append(m.out, effect{op: opSend, to: to, msg: msg})
+	}
+	if to == m.cfg.PID || to == ids.Nobody && msg.kind != mChosen && msg.kind != mDecideReq {
+		m.local = append(m.local, msg)
+	}
 }
 
 func (m *machine) put(cell byte, k uint64, val []byte, to ids.ProcessID, reply message) {
@@ -287,7 +309,9 @@ func (m *machine) logAcceptor(in *instance, to ids.ProcessID, reply message) {
 	m.put(cellAcceptor, in.k, m.cells.Bytes()[start:], to, reply)
 }
 
-// persisted is a write's completion: ef is the opPut it carried out.
+// persisted is a write's completion: ef is the opPut it carried out. The
+// reply it protected leaves now, to this process too: the holder counts
+// its own accept only once its acceptor cell is durable.
 func (m *machine) persisted(ef *effect, err error) {
 	if err == nil && ef.msg.kind != 0 {
 		m.send(ef.to, ef.msg)

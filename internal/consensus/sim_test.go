@@ -165,11 +165,14 @@ func (s *sim) effect(p *simProc, ef *effect) {
 				s.Fail("%v", err)
 			}
 		}
+		if ef.to == p.pid {
+			s.Fail("p%d sent itself a frame", p.pid)
+		}
 		frame := ef.msg.encode()
-		for to := range s.procs {
-			if ef.to == ids.Nobody || ef.to == ids.ProcessID(to) {
-				if s.drop == nil || !s.drop(p.pid, ids.ProcessID(to), ef.msg) {
-					s.Send(p.pid, ids.ProcessID(to), frame)
+		for to := range ids.ProcessID(len(s.procs)) {
+			if to != p.pid && (ef.to == ids.Nobody || ef.to == to) {
+				if s.drop == nil || !s.drop(p.pid, to, ef.msg) {
+					s.Send(p.pid, to, frame)
 				}
 			}
 		}

@@ -30,7 +30,7 @@ const (
 // Effect is one effect of a Machine step.
 type Effect struct {
 	Op    uint8
-	To    ids.ProcessID // OpSend: the destination, Nobody for every process
+	To    ids.ProcessID // OpSend: the destination, Nobody for every other process
 	Frame []byte        // OpSend: the encoded frame
 	Key   string        // OpPut, OpDelete: the cell's key
 	Val   []byte        // OpPut: the cell (a copy); OpDecided: the decision; an accept's value

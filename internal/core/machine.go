@@ -31,7 +31,7 @@ const (
 
 // Effect kinds: what a step asks its runner to do, in order.
 const (
-	opSend    uint8 = iota + 1 // frame w to `to` (Nobody: every process, this one included)
+	opSend    uint8 = iota + 1 // frame w to `to` (Nobody: every other process); never to this one
 	opPut                      // write w to cell key; the completion is an input (persisted)
 	opAppend                   // append record w to log key; likewise
 	opDelete                   // remove key; likewise

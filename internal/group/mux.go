@@ -426,6 +426,9 @@ var _ transport.Endpoint = (*muxEndpoint)(nil)
 func (e *muxEndpoint) Local() ids.ProcessID { return e.pm.pid }
 
 func (e *muxEndpoint) Send(to ids.ProcessID, data []byte) {
+	if transport.ToSelf(e.pm.pid, to) {
+		return
+	}
 	select {
 	case <-e.done:
 		return // closed endpoints transmit nothing

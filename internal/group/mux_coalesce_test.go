@@ -82,7 +82,7 @@ func TestMuxCoalesceSizeTrigger(t *testing.T) {
 }
 
 // TestMuxCoalescesMultisends: multisends from different groups coalesce
-// into one inner multisend and reach every process's matching group.
+// into one inner multisend and reach every other process's matching group.
 func TestMuxCoalescesMultisends(t *testing.T) {
 	const groups = 3
 	net := transport.NewMem(2, transport.MemOptions{})
@@ -103,11 +103,9 @@ func TestMuxCoalescesMultisends(t *testing.T) {
 		eps[[2]int{g, 0}].Multisend([]byte(fmt.Sprintf("cast-g%d", g)))
 	}
 	for g := 0; g < groups; g++ {
-		for p := 0; p < 2; p++ {
-			pkt, ok := recvOne(t, eps[[2]int{g, p}], time.Second)
-			if !ok || string(pkt.Data) != fmt.Sprintf("cast-g%d", g) {
-				t.Fatalf("g%d p%d got %q", g, p, pkt.Data)
-			}
+		pkt, ok := recvOne(t, eps[[2]int{g, 1}], time.Second)
+		if !ok || string(pkt.Data) != fmt.Sprintf("cast-g%d", g) {
+			t.Fatalf("g%d p1 got %q", g, pkt.Data)
 		}
 	}
 }

@@ -60,7 +60,7 @@ type timer struct {
 
 type frame struct {
 	net router.Net
-	to  ids.ProcessID // Nobody: every process
+	to  ids.ProcessID // Nobody: every other process
 	w   *wire.Writer
 }
 
@@ -191,8 +191,9 @@ func (l *Loop) Lock() { l.mu.Lock() }
 // Unlock releases the lock Lock took.
 func (l *Loop) Unlock() { l.mu.Unlock() }
 
-// Send queues w for to (Nobody: every process) on net; it leaves after
-// the unlock, and the loop releases w.
+// Send queues w for to (Nobody: every other process) on net; it leaves
+// after the unlock, and the loop releases w. No layer addresses itself:
+// what a machine has for itself it takes as an input in the same step.
 func (l *Loop) Send(net router.Net, to ids.ProcessID, w *wire.Writer) {
 	l.frames = append(l.frames, frame{net, to, w})
 }

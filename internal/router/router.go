@@ -112,14 +112,14 @@ func tagged(ch Channel, payload []byte) *wire.Writer {
 	return w
 }
 
-// Send transmits payload to one process on channel ch.
+// Send transmits payload to one other process on channel ch.
 func (r *Router) Send(ch Channel, to ids.ProcessID, payload []byte) {
 	w := tagged(ch, payload)
 	r.ep.Send(to, w.Bytes())
 	wire.PutWriter(w)
 }
 
-// Multisend transmits payload to every process on channel ch.
+// Multisend transmits payload to every other process on channel ch.
 func (r *Router) Multisend(ch Channel, payload []byte) {
 	w := tagged(ch, payload)
 	r.ep.Multisend(w.Bytes())
@@ -127,10 +127,12 @@ func (r *Router) Multisend(ch Channel, payload []byte) {
 }
 
 // Net is the per-channel sending interface handed to protocol layers. It
-// keeps the module's buffer-ownership rule (wire.GetWriter): payload is
-// borrowed for the call — copied or written out before Send/Multisend
-// return, so the caller encodes into a pooled writer and releases it right
-// after — and what a Handler receives is immutable and the handler's own.
+// keeps the transport's contract: no layer addresses itself, and Multisend
+// reaches every other process. It keeps the module's buffer-ownership rule
+// (wire.GetWriter): payload is borrowed for the call — copied or written
+// out before Send/Multisend return, so the caller encodes into a pooled
+// writer and releases it right after — and what a Handler receives is
+// immutable and the handler's own.
 type Net interface {
 	Send(to ids.ProcessID, payload []byte)
 	Multisend(payload []byte)

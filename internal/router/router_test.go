@@ -92,10 +92,15 @@ func TestRouterMultisend(t *testing.T) {
 		defer routers[i].Stop()
 	}
 	routers[0].Multisend(ChanCore, []byte("toall"))
-	for i, s := range sinks {
+	for i, s := range sinks[1:] {
 		if got := s.wait(t, 1); got[0] != "toall" {
-			t.Fatalf("sink %d got %v", i, got)
+			t.Fatalf("sink %d got %v", i+1, got)
 		}
+	}
+	// The sender is not among the receivers.
+	routers[1].Send(ChanCore, 0, []byte("after"))
+	if got := sinks[0].wait(t, 1); len(got) != 1 || got[0] != "after" {
+		t.Fatalf("sender's own sink got %v", got)
 	}
 }
 

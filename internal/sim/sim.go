@@ -14,8 +14,8 @@
 //     timers are void, and frames that reach it while down are lost.
 //   - The network drops (Loss), duplicates (Dup) and delays (Delay, so it
 //     reorders) every frame between two processes, and drops every frame
-//     over a one-way cut or to or from an isolated process. A process's
-//     frames to itself always arrive.
+//     over a one-way cut or to or from an isolated process. No process
+//     sends itself a frame.
 //   - A disk is a storage.Mem that survives crashes. Each write resolves
 //     after a latency drawn from the disk's range, in issue order; a crash
 //     drops every write not yet resolved. An armed fault (FailIn) fails the
@@ -195,7 +195,7 @@ func (k *Kernel) Frame(at int64, from, to ids.ProcessID, frame []byte) {
 
 // Send puts frame on the network from `from` to `to`.
 func (k *Kernel) Send(from, to ids.ProcessID, frame []byte) {
-	if from != to && (k.Cut[from][to] || k.isolated[from] || k.isolated[to] || k.Rng.Float64() < k.Loss) {
+	if k.Cut[from][to] || k.isolated[from] || k.isolated[to] || k.Rng.Float64() < k.Loss {
 		return
 	}
 	copies := 1

@@ -187,13 +187,17 @@ func (s *Sim) receive(to, from ids.ProcessID, frame []byte) {
 	s.drain(p)
 }
 
-// send puts one layer's frame on the network: to one process, or (Nobody)
-// to every process, this one included.
+// send puts one layer's frame on the network: to one other process, or
+// (Nobody) to every other process. No layer addresses itself.
 func (s *Sim) send(p *Proc, ch byte, to ids.ProcessID, body []byte) {
+	if to == p.PID {
+		s.Fail("p%d sent itself a frame", p.PID)
+		return
+	}
 	frame := append([]byte{ch}, body...)
-	for q := range s.Procs {
-		if to == ids.Nobody || to == ids.ProcessID(q) {
-			s.Send(p.PID, ids.ProcessID(q), frame)
+	for q := range ids.ProcessID(len(s.Procs)) {
+		if q != p.PID && (to == ids.Nobody || to == q) {
+			s.Send(p.PID, q, frame)
 		}
 	}
 }

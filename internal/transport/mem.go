@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand/v2"
@@ -166,13 +167,10 @@ func (m *Mem) route(from, to ids.ProcessID, data []byte) {
 	if p, ok := m.linkLoss[[2]ids.ProcessID{from, to}]; ok {
 		loss = p
 	}
-	// Local delivery is reliable and immediate: a process never loses a
-	// message to itself.
-	local := from == to
-	drop := !local && loss > 0 && m.rng.Float64() < loss
-	dup := !local && m.opts.Dup > 0 && m.rng.Float64() < m.opts.Dup
+	drop := loss > 0 && m.rng.Float64() < loss
+	dup := m.opts.Dup > 0 && m.rng.Float64() < m.opts.Dup
 	var delay time.Duration
-	if !local && m.opts.MaxDelay > 0 {
+	if m.opts.MaxDelay > 0 {
 		span := int64(m.opts.MaxDelay - m.opts.MinDelay)
 		if span > 0 {
 			delay = m.opts.MinDelay + time.Duration(m.rng.Int64N(span))
@@ -242,23 +240,23 @@ var _ Endpoint = (*memEndpoint)(nil)
 func (e *memEndpoint) Local() ids.ProcessID { return e.pid }
 
 func (e *memEndpoint) Send(to ids.ProcessID, data []byte) {
-	if to < 0 || int(to) >= e.net.n {
+	if to < 0 || int(to) >= e.net.n || ToSelf(e.pid, to) || closed(e.done) {
 		return
 	}
-	select {
-	case <-e.done:
-		return // closed endpoints transmit nothing
-	default:
-	}
 	// Copy: the caller may reuse its buffer; packets outlive the call.
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	e.net.route(e.pid, to, cp)
+	e.net.route(e.pid, to, bytes.Clone(data))
 }
 
+// Multisend routes one immutable copy to every other process.
 func (e *memEndpoint) Multisend(data []byte) {
-	for to := 0; to < e.net.n; to++ {
-		e.Send(ids.ProcessID(to), data)
+	if closed(e.done) {
+		return
+	}
+	cp := bytes.Clone(data)
+	for to := range ids.ProcessID(e.net.n) {
+		if to != e.pid {
+			e.net.route(e.pid, to, cp)
+		}
 	}
 }
 

@@ -233,22 +233,7 @@ func (e *tcpEndpoint) dropConn(to ids.ProcessID, c net.Conn) {
 }
 
 func (e *tcpEndpoint) Send(to ids.ProcessID, data []byte) {
-	select {
-	case <-e.done:
-		return
-	default:
-	}
-	if to == e.pid {
-		// Reliable local delivery.
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		select {
-		case e.inbox <- Packet{From: e.pid, Data: cp}:
-		default:
-		}
-		return
-	}
-	if to < 0 || int(to) >= len(e.net.addrs) {
+	if to < 0 || int(to) >= len(e.net.addrs) || ToSelf(e.pid, to) || closed(e.done) {
 		return
 	}
 	bp := e.buildFrame(data)
@@ -279,28 +264,16 @@ func (e *tcpEndpoint) writeFrame(to ids.ProcessID, frame []byte) {
 	}
 }
 
+// Multisend writes one frame assembly to every other process.
 func (e *tcpEndpoint) Multisend(data []byte) {
-	select {
-	case <-e.done:
+	if closed(e.done) {
 		return
-	default:
 	}
-	// One frame assembly serves every peer (the per-peer copy the old
-	// Send-in-a-loop paid is gone); the local delivery still needs its own
-	// copy, because the inbox consumer owns its memory.
 	bp := e.buildFrame(data)
-	for to := range e.net.addrs {
-		pid := ids.ProcessID(to)
-		if pid == e.pid {
-			cp := make([]byte, len(data))
-			copy(cp, data)
-			select {
-			case e.inbox <- Packet{From: e.pid, Data: cp}:
-			default:
-			}
-			continue
+	for to := range ids.ProcessID(len(e.net.addrs)) {
+		if to != e.pid {
+			e.writeFrame(to, *bp)
 		}
-		e.writeFrame(pid, *bp)
 	}
 	putFrame(bp)
 }

@@ -14,6 +14,8 @@ package transport
 import (
 	"context"
 	"errors"
+	"fmt"
+	"testing"
 
 	"repro/internal/ids"
 )
@@ -38,6 +40,10 @@ type Packet struct {
 // lose anything. Recv blocks until a packet arrives, the context is
 // cancelled, or the endpoint is closed.
 //
+// There is no loopback. The paper's multisend macro is Multisend's frames
+// to every other process plus, at the one layer that needs its own
+// messages (consensus), an input of the sending step, with no copy.
+//
 // Buffer ownership (the module's one rule, stated in full at
 // wire.GetWriter): data passed to Send or Multisend is borrowed for the
 // call — the endpoint has copied it or written it out by the time the call
@@ -49,16 +55,38 @@ type Packet struct {
 // halves.
 type Endpoint interface {
 	Local() ids.ProcessID
-	// Send transmits data to one process (unreliably).
+	// Send transmits data to one other process (unreliably).
 	Send(to ids.ProcessID, data []byte)
-	// Multisend transmits data to every process including the sender
-	// (the paper's multisend macro).
+	// Multisend transmits data to every process but the sender.
 	Multisend(data []byte)
 	// Recv returns the next packet from the input buffer.
 	Recv(ctx context.Context) (Packet, error)
 	// Close detaches the process from the network; packets addressed to
 	// it are dropped until a new incarnation attaches.
 	Close() error
+}
+
+// ToSelf reports whether a Send from `from` is addressed to the sender:
+// it delivers nothing, and in a test binary it panics, so a layer that
+// still addresses itself fails its suite.
+func ToSelf(from, to ids.ProcessID) bool {
+	if from != to {
+		return false
+	}
+	if testing.Testing() {
+		panic(fmt.Sprintf("transport: p%d sent itself a frame", from))
+	}
+	return true
+}
+
+// closed reports whether done is closed: closed endpoints transmit nothing.
+func closed(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }
 
 // Network creates endpoints.

@@ -59,7 +59,10 @@ const poolMaxCap = 256 << 10
 // PutWriter (or overwrite) the buffer the moment the call is back. A
 // []byte that comes out of Recv, Get, Records or a decided value is
 // IMMUTABLE AND OWNED BY THE COLLECTOR: it is never a pooled buffer, nobody
-// writes to it again, and decoders alias it instead of copying.
+// writes to it again, and decoders alias it instead of copying. Only other
+// processes receive what a process sends, so no frame of its own comes
+// back to be owned: a machine takes its own share of a send as an input,
+// the value itself, in the step that sent it.
 func GetWriter(sizeHint int) *Writer {
 	w := writerPool.Get().(*Writer)
 	w.Reset()
