@@ -524,3 +524,78 @@ func TestShardedReshardRestart(t *testing.T) {
 		return fmt.Errorf("post-restart delivery not merged yet")
 	})
 }
+
+// TestRecoveredRetireJudgesOnCurrentView: a process that was down while
+// the cluster added g2 and retired g0 restores the topology it persisted,
+// in which g0 is the last active group. Re-running the retirement there
+// (to re-inject its orphans) must not be judged on that restored view: it
+// succeeds once the peers' floor reports bring the view up to date.
+func TestRecoveredRetireJudgesOnCurrentView(t *testing.T) {
+	const n, groups = 3, 2
+	net := abcast.NewMemNetwork(n, abcast.MemNetOptions{Seed: 13})
+	defer net.Close()
+	snet := abcast.NewShardedNetwork(net, groups)
+	stores := make([]abcast.Storage, n)
+	for p := range stores {
+		stores[p] = abcast.NewMemStorage()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	build := func(p int) *abcast.Sharded {
+		s, err := abcast.NewSharded(abcast.ShardedConfig{
+			PID: abcast.ProcessID(p), N: n,
+			Protocol: abcast.ProtocolOptions{IdleHeartbeat: 5 * time.Millisecond},
+		}, stores[p], snet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	procs := make([]*abcast.Sharded, n)
+	errs := make(chan error, n)
+	for p := range procs {
+		procs[p] = build(p)
+		go func() { errs <- procs[p].Start(ctx) }()
+	}
+	for range procs {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer func() {
+		for _, s := range procs {
+			s.Crash()
+		}
+	}()
+
+	// Epoch 1: g1 retired everywhere, so g0 is p1's last active group.
+	for p, s := range procs {
+		if err := s.RetireGroup(ctx, 1); err != nil {
+			t.Fatalf("RetireGroup(g1) at p%d: %v", p, err)
+		}
+	}
+	procs[1].Crash()
+	// Epochs 2 and 3, while p1 is down: g2 joins, g0 retires.
+	live := []*abcast.Sharded{procs[0], procs[2]}
+	gid, err := procs[0].AddGroup(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitGroupKnown(t, live, gid, 20*time.Second)
+	for _, s := range live {
+		if err := s.RetireGroup(ctx, 0); err != nil {
+			t.Fatalf("RetireGroup(g0) while p1 is down: %v", err)
+		}
+	}
+
+	procs[1] = build(1)
+	if err := procs[1].Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := procs[1].RetireGroup(ctx, 0); err != nil && !strings.Contains(err.Error(), "reaped") {
+		t.Fatalf("re-retiring g0 at the recovered p1 (epoch %d, peers at %d): %v", procs[1].Epoch(), procs[0].Epoch(), err)
+	}
+	if active := procs[1].ActiveGroups(); len(active) != 1 || active[0] != gid {
+		t.Fatalf("recovered p1's active groups = %v; want [%v]", active, gid)
+	}
+}

@@ -214,6 +214,7 @@ type Sharded struct {
 	mu       sync.Mutex
 	up       bool
 	startCtx context.Context // last Start context, for nodes spliced in live
+	startAt  time.Time       // last Start: floor reports since then are this incarnation's news
 	sfd      *node.SharedFD  // live process-level failure detector (nil when down)
 	reaped   map[GroupID]bool
 	seen     map[GroupID]group.Span // last observed topology (edge-detects seals/joins)
@@ -489,14 +490,16 @@ func (s *Sharded) floorSelf() (uint64, uint64, []byte) {
 	return s.stream.DurableFrontier(), td.epoch, td.enc
 }
 
-// onPeerFloor is every group's core.Config.OnPeerFloor hook.
+// onPeerFloor is every group's core.Config.OnPeerFloor hook. A newer
+// topology is adopted before the report counts, so a view judged once a
+// peer has reported (RetireGroup) is no older than that peer's.
 func (s *Sharded) onPeerFloor(from ids.ProcessID, floor uint64, epoch uint64, topo []byte) {
-	s.floors.Report(from, floor, epoch, topo)
 	if epoch > s.stream.Epoch() && len(topo) > 0 {
 		if t, err := group.DecodeTopology(topo); err == nil {
 			s.stream.AdoptTopology(t)
 		}
 	}
+	s.floors.Report(from, floor)
 }
 
 // installTopology refreshes the hot-path topology views: the router ring
@@ -717,7 +720,7 @@ func (s *Sharded) Start(ctx context.Context) error {
 		return fmt.Errorf("abcast: sharded process %v already up", s.cfg.PID)
 	}
 	s.up = true
-	s.startCtx = ctx
+	s.startCtx, s.startAt = ctx, time.Now()
 	s.mu.Unlock()
 
 	// The process-level liveness service comes up first so every group's
@@ -790,14 +793,16 @@ func (s *Sharded) Crash() {
 	}
 }
 
-// Up reports whether every (unreaped) group of the process is running.
+// Up reports whether every (unreaped) group of the process answers: its
+// node is running and done with its recovery replay. A group spliced in
+// live boots asynchronously, so Up can turn false without a crash.
 func (s *Sharded) Up() bool {
 	live := 0
 	for _, n := range s.ns.Load().nodes {
 		if n == nil {
 			continue
 		}
-		if !n.Up() {
+		if n.Proto() == nil {
 			return false
 		}
 		live++
@@ -1220,7 +1225,7 @@ func (s *Sharded) AddGroup(ctx context.Context) (GroupID, error) {
 			}
 			// Delivered but the topology hook lags the commit by a
 			// goroutine handoff: poll it in.
-			if err := s.awaitTopology(ctx, gid); err != nil {
+			if err := await(ctx, func() bool { return s.InTopology(gid) }); err != nil {
 				return gid, err
 			}
 			break
@@ -1233,20 +1238,18 @@ func (s *Sharded) AddGroup(ctx context.Context) (GroupID, error) {
 	return gid, nil
 }
 
-// awaitTopology polls until the local topology knows g.
-func (s *Sharded) awaitTopology(ctx context.Context, g GroupID) error {
+// await polls until cond holds or ctx ends.
+func await(ctx context.Context, cond func() bool) error {
 	tick := time.NewTicker(time.Millisecond)
 	defer tick.Stop()
-	for {
-		if _, known := s.stream.Topology().Spans[g]; known {
-			return nil
-		}
+	for !cond() {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-tick.C:
 		}
 	}
+	return nil
 }
 
 // RetireGroup drains ordering group g out of the live deployment. Every
@@ -1263,7 +1266,10 @@ func (s *Sharded) awaitTopology(ctx context.Context, g GroupID) error {
 // admissions) until every merge consumer — local and, via the gossiped
 // cluster floor, remote — has passed its final round; ReapRetired then
 // stops it and purges its namespace. The call is idempotent: crashed mid-
-// retirement, call it again.
+// retirement, call it again. It judges g on a view no older than a
+// majority's: a recovered process restores a topology that can be epochs
+// behind, so it first waits for floor reports (each brings its sender's
+// topology, onPeerFloor) from a majority of the processes since Start.
 func (s *Sharded) RetireGroup(ctx context.Context, g GroupID) error {
 	s.reshardMu.Lock()
 	defer s.reshardMu.Unlock()
@@ -1273,6 +1279,12 @@ func (s *Sharded) RetireGroup(ctx context.Context, g GroupID) error {
 	}
 	if s.nodeAt(g) == nil {
 		return fmt.Errorf("abcast: group %v already retired and reaped", g)
+	}
+	s.mu.Lock()
+	since := s.startAt
+	s.mu.Unlock()
+	if err := await(ctx, func() bool { return 1+s.floors.HeardSince(s.peers, since) > s.cfg.N/2 }); err != nil {
+		return err
 	}
 	topo := s.stream.Topology()
 	sp, known := topo.Spans[g]
@@ -1294,14 +1306,8 @@ func (s *Sharded) RetireGroup(ctx context.Context, g GroupID) error {
 	// outlives incarnations, so the wait survives crash/recovery of the
 	// group under it.
 	start := time.Now()
-	tick := time.NewTicker(time.Millisecond)
-	defer tick.Stop()
-	for !s.stream.Drained(g) {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-tick.C:
-		}
+	if err := await(ctx, func() bool { return s.stream.Drained(g) }); err != nil {
+		return err
 	}
 	drainNS := time.Since(start).Nanoseconds()
 

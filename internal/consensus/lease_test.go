@@ -243,28 +243,42 @@ func TestLeaseBallotNeverReusedAfterCrash(t *testing.T) {
 	}
 }
 
-// TestNonHolderDefersProposalLog: while p0 holds a lease p1 granted, p1's
-// proposals cost it no log write — p0's value is the only one choosable,
-// and p1 never coordinates — yet once p0 is down, p1 logs its deferred
-// proposal as it takes over and decides it.
-func TestNonHolderDefersProposalLog(t *testing.T) {
-	s := newScriptedSim(t, simOptions{})
-	// Until p1 has granted the lease p0 holds (a request can lose the race
-	// with the next round's prepare; revoking makes p0 ask again).
-	k := uint64(0)
+// grantToP0 has p0 decide instances from `from` on until it holds a lease
+// p1 granted; it returns the next instance. (A request can lose the race
+// with the next round's prepare; revoking makes p0 ask again.)
+func (s *sim) grantToP0(t *testing.T, from uint64) uint64 {
+	t.Helper()
+	k := from
 	for {
 		k = s.decideUntilHeld(t, k)
 		if m1 := s.procs[1].m; m1.grantHeld && m1.grantB == s.procs[0].m.leaseB {
-			break
+			return k
 		}
 		s.revokeLease(0)
 	}
+}
+
+// wideVal is val(p, k) repeated past 1 KiB, a value the size of a batch.
+func wideVal(p int, k uint64) []byte {
+	v := val(p, k)
+	return bytes.Repeat(v, 1<<10/len(v)+1)
+}
+
+// TestNonHolderDefersProposalLog: while p0 holds a lease p1 granted, p1's
+// proposals cost it no log write — p0's value is the only one choosable,
+// and p1 never coordinates — yet once p0 is down, p1 logs its deferred
+// proposal as it takes over and decides it. The deferred value sits in a
+// pooled buffer until then; what p1 logs, sends and decides is that value,
+// byte for byte.
+func TestNonHolderDefersProposalLog(t *testing.T) {
+	s := newScriptedSim(t, simOptions{})
+	k := s.grantToP0(t, 0)
 	since := len(s.trace)
 	for end := k + 5; k < end; k++ {
 		// p1 first: its proposal exists before p0's round decides.
-		s.propose(1, k, val(1, k))
-		s.propose(0, k, val(0, k))
-		s.awaitDecided(t, k, val(0, k), 0, 1, 2)
+		s.propose(1, k, wideVal(1, k))
+		s.propose(0, k, wideVal(0, k))
+		s.awaitDecided(t, k, wideVal(0, k), 0, 1, 2)
 	}
 	if n := s.effects(1, opPut, cellProposal, since); n != 0 {
 		t.Fatalf("p1 logged %d proposals under p0's lease", n)
@@ -273,15 +287,31 @@ func TestNonHolderDefersProposalLog(t *testing.T) {
 		t.Fatalf("p1 (proposing) wrote %d consensus cells, p2 (not proposing) %d", d1, d2)
 	}
 
+	since = len(s.trace)
+	want := wideVal(1, k)
+	s.propose(1, k, want)
+	if in := s.procs[1].m.insts[k]; !in.propDeferred || in.pooled == nil {
+		t.Fatalf("p1's proposal for %d is not deferred in a pooled buffer", k)
+	}
 	s.crash(0)
 	s.suspect(0, true)
-	since = len(s.trace)
-	s.propose(1, k, val(1, k))
-	s.awaitDecided(t, k, val(1, k), 1, 2)
+	s.awaitDecided(t, k, want, 1, 2)
 	if n := s.effects(1, opPut, cellProposal, since); n != 1 {
 		t.Fatalf("p1 logged %d proposals taking over, want 1", n)
 	}
-	if _, ok := s.onDisk(1, cellProposal, k); !ok {
-		t.Fatalf("p1's proposal for %d is not durable", k)
+	if got, ok := s.onDisk(1, cellProposal, k); !ok || !bytes.Equal(got, want) {
+		t.Fatalf("p1's durable proposal for %d (%d B, found %v) is not the value it proposed", k, len(got), ok)
+	}
+	accepts := s.sent(1, mAccept, k, since)
+	if len(accepts) == 0 {
+		t.Fatalf("p1 sent no accept for %d", k)
+	}
+	for _, msg := range accepts {
+		if !bytes.Equal(msg.val, want) {
+			t.Fatalf("p1 sent an accept for %d at ballot %d whose value is not the one it proposed", k, msg.b)
+		}
+	}
+	if in := s.procs[1].m.insts[k]; in.pooled != nil {
+		t.Fatalf("p1 still holds a pooled buffer for %d after logging it", k)
 	}
 }

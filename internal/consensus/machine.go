@@ -65,8 +65,13 @@ type instance struct {
 	// process granted a lease covering k to another process and logs only
 	// once it would coordinate (see leaseElsewhere). A classic ballot sends
 	// the value only once hasProp has flipped; the holder's lease ballot
-	// sends it beside the write (the rule in the package comment).
+	// sends it beside the write (the rule in the package comment). A
+	// deferred value, never logged or sent from here, sits in a pooled
+	// buffer instead of a heap copy: a takeover (logProposal) swaps in an
+	// owned copy first; a decision or a discard gives the buffer back
+	// (dropPooled); a dying incarnation leaves it to the GC.
 	proposal     []byte
+	pooled       *wire.Writer
 	hasProp      bool
 	propPending  bool
 	propDeferred bool
@@ -369,7 +374,13 @@ func (m *machine) propose(k uint64, v []byte, stamp int64) error {
 		if in.proposal == nil {
 			// A value taken by an earlier Propose whose write failed
 			// stays: it may already be on the wire at the lease ballot.
-			in.proposal = append([]byte{}, v...) // non-nil even when empty
+			if m.leaseElsewhere(k) {
+				in.pooled = wire.GetWriter(len(v))
+				in.pooled.Raw(v)
+				in.proposal = in.pooled.Bytes()
+			} else {
+				in.proposal = append([]byte{}, v...) // non-nil even when empty
+			}
 			in.stamp = stamp
 		}
 		if m.leaseElsewhere(k) {
@@ -397,6 +408,13 @@ func (m *machine) propose(k uint64, v []byte, stamp int64) error {
 // runs beside it: phase 1 of a classic ballot (a prepare carries no value;
 // phase 2 waits for hasProp), or the whole round at the lease ballot.
 func (m *machine) logProposal(in *instance) {
+	if in.pooled != nil {
+		// The log, the accept frames and the self-input take the value
+		// from here on: own it before its pooled buffer goes back.
+		v := append([]byte{}, in.proposal...)
+		in.dropPooled()
+		in.proposal = v
+	}
 	in.propDeferred = false
 	in.propPending = true
 	m.put(cellProposal, in.k, in.proposal, ids.Nobody, message{})
@@ -416,11 +434,21 @@ func (m *machine) decide(in *instance, v []byte) {
 	if in.hasDec {
 		return
 	}
+	in.dropPooled()
 	m.put(cellDecision, in.k, v, ids.Nobody, message{})
 	in.decided = v
 	in.hasDec = true
 	m.out = append(m.out, effect{op: opDecided, k: in.k, val: v, stamp: in.stamp})
 	m.wake(in)
+}
+
+// dropPooled gives a deferred proposal's pooled buffer back once nothing
+// reads it: its instance was decided or discarded, or a takeover copied it.
+func (in *instance) dropPooled() {
+	if in.pooled != nil {
+		wire.PutWriter(in.pooled)
+		in.pooled, in.proposal = nil, nil
+	}
 }
 
 // decidedLocal returns k's decision, if this process knows it.
@@ -474,6 +502,7 @@ func (m *machine) discardBelow(k uint64) {
 	slices.SortFunc(gone, byK)
 	for _, in := range gone {
 		in.gone = true
+		in.dropPooled()
 		m.wake(in)
 		if in.hasProp || in.propPending {
 			m.out = append(m.out, effect{op: opDelete, cell: cellProposal, k: in.k})
@@ -950,8 +979,9 @@ func (m *machine) grantBound(k uint64) uint64 {
 // covering k to another process. Its own proposal for k then waits for
 // coordination (propDeferred): the holder's value is the only one
 // choosable at or below the lease ballot, and a value nobody sends needs
-// no log. The choice is about cost only — the write is issued before the
-// value can reach the wire either way.
+// no log and no heap copy (a pooled buffer holds it; see instance). The
+// choice is about cost only — the write is issued before the value can
+// reach the wire either way.
 func (m *machine) leaseElsewhere(k uint64) bool {
 	return m.grantBound(k) > 0 && ids.ProcessID((m.grantB-1)%uint64(m.cfg.N)) != m.cfg.PID
 }

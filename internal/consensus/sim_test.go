@@ -259,6 +259,7 @@ func (s *sim) propose(pid ids.ProcessID, k uint64, v []byte) {
 		return
 	}
 	s.proposed[k] = true
+	s.oracle.Proposed(k, v)
 	if err := p.m.propose(k, v, s.Now); err != nil {
 		s.Fail("p%d propose %d: %v", pid, k, err)
 	}

@@ -187,9 +187,10 @@ func (p *Protocol) run(now int64) {
 		case opPut, opAppend, opDelete:
 			p.issue(ef)
 		case opPropose:
-			// Propose borrows the value (it keeps a copy of its own). It
-			// fails only below the consensus floor: every round proposed is
-			// at or above it.
+			// Propose borrows the value: it keeps an owned copy only where
+			// the value can leave the process (a pooled one while another
+			// process's lease defers it). It fails only below the
+			// consensus floor: every round proposed is at or above it.
 			_ = p.cons.Propose(ef.k, ef.w.Bytes(), now)
 			wire.PutWriter(ef.w)
 		case opLearn:

@@ -21,10 +21,6 @@ import (
 // That peer, if it eventually returns, may then need the ordinary
 // state-transfer path — exactly the pre-existing behaviour, now reserved
 // for outages longer than the cap instead of any outage at all.
-//
-// Reports also carry the sender's topology epoch; the tracker remembers the
-// highest epoch seen so a process that slept through a reshard can detect
-// the stale router view without replaying the markers.
 type FloorTracker struct {
 	mu      sync.Mutex
 	self    func() uint64 // local merge frontier (global rounds)
@@ -33,8 +29,6 @@ type FloorTracker struct {
 	floors  map[ids.ProcessID]uint64
 	seen    map[ids.ProcessID]time.Time
 	created time.Time
-	epoch   uint64
-	topo    []byte // encoded Topology of the highest epoch seen
 }
 
 // NewFloorTracker builds a tracker for the local process. self returns the
@@ -52,19 +46,14 @@ func NewFloorTracker(self func() uint64, stalenessCap time.Duration) *FloorTrack
 }
 
 // Report records a peer's gossiped frontier (monotone per peer: stale
-// reorderings on the wire cannot lower an earlier report) together with the
-// topology descriptor it carried.
-func (t *FloorTracker) Report(from ids.ProcessID, floor uint64, epoch uint64, topo []byte) {
+// reorderings on the wire cannot lower an earlier report).
+func (t *FloorTracker) Report(from ids.ProcessID, floor uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if floor >= t.floors[from] {
 		t.floors[from] = floor
 	}
 	t.seen[from] = t.now()
-	if epoch > t.epoch {
-		t.epoch = epoch
-		t.topo = append([]byte(nil), topo...)
-	}
 }
 
 // ClusterFloor returns min(local frontier, every fresh peer's reported
@@ -96,10 +85,15 @@ func (t *FloorTracker) ClusterFloor(peers []ids.ProcessID) uint64 {
 	return floor
 }
 
-// Epoch returns the highest topology epoch seen in any report, with its
-// encoded topology descriptor (nil when none carried one).
-func (t *FloorTracker) Epoch() (uint64, []byte) {
+// HeardSince returns how many of peers have reported at or after since.
+func (t *FloorTracker) HeardSince(peers []ids.ProcessID, since time.Time) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.epoch, t.topo
+	n := 0
+	for _, p := range peers {
+		if last, ok := t.seen[p]; ok && !last.Before(since) {
+			n++
+		}
+	}
+	return n
 }

@@ -30,8 +30,8 @@ func TestFloorTrackerClusterMinimum(t *testing.T) {
 	if f := tr.ClusterFloor(peers); f != 0 {
 		t.Fatalf("floor before any report = %d; want 0", f)
 	}
-	tr.Report(1, 40, 0, nil)
-	tr.Report(2, 70, 0, nil)
+	tr.Report(1, 40)
+	tr.Report(2, 70)
 	if f := tr.ClusterFloor(peers); f != 40 {
 		t.Fatalf("floor = %d; want the slowest fresh peer (40)", f)
 	}
@@ -44,11 +44,11 @@ func TestFloorTrackerClusterMinimum(t *testing.T) {
 
 	// Reports are monotone per peer: a reordered older report cannot
 	// lower an earlier one.
-	tr.Report(1, 25, 0, nil)
+	tr.Report(1, 25)
 	if f := tr.ClusterFloor(peers); f != 40 {
 		t.Fatalf("floor = %d after stale reorder; want 40", f)
 	}
-	tr.Report(1, 90, 0, nil)
+	tr.Report(1, 90)
 	if f := tr.ClusterFloor(peers); f != 70 {
 		t.Fatalf("floor = %d; want 70", f)
 	}
@@ -57,8 +57,8 @@ func TestFloorTrackerClusterMinimum(t *testing.T) {
 func TestFloorTrackerStalenessCap(t *testing.T) {
 	tr, clk := newTestTracker(func() uint64 { return 100 }, time.Second)
 	peers := []ids.ProcessID{1, 2}
-	tr.Report(1, 10, 0, nil)
-	tr.Report(2, 80, 0, nil)
+	tr.Report(1, 10)
+	tr.Report(2, 80)
 	if f := tr.ClusterFloor(peers); f != 10 {
 		t.Fatalf("floor = %d; want 10", f)
 	}
@@ -66,12 +66,12 @@ func TestFloorTrackerStalenessCap(t *testing.T) {
 	// p1 goes silent past the cap: it stops holding the floor down. p2
 	// keeps reporting and still gates.
 	clk.advance(1500 * time.Millisecond)
-	tr.Report(2, 80, 0, nil)
+	tr.Report(2, 80)
 	if f := tr.ClusterFloor(peers); f != 80 {
 		t.Fatalf("floor = %d after p1 went stale; want 80", f)
 	}
 	// p1 returns within a fresh report: it gates again.
-	tr.Report(1, 20, 0, nil)
+	tr.Report(1, 20)
 	if f := tr.ClusterFloor(peers); f != 20 {
 		t.Fatalf("floor = %d after p1 returned; want 20", f)
 	}
@@ -95,28 +95,27 @@ func TestFloorTrackerStalenessCap(t *testing.T) {
 	}
 }
 
-func TestFloorTrackerEpochAdoption(t *testing.T) {
-	tr, _ := newTestTracker(func() uint64 { return 0 }, time.Second)
-	topo := NewStaticTopology(2)
-	topo.ApplyJoin(0, 3, 2)
-	enc := topo.Encode()
-
-	tr.Report(1, 5, topo.Epoch, enc)
-	if e, d := tr.Epoch(); e != topo.Epoch || d == nil {
-		t.Fatalf("epoch = %d, descriptor nil=%v", e, d == nil)
+// TestFloorTrackerHeardSince: a peer counts once it has reported at or
+// after the given time, however often; a report from before it does not.
+func TestFloorTrackerHeardSince(t *testing.T) {
+	tr, clk := newTestTracker(func() uint64 { return 0 }, time.Second)
+	peers := []ids.ProcessID{1, 2}
+	tr.Report(1, 5)
+	clk.advance(time.Millisecond)
+	since := clk.now()
+	if n := tr.HeardSince(peers, since); n != 0 {
+		t.Fatalf("heard %d peers since a time after every report; want 0", n)
 	}
-	// Lower epochs never regress the descriptor.
-	tr.Report(2, 9, 0, nil)
-	if e, d := tr.Epoch(); e != topo.Epoch || d == nil {
-		t.Fatalf("epoch regressed to %d (descriptor nil=%v)", e, d == nil)
+	tr.Report(2, 9)
+	tr.Report(2, 9)
+	if n := tr.HeardSince(peers, since); n != 1 {
+		t.Fatalf("heard %d peers; want 1 (p2)", n)
 	}
-	// The descriptor round-trips into the topology that produced it.
-	_, d := tr.Epoch()
-	dec, err := DecodeTopology(d)
-	if err != nil {
-		t.Fatal(err)
+	tr.Report(1, 6)
+	if n := tr.HeardSince(peers, since); n != 2 {
+		t.Fatalf("heard %d peers; want 2", n)
 	}
-	if dec.Epoch != topo.Epoch || dec.Spans[2].Offset != topo.Spans[2].Offset {
-		t.Fatalf("adopted descriptor decodes to %+v; want %+v", dec, topo)
+	if n := tr.HeardSince(peers[:1], since); n != 1 {
+		t.Fatalf("heard %d of [p1]; want 1", n)
 	}
 }

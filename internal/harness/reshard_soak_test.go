@@ -17,7 +17,7 @@ import (
 //
 //	go test ./internal/harness -run 'TestSoakSeedsReshard/seed=7' -v -count=1
 func TestSoakSeedsReshard(t *testing.T) {
-	for _, seed := range []uint64{7, 19} {
+	for _, seed := range []uint64{7, 19, 201, 202, 218} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			res, err := RunReshardSoak(ReshardSoakOptions{Seed: seed})

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"repro/internal/ids"
 )
@@ -11,7 +12,7 @@ import (
 // simulated run:
 //
 //   - Uniform Agreement: no two processes decide differently;
-//   - Uniform Validity: a decided value was proposed, and in the
+//   - Uniform Validity: a decided value was handed to Propose, and in the
 //     crash-recovery sense — "a process proposes by logging its initial
 //     value on stable storage" (§3.2) — it was durable in its proposer's
 //     log, or its proposer sent it at its own lease ballot (the one
@@ -19,6 +20,7 @@ import (
 //   - no two values are ever sent at one (instance, ballot).
 type ConsensusOracle struct {
 	valid   map[uint64][][]byte // values Validity accepts, per instance
+	props   map[uint64][][]byte // values handed to Propose, per instance
 	chosen  map[uint64][]byte   // the first decision of each instance
 	ballots map[[2]uint64][]byte
 }
@@ -27,9 +29,15 @@ type ConsensusOracle struct {
 func NewConsensusOracle() *ConsensusOracle {
 	return &ConsensusOracle{
 		valid:   make(map[uint64][][]byte),
+		props:   make(map[uint64][][]byte),
 		chosen:  make(map[uint64][]byte),
 		ballots: make(map[[2]uint64][]byte),
 	}
+}
+
+// Proposed records v handed to Propose for instance k.
+func (o *ConsensusOracle) Proposed(k uint64, v []byte) {
+	o.props[k] = append(o.props[k], bytes.Clone(v))
 }
 
 // Logged records v durable as a proposal for instance k.
@@ -52,11 +60,11 @@ func (o *ConsensusOracle) Accept(k, b uint64, v []byte, lease bool) error {
 
 // Decided checks pid's decision of v for instance k.
 func (o *ConsensusOracle) Decided(pid ids.ProcessID, k uint64, v []byte) error {
-	valid := false
-	for _, w := range o.valid[k] {
-		valid = valid || bytes.Equal(w, v)
+	eq := func(w []byte) bool { return bytes.Equal(w, v) }
+	if !slices.ContainsFunc(o.props[k], eq) {
+		return fmt.Errorf("p%d decided %q for instance %d: no process proposed it", pid, v, k)
 	}
-	if !valid {
+	if !slices.ContainsFunc(o.valid[k], eq) {
 		return fmt.Errorf("p%d decided %q for instance %d: no log holds it and no lease holder sent it", pid, v, k)
 	}
 	if w, ok := o.chosen[k]; !ok {

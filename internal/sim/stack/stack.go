@@ -317,6 +317,7 @@ func (s *Sim) coreEffect(p *Proc, ef core.Effect) {
 		}})
 	case core.OpPropose:
 		s.Note(p.PID, "propose", ef.K, ef.Bytes)
+		s.oracle.Proposed(ef.K, ef.Bytes)
 		// It fails only below the consensus floor: the adapter drops it.
 		_ = p.Cons.Propose(ef.K, ef.Bytes, s.Now)
 	case core.OpLearn:

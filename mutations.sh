@@ -5,7 +5,9 @@
 # `git apply` to a temporary copy of the checkout (working-tree changes
 # included), runs the simulator suites there, and reports the patch killed
 # (a suite failed) or survived. A survivor fails the script unless
-# known-survivors lists it, with the ROADMAP item that is to kill it.
+# known-survivors lists it, with the ROADMAP item that is to kill it. A
+# patch that no longer applies is reported stale and fails the script too,
+# after the other patches have run.
 #
 #   bash mutations.sh                     # every patch
 #   bash mutations.sh self-accept-at-issue # one, by name
@@ -36,7 +38,13 @@ for name in "${names[@]}"; do
 	copy="$tmp/$name"
 	mkdir -p "$copy"
 	git ls-files -co --exclude-standard -z | tar --null -T - -cf - | tar -C "$copy" -xf -
-	(cd "$copy" && git apply "$OLDPWD/$dir/$name.patch")
+	if ! (cd "$copy" && git apply "$OLDPWD/$dir/$name.patch" 2>"$copy.log"); then
+		# Named, not fatal: the other patches still run.
+		echo "$name: stale (does not apply)"
+		fail=1
+		rm -rf "$copy" "$copy.log"
+		continue
+	fi
 	result=survived
 	for suite in "${suites[@]}"; do
 		# shellcheck disable=SC2086 # a suite is a package and its flags
