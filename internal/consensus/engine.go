@@ -289,6 +289,10 @@ func (b Box) DecidedLocal(k uint64) ([]byte, bool)        { return b.e.m.decided
 func (b Box) Proposal(k uint64) ([]byte, bool)            { return b.e.m.proposal(k) }
 func (b Box) Forgot(k uint64) bool                        { return b.e.m.forgot(k) }
 
+// Sequencer is a read, like DecidedLocal: the process this acceptor's
+// lease grant names; ok is false without a grant.
+func (b Box) Sequencer() (ids.ProcessID, bool) { return b.e.m.sequencer() }
+
 // DiscardBelow also releases the WaitDecided calls blocked below k.
 func (b Box) DiscardBelow(k uint64) { b.e.discardBelow(k) }
 

@@ -983,7 +983,17 @@ func (m *machine) grantBound(k uint64) uint64 {
 // choice is about cost only — the write is issued before the value can
 // reach the wire either way.
 func (m *machine) leaseElsewhere(k uint64) bool {
-	return m.grantBound(k) > 0 && ids.ProcessID((m.grantB-1)%uint64(m.cfg.N)) != m.cfg.PID
+	s, _ := m.sequencer()
+	return m.grantBound(k) > 0 && s != m.cfg.PID
+}
+
+// sequencer names the holder of the lease this acceptor granted, whose
+// accepts carry the values choosable under the grant; false without one.
+func (m *machine) sequencer() (ids.ProcessID, bool) {
+	if !m.grantHeld {
+		return ids.Nobody, false
+	}
+	return ids.ProcessID((m.grantB - 1) % uint64(m.cfg.N)), true
 }
 
 // leaseBallot decides whether instance in may take the fast path and, if

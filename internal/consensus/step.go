@@ -88,6 +88,9 @@ func (s *Machine) DiscardBelow(k uint64) { s.m.discardBelow(k) }
 // touching the network.
 func (s *Machine) DecidedLocal(k uint64) ([]byte, bool) { return s.m.decidedLocal(k) }
 
+// Sequencer is Box.Sequencer.
+func (s *Machine) Sequencer() (ids.ProcessID, bool) { return s.m.sequencer() }
+
 // Proposal returns the logged initial value for k, if any. The broadcast
 // replay procedure iterates instances "while Proposed_p[k_p] ≠ ⊥"
 // (Fig. 2).

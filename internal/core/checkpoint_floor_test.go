@@ -107,7 +107,7 @@ func TestRecoveryWithoutFloorCellForcesNoState(t *testing.T) {
 	d.encode(cell)
 	cfg := Config{PID: 0, N: 3}
 	cfg.fill()
-	mc := newMachine(cfg, newMetrics(nil, 0), nil, nil)
+	mc := newMachine(cfg, &fakeCons{}, newMetrics(nil, 0), nil, nil)
 	if _, err := mc.recover(cell.Bytes(), nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}

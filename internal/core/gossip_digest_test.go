@@ -25,6 +25,13 @@ func addUnordered(p *Protocol, ms ...msg.Message) {
 // gossipTick runs the gossip task's periodic tick.
 func (p *Protocol) gossipTick() { p.step(func(m *machine) { m.sendGossip() }) }
 
+// readvertise delivers a digest frame again one gossip interval from now,
+// as the advertiser's next tick would: a message the first sighting showed
+// missing is pulled only then.
+func (p *Protocol) readvertise(from ids.ProcessID, frame []byte) {
+	p.step(func(m *machine) { m.receive(m.now+int64(m.cfg.GossipInterval), from, frame) })
+}
+
 // decodeFrame splits one captured core-channel frame into its subtype and
 // payload reader.
 func decodeFrame(t *testing.T, frame []byte) (uint8, *wire.Reader) {
@@ -104,6 +111,7 @@ func TestGossipRotationReachesPeer(t *testing.T) {
 		a.gossipTick()
 		for _, f := range netA.takeMulti() {
 			b.OnMessage(1, f)
+			b.readvertise(1, f)
 		}
 		for _, f := range netB.takeSent() {
 			a.OnMessage(1, f)
@@ -150,7 +158,8 @@ func TestDigestGossipSendsIDsNotPayloads(t *testing.T) {
 }
 
 // TestOnDigestPullsOnlyMissing: a digest listing known, delivered and
-// unknown messages triggers one pull naming exactly the unknown ones.
+// unknown messages, advertised again an interval later, triggers one pull
+// naming exactly the unknown ones.
 func TestOnDigestPullsOnlyMissing(t *testing.T) {
 	p, net, _ := newTestProtocol(Config{})
 	known := m(1, 1, 1)
@@ -166,6 +175,7 @@ func TestOnDigestPullsOnlyMissing(t *testing.T) {
 	w.U64(0)
 	msg.EncodeIDs(w, []ids.MsgID{known.ID, delivered.ID, missing.ID})
 	p.OnMessage(1, w.Bytes())
+	p.readvertise(1, w.Bytes())
 
 	net.mu.Lock()
 	defer net.mu.Unlock()
@@ -255,6 +265,7 @@ func TestDigestAntiEntropyRoundTrip(t *testing.T) {
 	a.gossipTick()
 	for _, f := range netA.takeMulti() {
 		b.OnMessage(1, f)
+		b.readvertise(1, f)
 	}
 	// ...b pulls what it misses from a...
 	pulls := netB.takeSent()
@@ -317,6 +328,7 @@ func TestLoggedMessageSurvivesLostEagerPush(t *testing.T) {
 			t.Fatalf("periodic frame has subtype %d, want digest", sub)
 		}
 		b.OnMessage(0, f)
+		b.readvertise(0, f)
 	}
 	for _, f := range netB.takeSent() {
 		a.OnMessage(1, f)
@@ -428,9 +440,10 @@ func TestDigestTickKeepsEagerBuffer(t *testing.T) {
 }
 
 // TestOnDigestDedupsPullsAcrossPeers: within one gossip interval, digests
-// from several peers advertising the same missing message draw exactly
-// one pull — without the dedup, every advertiser would be pulled and
-// would answer with a redundant full-payload reply.
+// from several peers advertising the same missing message (first seen
+// missing an interval before) draw exactly one pull — without the dedup,
+// every advertiser would be pulled and would answer with a redundant
+// full-payload reply.
 func TestOnDigestDedupsPullsAcrossPeers(t *testing.T) {
 	p, net, _ := newTestProtocol(Config{GossipInterval: time.Hour})
 	missing := m(1, 1, 7)
@@ -442,8 +455,9 @@ func TestOnDigestDedupsPullsAcrossPeers(t *testing.T) {
 		return w.Bytes()
 	}
 	p.OnMessage(1, frame())
-	p.OnMessage(2, frame())
-	p.OnMessage(1, frame())
+	p.readvertise(1, frame())
+	p.readvertise(2, frame())
+	p.readvertise(1, frame())
 	if got := net.sends(); got != 1 {
 		t.Fatalf("%d pulls for one missing message (want 1)", got)
 	}

@@ -65,7 +65,9 @@ type fakeCons struct {
 	proposals map[uint64][]byte
 	decisions map[uint64][]byte
 	floor     uint64
-	settled   []uint64 // decided, not yet handed out by Settle
+	settled   []uint64      // decided, not yet handed out by Settle
+	named     ids.ProcessID // the lease grant's holder, when granted
+	granted   bool
 }
 
 func newFakeCons(l *loop.Loop) *fakeCons {
@@ -100,6 +102,19 @@ func (f *fakeCons) Proposal(k uint64) ([]byte, bool) {
 }
 
 func (f *fakeCons) Forgot(k uint64) bool { return false }
+
+func (f *fakeCons) Sequencer() (ids.ProcessID, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.named, f.granted
+}
+
+// grant has the box name q as the sequencer, as a lease grant does.
+func (f *fakeCons) grant(q ids.ProcessID) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.named, f.granted = q, true
+}
 
 func (f *fakeCons) DiscardBelow(k uint64) {
 	f.mu.Lock()

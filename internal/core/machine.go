@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 
@@ -22,7 +23,7 @@ const (
 
 // Core-channel message subtypes.
 const (
-	subGossip uint8 = 1 // gossip(k_p, messages) — full payloads: eager push, pull reply
+	subGossip uint8 = 1 // gossip(k_p, messages) — full payloads: eager push (to the sequencer), pull reply
 	subState  uint8 = 2 // state(k_p - 1, Agreed_p)
 	subDigest uint8 = 3 // gossip(k_p, IDs of Unordered_p) — the periodic frame
 	subPull   uint8 = 4 // pull(IDs): please send these messages' payloads
@@ -79,6 +80,12 @@ type effect struct {
 	snap    Snapshot
 }
 
+// sighting is a missing message's pull clock: first seen missing, or last pulled, at.
+type sighting struct {
+	at     int64
+	pulled bool
+}
+
 // slot holds a decided round of the pipeline window until its turn.
 type slot struct {
 	val []byte
@@ -91,10 +98,11 @@ type slot struct {
 // client call — runs to completion and leaves its effects in out. The
 // machine does no I/O, reads no clock (now is an argument) and starts no
 // goroutine; it queries the Checkpointer, MergeFloor and DiscardFloor
-// hooks and writes the observability sinks, none of which feed back into
-// a step.
+// hooks and the consensus box's Sequencer, and writes the observability
+// sinks; only the Sequencer's answer shapes a step (where a push goes).
 type machine struct {
 	cfg Config
+	box Sequencer
 	met *metrics
 	tr  *obs.Tracer
 	fl  *obs.Recorder
@@ -141,7 +149,8 @@ type machine struct {
 	lastGossip   int64                   // eager-gossip rate limiting
 	eagerBuf     []msg.Message           // locally added messages awaiting a delta gossip
 	gossipCursor int                     // rotating window start for truncated gossip
-	lastPull     map[ids.MsgID]int64     // pull dedup: all peers advertise the same IDs
+	// Advertised messages still missing, and since when: the pull gate (onDigest).
+	pullClock map[ids.MsgID]sighting
 
 	// Deadlines (never: unarmed); wakeAt is the one the runner was asked for.
 	gossipAt, flushAt, pumpAt, wakeAt int64
@@ -151,9 +160,10 @@ type machine struct {
 	out []effect
 }
 
-func newMachine(cfg Config, met *metrics, tr *obs.Tracer, fl *obs.Recorder) *machine {
+func newMachine(cfg Config, box Sequencer, met *metrics, tr *obs.Tracer, fl *obs.Recorder) *machine {
 	m := &machine{
 		cfg:          cfg,
+		box:          box,
 		met:          met,
 		tr:           tr,
 		fl:           fl,
@@ -162,7 +172,7 @@ func newMachine(cfg Config, met *metrics, tr *obs.Tracer, fl *obs.Recorder) *mac
 		blocked:      make(map[ids.MsgID]struct{}),
 		inflight:     make(map[ids.MsgID]uint64),
 		lastStateTo:  make(map[ids.ProcessID]int64),
-		lastPull:     make(map[ids.MsgID]int64),
+		pullClock:    make(map[ids.MsgID]sighting),
 		pendingSince: never,
 		cooldown:     math.MinInt64,
 		holdUntil:    math.MinInt64,
@@ -668,6 +678,7 @@ func (m *machine) commit(round uint64, value []byte) {
 	}
 	for _, d := range deliveries {
 		m.releaseBlocked(d.Msg.ID)
+		delete(m.pullClock, d.Msg.ID)
 	}
 	m.met.rounds.Inc()
 	if len(batch) == 0 {
@@ -780,12 +791,22 @@ func (m *machine) sendGossip() {
 }
 
 // eagerGossip pushes the messages added since the last flush, full
-// payloads and only the delta, right after a local A-broadcast, so they
-// reach the other sequencers without waiting for the next tick. A guard
-// well under the gossip interval coalesces tight submission loops; what it
-// holds back goes out when the deferred flush fires.
+// payloads and only the delta, right after a local A-broadcast, to the
+// sequencer, the process this one's acceptor granted its lease: its accept
+// carries them to the rest. Nothing is pushed when that is this process;
+// without a grant the push goes to every process. A guard well under the
+// gossip interval coalesces tight submission loops; what it holds back
+// goes out when the deferred flush fires.
 func (m *machine) eagerGossip() {
 	if len(m.eagerBuf) == 0 {
+		return
+	}
+	to, named := m.box.Sequencer()
+	if !named {
+		to = ids.Nobody
+	} else if to == m.cfg.PID {
+		clear(m.eagerBuf)
+		m.eagerBuf = m.eagerBuf[:0]
 		return
 	}
 	guard := int64(m.cfg.GossipInterval / 128)
@@ -802,7 +823,7 @@ func (m *machine) eagerGossip() {
 	}
 	m.lastGossip = m.now
 	m.met.gossipSent.Inc()
-	m.gossipFrame(batch, ids.Nobody)
+	m.gossipFrame(batch, to)
 	rest := copy(m.eagerBuf, m.eagerBuf[len(batch):])
 	clear(m.eagerBuf[rest:])
 	m.eagerBuf = m.eagerBuf[:rest]
@@ -892,9 +913,10 @@ func (m *machine) onGossip(from ids.ProcessID, r *wire.Reader) {
 		}
 		added++
 		m.heldBytes += len(mm.Payload)
-		if _, pulled := m.lastPull[mm.ID]; pulled {
+		if m.pullClock[mm.ID].pulled {
 			m.tr.Mark(mm.ID, obs.StPullRepair)
 		}
+		delete(m.pullClock, mm.ID)
 	}
 	if added > 0 {
 		m.notePending()
@@ -907,10 +929,11 @@ func (m *machine) onGossip(from ids.ProcessID, r *wire.Reader) {
 }
 
 // onDigest handles the periodic ID-only frame: the round comparison of
-// onGossip, and one pull back for every advertised message this process
-// neither holds nor delivered. Steady-state bandwidth is O(|Unordered|)
-// IDs, and a process that missed the eager push recovers exactly the
-// payloads it misses.
+// onGossip, and one pull back for the advertised messages this process
+// has missed for at least a gossip interval, by when the sequencer's
+// accept has usually brought them. Steady-state bandwidth is
+// O(|Unordered|) IDs, and a process recovers exactly the payloads it
+// misses.
 func (m *machine) onDigest(from ids.ProcessID, r *wire.Reader) {
 	kq := r.U64()
 	idList := msg.DecodeIDs(r)
@@ -924,21 +947,24 @@ func (m *machine) onDigest(from ids.ProcessID, r *wire.Reader) {
 		if m.drained || m.unordered.Contains(id) || m.ds.contains(id) {
 			continue // drained: no pulls — the sealed sequence needs nothing
 		}
-		// Pull dedup: every peer advertises the same backlog within one
-		// interval; one pull per message per interval bounds the repair
-		// traffic, and the next interval's digests retry a lost reply.
-		if t, ok := m.lastPull[id]; ok && m.now-t < interval {
+		// The first sighting only starts the clock. After that, one pull
+		// per message per interval: every peer advertises the same
+		// backlog, and the next interval's digests retry a lost reply.
+		c, seen := m.pullClock[id]
+		if !seen {
+			m.pullClock[id] = sighting{at: m.now}
 			continue
 		}
-		m.lastPull[id] = m.now
+		if m.now-c.at < interval {
+			continue
+		}
+		m.pullClock[id] = sighting{at: m.now, pulled: true}
 		missing = append(missing, id)
 	}
-	if len(m.lastPull) > 8192 {
-		for id, t := range m.lastPull {
-			if m.now-t >= interval {
-				delete(m.lastPull, id)
-			}
-		}
+	if n := len(m.pullClock); n > 8192 {
+		// Clocks of messages lost with their sender, older than a digest window's rotation over n.
+		age := interval * int64(1+n/gossipMaxMessages)
+		maps.DeleteFunc(m.pullClock, func(_ ids.MsgID, c sighting) bool { return m.now-c.at >= age })
 	}
 	news := kq > m.k
 	m.noteRound(from, kq)
@@ -1016,6 +1042,7 @@ func (m *machine) adopt(ds *deliveryState, newK uint64) {
 	m.proposed, m.learned = max(m.proposed, newK), newK
 	m.checkDrained()
 	m.unordered.SubtractDelivered(m.ds.contains)
+	maps.DeleteFunc(m.pullClock, func(id ids.MsgID, _ sighting) bool { return m.ds.contains(id) })
 	m.pendingSince = never
 	if m.unordered.Len() > 0 {
 		m.pendingSince = m.now

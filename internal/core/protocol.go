@@ -54,11 +54,18 @@ type Protocol struct {
 // in-step, on the loop the two layers share, with its lock held
 // (consensus.Box). Propose and DiscardBelow are its inputs; Settle carries
 // out its effects up to its next decided(k, v) or forgotten(k), which is
-// then this layer's input in the same step.
+// then this layer's input in the same step. Sequencer is a read.
 type Consensus interface {
 	ReplayLog
+	Sequencer
 	DiscardBelow(k uint64)
 	Settle() (k uint64, v []byte, decided, ok bool)
+}
+
+// Sequencer names the process this process's acceptor granted its lease
+// to, whose accepts carry a value to the others; ok is false without one.
+type Sequencer interface {
+	Sequencer() (ids.ProcessID, bool)
 }
 
 // New creates a Protocol on l, the incarnation's loop, whose store is the
@@ -74,7 +81,7 @@ func New(cfg Config, l *loop.Loop, cons Consensus, net router.Net) *Protocol {
 		cons:      cons,
 		net:       net,
 		met:       met,
-		m:         newMachine(cfg, met, cfg.Obs.Trace(), cfg.Obs.Flight()),
+		m:         newMachine(cfg, cons, met, cfg.Obs.Trace(), cfg.Obs.Flight()),
 		waiting:   make(map[ids.MsgID]chan error),
 		drainedCh: make(chan struct{}),
 		replayed:  make(chan struct{}),

@@ -18,7 +18,7 @@ func TestHeldBatchKeepsItsTimeTrigger(t *testing.T) {
 	const us = int64(time.Microsecond)
 	cfg := Config{PID: 0, N: 3, PipelineDepth: 4, MaxBatchBytes: 1000, MaxBatchDelay: 300 * time.Microsecond}
 	cfg.fill()
-	mc := newMachine(cfg, newMetrics(nil, 0), nil, nil)
+	mc := newMachine(cfg, &fakeCons{}, newMetrics(nil, 0), nil, nil)
 	if _, err := mc.recover(nil, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}

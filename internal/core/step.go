@@ -57,10 +57,11 @@ type Effect struct {
 	ef    effect
 }
 
-// NewMachine builds a machine without observability sinks.
-func NewMachine(cfg Config) *Machine {
+// NewMachine builds a machine without observability sinks, beside the
+// consensus machine seq.
+func NewMachine(cfg Config, seq Sequencer) *Machine {
 	cfg.fill()
-	return &Machine{newMachine(cfg, newMetrics(nil, cfg.Group), nil, nil)}
+	return &Machine{newMachine(cfg, seq, newMetrics(nil, cfg.Group), nil, nil)}
 }
 
 // Recover is the retrieve half of the recovery procedure over st, as
@@ -84,6 +85,7 @@ func (s *Machine) Broadcast(now int64, payload []byte, async bool) (ids.MsgID, e
 	return s.m.broadcast(now, payload, async)
 }
 func (s *Machine) K() uint64                   { return s.m.k }
+func (s *Machine) Stats() Stats                { return s.m.met.incarnation() }
 func (s *Machine) Delivered(id ids.MsgID) bool { return s.m.ds.contains(id) }
 func (s *Machine) Sequence() (Snapshot, []Delivery) {
 	return s.m.ds.snapshotBase(), s.m.tagGroup(s.m.ds.deliveries())

@@ -118,6 +118,9 @@ type Sim struct {
 	Crashes, Isolations int
 	// Accepts lists every accept a process sent, in order.
 	Accepts []Accept
+	// CoreLink, when set, sees each core frame sent, per destination; false
+	// drops it (a scripted schedule's count or one-channel cut).
+	CoreLink func(from, to ids.ProcessID, frame []byte) bool
 
 	seed   uint64
 	bcasts int
@@ -196,7 +199,7 @@ func (s *Sim) send(p *Proc, ch byte, to ids.ProcessID, body []byte) {
 	}
 	frame := append([]byte{ch}, body...)
 	for q := range ids.ProcessID(len(s.Procs)) {
-		if q != p.PID && (to == ids.Nobody || to == q) {
+		if q != p.PID && (to == ids.Nobody || to == q) && (ch != chCore || s.CoreLink == nil || s.CoreLink(p.PID, q, body)) {
 			s.Send(p.PID, q, frame)
 		}
 	}
@@ -448,7 +451,7 @@ func (s *Sim) Recover(pid ids.ProcessID) {
 	}
 	cfg := s.Opts.Core
 	cfg.PID, cfg.N, cfg.Incarnation = pid, s.Opts.N, epoch
-	p.Core, p.Cons = core.NewMachine(cfg), cons
+	p.Core, p.Cons = core.NewMachine(cfg, cons), cons
 	p.replay = core.NewReplay(p.Core, cons)
 
 	p.FD.Start(s.Now)
@@ -465,12 +468,16 @@ func (s *Sim) Recover(pid ids.ProcessID) {
 // Broadcast is a client's Broadcast (async: BroadcastAsync) at pid; it
 // returns the message's identity, zero when the process refused the call.
 func (s *Sim) Broadcast(pid ids.ProcessID, async bool) ids.MsgID {
+	return s.BroadcastPayload(pid, []byte("m"+strconv.Itoa(s.bcasts+1)), async)
+}
+
+// BroadcastPayload is Broadcast of a payload of the caller's.
+func (s *Sim) BroadcastPayload(pid ids.ProcessID, payload []byte, async bool) ids.MsgID {
 	p := s.Procs[pid]
 	if !p.Up() || p.replay.On() && !async && !s.Opts.Core.BatchedBroadcast {
 		return ids.MsgID{} // the process answers as down
 	}
 	s.bcasts++
-	payload := []byte("m" + strconv.Itoa(s.bcasts))
 	id, err := p.Core.Broadcast(s.Now, payload, async)
 	if err == nil {
 		s.Note(pid, "broadcast "+id.String(), 0, payload)

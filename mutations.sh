@@ -22,7 +22,7 @@ dir=internal/sim/testdata/mutations
 # batches and scripted schedules, and the soak batches.
 suites=(
 	"./internal/consensus/ -skip ^TestEngineCluster"
-	"./internal/core/ -run ^(TestSimSchedules|TestCrashBetweenDeliveryAndDecisionCell|TestRecoveredProcessSuspectsAPeerItNeverHeard)$"
+	"./internal/core/ -run ^(TestSimSchedules|TestCrashBetweenDeliveryAndDecisionCell|TestRecoveredProcessSuspectsAPeerItNeverHeard|TestLostPushRepairedByPullUnderLoad)$"
 	"./internal/harness/ -run ^(TestSoakSeeds|TestSoakSeedsWAL|TestLeaseLostUnderIsolation)$"
 )
 
