@@ -23,6 +23,15 @@ func TestFoldBelowRetainsRoundsAtOrAboveFloor(t *testing.T) {
 	if len(d.suffix) != 1 || d.suffix[0].round != 3 {
 		t.Fatalf("suffix after partial fold: %+v", d.suffix)
 	}
+	// The buffer is kept, and its vacated tail holds no folded message.
+	if cap(d.suffix) < 4 {
+		t.Fatalf("the fold reallocated the suffix: cap %d", cap(d.suffix))
+	}
+	for _, e := range d.suffix[1:cap(d.suffix)] {
+		if e.m.Payload != nil {
+			t.Fatalf("folded message %v still referenced past the suffix", e.m.ID)
+		}
+	}
 	// Folded and retained messages are all still contained.
 	for _, mm := range []msg.Message{m(0, 1, 1), m(1, 1, 1), m(0, 1, 2), m(1, 1, 2)} {
 		if !d.contains(mm.ID) {

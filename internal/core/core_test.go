@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -230,5 +231,50 @@ func TestDeliverySequencesArePrefixRelated(t *testing.T) {
 	// Termination is a liveness property: drain before checking it.
 	if err := c.AwaitAllDelivered(ctx, 0, 1, 2); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBroadcastWaitChannelsAreNotShared: Broadcast recycles its wait
+// channel once it has received the one value the channel carries, while a
+// cancelled call leaves its channel to the release still to come. With
+// cancelled calls interleaved among many completed ones, every call that
+// returns nil finds its own message delivered: none took another's release.
+func TestBroadcastWaitChannelsAreNotShared(t *testing.T) {
+	c := harness.NewCluster(harness.Options{N: 3, Seed: 7})
+	defer c.Stop()
+	if err := c.StartAll(); err != nil {
+		t.Fatal(err)
+	}
+	ctx := ctxT(t, 60*time.Second)
+	p := c.Nodes[0].Proto()
+	errs := make(chan error, 8*40)
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 40 {
+				cctx, cancel := context.WithCancel(ctx)
+				cancelled := (g+i)%4 == 0
+				if cancelled && i%8 == 0 {
+					cancel() // gone before the call waits
+				} else if cancelled {
+					time.AfterFunc(time.Duration(i)*20*time.Microsecond, cancel)
+				}
+				id, err := p.Broadcast(cctx, []byte{byte(g), byte(i)})
+				cancel()
+				switch {
+				case err == nil && !p.Delivered(id):
+					errs <- fmt.Errorf("Broadcast of %v returned before its delivery", id)
+				case err != nil && !cancelled:
+					errs <- fmt.Errorf("Broadcast of %v: %w", id, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

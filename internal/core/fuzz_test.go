@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
+	"repro/internal/ids"
 	"repro/internal/msg"
 	"repro/internal/wire"
 )
@@ -58,4 +61,150 @@ func TestOnStateRejectsCorruptVectorClock(t *testing.T) {
 	if p.Round() != 0 || p.Delivered(m(1, 1, 1).ID) {
 		t.Fatalf("corrupt state adopted: round %d", p.Round())
 	}
+}
+
+// FuzzDeliveryState runs the delivered sequence against a naive model,
+// the whole sequence in delivery order and the length of its folded
+// prefix, under the operations the core applies to it. ops drives them:
+// appends of decided batches (repeats, sequence gaps, a second
+// incarnation, a reshard orphan far above the native counters), folds at
+// any floor up to the round counter, adoption into a fresh state while
+// the source goes on changing, and an encode-decode round trip. After
+// every operation contains, nextPos, deliveries and the base clock agree
+// with the model. raw is decoded as a hostile state. testdata/fuzz holds
+// the seeds, among them a state whose suffix repeats a message its base
+// clock covers: the decoder drops that entry, as the ⊕ rule would.
+func FuzzDeliveryState(f *testing.F) {
+	f.Fuzz(func(t *testing.T, ops, raw []byte) {
+		checkDecoded(t, raw)
+		next := func() byte {
+			if len(ops) == 0 {
+				return 0
+			}
+			b := ops[0]
+			ops = ops[1:]
+			return b
+		}
+		d := newDeliveryState()
+		var model []Delivery // the whole sequence; model[:folded] is folded
+		pos := make(map[ids.MsgID]int)
+		folded := 0
+		var round, rounds uint64 // the next round; the base's Rounds
+		for len(ops) > 0 {
+			switch op := next(); op % 4 {
+			case 0, 1: // a decided batch; rounds in between may be empty
+				round += uint64(next() % 3)
+				batch := make([]msg.Message, next()%8)
+				for i := range batch {
+					batch[i] = fuzzMsg(next())
+				}
+				fresh := len(model)
+				sorted := slices.Clone(batch)
+				msg.SortCanonical(sorted)
+				for _, mm := range sorted {
+					if _, ok := pos[mm.ID]; !ok {
+						pos[mm.ID] = len(model)
+						model = append(model, Delivery{Msg: mm, Round: round, Pos: uint64(len(model))})
+					}
+				}
+				sameDeliveries(t, "appendBatch", d.appendBatch(round, batch), model[fresh:])
+				round++
+			case 2: // a fold at a floor at or below the round counter
+				floor := round - min(round, uint64(next()%8))
+				cut := 0
+				for folded+cut < len(model) && model[folded+cut].Round < floor {
+					cut++
+				}
+				if got := d.cutBelow(floor); got != cut {
+					t.Fatalf("cutBelow(%d) = %d; the model cuts %d", floor, got, cut)
+				}
+				d.foldPrefix([]byte{op}, cut, floor)
+				folded += cut
+				rounds = max(rounds, floor)
+			case 3:
+				if next()%2 == 0 {
+					src := d
+					d = newDeliveryState()
+					d.adopt(src)
+					src.appendBatch(round, []msg.Message{fuzzMsg(next()), fuzzMsg(next())})
+					src.foldPrefix(nil, src.cutBelow(round+1), round+1)
+				} else {
+					w := wire.NewWriter(0)
+					d.encode(w)
+					if d = decodeDeliveryState(wire.NewReader(w.Bytes())); d == nil {
+						t.Fatal("an encoded state does not decode")
+					}
+				}
+			}
+			if d.nextPos() != uint64(len(model)) || d.base.Pos != uint64(folded) || d.base.Rounds != rounds {
+				t.Fatalf("nextPos %d, base at %d rounds %d; the model has %d, %d folded, rounds %d",
+					d.nextPos(), d.base.Pos, d.base.Rounds, len(model), folded, rounds)
+			}
+			sameDeliveries(t, "deliveries", d.deliveries(), model[folded:])
+			for b := range 256 {
+				id := fuzzMsg(byte(b)).ID
+				p, in := pos[id]
+				if d.contains(id) != in || d.base.VC.Covers(id) != (in && p < folded) {
+					t.Fatalf("%v: contains %v, base covers %v; the model has it at %d (%v), %d folded",
+						id, d.contains(id), d.base.VC.Covers(id), p, in, folded)
+				}
+			}
+		}
+	})
+}
+
+// fuzzMsg maps a byte to a message: three senders, two incarnations and
+// sequence numbers 1 to 16, so batches repeat and skip, and for 0xff a
+// reshard orphan far above the native counters.
+func fuzzMsg(b byte) msg.Message {
+	if b == 0xff {
+		return m(2, 1, 1<<48+1)
+	}
+	return m(int32(b%3), uint32(1+b/3%2), uint64(1+b/6%16))
+}
+
+func sameDeliveries(t *testing.T, what string, got, want []Delivery) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d deliveries; the model has %d", what, len(got), len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.Msg.ID != w.Msg.ID || g.Round != w.Round || g.Pos != w.Pos {
+			t.Fatalf("%s %d: %v round %d at %d; the model has %v round %d at %d",
+				what, i, g.Msg.ID, g.Round, g.Pos, w.Msg.ID, w.Round, w.Pos)
+		}
+	}
+}
+
+// checkDecoded decodes raw as a state from a hostile peer or a corrupt
+// log. One that decodes keeps no entry its sequence contains twice,
+// answers membership as its base clock and suffix together, and encodes to
+// bytes that decode to the same state.
+func checkDecoded(t *testing.T, raw []byte) {
+	d := decodeDeliveryState(wire.NewReader(raw))
+	if d == nil {
+		return
+	}
+	inSuffix := make(map[ids.MsgID]bool)
+	for _, e := range d.suffix {
+		if d.base.VC.Covers(e.m.ID) || inSuffix[e.m.ID] {
+			t.Fatalf("decoded suffix keeps %v, which the sequence already contains", e.m.ID)
+		}
+		inSuffix[e.m.ID] = true
+	}
+	for b := range 256 {
+		id := fuzzMsg(byte(b)).ID
+		if d.contains(id) != (inSuffix[id] || d.base.VC.Covers(id)) {
+			t.Fatalf("decoded state: contains(%v) = %v", id, d.contains(id))
+		}
+	}
+	w := wire.NewWriter(0)
+	d.encode(w)
+	e := decodeDeliveryState(wire.NewReader(w.Bytes()))
+	if e == nil || e.base.Pos != d.base.Pos || e.base.Rounds != d.base.Rounds ||
+		!bytes.Equal(e.base.App, d.base.App) || !e.base.VC.Equal(d.base.VC) {
+		t.Fatal("a decoded state does not survive its own round trip")
+	}
+	sameDeliveries(t, "round trip", e.deliveries(), d.deliveries())
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/ids"
@@ -211,8 +212,8 @@ func (p *Protocol) run(now int64) {
 			p.l.Arm(p, ef.at, loop.Token{K: uint64(ef.at)})
 		case opRelease:
 			if ch, ok := p.waiting[ef.id]; ok {
-				ch <- ef.err
 				delete(p.waiting, ef.id)
+				ch <- ef.err
 			}
 		case opDrained:
 			close(p.drainedCh)
@@ -355,6 +356,11 @@ func (p *Protocol) onFloor(from ids.ProcessID, frame []byte) {
 	}
 }
 
+// waitChans recycles Broadcast's wait channels: one goes back only once
+// its caller received the value the release (which first removes it from
+// waiting) sent. A channel its caller left stays in waiting, unrecycled.
+var waitChans = sync.Pool{New: func() any { return make(chan error, 1) }}
+
 // Broadcast implements A-broadcast(m). In the basic protocol it blocks
 // until m is in the Agreed queue ("A-broadcast(m) does not return until the
 // message m is in the agreed queue", §4.2). With BatchedBroadcast it
@@ -375,7 +381,7 @@ func (p *Protocol) Broadcast(ctx context.Context, payload []byte) (ids.MsgID, er
 		p.l.Unlock()
 		return id, err
 	}
-	ch := make(chan error, 1)
+	ch := waitChans.Get().(chan error)
 	p.waiting[id] = ch
 	p.l.Exit()
 	var drained, cancelled <-chan struct{}
@@ -384,6 +390,7 @@ func (p *Protocol) Broadcast(ctx context.Context, payload []byte) (ids.MsgID, er
 	}
 	select {
 	case err := <-ch:
+		waitChans.Put(ch)
 		if err != nil {
 			// The log write failed (the incarnation is dying), but m is in
 			// the volatile Unordered set and may have been gossiped: like a

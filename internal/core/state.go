@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/ids"
 	"repro/internal/msg"
 	"repro/internal/vclock"
@@ -17,28 +19,25 @@ type suffixEntry struct {
 // deliveryState is the Agreed queue generalized per §5.2: an application
 // checkpoint (base) plus the messages delivered after it (suffix). With no
 // checkpointing the base stays empty and the suffix is the whole queue —
-// the basic protocol's Agreed.
+// the basic protocol's Agreed. seen is §5.2's coverage clock extended to
+// the whole sequence: it contains every message of base and suffix, so
+// one lookup answers whether a message is already delivered, and base.VC
+// stays exactly the folded prefix that snapshots carry.
 type deliveryState struct {
 	base   Snapshot
 	suffix []suffixEntry
-	index  map[ids.MsgID]int // id -> suffix position
+	seen   vclock.VC
 }
 
 func newDeliveryState() *deliveryState {
-	return &deliveryState{
-		base:  Snapshot{VC: vclock.New()},
-		index: make(map[ids.MsgID]int),
-	}
+	return &deliveryState{base: Snapshot{VC: vclock.New()}, seen: vclock.New()}
 }
 
 // contains implements the membership predicate of the redefined delivery
-// sequence: explicit in the suffix, or covered by the base checkpoint's
-// vector clock.
+// sequence — explicit in the suffix, or contained in the base checkpoint —
+// as one lookup in the clock that covers both.
 func (d *deliveryState) contains(id ids.MsgID) bool {
-	if _, ok := d.index[id]; ok {
-		return true
-	}
-	return d.base.VC.Covers(id)
+	return d.seen.Covers(id)
 }
 
 // nextPos is the global position the next delivered message will get.
@@ -47,22 +46,30 @@ func (d *deliveryState) nextPos() uint64 {
 }
 
 // appendBatch applies the ⊕ rule for the batch decided by round: messages
-// not yet contained are appended in canonical order. It returns the new
-// deliveries with their agreed positions.
+// not yet contained are appended in canonical order. It sorts batch in
+// place, so the caller hands over a batch nothing else reads (commit's is
+// freshly decoded). It returns the new deliveries with their agreed
+// positions.
 func (d *deliveryState) appendBatch(round uint64, batch []msg.Message) []Delivery {
-	sorted := make([]msg.Message, len(batch))
-	copy(sorted, batch)
-	msg.SortCanonical(sorted)
-	out := make([]Delivery, 0, len(sorted))
-	for _, m := range sorted {
-		if d.contains(m.ID) {
-			continue
+	msg.SortCanonical(batch)
+	out := make([]Delivery, 0, len(batch))
+	for _, m := range batch {
+		if d.add(m, round) {
+			out = append(out, Delivery{Msg: m, Round: round, Pos: d.base.Pos + uint64(len(d.suffix)) - 1})
 		}
-		d.index[m.ID] = len(d.suffix)
-		d.suffix = append(d.suffix, suffixEntry{m: m, round: round})
-		out = append(out, Delivery{Msg: m, Round: round, Pos: d.base.Pos + uint64(len(d.suffix)) - 1})
 	}
 	return out
+}
+
+// add appends m, ordered by round, unless the sequence already contains
+// it (the ⊕ rule: a repeat, or a message the base clock covers).
+func (d *deliveryState) add(m msg.Message, round uint64) bool {
+	if d.contains(m.ID) {
+		return false
+	}
+	d.seen.Observe(m.ID)
+	d.suffix = append(d.suffix, suffixEntry{m: m, round: round})
+	return true
 }
 
 // deliveries returns the suffix as Delivery values (for re-delivery on
@@ -99,7 +106,9 @@ func (d *deliveryState) cutBelow(floor uint64) int {
 // floor, as cutBelow computes them — into the base, which adopts app, the
 // application state containing every folded message. Entries of rounds at
 // or above floor keep their explicit per-round form, so a cross-group
-// merge (batch or streaming) can still reconstruct their interleave.
+// merge (batch or streaming) can still reconstruct their interleave; they
+// move to the front of the same buffer, and the vacated tail is cleared so
+// the folded payloads are released.
 func (d *deliveryState) foldPrefix(app []byte, cut int, floor uint64) {
 	for _, e := range d.suffix[:cut] {
 		d.base.VC.Observe(e.m.ID)
@@ -109,30 +118,17 @@ func (d *deliveryState) foldPrefix(app []byte, cut int, floor uint64) {
 		d.base.Rounds = floor
 	}
 	d.base.App = app
-	rest := d.suffix[cut:]
-	d.suffix = make([]suffixEntry, len(rest))
-	copy(d.suffix, rest)
-	d.index = make(map[ids.MsgID]int, len(rest))
-	for i, e := range d.suffix {
-		d.index[e.m.ID] = i
-	}
+	n := copy(d.suffix, d.suffix[cut:])
+	clear(d.suffix[n:])
+	d.suffix = d.suffix[:n]
 }
 
 // adopt replaces the whole state with another process's (state transfer,
 // §5.3, or checkpoint retrieval on recovery).
 func (d *deliveryState) adopt(o *deliveryState) {
-	d.base = Snapshot{
-		App:    o.base.App,
-		VC:     o.base.VC.Clone(),
-		Rounds: o.base.Rounds,
-		Pos:    o.base.Pos,
-	}
-	d.suffix = make([]suffixEntry, len(o.suffix))
-	copy(d.suffix, o.suffix)
-	d.index = make(map[ids.MsgID]int, len(o.index))
-	for id, i := range o.index {
-		d.index[id] = i
-	}
+	d.base = o.snapshotBase()
+	d.suffix = slices.Clone(o.suffix)
+	d.seen = o.seen.Clone()
 }
 
 // snapshotBase returns a copy of the base snapshot.
@@ -187,17 +183,14 @@ func decodeDeliveryState(r *wire.Reader) *deliveryState {
 		return nil
 	}
 	d.base = Snapshot{App: app, VC: vc, Rounds: rounds, Pos: pos}
+	d.seen = vc.Clone()
 	for i := uint64(0); i < n; i++ {
 		round := r.U64()
 		m := msg.DecodeMessage(r)
 		if r.Err() != nil {
 			return nil
 		}
-		if _, dup := d.index[m.ID]; dup {
-			continue
-		}
-		d.index[m.ID] = len(d.suffix)
-		d.suffix = append(d.suffix, suffixEntry{m: m, round: round})
+		d.add(m, round) // an entry already contained is dropped
 	}
 	return d
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"math/rand/v2"
+	"os"
 	"testing"
 	"testing/quick"
 
@@ -173,5 +175,152 @@ func TestTwoStatesSameBatchesConverge(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// cycleBatches returns rounds batches of per messages each: fresh
+// identities from five senders, each sender's sequence numbers rising
+// from from+1, and every batch out of canonical order (senders
+// descending), as a decode may hand one over.
+func cycleBatches(rounds, per int, from uint64) [][]msg.Message {
+	out := make([][]msg.Message, rounds)
+	seq := from
+	for r := range out {
+		b := make([]msg.Message, 0, per)
+		for i := 0; i < per; i++ {
+			if i%5 == 0 {
+				seq++
+			}
+			b = append(b, m(int32(4-i%5), 1, seq))
+		}
+		out[r] = b
+	}
+	return out
+}
+
+// TestDeliveryStateSteadyStateAllocs pins the delivered sequence's steady
+// state: once one fold cycle has sized the suffix, each further cycle of
+// the same rounds closed by a fold allocates only the deliveries slice
+// each round returns, and a fold that keeps part of the suffix (a merge
+// floor) allocates nothing.
+func TestDeliveryStateSteadyStateAllocs(t *testing.T) {
+	const rounds, per = 256, 25
+	d := newDeliveryState()
+	var round, from uint64
+	// The batches are built outside the measured calls: the warm-up cycle
+	// and AllocsPerRun's two.
+	var batches [][][]msg.Message
+	for range 3 {
+		batches = append(batches, cycleBatches(rounds, per, from))
+		from += rounds * per / 5
+	}
+	cycle := func() {
+		for _, b := range batches[0] {
+			d.appendBatch(round, b)
+			round++
+		}
+		batches = batches[1:]
+		d.foldPrefix(nil, d.cutBelow(round), round)
+	}
+	cycle() // warm-up: the suffix reaches its size between folds
+	if got := testing.AllocsPerRun(1, cycle); got != rounds {
+		t.Errorf("a cycle closed by a fold allocates %v times; want %d (one deliveries slice per round)", got, rounds)
+	}
+	for _, b := range cycleBatches(rounds, per, from) {
+		d.appendBatch(round, b)
+		round++
+	}
+	floor := round - rounds
+	partial := func() {
+		floor += rounds / 4
+		d.foldPrefix(nil, d.cutBelow(floor), floor)
+	}
+	if got := testing.AllocsPerRun(1, partial); got != 0 {
+		t.Errorf("a partial fold allocates %v times; want 0", got)
+	}
+	if len(d.suffix) != rounds/2*per {
+		t.Fatalf("suffix after two quarter folds: %d entries; want %d", len(d.suffix), rounds/2*per)
+	}
+}
+
+// TestDecidedTwiceDeliveredOnceAcrossFold: a message decided in two rounds
+// is delivered once, whether the first delivery has been folded or is
+// still in the retained suffix.
+func TestDecidedTwiceDeliveredOnceAcrossFold(t *testing.T) {
+	d := newDeliveryState()
+	a, b, c := m(0, 1, 1), m(1, 1, 1), m(2, 1, 1)
+	d.appendBatch(0, []msg.Message{a})
+	d.appendBatch(1, []msg.Message{b})
+	d.foldPrefix(nil, d.cutBelow(1), 1) // a folded, b retained
+	out := d.appendBatch(2, []msg.Message{c, b, a})
+	if len(out) != 1 || out[0].Msg.ID != c.ID || out[0].Pos != 2 {
+		t.Fatalf("deliveries of the repeat round: %+v", out)
+	}
+	d.foldPrefix(nil, d.cutBelow(3), 3)
+	if out := d.appendBatch(3, []msg.Message{a, b, c}); len(out) != 0 {
+		t.Fatalf("folded messages delivered again: %+v", out)
+	}
+	if d.nextPos() != 3 {
+		t.Fatalf("nextPos = %d; want 3", d.nextPos())
+	}
+}
+
+// goldenState builds a state by appends and folds that cover the clock's
+// cases: sequence gaps, a second incarnation, a reshard orphan far above
+// the native counters, a message decided twice, and a partial fold.
+func goldenState() *deliveryState {
+	d := newDeliveryState()
+	orphan := m(2, 1, 1<<48+3)
+	d.appendBatch(0, []msg.Message{m(0, 1, 1), m(1, 1, 2), m(0, 1, 3)})
+	d.appendBatch(1, []msg.Message{m(1, 1, 1), orphan, m(0, 2, 1)})
+	d.appendBatch(2, []msg.Message{m(0, 1, 1), m(2, 1, 1)})
+	d.foldPrefix([]byte("ckpt"), d.cutBelow(2), 2)
+	d.appendBatch(3, []msg.Message{m(0, 1, 2), m(0, 1, 5), orphan})
+	d.appendBatch(4, []msg.Message{m(1, 2, 7)})
+	d.foldPrefix([]byte("ckpt2"), d.cutBelow(4), 4)
+	d.appendBatch(5, []msg.Message{m(0, 1, 4), m(1, 1, 3)})
+	return d
+}
+
+// TestDeliveryStateEncodingIsUnchanged: the checkpoint record and the
+// state-transfer frame carry this encoding, so a state built by the same
+// appends and folds must encode to the same bytes as before.
+// testdata/delivery-state.golden was written by the encoder that kept a
+// per-ID index map beside the clock.
+func TestDeliveryStateEncodingIsUnchanged(t *testing.T) {
+	want, err := os.ReadFile("testdata/delivery-state.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := wire.NewWriter(0)
+	goldenState().encode(w)
+	if !bytes.Equal(w.Bytes(), want) {
+		t.Fatalf("encoding changed:\n got %x\nwant %x", w.Bytes(), want)
+	}
+}
+
+// coveredRepeatState encodes a state whose suffix repeats a message its
+// base clock covers, beside one it does not: bytes no encoder writes.
+func coveredRepeatState() []byte {
+	d := newDeliveryState()
+	d.base.VC.Observe(m(0, 1, 1).ID)
+	d.base.Pos, d.base.Rounds = 1, 3
+	d.suffix = []suffixEntry{{m: m(0, 1, 1), round: 3}, {m: m(1, 1, 1), round: 3}}
+	w := wire.NewWriter(0)
+	d.encode(w)
+	return w.Bytes()
+}
+
+// TestDecodeDropsSuffixEntryTheBaseCovers: a decoded suffix entry that
+// the base clock already covers is dropped, as the ⊕ rule drops a message
+// decided again, and the rest keep the positions that rule gives them.
+func TestDecodeDropsSuffixEntryTheBaseCovers(t *testing.T) {
+	d := decodeDeliveryState(wire.NewReader(coveredRepeatState()))
+	if d == nil {
+		t.Fatal("state rejected")
+	}
+	ds := d.deliveries()
+	if len(ds) != 1 || ds[0].Msg.ID != m(1, 1, 1).ID || ds[0].Pos != 1 || d.nextPos() != 2 {
+		t.Fatalf("decoded suffix: %+v", ds)
 	}
 }
