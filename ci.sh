@@ -74,6 +74,8 @@ step_metrics() {
 # incarnation runs them, internal/loop), and the transport's loopback (no
 # process sends itself a frame). The machines' adapters start no
 # goroutine and arm no wall timer of their own either: only the loop does.
+# Consensus discards its cells by key range, one record per kind of cell,
+# never with a delete per cell.
 step_retired() {
 	local pat='DESIGN\.md|EXPERIMENTS\.md|BENCH_e[0-9]+|internal/tune|\bE(1[4-9]|2[0-2])\b'
 	pat+='|\bDigestGossip\b|NewFileStorage|storage\.NewFile\b|SetGroupCommit|\bGossipMaxMessages\b'
@@ -96,6 +98,10 @@ step_retired() {
 	if grep -rnE '^\s*go |time\.(AfterFunc|NewTimer|NewTicker)|context\.AfterFunc' --include='*.go' --exclude='*_test.go' \
 		internal/core internal/consensus internal/fd internal/node; then
 		echo "goroutines or wall timers outside internal/loop (above)"
+		return 1
+	fi
+	if grep -rnF 'DeleteAsync(cellKey(' --include='*.go' internal/consensus; then
+		echo "a per-cell delete in consensus (above): discard by range"
 		return 1
 	fi
 }

@@ -123,32 +123,34 @@ func TestLeaderCrashHandsOff(t *testing.T) {
 	s.awaitAll(t, 1)
 }
 
-// TestDiscardBelow: the floor drops instance state and deletes exactly the
-// cells each instance wrote — three at a process that logged a proposal
-// (proposal, acceptor, decision), two at a process that only accepted and
-// learned — and none of them is left on disk. One row has p0 alone
-// propose, the other raises the floor over instances every process
-// proposed to. There p1 logs its proposal for instance 0 only: p0 decides
-// that round classically and then asks for the lease, which p1 grants
-// before it proposes instance 1, so its proposals for instances 1 and 2 are
-// deferred and, since p1 coordinates neither, never written — 3+2+2 = 7
-// deletes at p1, not 9.
+// TestDiscardBelow: raising the floor drops the instances below it and
+// discards each kind of cell (proposal, acceptor, decision) below it with
+// one write: three writes whether one instance goes or three, at a process
+// that logged proposals as at one that only accepted and learned. A
+// discard at or below the floor writes nothing. No cell below the floor is
+// left on disk, every cell at or above it is, and the lease grant is
+// untouched; a crash and a recovery change none of that, and the recovered
+// process's discard at its restored floor is three writes that remove
+// nothing more. One row has p0 alone propose, the other has every process
+// propose, so that p1 logs a proposal (for instance 0 only: it grants p0's
+// lease before it proposes instance 1, so its later proposals are deferred
+// and never written).
 func TestDiscardBelow(t *testing.T) {
+	const instances, floor = 6, 4
 	for _, row := range []struct {
 		name      string
 		proposers []ids.ProcessID // in proposing order; p0, the leader, last
-		deletes   [2]int          // deletes over instances 0-2 at p0 and at p1
-		cells     [2]int          // cells per instance at or above the floor
+		cells     [2]int          // cells per instance at or above the floor at p0 and at p1
 	}{
-		{"one proposer", []ids.ProcessID{0}, [2]int{9, 6}, [2]int{3, 2}},
-		{"every process proposes", []ids.ProcessID{2, 1, 0}, [2]int{9, 7}, [2]int{3, 2}},
+		{"one proposer", []ids.ProcessID{0}, [2]int{3, 2}},
+		{"every process proposes", []ids.ProcessID{2, 1, 0}, [2]int{3, 2}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			s := newScriptedSim(t, simOptions{})
 			// The leader proposes last: a process that learns the decision
 			// first logs no proposal. A process that does not propose only
 			// accepts and learns.
-			for k := uint64(0); k < 5; k++ {
+			for k := uint64(0); k < instances; k++ {
 				for _, p := range row.proposers {
 					s.propose(p, k, val(int(p), k))
 				}
@@ -160,43 +162,91 @@ func TestDiscardBelow(t *testing.T) {
 				}
 			}
 			s.Settle(50 * ms)
-			for p, want := range row.deletes {
-				since := len(s.trace)
-				s.discardBelow(ids.ProcessID(p), 3)
-				if got := s.effects(ids.ProcessID(p), opDelete, 0, since); got != want {
-					t.Fatalf("p%d: discarding three instances cost %d deletes, want %d", p, got, want)
-				}
+			lease := make(map[ids.ProcessID][]byte)
+			for p := range ids.ProcessID(2) {
+				lease[p], _, _ = s.procs[p].disk.Get(keyLease)
 			}
-			m := s.procs[0].m
-			if _, ok := m.insts[2]; ok {
-				t.Fatal("instance 2 should be discarded")
-			}
-			if err := m.propose(2, []byte("x"), 0); err == nil {
-				t.Fatal("propose below floor should fail")
-			}
-			if _, ok := s.decided(0, 4); !ok {
-				t.Fatal("decision 4 should survive")
+			if lease[1] == nil {
+				t.Fatal("p1 logged no lease grant")
 			}
 
-			// Keys below the floor are gone from stable storage, and the
-			// ones at or above it are all there.
-			s.Settle(50 * ms)
-			for p, cells := range row.cells {
+			// discard raises p's floor to k (or tries to) and checks the
+			// writes it cost.
+			discard := func(p ids.ProcessID, k uint64, writes int) {
+				t.Helper()
+				since := len(s.trace)
+				s.discardBelow(p, k)
+				if got := s.effects(p, opDiscard, 0, since); got != writes {
+					t.Fatalf("p%d: a discard below %d cost %d writes, want %d", p, k, got, writes)
+				}
+				for _, cell := range []byte{cellProposal, cellAcceptor, cellDecision} {
+					if got := s.effects(p, opDiscard, cell, since); got != writes/3 {
+						t.Fatalf("p%d: a discard below %d cost %d writes of %c cells, want %d", p, k, got, cell, writes/3)
+					}
+				}
+			}
+			// onDisk checks that p's log holds every cell at or above the
+			// floor, none below it, and the lease grant it had.
+			onDisk := func(p ids.ProcessID, when string) {
+				t.Helper()
+				s.Settle(50 * ms)
 				keys, err := s.procs[p].disk.List(keyPrefix)
 				if err != nil {
 					t.Fatal(err)
 				}
 				kept := 0
 				for _, key := range keys {
-					if kind, k, ok := parseKey(key); ok && kind != cellLease && k < 3 {
-						t.Fatalf("p%d: stale key %s", p, key)
+					if kind, k, ok := parseKey(key); ok && kind != cellLease && k < floor {
+						t.Fatalf("p%d %s: stale key %s", p, when, key)
 					} else if ok && kind != cellLease {
 						kept++
 					}
 				}
-				if want := 2 * cells; kept != want {
-					t.Fatalf("p%d: %d cells at or above the floor, want %d: %v", p, kept, want, keys)
+				if want := (instances - floor) * row.cells[p]; kept != want {
+					t.Fatalf("p%d %s: %d cells at or above the floor, want %d: %v", p, when, kept, want, keys)
 				}
+				if got, _, _ := s.procs[p].disk.Get(keyLease); !bytes.Equal(got, lease[p]) {
+					t.Fatalf("p%d %s: lease cell %x, was %x", p, when, got, lease[p])
+				}
+			}
+			for p := range ids.ProcessID(2) {
+				discard(p, 1, 3)     // one instance
+				discard(p, floor, 3) // three more
+				discard(p, floor, 0)
+				discard(p, 2, 0)
+			}
+			m := s.procs[0].m
+			if _, ok := m.insts[floor-1]; ok {
+				t.Fatalf("instance %d should be discarded", floor-1)
+			}
+			if err := m.propose(floor-1, []byte("x"), 0); err == nil {
+				t.Fatal("propose below floor should fail")
+			}
+			if _, ok := s.decided(0, floor); !ok {
+				t.Fatalf("decision %d should survive", floor)
+			}
+			for p := range ids.ProcessID(2) {
+				onDisk(p, "after the discard")
+			}
+
+			for p := range ids.ProcessID(2) {
+				s.crash(p)
+				s.recover(p)
+				s.Settle(50 * ms)
+				onDisk(p, "after a crash and a recovery")
+				m := s.procs[p].m
+				for k := range m.insts {
+					if k < floor {
+						t.Fatalf("p%d restored instance %d below the floor", p, k)
+					}
+				}
+				for k := uint64(floor); k < instances; k++ {
+					if _, ok := s.decided(p, k); !ok {
+						t.Fatalf("p%d restored no decision for instance %d", p, k)
+					}
+				}
+				discard(p, floor, 3) // the restored floor: idempotent
+				onDisk(p, "after the recovered process's discard")
 			}
 		})
 	}

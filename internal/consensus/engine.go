@@ -14,8 +14,11 @@ import (
 	"repro/internal/wire"
 )
 
-// Storage key layout. Instances use fixed-width hex so List order is
-// numeric order.
+// Storage key layout. Instances use fixed-width hex so key order is
+// numeric order: List returns instances in order, and the cells of one
+// kind below k are the key range [cellKey(kind, 0), cellKey(kind, k)),
+// which a discard removes with one record (cons/lease is in no such
+// range).
 //
 //	cons/p/<k>  proposal cell   — the paper's required "propose" log (§3.2)
 //	cons/a/<k>  acceptor cell   — promise + accepted pair
@@ -26,8 +29,8 @@ const keyPrefix = "cons/"
 const keyLease = "cons/lease"
 
 // cellKey formats "cons/<kind>/<k as 16 hex digits>" with one allocation,
-// the string itself (a key is made for every cell write and delete), or
-// the lease-grant key.
+// the string itself (a key is made for every cell write and each bound of
+// a discard), or the lease-grant key.
 func cellKey(kind byte, k uint64) string {
 	if kind == cellLease {
 		return keyLease
@@ -326,8 +329,8 @@ func (e *Engine) settle() (uint64, []byte, bool, bool) {
 			c := e.l.Store().PutAsync(cellKey(ef.cell, ef.k), ef.val)
 			e.puts.Push(cellWrite{ef, e.l.Now()})
 			e.l.Issue(e, c)
-		case opDelete:
-			e.l.Issue(nil, e.l.Store().DeleteAsync(cellKey(ef.cell, ef.k)))
+		case opDiscard:
+			e.l.Issue(nil, e.l.Store().DeleteRangeAsync(cellKey(ef.cell, 0), cellKey(ef.cell, ef.k)))
 		case opArm:
 			e.l.Arm(e, e.l.Now()+ef.after, loop.Token{K: ef.t.k, Gen: ef.t.gen})
 		case opDecided:

@@ -14,7 +14,7 @@ import (
 const (
 	opSend          uint8 = iota + 1 // msg to `to` (Nobody: every other process); never to this one
 	opPut                            // write val to cell (cell, k); once durable, send msg to `to` if msg.kind != 0
-	opDelete                         // remove cell (cell, k)
+	opDiscard                        // remove every cell (cell, i) with i < k, as one write
 	opArm                            // fire t after `after` ns; a later arm of the same timer supersedes it
 	opDecided                        // k decided val (stamp: the proposal's, 0 if none)
 	opForgot                         // a peer reported k garbage-collected
@@ -483,10 +483,10 @@ func (m *machine) markForgot(in *instance) {
 	}
 }
 
-// discardBelow is Machine.DiscardBelow: it drops the instances below
-// k and deletes only the cells each has — deleting an absent key still
-// costs the log a tombstone record and a persist, and a process that never
-// coordinated round k never wrote its proposal cell.
+// discardBelow is Machine.DiscardBelow: it drops the instances below k
+// and discards each kind of cell below k with one write, whatever the
+// number of instances. A recovered process's discard at its restored
+// floor repeats those writes, which is harmless: they are idempotent.
 func (m *machine) discardBelow(k uint64) {
 	if k <= m.floor {
 		return
@@ -504,15 +504,9 @@ func (m *machine) discardBelow(k uint64) {
 		in.gone = true
 		in.dropPooled()
 		m.wake(in)
-		if in.hasProp || in.propPending {
-			m.out = append(m.out, effect{op: opDelete, cell: cellProposal, k: in.k})
-		}
-		if in.promised > 0 || in.hasAcc {
-			m.out = append(m.out, effect{op: opDelete, cell: cellAcceptor, k: in.k})
-		}
-		if in.hasDec {
-			m.out = append(m.out, effect{op: opDelete, cell: cellDecision, k: in.k})
-		}
+	}
+	for _, cell := range [...]byte{cellProposal, cellAcceptor, cellDecision} {
+		m.out = append(m.out, effect{op: opDiscard, cell: cell, k: k})
 	}
 }
 

@@ -176,23 +176,19 @@ func (s *sim) effect(p *simProc, ef *effect) {
 				}
 			}
 		}
-	case opPut, opDelete:
+	case opPut:
 		w := *ef
 		w.val = bytes.Clone(ef.val)
-		op := kern.Put
-		if ef.op == opDelete {
-			op = kern.Delete
-		}
 		m := p.m
-		s.Write(p.pid, &kern.Write{Op: op, Key: cellKey(ef.cell, ef.k), Val: w.val, Done: func(err error) {
-			if err == nil && w.op == opPut && w.cell == cellProposal {
+		s.Write(p.pid, &kern.Write{Op: kern.Put, Key: cellKey(ef.cell, ef.k), Val: w.val, Done: func(err error) {
+			if err == nil && w.cell == cellProposal {
 				s.oracle.Logged(w.k, w.val)
 			}
-			if w.op == opPut {
-				m.persisted(&w, err)
-				s.drain(p)
-			}
+			m.persisted(&w, err)
+			s.drain(p)
 		}})
+	case opDiscard:
+		s.Write(p.pid, &kern.Write{Op: kern.DeleteRange, Key: cellKey(ef.cell, 0), End: cellKey(ef.cell, ef.k)})
 	case opArm:
 		t := ef.t
 		s.After(p.pid, s.Now+ef.after, func() {
@@ -227,7 +223,7 @@ func (s *sim) record(p *simProc, st simStep) {
 }
 
 var opNames = map[uint8]string{
-	opSend: "send", opPut: "put", opDelete: "delete", opArm: "arm", opDecided: "decided",
+	opSend: "send", opPut: "put", opDiscard: "discard", opArm: "arm", opDecided: "decided",
 	opForgot: "forgot", opLeaseAcquired: "lease-acquired", opLeaseLost: "lease-lost", opRecv: "recv",
 }
 
@@ -243,8 +239,10 @@ func (st simStep) String() string {
 	case opSend, opRecv:
 		return fmt.Sprintf("%s %v %s k=%d b=%d promised=%d val=%q", head, st.from, kindNames[st.msg.kind],
 			st.msg.k, st.msg.b, st.msg.promised, st.msg.val)
-	case opPut, opDelete:
+	case opPut:
 		return fmt.Sprintf("%s %s", head, cellKey(st.cell, st.k))
+	case opDiscard:
+		return fmt.Sprintf("%s %s%c/ below %d", head, keyPrefix, st.cell, st.k)
 	case opArm:
 		return fmt.Sprintf("%s timer of k=%d", head, st.k)
 	}

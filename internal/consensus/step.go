@@ -19,7 +19,7 @@ type Machine struct{ m *machine }
 const (
 	OpSend          = opSend
 	OpPut           = opPut
-	OpDelete        = opDelete
+	OpDiscard       = opDiscard
 	OpArm           = opArm
 	OpDecided       = opDecided
 	OpForgot        = opForgot
@@ -32,7 +32,8 @@ type Effect struct {
 	Op    uint8
 	To    ids.ProcessID // OpSend: the destination, Nobody for every other process
 	Frame []byte        // OpSend: the encoded frame
-	Key   string        // OpPut, OpDelete: the cell's key
+	Key   string        // OpPut: the cell's key; OpDiscard: the range's first key
+	End   string        // OpDiscard: the key past the range
 	Val   []byte        // OpPut: the cell (a copy); OpDecided: the decision; an accept's value
 	K     uint64
 	After int64 // OpArm: Fire the effect this long after
@@ -77,11 +78,11 @@ func (s *Machine) Persisted(ef *Effect, err error) { s.m.persisted(&ef.ef, err) 
 // DiscardBelow garbage-collects all state of instances < k
 // ("Proposed_p[i], i < k_p can be discarded from the log", Fig. 4 line
 // (c)). Only safe once the caller has a checkpoint covering those
-// instances. It issues the deletes and does not wait for them: a crash
-// before they are durable leaves cells below the floor, which the next
-// discard deletes again. The floor itself is volatile: a recovering
-// process sets it again before it takes part in rounds. A WaitDecided
-// blocked below the floor returns ErrDiscarded.
+// instances. It issues one OpDiscard per kind of cell, a key range, and
+// does not wait for them: a crash before they are durable leaves cells
+// below the floor, which the next discard removes again. The floor itself
+// is volatile: a recovering process sets it again before it takes part in
+// rounds. A WaitDecided blocked below the floor returns ErrDiscarded.
 func (s *Machine) DiscardBelow(k uint64) { s.m.discardBelow(k) }
 
 // DecidedLocal returns the locally known decision of k, if any, without
@@ -118,8 +119,8 @@ func (s *Machine) Effects() []Effect {
 			// The cell's bytes live in a buffer the next step reuses.
 			ef.val = bytes.Clone(ef.val)
 			e.Key, e.Val, e.Proposal = cellKey(ef.cell, ef.k), ef.val, ef.cell == cellProposal
-		case opDelete:
-			e.Key = cellKey(ef.cell, ef.k)
+		case opDiscard:
+			e.Key, e.End = cellKey(ef.cell, 0), cellKey(ef.cell, ef.k)
 		case opDecided:
 			e.Val = ef.val
 		case opLeaseAcquired, opLeaseLost:

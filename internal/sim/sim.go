@@ -47,6 +47,7 @@ const (
 	Put uint8 = iota + 1
 	Append
 	Delete
+	DeleteRange // every key in [Key, End)
 )
 
 // Write is one write on its way to a disk. Done, when set, runs once it
@@ -54,6 +55,7 @@ const (
 type Write struct {
 	Op   uint8
 	Key  string
+	End  string // DeleteRange: the key past the range
 	Val  []byte
 	Err  error
 	Done func(err error)
@@ -251,6 +253,8 @@ func (k *Kernel) resolve(pid ids.ProcessID, w *Write) {
 			_ = mem.Append(w.Key, w.Val)
 		case Delete:
 			_ = mem.Delete(w.Key)
+		case DeleteRange:
+			_ = storage.DeleteRange(mem, w.Key, w.End)
 		}
 	}
 	if w.Done != nil {

@@ -94,6 +94,7 @@ type Proc struct {
 	wallAt    int64        // the one timer the core machine armed
 	nextRound uint64       // the round its next OnRound must carry
 	lastKey   string       // the key of the last core write issued
+	floor     uint64       // the last floor the core discarded below
 }
 
 // Up reports whether p has a live incarnation.
@@ -255,20 +256,22 @@ func (s *Sim) consEffect(p *Proc, ef *consensus.Effect) {
 			}
 		}
 		s.send(p, chCons, ef.To, ef.Frame)
-	case consensus.OpPut, consensus.OpDelete:
+	case consensus.OpPut:
 		s.Note(p.PID, "cons write "+ef.Key, ef.K, ef.Val)
-		w := &sim.Write{Op: sim.Delete, Key: ef.Key}
-		if eff := *ef; ef.Op == consensus.OpPut {
-			w.Op, w.Val = sim.Put, ef.Val
-			w.Done = func(err error) {
-				if err == nil && eff.Proposal {
-					s.oracle.Logged(eff.K, eff.Val)
-				}
-				p.Cons.Persisted(&eff, err)
-				s.drain(p)
+		eff := *ef
+		s.Write(p.PID, &sim.Write{Op: sim.Put, Key: ef.Key, Val: ef.Val, Done: func(err error) {
+			if err == nil && eff.Proposal {
+				s.oracle.Logged(eff.K, eff.Val)
 			}
+			p.Cons.Persisted(&eff, err)
+			s.drain(p)
+		}})
+	case consensus.OpDiscard:
+		s.Note(p.PID, "cons discard "+ef.Key+" to "+ef.End, ef.K, nil)
+		if ef.K > p.floor {
+			s.Fail("p%d discards its consensus cells below %d, past the floor %d the core asked for", p.PID, ef.K, p.floor)
 		}
-		s.Write(p.PID, w)
+		s.Write(p.PID, &sim.Write{Op: sim.DeleteRange, Key: ef.Key, End: ef.End})
 	case consensus.OpArm:
 		eff := *ef
 		s.After(p.PID, s.Now+ef.After, func() {
@@ -330,6 +333,7 @@ func (s *Sim) coreEffect(p *Proc, ef core.Effect) {
 	case core.OpDiscard:
 		s.Note(p.PID, "discard below", ef.K, nil)
 		s.checkDiscard(p, ef.K)
+		p.floor = ef.K
 		p.Cons.DiscardBelow(ef.K)
 		p.replay.Discarded(s.Now)
 	case core.OpArm:

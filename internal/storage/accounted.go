@@ -120,6 +120,16 @@ func (a *Accounted) DeleteAsync(key string) *Completion {
 	return completed(a.inner.Delete(key))
 }
 
+// DeleteRangeAsync implements AsyncStable: one delete, attributed to
+// from's layer.
+func (a *Accounted) DeleteRangeAsync(from, to string) *Completion {
+	a.bump(from, func(st *LayerStats) { st.DeleteOps++ })
+	if as, ok := a.inner.(AsyncStable); ok {
+		return as.DeleteRangeAsync(from, to)
+	}
+	return completed(DeleteRange(a.inner, from, to))
+}
+
 // Sync implements AsyncStable (barrier on the inner pipeline).
 func (a *Accounted) Sync() error {
 	if as, ok := a.inner.(AsyncStable); ok {

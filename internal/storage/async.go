@@ -126,9 +126,12 @@ type AsyncStable interface {
 	// when it is durable.
 	AppendAsync(key string, rec []byte) *Completion
 	// DeleteAsync issues a cell/log removal; the Completion resolves when
-	// it is durable. Batch GC (DiscardBelow) issues all its deletes this
-	// way so they share group commits instead of paying one fsync each.
+	// it is durable.
 	DeleteAsync(key string) *Completion
+	// DeleteRangeAsync issues the removal of every cell and log whose key
+	// is in [from, to), as one operation with one Completion. A checkpoint
+	// discards each kind of consensus cell below its floor this way.
+	DeleteRangeAsync(from, to string) *Completion
 	// Sync blocks until every previously issued write is durable.
 	Sync() error
 }
@@ -161,4 +164,30 @@ func (s syncShim) DeleteAsync(key string) *Completion {
 	return completed(s.Delete(key))
 }
 
+func (s syncShim) DeleteRangeAsync(from, to string) *Completion {
+	return completed(DeleteRange(s.Stable, from, to))
+}
+
 func (s syncShim) Sync() error { return nil }
+
+// DeleteRange removes every cell and log of st whose key is in [from, to):
+// the range delete of an engine without an asynchronous pipeline of its
+// own, one List over the bounds' common prefix and one Delete per key.
+func DeleteRange(st Stable, from, to string) error {
+	n := 0
+	for n < len(from) && n < len(to) && from[n] == to[n] {
+		n++
+	}
+	keys, err := st.List(from[:n])
+	if err != nil {
+		return err
+	}
+	for _, k := range keys {
+		if k >= from && k < to {
+			if err := st.Delete(k); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}

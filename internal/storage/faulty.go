@@ -210,6 +210,18 @@ func (f *Faulty) DeleteAsync(key string) *Completion {
 	return f.observeAsync(f.delayed(completed(f.inner.Delete(key))))
 }
 
+// DeleteRangeAsync implements AsyncStable: one log operation, delayed
+// and counted once however many keys it removes.
+func (f *Faulty) DeleteRangeAsync(from, to string) *Completion {
+	if f.check() {
+		return completed(ErrInjectedCrash)
+	}
+	if as, ok := f.inner.(AsyncStable); ok {
+		return f.observeAsync(f.delayed(as.DeleteRangeAsync(from, to)))
+	}
+	return f.observeAsync(f.delayed(completed(DeleteRange(f.inner, from, to))))
+}
+
 // Sync implements AsyncStable. The barrier itself is not a log operation,
 // so it does not advance the trigger; a tripped store still fails it. The
 // injected latency applies: the barrier covers the delayed completions.

@@ -133,12 +133,15 @@ func checkLogSnap(t *testing.T, val []byte, entries []loc) {
 // FuzzWALAgainstMem runs an operation sequence decoded from its input
 // against a WAL and against the Mem model, on a few keys with values up to
 // 64 KiB: PutAsync, AppendAsync, DeleteAsync, Sync, Compact, close and
-// reopen, and ExportNamespace between two Prefixed namespaces. After every
+// reopen, ExportNamespace between two Prefixed namespaces, and
+// DeleteRangeAsync over bounds drawn from the keys and the two ends (the
+// model takes DeleteRange, the synchronous engines' form). After every
 // operation, and so after every reopen, Get, Records and List on the WAL
 // must equal the model's. Small segments and background compaction keep
 // records moving between the group buffers, the segments and the rescue.
 func FuzzWALAgainstMem(f *testing.F) {
 	keys := []string{"src/a", "src/b", "dst/a", "dst/b", "x"}
+	bounds := append([]string{"", "~"}, keys...)
 	opts := WALOptions{SegmentBytes: 64 << 10, CompactFactor: 2, CompactMinBytes: 64 << 10, NoSync: true}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		dir := t.TempDir()
@@ -158,11 +161,15 @@ func FuzzWALAgainstMem(f *testing.F) {
 			pending = pending[:0]
 		}
 		for step := 0; len(in) > 0 && step < 64; step++ {
-			op := in[0] % 7
-			var key string
+			op := in[0] % 8
+			var key, to string
 			var val []byte
 			if len(in) > 1 {
 				key = keys[int(in[1])%len(keys)]
+			}
+			if op == 7 && len(in) > 2 {
+				key, to = bounds[int(in[1])%len(bounds)], bounds[int(in[2])%len(bounds)]
+				in = in[1:]
 			}
 			if len(in) > 4 && (op == 0 || op == 1) {
 				val = make([]byte, int(binary.LittleEndian.Uint16(in[2:]))+int(in[4]%2))
@@ -212,6 +219,10 @@ func FuzzWALAgainstMem(f *testing.F) {
 					t.Fatal(err)
 				}
 				ExportNamespace(NewPrefixed(model, "src"), NewPrefixed(model, "dst"))
+			case 7:
+				what = fmt.Sprintf("DeleteRangeAsync(%q, %q)", key, to)
+				pending = append(pending, w.DeleteRangeAsync(key, to))
+				DeleteRange(model, key, to)
 			}
 			checkAgainstModel(t, w, model, keys, fmt.Sprintf("step %d, %s", step, what))
 		}

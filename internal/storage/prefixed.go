@@ -110,6 +110,16 @@ func (p *Prefixed) DeleteAsync(key string) *Completion {
 	return completed(p.inner.Delete(p.prefix + key))
 }
 
+// DeleteRangeAsync implements AsyncStable. Both bounds carry the
+// namespace, so the range cannot reach past it: every key between two
+// keys with the same prefix has that prefix.
+func (p *Prefixed) DeleteRangeAsync(from, to string) *Completion {
+	if as, ok := p.inner.(AsyncStable); ok {
+		return as.DeleteRangeAsync(p.prefix+from, p.prefix+to)
+	}
+	return completed(DeleteRange(p.inner, p.prefix+from, p.prefix+to))
+}
+
 // Sync implements AsyncStable (barrier on the shared pipeline: it covers
 // the writes of every namespace, not just this one — a shared fsync is the
 // point of sharing the engine).

@@ -137,3 +137,46 @@ func TestPrefixedAsyncForwarding(t *testing.T) {
 		t.Fatalf("mem-backed PutAsync not eagerly resolved: %v,%v", err, done)
 	}
 }
+
+// TestPrefixedRangeStaysInNamespace: a range delete in one namespace of a
+// shared WAL, even one over the whole namespace, leaves every other
+// namespace intact, g10/ (which g1/ is a string prefix of) and g2/ (which
+// sorts right after it) included, before and after a reopen.
+func TestPrefixedRangeStaysInNamespace(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenWAL(dir, walOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []string{"g1", "g10", "g2"} {
+		for _, k := range []string{"cons/a/0", "cons/a/1", "cons/lease"} {
+			if err := NewPrefixed(w, g).Put(k, []byte(g+k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	others := []string{"g10/cons/a/0", "g10/cons/a/1", "g10/cons/lease", "g2/cons/a/0", "g2/cons/a/1", "g2/cons/lease"}
+	check := func(when string, want []string) {
+		t.Helper()
+		if keys, err := w.List(""); err != nil || !reflect.DeepEqual(keys, want) {
+			t.Fatalf("%s: keys %q (%v), want %q", when, keys, err, want)
+		}
+	}
+	g1 := NewPrefixed(w, "g1")
+	if err := g1.DeleteRangeAsync("cons/a/", "cons/a0").Wait(); err != nil {
+		t.Fatal(err)
+	}
+	check("after a range over g1/cons/a/", append([]string{"g1/cons/lease"}, others...))
+	if err := g1.DeleteRangeAsync("", "\xff").Wait(); err != nil {
+		t.Fatal(err)
+	}
+	check("after a range over all of g1/", others)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if w, err = OpenWAL(dir, walOpts()); err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	check("after reopen", others)
+}

@@ -50,7 +50,7 @@
 // # Log lifecycle
 //
 // An append-only log accumulates dead records: overwritten cells, deleted
-// keys, compacted protocol state (the checkpoint task of §5.2 deletes
+// keys, compacted protocol state (the checkpoint task of §5.2 discards
 // whole consensus rounds). Segment compaction reclaims them so a
 // long-lived store's disk usage tracks its LIVE state, not its history:
 //
@@ -83,6 +83,15 @@
 //     separated from the earlier record it masks. Replay therefore
 //     recovers the exact index at every crash point (the compaction
 //     crash tests cut the rescue at arbitrary byte offsets).
+//   - Range deletes: DeleteRangeAsync writes one record, [from, to),
+//     which at issue and at replay deletes every indexed cell and log in
+//     the range, each as a single delete would (a running pass saves
+//     their drained state the same way). A checkpoint discards each kind
+//     of consensus cell below its floor with one. Compaction needs no
+//     case for it: like a single delete, it masks only records older
+//     than itself, and those sit in its own segment or an older one, so
+//     dropping the victim drops the range record together with or after
+//     every record it masks, and a cell it masks is dead, never rescued.
 //
 // The checkpoint floor bounds what compaction can reclaim: records stay
 // live until the protocol's checkpoint deletes them, so a deployment

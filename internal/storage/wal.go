@@ -246,6 +246,10 @@ const (
 	// snapshot record leaves the pre-compaction log intact, never a
 	// truncated one.
 	walLogSnap
+	// walDeleteRange removes every cell and log whose key is in [key,
+	// value): [op][from][to]. Like walDelete it masks only records older
+	// than itself.
+	walDeleteRange
 )
 
 // The on-disk format is one frame per record, [len u32][crc u32][record],
@@ -577,7 +581,7 @@ func (w *WAL) applyRec(seg int, off int64, rec []byte) {
 	key := string(k)
 	at := loc{seg: seg, off: off + 5 + int64(len(k)), n: len(val)}
 	if op != walLogSnap {
-		w.apply(op, key, at)
+		w.apply(op, key, at, val)
 	} else if entries, ok := decodeLogSnap(val); ok {
 		for i := range entries {
 			entries[i].seg = seg
@@ -587,9 +591,10 @@ func (w *WAL) applyRec(seg int, off int64, rec []byte) {
 	}
 }
 
-// apply points the index at one put or append's value, or deletes a key.
-// Callers hold w.mu or run single-threaded (replay).
-func (w *WAL) apply(op byte, key string, at loc) {
+// apply points the index at one put or append's value, which is at at,
+// or deletes a key, or every key in [key, val). Callers hold w.mu or run
+// single-threaded (replay).
+func (w *WAL) apply(op byte, key string, at loc, val []byte) {
 	switch op {
 	case walPut:
 		w.applyPut(key, at)
@@ -597,6 +602,17 @@ func (w *WAL) apply(op byte, key string, at loc) {
 		w.applyAppend(key, at)
 	case walDelete:
 		w.applyDelete(key)
+	case walDeleteRange:
+		for k := range w.cells {
+			if k >= key && k < string(val) {
+				w.applyDelete(k)
+			}
+		}
+		for k := range w.logs {
+			if k >= key && k < string(val) {
+				w.applyDelete(k)
+			}
+		}
 	}
 }
 
@@ -705,7 +721,7 @@ func (w *WAL) issue(op byte, key string, val []byte) *Completion {
 	buf, start := beginRec(w.pend, op, key)
 	at := loc{seg: -w.pendGen, off: int64(len(buf)), n: len(val)}
 	w.pend = endRec(append(buf, val...), start)
-	w.apply(op, key, at)
+	w.apply(op, key, at, val)
 	c := w.enqueueLocked(op, key)
 	w.mu.Unlock()
 	w.wakeCommitter()
@@ -726,6 +742,12 @@ func (w *WAL) AppendAsync(key string, rec []byte) *Completion {
 // they survive recovery.
 func (w *WAL) DeleteAsync(key string) *Completion {
 	return w.issue(walDelete, key, nil)
+}
+
+// DeleteRangeAsync implements AsyncStable: one record, however many keys
+// it removes.
+func (w *WAL) DeleteRangeAsync(from, to string) *Completion {
+	return w.issue(walDeleteRange, from, []byte(to))
 }
 
 // errLocked is the error every operation returns once the engine is

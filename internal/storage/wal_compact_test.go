@@ -16,7 +16,7 @@ type indexDump struct {
 	logs  map[string][]string
 }
 
-func dumpWAL(t *testing.T, w *WAL) indexDump {
+func dumpWAL(t *testing.T, w Stable) indexDump {
 	t.Helper()
 	d := indexDump{cells: make(map[string]string), logs: make(map[string][]string)}
 	keys, err := w.List("")
@@ -153,7 +153,7 @@ func TestWALCompactPreservesIndex(t *testing.T) {
 	compareDumps(t, want, dumpWAL(t, w2), "reopen after compact")
 }
 
-// crashStateAt runs a churn workload, triggers a compaction pass, and
+// crashStateAt runs a workload (fill), triggers a compaction pass, and
 // copies the directory's file state at the named stage — the exact
 // on-disk bytes a crash at that instant would leave (the hook runs on the
 // committer goroutine, so no segment write races the copy). It returns
@@ -161,7 +161,7 @@ func TestWALCompactPreservesIndex(t *testing.T) {
 // durable size recorded at the "begin" stage — rescue records land past
 // that offset, so crash cuts must stay within the rescue suffix (the
 // bytes before it were fsynced long before the pass started).
-func crashStateAt(t *testing.T, stage string) (string, indexDump, int) {
+func crashStateAt(t *testing.T, stage string, fill func(w *WAL)) (string, indexDump, int) {
 	t.Helper()
 	dir := t.TempDir()
 	copyDir := t.TempDir()
@@ -172,7 +172,7 @@ func crashStateAt(t *testing.T, stage string) (string, indexDump, int) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	fillChurn(t, w, 60)
+	fill(w)
 	expect := dumpWAL(t, w)
 
 	copied := false
@@ -229,7 +229,7 @@ func crashStateAt(t *testing.T, stage string) (string, indexDump, int) {
 // stream plus the complete rescue records and must recover the exact
 // index (the rescue is idempotent over the state it describes).
 func TestWALCompactCrashBeforeUnlink(t *testing.T) {
-	crashDir, expect, _ := crashStateAt(t, "unlink")
+	crashDir, expect, _ := crashStateAt(t, "unlink", func(w *WAL) { fillChurn(t, w, 60) })
 	w, err := OpenWAL(crashDir, walOpts())
 	if err != nil {
 		t.Fatalf("reopen crash state: %v", err)
@@ -249,7 +249,7 @@ func TestWALCompactCrashBeforeUnlink(t *testing.T) {
 // states: those bytes were covered by fsyncs that completed before the
 // pass began.
 func TestWALCompactCrashMidRewrite(t *testing.T) {
-	crashDir, expect, rescueStart := crashStateAt(t, "rewrite")
+	crashDir, expect, rescueStart := crashStateAt(t, "rewrite", func(w *WAL) { fillChurn(t, w, 60) })
 	segs := segmentFiles(t, crashDir)
 	rewriteSeg := segs[len(segs)-1] // the tail the rescue was appended to
 	full, err := os.ReadFile(filepath.Join(crashDir, rewriteSeg))
@@ -290,6 +290,122 @@ func TestWALCompactCrashMidRewrite(t *testing.T) {
 			}
 			defer w.Close()
 			compareDumps(t, expect, dumpWAL(t, w), fmt.Sprintf("mid-rewrite cut=%d", cut))
+		})
+	}
+}
+
+// TestWALCompactRangeRecord: a range record needs no case of its own in
+// compaction. The victim is the oldest segment, so a range record masks
+// only records older than itself: where it sits in a later segment, the
+// victim's cells it masks are dead and are not rescued; where the victim
+// holds the range record itself, the records it masks are in the victim
+// too and go with it. Replay recovers the model's index with the rescue
+// cut at every byte offset, and after the pass.
+func TestWALCompactRangeRecord(t *testing.T) {
+	// Values sized so that 4 KiB segments split where the comments say;
+	// the cells the victim keeps are small, which keeps the rescue short.
+	val := func(c byte, n int) []byte { return bytes.Repeat([]byte{c}, n) }
+	for _, tc := range []struct {
+		name          string
+		rangeInVictim bool
+		ops           func(w Stable, ok func(error))
+	}{
+		{"range in a later segment", false, func(w Stable, ok func(error)) {
+			ok(w.Put("r/0", val('0', 2000)))
+			ok(w.Put("r/1", val('1', 1900)))
+			ok(w.Put("r/2", val('2', 50)))
+			ok(w.Put("r/3", val('3', 50)))
+			ok(w.Put("k/0", val('k', 50)))                     // the next segment
+			ok(Async(w).DeleteRangeAsync("r/0", "r/2").Wait()) // masks r/0 and r/1 in the victim
+			ok(w.Put("r/1", val('x', 50)))                     // in range, after the record: live
+		}},
+		{"range in the victim", true, func(w Stable, ok func(error)) {
+			ok(w.Put("r/0", val('0', 2000)))
+			ok(w.Put("r/1", val('1', 1900)))
+			ok(Async(w).DeleteRangeAsync("r/0", "r/5").Wait())
+			ok(w.Put("r/2", val('2', 50))) // in range, after the record: live
+			ok(w.Put("k/0", val('k', 50)))
+			ok(w.Put("k/1", val('y', 50))) // the next segment
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ok := func(err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			model := NewMem()
+			tc.ops(model, ok)
+			fill := func(w *WAL) {
+				tc.ops(w, ok)
+				compareDumps(t, dumpWAL(t, model), dumpWAL(t, w), "before the pass")
+			}
+			crashDir, expect, rescueStart := crashStateAt(t, "rewrite", fill)
+			segs := segmentFiles(t, crashDir)
+			var ranges []int // the segment of each range record
+			for i, name := range segs {
+				data, err := os.ReadFile(filepath.Join(crashDir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for rec, rest, ok := unframe(data); ok; rec, rest, ok = unframe(rest) {
+					if rec[0] == walDeleteRange {
+						ranges = append(ranges, i)
+					}
+				}
+			}
+			if len(ranges) != 1 || (ranges[0] == 0) != tc.rangeInVictim {
+				t.Fatalf("range records in segments %v of %v; want one, in the victim (0): %v", ranges, segs, tc.rangeInVictim)
+			}
+			tail := segs[len(segs)-1]
+			full, err := os.ReadFile(filepath.Join(crashDir, tail))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rescueStart >= len(full) {
+				t.Fatalf("no rescue records written: tail %d bytes, durable prefix %d", len(full), rescueStart)
+			}
+			for cut := rescueStart; cut <= len(full); cut++ {
+				caseDir := t.TempDir()
+				for _, name := range segs {
+					data, err := os.ReadFile(filepath.Join(crashDir, name))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if name == tail {
+						data = data[:cut]
+					}
+					if err := os.WriteFile(filepath.Join(caseDir, name), data, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				w, err := OpenWAL(caseDir, walOpts())
+				if err != nil {
+					t.Fatalf("cut=%d: reopen: %v", cut, err)
+				}
+				got := dumpWAL(t, w)
+				w.Close()
+				compareDumps(t, expect, got, fmt.Sprintf("rescue cut at %d", cut))
+			}
+			// The pass itself, run to its end and replayed.
+			dir := t.TempDir()
+			opts := walOpts()
+			opts.SegmentBytes = 4 << 10
+			w, err := OpenWAL(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fill(w)
+			if err := w.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			compareDumps(t, expect, dumpWAL(t, w), "after the pass")
+			w.Close()
+			if w, err = OpenWAL(dir, opts); err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			compareDumps(t, expect, dumpWAL(t, w), "replay after the pass")
 		})
 	}
 }
