@@ -75,7 +75,8 @@ step_metrics() {
 # process sends itself a frame). The machines' adapters start no
 # goroutine and arm no wall timer of their own either: only the loop does.
 # Consensus discards its cells by key range, one record per kind of cell,
-# never with a delete per cell.
+# never with a delete per cell. A WAL write queues a value op that resolves
+# through its commit group's completion, never an op of its own on the heap.
 step_retired() {
 	local pat='DESIGN\.md|EXPERIMENTS\.md|BENCH_e[0-9]+|internal/tune|\bE(1[4-9]|2[0-2])\b'
 	pat+='|\bDigestGossip\b|NewFileStorage|storage\.NewFile\b|SetGroupCommit|\bGossipMaxMessages\b'
@@ -102,6 +103,10 @@ step_retired() {
 	fi
 	if grep -rnF 'DeleteAsync(cellKey(' --include='*.go' internal/consensus; then
 		echo "a per-cell delete in consensus (above): discard by range"
+		return 1
+	fi
+	if grep -rnF '&walOp{' --include='*.go' internal/storage; then
+		echo "a heap op per WAL record (above): queue values, complete by group"
 		return 1
 	fi
 }

@@ -160,6 +160,7 @@ type machine struct {
 
 	gen   uint64      // last timer generation handed out
 	ready []*instance // drivers a step woke, run by more
+	free  []*instance // discarded instances no driver holds, for get to reuse
 	local []message   // this process's own share of its sends, taken by more
 	out   []effect
 	cells wire.Writer // the values of this step's cell writes
@@ -231,13 +232,30 @@ func (m *machine) start() {
 
 func byK(a, b *instance) int { return cmp.Compare(a.k, b.k) }
 
+// get returns k's instance, made on first use from a discarded one if
+// there is one: a fresh instance but for the capacity of its vote lists.
 func (m *machine) get(k uint64) *instance {
 	in, ok := m.insts[k]
 	if !ok {
-		in = &instance{k: k}
+		if n := len(m.free); n > 0 {
+			in = m.free[n-1]
+			m.free = m.free[:n-1]
+			*in = instance{k: k, promises: in.promises[:0], accepts: in.accepts[:0]}
+		} else {
+			in = &instance{k: k}
+		}
 		m.insts[k] = in
 	}
 	return in
+}
+
+// recycle puts a discarded instance on the free list once nothing holds
+// it: not queued to drive, not driving (a driver stops at its next run).
+func (m *machine) recycle(in *instance) {
+	if in.gone && !in.queued && !in.driving {
+		clear(in.promises) // the values they point into
+		m.free = append(m.free, in)
+	}
 }
 
 // more reports whether out has an effect at index i. Once the effects up
@@ -259,6 +277,7 @@ func (m *machine) more(i int) bool {
 				in := m.ready[j]
 				in.queued = false
 				m.drive(in)
+				m.recycle(in)
 			}
 			clear(m.ready)
 			m.ready = m.ready[:0]
@@ -504,6 +523,7 @@ func (m *machine) discardBelow(k uint64) {
 		in.gone = true
 		in.dropPooled()
 		m.wake(in)
+		m.recycle(in)
 	}
 	for _, cell := range [...]byte{cellProposal, cellAcceptor, cellDecision} {
 		m.out = append(m.out, effect{op: opDiscard, cell: cell, k: k})

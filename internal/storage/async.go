@@ -8,6 +8,12 @@ import "sync"
 // that is the fsync that covers the record; for synchronous engines the
 // operation completed before the Completion was returned.
 //
+// The writes of one commit group may share one Completion (the WAL hands
+// every write of a group the group's, and Faulty delays a group once), so
+// a Completion's identity is never an operation's: two writes may return
+// the same handle, and a callback registered per write runs once per
+// registration.
+//
 // The crash-recovery discipline (§2.1/§5.5) is: a process may update its
 // volatile state as soon as the write is issued, but it must not send the
 // message the write protects — a promise, an accepted reply, its own
@@ -105,8 +111,9 @@ func (c *Completion) OnDone(fn func(error)) {
 
 // AsyncStable extends Stable with an asynchronous durability pipeline.
 // PutAsync/AppendAsync issue the write and return immediately; the
-// Completion resolves once the record is durable. Sync is a barrier: it
-// returns once everything issued before it is durable.
+// Completion resolves once the record is durable. Writes of one commit
+// group may return the same Completion. Sync is a barrier: it returns once
+// everything issued before it is durable.
 //
 // The WAL engine implements it natively with group commit (many concurrent
 // writes, one fsync); every other engine is adapted by Async, which

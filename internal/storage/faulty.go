@@ -25,6 +25,12 @@ type Faulty struct {
 	tripped bool
 	onTrip  func()
 	latency time.Duration // extra delay to every durability point
+	// last is the most recent delayed group: the inner completion, the
+	// latency it was delayed by, and the delayed completion handed out.
+	last struct {
+		in, out *Completion
+		d       time.Duration
+	}
 	// tripOnce is replaced (not reset in place) on every re-arm, so an
 	// in-flight trip of the previous arming keeps its own Once while a
 	// new arming starts fresh.
@@ -109,16 +115,28 @@ func (f *Faulty) sleepLat() {
 }
 
 // delayed postpones c's resolution by the injected latency. The chained
-// completion resolves on a timer goroutine, never on the caller's.
+// completion resolves on a timer goroutine, never on the caller's. The
+// delay follows the group, not the write: a write whose inner completion
+// and latency are those of the write before it (one commit group of the
+// inner engine) gets the same delayed completion, so a group costs one
+// callback and one timer however many writes it holds.
 func (f *Faulty) delayed(c *Completion) *Completion {
-	d := f.lat()
-	if d <= 0 {
-		return c
+	f.mu.Lock()
+	d := f.latency
+	fresh := d > 0 && (f.last.in != c || f.last.d != d)
+	if fresh {
+		f.last.in, f.last.out, f.last.d = c, newCompletion(), d
 	}
-	out := newCompletion()
-	c.OnDone(func(err error) {
-		time.AfterFunc(d, func() { out.complete(err) })
-	})
+	out := f.last.out
+	f.mu.Unlock()
+	switch {
+	case d <= 0:
+		return c
+	case fresh:
+		c.OnDone(func(err error) {
+			time.AfterFunc(d, func() { out.complete(err) })
+		})
+	}
 	return out
 }
 

@@ -137,8 +137,12 @@ func checkLogSnap(t *testing.T, val []byte, entries []loc) {
 // DeleteRangeAsync over bounds drawn from the keys and the two ends (the
 // model takes DeleteRange, the synchronous engines' form). After every
 // operation, and so after every reopen, Get, Records and List on the WAL
-// must equal the model's. Small segments and background compaction keep
-// records moving between the group buffers, the segments and the rescue.
+// must equal the model's, and the completions issued since the last
+// barrier must resolve in issue order (a later one done means every
+// earlier one is, whether or not they share a group's completion); when
+// Sync returns, every one issued before it is done. Small segments and
+// background compaction keep records moving between the group buffers,
+// the segments and the rescue.
 func FuzzWALAgainstMem(f *testing.F) {
 	keys := []string{"src/a", "src/b", "dst/a", "dst/b", "x"}
 	bounds := append([]string{"", "~"}, keys...)
@@ -152,6 +156,18 @@ func FuzzWALAgainstMem(f *testing.F) {
 		defer func() { w.Close() }()
 		model := NewMem()
 		var pending []*Completion
+		inOrder := func(when string) {
+			// Latest first: resolution is monotonic and in order, so once a
+			// later completion reads done, every earlier one must.
+			later := -1
+			for i := len(pending) - 1; i >= 0; i-- {
+				if _, done := pending[i].Poll(); done && later < 0 {
+					later = i
+				} else if !done && later >= 0 {
+					t.Fatalf("%s: completion %d is pending while the later %d is done", when, i, later)
+				}
+			}
+		}
 		settle := func() {
 			for _, c := range pending {
 				if err := c.Wait(); err != nil {
@@ -198,6 +214,11 @@ func FuzzWALAgainstMem(f *testing.F) {
 				if err := w.Sync(); err != nil {
 					t.Fatal(err)
 				}
+				for i, c := range pending {
+					if _, done := c.Poll(); !done {
+						t.Fatalf("step %d: Sync returned before completion %d of %d issued before it", step, i, len(pending))
+					}
+				}
 				settle()
 			case 4:
 				what = "Compact"
@@ -224,6 +245,7 @@ func FuzzWALAgainstMem(f *testing.F) {
 				pending = append(pending, w.DeleteRangeAsync(key, to))
 				DeleteRange(model, key, to)
 			}
+			inOrder(fmt.Sprintf("step %d, %s", step, what))
 			checkAgainstModel(t, w, model, keys, fmt.Sprintf("step %d, %s", step, what))
 		}
 		settle()

@@ -31,7 +31,13 @@
 // a WAL record is durable once the fsync covering its commit group
 // completes. A group closes when SyncEvery records are pending or the
 // oldest has waited MaxSyncDelay, whichever is first — both set in
-// WALOptions at OpenWAL and nowhere else.
+// WALOptions at OpenWAL and nowhere else. The group, not the record, is
+// the unit of completion: every write queued into one group gets the
+// group's one Completion, made with its first record and resolved once,
+// after every earlier group's, so a write costs its memcpy into the group
+// buffer and a slot in a reused queue, not a Completion of its own.
+// Faulty's latency model follows suit: consecutive writes that share a
+// completion and a latency share one delayed completion.
 // Synchronous Put/Append still block until that fsync, so the Stable
 // contract ("returned => durable") is that of one fsync per call —
 // concurrent callers just share the fsync. The asynchronous API

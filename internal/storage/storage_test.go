@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -248,6 +249,67 @@ func TestFaultyTripsAtNthOp(t *testing.T) {
 	}
 	if _, _, err := f.Get("k1"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFaultyDelaysAGroupOnce: writes of one WAL commit group at one
+// latency share one delayed completion, each resolving no earlier than the
+// latency after the group is durable; a write at another latency gets its
+// own; and the trigger still counts and trips per write.
+func TestFaultyDelaysAGroupOnce(t *testing.T) {
+	w, err := OpenWAL(t.TempDir(), WALOptions{SyncEvery: 1000, MaxSyncDelay: time.Hour, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	f := NewFaulty(w)
+	const lat = 30 * time.Millisecond
+	f.SetLatency(lat)
+	group := []*Completion{f.PutAsync("a", []byte("1")), f.AppendAsync("log", []byte("2")), f.DeleteAsync("b")}
+	for i, c := range group {
+		if c != group[0] {
+			t.Fatalf("write %d of one group got its own delayed completion", i)
+		}
+	}
+	f.SetLatency(2 * lat)
+	slower := f.PutAsync("c", []byte("3"))
+	if slower == group[0] {
+		t.Fatal("a write at another latency shares the group's delayed completion")
+	}
+	f.FailAfter(2, nil)
+	if c := f.PutAsync("d", []byte("4")); c != slower {
+		t.Fatal("the next write of the group at the same latency got its own delayed completion")
+	}
+	if err := f.PutAsync("e", []byte("5")).Wait(); !errors.Is(err, ErrInjectedCrash) {
+		t.Fatalf("the second write after FailAfter(2): %v, want the injected crash", err)
+	}
+	f.Disarm()
+
+	var mu sync.Mutex
+	resolved := map[*Completion]time.Duration{}
+	start := time.Now() // the group cannot be durable before the Sync below flushes it
+	for _, c := range []*Completion{group[0], slower} {
+		c.OnDone(func(error) {
+			mu.Lock()
+			resolved[c] = time.Since(start)
+			mu.Unlock()
+		})
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*Completion{group[0], slower} {
+		if err := c.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if got := resolved[group[0]]; got < lat {
+		t.Fatalf("the group's writes resolved %v after it was flushed; latency %v", got, lat)
+	}
+	if got := resolved[slower]; got < 2*lat {
+		t.Fatalf("the slower writes resolved %v after their group was flushed; latency %v", got, 2*lat)
 	}
 }
 

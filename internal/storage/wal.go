@@ -84,9 +84,10 @@ type WAL struct {
 	mu         sync.Mutex
 	cells      map[string]loc
 	logs       map[string][]loc
-	queue      []*walOp
-	oldest     time.Time // arrival of queue[0]
-	urgent     bool      // a barrier (or Close) demands an immediate flush
+	queue      []walOp     // the pending group's mutations, in issue order
+	queueC     *Completion // the pending group's one completion; nil while queue is empty
+	oldest     time.Time   // arrival of queue[0]
+	urgent     bool        // a barrier (or Close) demands an immediate flush
 	closed     bool
 	failed     error         // first IO error; poisons all later operations
 	liveBytes  int64         // approximate record bytes of the live index
@@ -114,14 +115,15 @@ type WAL struct {
 
 	// Committer-owned (no lock needed: single goroutine). segs lists the
 	// segments on disk, oldest first. groupBuf is the spare group buffer
-	// (the next pending group), rescueBuf the one compaction frames its
-	// rescue records in, and scanBuf the one segments stream through; each
-	// is reused from one use to the next.
+	// (the next pending group) and queueBuf the spare queue, rescueBuf the
+	// buffer compaction frames its rescue records in, and scanBuf the one
+	// segments stream through; each is reused from one use to the next.
 	seg       *os.File
 	segSeq    int
 	segSize   int64
 	segs      []int
 	groupBuf  []byte
+	queueBuf  []walOp
 	rescueBuf []byte
 	scanBuf   []byte
 
@@ -130,7 +132,7 @@ type WAL struct {
 	// notify carries flushed groups, in order, to the dispatcher that
 	// resolves their completions — off the committer goroutine so a slow
 	// completion callback cannot stall the next fsync.
-	notify       chan []*walOp
+	notify       chan groupDone
 	commitDone   chan struct{}
 	displDone    chan struct{}
 	syncCount    atomic.Int64
@@ -211,11 +213,17 @@ type loc struct {
 	n   int
 }
 
-// walOp is one queued mutation and its completion; its record sits in the
-// group buffer, in queue order. A barrier has op 0.
+// walOp is one queued mutation; its record sits in the group buffer, in
+// queue order. A barrier has op 0. The queue holds values, and every op of
+// a group resolves through the group's one Completion.
 type walOp struct {
 	op  byte
 	key string
+}
+
+// groupDone is one flushed group's completion and the error it resolves
+// with.
+type groupDone struct {
 	c   *Completion
 	err error
 }
@@ -231,9 +239,13 @@ type passState struct {
 	logs  map[string][]loc // drained logs since deleted
 }
 
-// maxGroupBuf caps the buffers the WAL keeps between uses; one huge group
-// or record must not pin its buffer for good.
-const maxGroupBuf = 4 << 20
+// maxGroupBuf caps the buffers the WAL keeps between uses, and maxQueue
+// the ops a kept queue holds; one huge group or record must not pin its
+// buffer for good.
+const (
+	maxGroupBuf = 4 << 20
+	maxQueue    = 1 << 16
+)
 
 // Record ops.
 const (
@@ -457,7 +469,7 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
 		files:      make(map[int]*os.File),
 		kick:       make(chan struct{}, 1),
 		closeCh:    make(chan struct{}),
-		notify:     make(chan []*walOp, 128),
+		notify:     make(chan groupDone, 128),
 		commitDone: make(chan struct{}),
 		displDone:  make(chan struct{}),
 	}
@@ -692,14 +704,16 @@ func (p *passState) drained(l loc) bool {
 }
 
 // enqueueLocked queues one mutation (op 0: a barrier) whose record, if
-// any, is already in the pending group. w.mu held.
+// any, is already in the pending group, and returns the group's
+// completion, made with its first op: every op of a group is durable at
+// the same fsync. w.mu held.
 func (w *WAL) enqueueLocked(op byte, key string) *Completion {
-	c := newCompletion()
-	if len(w.queue) == 0 {
+	if w.queueC == nil {
+		w.queueC = newCompletion()
 		w.oldest = time.Now()
 	}
-	w.queue = append(w.queue, &walOp{op: op, key: key, c: c})
-	return c
+	w.queue = append(w.queue, walOp{op: op, key: key})
+	return w.queueC
 }
 
 func (w *WAL) wakeCommitter() {
@@ -711,7 +725,8 @@ func (w *WAL) wakeCommitter() {
 
 // issue frames one mutation into the pending group — the one copy of its
 // value the WAL makes — points the index at it (read-your-writes) and
-// queues it; durability resolves with the group's fsync.
+// queues it; it returns the group's completion, which resolves with the
+// group's fsync.
 func (w *WAL) issue(op byte, key string, val []byte) *Completion {
 	w.mu.Lock()
 	if err := w.errLocked(); err != nil {
@@ -776,7 +791,8 @@ func (w *WAL) Delete(key string) error {
 }
 
 // Sync implements AsyncStable: a barrier that returns once every write
-// issued before it is durable.
+// issued before it is durable. It joins the pending group and waits on that
+// group's completion, which resolves after every earlier group's.
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	if err := w.errLocked(); err != nil {
@@ -1020,8 +1036,8 @@ func (w *WAL) commitLoop() {
 				continue
 			}
 		}
-		batch := w.queue
-		w.queue = nil
+		batch, c := w.queue, w.queueC
+		w.queue, w.queueC, w.queueBuf = w.queueBuf[:0], nil, nil
 		w.urgent = false
 		err := w.failed
 		reqs := w.compactReq
@@ -1052,10 +1068,9 @@ func (w *WAL) commitLoop() {
 				w.poison(err)
 			}
 		}
-		for _, op := range batch {
-			op.err = err
+		if c != nil {
+			w.notify <- groupDone{c, err}
 		}
-		w.notify <- batch
 		// Until it is placed, the group reads from the in-flight buffer.
 		w.mu.Lock()
 		if err == nil {
@@ -1064,6 +1079,10 @@ func (w *WAL) commitLoop() {
 		w.flight, w.flightGen = nil, 0
 		w.mu.Unlock()
 		w.groupBuf = reusable(group)
+		if cap(batch) <= maxQueue {
+			clear(batch) // drop the keys
+			w.queueBuf = batch[:0]
+		}
 
 		if compacting {
 			if err == nil {
@@ -1092,7 +1111,7 @@ func (w *WAL) commitLoop() {
 // now written at offset base of segment seg, to the disk. A location that
 // no longer names that buffer was overwritten or deleted meanwhile; the
 // drained state a pass saved is repointed too. w.mu held.
-func (w *WAL) placeLocked(batch []*walOp, gen, seg int, base int64) {
+func (w *WAL) placeLocked(batch []walOp, gen, seg int, base int64) {
 	place := func(l *loc) bool {
 		if l.seg != -gen {
 			return false
@@ -1433,9 +1452,7 @@ func (w *WAL) rollSegment() error {
 // locks) cannot stall the next fsync.
 func (w *WAL) dispatchLoop() {
 	defer close(w.displDone)
-	for batch := range w.notify {
-		for _, op := range batch {
-			op.c.complete(op.err)
-		}
+	for g := range w.notify {
+		g.c.complete(g.err)
 	}
 }

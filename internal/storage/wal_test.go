@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/testenv"
 )
 
 // walOpts returns fast test options (tiny delay so tests don't sleep).
@@ -377,4 +379,99 @@ func TestAsyncShimAdaptsSyncEngines(t *testing.T) {
 	if _, ok := any(NewFaulty(w)).(AsyncStable); !ok {
 		t.Fatal("Faulty lost the async API")
 	}
+}
+
+// TestWALSmallIssueAllocs: a small write costs its memcpy into the pending
+// group and a slot in a reused queue. Its completion is the group's, made
+// once per group, so eight writes per Wait share one.
+func TestWALSmallIssueAllocs(t *testing.T) {
+	if testenv.Race {
+		t.Skip("allocation budgets are measured without the race detector")
+	}
+	w, err := OpenWAL(t.TempDir(), WALOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	val := make([]byte, 64)
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		var c *Completion
+		for i := 0; i < b.N; i++ {
+			c = w.PutAsync("cell", val)
+			if i%8 == 7 {
+				if err := c.Wait(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		if err := c.Wait(); err != nil {
+			b.Fatal(err)
+		}
+	})
+	t.Logf("64 B PutAsync, a Wait every 8: %d B/op, %.2f allocs/op",
+		res.AllocedBytesPerOp(), float64(res.MemAllocs)/float64(res.N))
+	if res.AllocedBytesPerOp() > 32 || res.MemAllocs >= uint64(res.N) {
+		t.Fatalf("64 B PutAsync: %d B/op, %d allocs in %d ops; budget 32 B/op and under 1 alloc/op",
+			res.AllocedBytesPerOp(), res.MemAllocs, res.N)
+	}
+}
+
+// TestWALRecordAfterDrainGetsNextGroup: a record issued while the drained
+// group is in flight belongs to the next group, so it gets another
+// completion, unresolved until its own group is written; a Sync issued
+// meanwhile covers both groups.
+func TestWALRecordAfterDrainGetsNextGroup(t *testing.T) {
+	// Two records close a group; a lone one waits for a barrier.
+	w, err := OpenWAL(t.TempDir(), WALOptions{SyncEvery: 2, MaxSyncDelay: time.Hour, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	frozen, release := make(chan struct{}), make(chan struct{})
+	var freeze, unfreeze sync.Once
+	defer unfreeze.Do(func() { close(release) }) // before Close, also on a failure
+	w.mu.Lock()
+	w.compactHook = func(stage string) {
+		if stage == "write" {
+			freeze.Do(func() {
+				close(frozen)
+				<-release
+			})
+		}
+	}
+	w.mu.Unlock()
+	first := w.PutAsync("a", []byte("1"))
+	if second := w.PutAsync("b", []byte("2")); second != first {
+		t.Fatal("two writes of one pending group got different completions")
+	}
+	<-frozen // the group of a and b is drained, its write frozen
+	next := w.PutAsync("c", []byte("3"))
+	if next == first {
+		t.Fatal("a record issued after the drain shares the drained group's completion")
+	}
+	synced := make(chan error, 1)
+	go func() { synced <- w.Sync() }()
+	time.Sleep(20 * time.Millisecond)
+	if done(first) || done(next) {
+		t.Fatalf("resolved before the frozen group was written: first %v, next %v", done(first), done(next))
+	}
+	select {
+	case err := <-synced:
+		t.Fatalf("Sync returned %v while a group was frozen", err)
+	default:
+	}
+	unfreeze.Do(func() { close(release) })
+	if err := <-synced; err != nil {
+		t.Fatal(err)
+	}
+	if !done(first) || !done(next) {
+		t.Fatalf("Sync returned before the writes it covers: first %v, next %v", done(first), done(next))
+	}
+}
+
+// done reports whether c has resolved.
+func done(c *Completion) bool {
+	_, ok := c.Poll()
+	return ok
 }
