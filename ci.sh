@@ -73,7 +73,11 @@ step_metrics() {
 # write queues, settle upcall and upcall goroutine (one loop per
 # incarnation runs them, internal/loop), and the transport's loopback (no
 # process sends itself a frame). The machines' adapters start no
-# goroutine and arm no wall timer of their own either: only the loop does.
+# goroutine and arm no wall timer of their own either: only the loop does,
+# through its Env, and the simulator none at all. The simulator boots the
+# production layers (node.Assemble): the exported step surfaces
+# (step.go under internal/core and internal/consensus) and its own
+# translation of their effects are gone.
 # Consensus discards its cells by key range, one record per kind of cell,
 # never with a delete per cell. A WAL write queues a value op that resolves
 # through its commit group's completion, never an op of its own on the heap.
@@ -91,14 +95,19 @@ step_retired() {
 	pat+='|\bRunSoak\b|\bSoakOptions\b|\bSoakResult\b|\bclusterTarget\b|\bSetClock\b|\bInertView\b|\bnoDecisionCells\b|\bdeferProposals\b|\bevChoose\b|\bevSettle\b'
 	pat+='|persistedLater|settleWrites|upcallLoop|\bOnSettle\b|pendingPut|pendingWrite'
 	pat+='|Reliable local delivery|this one included|including the sender'
+	pat+='|\bconsEffect\b|\bcoreEffect\b|core\.NewMachine|consensus\.NewMachine|core\.NewReplay'
 	if grep -rnE "$pat" --include='*.go' . ||
 		grep -nE "$pat" README.md bench/README.md .github/workflows/ci.yml; then
 		echo "retired names found (above)"
 		return 1
 	fi
 	if grep -rnE '^\s*go |time\.(AfterFunc|NewTimer|NewTicker)|context\.AfterFunc' --include='*.go' --exclude='*_test.go' \
-		internal/core internal/consensus internal/fd internal/node; then
+		internal/core internal/consensus internal/fd internal/node internal/sim; then
 		echo "goroutines or wall timers outside internal/loop (above)"
+		return 1
+	fi
+	if ls internal/core/step.go internal/consensus/step.go 2>/dev/null; then
+		echo "an exported step surface came back (above): the simulator runs the adapters"
 		return 1
 	fi
 	if grep -rnF 'DeleteAsync(cellKey(' --include='*.go' internal/consensus; then

@@ -53,11 +53,13 @@
 // reply that a write protects rides on it), deletes, timer arms, and the
 // settles of decided or forgotten instances, which release WaitDecided and
 // are Fig. 1's decided upcall. The machine does no I/O, reads no clock and
-// starts no goroutine. Engine (engine.go) carries its effects out on a
-// loop (internal/loop) over the process's log, network and wall clock: in
-// a process, the loop it shares with the broadcast core, which takes each
-// settle as its input in the same step (Box); Machine (step.go) exports
-// the step surface, which the simulators run on a virtual clock.
+// starts no goroutine. Engine (engine.go) is its one adapter: it carries
+// the effects out on a loop (internal/loop) over the process's log,
+// network and clock, in a process the loop it shares with the broadcast
+// core, which takes each settle as its input in the same step (Box). The
+// full-stack simulator (internal/sim/stack) runs the same Engine on a loop
+// in its kernel's virtual time; this package's own simulator (sim_test.go)
+// steps the machine alone.
 //
 // Two coordinator policies demonstrate that the broadcast transformation
 // treats Consensus as a black box (paper claim C2):

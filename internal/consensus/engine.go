@@ -62,6 +62,14 @@ func parseKey(key string) (kind byte, k uint64, ok bool) {
 	return rest[0], v, true
 }
 
+// Instance reads a key of this layout for a reader of the log, the
+// simulator's oracle: the instance of a cell's key (0 for the lease-grant
+// cell), and whether the cell is a proposal. ok is false for foreign keys.
+func Instance(key string) (k uint64, proposal, ok bool) {
+	kind, k, ok := parseKey(key)
+	return k, kind == cellProposal, ok
+}
+
 // restore loads every logged cell of st into m.
 func restore(m *machine, st storage.Stable) error {
 	keys, err := st.List(keyPrefix)
@@ -271,7 +279,9 @@ func (e *Engine) LeaseStats() LeaseStats {
 	e.l.Lock()
 	defer e.l.Unlock()
 	s := e.m.leaseStats
-	s.Held = e.m.leaseHeld
+	if s.Held = e.m.leaseHeld; s.Held {
+		s.Ballot = e.m.leaseB
+	}
 	return s
 }
 

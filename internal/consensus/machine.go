@@ -966,6 +966,7 @@ type LeaseStats struct {
 	FastRounds uint64 // instances decided via the accept-phase-only path
 	Fallbacks  uint64 // fast-path attempts that failed back to consensus
 	Held       bool   // a lease is currently held
+	Ballot     uint64 // the held lease's ballot, 0 without one
 }
 
 // dropLease invalidates the held lease.

@@ -89,11 +89,18 @@ func (m message) encodeTo(w *wire.Writer) {
 	}
 }
 
-// encode allocates a standalone encoding (tests and retained buffers).
-func (m message) encode() []byte {
-	w := wire.NewWriter(24 + len(m.val))
-	m.encodeTo(w)
-	return w.Bytes()
+// ReadFrame reads what the simulator's oracle checks of a consensus frame:
+// an accept of v at instance k and ballot b (accept), or an acceptor's
+// grant of a lease at ballot b (grant).
+func ReadFrame(frame []byte) (accept, grant bool, k, b uint64, v []byte) {
+	if len(frame) == 0 || frame[0] != mAccept && frame[0] != mLeaseAck {
+		return false, false, 0, 0, nil
+	}
+	m, err := decodeMessage(frame)
+	if err != nil {
+		return false, false, 0, 0, nil
+	}
+	return m.kind == mAccept, m.kind == mLeaseAck, m.k, m.b, m.val
 }
 
 // decodeMessage parses a received frame. Values alias it: a frame out of

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/ids"
+	"repro/internal/wire"
 )
 
 func TestMessageRoundTrip(t *testing.T) {
@@ -100,4 +101,11 @@ func TestBallotUniquenessAcrossProcesses(t *testing.T) {
 			}
 		}
 	}
+}
+
+// encode allocates a standalone encoding.
+func (m message) encode() []byte {
+	w := wire.NewWriter(24 + len(m.val))
+	m.encodeTo(w)
+	return w.Bytes()
 }

@@ -37,11 +37,11 @@
 // incarnation (internal/loop), which it shares with the consensus engine,
 // its drain carries out both machines' effects in one step, so a decision
 // is this machine's input under the lock that learned it; it replays the
-// logged instances at Start (Replay), and the loop runs the upcalls, in
-// order, on its one goroutine. Machine (step.go) is the same step surface
-// exported: the full-stack simulator (internal/sim/stack) runs it beside
-// the consensus and failure-detector machines on a virtual clock, with the
-// same Replay.
+// logged instances at Start (the replay phase), and the loop runs the
+// upcalls, in order, outside every lock. The full-stack simulator
+// (internal/sim/stack) runs the same Protocol, booted by node.Assemble, on
+// a loop in its kernel's virtual time, taking Start and Broadcast as their
+// step (Begin, Submit) and polling their wait (Replaying, Pending.Poll).
 package core
 
 import (

@@ -24,19 +24,19 @@ func TestCrashBetweenDeliveryAndDecisionCell(t *testing.T) {
 		t.Run(fmt.Sprintf("p%d", victim), func(t *testing.T) {
 			s := stack.Scripted(t)
 			v := s.Procs[victim]
-			s.Disks[victim].Hold = func(w *sim.Write) bool { return strings.HasPrefix(w.Key, "cons/d/") }
+			s.Disks[victim].Lose = func(w *sim.Write) bool { return strings.HasPrefix(w.Key, "cons/d/") }
 			s.Boot()
 
 			// p0 orders rounds until it holds the lease, granted by p1.
 			var warm []core.Delivery
-			for s.Procs[0].LeaseB == 0 {
+			for s.Procs[0].Lease() == 0 {
 				if len(warm) > 20 {
 					t.Fatal("p0 holds no lease after 20 rounds")
 				}
 				s.BroadcastAndWait(t, 0)
 				_, warm = s.Procs[0].Core.Sequence()
 			}
-			from := s.Procs[0].Core.K()
+			from := s.Procs[0].Core.Round()
 
 			const before = 6
 			for range before {

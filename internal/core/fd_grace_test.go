@@ -23,13 +23,13 @@ func TestRecoveredProcessSuspectsAPeerItNeverHeard(t *testing.T) {
 
 	s.Recover(1)
 	p1, start := s.Procs[1], s.Now
-	if l := p1.FD.Leader(s.Now); l != 0 {
+	if l := p1.FD.Leader(); l != 0 {
 		t.Fatalf("p1's leader hint at its start is p%d, want p0 (the grace of the timeout)", l)
 	}
 	const tick = 5 * sim.Ms
-	if !s.RunUntil(start+int64(stack.FDTimeout)+tick, func() bool { return p1.FD.Leader(s.Now) == 1 }) {
+	if !s.RunUntil(start+int64(stack.FDTimeout)+tick, func() bool { return p1.FD.Leader() == 1 }) {
 		t.Fatalf("p1's leader hint is still p%d %.1fms after its start, with p0 down",
-			p1.FD.Leader(s.Now), float64(s.Now-start)/float64(sim.Ms))
+			p1.FD.Leader(), float64(s.Now-start)/float64(sim.Ms))
 	}
 	if s.Now-start <= int64(stack.FDTimeout) {
 		t.Fatalf("p1 suspected p0 %.1fms after its start, within the grace", float64(s.Now-start)/float64(sim.Ms))

@@ -38,7 +38,7 @@ type Protocol struct {
 	recoveredUnordered atomic.Int64
 
 	m         *machine
-	replay    Replay
+	replay    replay
 	started   bool
 	waiting   map[ids.MsgID]chan error // Broadcast calls the machine releases
 	ckptWaits []chan error             // CheckpointNow calls, in checkpoint order
@@ -55,12 +55,16 @@ type Protocol struct {
 // in-step, on the loop the two layers share, with its lock held
 // (consensus.Box). Propose and DiscardBelow are its inputs; Settle carries
 // out its effects up to its next decided(k, v) or forgotten(k), which is
-// then this layer's input in the same step. Sequencer is a read.
+// then this layer's input in the same step. The rest are reads: the
+// replay phase parses the log through DecidedLocal, Proposal and Forgot.
 type Consensus interface {
-	ReplayLog
 	Sequencer
+	Propose(k uint64, v []byte, now int64) error
 	DiscardBelow(k uint64)
 	Settle() (k uint64, v []byte, decided, ok bool)
+	DecidedLocal(k uint64) ([]byte, bool)
+	Proposal(k uint64) ([]byte, bool)
+	Forgot(k uint64) bool
 }
 
 // Sequencer names the process this process's acceptor granted its lease
@@ -87,7 +91,7 @@ func New(cfg Config, l *loop.Loop, cons Consensus, net router.Net) *Protocol {
 		drainedCh: make(chan struct{}),
 		replayed:  make(chan struct{}),
 	}
-	p.replay = Replay{m: p.m, log: cons}
+	p.replay = replay{m: p.m, log: cons}
 	l.Bind(p.drain, p)
 	return p
 }
@@ -96,8 +100,19 @@ func New(cfg Config, l *loop.Loop, cons Consensus, net router.Net) *Protocol {
 // retrieve logged state, replay logged Consensus instances, then start the
 // sequencer, gossip and checkpoint work. It blocks until the replay phase
 // completes and its upcalls have run (so its return marks the end of
-// recovery). Cancelling ctx stops the incarnation like Stop.
+// recovery). Cancelling ctx stops the incarnation like Stop. It is Begin,
+// then AwaitReplay.
 func (p *Protocol) Start(ctx context.Context) error {
+	if err := p.Begin(ctx); err != nil {
+		return err
+	}
+	return p.AwaitReplay(ctx)
+}
+
+// Begin is Start's step: the retrieve, unless Recover ran it, and the
+// start of the replay phase, whose end AwaitReplay waits for and Replaying
+// polls. Cancelling ctx stops the incarnation like Stop.
+func (p *Protocol) Begin(ctx context.Context) error {
 	if !p.l.Enter() {
 		return ErrStopped // a crash raced the boot
 	}
@@ -114,13 +129,41 @@ func (p *Protocol) Start(ctx context.Context) error {
 	if !p.l.Enter() {
 		return ErrStopped
 	}
-	p.replay.Begin(p.l.Now())
+	p.replay.begin(p.l.Now())
 	p.l.Exit()
+	return nil
+}
+
+// AwaitReplay is Start's wait: it returns once the replay phase Begin
+// started has ended and its upcalls have run. If the incarnation or ctx
+// ends first, the error names the round the phase waits on and the GC
+// floor the process recovered.
+func (p *Protocol) AwaitReplay(ctx context.Context) error {
+	var err error
 	select {
 	case <-p.replayed:
 		return nil
 	case <-p.l.Done():
-		return ErrStopped
+		err = ErrStopped
+	case <-ctx.Done():
+		err = ctx.Err()
+	}
+	p.l.Lock()
+	on, k, floor := p.replay.on, p.replay.waitK, p.m.gcFloor
+	p.l.Unlock()
+	if on {
+		return fmt.Errorf("%w: the replay waits on round %d (GC floor %d)", err, k, floor)
+	}
+	return err
+}
+
+// Replaying reports whether the replay phase Begin started has yet to end.
+func (p *Protocol) Replaying() bool {
+	select {
+	case <-p.replayed:
+		return false
+	default:
+		return true
 	}
 }
 
@@ -157,6 +200,106 @@ func (p *Protocol) Recover() error {
 	return err
 }
 
+// The broadcast layer's stable-storage keys.
+const (
+	KeyCkpt     = keyCkpt
+	KeyUnord    = keyUnord
+	KeyUnordLog = keyUnordLog
+	KeyGCFloor  = keyGCFloor
+)
+
+// retrieve reads the logged state the recovery procedure starts from
+// (Fig. 2 / Fig. 3): the checkpoint cell and GC floor, present only if the
+// alternative protocol's checkpoint (or a past state-transfer adoption)
+// logged them, and, with BatchedBroadcast, the Unordered cell and log.
+func retrieve(st storage.Stable, batched bool) (ckpt, floor, unord []byte, recs [][]byte, err error) {
+	ckpt, hasCkpt, err := st.Get(keyCkpt)
+	if err != nil {
+		return nil, nil, nil, nil, fmt.Errorf("core: retrieve checkpoint: %w", err)
+	}
+	if hasCkpt {
+		if floor, _, err = st.Get(keyGCFloor); err != nil {
+			return nil, nil, nil, nil, fmt.Errorf("core: retrieve gc floor: %w", err)
+		}
+	} else {
+		ckpt = nil
+	}
+	if batched {
+		if unord, _, err = st.Get(keyUnord); err != nil {
+			return nil, nil, nil, nil, fmt.Errorf("core: retrieve unordered: %w", err)
+		}
+		if recs, err = st.Records(keyUnordLog); err != nil {
+			return nil, nil, nil, nil, fmt.Errorf("core: read unordered log: %w", err)
+		}
+	}
+	return ckpt, floor, unord, recs, nil
+}
+
+// replay is the replay phase of "upon initialization or recovery" (Fig. 2),
+// run in-step by the drain. The recovery procedure "parses the log of
+// proposed and agreed values (which is kept internally by Consensus)"
+// (§4.2): a round with a logged decision commits straight from the log; a
+// round with only a logged proposal is re-proposed, idempotently, and the
+// phase waits for Consensus to settle it; the first round with neither ends
+// the phase, and so does a round whose instance peers garbage-collected:
+// the gossip exchange then triggers a state transfer that skips it (§5.3).
+// The end of the phase starts the machine.
+type replay struct {
+	m     *machine
+	log   Consensus
+	on    bool
+	waitK uint64 // the round whose decision the phase waits for
+}
+
+// begin starts the phase at the machine's round, after its retrieve.
+func (r *replay) begin(now int64) {
+	r.on = true
+	r.advance(now)
+}
+
+// settled is Consensus's decided(k) (decided) or forgotten(k), after the
+// machine took it as its input: the awaited round decided goes on with
+// the next round, a forgotten one ends the phase.
+func (r *replay) settled(now int64, k uint64, decided bool) {
+	switch {
+	case !r.on || k != r.waitK:
+	case decided:
+		r.advance(now)
+	default:
+		r.end(now)
+	}
+}
+
+// discarded is a discardBelow that reached Consensus: a wait on a round it
+// discarded ends the phase.
+func (r *replay) discarded(now int64) {
+	if r.on && r.log.Forgot(r.waitK) {
+		r.end(now)
+	}
+}
+
+func (r *replay) advance(now int64) {
+	for r.on {
+		k := r.m.k
+		if v, ok := r.log.DecidedLocal(k); ok {
+			if r.m.decided(now, k, v); r.m.k == k {
+				panic(fmt.Sprintf("core: replay: round %d's logged decision did not commit", k))
+			}
+			continue
+		}
+		if v, ok := r.log.Proposal(k); ok && !r.log.Forgot(k) && r.log.Propose(k, v, now) == nil {
+			r.waitK = k
+			return
+		}
+		r.end(now)
+	}
+}
+
+func (r *replay) end(now int64) {
+	r.on = false
+	r.m.start(now)
+}
+
 // drain is the loop's drain: it carries out both layers' effects until
 // neither has any. The loop's lock is held.
 func (p *Protocol) drain() {
@@ -172,7 +315,7 @@ func (p *Protocol) drain() {
 			} else {
 				p.m.forgotten(now, k)
 			}
-			p.replay.Settled(now, k, decided)
+			p.replay.settled(now, k, decided)
 		}
 		if len(p.m.out) == 0 {
 			return
@@ -207,7 +350,7 @@ func (p *Protocol) run(now int64) {
 			}
 		case opDiscard:
 			p.cons.DiscardBelow(ef.k)
-			p.replay.Discarded(now)
+			p.replay.discarded(now)
 		case opArm:
 			p.l.Arm(p, ef.at, loop.Token{K: uint64(ef.at)})
 		case opRelease:
@@ -365,53 +508,97 @@ var waitChans = sync.Pool{New: func() any { return make(chan error, 1) }}
 // until m is in the Agreed queue ("A-broadcast(m) does not return until the
 // message m is in the agreed queue", §4.2). With BatchedBroadcast it
 // returns once m's Unordered record is durable (§5.4): concurrent callers
-// share one group commit on engines that have it.
+// share one group commit on engines that have it. It is Submit, then the
+// call's Wait.
 func (p *Protocol) Broadcast(ctx context.Context, payload []byte) (ids.MsgID, error) {
+	b, err := p.Submit(payload)
+	if err != nil {
+		return b.ID, err
+	}
+	return b.ID, b.Wait(ctx)
+}
+
+// Pending is a Broadcast call between its step (Submit) and its return.
+type Pending struct {
+	ID ids.MsgID
+	p  *Protocol
+	ch chan error
+}
+
+// Submit is Broadcast's step: m joins the Unordered set, and the call
+// waits for its release.
+func (p *Protocol) Submit(payload []byte) (Pending, error) {
 	if !p.l.Enter() {
-		return ids.MsgID{}, ErrStopped
+		return Pending{}, ErrStopped
 	}
 	if !p.started && !p.cfg.BatchedBroadcast {
 		// The node publishes the incarnation before Start runs, so a caller
 		// can get here first; the blocking form needs the tasks running.
 		p.l.Unlock()
-		return ids.MsgID{}, ErrStopped
+		return Pending{}, ErrStopped
 	}
 	id, err := p.m.broadcast(p.l.Now(), payload, false)
 	if err != nil {
 		p.l.Unlock()
-		return id, err
+		return Pending{ID: id}, err
 	}
 	ch := waitChans.Get().(chan error)
 	p.waiting[id] = ch
 	p.l.Exit()
+	return Pending{ID: id, p: p, ch: ch}, nil
+}
+
+// Wait is Broadcast's wait: it returns once the machine released the
+// call, or the group drained, ctx ended (basic protocol) or the
+// incarnation stopped.
+func (b Pending) Wait(ctx context.Context) error {
+	p := b.p
 	var drained, cancelled <-chan struct{}
 	if !p.cfg.BatchedBroadcast {
 		drained, cancelled = p.drainedCh, ctx.Done()
 	}
 	select {
-	case err := <-ch:
-		waitChans.Put(ch)
-		if err != nil {
-			// The log write failed (the incarnation is dying), but m is in
-			// the volatile Unordered set and may have been gossiped: like a
-			// crash inside A-broadcast, m "may or may have not been
-			// A-broadcast" — its identity lets the caller track it.
-			return id, fmt.Errorf("core: log unordered: %w", err)
-		}
-		return id, nil
+	case err := <-b.ch:
+		waitChans.Put(b.ch)
+		return released(err)
 	case <-drained:
 		// The group sealed and drained while we waited: m is delivered
 		// here, or an orphan the resharding layer re-injects (same MsgID)
 		// into the successor group — "may have been A-broadcast" either way.
-		if p.Delivered(id) {
-			return id, nil
+		if p.Delivered(b.ID) {
+			return nil
 		}
-		return id, ErrSealed
+		return ErrSealed
 	case <-cancelled:
-		return id, ctx.Err()
+		return ctx.Err()
 	case <-p.l.Done():
-		return id, ErrStopped
+		return ErrStopped
 	}
+}
+
+// Poll is Wait for a caller that cannot block, the simulator: it reports
+// whether the machine has released the call, and its outcome. A call is
+// released once.
+func (b Pending) Poll() (bool, error) {
+	select {
+	case err := <-b.ch:
+		waitChans.Put(b.ch)
+		return true, released(err)
+	default:
+		return false, nil
+	}
+}
+
+// released is a Broadcast's outcome at its release.
+func released(err error) error {
+	if err != nil {
+		// The log write failed (the incarnation is dying), but m is in
+		// the volatile Unordered set and may have been gossiped: like a
+		// crash inside A-broadcast, m "may or may have not been
+		// A-broadcast" — its identity lets the caller track it.
+		return fmt.Errorf("core: log unordered: %w", err)
+	}
+	return nil
 }
 
 // BroadcastAsync adds m to the Unordered set and returns at once without

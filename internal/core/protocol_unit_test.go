@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -274,5 +275,22 @@ func TestDoubleStartRejected(t *testing.T) {
 	p.l.Unlock()
 	if err := p.Start(context.Background()); err == nil {
 		t.Fatal("double start accepted")
+	}
+}
+
+// TestAwaitReplayNamesTheRoundItWaitsOn: a replay phase waiting on a
+// logged proposal that consensus never settles ends with its context, and
+// the error names the round it waits on and the GC floor.
+func TestAwaitReplayNamesTheRoundItWaitsOn(t *testing.T) {
+	p := newProto(Config{PID: 0, N: 3, Incarnation: 2}, storage.NewMem(), &fakeNet{})
+	p.cons.(*fakeCons).proposals[0] = []byte("logged, never decided")
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	err := p.Start(ctx)
+	if !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "waits on round 0 (GC floor 0)") {
+		t.Fatalf("Start: %v, want the deadline naming round 0 and floor 0", err)
+	}
+	if !p.Replaying() {
+		t.Fatal("the phase ended")
 	}
 }

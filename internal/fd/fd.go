@@ -12,10 +12,10 @@
 // machine's inputs are a heartbeat (from, epoch) and a tick, each at a
 // time now, and suspicion is a function of now; its effects are the
 // heartbeat multisend, the next tick and the suspect/trust and epoch
-// transitions. The full-stack simulator (internal/sim/stack) runs it on a
-// virtual clock; Detector on a loop of its own (internal/loop), its tick a
-// loop timer, over the network and the wall clock, with the transitions in
-// the flight recorder.
+// transitions. Detector runs it on a loop of its own (internal/loop), its
+// tick a loop timer, with the transitions in the flight recorder: New on
+// the wall clock, NewOn on a given loop, which the full-stack simulator
+// (internal/sim/stack) runs in its kernel's virtual time.
 //
 // The detector's scope is one *process incarnation*, not one ordering
 // group: §3.5's liveness oracle answers "is process q alive at epoch e",
@@ -226,12 +226,18 @@ type Detector struct {
 	m   *Machine
 }
 
-// New creates a detector for process pid (of n) running incarnation epoch.
-// net must be bound to the FD channel.
+// New creates a detector for process pid (of n) running incarnation epoch,
+// on a wall-clock loop of its own. net must be bound to the FD channel.
 func New(pid ids.ProcessID, n int, epoch uint32, opts Options, net router.Net) *Detector {
+	return NewOn(loop.New(nil), pid, n, epoch, opts, net)
+}
+
+// NewOn creates the detector New does on l, a loop it binds and nothing
+// else runs on: its lock stays a leaf.
+func NewOn(l *loop.Loop, pid ids.ProcessID, n int, epoch uint32, opts Options, net router.Net) *Detector {
 	opts.fill()
 	d := &Detector{
-		l:   loop.New(nil),
+		l:   l,
 		net: net,
 		fl:  opts.Obs.Flight(),
 		m:   NewMachine(pid, n, epoch, opts),

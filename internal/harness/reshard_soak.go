@@ -189,6 +189,8 @@ func RunReshardSoak(opts ReshardSoakOptions) (ReshardSoakResult, error) {
 		if err := c.build(pid); err != nil {
 			return fmt.Errorf("recover p%d: %w", pid, err)
 		}
+		// Bounded (Start): a stalled replay fails the seed with the round
+		// it waits on, not the package with the test timeout.
 		if err := c.Start(pid); err != nil {
 			return fmt.Errorf("recover p%d: %w", pid, err)
 		}

@@ -154,12 +154,21 @@ func (c *ShardedCluster) StartAll() error {
 	return nil
 }
 
+// startBound is how long a process's boot may take: its replay takes
+// milliseconds, even under the race detector.
+const startBound = 30 * time.Second
+
 // Start boots process pid (initialization or recovery). Every group's
-// recorder opens a new session first: replay delivers into it.
+// recorder opens a new session first: replay delivers into it. A boot
+// still under way after startBound stops, and its error names the round
+// its replay waits on.
 func (c *ShardedCluster) Start(pid ids.ProcessID) error {
 	c.recs.startSessions(pid, c.Procs[pid].Groups())
 	c.Faults[pid].Disarm()
-	return c.Procs[pid].Start(c.ctx)
+	ctx, cancel := context.WithCancel(c.ctx) // the incarnation's, ended by the cluster's once it boots
+	bound := time.AfterFunc(startBound, cancel)
+	defer bound.Stop()
+	return c.Procs[pid].Start(ctx)
 }
 
 // Stop tears the whole cluster down, closing any engines NewStore opened.

@@ -93,19 +93,19 @@ func TestLeaseLostUnderIsolation(t *testing.T) {
 	s := stack.Scripted(t)
 	s.Boot()
 	holder := s.Procs[0]
-	for i := 0; holder.LeaseB == 0; i++ {
+	for i := 0; holder.Lease() == 0; i++ {
 		if i > 20 {
 			t.Fatal("p0 holds no lease after 20 rounds")
 		}
 		s.BroadcastAndWait(t, 0)
 	}
-	b, k, lost := holder.LeaseB, holder.Core.K(), holder.LeasesLost
+	b, k, lost := holder.Lease(), holder.Core.Round(), holder.LeasesLost()
 
 	iso := stack.IsolationFDTimeouts * int64(stack.FDTimeout)
 	end := s.Now + iso
 	s.Isolate(0, iso)
 	s.Broadcast(0, true) // a round at the lease ballot finds no quorum
-	s.Await(t, "the isolated holder loses its lease", func() bool { return holder.LeasesLost > lost })
+	s.Await(t, "the isolated holder loses its lease", func() bool { return holder.LeasesLost() > lost })
 	if s.Now > end {
 		t.Fatalf("the lease was lost %.3fms after the isolation ended", float64(s.Now-end)/float64(time.Millisecond))
 	}

@@ -1,8 +1,8 @@
 // Package loop runs the step machines of one process incarnation: one
 // mutex, one monotonic clock, one timer queue behind one wall timer, one
 // write queue that hands completions back in issue order, frames sent after
-// the unlock, and one goroutine for the ordered upcalls, all stopped when
-// the incarnation's context ends.
+// the unlock, and one runner for the ordered upcalls, all stopped when the
+// incarnation's context ends.
 //
 // An input takes the lock (Enter), steps a machine and releases it (Exit),
 // which first runs the loop's drain: the code binding the machines carries
@@ -10,6 +10,11 @@
 // another's inputs are stepped under the same lock. Writes and timers name
 // the Layer they go back to, with a typed Token: no closure and no boxed
 // value per call. The loop knows nothing of the machines it runs.
+//
+// What a loop takes from its surroundings is its Env: the clock, the one
+// timer and the upcall runner. New runs it on the wall clock and a
+// goroutine of its own; the full-stack simulator runs the same loop on its
+// kernel's virtual clock and one thread (internal/sim/stack).
 package loop
 
 import (
@@ -43,7 +48,39 @@ type Token struct{ K, Gen uint64 }
 // Upcaller runs the ordered upcalls of the machines on a loop.
 type Upcaller interface {
 	TakeUpcalls() // sets the queued upcalls aside, under the lock
-	RunUpcalls()  // runs them, outside every lock, on the loop's goroutine
+	RunUpcalls()  // runs them, outside every lock, on the upcall runner
+}
+
+// Env is what a loop takes from its surroundings.
+type Env interface {
+	// Now reads the clock: monotonic ns.
+	Now() int64
+	// Timer makes the loop's one timer, once: wake runs each time it falls
+	// due after a Reset.
+	Timer(wake func()) Timer
+	// Go starts run, the loop's upcall runner, on a goroutine of its own
+	// and reports true; or reports false, and the loop runs its upcalls
+	// itself, after the unlock of the step that queued them.
+	Go(run func()) bool
+}
+
+// Timer is a loop's one timer; *time.Timer is one.
+type Timer interface {
+	Reset(d time.Duration) bool
+	Stop() bool
+}
+
+// wall is a process's Env: the monotonic wall clock since it was made, a
+// time.AfterFunc timer, and a goroutine for the upcalls.
+type wall struct{ epoch time.Time }
+
+func (w wall) Now() int64 { return int64(time.Since(w.epoch)) }
+
+func (wall) Timer(wake func()) Timer { return time.AfterFunc(math.MaxInt64, wake) }
+
+func (wall) Go(run func()) bool {
+	go run()
+	return true
 }
 
 type write struct {
@@ -67,7 +104,7 @@ type frame struct {
 // Loop is one incarnation's loop. Build it with New, Bind it, Start it.
 type Loop struct {
 	st     storage.AsyncStable
-	epoch  time.Time
+	env    Env
 	onDone func(error) // l.resolved, bound once
 	done   chan struct{}
 
@@ -78,18 +115,24 @@ type Loop struct {
 	started bool
 	stopped bool
 	exited  chan struct{} // closed when the upcall goroutine returns
+	inline  bool          // the loop runs its upcalls itself (Env.Go)
+	running bool          // an inline batch is under way: no lock, one thread
 
 	writes Queue[write]
 	timers []timer // superseded ones linger until a scan
-	wall   *time.Timer
+	wall   Timer
 	wallAt int64
 	frames []frame
 	due    bool // upcalls are queued
 }
 
-// New returns a loop that writes to st (nil: it writes nothing).
-func New(st storage.Stable) *Loop {
-	l := &Loop{epoch: time.Now(), wallAt: math.MaxInt64, done: make(chan struct{})}
+// New returns a loop on the wall clock that writes to st (nil: it writes
+// nothing).
+func New(st storage.Stable) *Loop { return NewIn(st, wall{time.Now()}) }
+
+// NewIn returns a loop in env that writes to st (nil: it writes nothing).
+func NewIn(st storage.Stable, env Env) *Loop {
+	l := &Loop{env: env, wallAt: math.MaxInt64, done: make(chan struct{})}
 	if st != nil {
 		l.st = storage.Async(st)
 	}
@@ -111,14 +154,14 @@ func (l *Loop) Bind(drain func(), up Upcaller) {
 // Store returns the store the loop writes to.
 func (l *Loop) Store() storage.AsyncStable { return l.st }
 
-// Now is the loop's clock: monotonic ns since New.
-func (l *Loop) Now() int64 { return int64(time.Since(l.epoch)) }
+// Now is the loop's clock: its Env's.
+func (l *Loop) Now() int64 { return l.env.Now() }
 
 // Done is closed once the loop stopped.
 func (l *Loop) Done() <-chan struct{} { return l.done }
 
-// Start starts the upcall goroutine, if an Upcaller is bound, and stops
-// the loop when ctx ends. Only the first call does anything.
+// Start starts the upcall runner, if an Upcaller is bound, and stops the
+// loop when ctx ends. Only the first call does anything.
 func (l *Loop) Start(ctx context.Context) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -129,13 +172,15 @@ func (l *Loop) Start(ctx context.Context) {
 	context.AfterFunc(ctx, l.Stop)
 	if l.up != nil {
 		l.exited = make(chan struct{})
-		go l.upcalls()
+		if !l.env.Go(l.upcalls) {
+			l.exited, l.inline = nil, true
+		}
 	}
 }
 
 // Stop ends the loop: Enter refuses every later input, the wall timer and
-// the upcall goroutine stop, and Done is closed. It waits for the upcall
-// batch under way, so it must not run inside an upcall.
+// the upcall runner stop, and Done is closed. It waits for the upcall
+// goroutine's batch under way, so it must not run inside an upcall.
 func (l *Loop) Stop() {
 	l.mu.Lock()
 	if !l.stopped {
@@ -173,6 +218,7 @@ func (l *Loop) Exit() {
 	out := append(buf[:0], l.frames...)
 	clear(l.frames)
 	l.frames = l.frames[:0]
+	inline := l.inline && l.due
 	l.mu.Unlock()
 	// Send and Multisend copy before returning at every transport layer.
 	for _, f := range out {
@@ -182,6 +228,14 @@ func (l *Loop) Exit() {
 			f.net.Send(f.to, f.w.Bytes())
 		}
 		wire.PutWriter(f.w)
+	}
+	if inline && !l.running {
+		// An upcall's own steps queue their upcalls for this run's next
+		// batch: a batch never starts inside another.
+		l.running = true
+		for l.batch() {
+		}
+		l.running = false
 	}
 }
 
@@ -245,10 +299,9 @@ func (l *Loop) Arm(ly Layer, at int64, tok Token) {
 
 func (l *Loop) setWall(d int64) {
 	if l.wall == nil {
-		l.wall = time.AfterFunc(time.Duration(d), l.onWall)
-	} else {
-		l.wall.Reset(time.Duration(d))
+		l.wall = l.env.Timer(l.onWall)
 	}
+	l.wall.Reset(time.Duration(d))
 }
 
 // onWall fires the due timers, forgets the superseded ones, and sets the
@@ -278,10 +331,25 @@ func (l *Loop) onWall() {
 	l.Exit()
 }
 
-// Upcall tells the upcall goroutine that upcalls are queued. Lock held.
+// Upcall tells the upcall runner that upcalls are queued. Lock held.
 func (l *Loop) Upcall() {
 	l.due = true
 	l.cv.Signal()
+}
+
+// batch runs the queued upcalls; false if none was queued or the loop
+// stopped.
+func (l *Loop) batch() bool {
+	l.mu.Lock()
+	if !l.due || l.stopped {
+		l.mu.Unlock()
+		return false
+	}
+	l.due = false
+	l.up.TakeUpcalls()
+	l.mu.Unlock()
+	l.up.RunUpcalls()
+	return true
 }
 
 // upcalls is the loop's one goroutine: it runs the ordered upcalls outside
@@ -289,20 +357,15 @@ func (l *Loop) Upcall() {
 // machines.
 func (l *Loop) upcalls() {
 	defer close(l.exited)
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	for {
+		l.mu.Lock()
 		for !l.due && !l.stopped {
 			l.cv.Wait()
 		}
-		if l.stopped {
-			return
-		}
-		l.due = false
-		l.up.TakeUpcalls()
 		l.mu.Unlock()
-		l.up.RunUpcalls()
-		l.mu.Lock()
+		if !l.batch() {
+			return // stopped
+		}
 	}
 }
 

@@ -77,6 +77,9 @@ type Node struct {
 
 	mu  sync.Mutex
 	inc *incarnation
+	// down is closed once the last crashed incarnation is torn down: its
+	// endpoint stays attached until then, so Start waits for it.
+	down chan struct{}
 }
 
 // incarnation is the volatile half of a process.
@@ -108,7 +111,11 @@ func (n *Node) Start(ctx context.Context) error {
 		n.mu.Unlock()
 		return fmt.Errorf("node %v: already up", n.cfg.PID)
 	}
+	down := n.down
 	n.mu.Unlock()
+	if down != nil {
+		<-down // a crash racing this start is still tearing down
+	}
 
 	epoch, err := n.nextEpoch()
 	if err != nil {
@@ -134,42 +141,18 @@ func (n *Node) Start(ctx context.Context) error {
 		det = own
 	}
 
-	ccfg := n.cfg.Consensus
-	ccfg.PID = n.cfg.PID
-	ccfg.N = n.cfg.N
-	ccfg.Group = n.cfg.Group
-	ccfg.Obs = n.cfg.Obs
-	if ccfg.Seed == 0 {
-		ccfg.Seed = uint64(n.cfg.PID)<<32 | uint64(epoch)
-	}
 	// One loop runs the incarnation's consensus and broadcast machines.
-	l := loop.New(n.store)
-	eng, err := consensus.NewOn(l, ccfg, rt.Bound(router.ChanConsensus), det)
+	ly, err := Assemble(loop.New(n.store), n.cfg, epoch, det, rt.Bound, nil)
 	if err != nil {
 		rt.Stop()
-		return fmt.Errorf("node %v: consensus: %w", n.cfg.PID, err)
-	}
-
-	pcfg := n.cfg.Core
-	pcfg.PID = n.cfg.PID
-	pcfg.N = n.cfg.N
-	pcfg.Incarnation = epoch
-	pcfg.Group = n.cfg.Group
-	pcfg.Obs = n.cfg.Obs
-	proto := core.New(pcfg, l, eng.Box(), rt.Bound(router.ChanCore))
-	// Consensus keeps no GC floor across a crash; core's retrieve hands it
-	// back, before the router delivers a frame the engine could answer.
-	if err := proto.Recover(); err != nil {
-		rt.Stop()
-		l.Stop()
-		return fmt.Errorf("node %v: recovery: %w", n.cfg.PID, err)
+		return fmt.Errorf("node %v: %w", n.cfg.PID, err)
 	}
 
 	if own != nil {
 		rt.Handle(router.ChanFD, own.OnMessage)
 	}
-	rt.Handle(router.ChanConsensus, eng.OnMessage)
-	rt.Handle(router.ChanCore, proto.OnMessage)
+	rt.Handle(router.ChanConsensus, ly.Eng.OnMessage)
+	rt.Handle(router.ChanCore, ly.Proto.OnMessage)
 	if n.cfg.App != nil {
 		if h := n.cfg.App(rt.Bound(router.ChanApp)); h != nil {
 			rt.Handle(router.ChanApp, h)
@@ -183,7 +166,7 @@ func (n *Node) Start(ctx context.Context) error {
 		rt:     rt,
 		det:    det,
 		own:    own,
-		proto:  proto,
+		proto:  ly.Proto,
 	}
 	// Published before the layers start, so a Crash racing this Start
 	// finds the incarnation and tears it down; the accessors keep
@@ -201,8 +184,11 @@ func (n *Node) Start(ctx context.Context) error {
 	if own != nil {
 		own.Start(ictx)
 	}
-	eng.Start(ictx)
-	if err := proto.Start(ictx); err != nil {
+	err = ly.Start(ictx)
+	if err == nil {
+		err = ly.Proto.AwaitReplay(ictx)
+	}
+	if err != nil {
 		// Recovery was aborted (crash during replay or storage death).
 		n.Crash()
 		return fmt.Errorf("node %v: recovery: %w", n.cfg.PID, err)
@@ -214,6 +200,63 @@ func (n *Node) Start(ctx context.Context) error {
 	}
 	inc.ready = true
 	return nil
+}
+
+// Layers are the machines of one process incarnation on its loop: the
+// consensus engine and the broadcast core that drives it.
+type Layers struct {
+	Eng   *consensus.Engine
+	Proto *core.Protocol
+}
+
+// Assemble builds an incarnation's layers on l, whose store is the
+// process's stable storage: consensus restored from its cells, the
+// broadcast core on the same loop driving the engine's box, then the
+// core's retrieve, which hands consensus its GC floor back before any
+// frame reaches the engine. net binds a channel; box, when set, is handed
+// the engine's box and returns what the core drives (the simulator's
+// oracle watches it). Start and the simulator both boot an incarnation
+// with it, then Layers.Start.
+func Assemble(l *loop.Loop, cfg Config, epoch uint32, det consensus.Suspector, net func(router.Channel) router.Net, box func(consensus.Box) core.Consensus) (Layers, error) {
+	ccfg := cfg.Consensus
+	ccfg.PID = cfg.PID
+	ccfg.N = cfg.N
+	ccfg.Group = cfg.Group
+	ccfg.Obs = cfg.Obs
+	if ccfg.Seed == 0 {
+		ccfg.Seed = uint64(cfg.PID)<<32 | uint64(epoch)
+	}
+	eng, err := consensus.NewOn(l, ccfg, net(router.ChanConsensus), det)
+	if err != nil {
+		return Layers{}, fmt.Errorf("consensus: %w", err)
+	}
+	var cons core.Consensus = eng.Box()
+	if box != nil {
+		cons = box(eng.Box())
+	}
+
+	pcfg := cfg.Core
+	pcfg.PID = cfg.PID
+	pcfg.N = cfg.N
+	pcfg.Incarnation = epoch
+	pcfg.Group = cfg.Group
+	pcfg.Obs = cfg.Obs
+	proto := core.New(pcfg, l, cons, net(router.ChanCore))
+	// Consensus keeps no GC floor across a crash; core's retrieve hands it
+	// back, before the caller lets a frame reach the engine.
+	if err := proto.Recover(); err != nil {
+		l.Stop()
+		return Layers{}, fmt.Errorf("recovery: %w", err)
+	}
+	return Layers{Eng: eng, Proto: proto}, nil
+}
+
+// Start starts the layers on ctx, which ends the incarnation: consensus's
+// drivers and its logged, undecided instances, then the core's replay
+// phase (core.Protocol.Begin), whose end Proto.AwaitReplay waits for.
+func (ly Layers) Start(ctx context.Context) error {
+	ly.Eng.Start(ctx)
+	return ly.Proto.Begin(ctx)
 }
 
 // nextEpoch increments and logs the incarnation counter — the single
@@ -232,6 +275,10 @@ func (n *Node) Crash() {
 	n.mu.Lock()
 	inc := n.inc
 	n.inc = nil
+	if inc != nil {
+		n.down = make(chan struct{})
+		defer close(n.down)
+	}
 	n.mu.Unlock()
 	if inc == nil {
 		return

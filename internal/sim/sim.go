@@ -1,10 +1,11 @@
 // Package sim is the deterministic simulator kernel the protocol layers'
 // seeded simulators share: a virtual clock and an event heap, a seeded
 // network, seeded disks, incarnation-tagged events and a trace hash. It
-// knows nothing of the machines it runs: its owner (consensus's
-// simulator, or the full-stack process model in internal/sim/stack) turns
-// the machines' effects into kernel calls and the kernel's deliveries back
-// into machine inputs.
+// knows nothing of the machines it runs: its owner binds them to it.
+// Consensus's simulator turns its machine's effects into kernel calls; the
+// full-stack process model (internal/sim/stack) runs each process's
+// production layers on loops whose clock, timer, store and network are the
+// kernel's.
 //
 // Nothing runs concurrently, so a seed is a schedule: run twice it takes
 // the same steps and gives the same trace hash.
@@ -18,8 +19,11 @@
 //     sends itself a frame.
 //   - A disk is a storage.Mem that survives crashes. Each write resolves
 //     after a latency drawn from the disk's range, in issue order; a crash
-//     drops every write not yet resolved. An armed fault (FailIn) fails the
-//     n-th next write and every later one, and kills the incarnation.
+//     drops every write not yet resolved. A disk may report some writes'
+//     resolution late (Late), as storage.Faulty's latency does: a write
+//     reaches the disk in issue order, its report may come after a later
+//     write's. An armed fault (FailIn) fails the n-th next write and every
+//     later one, and kills the incarnation.
 //
 // ConsensusOracle, the safety checker both owners run over consensus's
 // accepts and decisions, lives here too: it needs nothing of the machines.
@@ -51,23 +55,37 @@ const (
 )
 
 // Write is one write on its way to a disk. Done, when set, runs once it
-// resolves in a live incarnation: the write is durable if err is nil.
+// resolves in a live incarnation, which Reported then records: the write
+// is durable if err is nil. Applied, when set, runs when it reaches the
+// disk, which Durable records.
 type Write struct {
-	Op   uint8
-	Key  string
-	End  string // DeleteRange: the key past the range
-	Val  []byte
-	Err  error
-	Done func(err error)
+	Op       uint8
+	Key      string
+	End      string // DeleteRange: the key past the range
+	Val      []byte
+	Err      error
+	Done     func(err error)
+	Applied  func()
+	Durable  bool
+	Reported bool
 }
 
 // Disk is one process's stable storage and its fault switches.
 type Disk struct {
 	Mem     *storage.Mem // what survives a crash
 	Persist [2]int64     // write latency range
+	// Late is the share of writes whose resolution is reported LateBy
+	// after it reached the disk.
+	Late   float64
+	LateBy [2]int64
 	// Hold, when set, keeps the writes it selects off the disk until
 	// Release or FailHeld.
-	Hold      func(w *Write) bool
+	Hold func(w *Write) bool
+	// Lose, when set, loses the writes it selects: they resolve without
+	// reaching the disk. A held write stalls every later report of a
+	// store that reports in issue order; a lost one is the decision cell
+	// a crash would have cut off, without the stall.
+	Lose      func(w *Write) bool
 	held      []*Write
 	lastWrite int64 // when the last issued write resolves
 	failIn    int   // > 0: the failIn-th next write fails
@@ -120,9 +138,11 @@ type Kernel struct {
 	Disks []*Disk
 
 	// Deliver hands a frame to an up process; Kill ends the incarnation
-	// of a process whose disk failed a write. The owner sets both.
+	// of a process whose disk failed a write. The owner sets both, and
+	// may set Stepped, which runs after every event.
 	Deliver func(to, from ids.ProcessID, frame []byte)
 	Kill    func(pid ids.ProcessID)
+	Stepped func()
 
 	Healed  bool
 	Verbose bool     // keep Lines
@@ -242,10 +262,13 @@ func (k *Kernel) schedule(pid ids.ProcessID, w *Write) {
 	k.push(&event{at: d.lastWrite, kind: evWrite, pid: pid, inc: k.inc[pid], w: w})
 }
 
-// resolve applies w to pid's disk unless it failed, and reports it.
+// resolve applies w to pid's disk unless it failed, and reports it, now
+// or, for a late report, after a delay in the same incarnation.
 func (k *Kernel) resolve(pid ids.ProcessID, w *Write) {
-	if w.Err == nil {
-		mem := k.Disks[pid].Mem
+	d := k.Disks[pid]
+	if w.Err == nil && (d.Lose == nil || !d.Lose(w)) {
+		w.Durable = true
+		mem := d.Mem
 		switch w.Op {
 		case Put:
 			_ = mem.Put(w.Key, w.Val)
@@ -256,7 +279,19 @@ func (k *Kernel) resolve(pid ids.ProcessID, w *Write) {
 		case DeleteRange:
 			_ = storage.DeleteRange(mem, w.Key, w.End)
 		}
+		if w.Applied != nil {
+			w.Applied()
+		}
 	}
+	if d.Late > 0 && k.Rng.Float64() < d.Late {
+		k.After(pid, k.Now+k.Between(d.LateBy), func() { report(w) })
+		return
+	}
+	report(w)
+}
+
+func report(w *Write) {
+	w.Reported = true
 	if w.Done != nil {
 		w.Done(w.Err)
 	}
@@ -344,6 +379,9 @@ func (k *Kernel) Step() bool {
 		if live {
 			ev.do()
 		}
+	}
+	if k.Stepped != nil {
+		k.Stepped()
 	}
 	return true
 }

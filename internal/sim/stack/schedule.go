@@ -44,7 +44,8 @@ func Variants() map[string]core.Config {
 // broadcasts from random processes, crashes and recoveries (up to N-1
 // down at once), armed write faults that kill the incarnation, and
 // one-way cuts over a lossy, duplicating, reordering network, each
-// process with a disk of its own speed, then a heal at HealAt.
+// process with a disk of its own speed, half of them reporting some
+// writes late, then a heal at HealAt.
 type Schedule struct {
 	N         int
 	Core      core.Config
@@ -70,6 +71,9 @@ func (sc Schedule) Build(seed uint64, verbose bool) *Sim {
 	s.Verbose = verbose
 	for _, d := range s.Disks {
 		d.Persist = [2]int64{0, []int64{1, 4, 20}[r.IntN(3)] * ms} // some disks are slow
+		if r.IntN(2) == 0 {                                        // and some report writes late, out of issue order
+			d.Late, d.LateBy = 0.3, [2]int64{ms / 2, 4 * ms}
+		}
 	}
 	s.Boot()
 	n := s.Opts.N
@@ -120,18 +124,18 @@ func (s *Sim) soakIsolate(pid ids.ProcessID) {
 	s.Note(pid, "isolated", uint64(isolation), nil)
 	s.Kernel.Isolate(pid, true)
 	s.Isolations++
-	held, lost, until := p.LeaseB != 0, p.LeasesLost, s.Now+1000*ms
+	held, lost, until := p.Lease() != 0, p.LeasesLost(), s.Now+1000*ms
 	s.Broadcast(pid, true)
 	var rejoin func()
 	rejoin = func() {
-		if p.LeaseB != 0 && s.Now < until {
+		if p.Lease() != 0 && s.Now < until {
 			s.At(s.Now+ms, rejoin)
 			return
 		}
 		s.Note(pid, "rejoined", 0, nil)
 		s.Kernel.Isolate(pid, false)
 		s.isolating = false
-		s.costLease = s.costLease || held && p.LeasesLost > lost
+		s.costLease = s.costLease || held && p.LeasesLost() > lost
 	}
 	s.At(s.Now+isolation, rejoin)
 }
@@ -146,12 +150,12 @@ func (s *Sim) huntHolder() {
 	if !s.isolating {
 		var leader *Proc
 		for _, p := range s.Procs {
-			if p.Up() && p.LeaseB != 0 {
+			if p.Up() && p.Lease() != 0 {
 				s.soakIsolate(p.PID)
 				break
 			}
 			if leader == nil && p.Up() {
-				leader = s.Procs[p.FD.Leader(s.Now)]
+				leader = s.Procs[p.FD.Leader()]
 			}
 		}
 		if !s.isolating && s.Healed && leader != nil {
@@ -193,7 +197,7 @@ func (sc Schedule) Check(t testing.TB, first uint64, n int, only uint64, replay 
 			tally.Crashes += s.Crashes
 			tally.Isolations += s.Isolations
 			for _, p := range s.Procs {
-				tally.LeasesLost += p.LeasesLost
+				tally.LeasesLost += p.LeasesLost()
 			}
 		}
 		return s.Kernel

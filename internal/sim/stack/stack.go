@@ -1,23 +1,32 @@
 // Package stack is the full-stack process model of the simulator: every
-// simulated process runs the real core, consensus and failure-detector
-// machines over one simulated disk, on the kernel's virtual clock
-// (internal/sim), wired as the production adapters wire them: consensus's
-// decided and forgotten effects are core inputs in the same step; core's
-// propose, learn and discard effects are consensus inputs; the FD machine
-// answers consensus's Suspector at virtual now, so lease timers, suspicion
-// and the leader hint run on the one clock; recovery restores consensus
-// from its cells and runs core's retrieve and replay phase.
+// simulated process is booted by node.Assemble, the code node.Start boots
+// an incarnation with, so it runs the production consensus engine and
+// broadcast core on one loop (internal/loop) and the production failure
+// detector on a loop of its own. Each loop's Env is the kernel's
+// (internal/sim): the virtual clock, a kernel timer, and its upcalls run
+// after the unlock of the step that queued them, on the kernel's one
+// thread. Its store is the process's simulated disk, and its frames go on
+// the simulated network.
 //
-// One oracle watches the run: internal/check's Validity, Integrity and
-// Total Order, and Termination once the schedule heals; the core's
-// ordering rules (OnRound in round order, a BatchedBroadcast released only
-// once its record is durable, the checkpoint and GC-floor cells durable
-// before a discard, the Unordered rewrite issued right before the log
-// delete); and sim.ConsensusOracle across incarnations.
+// One oracle watches the run, through seams production already has: the
+// simulated store's writes and completions, the frames on the simulated
+// network, the core.Consensus box the core is handed (wrapped), and
+// core.Config's OnDeliver, OnRound, OnRoundSkip and OnRestore. It checks
+// internal/check's Validity, Integrity and Total Order, and Termination
+// once the schedule heals; the core's ordering rules (OnRound in round
+// order, a BatchedBroadcast released only once the write of its record
+// reached the disk and was reported, the checkpoint and GC-floor cells
+// durable before a discard and no consensus discard past the floor the
+// core asked for, the Unordered rewrite issued right before the log
+// delete); sim.ConsensusOracle across incarnations; and that no process
+// sends itself a frame.
 package stack
 
 import (
+	"bytes"
 	"cmp"
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -28,7 +37,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/fd"
 	"repro/internal/ids"
+	"repro/internal/loop"
 	"repro/internal/msg"
+	"repro/internal/node"
+	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/wire"
@@ -38,14 +50,6 @@ const ms = sim.Ms
 
 // never is the deadline of a timer that is not armed.
 const never = math.MaxInt64
-
-// Frame channel tags: every frame on the simulated network starts with the
-// layer it is for.
-const (
-	chCore byte = iota + 1
-	chCons
-	chFD
-)
 
 // The FD timers of every simulated process.
 const (
@@ -59,8 +63,10 @@ const (
 // protocol, fast consensus timers and a calm network. Every disk writes in
 // 0.5-2ms until a schedule gives it a latency range of its own.
 type Options struct {
-	N         int
-	Core      core.Config // PID, N and Incarnation are filled per process
+	N int
+	// Core's PID, N and Incarnation are filled per process, and its
+	// OnDeliver, OnRound, OnRoundSkip and OnRestore are the oracle's.
+	Core      core.Config
 	Consensus consensus.Config
 	Loss      float64 // per-frame drop probability between processes
 	Dup       float64 // per-frame duplication probability
@@ -75,30 +81,56 @@ func (o *Options) fill() {
 	o.Delay = cmp.Or(o.Delay, [2]int64{ms / 10, ms})
 }
 
-// Proc is one simulated process: its machines (nil while down), its disk,
+// Proc is one simulated process: its layers (nil while down), its disk,
 // and what the oracle tracks of it.
 type Proc struct {
 	PID  ids.ProcessID
-	Core *core.Machine
-	Cons *consensus.Machine
-	FD   *fd.Machine
+	Core *core.Protocol
+	FD   *fd.Detector
 	Disk *storage.Mem // what survives a crash
 	// Lives is the OnDeliver stream of each incarnation.
 	Lives [][]core.Delivery
-	// LeasesLost counts the lease-lost effects of every incarnation.
-	LeasesLost int
-	// LeaseB is the ballot of the lease this incarnation holds, 0 if none.
-	LeaseB uint64
 
-	replay    *core.Replay // nil while down
-	wallAt    int64        // the one timer the core machine armed
-	nextRound uint64       // the round its next OnRound must carry
-	lastKey   string       // the key of the last core write issued
-	floor     uint64       // the last floor the core discarded below
+	eng     *consensus.Engine
+	box     consensus.Box
+	l, fdl  *loop.Loop     // the incarnation's loop, the detector's
+	pending []core.Pending // Broadcast calls not yet released
+	lost    int            // leases lost by ended incarnations
+
+	nextRound uint64 // the round its next OnRound must carry
+	lastKey   string // the key of the last core write issued
+	floor     uint64 // the last floor the core discarded below
+	// carried lists, per message, the writes carrying its Unordered
+	// record (BatchedBroadcast).
+	carried map[ids.MsgID][]*sim.Write
 }
 
 // Up reports whether p has a live incarnation.
 func (p *Proc) Up() bool { return p.Core != nil }
+
+// Lease returns the ballot of the lease this incarnation holds, 0 if none.
+func (p *Proc) Lease() uint64 {
+	if !p.Up() {
+		return 0
+	}
+	return p.eng.LeaseStats().Ballot
+}
+
+// LeasesLost counts the leases every incarnation of p lost.
+func (p *Proc) LeasesLost() int {
+	if !p.Up() {
+		return p.lost
+	}
+	return p.lost + int(p.eng.LeaseStats().Fallbacks)
+}
+
+// Sequencer is the consensus box's: the process p's acceptor granted its
+// lease to.
+func (p *Proc) Sequencer() (ids.ProcessID, bool) {
+	p.l.Lock()
+	defer p.l.Unlock()
+	return p.box.Sequencer()
+}
 
 // Accept is one accept a process sent: its value for round K at Ballot.
 type Accept struct {
@@ -126,6 +158,7 @@ type Sim struct {
 	seed   uint64
 	bcasts int
 	oracle *sim.ConsensusOracle
+	grants map[uint64]bool // the ballots an acceptor granted a lease at
 
 	// The soak schedule's isolations (schedule.go).
 	isolating bool // one is under way
@@ -142,12 +175,13 @@ func New(seed uint64, opts Options) *Sim {
 		Back:   make(map[ids.MsgID]bool),
 		seed:   seed,
 		oracle: sim.NewConsensusOracle(),
+		grants: make(map[uint64]bool),
 	}
 	s.Loss, s.Dup, s.Delay = opts.Loss, opts.Dup, opts.Delay
-	s.Deliver, s.Kill = s.receive, s.Crash
+	s.Deliver, s.Kill, s.Stepped = s.receive, s.Crash, s.released
 	for p := range opts.N {
 		s.Disks[p].Persist = [2]int64{ms / 2, 2 * ms}
-		s.Procs = append(s.Procs, &Proc{PID: ids.ProcessID(p), Disk: s.Disks[p].Mem})
+		s.Procs = append(s.Procs, &Proc{PID: ids.ProcessID(p), Disk: s.Disks[p].Mem, carried: make(map[ids.MsgID][]*sim.Write)})
 	}
 	return s
 }
@@ -159,230 +193,279 @@ func (s *Sim) Boot() {
 	}
 }
 
-// suspector answers consensus's Suspector from p's FD machine at the
-// kernel's now.
-type suspector struct {
-	s *Sim
-	p *Proc
+// ---- the kernel as a loop's surroundings ----
+
+// Env is the kernel as a loop's Env, for process PID's incarnation: the
+// virtual clock, a timer whose wake-ups are kernel timers of the
+// incarnation (a crash voids them), and no upcall goroutine: the loop runs
+// its upcalls after the unlock of the step that queued them, on the
+// kernel's one thread.
+type Env struct {
+	K   *sim.Kernel
+	PID ids.ProcessID
 }
 
-func (v suspector) Suspects(q ids.ProcessID) bool { return v.p.FD.Suspects(v.s.Now, q) }
-func (v suspector) Leader() ids.ProcessID         { return v.p.FD.Leader(v.s.Now) }
+func (e Env) Now() int64 { return e.K.Now }
 
-// receive is a frame reaching an up process.
-func (s *Sim) receive(to, from ids.ProcessID, frame []byte) {
-	p := s.Procs[to]
-	if len(frame) == 0 {
-		return
-	}
-	body := frame[1:]
-	switch frame[0] {
-	case chCore:
-		s.Note(to, "recv core from p"+strconv.Itoa(int(from)), 0, body)
-		p.Core.Receive(s.Now, from, body)
-	case chCons:
-		s.Note(to, "recv cons from p"+strconv.Itoa(int(from)), 0, body)
-		p.Cons.Receive(from, body)
-	case chFD:
-		if epoch, ok := fd.DecodeHeartbeat(body); ok {
-			p.FD.Heartbeat(s.Now, from, epoch)
+func (e Env) Timer(wake func()) loop.Timer { return &timer{Env: e, wake: wake, at: never} }
+
+func (Env) Go(func()) bool { return false }
+
+type timer struct {
+	Env
+	wake func()
+	at   int64 // the deadline it is set for
+}
+
+func (t *timer) Reset(d time.Duration) bool {
+	at := t.K.Now + max(int64(d), 0)
+	t.at = at
+	t.K.After(t.PID, at, func() {
+		if t.at == at {
+			t.at = never
+			t.wake()
 		}
-	}
-	s.drain(p)
+	})
+	return true
 }
+
+func (t *timer) Stop() bool {
+	t.at = never
+	return true
+}
+
+// link is a process's network binding of one channel.
+type link struct {
+	s  *Sim
+	p  *Proc
+	ch router.Channel
+}
+
+func (n link) Send(to ids.ProcessID, payload []byte) { n.s.send(n.p, n.ch, to, payload) }
+func (n link) Multisend(payload []byte)              { n.s.send(n.p, n.ch, ids.Nobody, payload) }
 
 // send puts one layer's frame on the network: to one other process, or
 // (Nobody) to every other process. No layer addresses itself.
-func (s *Sim) send(p *Proc, ch byte, to ids.ProcessID, body []byte) {
+func (s *Sim) send(p *Proc, ch router.Channel, to ids.ProcessID, body []byte) {
 	if to == p.PID {
 		s.Fail("p%d sent itself a frame", p.PID)
 		return
 	}
-	frame := append([]byte{ch}, body...)
+	switch ch {
+	case router.ChanCore:
+		s.Note(p.PID, "send to "+to.String(), 0, body)
+	case router.ChanConsensus:
+		accept, grant, k, b, v := consensus.ReadFrame(body)
+		s.Note(p.PID, "cons send to "+to.String(), k, body)
+		if grant {
+			s.grants[b] = true
+		}
+		if accept {
+			s.Accepts = append(s.Accepts, Accept{p.PID, k, b})
+			// An accept at a granted lease ballot is its holder's.
+			if err := s.oracle.Accept(k, b, v, s.grants[b]); err != nil {
+				s.Fail("%v", err)
+			}
+		}
+	}
+	frame := append([]byte{byte(ch)}, body...)
 	for q := range ids.ProcessID(len(s.Procs)) {
-		if q != p.PID && (to == ids.Nobody || to == q) && (ch != chCore || s.CoreLink == nil || s.CoreLink(p.PID, q, body)) {
+		if q != p.PID && (to == ids.Nobody || to == q) && (ch != router.ChanCore || s.CoreLink == nil || s.CoreLink(p.PID, q, body)) {
 			s.Send(p.PID, q, frame)
 		}
 	}
 }
 
-// drain carries out the effects of p's last input, and of the inputs they
-// cause in turn: a machine's effects that are another machine's inputs are
-// stepped at once, and their effects carried out in the next pass.
-func (s *Sim) drain(p *Proc) {
-	for p.Up() {
-		fe, ke, ce := p.FD.Effects(), p.Cons.Effects(), p.Core.Effects()
-		if len(fe)+len(ke)+len(ce) == 0 {
-			return
-		}
-		for _, ef := range fe {
-			s.fdEffect(p, ef)
-		}
-		for i := range ke {
-			s.consEffect(p, &ke[i])
-		}
-		for _, ef := range ce {
-			s.coreEffect(p, ef)
-		}
+// receive is a frame reaching an up process.
+func (s *Sim) receive(to, from ids.ProcessID, frame []byte) {
+	p := s.Procs[to]
+	if len(frame) == 0 || !p.Up() {
+		return
+	}
+	body := frame[1:]
+	switch router.Channel(frame[0]) {
+	case router.ChanCore:
+		s.Note(to, "recv core from p"+strconv.Itoa(int(from)), 0, body)
+		p.Core.OnMessage(from, body)
+	case router.ChanConsensus:
+		s.Note(to, "recv cons from p"+strconv.Itoa(int(from)), 0, body)
+		p.eng.OnMessage(from, body)
+	case router.ChanFD:
+		p.FD.OnMessage(from, body)
 	}
 }
 
-func (s *Sim) fdEffect(p *Proc, ef fd.Effect) {
-	switch ef.Op {
-	case fd.OpBeat:
-		w := wire.NewWriter(8)
-		fd.EncodeHeartbeat(w, ef.Epoch)
-		s.send(p, chFD, ids.Nobody, w.Bytes())
-	case fd.OpTick:
-		s.After(p.PID, ef.At, func() {
-			p.FD.Tick(s.Now)
-			s.drain(p)
-		})
-	case fd.OpSuspect:
-		s.Note(p.PID, "suspect", uint64(ef.Peer), nil)
-	case fd.OpTrust:
-		s.Note(p.PID, "trust", uint64(ef.Peer), nil)
-	}
+// ---- the store ----
+
+// store is a process's simulated disk as its loop's store: reads see what
+// is durable, and each asynchronous write is a kernel write whose
+// resolution resolves its completion. The layers write nothing
+// synchronously, and the kernel's one thread cannot wait for a barrier.
+type store struct {
+	*storage.Mem
+	s *Sim
+	p *Proc
 }
 
-func (s *Sim) consEffect(p *Proc, ef *consensus.Effect) {
-	switch ef.Op {
-	case consensus.OpSend:
-		s.Note(p.PID, "cons send to "+ef.To.String(), ef.K, ef.Frame)
-		if ef.Accept {
-			s.Accepts = append(s.Accepts, Accept{p.PID, ef.K, ef.Ballot})
-			if err := s.oracle.Accept(ef.K, ef.Ballot, ef.Val, ef.Ballot == p.LeaseB); err != nil {
-				s.Fail("%v", err)
-			}
-		}
-		s.send(p, chCons, ef.To, ef.Frame)
-	case consensus.OpPut:
-		s.Note(p.PID, "cons write "+ef.Key, ef.K, ef.Val)
-		eff := *ef
-		s.Write(p.PID, &sim.Write{Op: sim.Put, Key: ef.Key, Val: ef.Val, Done: func(err error) {
-			if err == nil && eff.Proposal {
-				s.oracle.Logged(eff.K, eff.Val)
-			}
-			p.Cons.Persisted(&eff, err)
-			s.drain(p)
-		}})
-	case consensus.OpDiscard:
-		s.Note(p.PID, "cons discard "+ef.Key+" to "+ef.End, ef.K, nil)
-		if ef.K > p.floor {
-			s.Fail("p%d discards its consensus cells below %d, past the floor %d the core asked for", p.PID, ef.K, p.floor)
-		}
-		s.Write(p.PID, &sim.Write{Op: sim.DeleteRange, Key: ef.Key, End: ef.End})
-	case consensus.OpArm:
-		eff := *ef
-		s.After(p.PID, s.Now+ef.After, func() {
-			p.Cons.Fire(&eff)
-			s.drain(p)
-		})
-	case consensus.OpDecided:
-		s.Note(p.PID, "decided", ef.K, ef.Val)
-		if err := s.oracle.Decided(p.PID, ef.K, ef.Val); err != nil {
-			s.Fail("%v", err)
-		}
-		p.Core.Decided(s.Now, ef.K, ef.Val)
-		p.replay.Settled(s.Now, ef.K, true)
-	case consensus.OpForgot:
-		s.Note(p.PID, "forgotten", ef.K, nil)
-		p.Core.Forgotten(s.Now, ef.K)
-		p.replay.Settled(s.Now, ef.K, false)
-	case consensus.OpLeaseAcquired:
-		s.Note(p.PID, "lease acquired", ef.Ballot, nil)
-		p.LeaseB = ef.Ballot
-	case consensus.OpLeaseLost:
-		s.Note(p.PID, "lease lost", ef.Ballot, nil)
-		p.LeaseB = 0
-		p.LeasesLost++
-	}
+func (st store) Sync() error { return errors.ErrUnsupported }
+
+func (st store) DeleteAsync(key string) *storage.Completion {
+	return st.s.write(st.p, &sim.Write{Op: sim.Delete, Key: key})
 }
 
-func (s *Sim) coreEffect(p *Proc, ef core.Effect) {
-	switch ef.Op {
-	case core.OpSend:
-		s.Note(p.PID, "send to "+ef.To.String(), 0, ef.Bytes)
-		s.send(p, chCore, ef.To, ef.Bytes)
-	case core.OpPut, core.OpAppend, core.OpDelete:
-		s.Note(p.PID, "write "+ef.Key, 0, ef.Bytes)
-		if ef.Op == core.OpDelete && ef.Key == core.KeyUnordLog && p.lastKey != core.KeyUnord {
+func (st store) PutAsync(key string, val []byte) *storage.Completion {
+	return st.s.write(st.p, &sim.Write{Op: sim.Put, Key: key, Val: bytes.Clone(val)})
+}
+
+func (st store) AppendAsync(key string, rec []byte) *storage.Completion {
+	return st.s.write(st.p, &sim.Write{Op: sim.Append, Key: key, Val: bytes.Clone(rec)})
+}
+
+func (st store) DeleteRangeAsync(from, to string) *storage.Completion {
+	return st.s.write(st.p, &sim.Write{Op: sim.DeleteRange, Key: from, End: to})
+}
+
+// write issues w on p's disk, and checks the write-order rules at its
+// issue: no consensus discard past the floor the core asked for, and the
+// Unordered rewrite right before the log delete.
+func (s *Sim) write(p *Proc, w *sim.Write) *storage.Completion {
+	s.Note(p.PID, "write "+w.Key, 0, w.Val)
+	k, proposal, cons := consensus.Instance(w.Key)
+	switch {
+	case w.Op == sim.DeleteRange:
+		if end, _, _ := consensus.Instance(w.End); end > p.floor {
+			s.Fail("p%d discards its consensus cells below %d, past the floor %d the core asked for", p.PID, end, p.floor)
+		}
+	case !cons:
+		if w.Op == sim.Delete && w.Key == core.KeyUnordLog && p.lastKey != core.KeyUnord {
 			s.Fail("p%d deletes the Unordered log right after writing %q, not the set's rewrite", p.PID, p.lastKey)
 		}
-		p.lastKey = ef.Key
-		op := sim.Put
-		switch ef.Op {
-		case core.OpAppend:
-			op = sim.Append
-		case core.OpDelete:
-			op = sim.Delete
+		p.lastKey = w.Key
+		if s.Opts.Core.BatchedBroadcast {
+			s.carry(p, w)
 		}
-		s.Write(p.PID, &sim.Write{Op: op, Key: ef.Key, Val: ef.Bytes, Done: func(err error) {
-			p.Core.Persisted(s.Now, ef, err)
-			s.drain(p)
-		}})
-	case core.OpPropose:
-		s.Note(p.PID, "propose", ef.K, ef.Bytes)
-		s.oracle.Proposed(ef.K, ef.Bytes)
-		// It fails only below the consensus floor: the adapter drops it.
-		_ = p.Cons.Propose(ef.K, ef.Bytes, s.Now)
-	case core.OpLearn:
-		if v, ok := p.Cons.DecidedLocal(ef.K); ok {
-			p.Core.Decided(s.Now, ef.K, v)
+	}
+	if proposal {
+		w.Applied = func() { s.oracle.Logged(k, w.Val) }
+	}
+	c := storage.NewCompletion()
+	w.Done = c.Resolve
+	s.Write(p.PID, w)
+	return c
+}
+
+// carry records the messages whose Unordered record w carries.
+func (s *Sim) carry(p *Proc, w *sim.Write) {
+	r := wire.NewReader(w.Val)
+	switch w.Key {
+	case core.KeyUnordLog:
+		if m := msg.DecodeMessage(r); r.Done() == nil {
+			p.carried[m.ID] = append(p.carried[m.ID], w)
 		}
-	case core.OpDiscard:
-		s.Note(p.PID, "discard below", ef.K, nil)
-		s.checkDiscard(p, ef.K)
-		p.floor = ef.K
-		p.Cons.DiscardBelow(ef.K)
-		p.replay.Discarded(s.Now)
-	case core.OpArm:
-		if ef.At < p.wallAt {
-			p.wallAt = ef.At
-			at := ef.At
-			s.After(p.PID, at, func() {
-				if p.wallAt == at {
-					p.wallAt = never
-					p.Core.Fire(s.Now)
-					s.drain(p)
-				}
-			})
-		}
-	case core.OpRelease:
-		s.Note(p.PID, "release "+ef.ID.String(), 0, nil)
-		if ef.Err == nil {
-			s.checkRelease(p, ef.ID)
-			s.Rec.MarkReturned(ef.ID)
-			s.Back[ef.ID] = true
-		}
-	case core.OpRestore:
-		s.Rec.OnRestore(p.PID)(ef.Snap)
-		p.nextRound = 0
-	case core.OpDeliver, core.OpRound:
-		if ef.Op == core.OpRound {
-			s.Note(p.PID, "round", ef.K, nil)
-			if ef.K != p.nextRound {
-				s.Fail("p%d committed round %d, its next round is %d", p.PID, ef.K, p.nextRound)
+	case core.KeyUnord:
+		if set := msg.DecodeSet(r); r.Done() == nil {
+			for m := range set.All() {
+				p.carried[m.ID] = append(p.carried[m.ID], w)
 			}
-			p.nextRound = ef.K + 1
 		}
-		for _, d := range ef.Ds {
-			s.Rec.OnDeliver(p.PID)(d)
+	}
+}
+
+// ---- the consensus box the core drives ----
+
+// box is the consensus box as the core drives it, watched by the oracle:
+// what the core proposes, what consensus decides, and the discards the
+// core asks for.
+type box struct {
+	consensus.Box
+	s *Sim
+	p *Proc
+}
+
+func (b box) Propose(k uint64, v []byte, now int64) error {
+	b.s.Note(b.p.PID, "propose", k, v)
+	b.s.oracle.Proposed(k, v)
+	return b.Box.Propose(k, v, now)
+}
+
+func (b box) Settle() (uint64, []byte, bool, bool) {
+	k, v, decided, ok := b.Box.Settle()
+	switch {
+	case !ok:
+	case decided:
+		b.s.Note(b.p.PID, "decided", k, v)
+		if err := b.s.oracle.Decided(b.p.PID, k, v); err != nil {
+			b.s.Fail("%v", err)
 		}
-		p.Lives[len(p.Lives)-1] = append(p.Lives[len(p.Lives)-1], ef.Ds...)
-	case core.OpSkip:
-		s.Note(p.PID, "skip to", ef.K, nil)
-		if ef.K < p.nextRound {
-			s.Fail("p%d skipped back to round %d from %d", p.PID, ef.K, p.nextRound)
+	default:
+		b.s.Note(b.p.PID, "forgotten", k, nil)
+	}
+	return k, v, decided, ok
+}
+
+func (b box) DiscardBelow(k uint64) {
+	b.s.Note(b.p.PID, "discard below", k, nil)
+	b.s.checkDiscard(b.p, k)
+	b.p.floor = k
+	b.Box.DiscardBelow(k)
+}
+
+// ---- the oracle's hooks ----
+
+// hooks sets the oracle's upcalls on cfg for p's incarnation.
+func (s *Sim) hooks(p *Proc, cfg *core.Config) {
+	deliver, restore := s.Rec.OnDeliver(p.PID), s.Rec.OnRestore(p.PID)
+	cfg.OnDeliver = func(d core.Delivery) {
+		deliver(d)
+		p.Lives[len(p.Lives)-1] = append(p.Lives[len(p.Lives)-1], d)
+	}
+	cfg.OnRound = func(_ ids.GroupID, k uint64, _ []core.Delivery) {
+		s.Note(p.PID, "round", k, nil)
+		if k != p.nextRound {
+			s.Fail("p%d committed round %d, its next round is %d", p.PID, k, p.nextRound)
 		}
-		p.nextRound = ef.K
-	case core.OpCheckpointDue:
-		p.Core.Checkpoint(s.Now, false)
+		p.nextRound = k + 1
+	}
+	cfg.OnRoundSkip = func(_ ids.GroupID, k uint64) {
+		s.Note(p.PID, "skip to", k, nil)
+		if k < p.nextRound {
+			s.Fail("p%d skipped back to round %d from %d", p.PID, k, p.nextRound)
+		}
+		p.nextRound = k
+	}
+	cfg.OnRestore = func(snap core.Snapshot) {
+		restore(snap)
+		p.nextRound = 0
+	}
+}
+
+// released reads the release of the pending Broadcast calls, after every
+// step of the kernel.
+func (s *Sim) released() {
+	for _, p := range s.Procs {
+		keep := p.pending[:0]
+		for _, b := range p.pending {
+			done, err := b.Poll()
+			if !done {
+				keep = append(keep, b)
+				continue
+			}
+			s.Note(p.PID, "release "+b.ID.String(), 0, nil)
+			if err == nil {
+				s.checkRelease(p, b.ID)
+				s.Rec.MarkReturned(b.ID)
+				s.Back[b.ID] = true
+			}
+		}
+		clear(p.pending[len(keep):])
+		p.pending = keep
 	}
 }
 
 // checkRelease: a returning Broadcast's message is in the Agreed queue
-// (basic protocol), or its Unordered record is durable (BatchedBroadcast).
+// (basic protocol), or a write carrying its Unordered record reached the
+// disk and was reported (BatchedBroadcast): the record may have left the
+// disk since, with a checkpoint's rewrite after its delivery.
 func (s *Sim) checkRelease(p *Proc, id ids.MsgID) {
 	if !s.Opts.Core.BatchedBroadcast {
 		if !p.Core.Delivered(id) {
@@ -390,20 +473,12 @@ func (s *Sim) checkRelease(p *Proc, id ids.MsgID) {
 		}
 		return
 	}
-	if cell, ok, _ := p.Disk.Get(core.KeyUnord); ok {
-		r := wire.NewReader(cell)
-		if set := msg.DecodeSet(r); r.Done() == nil && set.Contains(id) {
+	for _, w := range p.carried[id] {
+		if w.Durable && w.Reported {
 			return
 		}
 	}
-	recs, _ := p.Disk.Records(core.KeyUnordLog)
-	for _, rec := range recs {
-		r := wire.NewReader(rec)
-		if m := msg.DecodeMessage(r); r.Done() == nil && m.ID == id {
-			return
-		}
-	}
-	s.Fail("p%d returned from the Broadcast of %v before its Unordered record was durable", p.PID, id)
+	s.Fail("p%d returned from the Broadcast of %v before a write of its Unordered record was durable and reported", p.PID, id)
 }
 
 // checkDiscard: the checkpoint cell and the GC-floor cell that cover a
@@ -416,6 +491,8 @@ func (s *Sim) checkDiscard(p *Proc, k uint64) {
 	}
 }
 
+// ---- the schedule's steps ----
+
 // Crash loses pid's volatile state and its writes not yet durable.
 func (s *Sim) Crash(pid ids.ProcessID) {
 	p := s.Procs[pid]
@@ -425,13 +502,18 @@ func (s *Sim) Crash(pid ids.ProcessID) {
 	s.Note(pid, "crash", 0, nil)
 	s.Kernel.Crash(pid)
 	s.Crashes++
-	p.Core, p.Cons, p.FD, p.replay, p.LeaseB = nil, nil, nil, nil, 0
+	p.lost = p.LeasesLost()
+	p.l.Stop()
+	p.fdl.Stop()
+	p.Core, p.FD, p.eng, p.box, p.l, p.fdl = nil, nil, nil, consensus.Box{}, nil, nil
+	clear(p.pending)
+	p.pending = p.pending[:0]
 }
 
 // Recover boots a new incarnation of pid from its disk, as node.Start
-// does: a new epoch, the detector, consensus restored from its cells,
-// core's retrieve (which hands consensus its floor), consensus started,
-// then core's replay phase.
+// does: a new epoch, its detector, then node.Assemble's layers (consensus
+// restored from its cells, the core's retrieve, which hands consensus its
+// floor) and their start, the core's replay phase last.
 func (s *Sim) Recover(pid ids.ProcessID) {
 	p := s.Procs[pid]
 	if p.Up() {
@@ -443,30 +525,30 @@ func (s *Sim) Recover(pid ids.ProcessID) {
 	s.Note(pid, "recover", uint64(epoch), nil)
 	s.Rec.StartSession(pid)
 	p.Lives = append(p.Lives, nil)
-	p.wallAt, p.nextRound, p.lastKey = never, 0, ""
+	p.nextRound, p.lastKey = 0, ""
 
-	p.FD = fd.NewMachine(pid, s.Opts.N, epoch, fd.Options{Heartbeat: fdHeartbeat, Timeout: FDTimeout})
-	ccfg := s.Opts.Consensus
-	ccfg.PID, ccfg.N, ccfg.Seed = pid, s.Opts.N, s.seed*131+uint64(pid)*17+uint64(inc)
-	cons, err := consensus.NewMachine(ccfg, suspector{s, p}, p.Disk)
+	e := Env{K: s.Kernel, PID: pid}
+	net := func(ch router.Channel) router.Net { return link{s, p, ch} }
+	fdl := loop.NewIn(nil, e)
+	det := fd.NewOn(fdl, pid, s.Opts.N, epoch, fd.Options{Heartbeat: fdHeartbeat, Timeout: FDTimeout}, net(router.ChanFD))
+	cfg := node.Config{PID: pid, N: s.Opts.N, Core: s.Opts.Core, Consensus: s.Opts.Consensus}
+	cfg.Consensus.Seed = s.seed*131 + uint64(pid)*17 + uint64(inc)
+	s.hooks(p, &cfg.Core)
+	l := loop.NewIn(store{p.Disk, s, p}, e)
+	ly, err := node.Assemble(l, cfg, epoch, det, net, func(b consensus.Box) core.Consensus {
+		p.box = b
+		return box{b, s, p}
+	})
 	if err != nil {
 		s.Fail("p%d recover: %v", pid, err)
 		return
 	}
-	cfg := s.Opts.Core
-	cfg.PID, cfg.N, cfg.Incarnation = pid, s.Opts.N, epoch
-	p.Core, p.Cons = core.NewMachine(cfg, cons), cons
-	p.replay = core.NewReplay(p.Core, cons)
-
-	p.FD.Start(s.Now)
-	if err := p.Core.Recover(p.Disk); err != nil {
+	p.Core, p.FD, p.eng, p.l, p.fdl = ly.Proto, det, ly.Eng, l, fdl
+	ctx := context.Background()
+	det.Start(ctx)
+	if err := ly.Start(ctx); err != nil {
 		s.Fail("p%d recover: %v", pid, err)
-		return
 	}
-	s.drain(p) // consensus gets its floor back before it starts
-	p.Cons.Start()
-	p.replay.Begin(s.Now)
-	s.drain(p)
 }
 
 // Broadcast is a client's Broadcast (async: BroadcastAsync) at pid; it
@@ -478,16 +560,25 @@ func (s *Sim) Broadcast(pid ids.ProcessID, async bool) ids.MsgID {
 // BroadcastPayload is Broadcast of a payload of the caller's.
 func (s *Sim) BroadcastPayload(pid ids.ProcessID, payload []byte, async bool) ids.MsgID {
 	p := s.Procs[pid]
-	if !p.Up() || p.replay.On() && !async && !s.Opts.Core.BatchedBroadcast {
+	if !p.Up() || p.Core.Replaying() && !async && !s.Opts.Core.BatchedBroadcast {
 		return ids.MsgID{} // the process answers as down
 	}
 	s.bcasts++
-	id, err := p.Core.Broadcast(s.Now, payload, async)
+	var id ids.MsgID
+	var err error
+	if async {
+		id, err = p.Core.BroadcastAsync(payload)
+	} else {
+		var b core.Pending
+		if b, err = p.Core.Submit(payload); err == nil {
+			p.pending = append(p.pending, b)
+		}
+		id = b.ID
+	}
 	if err == nil {
 		s.Note(pid, "broadcast "+id.String(), 0, payload)
 		s.Rec.RecordBroadcast(id, payload)
 	}
-	s.drain(p)
 	return id
 }
 
@@ -518,13 +609,13 @@ func (s *Sim) Terminated() bool { return s.termination() == nil }
 func (s *Sim) termination() error {
 	var finals []check.Final
 	for _, p := range s.Procs {
-		if !p.Up() || p.replay.On() {
+		if !p.Up() || p.Core.Replaying() {
 			return fmt.Errorf("p%d is down or replaying", p.PID)
 		}
 		for _, q := range s.Procs {
-			if e := q.FD.SelfEpoch(); p.FD.Epoch(q.PID) != e || p.FD.Suspects(s.Now, q.PID) {
+			if e := q.FD.SelfEpoch(); p.FD.Epoch(q.PID) != e || p.FD.Suspects(q.PID) {
 				return fmt.Errorf("p%d's detector sees p%d at epoch %d (suspected %v), which runs epoch %d",
-					p.PID, q.PID, p.FD.Epoch(q.PID), p.FD.Suspects(s.Now, q.PID), e)
+					p.PID, q.PID, p.FD.Epoch(q.PID), p.FD.Suspects(q.PID), e)
 			}
 		}
 		base, suffix := p.Core.Sequence()

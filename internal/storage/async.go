@@ -32,6 +32,14 @@ type Completion struct {
 
 func newCompletion() *Completion { return &Completion{} }
 
+// NewCompletion returns an unresolved Completion for an engine outside
+// this package, the simulator's disk, which resolves it with Resolve.
+func NewCompletion() *Completion { return newCompletion() }
+
+// Resolve resolves c with err, once, as an engine does at the operation's
+// durability point.
+func (c *Completion) Resolve(err error) { c.complete(err) }
+
 // completed returns an already-resolved Completion (synchronous engines).
 func completed(err error) *Completion {
 	return &Completion{done: true, err: err}
