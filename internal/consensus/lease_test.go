@@ -315,3 +315,36 @@ func TestNonHolderDefersProposalLog(t *testing.T) {
 		t.Fatalf("p1 still holds a pooled buffer for %d after logging it", k)
 	}
 }
+
+// TestLeaseRefuserIsAskedAgain: an acceptor that got the holder's next
+// classic round before its lease request refuses a lease the others grant;
+// the holder asks it again after a fast round, past the instances it
+// touched, so every acceptor comes to name the holder its sequencer.
+func TestLeaseRefuserIsAskedAgain(t *testing.T) {
+	s := newLeaseSim(t, time.Second)
+	refuser := func() (ids.ProcessID, bool) {
+		for _, p := range s.procs {
+			if !p.m.grantHeld || p.m.grantB != s.procs[0].m.leaseB {
+				return p.pid, true
+			}
+		}
+		return 0, false
+	}
+	k := uint64(0)
+	for tries := 0; ; tries++ {
+		if tries == 50 {
+			t.Fatal("no acceptor refused p0's lease in 50 acquisitions")
+		}
+		k = s.decideUntilHeld(t, k)
+		s.Settle(5 * ms)
+		if _, ok := refuser(); ok {
+			break
+		}
+		s.revokeLease(0)
+	}
+	s.decideFrom(t, 0, k, k+3)
+	s.Settle(5 * ms)
+	if pid, ok := refuser(); ok {
+		t.Fatalf("p%d still grants no lease to p0 (lease ballot %d), 3 fast rounds on", pid, s.procs[0].m.leaseB)
+	}
+}

@@ -148,7 +148,8 @@ type machine struct {
 	// lease (leaseFrom, leaseB) held, or the last one requested.
 	// leaseSeenB is the highest ballot this incarnation's requests used or
 	// their refusals reported; leaseVotes records, per acceptor that
-	// answered the pending request, whether it granted.
+	// answered the pending request or, the lease held, a re-ask, whether
+	// it granted.
 	leaseHeld      bool
 	leaseAcquiring bool
 	leaseB         uint64
@@ -1045,8 +1046,35 @@ func (m *machine) leaseRoundDone(success bool) {
 	}
 	if m.leaseHeld {
 		m.leaseTimer = m.arm(0, int64(m.cfg.LeaseTTL))
+		m.reaskRefusers()
 	}
 	m.leaseStats.FastRounds++
+}
+
+// reaskRefusers asks each acceptor that refused the held lease again, past
+// every instance this process has touched. A lease held through the
+// others' grants is mostly refused where the request was overtaken by this
+// process's own ballot of the round before; the refuser then names no
+// sequencer, so its payloads are not pushed here. Its grant adds nothing
+// to the lease, whose quorum already holds: it names the holder. One
+// request per refusal: a grant ends the asking, another refusal renews it.
+func (m *machine) reaskRefusers() {
+	fromK := uint64(0)
+	keep := m.leaseVotes[:0]
+	for _, v := range m.leaseVotes {
+		if v.granted {
+			keep = append(keep, v)
+			continue
+		}
+		if fromK == 0 {
+			fromK = m.leaseFrom
+			for k := range m.insts {
+				fromK = max(fromK, k+1)
+			}
+		}
+		m.send(v.from, message{kind: mLeaseReq, k: fromK, b: m.leaseB})
+	}
+	m.leaseVotes = keep
 }
 
 // maybeAcquireLease starts a lease acquisition covering every instance >=
@@ -1058,6 +1086,8 @@ func (m *machine) leaseRoundDone(success bool) {
 // refusals from enough acceptors that no quorum can grant, or the phase
 // timeout. Under steady load the next classically decided round asks
 // again, past the instances and above the ballots the refusals reported.
+// An acceptor that refuses a lease the others grant is asked again after
+// each fast round (reaskRefusers).
 func (m *machine) maybeAcquireLease(fromK uint64) {
 	if m.cfg.Policy != PolicyLeader || m.leaseHeld || m.leaseAcquiring || !m.running {
 		return
@@ -1085,7 +1115,7 @@ func (m *machine) maybeAcquireLease(fromK uint64) {
 
 // onLeaseVote counts an acceptor's answer to the pending request.
 func (m *machine) onLeaseVote(from ids.ProcessID, msg message) {
-	if !m.leaseAcquiring || msg.b != m.leaseB {
+	if !m.leaseAcquiring && !m.leaseHeld || msg.b != m.leaseB {
 		return
 	}
 	// A grant is durable, so it counts even after a refusal from the same
@@ -1098,6 +1128,9 @@ func (m *machine) onLeaseVote(from ids.ProcessID, msg message) {
 	}
 	m.leaseVotes[i].granted = m.leaseVotes[i].granted || msg.kind == mLeaseAck
 	m.leaseSeenB = max(m.leaseSeenB, msg.promised)
+	if !m.leaseAcquiring {
+		return // an answer after the quorum, or to reaskRefusers
+	}
 
 	acks := 0
 	for _, v := range m.leaseVotes {

@@ -90,17 +90,16 @@ func (m message) encodeTo(w *wire.Writer) {
 }
 
 // ReadFrame reads what the simulator's oracle checks of a consensus frame:
-// an accept of v at instance k and ballot b (accept), or an acceptor's
-// grant of a lease at ballot b (grant).
-func ReadFrame(frame []byte) (accept, grant bool, k, b uint64, v []byte) {
-	if len(frame) == 0 || frame[0] != mAccept && frame[0] != mLeaseAck {
-		return false, false, 0, 0, nil
+// an accept of v at instance k and ballot b (accept).
+func ReadFrame(frame []byte) (accept bool, k, b uint64, v []byte) {
+	if len(frame) == 0 || frame[0] != mAccept {
+		return false, 0, 0, nil
 	}
 	m, err := decodeMessage(frame)
 	if err != nil {
-		return false, false, 0, 0, nil
+		return false, 0, 0, nil
 	}
-	return m.kind == mAccept, m.kind == mLeaseAck, m.k, m.b, m.val
+	return true, m.k, m.b, m.val
 }
 
 // decodeMessage parses a received frame. Values alias it: a frame out of

@@ -439,6 +439,32 @@ func TestDigestTickKeepsEagerBuffer(t *testing.T) {
 	t.Fatal("eager payload push never happened after the digest tick")
 }
 
+// TestOnDigestPullsAtTheAdvertisersNextDigest: an advertiser digests
+// once an interval on its own clock, so its next digest draws the pull
+// even when the network brings it under an interval after the first;
+// another peer's digest at that moment does not.
+func TestOnDigestPullsAtTheAdvertisersNextDigest(t *testing.T) {
+	p, net, _ := newTestProtocol(Config{GossipInterval: time.Hour})
+	w := wire.NewWriter(32)
+	w.U8(subDigest)
+	w.U64(0)
+	msg.EncodeIDs(w, []ids.MsgID{m(1, 1, 7).ID})
+	early := func(from ids.ProcessID) {
+		p.step(func(m *machine) { m.receive(m.now+int64(m.cfg.GossipInterval)*9/10, from, w.Bytes()) })
+	}
+	p.OnMessage(1, w.Bytes())
+	early(2)
+	if got := net.sends(); got != 0 {
+		t.Fatalf("p2's digest, under an interval after p1's, drew %d pulls", got)
+	}
+	early(1)
+	net.mu.Lock()
+	defer net.mu.Unlock()
+	if len(net.sent) != 1 || net.to[0] != 1 {
+		t.Fatalf("p1's next digest drew pulls to %v, want one to p1", net.to)
+	}
+}
+
 // TestOnDigestDedupsPullsAcrossPeers: within one gossip interval, digests
 // from several peers advertising the same missing message (first seen
 // missing an interval before) draw exactly one pull — without the dedup,

@@ -80,9 +80,11 @@ type effect struct {
 	snap    Snapshot
 }
 
-// sighting is a missing message's pull clock: first seen missing, or last pulled, at.
+// sighting is a missing message's pull clock: first seen missing, or last
+// pulled, at, in a digest of from.
 type sighting struct {
 	at     int64
+	from   ids.ProcessID
 	pulled bool
 }
 
@@ -950,15 +952,22 @@ func (m *machine) onDigest(from ids.ProcessID, r *wire.Reader) {
 		// The first sighting only starts the clock. After that, one pull
 		// per message per interval: every peer advertises the same
 		// backlog, and the next interval's digests retry a lost reply.
+		// The last sighting's sender digests again an interval later on
+		// its own clock, however the network jitters the two frames: from
+		// it, three quarters of an interval here are enough.
 		c, seen := m.pullClock[id]
 		if !seen {
-			m.pullClock[id] = sighting{at: m.now}
+			m.pullClock[id] = sighting{at: m.now, from: from}
 			continue
 		}
-		if m.now-c.at < interval {
+		wait := interval
+		if from == c.from {
+			wait -= interval / 4
+		}
+		if m.now-c.at < wait {
 			continue
 		}
-		m.pullClock[id] = sighting{at: m.now, pulled: true}
+		m.pullClock[id] = sighting{at: m.now, from: from, pulled: true}
 		missing = append(missing, id)
 	}
 	if n := len(m.pullClock); n > 8192 {

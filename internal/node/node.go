@@ -77,9 +77,6 @@ type Node struct {
 
 	mu  sync.Mutex
 	inc *incarnation
-	// down is closed once the last crashed incarnation is torn down: its
-	// endpoint stays attached until then, so Start waits for it.
-	down chan struct{}
 }
 
 // incarnation is the volatile half of a process.
@@ -111,11 +108,7 @@ func (n *Node) Start(ctx context.Context) error {
 		n.mu.Unlock()
 		return fmt.Errorf("node %v: already up", n.cfg.PID)
 	}
-	down := n.down
 	n.mu.Unlock()
-	if down != nil {
-		<-down // a crash racing this start is still tearing down
-	}
 
 	epoch, err := n.nextEpoch()
 	if err != nil {
@@ -275,10 +268,6 @@ func (n *Node) Crash() {
 	n.mu.Lock()
 	inc := n.inc
 	n.inc = nil
-	if inc != nil {
-		n.down = make(chan struct{})
-		defer close(n.down)
-	}
 	n.mu.Unlock()
 	if inc == nil {
 		return

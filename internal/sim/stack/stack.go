@@ -10,16 +10,17 @@
 //
 // One oracle watches the run, through seams production already has: the
 // simulated store's writes and completions, the frames on the simulated
-// network, the core.Consensus box the core is handed (wrapped), and
-// core.Config's OnDeliver, OnRound, OnRoundSkip and OnRestore. It checks
-// internal/check's Validity, Integrity and Total Order, and Termination
-// once the schedule heals; the core's ordering rules (OnRound in round
-// order, a BatchedBroadcast released only once the write of its record
-// reached the disk and was reported, the checkpoint and GC-floor cells
-// durable before a discard and no consensus discard past the floor the
-// core asked for, the Unordered rewrite issued right before the log
-// delete); sim.ConsensusOracle across incarnations; and that no process
-// sends itself a frame.
+// network, the core.Consensus box the core is handed (wrapped), the
+// engine's LeaseStats, and core.Config's OnDeliver, OnRound, OnRoundSkip
+// and OnRestore. It checks internal/check's Validity, Integrity and Total
+// Order, and Termination once the schedule heals; the core's ordering
+// rules (OnRound in round order, a BatchedBroadcast released only once
+// the write of its record reached the disk and was reported, and while
+// the disk holds the record or the message is delivered, the checkpoint
+// and GC-floor cells durable before a discard and no consensus discard
+// past the floor the core asked for, the Unordered rewrite issued right
+// before the log delete); sim.ConsensusOracle across incarnations; and
+// that no process sends itself a frame.
 package stack
 
 import (
@@ -29,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"time"
 
@@ -96,6 +98,7 @@ type Proc struct {
 	l, fdl  *loop.Loop     // the incarnation's loop, the detector's
 	pending []core.Pending // Broadcast calls not yet released
 	lost    int            // leases lost by ended incarnations
+	leaseB  uint64         // Lease() as the last kernel step left it
 
 	nextRound uint64 // the round its next OnRound must carry
 	lastKey   string // the key of the last core write issued
@@ -158,7 +161,6 @@ type Sim struct {
 	seed   uint64
 	bcasts int
 	oracle *sim.ConsensusOracle
-	grants map[uint64]bool // the ballots an acceptor granted a lease at
 
 	// The soak schedule's isolations (schedule.go).
 	isolating bool // one is under way
@@ -175,7 +177,6 @@ func New(seed uint64, opts Options) *Sim {
 		Back:   make(map[ids.MsgID]bool),
 		seed:   seed,
 		oracle: sim.NewConsensusOracle(),
-		grants: make(map[uint64]bool),
 	}
 	s.Loss, s.Dup, s.Delay = opts.Loss, opts.Dup, opts.Delay
 	s.Deliver, s.Kill, s.Stepped = s.receive, s.Crash, s.released
@@ -255,15 +256,14 @@ func (s *Sim) send(p *Proc, ch router.Channel, to ids.ProcessID, body []byte) {
 	case router.ChanCore:
 		s.Note(p.PID, "send to "+to.String(), 0, body)
 	case router.ChanConsensus:
-		accept, grant, k, b, v := consensus.ReadFrame(body)
+		accept, k, b, v := consensus.ReadFrame(body)
 		s.Note(p.PID, "cons send to "+to.String(), k, body)
-		if grant {
-			s.grants[b] = true
-		}
 		if accept {
 			s.Accepts = append(s.Accepts, Accept{p.PID, k, b})
-			// An accept at a granted lease ballot is its holder's.
-			if err := s.oracle.Accept(k, b, v, s.grants[b]); err != nil {
+			// The sender's own lease ballot, held as the step that sent
+			// the accept began or as it ended.
+			lease := b == p.leaseB || b == p.Lease()
+			if err := s.oracle.Accept(k, b, v, lease); err != nil {
 				s.Fail("%v", err)
 			}
 		}
@@ -439,10 +439,11 @@ func (s *Sim) hooks(p *Proc, cfg *core.Config) {
 	}
 }
 
-// released reads the release of the pending Broadcast calls, after every
-// step of the kernel.
+// released reads the release of the pending Broadcast calls, and the
+// lease each process holds, after every step of the kernel.
 func (s *Sim) released() {
 	for _, p := range s.Procs {
+		p.leaseB = p.Lease()
 		keep := p.pending[:0]
 		for _, b := range p.pending {
 			done, err := b.Poll()
@@ -463,9 +464,9 @@ func (s *Sim) released() {
 }
 
 // checkRelease: a returning Broadcast's message is in the Agreed queue
-// (basic protocol), or a write carrying its Unordered record reached the
-// disk and was reported (BatchedBroadcast): the record may have left the
-// disk since, with a checkpoint's rewrite after its delivery.
+// (basic protocol), or (BatchedBroadcast) a write carrying its Unordered
+// record reached the disk and was reported, and the disk still holds the
+// record: only a checkpoint's rewrite after its delivery may take it off.
 func (s *Sim) checkRelease(p *Proc, id ids.MsgID) {
 	if !s.Opts.Core.BatchedBroadcast {
 		if !p.Core.Delivered(id) {
@@ -473,12 +474,27 @@ func (s *Sim) checkRelease(p *Proc, id ids.MsgID) {
 		}
 		return
 	}
-	for _, w := range p.carried[id] {
-		if w.Durable && w.Reported {
+	if !slices.ContainsFunc(p.carried[id], func(w *sim.Write) bool { return w.Durable && w.Reported }) {
+		s.Fail("p%d returned from the Broadcast of %v before a write of its Unordered record was durable and reported", p.PID, id)
+		return
+	}
+	if p.Core.Delivered(id) {
+		return
+	}
+	if cell, ok, _ := p.Disk.Get(core.KeyUnord); ok {
+		r := wire.NewReader(cell)
+		if set := msg.DecodeSet(r); r.Done() == nil && set.Contains(id) {
 			return
 		}
 	}
-	s.Fail("p%d returned from the Broadcast of %v before a write of its Unordered record was durable and reported", p.PID, id)
+	recs, _ := p.Disk.Records(core.KeyUnordLog)
+	for _, rec := range recs {
+		r := wire.NewReader(rec)
+		if m := msg.DecodeMessage(r); r.Done() == nil && m.ID == id {
+			return
+		}
+	}
+	s.Fail("p%d returned from the Broadcast of %v, undelivered, with its Unordered record off the disk", p.PID, id)
 }
 
 // checkDiscard: the checkpoint cell and the GC-floor cell that cover a
@@ -502,7 +518,7 @@ func (s *Sim) Crash(pid ids.ProcessID) {
 	s.Note(pid, "crash", 0, nil)
 	s.Kernel.Crash(pid)
 	s.Crashes++
-	p.lost = p.LeasesLost()
+	p.lost, p.leaseB = p.LeasesLost(), 0
 	p.l.Stop()
 	p.fdl.Stop()
 	p.Core, p.FD, p.eng, p.box, p.l, p.fdl = nil, nil, nil, consensus.Box{}, nil, nil
