@@ -78,8 +78,10 @@ step_metrics() {
 # production layers (node.Assemble): the exported step surfaces
 # (step.go under internal/core and internal/consensus) and its own
 # translation of their effects are gone.
-# Consensus discards its cells by key range, one record per kind of cell,
-# never with a delete per cell. A WAL write queues a value op that resolves
+# Consensus logs no decision (a recovered engine learns it again), so
+# neither the decision cell nor its latency histogram comes back, and it
+# discards its cells by key range, one record per kind of cell, never with
+# a delete per cell. A WAL write queues a value op that resolves
 # through its commit group's completion, never an op of its own on the heap.
 step_retired() {
 	local pat='DESIGN\.md|EXPERIMENTS\.md|BENCH_e[0-9]+|internal/tune|\bE(1[4-9]|2[0-2])\b'
@@ -96,6 +98,7 @@ step_retired() {
 	pat+='|persistedLater|settleWrites|upcallLoop|\bOnSettle\b|pendingPut|pendingWrite'
 	pat+='|Reliable local delivery|this one included|including the sender'
 	pat+='|\bconsEffect\b|\bcoreEffect\b|core\.NewMachine|consensus\.NewMachine|core\.NewReplay'
+	pat+='|\bcellDecision\b|decide_fsync|decideFsyncNS'
 	if grep -rnE "$pat" --include='*.go' . ||
 		grep -nE "$pat" README.md bench/README.md .github/workflows/ci.yml; then
 		echo "retired names found (above)"

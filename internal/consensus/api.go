@@ -25,14 +25,14 @@
 // prepare at b in the covered range (a grant's range start never rises), is
 // refused by a member of that majority; values at different ballots are
 // arbitrated by phase 1 as always. A crash and recovery can therefore never
-// retract a promise or un-choose a value: a process that learned a decision
-// and crashed before its decision cell was durable learns the same value
-// again, from the accept quorum's cells. "A process proposes by logging its
-// initial value on stable storage" (§3.2) — that log write is the only one
-// the broadcast layer's minimal-logging claim (§4.3) charges to Consensus,
-// and the steady state waits for nothing else: the lease holder's round is
-// its proposal write beside one accept round trip. The decision cell is the
-// optional log of §4.3/§5, kept to make replay local.
+// retract a promise or un-choose a value, and no process logs a decision:
+// a recovered one learns every instance up to its last logged value again,
+// from the accept quorum's cells or a peer that knows the decision.
+// "A process proposes by logging its initial value on stable storage"
+// (§3.2) — that log write is the only one the broadcast layer's
+// minimal-logging claim (§4.3) charges to Consensus, and the steady state
+// waits for nothing else: the lease holder's round is its proposal write
+// beside one accept round trip.
 //
 // The same invariant carries the decision. A value travels once, in the
 // accept at (k, b); the coordinator's decision names (k, b) and no value

@@ -35,7 +35,15 @@ func (s *sim) awaitAll(t *testing.T, n uint64) {
 // awaitLogged runs until pid's proposal for k is durable.
 func (s *sim) awaitLogged(t *testing.T, pid ids.ProcessID, k uint64) {
 	t.Helper()
-	s.Await(t, "the proposal is logged", func() bool { _, ok := s.procs[pid].m.proposal(k); return ok })
+	s.Await(t, "the proposal is logged", func() bool { _, ok := s.proposal(pid, k); return ok })
+}
+
+// proposal returns pid's durable proposal for k, if it has one.
+func (s *sim) proposal(pid ids.ProcessID, k uint64) ([]byte, bool) {
+	if in, ok := s.procs[pid].m.insts[k]; ok && in.hasProp {
+		return in.proposal, true
+	}
+	return nil, false
 }
 
 func TestDecideSingleInstance(t *testing.T) {
@@ -68,7 +76,7 @@ func TestProposeIdempotent(t *testing.T) {
 	// P4: re-proposing a different value keeps the original.
 	s.propose(0, 0, []byte("second"))
 	s.awaitLogged(t, 0, 0)
-	if got, _ := s.procs[0].m.proposal(0); !bytes.Equal(got, []byte("first")) {
+	if got, _ := s.proposal(0, 0); !bytes.Equal(got, []byte("first")) {
 		t.Fatalf("proposal changed: %q", got)
 	}
 }
@@ -81,12 +89,11 @@ func TestCrashRecoverKeepsDecision(t *testing.T) {
 	s.awaitAll(t, 1)
 	want, _ := s.decided(1, 0)
 
-	// Crash p1 and recover it: P5 — the decision must be stable. It comes
-	// from the local log, or, if the decision cell was not durable yet,
-	// from the accept quorum's cells.
+	// Crash p1 and recover it: P5 — the decision must be stable. No
+	// decision is logged: the recovered p1 learns it again, unasked, from
+	// its own acceptor cell on.
 	s.crash(1)
 	s.recover(1)
-	s.learn(1, 0)
 	s.awaitDecided(t, 0, want, 1)
 }
 
@@ -96,7 +103,7 @@ func TestCrashRecoverKeepsProposal(t *testing.T) {
 	s.awaitLogged(t, 2, 7)
 	s.crash(2)
 	s.recover(2)
-	if got, ok := s.procs[2].m.proposal(7); !ok || !bytes.Equal(got, []byte("survives")) {
+	if got, ok := s.proposal(2, 7); !ok || !bytes.Equal(got, []byte("survives")) {
 		t.Fatalf("proposal lost across crash: %q ok=%v", got, ok)
 	}
 }
@@ -124,17 +131,17 @@ func TestLeaderCrashHandsOff(t *testing.T) {
 }
 
 // TestDiscardBelow: raising the floor drops the instances below it and
-// discards each kind of cell (proposal, acceptor, decision) below it with
-// one write: three writes whether one instance goes or three, at a process
-// that logged proposals as at one that only accepted and learned. A
-// discard at or below the floor writes nothing. No cell below the floor is
-// left on disk, every cell at or above it is, and the lease grant is
-// untouched; a crash and a recovery change none of that, and the recovered
-// process's discard at its restored floor is three writes that remove
-// nothing more. One row has p0 alone propose, the other has every process
-// propose, so that p1 logs a proposal (for instance 0 only: it grants p0's
-// lease before it proposes instance 1, so its later proposals are deferred
-// and never written).
+// discards each kind of cell (proposal, acceptor) below it with one write:
+// two writes whether one instance goes or three, at a process that logged
+// proposals as at one that only accepted. A discard at or below the floor
+// writes nothing. No cell below the floor is left on disk, every cell at
+// or above it is, and the lease grant is untouched; a crash and a recovery
+// change none of that: the recovered process's discard at its restored
+// floor is two writes that remove nothing more, and it learns the
+// decisions above the floor again. One row has p0 alone propose, the
+// other has every process propose, so that p1 logs a proposal (for
+// instance 0 only: it grants p0's lease before it proposes instance 1, so
+// its later proposals are deferred and never written).
 func TestDiscardBelow(t *testing.T) {
 	const instances, floor = 6, 4
 	for _, row := range []struct {
@@ -142,8 +149,8 @@ func TestDiscardBelow(t *testing.T) {
 		proposers []ids.ProcessID // in proposing order; p0, the leader, last
 		cells     [2]int          // cells per instance at or above the floor at p0 and at p1
 	}{
-		{"one proposer", []ids.ProcessID{0}, [2]int{3, 2}},
-		{"every process proposes", []ids.ProcessID{2, 1, 0}, [2]int{3, 2}},
+		{"one proposer", []ids.ProcessID{0}, [2]int{2, 1}},
+		{"every process proposes", []ids.ProcessID{2, 1, 0}, [2]int{2, 1}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			s := newScriptedSim(t, simOptions{})
@@ -179,9 +186,9 @@ func TestDiscardBelow(t *testing.T) {
 				if got := s.effects(p, opDiscard, 0, since); got != writes {
 					t.Fatalf("p%d: a discard below %d cost %d writes, want %d", p, k, got, writes)
 				}
-				for _, cell := range []byte{cellProposal, cellAcceptor, cellDecision} {
-					if got := s.effects(p, opDiscard, cell, since); got != writes/3 {
-						t.Fatalf("p%d: a discard below %d cost %d writes of %c cells, want %d", p, k, got, cell, writes/3)
+				for _, cell := range []byte{cellProposal, cellAcceptor} {
+					if got := s.effects(p, opDiscard, cell, since); got != writes/2 {
+						t.Fatalf("p%d: a discard below %d cost %d writes of %c cells, want %d", p, k, got, cell, writes/2)
 					}
 				}
 			}
@@ -210,8 +217,8 @@ func TestDiscardBelow(t *testing.T) {
 				}
 			}
 			for p := range ids.ProcessID(2) {
-				discard(p, 1, 3)     // one instance
-				discard(p, floor, 3) // three more
+				discard(p, 1, 2)     // one instance
+				discard(p, floor, 2) // three more
 				discard(p, floor, 0)
 				discard(p, 2, 0)
 			}
@@ -231,7 +238,11 @@ func TestDiscardBelow(t *testing.T) {
 
 			for p := range ids.ProcessID(2) {
 				s.crash(p)
+				since := len(s.trace)
 				s.recover(p)
+				if got := s.effects(p, opDiscard, 0, since); got != 2 {
+					t.Fatalf("p%d: the discard at the restored floor cost %d writes, want 2", p, got)
+				}
 				s.Settle(50 * ms)
 				onDisk(p, "after a crash and a recovery")
 				m := s.procs[p].m
@@ -242,11 +253,10 @@ func TestDiscardBelow(t *testing.T) {
 				}
 				for k := uint64(floor); k < instances; k++ {
 					if _, ok := s.decided(p, k); !ok {
-						t.Fatalf("p%d restored no decision for instance %d", p, k)
+						t.Fatalf("p%d learned no decision for instance %d again", p, k)
 					}
 				}
-				discard(p, floor, 3) // the restored floor: idempotent
-				onDisk(p, "after the recovered process's discard")
+				discard(p, floor, 0) // at the restored floor
 			}
 		})
 	}

@@ -22,7 +22,6 @@ import (
 //
 //	cons/p/<k>  proposal cell   — the paper's required "propose" log (§3.2)
 //	cons/a/<k>  acceptor cell   — promise + accepted pair
-//	cons/d/<k>  decision cell   — learned decision
 //	cons/lease  lease-grant cell — the acceptor's ranged promise (ballot, fromK)
 const keyPrefix = "cons/"
 
@@ -108,23 +107,16 @@ type Engine struct {
 	tr  *obs.Tracer
 	fl  *obs.Recorder
 	// quorumNS is propose → decision learned: what one instance costs the
-	// commit path. decideFsyncNS is decision learned → decision cell
-	// durable: off the commit path, it says how long a crash could still
-	// cost this process a re-learn. Both are nil-safe, so the decide path
-	// never branches on wiring.
-	quorumNS, decideFsyncNS *obs.Histogram
+	// commit path. It is nil-safe, so the decide path never branches on
+	// wiring.
+	quorumNS *obs.Histogram
 
 	m *machine
 	// waiters holds the channel that the WaitDecided calls blocked on an
 	// instance share, closed when it decides or is forgotten.
 	waiters map[uint64]chan struct{}
-	puts    loop.Queue[cellWrite] // cell writes issued and not yet reported
-	next    int                   // the effect settle carries out next
-}
-
-type cellWrite struct {
-	ef effect
-	at int64 // when it was issued
+	puts    loop.Queue[effect] // cell writes issued and not yet reported
+	next    int                // the effect settle carries out next
 }
 
 // New builds an engine on a loop of its own over st and restores all
@@ -154,8 +146,7 @@ func NewOn(l *loop.Loop, cfg Config, net router.Net, det Suspector) (*Engine, er
 		m:       m,
 		waiters: make(map[uint64]chan struct{}),
 
-		quorumNS:      cfg.Obs.Reg().Histogram(obs.GroupLabel("abcast.consensus.quorum_ns", cfg.Group)),
-		decideFsyncNS: cfg.Obs.Reg().Histogram(obs.GroupLabel("abcast.consensus.decide_fsync_ns", cfg.Group)),
+		quorumNS: cfg.Obs.Reg().Histogram(obs.GroupLabel("abcast.consensus.quorum_ns", cfg.Group)),
 	}
 	if m.cfg.Policy == PolicyLeader {
 		e.registerLeaseFuncs(cfg.Obs.Reg(), cfg.Group)
@@ -164,8 +155,8 @@ func NewOn(l *loop.Loop, cfg Config, net router.Net, det Suspector) (*Engine, er
 }
 
 // Start arms the engine with its incarnation context: drivers and lease
-// acquisitions run until ctx is cancelled, and instances whose proposal is
-// logged without a decision resume at once.
+// acquisitions run until ctx is cancelled, and every instance up to the
+// last one with a logged value is learned again at once (machine.start).
 func (e *Engine) Start(ctx context.Context) {
 	e.l.Start(ctx)
 	if e.l.Enter() {
@@ -219,7 +210,7 @@ func (e *Engine) Propose(k uint64, v []byte) error {
 // WaitDecided blocks until instance k decides and returns the decision.
 // Repeated calls return the same value (property P5), in this incarnation
 // and in any later one: the value is held durably by an accept quorum,
-// whether or not this process's own decision cell has reached its log yet.
+// and a later incarnation learns it again from there.
 // A decided value — like a Proposal — is immutable and may be aliased,
 // never modified: the engine serves the same slice to every caller and to
 // lagging peers.
@@ -299,8 +290,12 @@ type Box struct{ e *Engine }
 
 func (b Box) Propose(k uint64, v []byte, now int64) error { return b.e.m.propose(k, v, now) }
 func (b Box) DecidedLocal(k uint64) ([]byte, bool)        { return b.e.m.decidedLocal(k) }
-func (b Box) Proposal(k uint64) ([]byte, bool)            { return b.e.m.proposal(k) }
 func (b Box) Forgot(k uint64) bool                        { return b.e.m.forgot(k) }
+
+// Logged is one past the last instance whose value recovery found in the
+// log, a proposal or an accepted value: the engine learns every instance
+// below it again (Start), and the broadcast layer's replay waits for them.
+func (b Box) Logged() uint64 { return b.e.m.logged }
 
 // Sequencer is a read, like DecidedLocal: the process this acceptor's
 // lease grant names; ok is false without a grant.
@@ -337,7 +332,7 @@ func (e *Engine) settle() (uint64, []byte, bool, bool) {
 			e.l.Send(e.net, ef.to, w)
 		case opPut:
 			c := e.l.Store().PutAsync(cellKey(ef.cell, ef.k), ef.val)
-			e.puts.Push(cellWrite{ef, e.l.Now()})
+			e.puts.Push(ef)
 			e.l.Issue(e, c)
 		case opDiscard:
 			e.l.Issue(nil, e.l.Store().DeleteRangeAsync(cellKey(ef.cell, 0), cellKey(ef.cell, ef.k)))
@@ -367,14 +362,10 @@ func (e *Engine) settle() (uint64, []byte, bool, bool) {
 }
 
 // Persisted implements loop.Layer: the oldest cell write not yet reported
-// resolved. The decision cell's latency is measured from the moment the
-// decision was learned, which is when its write was issued.
-func (e *Engine) Persisted(now int64, err error) {
-	p := e.puts.Pop()
-	if err == nil && p.ef.cell == cellDecision {
-		e.decideFsyncNS.Observe(now - p.at)
-	}
-	e.m.persisted(&p.ef, err)
+// resolved.
+func (e *Engine) Persisted(_ int64, err error) {
+	ef := e.puts.Pop()
+	e.m.persisted(&ef, err)
 }
 
 // Fire implements loop.Layer.

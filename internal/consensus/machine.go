@@ -23,11 +23,11 @@ const (
 )
 
 // Cells of the log, one per kind of durable state (engine.go maps them to
-// keys).
+// keys). No decision is logged: a recovered process learns it again
+// (machine.start).
 const (
 	cellProposal byte = 'p'
 	cellAcceptor byte = 'a'
-	cellDecision byte = 'd'
 	cellLease    byte = 'l' // the acceptor's lease grant (k unused)
 )
 
@@ -83,19 +83,23 @@ type instance struct {
 	accV     []byte
 	hasAcc   bool
 
-	// learner state. hasDec flips when the decision is learned: a decided
-	// value is held durably by an accept quorum's acceptor cells, so the
-	// local decision cell (issued at the same moment) only saves a
-	// recovering process the round trip of learning it again. wasForgot is
-	// set when a peer reports it garbage-collected this instance
+	// learner state (volatile). hasDec flips when the decision is learned:
+	// a decided value is held durably by an accept quorum's acceptor cells,
+	// so no process logs it, and a recovered one learns it again. wasForgot
+	// is set when a peer reports it garbage-collected this instance
 	// (mForgotten): waiters then fall back to the broadcast layer's state
 	// transfer.
 	decided   []byte
 	hasDec    bool
 	wasForgot bool
 
-	// driver state (volatile)
+	// driver state (volatile). relearn marks a driver that recovery
+	// resumed (start): its first wait learns, whatever the policy says;
+	// quiet that this wait sends no request, because a lower instance's
+	// request asks for this one's decision too (decideWindow).
 	driving bool
+	relearn bool
+	quiet   bool
 	queued  bool   // on m.ready
 	gone    bool   // GC'd under the floor; the driver stops
 	inPhase bool   // waits for replies to its ballot, else for a poke or its backoff
@@ -134,6 +138,7 @@ type machine struct {
 
 	insts   map[uint64]*instance
 	floor   uint64 // instances below this are discarded
+	logged  uint64 // one past the highest instance restore found a value logged for
 	running bool   // from start to the incarnation's end: drivers and lease acquisitions run
 
 	// Acceptor-side lease grant (durable, cellLease): a ranged promise to
@@ -183,7 +188,9 @@ func newMachine(cfg Config, fd Suspector) *machine {
 }
 
 // restore loads one durable cell; it is the consensus side of crash
-// recovery. val is the machine's to keep.
+// recovery. val is the machine's to keep. A proposal, or an acceptor cell
+// holding an accepted value, raises logged past k; a bare promise carries
+// no value to learn or propose.
 func (m *machine) restore(cell byte, k uint64, val []byte) error {
 	r := wire.NewReader(val)
 	if cell == cellLease {
@@ -205,28 +212,30 @@ func (m *machine) restore(cell byte, k uint64, val []byte) error {
 		in.hasAcc = r.Bool()
 		in.accB = r.U64()
 		in.accV = r.Bytes32()
-		return r.Done()
-	case cellDecision:
-		in.decided = val
-		in.hasDec = true
+		if err := r.Done(); err != nil || !in.hasAcc {
+			return err
+		}
+	default:
+		return nil
 	}
+	m.logged = max(m.logged, k+1)
 	return nil
 }
 
-// start lets drivers run, and resumes those of instances that were
-// mid-flight when the previous incarnation crashed: any logged proposal
-// without a logged decision must be re-proposed (idempotently) so the
-// instance terminates.
+// start lets drivers run, and resumes one for every instance from the
+// floor up to the last one restore found a value logged for. No decision
+// is logged: each is learned again, or decided if it never was, and the
+// broadcast layer's replay waits for all of them
+// (Box.Logged). A resumed driver first learns, and one decide request
+// covers decideWindow instances after its own: only every
+// (decideWindow+1)-th instance asks, so a recovery costs each peer one
+// request, and one reply, per window rather than per instance.
 func (m *machine) start() {
 	m.running = true
-	var resume []*instance
-	for _, in := range m.insts {
-		if in.hasProp && !in.hasDec {
-			resume = append(resume, in)
-		}
-	}
-	slices.SortFunc(resume, byK) // a deterministic effect order
-	for _, in := range resume {
+	for k := m.floor; k < m.logged; k++ {
+		in := m.get(k)
+		in.relearn = true
+		in.quiet = (k-m.floor)%(decideWindow+1) != 0
 		m.startDriver(in)
 	}
 }
@@ -443,19 +452,17 @@ func (m *machine) logProposal(in *instance) {
 // decide records a decision, the machine's one place that installs one.
 // The value was chosen by an accept quorum whose acceptor cells are
 // durable (an accepted reply is only sent once its cell is), so it is
-// installed at once — WaitDecided, DecidedLocal, the mDecide replies and
-// the broadcast layer's commit act on it — while the local decision cell
-// lands behind: a process that crashes before the cell is durable learns
-// the same value again, as it would had it crashed before learning it at
-// all. v is already the machine's own — a slice of a received frame, the
-// logged proposal, or an accepted value — and immutable, so it is
-// installed without another copy.
+// installed at once, and nowhere logged — WaitDecided, DecidedLocal, the
+// mDecide replies and the broadcast layer's commit act on it. A process
+// that crashes learns the same value again (start), as it would had it
+// crashed before learning it at all. v is already the machine's own — a
+// slice of a received frame, the logged proposal, or an accepted value —
+// and immutable, so it is installed without another copy.
 func (m *machine) decide(in *instance, v []byte) {
 	if in.hasDec {
 		return
 	}
 	in.dropPooled()
-	m.put(cellDecision, in.k, v, ids.Nobody, message{})
 	in.decided = v
 	in.hasDec = true
 	m.out = append(m.out, effect{op: opDecided, k: in.k, val: v, stamp: in.stamp})
@@ -475,14 +482,6 @@ func (in *instance) dropPooled() {
 func (m *machine) decidedLocal(k uint64) ([]byte, bool) {
 	if in, ok := m.insts[k]; ok && in.hasDec {
 		return in.decided, true
-	}
-	return nil, false
-}
-
-// proposal returns k's logged proposal, if any.
-func (m *machine) proposal(k uint64) ([]byte, bool) {
-	if in, ok := m.insts[k]; ok && in.hasProp {
-		return in.proposal, true
 	}
 	return nil, false
 }
@@ -526,7 +525,7 @@ func (m *machine) discardBelow(k uint64) {
 		m.wake(in)
 		m.recycle(in)
 	}
-	for _, cell := range [...]byte{cellProposal, cellAcceptor, cellDecision} {
+	for _, cell := range [...]byte{cellProposal, cellAcceptor} {
 		m.out = append(m.out, effect{op: opDiscard, cell: cell, k: k})
 	}
 }
@@ -584,16 +583,16 @@ func (m *machine) drive(in *instance) {
 			in.attempt++
 			continue
 		}
-		// Any proposal is enough to coordinate: a deferred one is logged
-		// below, and the ballot runs beside its write.
-		if !in.proposed() || !m.myTurn(in.attempt, in.stuck) {
+		if !m.coordinates(in) {
 			// Learner mode: ask around for the decision (and the rest of
 			// the pipeline window), then wait. A deferred proposal
 			// expects the lease holder's round, whose decision arrives
-			// unasked: its first wait sends no request.
-			if in.stuck > 0 || !in.propDeferred {
+			// unasked, and a quiet one a lower instance's request: the
+			// first wait of either sends no request.
+			if in.stuck > 0 || !in.propDeferred && !in.quiet {
 				m.send(ids.Nobody, message{kind: mDecideReq, k: in.k, span: decideWindow})
 			}
+			in.relearn, in.quiet = false, false
 			in.stuck++
 			if m.cfg.Policy == PolicyRotating {
 				in.attempt++
@@ -617,6 +616,23 @@ func (m *machine) drive(in *instance) {
 		}
 		return
 	}
+}
+
+// coordinates reports whether in's driver runs a ballot now rather than
+// wait for the decision as a learner. Any proposal is enough when it is
+// this process's turn: a deferred one is logged first, and the ballot
+// runs beside its write. An accepted value without a proposal is enough
+// only once the grace waits are over: phase 1 then proposes the value of
+// the highest ballot it finds, or this one, and never invents one. A
+// driver that recovery resumed learns first.
+func (m *machine) coordinates(in *instance) bool {
+	switch {
+	case in.relearn:
+		return false
+	case in.proposed():
+		return m.myTurn(in.attempt, in.stuck)
+	}
+	return in.hasAcc && in.stuck > graceWaits && m.myTurn(in.attempt, in.stuck)
 }
 
 // startPhase broadcasts msg and collects a majority of replies, until the
@@ -652,7 +668,9 @@ func (m *machine) phaseOver(in *instance) bool {
 		// go on the wire only once it is durable here, so that a recovered
 		// proposer re-proposes the same value (P4). The prepare ran beside
 		// that write; this is where the ballot waits for it, and gives up
-		// if the write failed.
+		// if the write failed. Without a proposal, the value this acceptor
+		// accepted: the quorum reports none below this ballot, so none was
+		// chosen, and that value was proposed.
 		var v []byte
 		var bestB uint64
 		found := false
@@ -665,7 +683,10 @@ func (m *machine) phaseOver(in *instance) bool {
 		case found:
 		case in.hasProp:
 			v, found = in.proposal, true
-		case !in.propPending:
+		case in.propPending: // its write is in flight
+		case in.hasAcc:
+			v, found = in.accV, true
+		default:
 			in.phase = 0
 			return m.afterBallot(in, false, 0) // no value to propose: the proposal's write failed
 		}
@@ -757,12 +778,15 @@ func (m *machine) attemptAbove(b uint64) uint64 {
 	return b/uint64(m.cfg.N) + 1
 }
 
+// graceWaits is how many idle waits a driver makes before it coordinates
+// out of turn.
+const graceWaits = 8
+
 // myTurn reports whether this process should coordinate attempt a. stuck
 // counts consecutive idle waits; after enough of them the process drives
 // regardless (ballot safety makes competition harmless, and this
 // guarantees termination even if the detector's hint is wrong).
 func (m *machine) myTurn(a uint64, stuck int) bool {
-	const graceWaits = 8
 	switch {
 	case m.cfg.Policy == PolicyRotating:
 		return ids.ProcessID(a%uint64(m.cfg.N)) == m.cfg.PID || stuck > graceWaits

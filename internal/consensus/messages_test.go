@@ -61,7 +61,7 @@ func TestDecodeMessageRejectsGarbage(t *testing.T) {
 
 func TestParseKeyRoundTrip(t *testing.T) {
 	for _, k := range []uint64{0, 1, 255, 1 << 40} {
-		for _, cell := range []byte{cellProposal, cellAcceptor, cellDecision} {
+		for _, cell := range []byte{cellProposal, cellAcceptor} {
 			key := cellKey(cell, k)
 			kind, got, ok := parseKey(key)
 			if !ok || got != k || kind != cell {

@@ -8,9 +8,9 @@ import (
 )
 
 // These schedules place events between the issue of a write and its
-// durability (a held write) and read the machines' output trace for the
-// two orderings the machine allows itself: phase 1 beside the proposal
-// log, and a decision installed ahead of its cell.
+// durability (a held write) and read the machines' output trace for what
+// the machine does off the log: phase 1 beside the proposal log, and a
+// decision that is never logged and that recovery learns again.
 
 // heldProposal starts a schedule with p0's proposal write for instance 0
 // held, proposes v at p0 and runs until p0 has received the promises of
@@ -62,44 +62,39 @@ func TestFailedProposalWriteNeverReachesTheWire(t *testing.T) {
 	}
 }
 
-// TestDecisionInstalledAheadOfItsCell: the coordinator and a learner
-// decide while both decision cells are held, and the cells land on
-// release.
-func TestDecisionInstalledAheadOfItsCell(t *testing.T) {
+// TestDecisionWritesNoCell: the coordinator and a learner decide, and
+// neither logs the decision: every write either issued is a proposal, an
+// acceptor or a lease-grant cell, and that is all their logs hold.
+func TestDecisionWritesNoCell(t *testing.T) {
 	s := newScriptedSim(t, simOptions{})
-	s.procs[0].hold = isCell(cellDecision, -1)
-	s.procs[1].hold = isCell(cellDecision, -1)
-	v := []byte("ahead-of-the-cell")
+	v := []byte("no-cell")
 	s.propose(0, 0, v)
 	s.awaitDecided(t, 0, v, 0, 1)
-	for p := range ids.ProcessID(2) {
-		if n := s.heldWrites(p, isCell(cellDecision, 0)); n != 1 {
-			t.Fatalf("p%d: %d decision writes held, want 1", p, n)
-		}
-		if _, ok := s.onDisk(p, cellDecision, 0); ok {
-			t.Fatalf("p%d: the decision cell is on disk though its write is held", p)
-		}
-		s.release(p, isCell(cellDecision, -1))
-	}
 	s.Settle(10 * ms)
 	for p := range ids.ProcessID(2) {
-		if got, ok := s.onDisk(p, cellDecision, 0); !ok || !bytes.Equal(got, v) {
-			t.Fatalf("p%d: released decision cell = %q, %v", p, got, ok)
+		logged := s.effects(p, opPut, cellProposal, 0) + s.effects(p, opPut, cellAcceptor, 0) + s.effects(p, opPut, cellLease, 0)
+		if all := s.effects(p, opPut, 0, 0); all != logged {
+			t.Fatalf("p%d: %d writes, %d of them proposal, acceptor or lease cells", p, all, logged)
+		}
+		keys, _ := s.procs[p].disk.List(keyPrefix)
+		for _, key := range keys {
+			if kind, _, _ := parseKey(key); kind != cellProposal && kind != cellAcceptor && kind != cellLease {
+				t.Fatalf("p%d: %s in the log", p, key)
+			}
 		}
 	}
 }
 
-// TestCrashBetweenDecisionAndItsCell: p0 and p1 learn the decision of
-// instance 0 and crash before either decision cell is durable; p2 stays
-// down afterwards, so in the second life the value can only come out of
-// the acceptor cells of p0 and p1. p0 recovers as the coordinator of a
-// logged proposal that lost — the chosen value is p2's — and must decide
-// what its promise quorum returns, not what it logged; p1 recovers with
-// nothing logged and learns it.
-func TestCrashBetweenDecisionAndItsCell(t *testing.T) {
+// TestRecoveryLearnsFromAcceptorCells: p0 and p1 learn the decision of
+// instance 0, and all three crash; p2 stays down afterwards, so in the
+// second life the value can only come out of the acceptor cells of p0 and
+// p1. Nothing asks for the instance: recovery learns it again. p0 recovers
+// as the coordinator of a logged proposal that lost — the chosen value is
+// p2's — and must decide what its promise quorum returns, not what it
+// logged; p1 recovers with an acceptor cell and no proposal.
+func TestRecoveryLearnsFromAcceptorCells(t *testing.T) {
 	s := newScriptedSim(t, simOptions{})
-	s.procs[0].hold = func(cell byte, k uint64) bool { return cell == cellDecision || cell == cellProposal }
-	s.procs[1].hold = isCell(cellDecision, -1)
+	s.procs[0].hold = isCell(cellProposal, 0)
 
 	// p0's own value stays off the wire (its write is held), so the value
 	// chosen in the first life is p2's.
@@ -112,37 +107,26 @@ func TestCrashBetweenDecisionAndItsCell(t *testing.T) {
 		return hasAccepted(s, 0, chosen) && hasAccepted(s, 1, chosen)
 	})
 	// Only now does p0's proposal reach its log: a recovered p0 finds a
-	// proposal, an acceptor cell and no decision.
+	// proposal and an acceptor cell.
 	if n := s.release(0, isCell(cellProposal, 0)); n != 1 {
 		t.Fatalf("released %d proposal writes, want 1", n)
 	}
 	s.Await(t, "p0's proposal durable", func() bool { _, ok := s.onDisk(0, cellProposal, 0); return ok })
-	for p := range ids.ProcessID(2) {
-		if n := s.heldWrites(p, isCell(cellDecision, 0)); n != 1 {
-			t.Fatalf("p%d: %d decision writes held, want 1", p, n)
-		}
-	}
 
 	s.crash(0)
 	s.crash(1)
 	s.crash(2)
-	for p := range ids.ProcessID(2) {
-		if _, ok := s.onDisk(p, cellDecision, 0); ok {
-			t.Fatalf("p%d: a decision cell survived the crash", p)
-		}
-	}
 	s.recover(0)
 	s.recover(1)
 	if _, ok := s.decided(0, 0); ok {
-		t.Fatal("p0 recovered a decision it never logged")
+		t.Fatal("p0 recovered a decision")
 	}
 	if in := s.procs[0].m.insts[0]; !in.hasProp || !bytes.Equal(in.proposal, lost) {
 		t.Fatalf("p0 recovered proposal %q, %v", in.proposal, in.hasProp)
 	}
-	if in, ok := s.procs[1].m.insts[0]; ok && in.hasProp {
-		t.Fatal("p1 logged a proposal")
+	if in, ok := s.procs[1].m.insts[0]; !ok || in.hasProp || !in.hasAcc {
+		t.Fatal("p1 recovered a proposal, or no accepted value")
 	}
-	s.learn(1, 0)
 	s.awaitDecided(t, 0, chosen, 0, 1)
 }
 

@@ -49,6 +49,9 @@ type simProc struct {
 	hold func(cell byte, k uint64) bool
 	// leaseB is the lease ballot this incarnation holds, 0 if none.
 	leaseB uint64
+	// floor is the last discard's floor, which the broadcast layer logs
+	// beside its checkpoint and hands back to a recovered engine.
+	floor uint64
 }
 
 // simStep is one line of the trace: an input the machine took or an
@@ -277,7 +280,10 @@ func (s *sim) learn(pid ids.ProcessID, k uint64) {
 }
 func (s *sim) revokeLease(pid ids.ProcessID) { s.step(pid, (*machine).dropLease) }
 func (s *sim) discardBelow(pid ids.ProcessID, k uint64) {
-	s.step(pid, func(m *machine) { m.discardBelow(k) })
+	s.step(pid, func(m *machine) {
+		m.discardBelow(k)
+		s.procs[pid].floor = m.floor
+	})
 }
 
 // crash loses p's volatile state and every write it has not made durable.
@@ -291,10 +297,9 @@ func (s *sim) crash(pid ids.ProcessID) {
 	p.m, p.leaseB = nil, 0
 }
 
-// recover boots a new incarnation of p from its disk and replays it as
-// the broadcast layer does: every instance from the first on is re-learnt
-// locally or re-proposed from its logged proposal, up to the first that
-// has neither.
+// recover boots a new incarnation of p from its disk, hands it back its
+// floor, as the broadcast layer does, and starts it, which learns every
+// instance from the floor up to the last one with a logged value again.
 func (s *sim) recover(pid ids.ProcessID) {
 	p := s.procs[pid]
 	if p.m != nil {
@@ -307,17 +312,9 @@ func (s *sim) recover(pid ids.ProcessID) {
 	if err := restore(p.m, p.disk); err != nil {
 		s.Fail("p%d recover: %v", pid, err)
 	}
+	p.m.discardBelow(p.floor)
 	s.Logf(pid, "start")
 	p.m.start()
-	for k := p.m.floor; ; k++ {
-		in, ok := p.m.insts[k]
-		if !ok || !in.hasDec && !in.hasProp {
-			break
-		}
-		if !in.hasDec {
-			p.m.startDriver(p.m.get(k))
-		}
-	}
 	s.drain(p)
 	if s.Healed {
 		s.proposeAll(p)

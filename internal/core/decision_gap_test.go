@@ -3,7 +3,6 @@ package core_test
 import (
 	"fmt"
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -12,19 +11,17 @@ import (
 	"repro/internal/sim/stack"
 )
 
-// TestCrashBetweenDeliveryAndDecisionCell: a process delivers rounds whose
-// decision cells never reach its log (consensus installs a decision ahead of
-// its cell), crashes, and recovers with none of them. It must re-learn every
-// round from the others and deliver the same messages at the same positions
-// and rounds again — as the lease holder, which logged its proposals and
-// replays them, and as a process that granted the holder the lease, which
-// logs none of its own and learns the rounds through gossip.
+// TestCrashBetweenDeliveryAndDecisionCell: a process delivers rounds, whose
+// decisions consensus logs nowhere, crashes, and recovers with none of
+// them. It must re-learn every round from the others and deliver the same
+// messages at the same positions and rounds again — as the lease holder,
+// which logged its proposals, and as a process that granted the holder the
+// lease, which logs none of its own and holds only acceptor cells.
 func TestCrashBetweenDeliveryAndDecisionCell(t *testing.T) {
 	for _, victim := range []ids.ProcessID{0, 1} {
 		t.Run(fmt.Sprintf("p%d", victim), func(t *testing.T) {
 			s := stack.Scripted(t)
 			v := s.Procs[victim]
-			s.Disks[victim].Lose = func(w *sim.Write) bool { return strings.HasPrefix(w.Key, "cons/d/") }
 			s.Boot()
 
 			// p0 orders rounds until it holds the lease, granted by p1.
@@ -45,9 +42,6 @@ func TestCrashBetweenDeliveryAndDecisionCell(t *testing.T) {
 			s.Await(t, "every process delivered", s.Terminated)
 			if _, seq := v.Core.Sequence(); len(seq) != len(warm)+before {
 				t.Fatalf("the victim delivered %d messages, want %d", len(seq), len(warm)+before)
-			}
-			if keys, _ := v.Disk.List("cons/d/"); len(keys) != 0 {
-				t.Fatalf("decision cells reached the victim's log: %v", keys)
 			}
 			if keys := proposalsFrom(v, from); (len(keys) > 0) != (victim == 0) {
 				t.Fatalf("the victim logged proposals %v from round %d on", keys, from)
@@ -88,6 +82,53 @@ func TestCrashBetweenDeliveryAndDecisionCell(t *testing.T) {
 			same("first life's OnDeliver stream", v.Lives[0], want[:len(warm)+before])
 			same("second life's OnDeliver stream", v.Lives[1], want)
 		})
+	}
+}
+
+// TestTotalCrashRelearnsAnAcceptedRound: the lease holder p0 decides a
+// round whose proposal and acceptor cell never reach its log, so the
+// round's value survives only in the acceptor cells of p1 and p2; every
+// process delivers it, and all three crash and recover. No process logged
+// the decision, and none has the round's proposal: each must learn the
+// round again before its replay ends, and deliver it again.
+func TestTotalCrashRelearnsAnAcceptedRound(t *testing.T) {
+	s := stack.Scripted(t)
+	s.Boot()
+	for s.Procs[0].Lease() == 0 {
+		if s.Procs[0].Core.Round() > 20 {
+			t.Fatal("p0 holds no lease after 20 rounds")
+		}
+		s.BroadcastAndWait(t, 0)
+	}
+	k := s.Procs[0].Core.Round()
+	cell := func(kind byte) string { return fmt.Sprintf("cons/%c/%016x", kind, k) }
+	s.Disks[0].Lose = func(w *sim.Write) bool { return w.Key == cell('p') || w.Key == cell('a') }
+	id := s.BroadcastAndWait(t, 0)
+	s.Await(t, "every process delivered "+id.String(), s.Terminated)
+	for _, p := range s.Procs {
+		if _, ok, _ := p.Disk.Get(cell('a')); ok != (p.PID != 0) {
+			t.Fatalf("p%d: acceptor cell of round %d logged: %v", p.PID, k, ok)
+		}
+		if _, ok, _ := p.Disk.Get(cell('p')); ok {
+			t.Fatalf("p%d: proposal of round %d logged", p.PID, k)
+		}
+	}
+
+	for _, p := range s.Procs {
+		s.Crash(p.PID)
+	}
+	s.Disks[0].Lose = nil
+	for _, p := range s.Procs {
+		s.Recover(p.PID)
+	}
+	s.Await(t, "every process delivered again after the recovery", s.Terminated)
+	for _, p := range s.Procs {
+		if _, seq := p.Core.Sequence(); len(seq) != int(k)+1 || seq[k].Msg.ID != id {
+			t.Fatalf("p%d delivered %d messages after the recovery, want %d ending in %v", p.PID, len(seq), k+1, id)
+		}
+	}
+	if err := s.Rec.Verify(); err != nil {
+		t.Fatal(err)
 	}
 }
 

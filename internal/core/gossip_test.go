@@ -65,6 +65,7 @@ type fakeCons struct {
 	proposals map[uint64][]byte
 	decisions map[uint64][]byte
 	floor     uint64
+	logged    uint64        // Logged: the replay waits for the rounds below it
 	settled   []uint64      // decided, not yet handed out by Settle
 	named     ids.ProcessID // the lease grant's holder, when granted
 	granted   bool
@@ -102,6 +103,12 @@ func (f *fakeCons) Proposal(k uint64) ([]byte, bool) {
 }
 
 func (f *fakeCons) Forgot(k uint64) bool { return false }
+
+func (f *fakeCons) Logged() uint64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.logged
+}
 
 func (f *fakeCons) Sequencer() (ids.ProcessID, bool) {
 	f.mu.Lock()

@@ -56,15 +56,18 @@ type Protocol struct {
 // (consensus.Box). Propose and DiscardBelow are its inputs; Settle carries
 // out its effects up to its next decided(k, v) or forgotten(k), which is
 // then this layer's input in the same step. The rest are reads: the
-// replay phase parses the log through DecidedLocal, Proposal and Forgot.
+// replay phase parses the log through Logged, DecidedLocal and Forgot.
 type Consensus interface {
 	Sequencer
 	Propose(k uint64, v []byte, now int64) error
 	DiscardBelow(k uint64)
 	Settle() (k uint64, v []byte, decided, ok bool)
 	DecidedLocal(k uint64) ([]byte, bool)
-	Proposal(k uint64) ([]byte, bool)
 	Forgot(k uint64) bool
+	// Logged is one past the last instance whose value (a proposal or an
+	// accepted value) recovery found in the log. Consensus learns every
+	// instance below it again from the start, since it logs no decision.
+	Logged() uint64
 }
 
 // Sequencer names the process this process's acceptor granted its lease
@@ -238,12 +241,13 @@ func retrieve(st storage.Stable, batched bool) (ckpt, floor, unord []byte, recs 
 // replay is the replay phase of "upon initialization or recovery" (Fig. 2),
 // run in-step by the drain. The recovery procedure "parses the log of
 // proposed and agreed values (which is kept internally by Consensus)"
-// (§4.2): a round with a logged decision commits straight from the log; a
-// round with only a logged proposal is re-proposed, idempotently, and the
-// phase waits for Consensus to settle it; the first round with neither ends
-// the phase, and so does a round whose instance peers garbage-collected:
-// the gossip exchange then triggers a state transfer that skips it (§5.3).
-// The end of the phase starts the machine.
+// (§4.2). Consensus logs the proposed values only, and from its start
+// learns every instance up to the last one it has a value logged for
+// (Logged): the phase commits each of those rounds in order as its
+// decision comes in, and waits for it otherwise. The first round past
+// them ends the phase, and so does a round whose instance peers
+// garbage-collected: the gossip exchange then triggers a state transfer
+// that skips it (§5.3). The end of the phase starts the machine.
 type replay struct {
 	m     *machine
 	log   Consensus
@@ -283,11 +287,11 @@ func (r *replay) advance(now int64) {
 		k := r.m.k
 		if v, ok := r.log.DecidedLocal(k); ok {
 			if r.m.decided(now, k, v); r.m.k == k {
-				panic(fmt.Sprintf("core: replay: round %d's logged decision did not commit", k))
+				panic(fmt.Sprintf("core: replay: round %d's decision did not commit", k))
 			}
 			continue
 		}
-		if v, ok := r.log.Proposal(k); ok && !r.log.Forgot(k) && r.log.Propose(k, v, now) == nil {
+		if k < r.log.Logged() && !r.log.Forgot(k) {
 			r.waitK = k
 			return
 		}

@@ -279,11 +279,11 @@ func TestDoubleStartRejected(t *testing.T) {
 }
 
 // TestAwaitReplayNamesTheRoundItWaitsOn: a replay phase waiting on a
-// logged proposal that consensus never settles ends with its context, and
-// the error names the round it waits on and the GC floor.
+// round with a logged value that consensus never settles ends with its
+// context, and the error names the round it waits on and the GC floor.
 func TestAwaitReplayNamesTheRoundItWaitsOn(t *testing.T) {
 	p := newProto(Config{PID: 0, N: 3, Incarnation: 2}, storage.NewMem(), &fakeNet{})
-	p.cons.(*fakeCons).proposals[0] = []byte("logged, never decided")
+	p.cons.(*fakeCons).logged = 1
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	err := p.Start(ctx)

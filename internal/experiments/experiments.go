@@ -79,7 +79,7 @@ func (k kvFold) Restore([]byte) {}
 
 // E1LogOps verifies claim C1 (§4.3): the basic protocol performs zero log
 // operations in the broadcast layer — the only forced writes are the
-// Consensus proposals (plus consensus-internal acceptor/decision cells) —
+// Consensus proposals (plus consensus-internal acceptor cells) —
 // while each §5 option adds measurable, attributable extras.
 func E1LogOps(scale Scale) (*Result, error) {
 	msgs := scale.pick(30, 200)

@@ -77,6 +77,9 @@ type Node struct {
 
 	mu  sync.Mutex
 	inc *incarnation
+	// down is closed once the last crashed incarnation is torn down: its
+	// endpoint stays attached until then, so Start waits for it.
+	down chan struct{}
 }
 
 // incarnation is the volatile half of a process.
@@ -102,13 +105,23 @@ func New(cfg Config, store storage.Stable, net transport.Network) *Node {
 // Start boots a new incarnation: it logs the incremented epoch, rebuilds
 // the stack from stable storage, and blocks until the broadcast replay
 // phase completes. It is both "initialization" and "recovery" (Fig. 2).
+// A Crash still tearing the last incarnation down delays it until the
+// endpoint is detached.
 func (n *Node) Start(ctx context.Context) error {
 	n.mu.Lock()
 	if n.inc != nil {
 		n.mu.Unlock()
 		return fmt.Errorf("node %v: already up", n.cfg.PID)
 	}
+	down := n.down
 	n.mu.Unlock()
+	if down != nil {
+		select {
+		case <-down:
+		case <-ctx.Done():
+			return fmt.Errorf("node %v: %w", n.cfg.PID, ctx.Err())
+		}
+	}
 
 	epoch, err := n.nextEpoch()
 	if err != nil {
@@ -263,11 +276,16 @@ func (n *Node) nextEpoch() (uint32, error) {
 }
 
 // Crash kills the incarnation: all volatile state is lost; stable storage
-// survives. Crashing a down node is a no-op.
+// survives. Crashing a down node is a no-op. The node reads as down from
+// the start of the teardown, and a Start waits for its end.
 func (n *Node) Crash() {
 	n.mu.Lock()
 	inc := n.inc
 	n.inc = nil
+	if inc != nil {
+		n.down = make(chan struct{})
+		defer close(n.down)
+	}
 	n.mu.Unlock()
 	if inc == nil {
 		return

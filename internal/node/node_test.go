@@ -11,6 +11,8 @@ import (
 	"repro/internal/harness"
 	"repro/internal/ids"
 	"repro/internal/node"
+	"repro/internal/storage"
+	"repro/internal/transport"
 )
 
 func TestEpochIncrementsPerIncarnation(t *testing.T) {
@@ -182,6 +184,56 @@ func TestCrashRacingStartIsClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := c.AwaitAllDelivered(ctx, 0, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// slowDetach is a network whose endpoints take a while to close, so a
+// crash's teardown outlasts the moment the node reads as down.
+type slowDetach struct{ *transport.Mem }
+
+func (n slowDetach) Attach(pid ids.ProcessID) (transport.Endpoint, error) {
+	ep, err := n.Mem.Attach(pid)
+	return slowClose{ep}, err
+}
+
+type slowClose struct{ transport.Endpoint }
+
+func (ep slowClose) Close() error {
+	time.Sleep(5 * time.Millisecond)
+	return ep.Endpoint.Close()
+}
+
+// TestRestartRightAfterAStorageTripCrash: a storage trip crashes the node
+// from a goroutine of its own, and the node is started again as soon as it
+// reads as down, while that crash is still tearing the incarnation down
+// (its endpoint takes a while to detach). The start waits for the
+// teardown instead of failing to attach.
+func TestRestartRightAfterAStorageTripCrash(t *testing.T) {
+	st := storage.NewFaulty(storage.NewMem())
+	mem := transport.NewMem(1, transport.MemOptions{Seed: 7})
+	defer mem.Close()
+	nd := node.New(node.Config{N: 1}, st, slowDetach{mem})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if err := nd.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Crash()
+	st.FailAfter(2, func() { go nd.Crash() })
+	for !st.Tripped() {
+		bctx, bcancel := context.WithTimeout(ctx, 50*time.Millisecond)
+		_, _ = nd.Broadcast(bctx, []byte("before"))
+		bcancel()
+	}
+	for nd.Up() {
+		runtime.Gosched()
+	}
+	st.Disarm()
+	if err := nd.Start(ctx); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	if _, err := nd.Broadcast(ctx, []byte("after")); err != nil {
 		t.Fatal(err)
 	}
 }

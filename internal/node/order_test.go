@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ids"
 	"repro/internal/node"
 	"repro/internal/storage"
 	"repro/internal/transport"
@@ -16,9 +17,7 @@ import (
 
 // reversing resolves its asynchronous writes in reverse issue order: write
 // i is durable (4 - i%4)ms after its issue, so of the writes of one step
-// the last lands first. At the issue of a decision cell cons/d/k it checks
-// that an acceptor cell of k is durable: a process alone decides on its own
-// accepted reply, which leaves once that cell is.
+// the last lands first.
 type reversing struct {
 	*storage.Faulty
 	mu         sync.Mutex
@@ -48,9 +47,6 @@ func (s *reversing) AppendAsync(key string, rec []byte) *storage.Completion {
 func (s *reversing) issue(key string, val []byte, do func(string, []byte) *storage.Completion) *storage.Completion {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if k, ok := strings.CutPrefix(key, "cons/d/"); ok && !s.durable("cons/a/"+k, "") {
-		s.violations = append(s.violations, "decided "+k+" before an acceptor cell of it was durable")
-	}
 	s.SetLatency(time.Duration(4-len(s.writes)%4) * time.Millisecond)
 	w := &issued{key: key, val: string(val), c: do(key, val)}
 	s.writes = append(s.writes, w)
@@ -86,13 +82,22 @@ func (s *reversing) durable(key, part string) bool {
 // write to it interleaved, from concurrent Broadcast calls and pipelined
 // rounds, and each must see its completions in issue order: a Broadcast
 // returns only once its own Unordered record is durable, and consensus
-// decides an instance only once its acceptor cell is.
+// decides an instance only once its acceptor cell is (a process alone
+// decides on its own accepted reply, which leaves once that cell is): a
+// round that commits has it durable.
 func TestWriteCompletionsReachLayersInIssueOrder(t *testing.T) {
 	st := &reversing{Faulty: storage.NewFaulty(storage.NewMem())}
 	net := transport.NewMem(1, transport.MemOptions{Seed: 5})
 	defer net.Close()
+	onRound := func(_ ids.GroupID, k uint64, _ []core.Delivery) {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		if !st.durable(fmt.Sprintf("cons/a/%016x", k), "") {
+			st.violations = append(st.violations, fmt.Sprintf("round %d committed before an acceptor cell of it was durable", k))
+		}
+	}
 	nd := node.New(node.Config{N: 1, Core: core.Config{
-		BatchedBroadcast: true, IncrementalLog: true, PipelineDepth: 4,
+		BatchedBroadcast: true, IncrementalLog: true, PipelineDepth: 4, OnRound: onRound,
 	}}, st, net)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

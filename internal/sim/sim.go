@@ -83,8 +83,8 @@ type Disk struct {
 	Hold func(w *Write) bool
 	// Lose, when set, loses the writes it selects: they resolve without
 	// reaching the disk. A held write stalls every later report of a
-	// store that reports in issue order; a lost one is the decision cell
-	// a crash would have cut off, without the stall.
+	// store that reports in issue order; a lost one is a write a crash
+	// would have cut off, without the stall.
 	Lose      func(w *Write) bool
 	held      []*Write
 	lastWrite int64 // when the last issued write resolves

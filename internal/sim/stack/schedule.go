@@ -42,10 +42,10 @@ func Variants() map[string]core.Config {
 
 // Schedule shapes a batch of random schedules. Seed s's schedule has
 // broadcasts from random processes, crashes and recoveries (up to N-1
-// down at once), armed write faults that kill the incarnation, and
-// one-way cuts over a lossy, duplicating, reordering network, each
-// process with a disk of its own speed, half of them reporting some
-// writes late, then a heal at HealAt.
+// down at once, and in one schedule of four a total crash), armed write
+// faults that kill the incarnation, and one-way cuts over a lossy,
+// duplicating, reordering network, each process with a disk of its own
+// speed, half of them reporting some writes late, then a heal at HealAt.
 type Schedule struct {
 	N         int
 	Core      core.Config
@@ -106,6 +106,15 @@ func (sc Schedule) Build(seed uint64, verbose bool) *Sim {
 			s.At(at, func() { s.soakIsolate(p) })
 		}
 		s.At(HealAt/2, s.huntHolder)
+	}
+	// Now and then a total crash: every process at once, each recovering
+	// on its own, so that what was decided survives in the logs alone.
+	if r.IntN(4) == 0 {
+		at := r.Int64N(HealAt)
+		for _, p := range s.Procs {
+			s.At(at, func() { s.Crash(p.PID) })
+			s.At(at+r.Int64N(100*ms), func() { s.Recover(p.PID) })
+		}
 	}
 	s.At(HealAt, s.Heal)
 	return s

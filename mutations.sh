@@ -22,7 +22,7 @@ dir=internal/sim/testdata/mutations
 # batches and scripted schedules, and the soak batches.
 suites=(
 	"./internal/consensus/ -skip ^TestEngineCluster"
-	"./internal/core/ -run ^(TestSimSchedules|TestCrashBetweenDeliveryAndDecisionCell|TestRecoveredProcessSuspectsAPeerItNeverHeard|TestLostPushRepairedByPullUnderLoad)$"
+	"./internal/core/ -run ^(TestSimSchedules|TestCrashBetweenDeliveryAndDecisionCell|TestTotalCrashRelearnsAnAcceptedRound|TestRecoveredProcessSuspectsAPeerItNeverHeard|TestLostPushRepairedByPullUnderLoad)$"
 	"./internal/harness/ -run ^(TestSoakSeeds|TestSoakSeedsWAL|TestLeaseLostUnderIsolation)$"
 )
 
@@ -37,7 +37,7 @@ fail=0
 for name in "${names[@]}"; do
 	copy="$tmp/$name"
 	mkdir -p "$copy"
-	git ls-files -co --exclude-standard -z | tar --null -T - -cf - | tar -C "$copy" -xf -
+	git ls-files -co --exclude-standard -z | tar --null --ignore-failed-read -T - -cf - | tar -C "$copy" -xf -
 	if ! (cd "$copy" && git apply "$OLDPWD/$dir/$name.patch" 2>"$copy.log"); then
 		# Named, not fatal: the other patches still run.
 		echo "$name: stale (does not apply)"
