@@ -188,7 +188,9 @@ type (
 	Delivery = core.Delivery
 	// Snapshot is an application-level checkpoint (§5.2).
 	Snapshot = core.Snapshot
-	// Checkpointer is the A-checkpoint upcall interface (Fig. 5).
+	// Checkpointer is the A-checkpoint upcall interface (Fig. 5). The
+	// delivered slice Checkpoint folds is a view of the delivered
+	// sequence, borrowed for the call: copy it to keep it.
 	Checkpointer = core.Checkpointer
 	// Stats exposes broadcast-layer counters.
 	Stats = core.Stats

@@ -438,7 +438,8 @@ func (s *Sharded) buildGroup(gid GroupID) (Storage, *node.Node) {
 	// consumed, so an idle group cannot pin reclamation of processes that
 	// never merge. The floor is the CLUSTER-wide minimum (gossiped on the
 	// digest lane, bounded by the staleness cap), localized to this
-	// group's span.
+	// group's span. OnRound lends each round's deliveries for the call;
+	// the stream copies what it keeps.
 	coreCfg.OnRound = s.stream.NoteRound
 	coreCfg.OnRoundSkip = s.stream.NoteSkip
 	if cfg.MergedDelivery {

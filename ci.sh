@@ -83,6 +83,7 @@ step_metrics() {
 # discards its cells by key range, one record per kind of cell, never with
 # a delete per cell. A WAL write queues a value op that resolves
 # through its commit group's completion, never an op of its own on the heap.
+# A checkpoint folds a view of the delivered sequence, never a copy of it.
 step_retired() {
 	local pat='DESIGN\.md|EXPERIMENTS\.md|BENCH_e[0-9]+|internal/tune|\bE(1[4-9]|2[0-2])\b'
 	pat+='|\bDigestGossip\b|NewFileStorage|storage\.NewFile\b|SetGroupCommit|\bGossipMaxMessages\b'
@@ -99,6 +100,7 @@ step_retired() {
 	pat+='|Reliable local delivery|this one included|including the sender'
 	pat+='|\bconsEffect\b|\bcoreEffect\b|core\.NewMachine|consensus\.NewMachine|core\.NewReplay'
 	pat+='|\bcellDecision\b|decide_fsync|decideFsyncNS'
+	pat+='|\bsuffixMessagesPrefix\b'
 	if grep -rnE "$pat" --include='*.go' . ||
 		grep -nE "$pat" README.md bench/README.md .github/workflows/ci.yml; then
 		echo "retired names found (above)"

@@ -117,7 +117,9 @@ type Snapshot struct {
 type Checkpointer interface {
 	// Checkpoint returns the application state obtained by applying
 	// delivered to prev. Checkpoint(nil, nil) must return the initial
-	// state (the paper's A-checkpoint(⊥)).
+	// state (the paper's A-checkpoint(⊥)). delivered is a view of the
+	// delivered sequence, borrowed for the call: the messages (and their
+	// payloads) may be kept, the slice may not.
 	Checkpoint(prev []byte, delivered []msg.Message) []byte
 	// Restore installs an adopted application state (recovery or state
 	// transfer).
@@ -244,7 +246,8 @@ type Config struct {
 	// Re-commits during the recovery replay phase fire again (consumers
 	// deduplicate by round number); rounds skipped by a state-transfer
 	// adoption do not fire at all — OnRoundSkip reports the jump instead.
-	// The slice is shared and must not be mutated.
+	// The slice is borrowed for the call: the next rounds' deliveries
+	// reuse it, so a caller that keeps it must copy it.
 	OnRound func(g ids.GroupID, round uint64, deliveries []Delivery)
 	// Obs, when set, is the process-wide observability plane: protocol
 	// counters register under "abcast.core.<name>{group}", sampled

@@ -20,16 +20,16 @@ func TestFoldBelowRetainsRoundsAtOrAboveFloor(t *testing.T) {
 	if d.base.Rounds != 2 || d.base.Pos != 3 || string(d.base.App) != "app" {
 		t.Fatalf("base after partial fold: %+v", d.base)
 	}
-	if len(d.suffix) != 1 || d.suffix[0].round != 3 {
-		t.Fatalf("suffix after partial fold: %+v", d.suffix)
+	if len(d.msgs) != 1 || len(d.rounds) != 1 || d.rounds[0] != 3 {
+		t.Fatalf("suffix after partial fold: %+v, rounds %v", d.msgs, d.rounds)
 	}
-	// The buffer is kept, and its vacated tail holds no folded message.
-	if cap(d.suffix) < 4 {
-		t.Fatalf("the fold reallocated the suffix: cap %d", cap(d.suffix))
+	// The buffers are kept, and the vacated tail holds no folded message.
+	if cap(d.msgs) < 4 || cap(d.rounds) < 4 {
+		t.Fatalf("the fold reallocated the suffix: cap %d and %d", cap(d.msgs), cap(d.rounds))
 	}
-	for _, e := range d.suffix[1:cap(d.suffix)] {
-		if e.m.Payload != nil {
-			t.Fatalf("folded message %v still referenced past the suffix", e.m.ID)
+	for _, mm := range d.msgs[1:cap(d.msgs)] {
+		if mm.Payload != nil {
+			t.Fatalf("folded message %v still referenced past the suffix", mm.ID)
 		}
 	}
 	// Folded and retained messages are all still contained.
@@ -45,7 +45,7 @@ func TestFoldBelowRetainsRoundsAtOrAboveFloor(t *testing.T) {
 	}
 	// Folding again at a higher floor absorbs the rest.
 	d.foldPrefix([]byte("app2"), d.cutBelow(4), 4)
-	if len(d.suffix) != 0 || d.base.Rounds != 4 || d.base.Pos != 4 {
+	if len(d.msgs) != 0 || d.base.Rounds != 4 || d.base.Pos != 4 {
 		t.Fatalf("full fold after partial: %+v", d.base)
 	}
 	// A floor below the current base never regresses it.
@@ -63,9 +63,6 @@ func TestFoldBelowZeroFloorIsNoopOnSuffix(t *testing.T) {
 	d.appendBatch(0, []msg.Message{m(0, 1, 1)})
 	if got := d.cutBelow(0); got != 0 {
 		t.Fatalf("cutBelow(0) = %d; want 0", got)
-	}
-	if msgs := d.suffixMessagesPrefix(d.cutBelow(0)); len(msgs) != 0 {
-		t.Fatalf("suffixMessagesPrefix(cutBelow(0)) = %v", msgs)
 	}
 }
 

@@ -66,12 +66,16 @@ func TestOnStateRejectsCorruptVectorClock(t *testing.T) {
 // FuzzDeliveryState runs the delivered sequence against a naive model,
 // the whole sequence in delivery order and the length of its folded
 // prefix, under the operations the core applies to it. ops drives them:
-// appends of decided batches (repeats, sequence gaps, a second
-// incarnation, a reshard orphan far above the native counters), folds at
-// any floor up to the round counter, adoption into a fresh state while
+// decided values decoded, sorted and filtered in place on the suffix's
+// tail (repeats within a batch and of earlier rounds, messages the base
+// clock covers, sequence gaps, a second incarnation, a reshard orphan far
+// above the native counters, a value that does not decode), where the
+// model sorts a fresh copy of the batch and appends what it lacks; folds
+// at any floor up to the round counter, adoption into a fresh state while
 // the source goes on changing, and an encode-decode round trip. After
 // every operation contains, nextPos, deliveries and the base clock agree
-// with the model. raw is decoded as a hostile state. testdata/fuzz holds
+// with the model, and the suffix's spare capacity holds no message. raw
+// is decoded as a hostile state. testdata/fuzz holds
 // the seeds, among them a state whose suffix repeats a message its base
 // clock covers: the decoder drops that entry, as the ⊕ rule would.
 func FuzzDeliveryState(f *testing.F) {
@@ -90,13 +94,18 @@ func FuzzDeliveryState(f *testing.F) {
 		pos := make(map[ids.MsgID]int)
 		folded := 0
 		var round, rounds uint64 // the next round; the base's Rounds
+		var dels []Delivery      // reused, as the machine's buffer is
 		for len(ops) > 0 {
 			switch op := next(); op % 4 {
-			case 0, 1: // a decided batch; rounds in between may be empty
+			case 0, 1: // a decided value; rounds in between may be empty
 				round += uint64(next() % 3)
 				batch := make([]msg.Message, next()%8)
 				for i := range batch {
 					batch[i] = fuzzMsg(next())
+				}
+				value := encodeBatch(batch)
+				if op >= 0xf0 { // cut short: it decodes as an empty batch
+					value, batch = value[:len(value)-1], nil
 				}
 				fresh := len(model)
 				sorted := slices.Clone(batch)
@@ -107,7 +116,13 @@ func FuzzDeliveryState(f *testing.F) {
 						model = append(model, Delivery{Msg: mm, Round: round, Pos: uint64(len(model))})
 					}
 				}
-				sameDeliveries(t, "appendBatch", d.appendBatch(round, batch), model[fresh:])
+				from, decided := d.appendValue(round, value)
+				if decided != len(batch) || d.base.Pos+uint64(from) != uint64(fresh) {
+					t.Fatalf("appendValue: batch of %d from %d; the model decided %d from %d",
+						decided, d.base.Pos+uint64(from), len(batch), fresh)
+				}
+				dels = d.appendDeliveries(dels[:0], from, 0)
+				sameDeliveries(t, "appendValue", dels, model[fresh:])
 				round++
 			case 2: // a fold at a floor at or below the round counter
 				floor := round - min(round, uint64(next()%8))
@@ -141,6 +156,14 @@ func FuzzDeliveryState(f *testing.F) {
 					d.nextPos(), d.base.Pos, d.base.Rounds, len(model), folded, rounds)
 			}
 			sameDeliveries(t, "deliveries", d.deliveries(), model[folded:])
+			if len(d.rounds) != len(d.msgs) {
+				t.Fatalf("%d rounds beside %d messages", len(d.rounds), len(d.msgs))
+			}
+			for _, mm := range d.msgs[len(d.msgs):cap(d.msgs)] {
+				if mm.Payload != nil {
+					t.Fatalf("the suffix's spare capacity still holds %v", mm.ID)
+				}
+			}
 			for b := range 256 {
 				id := fuzzMsg(byte(b)).ID
 				p, in := pos[id]
@@ -187,11 +210,11 @@ func checkDecoded(t *testing.T, raw []byte) {
 		return
 	}
 	inSuffix := make(map[ids.MsgID]bool)
-	for _, e := range d.suffix {
-		if d.base.VC.Covers(e.m.ID) || inSuffix[e.m.ID] {
-			t.Fatalf("decoded suffix keeps %v, which the sequence already contains", e.m.ID)
+	for _, mm := range d.msgs {
+		if d.base.VC.Covers(mm.ID) || inSuffix[mm.ID] {
+			t.Fatalf("decoded suffix keeps %v, which the sequence already contains", mm.ID)
 		}
-		inSuffix[e.m.ID] = true
+		inSuffix[mm.ID] = true
 	}
 	for b := range 256 {
 		id := fuzzMsg(byte(b)).ID

@@ -147,6 +147,13 @@ type machine struct {
 	batchScratch []msg.Message
 	lastProgress int64 // the idle-heartbeat deadline counts from it
 
+	// dels holds the deliveries the ordered upcalls in out and in the
+	// runner's queue carry (their ds are slices of it), until the runner
+	// takes the queue and swaps in the buffer its last batch ran from.
+	dels []Delivery
+	// gossiped is onGossip's decoded batch, empty between steps.
+	gossiped []msg.Message
+
 	lastStateTo  map[ids.ProcessID]int64 // state-message rate limiting
 	lastGossip   int64                   // eager-gossip rate limiting
 	eagerBuf     []msg.Message           // locally added messages awaiting a delta gossip
@@ -656,8 +663,8 @@ func (m *machine) notePending() {
 // leave the Unordered set. The decided value carries every payload it
 // orders, so a decided round always commits.
 func (m *machine) commit(round uint64, value []byte) {
-	batch := msg.DecodeBatch(wire.NewReader(value))
-	deliveries := m.tagGroup(m.ds.appendBatch(round, batch))
+	from, decided := m.ds.appendValue(round, value)
+	deliveries := m.deliveries(from)
 	m.k = round + 1
 	m.unordered.SubtractDelivered(m.ds.contains)
 	// Messages we proposed in rounds up to this one are settled: delivered,
@@ -683,7 +690,7 @@ func (m *machine) commit(round uint64, value []byte) {
 		delete(m.pullClock, d.Msg.ID)
 	}
 	m.met.rounds.Inc()
-	if len(batch) == 0 {
+	if decided == 0 {
 		m.met.emptyRounds.Inc()
 	}
 	if !m.running {
@@ -721,13 +728,13 @@ func (m *machine) releaseBlocked(id ids.MsgID) {
 	}
 }
 
-// tagGroup stamps the owning group on deliveries about to leave the core:
-// a sharded process's shared handler keys on Delivery.Group.
-func (m *machine) tagGroup(ds []Delivery) []Delivery {
-	for i := range ds {
-		ds[i].Group = m.cfg.Group
-	}
-	return ds
+// deliveries returns the suffix's entries from index from on as the
+// Delivery values an ordered upcall carries, tagged with the owning group
+// (a sharded process's shared handler keys on Delivery.Group), in dels.
+func (m *machine) deliveries(from int) []Delivery {
+	n := len(m.dels)
+	m.dels = m.ds.appendDeliveries(m.dels, from, m.cfg.Group)
+	return m.dels[n:]
 }
 
 // ---- timers ----
@@ -901,13 +908,13 @@ func (m *machine) noteRound(from ids.ProcessID, kq uint64) {
 // ("upon receive gossip(k_q, U_q)", Fig. 2).
 func (m *machine) onGossip(from ids.ProcessID, r *wire.Reader) {
 	kq := r.U64()
-	batch := msg.DecodeBatch(r)
+	m.gossiped = msg.AppendBatch(m.gossiped, r)
 	if r.Err() != nil {
-		return
+		return // the scratch came back as given, empty
 	}
 	m.met.gossipReceived.Inc()
 	added := 0
-	for _, mm := range batch {
+	for _, mm := range m.gossiped {
 		// Drained: the sealed sequence is complete; re-admitting gossiped
 		// leftovers would bounce the orphans between peers forever.
 		if m.drained || m.ds.contains(mm.ID) || !m.unordered.Add(mm) {
@@ -920,6 +927,8 @@ func (m *machine) onGossip(from ids.ProcessID, r *wire.Reader) {
 		}
 		delete(m.pullClock, mm.ID)
 	}
+	clear(m.gossiped) // Add keeps the messages by value
+	m.gossiped = m.gossiped[:0]
 	if added > 0 {
 		m.notePending()
 	}
@@ -1087,7 +1096,7 @@ func (m *machine) adopt(ds *deliveryState, newK uint64) {
 // between never reach OnRound here.
 func (m *machine) installed() {
 	m.emit(effect{op: opRestore, snap: m.ds.snapshotBase()})
-	m.emit(effect{op: opDeliver, ds: m.tagGroup(m.ds.deliveries())})
+	m.emit(effect{op: opDeliver, ds: m.deliveries(0)})
 	m.emit(effect{op: opSkip, k: m.k})
 }
 
@@ -1100,18 +1109,7 @@ func (m *machine) installed() {
 func (m *machine) checkpoint(now int64, release bool) {
 	m.now = now
 	if m.cfg.Checkpointer != nil {
-		// The fold floor: everything delivered, unless a merge floor keeps
-		// the per-round structure of rounds the process-wide merge frontier
-		// has not passed.
-		floor := m.k
-		if m.cfg.MergeFloor != nil {
-			floor = min(floor, m.cfg.MergeFloor())
-		}
-		if cut := m.ds.cutBelow(floor); cut > 0 {
-			// (b) Agreed_p ← (A-checkpoint(Agreed_p), VC(Agreed_p)).
-			app := m.cfg.Checkpointer.Checkpoint(m.ds.base.App, m.ds.suffixMessagesPrefix(cut))
-			m.ds.foldPrefix(app, cut, floor)
-		}
+		m.fold()
 	}
 	m.met.checkpoints.Inc()
 	if m.cfg.BatchedBroadcast && m.cfg.IncrementalLog {
@@ -1128,6 +1126,22 @@ func (m *machine) checkpoint(now int64, release bool) {
 	discard := m.discardFloor(m.k)
 	m.fl.Event(obs.EvCheckpoint, m.cfg.Group, m.k, int64(discard), 0, "")
 	m.logCheckpoint(discard, release)
+}
+
+// fold is Fig. 4 line (b), Agreed_p ← (A-checkpoint(Agreed_p),
+// VC(Agreed_p)), up to the fold floor: everything delivered, unless a
+// merge floor keeps the per-round structure of rounds the process-wide
+// merge frontier has not passed. The Checkpointer reads the folded prefix
+// in place: nothing writes the suffix while the step runs.
+func (m *machine) fold() {
+	floor := m.k
+	if m.cfg.MergeFloor != nil {
+		floor = min(floor, m.cfg.MergeFloor())
+	}
+	if cut := m.ds.cutBelow(floor); cut > 0 {
+		app := m.cfg.Checkpointer.Checkpoint(m.ds.base.App, m.ds.msgs[:cut])
+		m.ds.foldPrefix(app, cut, floor)
+	}
 }
 
 func (m *machine) discardFloor(k uint64) uint64 {

@@ -47,8 +47,10 @@ type Protocol struct {
 	replayed  chan struct{} // closed once the upcalls of recovery ran
 
 	// The ordered upcalls, in the order the machine emitted them, and the
-	// batch the loop's goroutine runs.
+	// batch the loop's goroutine runs; dels holds the deliveries of the
+	// batch (the machine's buffer holds the queued ones').
 	upcalls, batch []effect
+	dels           []Delivery
 }
 
 // Consensus is Fig. 1's consensus box as the broadcast layer drives it:
@@ -436,12 +438,18 @@ func (p *Protocol) upcall(ef *effect) {
 	p.l.Upcall()
 }
 
-// TakeUpcalls implements loop.Upcaller.
-func (p *Protocol) TakeUpcalls() { p.batch, p.upcalls = p.upcalls, p.batch[:0] }
+// TakeUpcalls implements loop.Upcaller. The deliveries buffers swap with
+// the queues: the machine appends the next rounds' deliveries to the one
+// the last batch ran from, so neither allocates once warm.
+func (p *Protocol) TakeUpcalls() {
+	p.batch, p.upcalls = p.upcalls, p.batch[:0]
+	p.dels, p.m.dels = p.m.dels, p.dels[:0]
+}
 
 // RunUpcalls implements loop.Upcaller: it runs the batch on the loop's
 // goroutine, outside every lock, so a slow application stalls neither the
-// transport nor consensus.
+// transport nor consensus. OnDeliver and OnRound read deliveries that
+// nothing writes until the batch has run.
 func (p *Protocol) RunUpcalls() {
 	c := &p.cfg
 	for i := range p.batch {
@@ -475,6 +483,7 @@ func (p *Protocol) RunUpcalls() {
 		}
 	}
 	clear(p.batch)
+	clear(p.dels) // releases the payloads
 }
 
 // ---- client calls ----
@@ -724,7 +733,8 @@ func (p *Protocol) Delivered(id ids.MsgID) bool {
 func (p *Protocol) Sequence() (Snapshot, []Delivery) {
 	p.l.Lock()
 	defer p.l.Unlock()
-	return p.m.ds.snapshotBase(), p.m.tagGroup(p.m.ds.deliveries())
+	ds := p.m.ds
+	return ds.snapshotBase(), ds.appendDeliveries(make([]Delivery, 0, len(ds.msgs)), 0, p.cfg.Group)
 }
 
 // UnorderedLen returns the size of the Unordered set (observability).

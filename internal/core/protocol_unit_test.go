@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/msg"
 	"repro/internal/storage"
+	"repro/internal/testenv"
 	"repro/internal/wire"
 )
 
@@ -237,6 +239,74 @@ func TestCheckpointNowFoldsWithCheckpointer(t *testing.T) {
 	}
 	if p.Stats().Checkpoints != 1 {
 		t.Fatal("checkpoint not counted")
+	}
+}
+
+// tallyFold is an application whose state is the count of messages it
+// folded, kept in a buffer of its own: a fold allocates nothing.
+type tallyFold struct{ state [8]byte }
+
+func (f *tallyFold) Checkpoint(prev []byte, delivered []msg.Message) []byte {
+	var n uint64
+	if len(prev) == 8 {
+		n = binary.LittleEndian.Uint64(prev)
+	}
+	binary.LittleEndian.PutUint64(f.state[:], n+uint64(len(delivered)))
+	return f.state[:]
+}
+
+func (f *tallyFold) Restore([]byte) {}
+
+// TestCommittedRoundAllocatesNothing pins the learner's path: once warm,
+// one decided round of 32 messages goes from its value to OnDeliver —
+// decoded onto the delivered sequence, its deliveries written to the
+// machine's buffer, the buffers swapped by TakeUpcalls and read by
+// RunUpcalls — and through a checkpoint fold without a heap allocation.
+func TestCommittedRoundAllocatesNothing(t *testing.T) {
+	if testenv.Race {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const per, warm, runs = 32, 8, 50
+	delivered := 0
+	fold := &tallyFold{}
+	p, _, _ := newTestProtocol(Config{
+		OnDeliver:    func(Delivery) { delivered++ },
+		Checkpointer: fold,
+	})
+	p.m.running = true // past the replay phase: a commit asks and pumps
+	// The values are encoded outside the measured rounds: the warm-up's,
+	// AllocsPerRun's own warm-up run's and the measured ones.
+	values := make([][]byte, warm+1+runs)
+	for r := range values {
+		batch := make([]msg.Message, per)
+		for i := range batch {
+			batch[i] = m(int32(per-1-i), 1, uint64(r+1)) // out of canonical order
+		}
+		values[r] = encodeBatch(batch)
+	}
+	var k uint64
+	round := func() {
+		p.l.Lock()
+		p.m.decided(p.l.Now(), k, values[k])
+		p.m.fold()
+		p.l.Exit()
+		p.l.Lock()
+		p.TakeUpcalls()
+		p.l.Unlock()
+		p.RunUpcalls()
+		k++
+	}
+	for range warm {
+		round()
+	}
+	if got := testing.AllocsPerRun(runs, round); got != 0 {
+		t.Errorf("a committed round allocates %v times; want 0", got)
+	}
+	if total := uint64(len(values) * per); uint64(delivered) != total || binary.LittleEndian.Uint64(fold.state[:]) != total {
+		t.Fatalf("%d delivered and %d folded; want %d of each", delivered, binary.LittleEndian.Uint64(fold.state[:]), total)
+	}
+	if p.m.ds.base.Pos != k*per || len(p.m.ds.msgs) != 0 {
+		t.Fatalf("the folds left base at %d and %d in the suffix; want %d and 0", p.m.ds.base.Pos, len(p.m.ds.msgs), k*per)
 	}
 }
 

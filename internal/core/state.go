@@ -9,23 +9,20 @@ import (
 	"repro/internal/wire"
 )
 
-// suffixEntry is one explicitly delivered message and the Consensus round
-// that ordered it.
-type suffixEntry struct {
-	m     msg.Message
-	round uint64
-}
-
 // deliveryState is the Agreed queue generalized per §5.2: an application
-// checkpoint (base) plus the messages delivered after it (suffix). With no
-// checkpointing the base stays empty and the suffix is the whole queue —
-// the basic protocol's Agreed. seen is §5.2's coverage clock extended to
-// the whole sequence: it contains every message of base and suffix, so
+// checkpoint (base) plus the messages delivered after it (the suffix). With
+// no checkpointing the base stays empty and the suffix is the whole queue —
+// the basic protocol's Agreed. The suffix is two parallel slices, the
+// messages in delivery order and the Consensus round that ordered each, so
+// a decided batch decodes straight onto its tail and a fold hands the
+// Checkpointer a view of its prefix. seen is §5.2's coverage clock extended
+// to the whole sequence: it contains every message of base and suffix, so
 // one lookup answers whether a message is already delivered, and base.VC
 // stays exactly the folded prefix that snapshots carry.
 type deliveryState struct {
 	base   Snapshot
-	suffix []suffixEntry
+	msgs   []msg.Message
+	rounds []uint64 // rounds[i] ordered msgs[i]
 	seen   vclock.VC
 }
 
@@ -42,61 +39,62 @@ func (d *deliveryState) contains(id ids.MsgID) bool {
 
 // nextPos is the global position the next delivered message will get.
 func (d *deliveryState) nextPos() uint64 {
-	return d.base.Pos + uint64(len(d.suffix))
+	return d.base.Pos + uint64(len(d.msgs))
 }
 
-// appendBatch applies the ⊕ rule for the batch decided by round: messages
-// not yet contained are appended in canonical order. It sorts batch in
-// place, so the caller hands over a batch nothing else reads (commit's is
-// freshly decoded). It returns the new deliveries with their agreed
-// positions.
-func (d *deliveryState) appendBatch(round uint64, batch []msg.Message) []Delivery {
-	msg.SortCanonical(batch)
-	out := make([]Delivery, 0, len(batch))
-	for _, m := range batch {
-		if d.add(m, round) {
-			out = append(out, Delivery{Msg: m, Round: round, Pos: d.base.Pos + uint64(len(d.suffix)) - 1})
+// appendValue applies the ⊕ rule to the batch round decided, encoded as
+// value: its messages are decoded onto the suffix's tail, sorted there
+// into canonical order, and those the sequence already contains (a
+// repeat, within the batch or of an earlier round, or a message the base
+// clock covers) are dropped in place. It returns the suffix index of the
+// first new entry and the size of the decided batch; a value that does
+// not decode is an empty batch.
+func (d *deliveryState) appendValue(round uint64, value []byte) (from, decided int) {
+	from = len(d.msgs)
+	d.msgs = msg.AppendBatch(d.msgs, wire.NewReader(value))
+	tail := d.msgs[from:]
+	decided = len(tail)
+	msg.SortCanonical(tail)
+	n := from
+	for _, mm := range tail {
+		if !d.contains(mm.ID) {
+			d.seen.Observe(mm.ID)
+			d.msgs[n] = mm
+			n++
 		}
 	}
-	return out
+	clear(d.msgs[n:])
+	d.msgs = d.msgs[:n]
+	for range n - from {
+		d.rounds = append(d.rounds, round)
+	}
+	return from, decided
 }
 
 // add appends m, ordered by round, unless the sequence already contains
 // it (the ⊕ rule: a repeat, or a message the base clock covers).
-func (d *deliveryState) add(m msg.Message, round uint64) bool {
-	if d.contains(m.ID) {
-		return false
+func (d *deliveryState) add(m msg.Message, round uint64) {
+	if !d.contains(m.ID) {
+		d.seen.Observe(m.ID)
+		d.msgs = append(d.msgs, m)
+		d.rounds = append(d.rounds, round)
 	}
-	d.seen.Observe(m.ID)
-	d.suffix = append(d.suffix, suffixEntry{m: m, round: round})
-	return true
 }
 
-// deliveries returns the suffix as Delivery values (for re-delivery on
-// recovery and for the pull API).
-func (d *deliveryState) deliveries() []Delivery {
-	out := make([]Delivery, len(d.suffix))
-	for i, e := range d.suffix {
-		out[i] = Delivery{Msg: e.m, Round: e.round, Pos: d.base.Pos + uint64(i)}
+// appendDeliveries appends the suffix's entries from index from on to dst
+// as group g's Delivery values, with their agreed positions.
+func (d *deliveryState) appendDeliveries(dst []Delivery, from int, g ids.GroupID) []Delivery {
+	for i := from; i < len(d.msgs); i++ {
+		dst = append(dst, Delivery{Msg: d.msgs[i], Round: d.rounds[i], Pos: d.base.Pos + uint64(i), Group: g})
 	}
-	return out
-}
-
-// suffixMessagesPrefix returns the first cut suffix messages in delivery
-// order (cut as computed by cutBelow).
-func (d *deliveryState) suffixMessagesPrefix(cut int) []msg.Message {
-	out := make([]msg.Message, cut)
-	for i := 0; i < cut; i++ {
-		out[i] = d.suffix[i].m
-	}
-	return out
+	return dst
 }
 
 // cutBelow returns the length of the suffix prefix whose rounds are below
 // floor.
 func (d *deliveryState) cutBelow(floor uint64) int {
 	cut := 0
-	for cut < len(d.suffix) && d.suffix[cut].round < floor {
+	for cut < len(d.rounds) && d.rounds[cut] < floor {
 		cut++
 	}
 	return cut
@@ -107,27 +105,29 @@ func (d *deliveryState) cutBelow(floor uint64) int {
 // application state containing every folded message. Entries of rounds at
 // or above floor keep their explicit per-round form, so a cross-group
 // merge (batch or streaming) can still reconstruct their interleave; they
-// move to the front of the same buffer, and the vacated tail is cleared so
+// move to the front of the same buffers, and the vacated tail is cleared so
 // the folded payloads are released.
 func (d *deliveryState) foldPrefix(app []byte, cut int, floor uint64) {
-	for _, e := range d.suffix[:cut] {
-		d.base.VC.Observe(e.m.ID)
+	for _, mm := range d.msgs[:cut] {
+		d.base.VC.Observe(mm.ID)
 	}
 	d.base.Pos += uint64(cut)
 	if floor > d.base.Rounds {
 		d.base.Rounds = floor
 	}
 	d.base.App = app
-	n := copy(d.suffix, d.suffix[cut:])
-	clear(d.suffix[n:])
-	d.suffix = d.suffix[:n]
+	n := copy(d.msgs, d.msgs[cut:])
+	clear(d.msgs[n:])
+	d.msgs = d.msgs[:n]
+	d.rounds = d.rounds[:copy(d.rounds, d.rounds[cut:])]
 }
 
 // adopt replaces the whole state with another process's (state transfer,
 // §5.3, or checkpoint retrieval on recovery).
 func (d *deliveryState) adopt(o *deliveryState) {
 	d.base = o.snapshotBase()
-	d.suffix = slices.Clone(o.suffix)
+	d.msgs = slices.Clone(o.msgs)
+	d.rounds = slices.Clone(o.rounds)
 	d.seen = o.seen.Clone()
 }
 
@@ -145,8 +145,8 @@ func (d *deliveryState) snapshotBase() Snapshot {
 // so the encoder asks for its buffer once.
 func (d *deliveryState) sizeHint() int {
 	n := 256 + len(d.base.App)
-	for _, e := range d.suffix {
-		n += 40 + len(e.m.Payload) // round, identity and length varints
+	for _, mm := range d.msgs {
+		n += 40 + len(mm.Payload) // round, identity and length varints
 	}
 	return n
 }
@@ -158,10 +158,10 @@ func (d *deliveryState) encode(w *wire.Writer) {
 	d.base.VC.Encode(w)
 	w.U64(d.base.Rounds)
 	w.U64(d.base.Pos)
-	w.U64(uint64(len(d.suffix)))
-	for _, e := range d.suffix {
-		w.U64(e.round)
-		e.m.Encode(w)
+	w.U64(uint64(len(d.msgs)))
+	for i, mm := range d.msgs {
+		w.U64(d.rounds[i])
+		mm.Encode(w)
 	}
 }
 

@@ -19,6 +19,22 @@ func m(s int32, inc uint32, seq uint64) msg.Message {
 	}
 }
 
+// appendBatch commits batch as round's decided value: encoded, then
+// appended by appendValue, as commit does. It returns the new deliveries.
+func (d *deliveryState) appendBatch(round uint64, batch []msg.Message) []Delivery {
+	from, _ := d.appendValue(round, encodeBatch(batch))
+	return d.appendDeliveries(nil, from, 0)
+}
+
+// deliveries returns the whole suffix as Delivery values.
+func (d *deliveryState) deliveries() []Delivery { return d.appendDeliveries(nil, 0, 0) }
+
+func encodeBatch(batch []msg.Message) []byte {
+	w := wire.NewWriter(msg.BatchSize(batch))
+	msg.EncodeBatch(w, batch)
+	return w.Bytes()
+}
+
 func TestAppendBatchAssignsContiguousPositions(t *testing.T) {
 	d := newDeliveryState()
 	out1 := d.appendBatch(0, []msg.Message{m(1, 1, 1), m(0, 1, 1)})
@@ -54,7 +70,7 @@ func TestFoldMovesSuffixIntoBase(t *testing.T) {
 	d.appendBatch(0, []msg.Message{m(0, 1, 1), m(1, 1, 1)})
 	d.appendBatch(1, []msg.Message{m(0, 1, 2)})
 	d.foldPrefix([]byte("appstate"), d.cutBelow(2), 2)
-	if len(d.suffix) != 0 {
+	if len(d.msgs) != 0 || len(d.rounds) != 0 {
 		t.Fatal("suffix not cleared")
 	}
 	if d.base.Pos != 3 || d.base.Rounds != 2 || string(d.base.App) != "appstate" {
@@ -123,11 +139,11 @@ func TestDeliveryStateEncodeDecodeRoundTrip(t *testing.T) {
 		if !got.base.VC.Equal(d.base.VC) {
 			return false
 		}
-		if len(got.suffix) != len(d.suffix) {
+		if len(got.msgs) != len(d.msgs) {
 			return false
 		}
-		for i := range d.suffix {
-			if got.suffix[i].m.ID != d.suffix[i].m.ID || got.suffix[i].round != d.suffix[i].round {
+		for i := range d.msgs {
+			if got.msgs[i].ID != d.msgs[i].ID || got.rounds[i] != d.rounds[i] {
 				return false
 			}
 		}
@@ -199,32 +215,39 @@ func cycleBatches(rounds, per int, from uint64) [][]msg.Message {
 }
 
 // TestDeliveryStateSteadyStateAllocs pins the delivered sequence's steady
-// state: once one fold cycle has sized the suffix, each further cycle of
-// the same rounds closed by a fold allocates only the deliveries slice
-// each round returns, and a fold that keeps part of the suffix (a merge
-// floor) allocates nothing.
+// state: once one fold cycle has sized the suffix, a further cycle of the
+// same rounds — each decided value decoded onto the suffix and its
+// deliveries written to a reused buffer — closed by a fold allocates
+// nothing, and nor does a fold that keeps part of the suffix (a merge
+// floor).
 func TestDeliveryStateSteadyStateAllocs(t *testing.T) {
 	const rounds, per = 256, 25
 	d := newDeliveryState()
 	var round, from uint64
-	// The batches are built outside the measured calls: the warm-up cycle
-	// and AllocsPerRun's two.
-	var batches [][][]msg.Message
+	// The values are encoded outside the measured calls: the warm-up
+	// cycle's and AllocsPerRun's two.
+	var values [][][]byte
 	for range 3 {
-		batches = append(batches, cycleBatches(rounds, per, from))
+		var cycle [][]byte
+		for _, b := range cycleBatches(rounds, per, from) {
+			cycle = append(cycle, encodeBatch(b))
+		}
+		values = append(values, cycle)
 		from += rounds * per / 5
 	}
+	var dels []Delivery
 	cycle := func() {
-		for _, b := range batches[0] {
-			d.appendBatch(round, b)
+		for _, v := range values[0] {
+			next, _ := d.appendValue(round, v)
+			dels = d.appendDeliveries(dels[:0], next, 0)
 			round++
 		}
-		batches = batches[1:]
+		values = values[1:]
 		d.foldPrefix(nil, d.cutBelow(round), round)
 	}
 	cycle() // warm-up: the suffix reaches its size between folds
-	if got := testing.AllocsPerRun(1, cycle); got != rounds {
-		t.Errorf("a cycle closed by a fold allocates %v times; want %d (one deliveries slice per round)", got, rounds)
+	if got := testing.AllocsPerRun(1, cycle); got != 0 {
+		t.Errorf("a cycle closed by a fold allocates %v times; want 0", got)
 	}
 	for _, b := range cycleBatches(rounds, per, from) {
 		d.appendBatch(round, b)
@@ -238,8 +261,8 @@ func TestDeliveryStateSteadyStateAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(1, partial); got != 0 {
 		t.Errorf("a partial fold allocates %v times; want 0", got)
 	}
-	if len(d.suffix) != rounds/2*per {
-		t.Fatalf("suffix after two quarter folds: %d entries; want %d", len(d.suffix), rounds/2*per)
+	if len(d.msgs) != rounds/2*per {
+		t.Fatalf("suffix after two quarter folds: %d entries; want %d", len(d.msgs), rounds/2*per)
 	}
 }
 
@@ -305,7 +328,8 @@ func coveredRepeatState() []byte {
 	d := newDeliveryState()
 	d.base.VC.Observe(m(0, 1, 1).ID)
 	d.base.Pos, d.base.Rounds = 1, 3
-	d.suffix = []suffixEntry{{m: m(0, 1, 1), round: 3}, {m: m(1, 1, 1), round: 3}}
+	d.msgs = []msg.Message{m(0, 1, 1), m(1, 1, 1)}
+	d.rounds = []uint64{3, 3}
 	w := wire.NewWriter(0)
 	d.encode(w)
 	return w.Bytes()

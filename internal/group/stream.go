@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -165,10 +166,10 @@ func (s *Stream) frontierLocked() uint64 {
 // NoteRound records that group g committed round with the given (possibly
 // empty) batch of new deliveries, and fans the event out to every
 // subscribed cursor. Wire it as every group's core.Config.OnRound hook.
-// The deliveries slice is retained (shared by all cursors) and must not be
-// mutated by the caller. Rounds of groups the topology does not know yet
-// are buffered until a JOIN marker splices the group in; negative group
-// IDs are ignored.
+// The deliveries slice is borrowed for the call, as core.Config.OnRound
+// lends it: what the stream keeps of it, it copies. Rounds of groups the
+// topology does not know yet are buffered until a JOIN marker splices the
+// group in; negative group IDs are ignored.
 func (s *Stream) NoteRound(g ids.GroupID, round uint64, deliveries []core.Delivery) {
 	if g < 0 {
 		return
@@ -188,7 +189,7 @@ func (s *Stream) NoteRound(g ids.GroupID, round uint64, deliveries []core.Delive
 
 func (s *Stream) noteRoundLocked(g ids.GroupID, round uint64, deliveries []core.Delivery) bool {
 	if _, known := s.topo.Spans[g]; !known {
-		s.pending[g] = append(s.pending[g], roundEvent{g: g, round: round, ds: deliveries})
+		s.pending[g] = append(s.pending[g], roundEvent{g: g, round: round, ds: slices.Clone(deliveries)})
 		return false
 	}
 	if round+1 > s.decided[g] {
@@ -447,7 +448,7 @@ func (c *Cursor) offerLocked(g ids.GroupID, round uint64, ds []core.Delivery) {
 		return
 	}
 	if !c.seeded {
-		c.backlog = append(c.backlog, roundEvent{g: g, round: round, ds: ds})
+		c.backlog = append(c.backlog, roundEvent{g: g, round: round, ds: slices.Clone(ds)})
 		return
 	}
 	c.applyLocked(g, round, ds)
@@ -513,15 +514,11 @@ func (c *Cursor) applyLocked(g ids.GroupID, round uint64, ds []core.Delivery) {
 		c.lagged = true
 	default:
 		if len(ds) > 0 && global >= c.emit {
-			if sp.Offset != 0 {
-				// Rewrite rounds into the global numbering on a private
-				// copy — the event slice is shared with other cursors.
-				cp := make([]core.Delivery, len(ds))
-				copy(cp, ds)
-				for i := range cp {
-					cp[i].Round = global
-				}
-				ds = cp
+			// The cursor's own copy, its rounds in the global numbering:
+			// the event's slice is borrowed, and shared with other cursors.
+			ds = slices.Clone(ds)
+			for i := range ds {
+				ds[i].Round = global
 			}
 			bucket := c.pend[g]
 			if bucket == nil {

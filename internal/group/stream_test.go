@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -298,5 +299,77 @@ func TestStreamNoteRoundOutOfRange(t *testing.T) {
 	}
 	if st.Decided(7) != 0 {
 		t.Fatal("out-of-range group has decided rounds")
+	}
+}
+
+// TestStreamKeepsItsOwnCopyOfARound: NoteRound borrows its deliveries for
+// the call (core.Config.OnRound reuses the buffer), so every slice the
+// stream keeps must be its own: a pre-JOIN group's pending rounds, an
+// unseeded cursor's backlog, and a cursor's buffered round at offset 0 as
+// at any other. The same script runs twice, once handing NoteRound a
+// buffer that is overwritten after every call and once a fresh slice per
+// call, and every cursor must merge the same sequence both times.
+func TestStreamKeepsItsOwnCopyOfARound(t *testing.T) {
+	a := histDel(0, 1, 0, 0, 'a')
+	b := histDel(0, 2, 1, 1, 'b')
+	join := histDel(0, 3, 1, 2, 0)
+	join.Msg.Payload = EncodeJoinMarker(1)
+	c := histDel(1, 1, 0, 0, 'c')
+
+	run := func(overwrite bool) [][]core.Delivery {
+		st := NewStream(1)
+		var buf []core.Delivery
+		feed := func(g ids.GroupID, round uint64, ds ...core.Delivery) {
+			if !overwrite {
+				st.NoteRound(g, round, slices.Clone(ds))
+				return
+			}
+			buf = append(buf[:0], ds...)
+			st.NoteRound(g, round, buf)
+			for i := range buf {
+				buf[i] = histDel(9, 99, 99, 99, 'x')
+			}
+		}
+		cursors := make([]*Cursor, 2)
+		var err error
+		cursors[0], err = st.Subscribe(func() ([]Sequence, error) { return []Sequence{{Group: 0}}, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed(1, 0, c) // group 1 is not in the topology yet: pending
+		feed(0, 0, a)
+		cursors[1], err = st.Subscribe(func() ([]Sequence, error) {
+			// Committed while the cursor seeds: its backlog, and the
+			// JOIN splices group 1's pending round in at offset 2.
+			feed(0, 1, b, join)
+			return []Sequence{{Group: 0, Deliveries: []core.Delivery{a}, Rounds: 1}, {Group: 1}}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed(0, 2)
+		var out [][]core.Delivery
+		for _, cur := range cursors {
+			got, err := cur.Next(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, got)
+		}
+		return out
+	}
+	want, got := run(false), run(true)
+	for i := range want {
+		if len(want[i]) != 4 {
+			t.Fatalf("cursor %d merged %d deliveries with owned slices; want 4: %+v", i, len(want[i]), want[i])
+		}
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("cursor %d merged %d deliveries from a reused buffer; want %d", i, len(got[i]), len(want[i]))
+		}
+		for j := range want[i] {
+			if !deliveryIdentical(got[i][j], want[i][j]) {
+				t.Fatalf("cursor %d, delivery %d: %+v from a reused buffer; want %+v", i, j, got[i][j], want[i][j])
+			}
+		}
 	}
 }

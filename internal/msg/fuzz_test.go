@@ -3,6 +3,7 @@ package msg
 import (
 	"testing"
 
+	"repro/internal/ids"
 	"repro/internal/wire"
 )
 
@@ -17,6 +18,25 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := wire.NewReader(data)
 		ms := DecodeBatch(r)
+		// AppendBatch onto a slice with room decodes the same messages
+		// behind what it holds, or, on failure, hands it back with its
+		// spare capacity clear.
+		held := Message{ID: ids.MsgID{Sender: 7, Seq: 7}, Payload: []byte{7}}
+		dst := append(make([]Message, 0, 8), held)
+		got := AppendBatch(dst, wire.NewReader(data))
+		if len(got) == 0 || !got[0].Equal(held) || len(got)-1 != len(ms) {
+			t.Fatalf("AppendBatch: %d messages behind %v; DecodeBatch read %d", len(got)-1, got, len(ms))
+		}
+		for i := range ms {
+			if !got[1+i].Equal(ms[i]) {
+				t.Fatalf("AppendBatch: message %d is %v; DecodeBatch read %v", i, got[1+i], ms[i])
+			}
+		}
+		for _, mm := range dst[1:cap(dst)] {
+			if r.Err() != nil && mm.Payload != nil {
+				t.Fatalf("a failed AppendBatch left %v in the spare capacity", mm)
+			}
+		}
 		if r.Err() != nil {
 			if ms != nil {
 				t.Fatalf("failed decode returned %d messages", len(ms))

@@ -132,23 +132,31 @@ func EncodeBatch(w *wire.Writer, ms []Message) {
 }
 
 // DecodeBatch decodes a slice of messages; like DecodeMessage it aliases
-// r's input, so the slice itself is the only allocation.
-func DecodeBatch(r *wire.Reader) []Message {
+// r's input, so the slice itself is the only allocation. It returns nil on
+// corrupt input.
+func DecodeBatch(r *wire.Reader) []Message { return AppendBatch(nil, r) }
+
+// AppendBatch decodes a batch EncodeBatch wrote onto the end of dst, the
+// messages aliasing r's input as DecodeMessage's do: a dst with room
+// decodes without allocating. On corrupt input it returns dst as given.
+func AppendBatch(dst []Message, r *wire.Reader) []Message {
 	n := r.U64()
 	if r.Err() != nil {
-		return nil
+		return dst
 	}
-	// Cap the preallocation: n is attacker/disk-controlled.
-	capHint := n
-	if capHint > 4096 {
-		capHint = 4096
+	// Room for the batch in one allocation that at least doubles dst, the
+	// preallocation capped: n is attacker/disk-controlled.
+	out := dst
+	if want := len(dst) + int(min(n, 4096)); want > cap(dst) {
+		out = make([]Message, len(dst), max(want, 2*cap(dst)))
+		copy(out, dst)
 	}
-	ms := make([]Message, 0, capHint)
 	for i := uint64(0); i < n; i++ {
-		ms = append(ms, DecodeMessage(r))
+		out = append(out, DecodeMessage(r))
 		if r.Err() != nil {
-			return nil
+			clear(out[len(dst):]) // no decoded payload pins r's input
+			return dst
 		}
 	}
-	return ms
+	return out
 }
