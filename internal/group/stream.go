@@ -26,6 +26,11 @@ var ErrCursorClosed = errors.New("group: merge cursor closed")
 // decided) group: it no longer gates the merge.
 const noRound = math.MaxUint64
 
+// maxFreeRounds caps a cursor's free list of emptied round copies: enough
+// for every group's round between two polls, without keeping the peak of a
+// cursor that lagged far behind.
+const maxFreeRounds = 64
+
 // Stream tracks the per-group round frontiers of one sharded process and
 // fans per-round commit events out to subscribed Cursors. It is the glue
 // between the core layer's OnRound hook and the streaming merge:
@@ -428,6 +433,7 @@ type Cursor struct {
 	next      map[ids.GroupID]uint64                     // per group: next GLOBAL round to accept
 	pend      map[ids.GroupID]map[uint64][]core.Delivery // keyed by global round
 	backlog   []roundEvent                               // events buffered while seeding
+	free      [][]core.Delivery                          // emptied round copies Next hands back, at most maxFreeRounds
 	seeded    bool
 	lagged    bool
 	lagDetail string // first gap observed, for diagnostics
@@ -516,7 +522,11 @@ func (c *Cursor) applyLocked(g ids.GroupID, round uint64, ds []core.Delivery) {
 		if len(ds) > 0 && global >= c.emit {
 			// The cursor's own copy, its rounds in the global numbering:
 			// the event's slice is borrowed, and shared with other cursors.
-			ds = slices.Clone(ds)
+			var own []core.Delivery
+			if n := len(c.free); n > 0 {
+				own, c.free = c.free[n-1], c.free[:n-1]
+			}
+			ds = append(own, ds...)
 			for i := range ds {
 				ds[i].Round = global
 			}
@@ -653,6 +663,10 @@ func (c *Cursor) Next(buf []core.Delivery) ([]core.Delivery, error) {
 				if ds, ok := bucket[c.emit]; ok {
 					buf = append(buf, ds...)
 					delete(bucket, c.emit)
+					if len(c.free) < maxFreeRounds {
+						clear(ds) // drop the payload references
+						c.free = append(c.free, ds[:0])
+					}
 					if len(bucket) == 0 {
 						sp := s.topo.Spans[g]
 						if sp.Sealed && c.next[g] >= sp.Offset+sp.Final+1 {

@@ -12,7 +12,7 @@ import (
 // benchStream builds a stream + subscribed cursor over G groups with one
 // pre-built delivery batch per group (reused every round — NoteRound
 // retains but never mutates it).
-func benchStream(b *testing.B, groups, perRound int) (*Stream, *Cursor, [][]core.Delivery) {
+func benchStream(b testing.TB, groups, perRound int) (*Stream, *Cursor, [][]core.Delivery) {
 	b.Helper()
 	st := NewStream(groups)
 	seqs := make([]Sequence, groups)
@@ -116,27 +116,35 @@ func BenchmarkBatchMergeRecompute(b *testing.B) {
 }
 
 // TestCursorEmptyPollZeroAllocs enforces the zero-allocation contract of
-// the no-new-round poll (the benchmark reports it; this fails CI if it
-// regresses).
+// the no-new-round poll and, in steady state, of a round every group
+// commits and the cursor drains: the cursor's copy of a round reuses one
+// that Next has emptied (the benchmarks report both; this fails CI if
+// either regresses).
 func TestCursorEmptyPollZeroAllocs(t *testing.T) {
-	st := NewStream(8)
-	seqs := make([]Sequence, 8)
-	for g := range seqs {
-		seqs[g] = Sequence{Group: ids.GroupID(g)}
-	}
-	cur, err := st.Subscribe(func() ([]Sequence, error) { return seqs, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
+	const groups = 8
+	st, cur, batches := benchStream(t, groups, 4)
 	buf := make([]core.Delivery, 0, 16)
-	allocs := testing.AllocsPerRun(1000, func() {
+	next := func() {
 		var err error
 		buf, err = cur.Next(buf[:0])
 		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
+	}
+	if allocs := testing.AllocsPerRun(1000, next); allocs != 0 {
 		t.Fatalf("empty poll allocates %.1f objects/op; want 0", allocs)
+	}
+	var round uint64
+	advance := func() {
+		for g := range groups {
+			st.NoteRound(ids.GroupID(g), round, batches[g])
+		}
+		round++
+		next()
+	}
+	buf = make([]core.Delivery, 0, groups*4)
+	advance() // fills the free list
+	if allocs := testing.AllocsPerRun(1000, advance); allocs != 0 {
+		t.Fatalf("a committed round allocates %.1f objects/op in the cursor; want 0", allocs)
 	}
 }

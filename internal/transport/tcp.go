@@ -56,10 +56,44 @@ func putFrame(bp *[]byte) {
 	framePool.Put(bp)
 }
 
+// The reconnect policy (see TCP).
+const (
+	dialTimeout  = 500 * time.Millisecond
+	writeTimeout = time.Second
+	minBackoff   = time.Millisecond
+	maxBackoff   = 50 * time.Millisecond
+	maxPending   = 32
+)
+
+// dialTCP opens one outbound connection. Tests replace it with a dialer
+// that blocks, refuses or counts.
+var dialTCP = func(ctx context.Context, addr string) (net.Conn, error) {
+	d := net.Dialer{Timeout: dialTimeout}
+	return d.DialContext(ctx, "tcp", addr)
+}
+
 // TCP is a socket-based Network for real deployments: every process listens
-// on one address and dials peers on demand. Delivery is best-effort — a
-// failed dial or write simply drops the packet, which is all the fair-lossy
-// contract requires (the protocol's gossip retransmits forever).
+// on one address and keeps one outbound connection to each peer, so each
+// direction between two processes has its own connection. Delivery is
+// best-effort — a frame the network cannot take at once is dropped, which is
+// all the fair-lossy contract requires (the protocol's gossip retransmits
+// forever).
+//
+// Reconnecting never blocks a sender. A Send or Multisend to a peer with no
+// connection starts one dial goroutine for it; frames sent while that dial
+// is in flight wait for it (a few dozen per peer at most) and are written
+// once it connects, or dropped if it fails. A failed dial backs the peer
+// off, from 1 ms doubling up to 50 ms, and frames to a peer in backoff are
+// dropped at once, with no syscall and no allocation. An endpoint dials
+// every peer as it attaches, and every accepted connection redials each
+// peer it has no connection to: a process that comes back connects to its
+// peers at once, and they to it, without waiting out a backoff or for
+// either side's next frame. A write error drops the connection; the next
+// frame dials again.
+//
+// The one place a sender still blocks is the write itself: a write to a
+// connected peer whose socket buffer is full waits up to a 1 s write
+// deadline before the connection is dropped.
 //
 // Frames are length-prefixed: [sender i32][len u32][payload].
 type TCP struct {
@@ -103,14 +137,16 @@ func (t *TCP) Attach(pid ids.ProcessID) (Endpoint, error) {
 		ln:      ln,
 		inbox:   make(chan Packet, 4096),
 		done:    make(chan struct{}),
-		conns:   make(map[ids.ProcessID]net.Conn),
+		links:   make([]link, len(t.addrs)),
 		inbound: make(map[net.Conn]struct{}),
 	}
+	ep.dialCtx, ep.cancelDials = context.WithCancel(context.Background())
 	t.mu.Lock()
 	t.eps[pid] = ep
 	t.mu.Unlock()
 	ep.wg.Add(1)
 	go ep.acceptLoop()
+	ep.dialIdle()
 	return ep, nil
 }
 
@@ -133,12 +169,27 @@ type tcpEndpoint struct {
 	inbox chan Packet
 	done  chan struct{}
 
+	dialCtx     context.Context // cancelled by Close: aborts dials in flight
+	cancelDials context.CancelFunc
+
 	mu      sync.Mutex
-	conns   map[ids.ProcessID]net.Conn
+	links   []link // index = peer ProcessID
 	inbound map[net.Conn]struct{}
 
 	closeOnce sync.Once
 	wg        sync.WaitGroup
+}
+
+// link is the endpoint's outbound state for one peer, guarded by
+// tcpEndpoint.mu.
+type link struct {
+	conn net.Conn // nil while there is no connection
+	// dialing: a dial goroutine owns the link, from the dial until it has
+	// written every frame queued in pending; senders queue behind it.
+	dialing bool
+	pending []*[]byte     // pooled frames waiting for the dial, at most maxPending
+	retryAt time.Time     // no dial before this
+	backoff time.Duration // the last failed dial's backoff, 0 after a success
 }
 
 var _ Endpoint = (*tcpEndpoint)(nil)
@@ -154,6 +205,9 @@ func (e *tcpEndpoint) acceptLoop() {
 		}
 		e.wg.Add(1)
 		go e.readLoop(conn)
+		// Some peer has just come up, and which one only its first frame
+		// would tell: redial them all.
+		e.dialIdle()
 	}
 }
 
@@ -199,45 +253,133 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 	}
 }
 
-// conn returns a cached or fresh connection to pid, or nil.
-func (e *tcpEndpoint) conn(to ids.ProcessID) net.Conn {
+// dialIdle starts a dial to every peer with neither a connection nor a
+// dial in flight, backoff or not.
+func (e *tcpEndpoint) dialIdle() {
 	e.mu.Lock()
-	c := e.conns[to]
-	e.mu.Unlock()
-	if c != nil {
-		return c
+	defer e.mu.Unlock()
+	if closed(e.done) {
+		return
 	}
-	d := net.Dialer{Timeout: 500 * time.Millisecond}
-	c, err := d.Dial("tcp", e.net.addrs[to])
-	if err != nil {
-		return nil
+	for to := range ids.ProcessID(len(e.links)) {
+		if l := &e.links[to]; to != e.pid && l.conn == nil && !l.dialing {
+			e.dialLocked(to)
+		}
 	}
-	e.mu.Lock()
-	if old := e.conns[to]; old != nil {
-		e.mu.Unlock()
-		c.Close()
-		return old
-	}
-	e.conns[to] = c
-	e.mu.Unlock()
-	return c
 }
 
-func (e *tcpEndpoint) dropConn(to ids.ProcessID, c net.Conn) {
+// dialLocked starts the dial goroutine of peer to. e.mu held, endpoint
+// open (no wg.Add once Close may be waiting).
+func (e *tcpEndpoint) dialLocked(to ids.ProcessID) {
+	e.links[to].dialing = true
+	e.wg.Add(1)
+	go e.dial(to)
+}
+
+// route decides what becomes of a frame of data for peer to. It returns
+// the connection to write it on; or nil when the frame has been queued
+// for a dial in flight (a pooled copy), or dropped: the endpoint is
+// closed, the peer is in backoff or its queue is full. A peer with neither
+// a connection nor a backoff gets its dial goroutine here.
+func (e *tcpEndpoint) route(to ids.ProcessID, data []byte) net.Conn {
 	e.mu.Lock()
-	if e.conns[to] == c {
-		delete(e.conns, to)
+	defer e.mu.Unlock()
+	if closed(e.done) {
+		return nil
+	}
+	l := &e.links[to]
+	if !l.dialing {
+		if l.conn != nil {
+			return l.conn
+		}
+		if time.Now().Before(l.retryAt) {
+			return nil
+		}
+		e.dialLocked(to)
+	}
+	if len(l.pending) < maxPending {
+		l.pending = append(l.pending, e.buildFrame(data))
+	}
+	return nil
+}
+
+// dial connects to peer to and writes the frames queued meanwhile, in
+// order, before senders may write on the connection; on failure it drops
+// them and backs the peer off.
+func (e *tcpEndpoint) dial(to ids.ProcessID) {
+	defer e.wg.Done()
+	c, err := dialTCP(e.dialCtx, e.net.addrs[to])
+	e.mu.Lock()
+	l := &e.links[to]
+	switch {
+	case err != nil:
+		l.backoff = min(max(2*l.backoff, minBackoff), maxBackoff)
+		l.retryAt = time.Now().Add(l.backoff)
+	case closed(e.done):
+		c.Close()
+	default:
+		l.conn, l.backoff = c, 0
+		for len(l.pending) > 0 {
+			var batch [maxPending]*[]byte
+			n := copy(batch[:], l.pending)
+			clear(l.pending)
+			l.pending = l.pending[:0]
+			e.mu.Unlock()
+			ok := true
+			for _, bp := range batch[:n] {
+				ok = ok && write(c, *bp)
+				putFrame(bp)
+			}
+			e.mu.Lock()
+			if !ok {
+				if l.conn == c {
+					l.conn = nil
+				}
+				c.Close()
+				break
+			}
+		}
+	}
+	for _, bp := range l.pending {
+		putFrame(bp)
+	}
+	clear(l.pending)
+	l.pending = l.pending[:0]
+	l.dialing = false
+	e.mu.Unlock()
+}
+
+// write puts one frame on c, reporting whether the connection still works.
+func write(c net.Conn, frame []byte) bool {
+	c.SetWriteDeadline(time.Now().Add(writeTimeout))
+	_, err := c.Write(frame)
+	return err == nil
+}
+
+// writeTo writes one frame to peer to on its connection c, and drops the
+// connection if the write fails: the next frame dials again.
+func (e *tcpEndpoint) writeTo(to ids.ProcessID, c net.Conn, frame []byte) {
+	if write(c, frame) {
+		return
+	}
+	e.mu.Lock()
+	if e.links[to].conn == c {
+		e.links[to].conn = nil
 	}
 	e.mu.Unlock()
 	c.Close()
 }
 
 func (e *tcpEndpoint) Send(to ids.ProcessID, data []byte) {
-	if to < 0 || int(to) >= len(e.net.addrs) || ToSelf(e.pid, to) || closed(e.done) {
+	if to < 0 || int(to) >= len(e.links) || ToSelf(e.pid, to) {
+		return
+	}
+	c := e.route(to, data)
+	if c == nil {
 		return
 	}
 	bp := e.buildFrame(data)
-	e.writeFrame(to, *bp)
+	e.writeTo(to, c, *bp)
 	putFrame(bp)
 }
 
@@ -252,30 +394,26 @@ func (e *tcpEndpoint) buildFrame(data []byte) *[]byte {
 	return bp
 }
 
-// writeFrame sends one assembled frame to a remote peer.
-func (e *tcpEndpoint) writeFrame(to ids.ProcessID, frame []byte) {
-	c := e.conn(to)
-	if c == nil {
-		return // peer unreachable; packet lost
-	}
-	c.SetWriteDeadline(time.Now().Add(time.Second))
-	if _, err := c.Write(frame); err != nil {
-		e.dropConn(to, c)
-	}
-}
-
-// Multisend writes one frame assembly to every other process.
+// Multisend writes one frame assembly to every other connected process
+// (and queues a copy for each peer whose dial is in flight).
 func (e *tcpEndpoint) Multisend(data []byte) {
-	if closed(e.done) {
-		return
-	}
-	bp := e.buildFrame(data)
-	for to := range ids.ProcessID(len(e.net.addrs)) {
-		if to != e.pid {
-			e.writeFrame(to, *bp)
+	var bp *[]byte
+	for to := range ids.ProcessID(len(e.links)) {
+		if to == e.pid {
+			continue
 		}
+		c := e.route(to, data)
+		if c == nil {
+			continue
+		}
+		if bp == nil {
+			bp = e.buildFrame(data)
+		}
+		e.writeTo(to, c, *bp)
 	}
-	putFrame(bp)
+	if bp != nil {
+		putFrame(bp)
+	}
 }
 
 func (e *tcpEndpoint) Recv(ctx context.Context) (Packet, error) {
@@ -292,11 +430,14 @@ func (e *tcpEndpoint) Recv(ctx context.Context) (Packet, error) {
 func (e *tcpEndpoint) Close() error {
 	e.closeOnce.Do(func() {
 		close(e.done)
+		e.cancelDials()
 		e.ln.Close()
 		e.mu.Lock()
-		for to, c := range e.conns {
-			c.Close()
-			delete(e.conns, to)
+		for i := range e.links {
+			if c := e.links[i].conn; c != nil {
+				c.Close() // a dial goroutine writing on it gives up
+				e.links[i].conn = nil
+			}
 		}
 		for c := range e.inbound {
 			c.Close() // unblocks the readLoop goroutines

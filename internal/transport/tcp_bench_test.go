@@ -99,3 +99,21 @@ func BenchmarkTCPMultisend(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTCPSendToDownPeer measures a send to a peer that refuses
+// connections: after the first refused dial the peer is in backoff, and a
+// frame to it is dropped with no syscall and no allocation (a redial every
+// backoff period is all the down peer costs).
+func BenchmarkTCPSendToDownPeer(b *testing.B) {
+	ep, err := NewTCP(loopbackAddrs(b, 2)).Attach(0) // nobody listens for p1
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ep.Close()
+	payload := make([]byte, 64)
+	ep.Send(1, payload)
+	b.ReportAllocs()
+	for b.Loop() {
+		ep.Send(1, payload)
+	}
+}

@@ -36,9 +36,14 @@ type Packet struct {
 }
 
 // Endpoint is a process's handle on the network for one incarnation.
-// Send and Multisend never block and never fail: the channel is allowed to
-// lose anything. Recv blocks until a packet arrives, the context is
-// cancelled, or the endpoint is closed.
+// Send and Multisend never fail: the channel is allowed to lose anything.
+// Nor do they wait for a peer to come up: TCP dials a peer it has no
+// connection to from a background goroutine, drops frames to a peer whose
+// last dial failed until a backoff has passed or some process has
+// connected to this one, and so never dials on the sender's goroutine. The
+// one wait left is TCP's write to a connected peer whose socket buffer is
+// full, bounded by a 1 s write deadline (see TCP). Recv blocks until a packet
+// arrives, the context is cancelled, or the endpoint is closed.
 //
 // There is no loopback. The paper's multisend macro is Multisend's frames
 // to every other process plus, at the one layer that needs its own

@@ -207,19 +207,18 @@ func TestMemSenderBufferCopied(t *testing.T) {
 }
 
 func TestTCPRoundTrip(t *testing.T) {
-	addrs := []string{"127.0.0.1:39471", "127.0.0.1:39472"}
-	net := NewTCP(addrs)
+	net := NewTCP(loopbackAddrs(t, 2))
 	if net.N() != 2 {
 		t.Fatal("N wrong")
 	}
 	a, err := net.Attach(0)
 	if err != nil {
-		t.Skipf("cannot listen on loopback: %v", err)
+		t.Fatal(err)
 	}
 	defer a.Close()
 	b, err := net.Attach(1)
 	if err != nil {
-		t.Skipf("cannot listen on loopback: %v", err)
+		t.Fatal(err)
 	}
 	defer b.Close()
 
@@ -258,11 +257,10 @@ func TestTCPRoundTrip(t *testing.T) {
 }
 
 func TestTCPReattachAfterClose(t *testing.T) {
-	addrs := []string{"127.0.0.1:39481"}
-	net := NewTCP(addrs)
+	net := NewTCP(loopbackAddrs(t, 1))
 	a, err := net.Attach(0)
 	if err != nil {
-		t.Skipf("cannot listen: %v", err)
+		t.Fatal(err)
 	}
 	a.Close()
 	a2, err := net.Attach(0)
@@ -423,7 +421,7 @@ func TestTCPMultisendCopiesNothing(t *testing.T) {
 	for _, addr := range addrs[1:] {
 		ln, err := net.Listen("tcp", addr)
 		if err != nil {
-			t.Skipf("cannot listen on loopback: %v", err)
+			t.Fatal(err)
 		}
 		t.Cleanup(func() { ln.Close() })
 		go func() {
@@ -446,11 +444,14 @@ func TestTCPMultisendCopiesNothing(t *testing.T) {
 	}
 	ep, err := NewTCP(addrs).Attach(0)
 	if err != nil {
-		t.Skipf("cannot listen on loopback: %v", err)
+		t.Fatal(err)
 	}
 	defer ep.Close()
 	payload := make([]byte, 32<<10)
 	ep.Multisend(payload) // dial both peers, size the pooled frame
+	// The dials run in the background: until both are connected, frames
+	// would be queued as copies.
+	waitConnected(t, ep, 1, 2)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	allocs := testing.AllocsPerRun(100, func() { ep.Multisend(payload) })
