@@ -1,10 +1,6 @@
 package abcast
 
-import (
-	"repro/internal/quorum"
-	"repro/internal/reduction"
-	"repro/internal/rsm"
-)
+import "repro/internal/rsm"
 
 // KVStore is a replicated key-value state machine with deferred-update
 // transaction certification (§6.2) that also implements Checkpointer
@@ -25,15 +21,3 @@ func EncodeDel(key string) []byte { return rsm.EncodeDel(key) }
 
 // EncodeTx builds a broadcast payload for a transaction commit request.
 func EncodeTx(tx Tx) []byte { return rsm.EncodeTx(tx) }
-
-// ReducedConsensus is Consensus implemented over Atomic Broadcast (§6.1):
-// the first proposal delivered for an instance is its decision.
-type ReducedConsensus = reduction.Consensus
-
-// NewReducedConsensus creates a reduction endpoint; feed deliveries into
-// its Tap method via OnDeliver.
-func NewReducedConsensus() *ReducedConsensus { return reduction.New() }
-
-// QuorumReplica is a weighted-voting replica whose writes are serialized
-// by Atomic Broadcast (§6.3).
-type QuorumReplica = quorum.Replica

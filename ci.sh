@@ -29,7 +29,7 @@ step_race() {
 		./internal/transport/... ./internal/storage/... ./internal/group/... \
 		./internal/node/... ./internal/obs/... ./internal/harness/... ./abcast/... \
 		./internal/wire/... ./internal/msg/... ./internal/router/... \
-		./internal/quorum/... ./internal/rsm/... ./internal/check/...
+		./internal/rsm/... ./internal/check/...
 }
 
 # bench/ is a module of its own, so the steps above never compile it.
@@ -84,6 +84,9 @@ step_metrics() {
 # a delete per cell. A WAL write queues a value op that resolves
 # through its commit group's completion, never an op of its own on the heap.
 # A checkpoint folds a view of the delivered sequence, never a copy of it.
+# The paper's illustrations stay out of the product: the quorum replica and
+# its app channel, the public reduction, the crash-stop baseline with E7,
+# its null store and the ordered queue it alone still used.
 step_retired() {
 	local pat='DESIGN\.md|EXPERIMENTS\.md|BENCH_e[0-9]+|internal/tune|\bE(1[4-9]|2[0-2])\b'
 	pat+='|\bDigestGossip\b|NewFileStorage|storage\.NewFile\b|SetGroupCommit|\bGossipMaxMessages\b'
@@ -101,6 +104,8 @@ step_retired() {
 	pat+='|\bconsEffect\b|\bcoreEffect\b|core\.NewMachine|consensus\.NewMachine|core\.NewReplay'
 	pat+='|\bcellDecision\b|decide_fsync|decideFsyncNS'
 	pat+='|\bsuffixMessagesPrefix\b'
+	pat+='|internal/quorum|QuorumReplica|\bReducedConsensus\b|internal/ctbaseline|E7VsCrashStop'
+	pat+='|\bChanApp\b|storage\.Null\b|msg\.(New)?Queue\b'
 	if grep -rnE "$pat" --include='*.go' . ||
 		grep -nE "$pat" README.md bench/README.md .github/workflows/ci.yml; then
 		echo "retired names found (above)"

@@ -1,7 +1,7 @@
-// Command abcast-bench prints the paper-reproduction tables E1-E13: one
-// experiment per qualitative claim of the paper (abstract in PAPER.md; the
-// section numbers are the paper's: logging §4.3, recovery and
-// checkpointing §5.1-§5.3, batching §5.4-§5.5, the reduction §5.6, the
+// Command abcast-bench prints the paper-reproduction tables E1-E13 (E7
+// retired): one experiment per qualitative claim of the paper (abstract
+// in PAPER.md; the section numbers are the paper's: logging §4.3,
+// recovery and checkpointing §5.1-§5.3, batching §5.4-§5.5, the
 // Consensus equivalence §6.1) plus three ablations. The tables show how
 // the protocol's options trade against each other on a simulated network;
 // they are not performance measurements. Performance numbers of record

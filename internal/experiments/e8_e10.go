@@ -9,105 +9,11 @@ import (
 
 	"repro/internal/consensus"
 	"repro/internal/core"
-	"repro/internal/ctbaseline"
 	"repro/internal/harness"
 	"repro/internal/ids"
 	"repro/internal/reduction"
 	"repro/internal/transport"
 )
-
-// E7VsCrashStop compares the crash-recovery protocol against the
-// Chandra–Toueg crash-stop baseline (§5.6) on identical fault-free
-// workloads: the gap is the price of recoverability (logging + gossip).
-func E7VsCrashStop(scale Scale) (*Result, error) {
-	perSender := scale.pick(30, 150)
-	table := harness.NewTable(
-		fmt.Sprintf("E7 — crash-recovery vs crash-stop baseline (fault-free, 3 senders x %d msgs)", perSender),
-		"n", "protocol", "msgs/s", "mean latency", "log ops/msg")
-	res := &Result{Table: table}
-	for _, n := range []int{3, 5} {
-		// Crash-recovery protocol.
-		c := harness.NewCluster(harness.Options{N: n, Seed: 7000 + uint64(n)})
-		if err := c.StartAll(); err != nil {
-			c.Stop()
-			return nil, err
-		}
-		cx, cancel := ctx()
-		senders := []ids.ProcessID{0, 1, 2}
-		m, err := c.Run(cx, harness.Workload{
-			Senders:           senders,
-			MessagesPerSender: perSender,
-			PayloadSize:       64,
-		})
-		cancel()
-		if err != nil {
-			c.Stop()
-			return nil, fmt.Errorf("E7 ours n=%d: %w", n, err)
-		}
-		var logOps int64
-		for p := 0; p < n; p++ {
-			logOps += c.Stores[p].Total().LogOps()
-		}
-		table.Add(n, "crash-recovery (ours)",
-			m.Throughput(), m.Mean().Round(10*time.Microsecond),
-			float64(logOps)/float64(m.Count))
-		c.Stop()
-
-		// Crash-stop baseline: no stable storage at all.
-		bl, err := ctbaseline.NewCluster(n, transport.MemOptions{Seed: 7100 + uint64(n)}, nil)
-		if err != nil {
-			return nil, err
-		}
-		bm, err := runBaselineLoad(bl, senders, perSender, 64)
-		bl.Stop()
-		if err != nil {
-			return nil, fmt.Errorf("E7 baseline n=%d: %w", n, err)
-		}
-		table.Add(n, "crash-stop (CT baseline)",
-			bm.Throughput(), bm.Mean().Round(10*time.Microsecond), 0.0)
-	}
-	res.Notes = append(res.Notes,
-		"paper claim: the crash-recovery protocol reduces to Chandra–Toueg when crashes are definitive; the overhead is the logging and gossip needed for recoverability")
-	return res, nil
-}
-
-// runBaselineLoad drives the same closed-loop workload over the baseline.
-func runBaselineLoad(bl *ctbaseline.Cluster, senders []ids.ProcessID, perSender, payloadSize int) (harness.Metrics, error) {
-	cx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancel()
-	var (
-		mu  sync.Mutex
-		m   harness.Metrics
-		wg  sync.WaitGroup
-		err error
-	)
-	start := time.Now()
-	for _, s := range senders {
-		wg.Add(1)
-		go func(s ids.ProcessID) {
-			defer wg.Done()
-			payload := make([]byte, payloadSize)
-			for i := 0; i < perSender; i++ {
-				t0 := time.Now()
-				_, berr := bl.Procs[s].Broadcast(cx, payload)
-				lat := time.Since(t0)
-				mu.Lock()
-				if berr != nil {
-					if err == nil {
-						err = berr
-					}
-				} else {
-					m.Count++
-					m.Latencies = append(m.Latencies, lat)
-				}
-				mu.Unlock()
-			}
-		}(s)
-	}
-	wg.Wait()
-	m.Elapsed = time.Since(start)
-	return m, err
-}
 
 // E8FaultStorm verifies C2/C3: under message loss and continuous
 // crash-recovery churn of a minority, good processes keep delivering and
@@ -338,8 +244,7 @@ var registry = []struct {
 }{
 	{"E1", E1LogOps}, {"E2", E2Recovery}, {"E3", E3LogSize},
 	{"E4", E4CatchUp}, {"E5", E5Batching}, {"E6", E6IncrementalLog},
-	{"E7", E7VsCrashStop}, {"E8", E8FaultStorm}, {"E9", E9Reduction},
-	{"E10", E10Engines},
+	{"E8", E8FaultStorm}, {"E9", E9Reduction}, {"E10", E10Engines},
 	{"E11", E11FDTimeout}, {"E12", E12GossipInterval}, {"E13", E13GroupSize},
 }
 

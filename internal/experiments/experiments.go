@@ -1,6 +1,8 @@
 // Package experiments implements the paper-reproduction suite: one
-// function per experiment (E1–E10), each quantifying a claim of the paper
-// (PAPER.md) and returning a printable table, plus the E11–E13 ablations.
+// function per experiment (E1–E6 and E8–E10), each quantifying a claim of
+// the paper (PAPER.md) and returning a printable table, plus the E11–E13
+// ablations. E7, the comparison with a crash-stop baseline, is retired
+// and its last table is in README; the IDs are not renumbered.
 // cmd/abcast-bench runs them. They are tables on a simulated network, not
 // performance measurements; those come from bench/.
 //
@@ -8,9 +10,8 @@
 // experiments measure the claims it states qualitatively: minimal logging
 // (§4.3), recovery/replay cost and checkpointing (§5.1), bounded logs
 // (§5.2), state transfer (§5.3), batching throughput (§5.4), incremental
-// logging (§5.5), the reduction to the crash-stop protocol (§5.6), the
-// Consensus equivalence (§6.1), and failure-detector independence via
-// interchangeable consensus engines (§3.5).
+// logging (§5.5), the Consensus equivalence (§6.1), and failure-detector
+// independence via interchangeable consensus engines (§3.5).
 package experiments
 
 import (

@@ -27,7 +27,6 @@ import (
 	"repro/internal/ids"
 	"repro/internal/node"
 	"repro/internal/obs"
-	"repro/internal/router"
 	"repro/internal/storage"
 	"repro/internal/transport"
 )
@@ -51,9 +50,6 @@ type Options struct {
 	// callbacks for each process (application hooks).
 	OnDeliver func(ids.ProcessID, core.Delivery)
 	OnRestore func(ids.ProcessID, core.Snapshot)
-	// App, when set, is invoked per process at each incarnation start
-	// with the app-channel binding (see node.Config.App).
-	App func(ids.ProcessID, router.Net) router.Handler
 	// Obs is the per-process observability template (PID is filled per
 	// process). The zero value gives every process a working plane with
 	// default sampling; set SampleRate to 1 in tests that must trace every
@@ -151,12 +147,6 @@ func NewCluster(opts Options) *Cluster {
 				userRestore(pid, s)
 			}
 		}
-		var appHook func(router.Net) router.Handler
-		if opts.App != nil {
-			appHook = func(net router.Net) router.Handler {
-				return opts.App(pid, net)
-			}
-		}
 		obsOpts := opts.Obs
 		obsOpts.PID = pid
 		plane := obs.New(obsOpts)
@@ -167,7 +157,6 @@ func NewCluster(opts Options) *Cluster {
 			Core:      coreCfg,
 			Consensus: opts.Consensus,
 			FD:        opts.FD,
-			App:       appHook,
 			Obs:       plane,
 		}
 		c.Nodes = append(c.Nodes, node.New(ncfg, st, c.Net))

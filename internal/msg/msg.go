@@ -1,7 +1,8 @@
-// Package msg defines application messages and the two protocol-facing
-// containers of Fig. 1: the Unordered set and the Agreed queue.
+// Package msg defines application messages, their encoding and the
+// Unordered set of Fig. 1. The Agreed queue is the broadcast core's
+// delivered sequence (deliveryState in internal/core).
 //
-// Both containers implement the idempotent semantics the paper requires:
+// Both implement the idempotent semantics the paper requires:
 // "if the same message is added twice the result is the same as if it is
 // added just once (since messages have unique identifiers, duplicates can be
 // detected and eliminated)" (§4.1).

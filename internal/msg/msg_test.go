@@ -168,115 +168,6 @@ func TestSetRoundTrip(t *testing.T) {
 	}
 }
 
-func TestQueueAppendBatchDeduplicates(t *testing.T) {
-	q := NewQueue()
-	first := q.AppendBatch([]Message{mk(0, 1, 1, "a"), mk(1, 1, 1, "b")})
-	if len(first) != 2 {
-		t.Fatalf("appended %d", len(first))
-	}
-	// ⊕: re-appending an already ordered message is a no-op.
-	second := q.AppendBatch([]Message{mk(0, 1, 1, "a"), mk(2, 1, 1, "c")})
-	if len(second) != 1 || second[0].ID.Sender != 2 {
-		t.Fatalf("dedup failed: %v", second)
-	}
-	if q.Len() != 3 {
-		t.Fatalf("len = %d", q.Len())
-	}
-}
-
-func TestQueueAppendBatchUsesCanonicalOrder(t *testing.T) {
-	q := NewQueue()
-	q.AppendBatch([]Message{mk(2, 1, 1, "c"), mk(0, 1, 1, "a"), mk(1, 1, 1, "b")})
-	want := []int32{0, 1, 2}
-	for i, s := range want {
-		if q.At(i).ID.Sender != ids.ProcessID(s) {
-			t.Fatalf("position %d: sender %v", i, q.At(i).ID.Sender)
-		}
-	}
-}
-
-func TestQueuePositionsAndContains(t *testing.T) {
-	q := NewQueue()
-	q.AppendBatch([]Message{mk(0, 1, 1, "a")})
-	q.AppendBatch([]Message{mk(0, 1, 2, "b")})
-	if !q.Contains(ids.MsgID{Sender: 0, Incarnation: 1, Seq: 1}) {
-		t.Fatal("contains failed")
-	}
-	if q.Position(ids.MsgID{Sender: 0, Incarnation: 1, Seq: 2}) != 1 {
-		t.Fatal("position wrong")
-	}
-	if q.Position(ids.MsgID{Sender: 9, Incarnation: 1, Seq: 1}) != -1 {
-		t.Fatal("missing message should be -1")
-	}
-}
-
-// TestQueueRoundTripPreservesInterBatchOrder guards against re-sorting the
-// whole queue on decode: batch boundaries must not matter.
-func TestQueueRoundTripPreservesInterBatchOrder(t *testing.T) {
-	q := NewQueue()
-	q.AppendBatch([]Message{mk(2, 1, 7, "late-sender-first")})
-	q.AppendBatch([]Message{mk(0, 1, 1, "earlier-id-later-round")})
-	w := wire.NewWriter(0)
-	q.Encode(w)
-	r := wire.NewReader(w.Bytes())
-	got := DecodeQueue(r)
-	if r.Done() != nil || got.Len() != 2 {
-		t.Fatal("round trip failed")
-	}
-	if got.At(0).ID.Sender != 2 || got.At(1).ID.Sender != 0 {
-		t.Fatalf("order not preserved: %v, %v", got.At(0).ID, got.At(1).ID)
-	}
-}
-
-// TestQueuePrefixProperty: two queues built from the same batch stream are
-// bytewise-identical sequences (the foundation of Total Order).
-func TestQueuePrefixProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 3))
-		q1, q2 := NewQueue(), NewQueue()
-		for round := 0; round < 10; round++ {
-			batch := make([]Message, rng.IntN(5))
-			for i := range batch {
-				batch[i] = mk(int32(rng.IntN(3)), 1, rng.Uint64N(30), "m")
-			}
-			// q2 receives the batch permuted.
-			perm := make([]Message, len(batch))
-			copy(perm, batch)
-			rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-			q1.AppendBatch(batch)
-			q2.AppendBatch(perm)
-		}
-		a, b := q1.Slice(), q2.Slice()
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i].ID != b[i].ID {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQueueSuffix(t *testing.T) {
-	q := NewQueue()
-	q.AppendBatch([]Message{mk(0, 1, 1, "a"), mk(0, 1, 2, "b"), mk(0, 1, 3, "c")})
-	suf := q.Suffix(1)
-	if len(suf) != 2 || suf[0].ID.Seq != 2 {
-		t.Fatalf("suffix wrong: %v", suf)
-	}
-	if q.Suffix(99) != nil {
-		t.Fatal("out-of-range suffix should be nil")
-	}
-	if got := q.Suffix(-1); len(got) != 3 {
-		t.Fatal("negative suffix should return all")
-	}
-}
-
 func TestMessageEqual(t *testing.T) {
 	a := mk(0, 1, 1, "x")
 	b := mk(0, 1, 1, "x")

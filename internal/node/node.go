@@ -62,10 +62,6 @@ type Config struct {
 	// the FD channel — the process-level service owns both. Nil keeps the
 	// classic one-detector-per-node wiring.
 	SharedFD func() *fd.Detector
-	// App, when set, is called at every incarnation start with the
-	// app-channel network binding; the returned handler (if non-nil)
-	// receives app-channel packets (e.g. quorum reads).
-	App func(net router.Net) router.Handler
 }
 
 // Node is one process. The stable store and the network outlive
@@ -159,11 +155,6 @@ func (n *Node) Start(ctx context.Context) error {
 	}
 	rt.Handle(router.ChanConsensus, ly.Eng.OnMessage)
 	rt.Handle(router.ChanCore, ly.Proto.OnMessage)
-	if n.cfg.App != nil {
-		if h := n.cfg.App(rt.Bound(router.ChanApp)); h != nil {
-			rt.Handle(router.ChanApp, h)
-		}
-	}
 
 	ictx, cancel := context.WithCancel(ctx)
 	inc := &incarnation{

@@ -21,7 +21,6 @@ const (
 	ChanFD        Channel = 1 // failure-detector heartbeats
 	ChanConsensus Channel = 2 // consensus engine messages
 	ChanCore      Channel = 3 // atomic broadcast gossip/state messages
-	ChanApp       Channel = 4 // application-level side traffic (quorum reads)
 )
 
 // Handler consumes one packet on a channel. Handlers run on the router's

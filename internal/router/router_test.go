@@ -111,7 +111,7 @@ func TestBoundNet(t *testing.T) {
 	epB, _ := net.Attach(1)
 	ra, rb := New(epA), New(epB)
 	s := &sink{}
-	rb.Handle(ChanApp, s.handler)
+	rb.Handle(ChanCore, s.handler)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ra.Start(ctx)
@@ -119,7 +119,7 @@ func TestBoundNet(t *testing.T) {
 	defer ra.Stop()
 	defer rb.Stop()
 
-	bound := ra.Bound(ChanApp)
+	bound := ra.Bound(ChanCore)
 	bound.Send(1, []byte("direct"))
 	bound.Multisend([]byte("fan"))
 	got := s.wait(t, 2)
