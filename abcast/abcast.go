@@ -122,7 +122,9 @@
 // frontier, and checkpoint folds discard consensus state only below the
 // cluster-wide minimum, capped by ShardedConfig.MergeFloorStaleness. A
 // process that recovers within the cap therefore finds every round it
-// still needs and never takes a GC-forced state transfer. The README's
+// still needs and never takes a GC-forced state transfer. A group's core
+// meets this layer at one seam (core.Shard) and relays the floor report as
+// bytes only this layer encodes (group.AppendFloor). The README's
 // "Elastic resharding" section covers the API contract and failure
 // semantics.
 //

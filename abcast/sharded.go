@@ -19,6 +19,7 @@ import (
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/storage"
+	"repro/internal/wire"
 )
 
 // GroupID identifies one ordering group of a sharded process (0..G-1).
@@ -432,37 +433,7 @@ func (s *Sharded) buildGroup(gid GroupID) (Storage, *node.Node) {
 	if restore := cfg.OnRestore; restore != nil {
 		coreCfg.OnRestore = func(sn Snapshot) { restore(gid, sn) }
 	}
-	// Every group feeds the process's per-round stream (it also tracks
-	// the decided counters Merged and MergeCursor use); the merge floor
-	// gates checkpoint folds only when the merged sequence is declared
-	// consumed, so an idle group cannot pin reclamation of processes that
-	// never merge. The floor is the CLUSTER-wide minimum (gossiped on the
-	// digest lane, bounded by the staleness cap), localized to this
-	// group's span. OnRound lends each round's deliveries for the call;
-	// the stream copies what it keeps.
-	coreCfg.OnRound = s.stream.NoteRound
-	coreCfg.OnRoundSkip = s.stream.NoteSkip
-	if cfg.MergedDelivery {
-		coreCfg.MergeFloor = func() uint64 {
-			return s.stream.LocalFloor(gid, s.floors.ClusterFloor(s.peers))
-		}
-	}
-	// Checkpoint discards wait for the cluster-wide durable floor: a
-	// checkpoint still logs locally at full speed, but Consensus state a
-	// slow or crashed peer may need to re-learn its rounds survives until
-	// every process's own recoverable prefix (gossiped via FloorSelf) has
-	// passed them. This is what makes a lagging recoverer catch up through
-	// ordinary Consensus instead of a GC-forced state transfer.
-	coreCfg.OnCheckpoint = func(k uint64) { s.stream.NoteDurable(gid, k) }
-	coreCfg.DiscardFloor = func() uint64 {
-		return s.stream.LocalFloor(gid, s.floors.ClusterFloor(s.peers))
-	}
-	// Every group gossips the process-wide merge frontier and topology
-	// descriptor on its digest lane, and folds peers' reports into the
-	// floor tracker; a peer that slept through a reshard resynchronizes
-	// its epoch from the descriptor instead of replaying markers.
-	coreCfg.FloorSelf = s.floorSelf
-	coreCfg.OnPeerFloor = s.onPeerFloor
+	coreCfg.Shard = groupShard{s, gid}
 
 	ncfg := node.Config{
 		PID:       cfg.PID,
@@ -479,28 +450,56 @@ func (s *Sharded) buildGroup(gid GroupID) (Storage, *node.Node) {
 	return gst, node.New(ncfg, gst, s.net.Net(gid))
 }
 
-// floorSelf is every group's core.Config.FloorSelf hook: the process-wide
-// merge frontier plus the cached topology descriptor.
-func (s *Sharded) floorSelf() (uint64, uint64, []byte) {
-	td := s.topoEnc.Load()
-	// The gossiped floor is the DURABLE frontier — the prefix this
-	// process recovers from its own storage after a crash. Reporting the
-	// in-memory frontier would let peers discard rounds committed here
-	// since the last checkpoint, which a crash sends this process right
-	// back to needing.
-	return s.stream.DurableFrontier(), td.epoch, td.enc
+// groupShard is group g's seam to the process (core.Shard): its rounds
+// feed the process's stream, and both floors are the cluster-wide minimum
+// of the gossiped durable frontiers (bounded by the staleness cap),
+// localized to g's span. A checkpoint still logs at full speed, but
+// Consensus state a slow or crashed peer may re-learn survives, so a
+// lagging recoverer catches up without a GC-forced state transfer. Folds
+// wait only when the merged sequence is consumed: an idle group must not
+// pin reclamation at processes that never merge.
+type groupShard struct {
+	s *Sharded
+	g GroupID
 }
 
-// onPeerFloor is every group's core.Config.OnPeerFloor hook. A newer
-// topology is adopted before the report counts, so a view judged once a
-// peer has reported (RetireGroup) is no older than that peer's.
-func (s *Sharded) onPeerFloor(from ids.ProcessID, floor uint64, epoch uint64, topo []byte) {
-	if epoch > s.stream.Epoch() && len(topo) > 0 {
+func (h groupShard) Round(k uint64, ds []Delivery) { h.s.stream.NoteRound(h.g, k, ds) }
+func (h groupShard) Skip(next uint64)              { h.s.stream.NoteSkip(h.g, next) }
+func (h groupShard) Checkpointed(k uint64)         { h.s.stream.NoteDurable(h.g, k) }
+
+func (h groupShard) FoldFloor() uint64 {
+	if !h.s.cfg.MergedDelivery {
+		return math.MaxUint64
+	}
+	return h.DiscardFloor()
+}
+
+func (h groupShard) DiscardFloor() uint64 {
+	return h.s.stream.LocalFloor(h.g, h.s.floors.ClusterFloor(h.s.peers))
+}
+
+// AppendFloor reports the DURABLE merge frontier, what this process
+// recovers from its own storage: the in-memory one would let peers discard
+// rounds a crash sends it back to needing. The topology rides along.
+func (h groupShard) AppendFloor(w *wire.Writer) {
+	td := h.s.topoEnc.Load()
+	group.AppendFloor(w, h.s.stream.DurableFrontier(), td.epoch, td.enc)
+}
+
+// PeerFloor adopts a newer topology before the report counts, so a view
+// judged once a peer has reported (RetireGroup) is no older than its: a
+// peer that slept through a reshard resynchronizes without the markers.
+func (h groupShard) PeerFloor(from ids.ProcessID, report []byte) {
+	floor, epoch, topo, err := group.DecodeFloor(report)
+	if err != nil {
+		return
+	}
+	if epoch > h.s.stream.Epoch() && len(topo) > 0 {
 		if t, err := group.DecodeTopology(topo); err == nil {
-			s.stream.AdoptTopology(t)
+			h.s.stream.AdoptTopology(t)
 		}
 	}
-	s.floors.Report(from, floor)
+	h.s.floors.Report(from, floor)
 }
 
 // installTopology refreshes the hot-path topology views: the router ring

@@ -87,6 +87,9 @@ step_metrics() {
 # The paper's illustrations stay out of the product: the quorum replica and
 # its app channel, the public reduction, the crash-stop baseline with E7,
 # its null store and the ordered queue it alone still used.
+# The core meets the sharding layer at one seam, core.Shard: the seven
+# Config hooks it replaced stay gone, and the floor report's fields
+# (floor, topology epoch, topology) are encoded only by the sharding layer.
 step_retired() {
 	local pat='DESIGN\.md|EXPERIMENTS\.md|BENCH_e[0-9]+|internal/tune|\bE(1[4-9]|2[0-2])\b'
 	pat+='|\bDigestGossip\b|NewFileStorage|storage\.NewFile\b|SetGroupCommit|\bGossipMaxMessages\b'
@@ -106,6 +109,7 @@ step_retired() {
 	pat+='|\bsuffixMessagesPrefix\b'
 	pat+='|internal/quorum|QuorumReplica|\bReducedConsensus\b|internal/ctbaseline|E7VsCrashStop'
 	pat+='|\bChanApp\b|storage\.Null\b|msg\.(New)?Queue\b'
+	pat+='|\b(MergeFloor|OnCheckpoint|OnRound|OnRoundSkip|FloorSelf|OnPeerFloor)\b|DiscardFloor\s+func\(|[cC]fg\.DiscardFloor\b'
 	if grep -rnE "$pat" --include='*.go' . ||
 		grep -nE "$pat" README.md bench/README.md .github/workflows/ci.yml; then
 		echo "retired names found (above)"
@@ -114,6 +118,10 @@ step_retired() {
 	if grep -rnE '^\s*go |time\.(AfterFunc|NewTimer|NewTicker)|context\.AfterFunc' --include='*.go' --exclude='*_test.go' \
 		internal/core internal/consensus internal/fd internal/node internal/sim; then
 		echo "goroutines or wall timers outside internal/loop (above)"
+		return 1
+	fi
+	if grep -rnwE 'epoch|topo' --include='*.go' internal/core; then
+		echo "the floor report's fields in the core (above): it relays core.Shard's bytes"
 		return 1
 	fi
 	if ls internal/core/step.go internal/consensus/step.go 2>/dev/null; then

@@ -31,17 +31,22 @@
 // completion, a timer firing, a client call — runs to completion and
 // leaves effects in one reused buffer: sends, writes, propose, learn and
 // discardBelow to Consensus, timer arms, the release of a blocked
-// Broadcast, and the ordered upcalls (deliver, round, restore, skip,
-// checkpointed). The machine does no I/O, reads no clock and starts no
-// goroutine. Protocol (protocol.go) is its one adapter: on the loop of the
-// incarnation (internal/loop), which it shares with the consensus engine,
-// its drain carries out both machines' effects in one step, so a decision
-// is this machine's input under the lock that learned it; it replays the
-// logged instances at Start (the replay phase), and the loop runs the
-// upcalls, in order, outside every lock. The full-stack simulator
+// Broadcast, and the ordered upcalls (OnRestore, OnDeliver, and a Shard's
+// Round, Skip and Checkpointed). The machine does no I/O, reads no clock
+// and starts no goroutine. Protocol (protocol.go) is its one adapter: on
+// the loop of the incarnation (internal/loop), shared with the consensus
+// engine, its drain carries out both machines' effects in one step, so a
+// decision is this machine's input under the lock that learned it; it
+// replays the logged instances at Start (the replay phase), and the loop
+// runs the upcalls, in order, outside every lock. The full-stack simulator
 // (internal/sim/stack) runs the same Protocol, booted by node.Assemble, on
 // a loop in its kernel's virtual time, taking Start and Broadcast as their
 // step (Begin, Submit) and polling their wait (Replaying, Pending.Poll).
+//
+// A group is composed with others through one seam, Config.Shard: the
+// layer on the other side hears rounds, skips and checkpoints, bounds the
+// checkpoint's fold and discard, and owns the floor report the gossip
+// carries, which this package relays as opaque bytes.
 package core
 
 import (
@@ -52,6 +57,7 @@ import (
 	"repro/internal/msg"
 	"repro/internal/obs"
 	"repro/internal/vclock"
+	"repro/internal/wire"
 )
 
 // ErrStopped is returned when the process incarnation ends while an
@@ -97,9 +103,9 @@ type Snapshot struct {
 	// VC is the checkpoint vector clock.
 	VC vclock.VC
 	// Rounds is the number of Consensus instances folded into the
-	// snapshot. Without a merge floor every delivered round is folded, so
-	// the next round to replay is exactly Rounds; under a merge floor
-	// (Config.MergeFloor) the fold may stop short of the round counter and
+	// snapshot. Without a fold floor every delivered round is folded, so
+	// the next round to replay is exactly Rounds; under a fold floor
+	// (Shard.FoldFloor) the fold may stop short of the round counter and
 	// the suffix retains the explicitly delivered rounds in
 	// [Rounds, k) — the checkpoint cell's own round counter, not
 	// Snapshot.Rounds, is where replay resumes.
@@ -124,6 +130,41 @@ type Checkpointer interface {
 	// Restore installs an adopted application state (recovery or state
 	// transfer).
 	Restore(app []byte)
+}
+
+// Shard is the seam between one ordering group's protocol and the layer
+// that composes groups into one process (abcast.Sharded); an
+// implementation serves one group. Round, Skip and Checkpointed are
+// ordered upcalls, like OnDeliver, and AppendFloor runs among them.
+// FoldFloor and DiscardFloor are read under the loop's lock: they may take
+// locks of their own but must not call back into the Protocol. A floor of
+// math.MaxUint64 bounds nothing.
+type Shard interface {
+	// Round follows every committed round, in round order, after its
+	// deliveries' OnDeliver; it fires again for re-commits in the replay
+	// phase, never for rounds an adoption skips (Skip reports the jump).
+	// ds is borrowed for the call: the next rounds' deliveries reuse it.
+	Round(k uint64, ds []Delivery)
+	// Skip reports that an adoption (a logged checkpoint at recovery, or
+	// a state transfer, §5.3) moved the round counter to next.
+	Skip(next uint64)
+	// Checkpointed reports that a checkpoint cell recording k is durable,
+	// after CheckpointNow and after a state adoption (logged as a
+	// checkpoint), and once at recovery with the restored counter.
+	Checkpointed(k uint64)
+	// FoldFloor bounds a checkpoint's fold to the rounds below
+	// min(k, FoldFloor()), so those a cross-group merge needs survive it.
+	FoldFloor() uint64
+	// DiscardFloor bounds a checkpoint's discard of Consensus state (and
+	// the GC floor) to below min(k, DiscardFloor()); the cell records k.
+	// A slow peer re-learns those rounds without a state transfer.
+	DiscardFloor() uint64
+	// AppendFloor appends this process's floor report to w, the frame each
+	// gossip tick multisends after its tag; appending nothing sends none.
+	AppendFloor(w *wire.Writer)
+	// PeerFloor receives a peer's report, borrowed for the call, on the
+	// transport's goroutine; it must not call back into the Protocol.
+	PeerFloor(from ids.ProcessID, report []byte)
 }
 
 // Config parameterizes a Protocol.
@@ -191,46 +232,13 @@ type Config struct {
 	// DiscardBelow) the consensus log. 0 disables heartbeats.
 	IdleHeartbeat time.Duration
 
-	// MergeFloor, when set, bounds how far a checkpoint may fold the
-	// delivered prefix: CheckpointNow folds only rounds strictly below
-	// min(k, MergeFloor()). A sharded process that consumes the merged
-	// cross-group sequence sets it to the process-wide merge frontier
-	// (group.Stream.Frontier), so per-round delivery metadata survives
-	// until every group of the process has passed the round — which is
-	// what makes application checkpointing compose with merged-mode
-	// sharding. Nil folds everything below k (the paper's §5.2 behavior).
-	// The hook is called under the loop's lock and must not call back
-	// into the Protocol.
-	MergeFloor func() uint64
-
-	// DiscardFloor, when set, caps how far a checkpoint may discard
-	// Consensus state and raise the GC floor: CheckpointNow discards only
-	// below min(k, DiscardFloor()). The checkpoint cell itself is still
-	// logged at the full round counter — local durability never waits —
-	// but rounds a slow peer may still need to re-learn stay in the
-	// Consensus log, so a recovering process finds them live instead of
-	// being forced into a state transfer. A sharded deployment sets this
-	// to the cluster-wide minimum of the gossiped durable frontiers
-	// (group.FloorTracker.ClusterFloor localized to the group's span).
-	// Nil discards everything below k (the paper's Fig. 4 line (c)).
-	// Called under the loop's lock, like MergeFloor; it may take its own
-	// locks but must not call back into the Protocol.
-	DiscardFloor func() uint64
-
-	// OnCheckpoint, when set, is invoked after a checkpoint cell has been
-	// durably logged, with the round counter the cell records — i.e. the
-	// rounds this process can recover without any peer's help. Fired by
-	// CheckpointNow, by a state-transfer adoption (which logs the adopted
-	// state as a checkpoint), and once during recovery with the restored
-	// counter. The sharded layer feeds it to the durable-frontier gossip.
-	OnCheckpoint func(k uint64)
-
 	// OnDeliver, when set, is invoked in delivery order for every
 	// A-delivered message (including re-deliveries during the replay
 	// phase, which reconstruct the application state in the basic
-	// protocol). It and the other ordered upcalls (OnRestore, OnRound,
-	// OnRoundSkip, OnCheckpoint) run outside every lock on the protocol's
-	// own goroutine — never the transport's — and must not call Stop.
+	// protocol). It and the other ordered upcalls (OnRestore, and the
+	// Shard's Round, Skip and Checkpointed) run outside every lock on the
+	// protocol's own goroutine — never the transport's — and must not call
+	// Stop.
 	// Delivered and Sequence may report a delivery before its OnDeliver
 	// has run.
 	OnDeliver func(Delivery)
@@ -238,17 +246,6 @@ type Config struct {
 	// checkpoint or a state transfer instead of replaying: the
 	// application must reset itself to the snapshot.
 	OnRestore func(Snapshot)
-	// OnRound, when set, is invoked after every committed Consensus
-	// round, in round order, with the round's (possibly empty) batch of
-	// new deliveries — the per-round structure a streaming cross-group
-	// merge consumes (group.Stream.NoteRound). Unlike OnDeliver it also
-	// fires for empty rounds, so a merge frontier can advance past them.
-	// Re-commits during the recovery replay phase fire again (consumers
-	// deduplicate by round number); rounds skipped by a state-transfer
-	// adoption do not fire at all — OnRoundSkip reports the jump instead.
-	// The slice is borrowed for the call: the next rounds' deliveries
-	// reuse it, so a caller that keeps it must copy it.
-	OnRound func(g ids.GroupID, round uint64, deliveries []Delivery)
 	// Obs, when set, is the process-wide observability plane: protocol
 	// counters register under "abcast.core.<name>{group}", sampled
 	// per-message lifecycle spans feed the stage-latency histograms, and
@@ -259,30 +256,11 @@ type Config struct {
 	// baseline).
 	Obs *obs.Plane
 
-	// FloorSelf, when set, makes every periodic gossip piggyback a merge-
-	// floor frame: the process-wide merge frontier (how far this process has
-	// consumed the merged cross-group sequence), the topology epoch it was
-	// computed under, and the encoded topology itself. Peers feed the frames
-	// to a group.FloorTracker; the cluster-wide minimum (bounded by a
-	// staleness cap) then drives MergeFloor, so checkpoint folds and WAL
-	// compaction wait for the slowest live consumer instead of forcing a
-	// GC-triggered state transfer onto it. Called on the protocol's upcall
-	// goroutine, outside every lock.
-	FloorSelf func() (floor uint64, epoch uint64, topo []byte)
-	// OnPeerFloor, when set with FloorSelf, receives the merge-floor frames
-	// piggybacked by peers (same gossip lane as digests). Called on the
-	// transport's delivery goroutine; it must not call back into the
-	// Protocol.
-	OnPeerFloor func(from ids.ProcessID, floor uint64, epoch uint64, topo []byte)
-
-	// OnRoundSkip, when set, is invoked when a state-transfer adoption
-	// (§5.3, including the GC-forced transfer a recovering process
-	// receives when it fell below a peer's collection floor) moves the
-	// round counter to nextRound without committing the rounds in
-	// between: their per-round structure was folded away at the sender
-	// and will never reach OnRound. Streaming merge consumers use it to
-	// detect that a cursor can no longer be fed (group.Stream.NoteSkip).
-	OnRoundSkip func(g ids.GroupID, nextRound uint64)
+	// Shard, when set, is the seam to the layer that composes this group
+	// with others (abcast.Sharded): it hears the group's rounds and
+	// checkpoints, bounds its checkpoint fold and discard, and gossips its
+	// floor. Nil is the paper's single group.
+	Shard Shard
 }
 
 func (c *Config) fill() {

@@ -13,13 +13,14 @@ import (
 // FuzzOnMessage feeds arbitrary core-channel frames (gossip, digest, pull,
 // state, floor and unknown subtypes) to a protocol that has committed
 // three rounds (the first delivering two messages) and holds one unordered
-// message, so every handler finds state to act on. No frame may panic a
+// message, so every handler finds state to act on; a floor frame reaches
+// its Shard (a fakeShard, which copies it). No frame may panic a
 // handler, the state adoption a state frame causes, its upcalls, or a read
 // of the state that results. testdata/fuzz holds today's encodings of
 // every subtype as the seed corpus.
 func FuzzOnMessage(f *testing.F) {
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		p, _, _ := newTestProtocol(Config{Delta: 1})
+		p, _, _ := newTestProtocol(Config{Delta: 1, Shard: newFakeShard()})
 		w := wire.NewWriter(64)
 		msg.EncodeBatch(w, []msg.Message{m(1, 1, 1), m(2, 1, 1)})
 		p.commit(0, w.Bytes())

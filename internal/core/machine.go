@@ -27,7 +27,7 @@ const (
 	subState  uint8 = 2 // state(k_p - 1, Agreed_p)
 	subDigest uint8 = 3 // gossip(k_p, IDs of Unordered_p) — the periodic frame
 	subPull   uint8 = 4 // pull(IDs): please send these messages' payloads
-	subFloor  uint8 = 5 // floor(merge frontier, topology epoch, topology) — cluster GC floor
+	subFloor  uint8 = 5 // floor(the Shard's report, opaque here)
 )
 
 // Effect kinds: what a step asks its runner to do, in order.
@@ -40,15 +40,15 @@ const (
 	opLearn                    // consensus: report k's decision now if it is already known here
 	opDiscard                  // consensus: discardBelow(k)
 	opArm                      // call fire at `at`; an earlier arm supersedes, a stale one is harmless
-	opFloor                    // piggyback the merge-floor frame (Config.FloorSelf) on this gossip tick, from the upcall goroutine
+	opFloor                    // multisend the Shard's floor report, from the upcall goroutine
 	opRelease                  // the Broadcast call of id returns err
 	opDrained                  // the sealed group has drained
 	// The ordered upcalls: run in this order, outside every lock.
 	opRestore       // OnRestore(snap)
 	opDeliver       // OnDeliver of each of ds
-	opRound         // OnDeliver of each of ds, then OnRound(k, ds)
-	opSkip          // OnRoundSkip(k)
-	opCheckpointed  // OnCheckpoint(k) unless err; releases a CheckpointNow caller if release
+	opRound         // OnDeliver of each of ds, then Shard.Round(k, ds)
+	opSkip          // Shard.Skip(k)
+	opCheckpointed  // Shard.Checkpointed(k) unless err; releases a CheckpointNow caller if release
 	opCheckpointDue // run the periodic checkpoint (off the delivery path)
 	opStarted       // the replay phase is over: recovery ends once the upcalls before it ran
 )
@@ -99,9 +99,9 @@ type slot struct {
 // decided or forgotten instance, a write's completion, a timer firing, a
 // client call — runs to completion and leaves its effects in out. The
 // machine does no I/O, reads no clock (now is an argument) and starts no
-// goroutine; it queries the Checkpointer, MergeFloor and DiscardFloor
-// hooks and the consensus box's Sequencer, and writes the observability
-// sinks; only the Sequencer's answer shapes a step (where a push goes).
+// goroutine; it queries the Checkpointer, the Shard's floors and the
+// consensus box's Sequencer, and writes the observability sinks; only the
+// Sequencer's answer shapes a step (where a push goes).
 type machine struct {
 	cfg Config
 	box Sequencer
@@ -258,7 +258,7 @@ func (m *machine) recover(ckpt, floor, unord []byte, recs [][]byte) (int, error)
 			m.emit(effect{op: opDiscard, k: m.gcFloor})
 		}
 		m.k, m.ds = k, ds
-		// Rounds the checkpoint folded never reach OnRound in this
+		// Rounds the checkpoint folded never reach Shard.Round in this
 		// incarnation (a recovered drained group commits nothing ever
 		// again). The restored counter is its recoverable prefix.
 		m.installed()
@@ -712,7 +712,7 @@ func (m *machine) commit(round uint64, value []byte) {
 			m.tr.Finish(id, obs.StDeliver)
 		}
 	}
-	// OnRound after OnDeliver (per-message consumers stay ahead of
+	// Shard.Round after OnDeliver (per-message consumers stay ahead of
 	// per-round ones) and before the checkpoint, so a merge frontier driven
 	// by these events has seen every round a checkpoint may fold under.
 	m.emit(effect{op: opRound, k: round, ds: deliveries})
@@ -791,7 +791,7 @@ func (m *machine) sendGossip() {
 		msg.EncodeID(w, snap[(start+i)%len(snap)].ID)
 	}
 	m.emit(effect{op: opSend, to: ids.Nobody, w: w})
-	if m.cfg.FloorSelf != nil {
+	if m.cfg.Shard != nil {
 		m.emit(effect{op: opFloor})
 	}
 	// The digest advertises IDs only: it never covers the eager buffer,
@@ -1093,7 +1093,7 @@ func (m *machine) adopt(ds *deliveryState, newK uint64) {
 // installed hands the application a delivery state that replaces its own
 // (a logged checkpoint or a transfer): reset to the base, re-deliver the
 // suffix, and announce the jump of the round counter to k — the rounds in
-// between never reach OnRound here.
+// between never reach Shard.Round here.
 func (m *machine) installed() {
 	m.emit(effect{op: opRestore, snap: m.ds.snapshotBase()})
 	m.emit(effect{op: opDeliver, ds: m.deliveries(0)})
@@ -1121,22 +1121,22 @@ func (m *machine) checkpoint(now int64, release bool) {
 		m.emit(effect{op: opDelete, key: keyUnordLog, then: thenCkpt})
 	}
 	// (c) Proposed_p[i], i < k_p can be discarded — capped by the
-	// cluster-wide durable floor when one is wired: a peer whose own
-	// recoverable prefix ends below k still needs those instances.
+	// Shard's discard floor: a peer whose own recoverable prefix ends
+	// below k still needs those instances.
 	discard := m.discardFloor(m.k)
 	m.fl.Event(obs.EvCheckpoint, m.cfg.Group, m.k, int64(discard), 0, "")
 	m.logCheckpoint(discard, release)
 }
 
 // fold is Fig. 4 line (b), Agreed_p ← (A-checkpoint(Agreed_p),
-// VC(Agreed_p)), up to the fold floor: everything delivered, unless a
-// merge floor keeps the per-round structure of rounds the process-wide
-// merge frontier has not passed. The Checkpointer reads the folded prefix
-// in place: nothing writes the suffix while the step runs.
+// VC(Agreed_p)), up to the fold floor: everything delivered, unless the
+// Shard's fold floor keeps the per-round structure of rounds the
+// process-wide merge frontier has not passed. The Checkpointer reads the
+// folded prefix in place: nothing writes the suffix while the step runs.
 func (m *machine) fold() {
 	floor := m.k
-	if m.cfg.MergeFloor != nil {
-		floor = min(floor, m.cfg.MergeFloor())
+	if m.cfg.Shard != nil {
+		floor = min(floor, m.cfg.Shard.FoldFloor())
 	}
 	if cut := m.ds.cutBelow(floor); cut > 0 {
 		app := m.cfg.Checkpointer.Checkpoint(m.ds.base.App, m.ds.msgs[:cut])
@@ -1145,8 +1145,8 @@ func (m *machine) fold() {
 }
 
 func (m *machine) discardFloor(k uint64) uint64 {
-	if m.cfg.DiscardFloor != nil {
-		return min(k, m.cfg.DiscardFloor())
+	if m.cfg.Shard != nil {
+		return min(k, m.cfg.Shard.DiscardFloor())
 	}
 	return k
 }

@@ -367,14 +367,14 @@ func (p *Protocol) run(now int64) {
 		case opDrained:
 			close(p.drainedCh)
 		case opCheckpointed:
-			if ef.err == nil && p.cfg.OnCheckpoint != nil {
+			if ef.err == nil && p.cfg.Shard != nil {
 				p.upcall(ef)
 			}
 			if ef.release {
 				p.ckptWaits[0] <- ef.err
 				p.ckptWaits = p.ckptWaits[1:]
 			}
-		default: // the ordered upcalls, and the floor frame they order
+		default: // the ordered upcalls, and the floor report they order
 			p.upcall(ef)
 		}
 	}
@@ -415,21 +415,6 @@ func (p *Protocol) Fire(now int64, _ loop.Token) { p.m.fire(now) }
 // the earliest.
 func (p *Protocol) Live(tok loop.Token) bool { return int64(tok.K) == p.m.wakeAt }
 
-// sendFloor piggybacks the merge-floor frame on the periodic gossip: peers
-// fold it into their cluster-floor view (group.FloorTracker), and the
-// topology epoch lets a process whose state transfer skipped the reshard
-// marker rounds resync its topology.
-func (p *Protocol) sendFloor() {
-	floor, epoch, topo := p.cfg.FloorSelf()
-	w := wire.GetWriter(32 + len(topo))
-	w.U8(subFloor)
-	w.U64(floor)
-	w.U64(epoch)
-	w.Bytes32(topo)
-	p.net.Multisend(w.Bytes())
-	wire.PutWriter(w)
-}
-
 // ---- the ordered upcalls ----
 
 // upcall queues one ordered upcall. The lock is held.
@@ -448,7 +433,7 @@ func (p *Protocol) TakeUpcalls() {
 
 // RunUpcalls implements loop.Upcaller: it runs the batch on the loop's
 // goroutine, outside every lock, so a slow application stalls neither the
-// transport nor consensus. OnDeliver and OnRound read deliveries that
+// transport nor consensus. OnDeliver and Shard.Round read deliveries that
 // nothing writes until the batch has run.
 func (p *Protocol) RunUpcalls() {
 	c := &p.cfg
@@ -465,19 +450,24 @@ func (p *Protocol) RunUpcalls() {
 					c.OnDeliver(d)
 				}
 			}
-			if ef.op == opRound && c.OnRound != nil {
-				c.OnRound(c.Group, ef.k, ef.ds)
+			if ef.op == opRound && c.Shard != nil {
+				c.Shard.Round(ef.k, ef.ds)
 			}
 		case opSkip:
-			if c.OnRoundSkip != nil {
-				c.OnRoundSkip(c.Group, ef.k)
+			if c.Shard != nil {
+				c.Shard.Skip(ef.k)
 			}
 		case opCheckpointed:
-			c.OnCheckpoint(ef.k)
+			c.Shard.Checkpointed(ef.k)
 		case opCheckpointDue:
 			_ = p.checkpoint(nil)
-		case opFloor:
-			p.sendFloor()
+		case opFloor: // the tag and the Shard's report, unless it is empty
+			w := wire.GetWriter(64)
+			w.U8(subFloor)
+			if c.Shard.AppendFloor(w); w.Len() > 1 {
+				p.net.Multisend(w.Bytes())
+			}
+			wire.PutWriter(w)
 		case opStarted:
 			close(p.replayed)
 		}
@@ -491,24 +481,14 @@ func (p *Protocol) RunUpcalls() {
 // OnMessage is the router handler for the core channel.
 func (p *Protocol) OnMessage(from ids.ProcessID, payload []byte) {
 	if len(payload) > 0 && payload[0] == subFloor {
-		p.onFloor(from, payload[1:])
+		if p.cfg.Shard != nil {
+			p.cfg.Shard.PeerFloor(from, payload[1:])
+		}
 		return
 	}
 	if p.l.Enter() {
 		p.m.receive(p.l.Now(), from, payload)
 		p.l.Exit()
-	}
-}
-
-// onFloor hands a peer's merge-floor frame (the cluster-wide GC floor
-// lane) to OnPeerFloor, on the transport's delivery goroutine.
-func (p *Protocol) onFloor(from ids.ProcessID, frame []byte) {
-	r := wire.NewReader(frame)
-	floor := r.U64()
-	epoch := r.U64()
-	topo := r.BytesCopy()
-	if r.Err() == nil && p.cfg.OnPeerFloor != nil {
-		p.cfg.OnPeerFloor(from, floor, epoch, topo)
 	}
 }
 

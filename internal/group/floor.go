@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/ids"
+	"repro/internal/wire"
 )
 
 // FloorTracker aggregates the per-process merge frontiers gossiped on the
@@ -96,4 +97,20 @@ func (t *FloorTracker) HeardSince(peers []ids.ProcessID, since time.Time) int {
 		}
 	}
 	return n
+}
+
+// AppendFloor encodes the floor report a sharded process's groups gossip
+// (core.Shard.AppendFloor): its durable merge frontier, and the epoch and
+// encoding of the topology it was computed under.
+func AppendFloor(w *wire.Writer, floor, epoch uint64, topo []byte) {
+	w.U64(floor)
+	w.U64(epoch)
+	w.Bytes32(topo)
+}
+
+// DecodeFloor parses an AppendFloor report; topo aliases b.
+func DecodeFloor(b []byte) (floor, epoch uint64, topo []byte, err error) {
+	r := wire.NewReader(b)
+	floor, epoch, topo = r.U64(), r.U64(), r.Bytes32()
+	return floor, epoch, topo, r.Err()
 }

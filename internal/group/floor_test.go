@@ -1,10 +1,12 @@
 package group
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
 	"repro/internal/ids"
+	"repro/internal/wire"
 )
 
 // floorClock is a manual clock for FloorTracker tests.
@@ -117,5 +119,43 @@ func TestFloorTrackerHeardSince(t *testing.T) {
 	}
 	if n := tr.HeardSince(peers[:1], since); n != 1 {
 		t.Fatalf("heard %d of [p1]; want 1", n)
+	}
+}
+
+// FuzzDecodeFloor feeds arbitrary floor reports, as a peer's gossip
+// carries them, to the decoder and on to the topology decoder, as
+// abcast.Sharded does. Neither may panic, and what the report decoder
+// accepts must survive a re-encode. testdata/fuzz holds today's encoding
+// (floor 7 under epoch 2 with a joined and a sealed span), an empty
+// topology and a topology length the report cannot hold.
+func FuzzDecodeFloor(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		floor, epoch, topo, err := DecodeFloor(b)
+		if err != nil {
+			return
+		}
+		_, _ = DecodeTopology(topo)
+		w := wire.NewWriter(len(b))
+		AppendFloor(w, floor, epoch, topo)
+		f2, e2, t2, err := DecodeFloor(w.Bytes())
+		if err != nil || f2 != floor || e2 != epoch || !bytes.Equal(t2, topo) {
+			t.Fatalf("round trip of (%d, %d, %x): (%d, %d, %x), %v", floor, epoch, topo, f2, e2, t2, err)
+		}
+	})
+}
+
+// TestFloorReportLayout pins the report's bytes: floor and epoch as
+// uvarints, then the length-prefixed topology, the layout every peer of
+// a running cluster decodes.
+func TestFloorReportLayout(t *testing.T) {
+	topo := NewStaticTopology(2).Encode()
+	w := wire.NewWriter(0)
+	AppendFloor(w, 7, 300, topo)
+	want := append([]byte{7, 0xac, 0x02, byte(len(topo))}, topo...)
+	if !bytes.Equal(w.Bytes(), want) {
+		t.Fatalf("report %x, want %x", w.Bytes(), want)
+	}
+	if _, _, _, err := DecodeFloor(want[:len(want)-1]); err == nil {
+		t.Fatal("a report cut inside its topology decoded")
 	}
 }

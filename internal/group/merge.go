@@ -39,7 +39,7 @@ type Sequence struct {
 //   - from is the merge base: the highest round any group's checkpointing
 //     has folded into its base snapshot (Base.Rounds). Rounds below it are
 //     no longer reconstructible from the suffixes — under the merge-floor
-//     discipline (core.Config.MergeFloor driven by a Stream) every folded
+//     discipline (core.Shard.FoldFloor driven by a Stream) every folded
 //     round has already passed the process-wide merge frontier, so a
 //     consumer that followed the sequence (a Cursor, or repeated Merge
 //     calls) has already seen them. With checkpointing off, from is 0 and

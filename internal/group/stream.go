@@ -33,15 +33,16 @@ const maxFreeRounds = 64
 
 // Stream tracks the per-group round frontiers of one sharded process and
 // fans per-round commit events out to subscribed Cursors. It is the glue
-// between the core layer's OnRound hook and the streaming merge:
+// between the core layer's rounds (core.Shard.Round) and the streaming
+// merge:
 //
-//   - every group of the process routes its core.Config.OnRound callback
-//     into NoteRound, which advances that group's frontier and feeds the
-//     round to every cursor;
+//   - every group of the process routes its seam's Round upcall into
+//     NoteRound, which advances that group's frontier and feeds the round
+//     to every cursor;
 //   - Frontier returns the process-wide merge frontier in global rounds
 //     (the highest global round every live group has fully committed) and —
-//     localized per group with LocalFloor — drives the core.Config.MergeFloor
-//     hook: checkpoint folds gated by it never destroy per-round delivery
+//     localized per group with LocalFloor — bounds the seam's FoldFloor:
+//     checkpoint folds gated by it never destroy per-round delivery
 //     metadata a merge consumer still needs, which is what makes
 //     checkpointing legal in merged mode;
 //   - Subscribe seeds a Cursor from a snapshot of the per-group sequences
@@ -170,9 +171,9 @@ func (s *Stream) frontierLocked() uint64 {
 
 // NoteRound records that group g committed round with the given (possibly
 // empty) batch of new deliveries, and fans the event out to every
-// subscribed cursor. Wire it as every group's core.Config.OnRound hook.
-// The deliveries slice is borrowed for the call, as core.Config.OnRound
-// lends it: what the stream keeps of it, it copies. Rounds of groups the
+// subscribed cursor. Every group's core.Shard.Round calls it. The
+// deliveries slice is borrowed for the call, as core.Shard.Round lends
+// it: what the stream keeps of it, it copies. Rounds of groups the
 // topology does not know yet are buffered until a JOIN marker splices the
 // group in; negative group IDs are ignored.
 func (s *Stream) NoteRound(g ids.GroupID, round uint64, deliveries []core.Delivery) {
@@ -241,8 +242,8 @@ func (s *Stream) spliceLocked(g ids.GroupID) {
 
 // NoteSkip records that group g's round counter jumped to nextRound
 // without committing the rounds in between — a state-transfer adoption
-// whose per-round structure was folded away at the sender. Wire it as
-// every group's core.Config.OnRoundSkip hook. Cursors that had not passed
+// whose per-round structure was folded away at the sender. Every group's
+// core.Shard.Skip calls it. Cursors that had not passed
 // the skipped range become lagged immediately (instead of waiting forever
 // for rounds that will never be offered); fresh subscriptions seed from
 // the adopted state and are unaffected.
@@ -302,8 +303,8 @@ func (s *Stream) Frontier() uint64 {
 }
 
 // NoteDurable records that group g durably checkpointed k local rounds —
-// the prefix this process can recover from its own stable storage. Wire it
-// as every group's core.Config.OnCheckpoint hook.
+// the prefix this process can recover from its own stable storage. Every
+// group's core.Shard.Checkpointed calls it.
 func (s *Stream) NoteDurable(g ids.GroupID, k uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -344,8 +345,8 @@ func (s *Stream) DurableFrontier() uint64 {
 }
 
 // LocalFloor translates a global merge floor into group g's local rounds,
-// clamped to the group's span — the per-group core.Config.MergeFloor value
-// derived from a global (possibly cluster-wide) floor.
+// clamped to the group's span — the per-group core.Shard floor derived
+// from a global (possibly cluster-wide) floor.
 func (s *Stream) LocalFloor(g ids.GroupID, global uint64) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -303,7 +303,7 @@ func TestStreamNoteRoundOutOfRange(t *testing.T) {
 }
 
 // TestStreamKeepsItsOwnCopyOfARound: NoteRound borrows its deliveries for
-// the call (core.Config.OnRound reuses the buffer), so every slice the
+// the call (core.Shard.Round reuses the buffer), so every slice the
 // stream keeps must be its own: a pre-JOIN group's pending rounds, an
 // unseeded cursor's backlog, and a cursor's buffered round at offset 0 as
 // at any other. The same script runs twice, once handing NoteRound a

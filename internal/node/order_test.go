@@ -3,6 +3,7 @@ package node_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/node"
 	"repro/internal/storage"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // reversing resolves its asynchronous writes in reverse issue order: write
@@ -77,6 +79,18 @@ func (s *reversing) durable(key, part string) bool {
 	return false
 }
 
+// roundSeam is a core.Shard that hears committed rounds and bounds
+// nothing.
+type roundSeam func(k uint64)
+
+func (f roundSeam) Round(k uint64, _ []core.Delivery) { f(k) }
+func (roundSeam) Skip(uint64)                         {}
+func (roundSeam) Checkpointed(uint64)                 {}
+func (roundSeam) FoldFloor() uint64                   { return math.MaxUint64 }
+func (roundSeam) DiscardFloor() uint64                { return math.MaxUint64 }
+func (roundSeam) AppendFloor(*wire.Writer)            {}
+func (roundSeam) PeerFloor(ids.ProcessID, []byte)     {}
+
 // TestWriteCompletionsReachLayersInIssueOrder runs a node over a store that
 // resolves its writes in reverse order. Consensus and the broadcast core
 // write to it interleaved, from concurrent Broadcast calls and pipelined
@@ -89,7 +103,7 @@ func TestWriteCompletionsReachLayersInIssueOrder(t *testing.T) {
 	st := &reversing{Faulty: storage.NewFaulty(storage.NewMem())}
 	net := transport.NewMem(1, transport.MemOptions{Seed: 5})
 	defer net.Close()
-	onRound := func(_ ids.GroupID, k uint64, _ []core.Delivery) {
+	onRound := func(k uint64) {
 		st.mu.Lock()
 		defer st.mu.Unlock()
 		if !st.durable(fmt.Sprintf("cons/a/%016x", k), "") {
@@ -97,7 +111,7 @@ func TestWriteCompletionsReachLayersInIssueOrder(t *testing.T) {
 		}
 	}
 	nd := node.New(node.Config{N: 1, Core: core.Config{
-		BatchedBroadcast: true, IncrementalLog: true, PipelineDepth: 4, OnRound: onRound,
+		BatchedBroadcast: true, IncrementalLog: true, PipelineDepth: 4, Shard: roundSeam(onRound),
 	}}, st, net)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

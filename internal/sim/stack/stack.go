@@ -11,10 +11,10 @@
 // One oracle watches the run, through seams production already has: the
 // simulated store's writes and completions, the frames on the simulated
 // network, the core.Consensus box the core is handed (wrapped), the
-// engine's LeaseStats, and core.Config's OnDeliver, OnRound, OnRoundSkip
-// and OnRestore. It checks internal/check's Validity, Integrity and Total
+// engine's LeaseStats, core.Config's OnDeliver and OnRestore, and its
+// core.Shard seam. It checks internal/check's Validity, Integrity and Total
 // Order, and Termination once the schedule heals; the core's ordering
-// rules (OnRound in round order, a BatchedBroadcast released only once
+// rules (Shard.Round in round order, a BatchedBroadcast released only once
 // the write of its record reached the disk and was reported, and while
 // the disk holds the record or the message is delivered, the checkpoint
 // and GC-floor cells durable before a discard and no consensus discard
@@ -67,7 +67,7 @@ const (
 type Options struct {
 	N int
 	// Core's PID, N and Incarnation are filled per process, and its
-	// OnDeliver, OnRound, OnRoundSkip and OnRestore are the oracle's.
+	// OnDeliver, OnRestore and Shard are the oracle's.
 	Core      core.Config
 	Consensus consensus.Config
 	Loss      float64 // per-frame drop probability between processes
@@ -100,7 +100,7 @@ type Proc struct {
 	lost    int            // leases lost by ended incarnations
 	leaseB  uint64         // Lease() as the last kernel step left it
 
-	nextRound uint64 // the round its next OnRound must carry
+	nextRound uint64 // the round its next Shard.Round must carry
 	lastKey   string // the key of the last core write issued
 	floor     uint64 // the last floor the core discarded below
 	// carried lists, per message, the writes carrying its Unordered
@@ -157,6 +157,9 @@ type Sim struct {
 	// CoreLink, when set, sees each core frame sent, per destination; false
 	// drops it (a scripted schedule's count or one-channel cut).
 	CoreLink func(from, to ids.ProcessID, frame []byte) bool
+	// DiscardFloor is every process's core.Shard.DiscardFloor: a schedule
+	// pins it to keep consensus state live; New's, math.MaxUint64, does not.
+	DiscardFloor uint64
 
 	seed   uint64
 	bcasts int
@@ -171,12 +174,13 @@ type Sim struct {
 func New(seed uint64, opts Options) *Sim {
 	opts.fill()
 	s := &Sim{
-		Kernel: sim.New(seed, opts.N),
-		Opts:   opts,
-		Rec:    check.NewRecorder(opts.N),
-		Back:   make(map[ids.MsgID]bool),
-		seed:   seed,
-		oracle: sim.NewConsensusOracle(),
+		Kernel:       sim.New(seed, opts.N),
+		Opts:         opts,
+		Rec:          check.NewRecorder(opts.N),
+		Back:         make(map[ids.MsgID]bool),
+		seed:         seed,
+		oracle:       sim.NewConsensusOracle(),
+		DiscardFloor: math.MaxUint64,
 	}
 	s.Loss, s.Dup, s.Delay = opts.Loss, opts.Dup, opts.Delay
 	s.Deliver, s.Kill, s.Stepped = s.receive, s.Crash, s.released
@@ -419,25 +423,42 @@ func (s *Sim) hooks(p *Proc, cfg *core.Config) {
 		deliver(d)
 		p.Lives[len(p.Lives)-1] = append(p.Lives[len(p.Lives)-1], d)
 	}
-	cfg.OnRound = func(_ ids.GroupID, k uint64, _ []core.Delivery) {
-		s.Note(p.PID, "round", k, nil)
-		if k != p.nextRound {
-			s.Fail("p%d committed round %d, its next round is %d", p.PID, k, p.nextRound)
-		}
-		p.nextRound = k + 1
-	}
-	cfg.OnRoundSkip = func(_ ids.GroupID, k uint64) {
-		s.Note(p.PID, "skip to", k, nil)
-		if k < p.nextRound {
-			s.Fail("p%d skipped back to round %d from %d", p.PID, k, p.nextRound)
-		}
-		p.nextRound = k
-	}
 	cfg.OnRestore = func(snap core.Snapshot) {
 		restore(snap)
 		p.nextRound = 0
 	}
+	cfg.Shard = seam{s, p}
 }
+
+// seam is p's core.Shard: rounds commit in round order and skips go
+// forward; it bounds no fold, discards below Sim.DiscardFloor and gossips
+// no floor report.
+type seam struct {
+	s *Sim
+	p *Proc
+}
+
+func (h seam) Round(k uint64, _ []core.Delivery) {
+	h.s.Note(h.p.PID, "round", k, nil)
+	if k != h.p.nextRound {
+		h.s.Fail("p%d committed round %d, its next round is %d", h.p.PID, k, h.p.nextRound)
+	}
+	h.p.nextRound = k + 1
+}
+
+func (h seam) Skip(k uint64) {
+	h.s.Note(h.p.PID, "skip to", k, nil)
+	if k < h.p.nextRound {
+		h.s.Fail("p%d skipped back to round %d from %d", h.p.PID, k, h.p.nextRound)
+	}
+	h.p.nextRound = k
+}
+
+func (seam) Checkpointed(uint64)             {}
+func (seam) FoldFloor() uint64               { return math.MaxUint64 }
+func (h seam) DiscardFloor() uint64          { return h.s.DiscardFloor }
+func (seam) AppendFloor(*wire.Writer)        {}
+func (seam) PeerFloor(ids.ProcessID, []byte) {}
 
 // released reads the release of the pending Broadcast calls, and the
 // lease each process holds, after every step of the kernel.
