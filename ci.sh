@@ -16,7 +16,12 @@ step_vet() {
 	test -z "$unformatted" || { echo "gofmt -l is not clean:"; echo "$unformatted"; return 1; }
 }
 
-step_build() { go build ./...; }
+# The darwin build keeps the portable wall timer (internal/loop's
+# timer_other.go) compiling beside Linux's timerfd.
+step_build() {
+	go build ./...
+	GOOS=darwin go build ./...
+}
 
 step_test() { go test ./...; }
 
@@ -29,7 +34,7 @@ step_race() {
 		./internal/transport/... ./internal/storage/... ./internal/group/... \
 		./internal/node/... ./internal/obs/... ./internal/harness/... ./abcast/... \
 		./internal/wire/... ./internal/msg/... ./internal/router/... \
-		./internal/rsm/... ./internal/check/...
+		./internal/rsm/... ./internal/check/... ./internal/loop/...
 }
 
 # bench/ is a module of its own, so the steps above never compile it.

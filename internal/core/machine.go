@@ -365,15 +365,19 @@ func (m *machine) broadcast(now int64, payload []byte, async bool) (ids.MsgID, e
 
 // inject adds m, under its existing identity, to the Unordered set (orphan
 // re-injection by the resharding layer). It reports whether m was new; one
-// already delivered, or arriving after a drain, is dropped.
+// already delivered, or arriving after a drain, is dropped. Like a local
+// A-broadcast, m is pushed to the sequencer at once: it may be known to
+// this process alone.
 func (m *machine) inject(now int64, mm msg.Message) bool {
 	m.now = now
 	if m.drained || m.ds.contains(mm.ID) || !m.unordered.Add(mm) {
 		return false
 	}
+	m.eagerBuf = append(m.eagerBuf, mm)
 	m.heldBytes += len(mm.Payload)
 	m.notePending()
 	m.poke()
+	m.eagerGossip()
 	return true
 }
 

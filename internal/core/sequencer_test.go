@@ -80,6 +80,28 @@ func TestEagerPushGoesToTheSequencer(t *testing.T) {
 	}
 }
 
+// TestInjectedOrphanIsPushedToTheSequencer: an orphan the resharding
+// layer re-injects may be known to this process alone, so it is pushed to
+// the sequencer at once, as a local broadcast is, and not left to the
+// digest gossip.
+func TestInjectedOrphanIsPushedToTheSequencer(t *testing.T) {
+	p, net, cons := newTestProtocol(Config{})
+	cons.grant(2)
+	orphan := msg.Message{ID: ids.MsgID{Sender: 1, Incarnation: 1, Seq: 1<<48 | 7}, Payload: []byte("orphan")}
+	var injected bool
+	p.step(func(mc *machine) {
+		mc.running = true
+		injected = mc.inject(mc.now, orphan)
+	})
+	if !injected {
+		t.Fatal("inject refused a new message")
+	}
+	sent := payloadFrames(net.sentFrames())
+	if len(sent) != 1 || net.to[0] != 2 {
+		t.Fatalf("%d payload frames (to %v) after the inject, want one to the sequencer p2", len(sent), net.to)
+	}
+}
+
 // sentFrames returns a copy of the unicast frames captured since the last
 // take, leaving them (and their destinations, to) in place.
 func (f *fakeNet) sentFrames() [][]byte {

@@ -71,12 +71,17 @@ type Timer interface {
 }
 
 // wall is a process's Env: the monotonic wall clock since it was made, a
-// time.AfterFunc timer, and a goroutine for the upcalls.
+// timerfd on Linux (timer_linux.go) or a time.AfterFunc timer elsewhere,
+// and a goroutine for the upcalls.
 type wall struct{ epoch time.Time }
 
 func (w wall) Now() int64 { return int64(time.Since(w.epoch)) }
 
-func (wall) Timer(wake func()) Timer { return time.AfterFunc(math.MaxInt64, wake) }
+func (wall) Timer(wake func()) Timer { return newTimer(wake) }
+
+// afterFunc is the portable timer: the runtime's, which an idle process
+// wakes for at millisecond granularity.
+func afterFunc(wake func()) Timer { return time.AfterFunc(math.MaxInt64, wake) }
 
 func (wall) Go(run func()) bool {
 	go run()

@@ -19,15 +19,16 @@ import "sync"
 // message the write protects — a promise, an accepted reply, its own
 // proposed value — until the Completion resolves without error. (The
 // package comment states the whole rule.)
+//
+// A Completion is 48 bytes: the protocol's hot path asks with Poll and
+// OnDone, and mostly registers one callback, so it holds the first
+// callback inline and the rest behind a pointer, and no channel at all.
 type Completion struct {
 	mu   sync.Mutex
 	done bool
 	err  error
-	// ch is made by the first Done or Wait: the protocol's hot path asks
-	// with Poll and OnDone and never needs it, and one record resolves
-	// through a chain of these (engine, latency shim, observers).
-	ch  chan struct{}
-	cbs []func(error)
+	cb   func(error)    // the first callback registered
+	more *[]func(error) // the later ones, in registration order
 }
 
 func newCompletion() *Completion { return &Completion{} }
@@ -55,28 +56,32 @@ func (c *Completion) complete(err error) {
 	}
 	c.done = true
 	c.err = err
-	cbs := c.cbs
-	c.cbs = nil
-	if c.ch != nil {
-		close(c.ch)
-	}
+	cb, more := c.cb, c.more
+	c.cb, c.more = nil, nil
 	c.mu.Unlock()
-	for _, fn := range cbs {
-		fn(err)
+	if cb != nil {
+		cb(err)
+	}
+	if more != nil {
+		for _, fn := range *more {
+			fn(err)
+		}
 	}
 }
 
-// Done returns a channel closed when the operation has resolved.
+// Done returns a channel closed when the operation has resolved: a new
+// one per call, closed by a callback of its own.
 func (c *Completion) Done() <-chan struct{} {
+	ch := make(chan struct{})
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.ch == nil {
-		c.ch = make(chan struct{})
-		if c.done {
-			close(c.ch)
-		}
+	if c.done {
+		c.mu.Unlock()
+		close(ch)
+		return ch
 	}
-	return c.ch
+	c.addLocked(func(error) { close(ch) })
+	c.mu.Unlock()
+	return ch
 }
 
 // Wait blocks until the operation resolves and returns its error.
@@ -108,13 +113,26 @@ func (c *Completion) Poll() (err error, done bool) {
 func (c *Completion) OnDone(fn func(error)) {
 	c.mu.Lock()
 	if !c.done {
-		c.cbs = append(c.cbs, fn)
+		c.addLocked(fn)
 		c.mu.Unlock()
 		return
 	}
 	err := c.err
 	c.mu.Unlock()
 	go fn(err)
+}
+
+// addLocked registers fn behind the callbacks registered before it. c.mu
+// held, c not resolved.
+func (c *Completion) addLocked(fn func(error)) {
+	switch {
+	case c.cb == nil:
+		c.cb = fn
+	case c.more == nil:
+		c.more = &[]func(error){fn}
+	default:
+		*c.more = append(*c.more, fn)
+	}
 }
 
 // AsyncStable extends Stable with an asynchronous durability pipeline.

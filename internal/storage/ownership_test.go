@@ -3,7 +3,9 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/testenv"
 )
@@ -126,21 +128,32 @@ func TestWALPutAllocBudget(t *testing.T) {
 	}
 }
 
-// TestCompletionMakesItsChannelLazily: Poll/OnDone (the hot path) never
-// allocate the channel; Done and Wait make it on demand and see a
-// resolution that happened before or after they asked.
+// TestCompletionMakesItsChannelLazily: the hot path (newCompletion,
+// OnDone, complete) allocates the 48-byte Completion and nothing else;
+// Done and Wait make a channel on demand and see a resolution that
+// happened before or after they asked; callbacks, the channel's included,
+// run in registration order.
 func TestCompletionMakesItsChannelLazily(t *testing.T) {
+	if size := unsafe.Sizeof(Completion{}); size > 48 {
+		t.Fatalf("a Completion is %d bytes; want at most 48", size)
+	}
+	var order []int
 	before, after := newCompletion(), newCompletion()
+	before.OnDone(func(error) { order = append(order, 1) })
 	ch := before.Done() // asked first, resolved later
+	before.OnDone(func(error) {
+		select {
+		case <-ch:
+			order = append(order, 2)
+		default:
+			t.Error("a callback registered after Done ran before its channel closed")
+		}
+	})
+	before.OnDone(func(error) { order = append(order, 3) })
 	before.complete(nil)
 	after.complete(ErrClosed) // resolved first, asked later
-	if after.ch != nil {
-		t.Fatal("complete allocated a channel nobody asked for")
-	}
-	select {
-	case <-ch:
-	default:
-		t.Fatal("Done channel obtained before resolution was not closed by it")
+	if !slices.Equal(order, []int{1, 2, 3}) {
+		t.Fatalf("callbacks ran in the order %v; want [1 2 3]", order)
 	}
 	select {
 	case <-after.Done():
@@ -150,7 +163,21 @@ func TestCompletionMakesItsChannelLazily(t *testing.T) {
 	if err := after.Wait(); err != ErrClosed {
 		t.Fatalf("Wait after resolution: %v", err)
 	}
-	if c := completed(nil); c.ch != nil || c.Wait() != nil {
-		t.Fatal("completed() must resolve without a channel")
+	if c := completed(nil); c.Wait() != nil {
+		t.Fatal("completed() must resolve without error")
+	}
+	if testenv.Race {
+		return
+	}
+	fn := func(error) {}
+	if n := testing.AllocsPerRun(100, func() {
+		c := newCompletion()
+		c.OnDone(fn)
+		c.complete(nil)
+	}); n != 1 {
+		t.Fatalf("a completion with one callback allocates %.0f objects; want 1, itself", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { completed(nil).Wait() }); n != 1 {
+		t.Fatalf("Wait on a resolved completion allocates %.0f objects beyond it; want none", n-1)
 	}
 }

@@ -84,6 +84,7 @@ type WAL struct {
 	mu         sync.Mutex
 	cells      map[string]loc
 	logs       map[string][]loc
+	spare      []loc       // a deleted log's emptied index array, for the next new log
 	queue      []walOp     // the pending group's mutations, in issue order
 	queueC     *Completion // the pending group's one completion; nil while queue is empty
 	oldest     time.Time   // arrival of queue[0]
@@ -645,10 +646,15 @@ func (w *WAL) applyPut(key string, at loc) {
 	w.cells[key] = at
 }
 
-// applyAppend appends one log entry.
+// applyAppend appends one log entry. A new log starts in the spare
+// array, if a deleted log left one.
 func (w *WAL) applyAppend(key string, at loc) {
 	w.liveBytes += recLiveBytes(key, at.n)
-	w.logs[key] = append(w.logs[key], at)
+	recs, ok := w.logs[key]
+	if !ok {
+		recs, w.spare = w.spare, nil
+	}
+	w.logs[key] = append(recs, at)
 }
 
 // applyDelete removes a cell or log.
@@ -662,8 +668,12 @@ func (w *WAL) applyDelete(key string) {
 		for _, r := range recs {
 			w.liveBytes -= recLiveBytes(key, r.n)
 		}
+		// The running pass may read a drained log outside the lock: it
+		// keeps that array. Any other is nobody's once deleted.
 		if w.pass != nil && w.pass.drained(recs[0]) {
 			w.pass.logs[key] = recs
+		} else if cap(recs) <= maxQueue {
+			w.spare = recs[:0]
 		}
 		delete(w.logs, key)
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -325,4 +326,51 @@ func TestWALPoisonedReads(t *testing.T) {
 		t.Fatalf("write after poisoning: %v; want %v", err, werr)
 	}
 	w.Close() // the segment is already closed; its error is expected
+}
+
+// indexOnly is a WAL with an index and nothing else: the apply functions
+// run on it as they do under w.mu.
+func indexOnly() *WAL {
+	return &WAL{cells: make(map[string]loc), logs: make(map[string][]loc)}
+}
+
+// TestWALReusesADeletedLogsIndex: a log deleted and a new one appended
+// to, over and over, as the unordered log is at every checkpoint, grow
+// their index in the array the last deleted log left: the steady cycle
+// allocates nothing for the index.
+func TestWALReusesADeletedLogsIndex(t *testing.T) {
+	if testenv.Race {
+		t.Skip("allocation budgets are measured without the race detector")
+	}
+	w := indexOnly()
+	cycle := func() {
+		for i := range 64 {
+			w.applyAppend("log", loc{seg: 1, off: int64(i), n: 8})
+		}
+		w.applyDelete("log")
+	}
+	cycle() // grows the array once
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("64 appends to a new log after a delete allocate %.0f objects; want 0", n)
+	}
+}
+
+// TestWALKeepsThePassesCopyOfADeletedLog: a log a running compaction pass
+// drained and that is then deleted keeps its array for the pass, which
+// reads it outside the lock; appends to a new log leave it untouched.
+func TestWALKeepsThePassesCopyOfADeletedLog(t *testing.T) {
+	w := indexOnly()
+	for i := range 8 {
+		w.applyAppend("old", loc{seg: 1, off: int64(100 * i), n: 8})
+	}
+	w.pass = &passState{gen: 7, cells: make(map[string]loc), logs: make(map[string][]loc)}
+	w.applyDelete("old")
+	saved := w.pass.logs["old"]
+	want := slices.Clone(saved[:cap(saved)])
+	for i := range 64 {
+		w.applyAppend("new", loc{seg: -8, off: int64(i), n: 1})
+	}
+	if got := saved[:cap(saved)]; !slices.Equal(got, want) {
+		t.Fatalf("the pass's copy of a deleted log changed under appends to a new one:\n got %v\nwant %v", got, want)
+	}
 }

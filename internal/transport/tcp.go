@@ -82,14 +82,17 @@ var dialTCP = func(ctx context.Context, addr string) (net.Conn, error) {
 // Reconnecting never blocks a sender. A Send or Multisend to a peer with no
 // connection starts one dial goroutine for it; frames sent while that dial
 // is in flight wait for it (a few dozen per peer at most) and are written
-// once it connects, or dropped if it fails. A failed dial backs the peer
-// off, from 1 ms doubling up to 50 ms, and frames to a peer in backoff are
-// dropped at once, with no syscall and no allocation. An endpoint dials
-// every peer as it attaches, and every accepted connection redials each
-// peer it has no connection to: a process that comes back connects to its
-// peers at once, and they to it, without waiting out a backoff or for
-// either side's next frame. A write error drops the connection; the next
-// frame dials again.
+// once it connects. Until a peer has been connected once, it may simply not
+// listen yet: a failed dial keeps the frames queued and the dial goroutine
+// retries, 1 ms later doubling up to 50 ms. Once a peer has been connected,
+// a failed dial drops the queued frames and backs the peer off on the same
+// schedule, and frames to a peer in backoff are dropped at once, with no
+// syscall and no allocation. An endpoint dials every peer as it attaches,
+// and every accepted connection redials each peer it has no connection to
+// (or wakes its retry): a process that comes back connects to its peers at
+// once, and they to it, without waiting out a backoff or for either side's
+// next frame. A write error drops the connection; the next frame dials
+// again.
 //
 // The one place a sender still blocks is the write itself: a write to a
 // connected peer whose socket buffer is full waits up to a 1 s write
@@ -132,13 +135,14 @@ func (t *TCP) Attach(pid ids.ProcessID) (Endpoint, error) {
 		return nil, fmt.Errorf("transport: listen %s: %w", t.addrs[pid], err)
 	}
 	ep := &tcpEndpoint{
-		net:     t,
-		pid:     pid,
-		ln:      ln,
-		inbox:   make(chan Packet, 4096),
-		done:    make(chan struct{}),
-		links:   make([]link, len(t.addrs)),
-		inbound: make(map[net.Conn]struct{}),
+		net:      t,
+		pid:      pid,
+		ln:       ln,
+		inbox:    make(chan Packet, 4096),
+		done:     make(chan struct{}),
+		links:    make([]link, len(t.addrs)),
+		inbound:  make(map[net.Conn]struct{}),
+		accepted: make(chan struct{}),
 	}
 	ep.dialCtx, ep.cancelDials = context.WithCancel(context.Background())
 	t.mu.Lock()
@@ -175,6 +179,9 @@ type tcpEndpoint struct {
 	mu      sync.Mutex
 	links   []link // index = peer ProcessID
 	inbound map[net.Conn]struct{}
+	// accepted is closed, and replaced, at each accepted connection: it
+	// cuts short the retry waits of the dials to peers never connected.
+	accepted chan struct{}
 
 	closeOnce sync.Once
 	wg        sync.WaitGroup
@@ -190,6 +197,9 @@ type link struct {
 	pending []*[]byte     // pooled frames waiting for the dial, at most maxPending
 	retryAt time.Time     // no dial before this
 	backoff time.Duration // the last failed dial's backoff, 0 after a success
+	// hadConn: the peer has been connected. Before that a failed dial
+	// retries with its frames queued; after, it backs the peer off.
+	hadConn bool
 }
 
 var _ Endpoint = (*tcpEndpoint)(nil)
@@ -254,13 +264,16 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 }
 
 // dialIdle starts a dial to every peer with neither a connection nor a
-// dial in flight, backoff or not.
+// dial in flight, backoff or not, and ends the retry waits of the dials in
+// flight.
 func (e *tcpEndpoint) dialIdle() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if closed(e.done) {
 		return
 	}
+	close(e.accepted)
+	e.accepted = make(chan struct{})
 	for to := range ids.ProcessID(len(e.links)) {
 		if l := &e.links[to]; to != e.pid && l.conn == nil && !l.dialing {
 			e.dialLocked(to)
@@ -278,9 +291,9 @@ func (e *tcpEndpoint) dialLocked(to ids.ProcessID) {
 
 // route decides what becomes of a frame of data for peer to. It returns
 // the connection to write it on; or nil when the frame has been queued
-// for a dial in flight (a pooled copy), or dropped: the endpoint is
-// closed, the peer is in backoff or its queue is full. A peer with neither
-// a connection nor a backoff gets its dial goroutine here.
+// for a dial in flight or retrying (a pooled copy), or dropped: the
+// endpoint is closed, the peer is in backoff or its queue is full. A peer
+// with neither a connection nor a backoff gets its dial goroutine here.
 func (e *tcpEndpoint) route(to ids.ProcessID, data []byte) net.Conn {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -304,21 +317,40 @@ func (e *tcpEndpoint) route(to ids.ProcessID, data []byte) net.Conn {
 }
 
 // dial connects to peer to and writes the frames queued meanwhile, in
-// order, before senders may write on the connection; on failure it drops
-// them and backs the peer off.
+// order, before senders may write on the connection. If it fails and the
+// peer has never been connected, it retries while frames are queued;
+// otherwise it drops them, and backs the peer off if it had been
+// connected.
 func (e *tcpEndpoint) dial(to ids.ProcessID) {
 	defer e.wg.Done()
+	var wait time.Duration
 	c, err := dialTCP(e.dialCtx, e.net.addrs[to])
 	e.mu.Lock()
 	l := &e.links[to]
+	for err != nil && !l.hadConn && len(l.pending) > 0 && !closed(e.done) {
+		wait = min(max(2*wait, minBackoff), maxBackoff)
+		woken := e.accepted
+		e.mu.Unlock()
+		t := time.NewTimer(wait)
+		select {
+		case <-t.C:
+		case <-woken:
+		case <-e.dialCtx.Done():
+		}
+		t.Stop()
+		c, err = dialTCP(e.dialCtx, e.net.addrs[to])
+		e.mu.Lock()
+	}
 	switch {
 	case err != nil:
-		l.backoff = min(max(2*l.backoff, minBackoff), maxBackoff)
-		l.retryAt = time.Now().Add(l.backoff)
+		if l.hadConn {
+			l.backoff = min(max(2*l.backoff, minBackoff), maxBackoff)
+			l.retryAt = time.Now().Add(l.backoff)
+		}
 	case closed(e.done):
 		c.Close()
 	default:
-		l.conn, l.backoff = c, 0
+		l.conn, l.backoff, l.hadConn = c, 0, true
 		for len(l.pending) > 0 {
 			var batch [maxPending]*[]byte
 			n := copy(batch[:], l.pending)

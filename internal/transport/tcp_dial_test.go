@@ -117,7 +117,7 @@ func TestTCPFirstFramesToALivePeerArrive(t *testing.T) {
 
 // TestTCPBacksOffARefusingPeer: 200 ms of sends to a peer that refuses
 // connections dial it about ten times, not once per frame, and a frame to
-// it in backoff allocates nothing.
+// it while its queue is full allocates nothing.
 func TestTCPBacksOffARefusingPeer(t *testing.T) {
 	var dials atomic.Int32
 	stubDial(t, func(ctx context.Context, addr string) (net.Conn, error) {
@@ -136,7 +136,7 @@ func TestTCPBacksOffARefusingPeer(t *testing.T) {
 		a.Multisend(payload)
 		time.Sleep(20 * time.Microsecond)
 	}
-	// Per peer, the backoffs 1, 2, 4, ... 32, 50, 50 ms leave room for
+	// Per peer, the retry waits 1, 2, 4, ... 32, 50, 50 ms leave room for
 	// nine dials in 200 ms.
 	n := dials.Load()
 	if n > 2*10 || n < 2*3 {
@@ -147,15 +147,53 @@ func TestTCPBacksOffARefusingPeer(t *testing.T) {
 		return
 	}
 	if allocs := testing.AllocsPerRun(100, func() { a.Send(1, payload) }); allocs != 0 {
-		t.Fatalf("a send to a peer in backoff allocates %.0f objects; want 0", allocs)
+		t.Fatalf("a send to a peer with a full queue allocates %.0f objects; want 0", allocs)
 	}
+}
+
+// TestTCPQueuesForAPeerNotYetListening: frames to a peer that has never
+// been connected wait, up to maxPending, while its dial is refused and
+// retried, and arrive in order once it listens: a process that attaches
+// before its peers loses nothing it sends them meanwhile.
+func TestTCPQueuesForAPeerNotYetListening(t *testing.T) {
+	var failed atomic.Int32
+	stubDial(t, func(ctx context.Context, addr string) (net.Conn, error) {
+		var d net.Dialer
+		c, err := d.DialContext(ctx, "tcp", addr)
+		if err != nil {
+			failed.Add(1)
+		}
+		return c, err
+	})
+	tn := NewTCP(loopbackAddrs(t, 2))
+	a, err := tn.Attach(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	var sent []string
+	for i := 0; failed.Load() < 4; i++ {
+		if i < maxPending {
+			f := fmt.Sprintf("early %d", i)
+			a.Send(1, []byte(f))
+			sent = append(sent, f)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	b, err := tn.Attach(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	expectFrames(t, b, sent...)
 }
 
 // TestTCPRedialsAPeerThatIsBack: a peer in backoff that re-attaches is
 // connected to at once, in both directions, before either side sends a
 // frame: it dials its peers as it attaches, and the accepted connection
 // makes the other side redial it. Without that, the other side would not
-// dial again until its next frame, after the backoff.
+// dial again until its next frame, after the backoff. The frames sent to
+// it in backoff are dropped, not delivered late.
 func TestTCPRedialsAPeerThatIsBack(t *testing.T) {
 	var failed atomic.Int32
 	stubDial(t, func(ctx context.Context, addr string) (net.Conn, error) {
@@ -172,13 +210,19 @@ func TestTCPRedialsAPeerThatIsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	// p1 is down: fail dials until the backoff is at its cap.
+	// Only a peer that was connected backs off: connect p1, then take it
+	// down and fail dials until the backoff is at its cap.
+	b, err := tn.Attach(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitConnected(t, a, 1)
+	b.Close()
 	for failed.Load() < 8 {
 		a.Send(1, []byte("down?"))
 		time.Sleep(100 * time.Microsecond)
 	}
-	b, err := tn.Attach(1)
-	if err != nil {
+	if b, err = tn.Attach(1); err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
